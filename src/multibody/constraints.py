@@ -51,8 +51,14 @@ class Constraint:
     def residual(self, s: KinematicStructure) -> np.ndarray:
         return evaluate_constraint(self, s)
 
-    def jacobian(self, s, jacobians=None) -> np.ndarray:
-        return constraint_jacobian(self, s, jacobians)
+    def variation_blocks(self, s: KinematicStructure):
+        """Residual-row derivatives w.r.t. the 6-DoF variations of body_a
+        and body_b, each n_rows x 6."""
+        da, db = constraint_variation_blocks(self, s)
+        return da[self.constrained_axes], db[self.constrained_axes]
+
+    def jacobian(self, s) -> np.ndarray:
+        return constraint_jacobian(self, s)
 
     @staticmethod
     def from_axis_names(body_a, body_b, axes, frame_a=None, frame_b=None):
@@ -106,18 +112,13 @@ def constraint_variation_blocks(c: Constraint, s: KinematicStructure):
     return da, db
 
 
-def constraint_jacobian(c: Constraint, s: KinematicStructure, jacobians=None):
-    """Rows of the constraint Jacobian w.r.t. the stacked structure variation.
-
-    ``jacobians`` overrides the per-body Jacobians (the solver passes
-    selection Jacobians for per-body 6-DoF modes); by default the
-    structure's tree Jacobians are used.
-    """
-    if jacobians is None:
-        jacobians = s.body_jacobians()
-    da, db = constraint_variation_blocks(c, s)
-    rows = c.constrained_axes
-    return da[rows] @ jacobians[c.body_a] + db[rows] @ jacobians[c.body_b]
+def constraint_jacobian(c, s: KinematicStructure):
+    """Rows of the constraint Jacobian w.r.t. the structure's joint
+    coordinates: the variation blocks of either constraint type chained
+    through the tree Jacobians of its two bodies."""
+    jacobians = s.body_jacobians()
+    da, db = c.variation_blocks(s)
+    return da @ jacobians[c.body_a] + db @ jacobians[c.body_b]
 
 
 # Axis pairs (i, j) whose inner product must vanish: (x,y), (y,z), (z,x).
@@ -149,8 +150,11 @@ class OrthogonalityConstraint:
     def residual(self, s) -> np.ndarray:
         return evaluate_orthogonality(self, s)
 
-    def jacobian(self, s, jacobians=None) -> np.ndarray:
-        return orthogonality_jacobian(self, s, jacobians)
+    def variation_blocks(self, s):
+        return orthogonality_variation_blocks(self, s)
+
+    def jacobian(self, s) -> np.ndarray:
+        return constraint_jacobian(self, s)
 
 
 def evaluate_orthogonality(c: OrthogonalityConstraint, s) -> np.ndarray:
@@ -159,24 +163,20 @@ def evaluate_orthogonality(c: OrthogonalityConstraint, s) -> np.ndarray:
     return np.array([r_ab[i, j] for i, j in ORTHOGONAL_AXIS_PAIRS])
 
 
-def orthogonality_jacobian(c: OrthogonalityConstraint, s, jacobians=None):
-    if jacobians is None:
-        jacobians = s.body_jacobians()
+def orthogonality_variation_blocks(c: OrthogonalityConstraint, s):
+    """3x6 derivatives of the orthogonality residual w.r.t. the 6-DoF
+    variations of body_a and body_b."""
     pose_a = s.bodies[c.body_a].pose
     pose_b = s.bodies[c.body_b].pose
     r_ab = relative_constraint_pose(c, s).r
     r_a_ma = c.frame_a.r
     r_a_mb = (c.frame_a @ pose_a.inverse() @ pose_b).r
 
-    j_a = jacobians[c.body_a]
-    j_b = jacobians[c.body_b]
-    out = np.zeros((3, j_a.shape[1]))
+    # Translational variation columns do not move the residual.
+    da = np.zeros((3, 6))
+    db = np.zeros((3, 6))
     for k, (i, j) in enumerate(ORTHOGONAL_AXIS_PAIRS):
         cross = skew(r_ab @ np.eye(3)[j])
-        # Translational variation columns do not move the residual.
-        row_a = np.zeros(6)
-        row_a[:3] = np.eye(3)[i] @ cross @ r_a_ma
-        row_b = np.zeros(6)
-        row_b[:3] = -np.eye(3)[i] @ cross @ r_a_mb
-        out[k] = row_a @ j_a + row_b @ j_b
-    return out
+        da[k, :3] = np.eye(3)[i] @ cross @ r_a_ma
+        db[k, :3] = -np.eye(3)[i] @ cross @ r_a_mb
+    return da, db

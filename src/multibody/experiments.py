@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import gc
 import time
 from dataclasses import dataclass, field
 
@@ -261,33 +262,63 @@ def kkt_dimension(mode: SolverMode, n_bodies: int) -> int:
     raise ValueError(f"scaling study covers projected/constrained, not {mode}")
 
 
+# Timing rounds of the scaling study: at least `repetitions`, then more, up to
+# the cap, until each mode has this much sampled time.
+SCALING_MIN_SAMPLED_S = 0.1
+SCALING_MAX_ROUNDS = 50
+
+
 def run_scaling_study(
     max_bodies: int, repetitions: int = 5, seed: int = 0
 ) -> list[ScalingSample]:
     """Per-iteration wall-clock time of projected vs constrained solves on
-    serial chains of growing length.  Median over repetitions, after one
-    warm-up iteration."""
+    serial chains of growing length.
+
+    After one warm-up step per mode, each round times one step of each mode
+    back to back, with garbage collection paused.  The host's speed changes
+    (up to 2x, from one step to the next) hit both steps of a round alike,
+    so a mode's time is its median share of the round times the median
+    round time.  A per-mode minimum or median instead compares steps taken
+    at different speeds.
+    """
     if max_bodies < 2:
         raise ValueError("max_bodies must be >= 2")
+    modes = (SolverMode.PROJECTED, SolverMode.CONSTRAINED)
     samples = []
-    for n in range(1, max_bodies + 1):
-        for mode in (SolverMode.PROJECTED, SolverMode.CONSTRAINED):
-            s = build_serial_chain(n)
-            cfg = SolverConfig(mode=mode)
-            step(s, zero_energy, cfg)  # warm-up
-            times = []
-            for _ in range(repetitions):
-                start = time.perf_counter()
-                step(s, zero_energy, cfg)
-                times.append(time.perf_counter() - start)
-            samples.append(
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for n in range(1, max_bodies + 1):
+            chains = {mode: build_serial_chain(n) for mode in modes}
+            cfgs = {mode: SolverConfig(mode=mode) for mode in modes}
+            for mode in modes:
+                step(chains[mode], zero_energy, cfgs[mode])  # warm-up
+            times = {mode: [] for mode in modes}
+            rounds = 0
+            while rounds < repetitions or (
+                rounds < SCALING_MAX_ROUNDS
+                and min(sum(t) for t in times.values()) < SCALING_MIN_SAMPLED_S
+            ):
+                for mode in modes:
+                    start = time.perf_counter()
+                    step(chains[mode], zero_energy, cfgs[mode])
+                    times[mode].append(time.perf_counter() - start)
+                rounds += 1
+            round_s = np.sum([times[mode] for mode in modes], axis=0)
+            samples.extend(
                 ScalingSample(
                     n_bodies=n,
                     mode=mode,
-                    seconds_per_iter=float(np.median(times)),
+                    seconds_per_iter=float(
+                        np.median(np.array(times[mode]) / round_s) * np.median(round_s)
+                    ),
                     kkt_dim=kkt_dimension(mode, n),
                 )
+                for mode in modes
             )
+    finally:
+        if gc_was_enabled:
+            gc.enable()
     return samples
 
 

@@ -192,10 +192,25 @@ class KinematicStructure:
             joint = body.joint
             parent_pose = self.bodies[body.parent].pose
             if joint.fixed_side is FixedSide.JOINT_TO_MODEL:
-                joint.parent_to_joint = (
+                joint.parent_to_joint = _orthonormalized(
                     parent_pose.inverse() @ body.pose @ joint.joint_to_model.inverse()
                 )
             else:
-                joint.joint_to_model = (
+                joint.joint_to_model = _orthonormalized(
                     joint.parent_to_joint.inverse() @ parent_pose.inverse() @ body.pose
                 )
+
+
+def _orthonormalized(pose: Pose) -> Pose:
+    """One Newton-Schulz polar step, R <- R (3I - R^T R) / 2.
+
+    ``Pose.inverse`` transposes R, which inverts it only while R is
+    orthonormal.  Without this step the rounding error of a re-inferred
+    joint transform feeds the next pose update and grows with every step
+    down a long chain; the step squares the error instead.
+    """
+    r = pose.r
+    return Pose(r @ (_THREE_I - r.T @ r) * 0.5, pose.t)
+
+
+_THREE_I = 3.0 * np.eye(3)

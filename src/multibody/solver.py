@@ -9,15 +9,22 @@ Four configurations are supported:
 * constrained: free 6-DoF bodies coupled only through Lagrange-multiplier
   constraint rows.
 * combined: tree projection plus constraint rows (closed chains).
+
+The free-body modes (independent, constrained) scatter 6x6 energy blocks and
+each constraint's two 6-column blocks into a block-sparse KKT matrix that
+SuperLU factors.  The tree modes (projected, combined) assemble a small
+dense KKT matrix in joint coordinates and factor it densely.
 """
 
 from __future__ import annotations
 
 import enum
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .energy import BodyEnergy
 from .kinematics import KinematicStructure
@@ -67,12 +74,26 @@ class SolverConfig:
 
 @dataclass
 class KktSystem:
-    h_k: np.ndarray
+    """Saddle-point system [[H, B^T], [B, 0]] [theta; lam] = -[g; b].
+
+    ``matrix`` is the whole symmetric KKT matrix: a scipy CSC matrix in the
+    free-body modes, a dense array in the tree modes.
+    """
+
+    matrix: np.ndarray | scipy.sparse.csc_array
     g_k: np.ndarray
-    b_mat: np.ndarray
     b_vec: np.ndarray
-    theta_hat: np.ndarray | None = None
-    lambda_hat: np.ndarray | None = None
+
+    @classmethod
+    def from_blocks(cls, h_k, g_k, b_mat, b_vec) -> "KktSystem":
+        """Dense system from H (symmetrized here), g, B and b."""
+        n = g_k.shape[0]
+        m = b_vec.shape[0]
+        kkt = np.zeros((n + m, n + m))
+        kkt[:n, :n] = 0.5 * (h_k + h_k.T)
+        kkt[:n, n:] = b_mat.T
+        kkt[n:, :n] = b_mat
+        return cls(kkt, g_k, b_vec)
 
 
 @dataclass
@@ -82,96 +103,145 @@ class StepReport:
     residuals_after: list
 
 
-def effective_jacobians(s: KinematicStructure, mode: SolverMode):
-    """Per-body Jacobians and the rotational mask of the unknowns.
-
-    Tree modes use the recursive body Jacobians over the joint coordinates;
-    free-body modes give each body a 6-DoF identity block.
-    """
-    if mode in _FREE_BODY_MODES:
-        n = 6 * len(s.bodies)
-        jacobians = []
-        for i in range(len(s.bodies)):
-            j = np.zeros((6, n))
-            j[:, 6 * i : 6 * i + 6] = np.eye(6)
-            jacobians.append(j)
-        rot_mask = np.tile([True] * 3 + [False] * 3, len(s.bodies))
-        return jacobians, rot_mask
-    jacobians = s.body_jacobians()
-    rot_mask = np.zeros(s.n_dof, dtype=bool)
-    for i, body in enumerate(s.bodies):
-        off = s.dof_offsets[i]
-        for k, axis in enumerate(np.flatnonzero(body.joint.free_axes)):
-            rot_mask[off + k] = axis < 3
-    return jacobians, rot_mask
-
-
 def assemble(
     s: KinematicStructure,
     energies: list[BodyEnergy],
     mode: SolverMode,
     regularization: Regularization | None = None,
 ) -> KktSystem:
-    """Projected gradient/Hessian plus regularization and constraint rows."""
+    """Gradient/Hessian plus regularization, and constraint rows in the
+    constraint modes."""
     if len(energies) != len(s.bodies):
         raise ValueError(
             f"got {len(energies)} energies for {len(s.bodies)} bodies"
         )
-    jacobians, rot_mask = effective_jacobians(s, mode)
-    n = jacobians[0].shape[1] if jacobians else 0
+    constraints = s.constraints if mode in _CONSTRAINED_MODES else []
+    b_vec = (
+        np.concatenate([c.residual(s) for c in constraints])
+        if constraints
+        else np.zeros(0)
+    )
+    if mode in _FREE_BODY_MODES:
+        return _assemble_free_bodies(s, energies, constraints, b_vec, regularization)
+    return _assemble_tree(s, energies, constraints, b_vec, regularization)
+
+
+def _assemble_tree(s, energies, constraints, b_vec, regularization) -> KktSystem:
+    """Dense system in joint coordinates: H = sum J^T H_i J over the tree
+    Jacobians, constraint rows chained through them."""
+    jacobians = s.body_jacobians()
+    n = s.n_dof
     h_k = np.zeros((n, n))
     g_k = np.zeros(n)
     for jac, energy in zip(jacobians, energies):
         g_k += jac.T @ energy.g
         h_k += jac.T @ energy.h @ jac
     if regularization is not None:
+        rot_mask = np.zeros(n, dtype=bool)
+        for i, body in enumerate(s.bodies):
+            off = s.dof_offsets[i]
+            for k, axis in enumerate(np.flatnonzero(body.joint.free_axes)):
+                rot_mask[off + k] = axis < 3
         diag = np.where(rot_mask, regularization.lambda_r, regularization.lambda_t)
         h_k[np.diag_indices(n)] += diag
-
-    if mode in _CONSTRAINED_MODES and s.constraints:
-        b_mat = np.vstack([c.jacobian(s, jacobians) for c in s.constraints])
-        b_vec = np.concatenate([c.residual(s) for c in s.constraints])
+    if constraints:
+        b_mat = np.vstack([c.jacobian(s) for c in constraints])
     else:
         b_mat = np.zeros((0, n))
-        b_vec = np.zeros(0)
-    return KktSystem(h_k, g_k, b_mat, b_vec)
+    return KktSystem.from_blocks(h_k, g_k, b_mat, b_vec)
+
+
+_BLOCK = np.arange(6)
+
+
+def _assemble_free_bodies(s, energies, constraints, b_vec, regularization) -> KktSystem:
+    """Sparse system over one 6-DoF block per body.
+
+    H is block diagonal, and each constraint row touches only the 12
+    columns of its two bodies, so the blocks are scattered straight into
+    one COO matrix, with B and B^T sharing index arrays and values.
+    """
+    n = 6 * len(s.bodies)
+    h = np.array([e.h for e in energies])
+    if regularization is not None:
+        h = h + np.diag(np.repeat([regularization.lambda_r, regularization.lambda_t], 3))
+    h = 0.5 * (h + h.transpose(0, 2, 1))
+    start = 6 * np.arange(len(s.bodies))[:, None, None]
+    h_rows = np.broadcast_to(start + _BLOCK[:, None], h.shape).ravel()
+    h_cols = np.broadcast_to(start + _BLOCK, h.shape).ravel()
+
+    # One row of b_data per constraint row: [d/d body_a | d/d body_b].
+    blocks = [c.variation_blocks(s) for c in constraints]
+    b_data = np.vstack([np.hstack(pair) for pair in blocks] or [np.zeros((0, 12))])
+    m = b_data.shape[0]
+    first_cols = np.repeat(
+        np.array([(6 * c.body_a, 6 * c.body_b) for c in constraints], dtype=int).reshape(-1, 2),
+        [da.shape[0] for da, _ in blocks],
+        axis=0,
+    )
+    b_rows = np.repeat(n + np.arange(m), 12)
+    b_cols = (first_cols[:, :, None] + _BLOCK).ravel()
+
+    kkt = scipy.sparse.coo_array(
+        (
+            np.concatenate([h.ravel(), b_data.ravel(), b_data.ravel()]),
+            (
+                np.concatenate([h_rows, b_rows, b_cols]),
+                np.concatenate([h_cols, b_cols, b_rows]),
+            ),
+        ),
+        shape=(n + m, n + m),
+    ).tocsc()
+    return KktSystem(kkt, np.concatenate([e.g for e in energies]), b_vec)
 
 
 def solve_kkt(k: KktSystem):
     """Solve the saddle-point system for the variation and the multipliers.
 
-    [[H, B^T], [B, 0]] [theta; lam] = -[g; b], via a pivoted
-    symmetric-indefinite factorization, with a post-solve residual check.
+    Sparse systems are factored by SuperLU, dense ones by a pivoted
+    symmetric-indefinite factorization; both solutions pass the same
+    finite and backward-error checks.
     """
-    n = k.g_k.shape[0]
-    m = k.b_vec.shape[0]
-    kkt = np.zeros((n + m, n + m))
-    kkt[:n, :n] = 0.5 * (k.h_k + k.h_k.T)
-    kkt[:n, n:] = k.b_mat.T
-    kkt[n:, :n] = k.b_mat
     rhs = -np.concatenate([k.g_k, k.b_vec])
-    try:
-        x = scipy.linalg.solve(kkt, rhs, assume_a="sym")
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise FactorizationFailed(str(exc)) from exc
+    if scipy.sparse.issparse(k.matrix):
+        # Imported on first use: it adds about 35 modules and 2 MB to
+        # `import multibody`, and only the free-body modes need it.
+        from scipy.sparse import linalg as sparse_linalg
+
+        try:
+            x = sparse_linalg.splu(k.matrix).solve(rhs)
+        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+            raise FactorizationFailed(str(exc)) from exc
+        kkt_norm = sparse_linalg.norm(k.matrix)
+    else:
+        try:
+            with warnings.catch_warnings():
+                # Ill-conditioning is judged by the backward-error check below.
+                warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+                x = scipy.linalg.solve(k.matrix, rhs, assume_a="sym")
+        except (scipy.linalg.LinAlgError, ValueError) as exc:
+            raise FactorizationFailed(str(exc)) from exc
+        kkt_norm = np.linalg.norm(k.matrix)
+    _check_solution(k.matrix, kkt_norm, x, rhs)
+    n = k.g_k.shape[0]
+    return x[:n], x[n:]
+
+
+def _check_solution(kkt, kkt_norm: float, x: np.ndarray, rhs: np.ndarray):
+    """Reject a solution that is not finite or that misses the system by
+    more than the backward error of a stable factorization."""
     if not np.all(np.isfinite(x)):
         raise FactorizationFailed("non-finite solution")
     residual = kkt @ x - rhs
-    # Allow the backward error of a stable factorization: near-degenerate
-    # systems produce huge solutions whose residual scales with |K| |x|.
-    backward = (
-        100.0 * (n + m) * np.finfo(float).eps
-        * np.linalg.norm(kkt) * np.linalg.norm(x)
-    )
+    # Near-degenerate systems produce huge solutions whose residual scales
+    # with |K| |x|.
+    backward = 100.0 * x.shape[0] * np.finfo(float).eps * kkt_norm * np.linalg.norm(x)
     tolerance = 1e-7 * max(1.0, np.linalg.norm(rhs)) + backward
     if np.linalg.norm(residual) > tolerance:
         raise FactorizationFailed(
             "solution does not satisfy the KKT system; constraints are likely "
             "contradictory or duplicated"
         )
-    k.theta_hat = x[:n]
-    k.lambda_hat = x[n:]
-    return k.theta_hat, k.lambda_hat
 
 
 def apply_update(s: KinematicStructure, theta: np.ndarray, mode: SolverMode):
@@ -193,7 +263,15 @@ def step(s: KinematicStructure, provider, cfg: SolverConfig) -> StepReport:
     """One full Newton iteration: energies, assembly, KKT solve, pose update."""
     energies = [provider(i, body.pose) for i, body in enumerate(s.bodies)]
     kkt = assemble(s, energies, cfg.mode, cfg.regularization)
-    residuals_before = constraint_residual_norms(s)
+    if cfg.mode in _CONSTRAINED_MODES:
+        # The constraint rows of the right-hand side are the residuals.
+        ends = np.cumsum([c.n_rows for c in s.constraints])
+        residuals_before = [
+            float(np.linalg.norm(kkt.b_vec[end - c.n_rows : end]))
+            for c, end in zip(s.constraints, ends)
+        ]
+    else:
+        residuals_before = constraint_residual_norms(s)
     theta, _ = solve_kkt(kkt)
     apply_update(s, theta, cfg.mode)
     return StepReport(

@@ -1,7 +1,9 @@
 """Independent reference implementations used to check the library.
 
 Rotations are cross-checked through quaternions, derivatives through central
-finite differences, and registration through the closed-form Kabsch fit.
+finite differences, registration through the closed-form Kabsch fit, and the
+sparse free-body KKT system through a dense one built from selection
+Jacobians.
 """
 
 import numpy as np
@@ -118,3 +120,31 @@ def brute_force_add_s(vertices, rel_matrix):
     for v in vertices:
         total += min(np.linalg.norm(m - v) for m in moved)
     return total / len(vertices)
+
+
+def selection_kkt(s, energies, constraints, reg_diag):
+    """Dense free-body KKT blocks (H, g, B, b) from 6 x 6n selection
+    Jacobians S_i: H = sum S_i^T H_i S_i + diag, g = sum S_i^T g_i and
+    B = da S_a + db S_b per constraint, over the constraints' own 6-DoF
+    variation blocks and residuals."""
+    n = 6 * len(s.bodies)
+    sel = [np.eye(6, n, 6 * i) for i in range(len(s.bodies))]
+    h = sum(j.T @ e.h @ j for j, e in zip(sel, energies))
+    h = h + np.diag(np.tile(reg_diag, len(s.bodies)))
+    g = sum(j.T @ e.g for j, e in zip(sel, energies))
+    b_mat = np.zeros((0, n))
+    b_vec = np.zeros(0)
+    for c in constraints:
+        da, db = c.variation_blocks(s)
+        b_mat = np.vstack([b_mat, da @ sel[c.body_a] + db @ sel[c.body_b]])
+        b_vec = np.concatenate([b_vec, c.residual(s)])
+    return h, g, b_mat, b_vec
+
+
+def solve_dense_kkt(h, g, b_mat, b_vec):
+    """theta, lambda of [[H, B^T], [B, 0]] [theta; lambda] = -[g; b]."""
+    n = g.shape[0]
+    m = b_vec.shape[0]
+    kkt = np.block([[0.5 * (h + h.T), b_mat.T], [b_mat, np.zeros((m, m))]])
+    x = np.linalg.solve(kkt, -np.concatenate([g, b_vec]))
+    return x[:n], x[n:]

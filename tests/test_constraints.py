@@ -12,7 +12,6 @@ from multibody.constraints import (
     constraint_variation_blocks,
     evaluate_constraint,
     evaluate_orthogonality,
-    orthogonality_jacobian,
     relative_constraint_pose,
 )
 from multibody.kinematics import Body, Joint, KinematicStructure, axes_mask
@@ -192,7 +191,7 @@ class TestOrthogonality:
         c = OrthogonalityConstraint(
             0, 2, random_pose(rng), random_pose(rng)
         )
-        analytic = orthogonality_jacobian(c, s)
+        analytic = c.jacobian(s)
         assert np.max(np.abs(analytic - fd_constraint_jacobian(c, s))) < 1e-5
 
     def test_identical_variation_cancels_with_equal_frames(self):
@@ -202,6 +201,6 @@ class TestOrthogonality:
         s = two_free_bodies(pose, pose)
         s.compute_body_jacobians()
         c = OrthogonalityConstraint(0, 1, frame, frame)
-        jac = orthogonality_jacobian(c, s)
+        jac = c.jacobian(s)
         theta = np.concatenate([random_rotvec(rng), rng.uniform(-1, 1, 3)])
         assert np.max(np.abs(jac @ np.concatenate([theta, theta]))) < 1e-9

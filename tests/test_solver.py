@@ -1,18 +1,22 @@
 """KKT assembly, solve, and the four solver configurations."""
 
 import copy
+import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from builders import random_pose, random_tree
-from multibody.constraints import Constraint
+from multibody.constraints import Constraint, OrthogonalityConstraint
 from multibody.energy import (
     BodyEnergy,
     evaluate_quadratic_target,
+    per_body,
     quadratic_pose_target,
     zero_energy,
 )
+from multibody.experiments import build_serial_chain
 from multibody.kinematics import Body, Joint, KinematicStructure
 from multibody.se3 import Pose
 from multibody.solver import (
@@ -26,12 +30,45 @@ from multibody.solver import (
     solve_kkt,
     step,
 )
-from oracles import numeric_hessian, random_rotvec
+from oracles import (
+    numeric_hessian,
+    random_rotvec,
+    selection_kkt,
+    solve_dense_kkt,
+)
 
 
 def random_spd(rng, n=6):
     a = rng.standard_normal((n, n))
     return a @ a.T + 0.5 * np.eye(n)
+
+
+def dense_blocks(k):
+    """H and B of an assembled system as dense arrays."""
+    kkt = k.matrix.toarray() if scipy.sparse.issparse(k.matrix) else k.matrix
+    n = k.g_k.shape[0]
+    return kkt[:n, :n], kkt[n:, :n]
+
+
+def constrained_tree(rng, n_bodies=5):
+    """Random tree with violated constraints of both kinds between its
+    bodies, one of them masked."""
+    s = random_tree(rng, n_bodies)
+    s.constraints = [
+        Constraint(0, 3, random_pose(rng), random_pose(rng)),
+        OrthogonalityConstraint(1, 4, random_pose(rng), random_pose(rng)),
+        Constraint(4, 2, random_pose(rng), random_pose(rng),
+                   np.array([True, False, True, False, True, True])),
+    ]
+    return s
+
+
+def random_energies(rng, n_bodies):
+    return [BodyEnergy(rng.standard_normal(6), random_spd(rng)) for _ in range(n_bodies)]
+
+
+def relative_error(actual, expected):
+    return np.linalg.norm(actual - expected) / max(np.linalg.norm(expected), 1e-300)
 
 
 def fixed_energies(energies):
@@ -44,7 +81,7 @@ class TestAssemble:
         rng = np.random.default_rng(0)
         e = BodyEnergy(rng.standard_normal(6), random_spd(rng))
         k = assemble(s, [e], SolverMode.PROJECTED, None)
-        assert np.allclose(k.h_k, e.h)
+        assert np.allclose(dense_blocks(k)[0], e.h)
         assert np.allclose(k.g_k, e.g)
 
     def test_child_contribution_projected(self):
@@ -55,7 +92,7 @@ class TestAssemble:
         e1 = BodyEnergy(rng.standard_normal(6), random_spd(rng))
         k = assemble(s, [e0, e1], SolverMode.PROJECTED, None)
         j1 = s.bodies[1].jacobian
-        assert np.allclose(k.h_k, j1.T @ e1.h @ j1, atol=1e-12)
+        assert np.allclose(dense_blocks(k)[0], j1.T @ e1.h @ j1, atol=1e-12)
         assert np.allclose(k.g_k, j1.T @ e1.g, atol=1e-12)
 
     def test_matches_numeric_hessian_of_composed_energy(self):
@@ -79,12 +116,12 @@ class TestAssemble:
             )
 
         h_fd = numeric_hessian(composed, np.zeros(s.n_dof), eps=1e-4)
-        assert np.max(np.abs(h_fd - k.h_k)) < 1e-6
+        assert np.max(np.abs(h_fd - dense_blocks(k)[0])) < 1e-6
 
     def test_regularization_on_matching_axes(self):
         s = KinematicStructure([Body("a", Joint(free_axes=np.ones(6, dtype=bool)))])
         k = assemble(s, [BodyEnergy.zero()], SolverMode.PROJECTED, Regularization(7.0, 9.0))
-        assert np.allclose(np.diag(k.h_k), [7, 7, 7, 9, 9, 9])
+        assert np.allclose(np.diag(dense_blocks(k)[0]), [7, 7, 7, 9, 9, 9])
 
     def test_energy_count_mismatch(self):
         rng = np.random.default_rng(3)
@@ -92,29 +129,33 @@ class TestAssemble:
         with pytest.raises(ValueError):
             assemble(s, [BodyEnergy.zero()], SolverMode.PROJECTED, None)
 
-    def test_free_body_modes_use_selection_blocks(self):
+    def test_free_body_modes_match_selection_formula(self):
         rng = np.random.default_rng(4)
-        s = random_tree(rng, 2)
-        energies = [
-            BodyEnergy(rng.standard_normal(6), random_spd(rng)) for _ in s.bodies
-        ]
-        k = assemble(s, energies, SolverMode.INDEPENDENT, None)
-        assert k.h_k.shape == (12, 12)
-        assert np.allclose(k.h_k[:6, :6], energies[0].h)
-        assert np.allclose(k.h_k[6:, 6:], energies[1].h)
-        assert np.allclose(k.h_k[:6, 6:], np.zeros((6, 6)))
+        s = constrained_tree(rng)
+        energies = random_energies(rng, len(s.bodies))
+        for mode, constraints in (
+            (SolverMode.INDEPENDENT, []),
+            (SolverMode.CONSTRAINED, s.constraints),
+        ):
+            k = assemble(s, energies, mode, Regularization(7.0, 9.0))
+            h, g, b_mat, b_vec = selection_kkt(s, energies, constraints, [7, 7, 7, 9, 9, 9])
+            h_k, b_k = dense_blocks(k)
+            assert np.allclose(h_k, 0.5 * (h + h.T), rtol=0.0, atol=1e-12)
+            assert np.allclose(k.g_k, g, rtol=0.0, atol=1e-12)
+            assert np.allclose(b_k, b_mat, rtol=0.0, atol=1e-12)
+            assert np.array_equal(k.b_vec, b_vec)
 
 
 class TestSolveKkt:
     def test_unconstrained_newton_reduction(self):
         v = np.array([1.0, -2.0, 3.0])
-        k = KktSystem(np.eye(3), v, np.zeros((0, 3)), np.zeros(0))
+        k = KktSystem.from_blocks(np.eye(3), v, np.zeros((0, 3)), np.zeros(0))
         theta, lam = solve_kkt(k)
         assert np.allclose(theta, -v)
         assert lam.shape == (0,)
 
     def test_one_dimensional_toy(self):
-        k = KktSystem(
+        k = KktSystem.from_blocks(
             np.array([[2.0]]), np.array([4.0]), np.array([[1.0]]), np.array([3.0])
         )
         theta, lam = solve_kkt(k)
@@ -122,7 +163,7 @@ class TestSolveKkt:
         assert np.allclose(lam, [2.0])
 
     def test_duplicated_constraint_row_fails(self):
-        k = KktSystem(
+        k = KktSystem.from_blocks(
             np.eye(2),
             np.zeros(2),
             np.array([[1.0, 0.0], [1.0, 0.0]]),
@@ -138,11 +179,53 @@ class TestSolveKkt:
             g = rng.standard_normal(8)
             b_mat = rng.standard_normal((3, 8))
             b_vec = rng.standard_normal(3)
-            k = KktSystem(h, g, b_mat, b_vec)
+            k = KktSystem.from_blocks(h, g, b_mat, b_vec)
             theta, lam = solve_kkt(k)
             rhs_norm = max(1.0, np.linalg.norm(np.concatenate([g, b_vec])))
             assert np.linalg.norm(h @ theta + b_mat.T @ lam + g) < 1e-7 * rhs_norm
             assert np.linalg.norm(b_mat @ theta + b_vec) < 1e-7 * rhs_norm
+
+
+class TestFreeBodySparseKkt:
+    """The sparse free-body system against the dense selection-Jacobian one."""
+
+    @staticmethod
+    def check(s, energies, mode):
+        reg = Regularization()
+        k = assemble(s, energies, mode, reg)
+        assert scipy.sparse.issparse(k.matrix)
+        theta, lam = solve_kkt(k)
+        constraints = s.constraints if mode is SolverMode.CONSTRAINED else []
+        reference = selection_kkt(
+            s, energies, constraints, [reg.lambda_r] * 3 + [reg.lambda_t] * 3
+        )
+        theta_ref, lam_ref = solve_dense_kkt(*reference)
+        assert relative_error(theta, theta_ref) < 1e-10
+        assert lam.shape == lam_ref.shape
+        if lam_ref.size:
+            assert relative_error(lam, lam_ref) < 1e-10
+
+    @pytest.mark.parametrize("mode", [SolverMode.INDEPENDENT, SolverMode.CONSTRAINED])
+    def test_random_tree_matches_dense_reference(self, mode):
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            s = constrained_tree(rng)
+            self.check(s, random_energies(rng, len(s.bodies)), mode)
+
+    @pytest.mark.parametrize("n_bodies", [2, 5, 64])
+    @pytest.mark.parametrize("mode", [SolverMode.INDEPENDENT, SolverMode.CONSTRAINED])
+    def test_serial_chain_matches_dense_reference(self, mode, n_bodies):
+        rng = np.random.default_rng(n_bodies)
+        s = build_serial_chain(n_bodies)
+        self.check(s, random_energies(rng, n_bodies), mode)
+
+    def test_duplicated_chain_constraints_fail_without_warning(self):
+        s = build_serial_chain(5)
+        s.constraints = s.constraints + s.constraints
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FactorizationFailed):
+                step(s, zero_energy, SolverConfig(mode=SolverMode.CONSTRAINED))
 
 
 class TestStep:
@@ -231,5 +314,38 @@ class TestStep:
             ],
             [Constraint(0, 1), Constraint(0, 1)],  # duplicated rows
         )
-        with pytest.raises(FactorizationFailed):
-            step(s, zero_energy, SolverConfig(mode=SolverMode.CONSTRAINED))
+        for mode in (SolverMode.CONSTRAINED, SolverMode.COMBINED):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(FactorizationFailed):
+                    step(copy.deepcopy(s), zero_energy, SolverConfig(mode=mode))
+
+    @pytest.mark.parametrize("mode", [SolverMode.CONSTRAINED, SolverMode.COMBINED])
+    def test_residuals_before_match_fresh_evaluation(self, mode):
+        s = constrained_tree(np.random.default_rng(12))
+        expected = [float(np.linalg.norm(c.residual(s))) for c in s.constraints]
+        report = step(s, zero_energy, SolverConfig(mode=mode))
+        assert report.residuals_before == expected
+
+    def test_projected_chain_stays_orthonormal(self):
+        # Re-inferred joint transforms are re-orthonormalized; without that
+        # the rotation error of this chain grows about 30x per step.
+        n_bodies = 64
+        s = build_serial_chain(n_bodies)
+        rng = np.random.default_rng(13)
+        amplitude = rng.uniform(0.02, 0.1, n_bodies - 1)
+        phase = rng.uniform(0.0, 2.0 * np.pi, n_bodies - 1)
+        link = Pose(np.eye(3), np.array([0.1, 0.0, 0.0]))
+        cfg = SolverConfig(mode=SolverMode.PROJECTED)
+        for frame in range(300):
+            angles = amplitude * (np.sin(2.0 * np.pi * frame / 240 + phase) - np.sin(phase))
+            targets = [Pose.identity()]
+            for q in angles:
+                targets.append(targets[-1] @ link @ Pose.from_rotvec([0.0, 0.0, q]))
+            providers = {
+                i: quadratic_pose_target(target, 100.0, 100.0)
+                for i, target in enumerate(targets)
+            }
+            step(s, per_body(providers), cfg)
+            worst = max(np.max(np.abs(b.pose.r.T @ b.pose.r - np.eye(3))) for b in s.bodies)
+            assert worst <= 1e-9, f"frame {frame}: orthonormality error {worst:.1e}"

@@ -22,7 +22,6 @@ from .metrics import Mesh, add_error, add_s_error, auc_score, load_obj
 from .se3 import (
     Pose,
     adjoint,
-    compose_rotvecs,
     exp_rotvec,
     log_rotation,
     pose_with_variation,
@@ -63,7 +62,6 @@ __all__ = [
     "assemble",
     "auc_score",
     "axes_mask",
-    "compose_rotvecs",
     "exp_rotvec",
     "expand_joint_variation",
     "load_obj",

@@ -16,39 +16,32 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import TrackingConfig, load_config
-from .constraints import (
-    Constraint,
-    OrthogonalityConstraint,
-    relative_constraint_pose,
-)
-from .energy import BodyEnergy, per_body, quadratic_pose_target, zero_energy
+from .constraints import ORTHOGONAL_AXIS_PAIRS, Constraint
+from .energy import per_body, quadratic_pose_target, zero_energy
 from .kinematics import Body, Joint, KinematicStructure, axes_mask
 from .metrics import add_error, add_s_error, auc_score
-from .se3 import Pose, log_rotation
-from .solver import Regularization, SolverConfig, SolverMode, run, step
+from .se3 import (
+    Pose,
+    exp_rotvec_stack,
+    log_rotation_stack,
+    row_norms,
+    skew_stack,
+    variation_matrix_stack,
+)
+from .solver import (
+    FactorizationFailed,
+    KktSystem,
+    Regularization,
+    SolverConfig,
+    SolverMode,
+    run,
+    solve_kkt,
+    step,
+)
 
 PERCENTILE_LEVELS = (1, 10, 20, 30, 40, 50, 60, 70, 80, 90, 99)
 
 CONVERGENCE_KINDS = ("rotvec", "trans", "full", "ortho")
-
-
-def random_unit_vector(rng) -> np.ndarray:
-    v = rng.standard_normal(3)
-    return v / np.linalg.norm(v)
-
-
-def sample_rotvec(rng) -> np.ndarray:
-    """Axis uniform on the sphere, signed length uniform on [-pi, pi].
-
-    A negative length flips the axis, so the magnitude ends up uniform on
-    [0, pi]; the sampling is kept in this literal signed form.
-    """
-    return rng.uniform(-np.pi, np.pi) * random_unit_vector(rng)
-
-
-def sample_translation(rng) -> np.ndarray:
-    """Axis uniform on the sphere, signed length uniform on [-1, 1] meters."""
-    return rng.uniform(-1.0, 1.0) * random_unit_vector(rng)
 
 
 def random_spd(rng, n: int = 6, scale: float = 100.0) -> np.ndarray:
@@ -84,71 +77,119 @@ class ConvergenceStudy:
         return rows
 
 
-def _two_body_structure(kind: str, rng, equal_frames: bool):
-    """Two unconnected free bodies with the requested constraint between
-    random frames, starting from a sampled initial pose difference."""
-    if kind in ("rotvec", "ortho"):
-        # Rotation-only study: frames and poses are pure rotations, so the
-        # translational part of the relative pose stays identically zero.
-        frame_a = Pose.identity() if equal_frames else Pose.from_rotvec(sample_rotvec(rng))
-        frame_b = Pose.identity() if equal_frames else Pose.from_rotvec(sample_rotvec(rng))
-        diff = Pose.from_rotvec(sample_rotvec(rng))
-        pose_a = Pose.from_rotvec(sample_rotvec(rng))
-    elif kind == "trans":
-        frame_a = Pose(np.eye(3), np.zeros(3) if equal_frames else sample_translation(rng))
-        frame_b = Pose(np.eye(3), np.zeros(3) if equal_frames else sample_translation(rng))
-        diff = Pose(np.eye(3), sample_translation(rng))
-        pose_a = Pose(np.eye(3), sample_translation(rng))
-    elif kind == "full":
-        frame_a = (
-            Pose.identity()
-            if equal_frames
-            else Pose.from_rotvec(sample_rotvec(rng), sample_translation(rng))
-        )
-        frame_b = (
-            Pose.identity()
-            if equal_frames
-            else Pose.from_rotvec(sample_rotvec(rng), sample_translation(rng))
-        )
-        diff = Pose.from_rotvec(sample_rotvec(rng), sample_translation(rng))
-        pose_a = Pose.from_rotvec(sample_rotvec(rng), sample_translation(rng))
-    else:
-        raise ValueError(f"unknown convergence kind {kind!r}")
+# Free axes of both bodies per kind, which are also the rows the pose
+# constraint pins.  Restricting each body to the DoF the study exercises
+# keeps a free rotational DoF from being recruited (nonlinearly) to satisfy
+# translation rows, which would destroy the single-iteration behavior of the
+# pure cases.
+_ROTATION_AXES = axes_mask(["rot_x", "rot_y", "rot_z"])
+_STUDY_AXES = {
+    "rotvec": _ROTATION_AXES,
+    "trans": ~_ROTATION_AXES,
+    "full": np.ones(6, dtype=bool),
+    "ortho": _ROTATION_AXES,
+}
 
-    # Solve pose_b so that the initial relative pose equals the sampled diff:
+
+# Stacked poses are (r, t) pairs of shapes (N, 3, 3) and (N, 3); these
+# mirror Pose.compose and Pose.inverse row by row.
+def _rotate(r, t):
+    return (r @ t[..., None])[..., 0]
+
+
+def _compose(p, q):
+    return p[0] @ q[0], _rotate(p[0], q[1]) + p[1]
+
+
+def _inverse(p):
+    rt = np.swapaxes(p[0], -1, -2)
+    return rt, _rotate(-rt, p[1])
+
+
+def sample_trials(kind, n_trials, seed, equal_frames=False, random_energy=False):
+    """Inputs of the convergence study's trials, stacked.
+
+    Each trial draws from its own Generator seeded [seed, trial], so a
+    trial's inputs do not depend on how many trials are drawn.  In order:
+    frame_a and frame_b (identity with ``equal_frames``), the initial
+    relative constraint pose ``diff``, and pose_a.  Each of these draws its
+    rotation vector and then its translation, as far as the kind uses them,
+    each vector as its signed length, uniform on [-pi, pi] rad or [-1, 1] m,
+    and then its direction, a normalized standard normal 3-vector.  A
+    negative length flips the direction, so the magnitude is uniform on
+    [0, pi] or [0, 1].  With ``random_energy`` each body then
+    draws a gradient (standard normal) and an SPD Hessian (random_spd);
+    otherwise both are zero.
+
+    Returns frame_a, frame_b, pose_a, pose_b as stacked (r, t) pairs, the
+    gradients (N, 2, 6) and the Hessians (N, 2, 6, 6).
+    """
+    bounds = []  # (part, bound)
+    if kind != "trans":
+        bounds.append((0, np.pi))
+    if kind in ("trans", "full"):
+        bounds.append((1, 1.0))
+    # [trial, pose, rotation | translation]; unused vectors stay zero.
+    lengths = np.zeros((n_trials, 4, 2))
+    directions = np.ones((n_trials, 4, 2, 3))
+    gradients = np.zeros((n_trials, 2, 6))
+    hessians = np.zeros((n_trials, 2, 6, 6))
+    for trial in range(n_trials):
+        rng = np.random.default_rng([seed, trial])
+        for pose in range(2 if equal_frames else 0, 4):
+            for part, bound in bounds:
+                lengths[trial, pose, part] = rng.uniform(-bound, bound)
+                directions[trial, pose, part] = rng.standard_normal(3)
+        if random_energy:
+            for body in range(2):
+                gradients[trial, body] = rng.standard_normal(6)
+                hessians[trial, body] = random_spd(rng)
+    vectors = lengths[..., None] * (directions / row_norms(directions)[..., None])
+    rotations = exp_rotvec_stack(vectors[:, :, 0])
+    frame_a, frame_b, diff, pose_a = ((rotations[:, i], vectors[:, i, 1]) for i in range(4))
+    # pose_b such that the initial relative pose equals the sampled diff:
     # diff = frame_a o pose_a^-1 o pose_b o frame_b^-1.
-    pose_b = pose_a @ frame_a.inverse() @ diff @ frame_b
-
-    if kind == "ortho":
-        constraint = OrthogonalityConstraint(0, 1, frame_a, frame_b)
-    elif kind == "rotvec":
-        constraint = Constraint(0, 1, frame_a, frame_b, axes_mask(["rot_x", "rot_y", "rot_z"]))
-    elif kind == "trans":
-        constraint = Constraint(
-            0, 1, frame_a, frame_b, axes_mask(["trans_x", "trans_y", "trans_z"])
-        )
-    else:
-        constraint = Constraint(0, 1, frame_a, frame_b, np.ones(6, dtype=bool))
-
-    # Restrict each body to the DoF the study exercises: a free rotational
-    # DoF could otherwise be recruited (nonlinearly) to satisfy translation
-    # rows, destroying the single-iteration behavior of the pure cases.
-    if kind in ("rotvec", "ortho"):
-        axes = axes_mask(["rot_x", "rot_y", "rot_z"])
-    elif kind == "trans":
-        axes = axes_mask(["trans_x", "trans_y", "trans_z"])
-    else:
-        axes = np.ones(6, dtype=bool)
-    bodies = [
-        Body(name="a", joint=Joint(free_axes=axes.copy()), pose=pose_a),
-        Body(name="b", joint=Joint(free_axes=axes.copy()), pose=pose_b),
-    ]
-    return KinematicStructure(bodies, [constraint]), constraint
+    pose_b = _compose(_compose(_compose(pose_a, _inverse(frame_a)), diff), frame_b)
+    return frame_a, frame_b, pose_a, pose_b, gradients, hessians
 
 
-def _pose_difference(constraint, s):
-    rel = relative_constraint_pose(constraint, s)
-    return float(np.linalg.norm(log_rotation(rel.r))), float(np.linalg.norm(rel.t))
+def _pose_constraint_rows(frame_a, frame_b, a_t_mb, a_t_b, rotvec):
+    """Extended residual [rotvec | translation] of a Constraint and its 6x6
+    derivatives w.r.t. the variations of body_a and body_b, per trial: the
+    stacked form of constraints.constraint_variation_blocks."""
+    n = rotvec.shape[0]
+    cmat = variation_matrix_stack(rotvec)
+    r_a_ma = frame_a[0]
+    r_a_mb = a_t_mb[0]
+    ma_t_b = _compose(_inverse(frame_a), a_t_b)
+    mb_t_b = _inverse(frame_b)
+
+    d_a = np.zeros((n, 6, 6))
+    d_a[:, :3, :3] = -cmat @ r_a_ma
+    d_a[:, 3:, :3] = r_a_ma @ skew_stack(ma_t_b[1])
+    d_a[:, 3:, 3:] = -r_a_ma
+
+    d_b = np.zeros((n, 6, 6))
+    d_b[:, :3, :3] = cmat @ r_a_mb
+    d_b[:, 3:, :3] = -r_a_mb @ skew_stack(mb_t_b[1])
+    d_b[:, 3:, 3:] = r_a_mb
+    return np.concatenate([rotvec, a_t_b[1]], axis=-1), d_a, d_b
+
+
+def _orthogonality_rows(frame_a, a_t_mb, a_t_b):
+    """Residual of an OrthogonalityConstraint and its 3x6 derivatives
+    w.r.t. the variations of body_a and body_b, per trial: the stacked
+    form of constraints.orthogonality_variation_blocks."""
+    r_ab = a_t_b[0]
+    residual = np.stack([r_ab[:, i, j] for i, j in ORTHOGONAL_AXIS_PAIRS], axis=-1)
+    # Row i of skew(R_AB e_j) for each pair.
+    cross = np.stack(
+        [skew_stack(r_ab[:, :, j])[:, i] for i, j in ORTHOGONAL_AXIS_PAIRS], axis=1
+    )
+    zeros = np.zeros(cross.shape)
+    d_a = np.concatenate([cross @ frame_a[0], zeros], axis=-1)
+    d_b = np.concatenate([-cross @ a_t_mb[0], zeros], axis=-1)
+    return residual, d_a, d_b
 
 
 def run_convergence_study(
@@ -162,36 +203,70 @@ def run_convergence_study(
 ) -> ConvergenceStudy:
     """Newton iterations on a two-body constraint from random initial errors.
 
-    With ``random_energy`` each body additionally gets a random positive
-    definite Hessian and random gradient instead of the zero energy, which
-    exercises the general (not just regularization-shaped) problem.
+    Each trial has two free bodies, restricted to the kind's axes, and one
+    constraint between random frames on them: a pose constraint on those
+    axes, or for ``ortho`` the orthogonality baseline.  With
+    ``random_energy`` each body additionally gets a random positive definite
+    Hessian and random gradient instead of the zero energy, which exercises
+    the general (not just regularization-shaped) problem.
+
+    All trials advance together: each iteration assembles the reduced KKT
+    system of every trial, as the combined-mode solver step does for one,
+    and solves the stack at once.  Raises FactorizationFailed naming the
+    first trial whose system fails.
     """
     if kind not in CONVERGENCE_KINDS:
         raise ValueError(f"unknown convergence kind {kind!r}")
     if regularization is None:
         regularization = Regularization()
-    cfg = SolverConfig(mode=SolverMode.COMBINED, regularization=regularization)
+    frame_a, frame_b, pose_a, pose_b, gradients, hessians = sample_trials(
+        kind, n_trials, seed, equal_frames, random_energy
+    )
+
+    # Reduced coordinates: the free axes of body a, then those of body b.
+    free = np.flatnonzero(_STUDY_AXES[kind])
+    k = free.shape[0]
+    h_k = np.zeros((n_trials, 2 * k, 2 * k))
+    h_k[:, :k, :k] = hessians[:, 0][:, free][:, :, free]
+    h_k[:, k:, k:] = hessians[:, 1][:, free][:, :, free]
+    reg_diag = np.where(free < 3, regularization.lambda_r, regularization.lambda_t)
+    h_k[:, np.arange(2 * k), np.arange(2 * k)] += np.tile(reg_diag, 2)
+    g_k = gradients[:, :, free].reshape(n_trials, 2 * k)
 
     rot_errors = np.zeros((n_trials, n_iterations + 1))
     trans_errors = np.zeros((n_trials, n_iterations + 1))
-    for trial in range(n_trials):
-        rng = np.random.default_rng([seed, trial])
-        s, constraint = _two_body_structure(kind, rng, equal_frames)
-        if random_energy:
-            energies = [
-                BodyEnergy(rng.standard_normal(6), random_spd(rng))
-                for _ in s.bodies
-            ]
-            provider = lambda i, pose: energies[i]  # noqa: E731
+    for it in range(n_iterations + 1):
+        a_t_mb = _compose(_compose(frame_a, _inverse(pose_a)), pose_b)
+        a_t_b = _compose(a_t_mb, _inverse(frame_b))
+        rotvec = log_rotation_stack(a_t_b[0])
+        rot_errors[:, it] = row_norms(rotvec)
+        trans_errors[:, it] = row_norms(a_t_b[1])
+        if it == n_iterations:
+            break
+        if kind == "ortho":
+            b_vec, d_a, d_b = _orthogonality_rows(frame_a, a_t_mb, a_t_b)
         else:
-            provider = zero_energy
-        rot_errors[trial, 0], trans_errors[trial, 0] = _pose_difference(constraint, s)
-        for it in range(1, n_iterations + 1):
-            step(s, provider, cfg)
-            rot_errors[trial, it], trans_errors[trial, it] = _pose_difference(
-                constraint, s
-            )
+            b_vec, d_a, d_b = _pose_constraint_rows(frame_a, frame_b, a_t_mb, a_t_b, rotvec)
+            b_vec, d_a, d_b = b_vec[:, free], d_a[:, free], d_b[:, free]
+        b_mat = np.concatenate([d_a[:, :, free], d_b[:, :, free]], axis=-1)
+        try:
+            theta, _ = solve_kkt(KktSystem.from_blocks(h_k, g_k, b_mat, b_vec))
+        except FactorizationFailed as exc:
+            raise FactorizationFailed(
+                f"{kind} convergence trial {exc.system}: {exc}", exc.system
+            ) from exc
+        pose_a = _apply_variation(pose_a, theta[:, :k], free)
+        pose_b = _apply_variation(pose_b, theta[:, k:], free)
     return ConvergenceStudy(kind, n_trials, n_iterations, rot_errors, trans_errors)
+
+
+def _apply_variation(pose, theta_j, free):
+    """pose o T(theta) per trial, theta scattered onto the free axes: the
+    root-joint update of KinematicStructure.update_poses."""
+    extended = np.zeros((theta_j.shape[0], 6))
+    extended[:, free] = theta_j
+    r, t = pose
+    return r @ exp_rotvec_stack(extended[:, :3]), _rotate(r, extended[:, 3:]) + t
 
 
 def write_convergence_csv(study: ConvergenceStudy, path):

@@ -37,27 +37,19 @@ def axes_mask(names) -> np.ndarray:
 
 @dataclass
 class Joint:
-    """Connection allowing motion along a chosen set of joint-frame axes.
-
-    ``coupling`` optionally maps the reduced joint variation to the extended
-    6-vector (e.g. a screw joint tying rotation to translation); by default
-    the free-axis values are scattered and fixed axes stay zero.
-    """
+    """Connection allowing motion along a chosen set of joint-frame axes:
+    the free-axis values are scattered into the extended 6-vector and fixed
+    axes stay zero."""
 
     free_axes: np.ndarray
     joint_to_model: Pose = field(default_factory=Pose.identity)
     parent_to_joint: Pose = field(default_factory=Pose.identity)
     fixed_side: FixedSide = FixedSide.JOINT_TO_MODEL
-    coupling: np.ndarray | None = None
 
     def __post_init__(self):
         self.free_axes = np.asarray(self.free_axes, dtype=bool)
         if self.free_axes.shape != (6,):
             raise ValueError("free_axes must have 6 entries")
-        if self.coupling is not None:
-            self.coupling = np.asarray(self.coupling, dtype=float)
-            if self.coupling.shape != (6, self.n_dof):
-                raise ValueError("coupling must be 6 x n_dof")
 
     @property
     def n_dof(self) -> int:
@@ -65,8 +57,6 @@ class Joint:
 
     def expansion(self) -> np.ndarray:
         """6 x n_dof matrix taking the joint variation to the extended 6-vector."""
-        if self.coupling is not None:
-            return self.coupling
         sel = np.zeros((6, self.n_dof))
         sel[np.flatnonzero(self.free_axes), np.arange(self.n_dof)] = 1.0
         return sel

@@ -18,6 +18,8 @@ import numpy as np
 
 # Below this angle, closed-form coefficients switch to series expansions.
 SMALL_ANGLE = 1e-4
+# From this angle on, log_rotation recovers the axis from the symmetric part.
+NEAR_PI = np.pi - 1e-4
 
 
 def skew(v: np.ndarray) -> np.ndarray:
@@ -62,7 +64,7 @@ def log_rotation(r: np.ndarray) -> np.ndarray:
         # w = 2 sin(a) e; sin(a)/a ~ 1 - a^2/6
         return 0.5 * w * (1.0 + angle * angle / 6.0)
 
-    if angle < np.pi - 1e-4:
+    if angle < NEAR_PI:
         return (angle / (2.0 * np.sin(angle))) * w
 
     # Near pi: e e^T = (S - cos(a) I) / (1 - cos(a)) with S the symmetric part.
@@ -86,15 +88,6 @@ def log_rotation(r: np.ndarray) -> np.ndarray:
                     axis = -axis
                 break
     return angle * axis
-
-
-def canonical_rotvec(v: np.ndarray) -> np.ndarray:
-    """Map a rotation vector onto the principal branch with norm <= pi."""
-    v = np.asarray(v, dtype=float)
-    angle = np.linalg.norm(v)
-    if angle <= np.pi:
-        return v
-    return log_rotation(exp_rotvec(v))
 
 
 @dataclass(frozen=True)
@@ -178,38 +171,6 @@ def variation_matrix(v: np.ndarray) -> np.ndarray:
     return h * np.eye(3) - (angle / 2.0) * skew(e) + (1.0 - h) * np.outer(e, e)
 
 
-def compose_rotvecs(theta: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Rotation vector of exp([theta]x) @ exp([r]x) via half-angle composition.
-
-    Uses the classic closed-form half-angle relations; falls back to the
-    matrix logarithm when the composed angle approaches 2*pi, where the
-    axis reconstruction degenerates.
-    """
-    theta = np.asarray(theta, dtype=float)
-    r = np.asarray(r, dtype=float)
-    ta = np.linalg.norm(theta)
-    ra = np.linalg.norm(r)
-    if ta < 1e-14:
-        return canonical_rotvec(r.copy())
-    if ra < 1e-14:
-        return canonical_rotvec(theta.copy())
-    v = theta / ta
-    e = r / ra
-    ct, st = np.cos(ta / 2.0), np.sin(ta / 2.0)
-    ca, sa = np.cos(ra / 2.0), np.sin(ra / 2.0)
-    x = ct * ca - st * sa * np.dot(v, e)
-    y = st * ca * v + ct * sa * e + st * sa * np.cross(v, e)
-    x = np.clip(x, -1.0, 1.0)
-    gamma = 2.0 * np.arccos(x)
-    sin_half = np.sqrt(max(1.0 - x * x, 0.0))
-    if sin_half < 1e-6:
-        return log_rotation(exp_rotvec(theta) @ exp_rotvec(r))
-    n = y / sin_half
-    if gamma > np.pi:
-        return -(2.0 * np.pi - gamma) * n
-    return gamma * n
-
-
 def variation_transform(theta: np.ndarray) -> Pose:
     """T(theta): exponential rotation, additive translation."""
     theta = np.asarray(theta, dtype=float)
@@ -229,3 +190,91 @@ def relative_variation(reference: Pose, varied: Pose) -> np.ndarray:
     """Variation theta with varied == reference o T(theta) (exact inverse)."""
     rel = reference.inverse() @ varied
     return np.concatenate([log_rotation(rel.r), rel.t])
+
+
+# Stacked kernels: skew, exp_rotvec, log_rotation and variation_matrix over
+# the leading axes of their input, for callers that run many independent
+# problems at once.  Branches are chosen per row by masks; each row matches
+# the scalar function to rounding.  One stacked call costs several scalar
+# calls, so single poses keep the scalar functions.
+
+
+def row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row: (..., k) -> (...).
+
+    Bit for bit np.linalg.norm of the row: both take one BLAS dot product.
+    """
+    v = np.asarray(v, dtype=float)
+    return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
+
+
+def skew_stack(v: np.ndarray) -> np.ndarray:
+    """skew of each row: (..., 3) -> (..., 3, 3)."""
+    v = np.asarray(v, dtype=float)
+    out = np.zeros(v.shape + (3,))
+    out[..., 0, 1] = -v[..., 2]
+    out[..., 0, 2] = v[..., 1]
+    out[..., 1, 0] = v[..., 2]
+    out[..., 1, 2] = -v[..., 0]
+    out[..., 2, 0] = -v[..., 1]
+    out[..., 2, 1] = v[..., 0]
+    return out
+
+
+def exp_rotvec_stack(v: np.ndarray) -> np.ndarray:
+    """exp_rotvec of each row: (..., 3) -> (..., 3, 3)."""
+    v = np.asarray(v, dtype=float)
+    angle = row_norms(v)
+    small = angle < SMALL_ANGLE
+    safe = np.where(small, 1.0, angle)
+    a2 = angle * angle
+    s = np.where(small, 1.0 - a2 / 6.0, np.sin(safe) / safe)
+    c = np.where(small, 0.5 * (1.0 - a2 / 12.0), (1.0 - np.cos(safe)) / (safe * safe))
+    k = skew_stack(v)
+    return np.eye(3) + s[..., None, None] * k + c[..., None, None] * (k @ k)
+
+
+def log_rotation_stack(r: np.ndarray) -> np.ndarray:
+    """log_rotation of each matrix: (..., 3, 3) -> (..., 3).
+
+    Rows at NEAR_PI or beyond, which are rare, go to log_rotation itself
+    for its axis and sign recovery.
+    """
+    r = np.asarray(r, dtype=float)
+    cos_a = np.clip((np.trace(r, axis1=-2, axis2=-1) - 1.0) / 2.0, -1.0, 1.0)
+    angle = np.arccos(cos_a)
+    w = np.stack(
+        [r[..., 2, 1] - r[..., 1, 2], r[..., 0, 2] - r[..., 2, 0], r[..., 1, 0] - r[..., 0, 1]],
+        axis=-1,
+    )
+    small = angle < SMALL_ANGLE
+    safe = np.where(small, 1.0, angle)
+    out = np.where(
+        small[..., None],
+        0.5 * w * (1.0 + angle * angle / 6.0)[..., None],
+        (safe / (2.0 * np.sin(safe)))[..., None] * w,
+    )
+    for index in zip(*np.nonzero(angle >= NEAR_PI)):
+        out[index] = log_rotation(r[index])
+    return out
+
+
+def variation_matrix_stack(v: np.ndarray) -> np.ndarray:
+    """variation_matrix of each row: (..., 3) -> (..., 3, 3).
+
+    Small rows take the scalar form's series branch as the general formula
+    with e = v, a/2 = 1/2 and a zero e e^T coefficient.
+    """
+    v = np.asarray(v, dtype=float)
+    angle = row_norms(v)
+    small = angle < SMALL_ANGLE
+    safe = np.where(small, 1.0, angle)
+    h = np.where(small, 1.0 - angle * angle / 12.0, (safe / 2.0) / np.tan(safe / 2.0))
+    e = np.where(small[..., None], v, v / safe[..., None])
+    half = np.where(small, 0.5, angle / 2.0)
+    tail = np.where(small, 0.0, 1.0 - h)
+    return (
+        h[..., None, None] * np.eye(3)
+        - half[..., None, None] * skew_stack(e)
+        + tail[..., None, None] * (e[..., :, None] * e[..., None, :])
+    )

@@ -13,7 +13,8 @@ Four configurations are supported:
 The free-body modes (independent, constrained) scatter 6x6 energy blocks and
 each constraint's two 6-column blocks into a block-sparse KKT matrix that
 SuperLU factors.  The tree modes (projected, combined) assemble a small
-dense KKT matrix in joint coordinates and factor it densely.
+dense KKT matrix in joint coordinates and factor it densely.  Dense systems
+of one size can also be solved as a stack in one batched call.
 """
 
 from __future__ import annotations
@@ -46,7 +47,15 @@ _CONSTRAINED_MODES = (SolverMode.CONSTRAINED, SolverMode.COMBINED)
 
 class FactorizationFailed(RuntimeError):
     """KKT system could not be solved reliably (contradictory or duplicate
-    constraints, or an indefinite reduced Hessian)."""
+    constraints, or an indefinite reduced Hessian).
+
+    ``system`` is the index of the first failing system of a stack, or None
+    for a single system.
+    """
+
+    def __init__(self, message: str, system: int | None = None):
+        super().__init__(message)
+        self.system = system
 
 
 @dataclass
@@ -77,7 +86,9 @@ class KktSystem:
     """Saddle-point system [[H, B^T], [B, 0]] [theta; lam] = -[g; b].
 
     ``matrix`` is the whole symmetric KKT matrix: a scipy CSC matrix in the
-    free-body modes, a dense array in the tree modes.
+    free-body modes, a dense array in the tree modes.  A dense system may
+    carry a leading batch axis on every field: a stack of independent
+    systems of one size.
     """
 
     matrix: np.ndarray | scipy.sparse.csc_array
@@ -86,13 +97,14 @@ class KktSystem:
 
     @classmethod
     def from_blocks(cls, h_k, g_k, b_mat, b_vec) -> "KktSystem":
-        """Dense system from H (symmetrized here), g, B and b."""
-        n = g_k.shape[0]
-        m = b_vec.shape[0]
-        kkt = np.zeros((n + m, n + m))
-        kkt[:n, :n] = 0.5 * (h_k + h_k.T)
-        kkt[:n, n:] = b_mat.T
-        kkt[n:, :n] = b_mat
+        """Dense system, or stack of them, from H (symmetrized here), g, B
+        and b."""
+        n = g_k.shape[-1]
+        m = b_vec.shape[-1]
+        kkt = np.zeros(g_k.shape[:-1] + (n + m, n + m))
+        kkt[..., :n, :n] = 0.5 * (h_k + h_k.swapaxes(-1, -2))
+        kkt[..., :n, n:] = b_mat.swapaxes(-1, -2)
+        kkt[..., n:, :n] = b_mat
         return cls(kkt, g_k, b_vec)
 
 
@@ -198,11 +210,11 @@ def _assemble_free_bodies(s, energies, constraints, b_vec, regularization) -> Kk
 def solve_kkt(k: KktSystem):
     """Solve the saddle-point system for the variation and the multipliers.
 
-    Sparse systems are factored by SuperLU, dense ones by a pivoted
-    symmetric-indefinite factorization; both solutions pass the same
-    finite and backward-error checks.
+    Sparse systems are factored by SuperLU, dense ones, alone or stacked,
+    by a pivoted symmetric-indefinite factorization; every solution passes
+    the same finite and backward-error checks.
     """
-    rhs = -np.concatenate([k.g_k, k.b_vec])
+    rhs = -np.concatenate([k.g_k, k.b_vec], axis=-1)
     if scipy.sparse.issparse(k.matrix):
         # Imported on first use: it adds about 35 modules and 2 MB to
         # `import multibody`, and only the free-body modes need it.
@@ -214,34 +226,64 @@ def solve_kkt(k: KktSystem):
             raise FactorizationFailed(str(exc)) from exc
         kkt_norm = sparse_linalg.norm(k.matrix)
     else:
-        try:
-            with warnings.catch_warnings():
-                # Ill-conditioning is judged by the backward-error check below.
-                warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-                x = scipy.linalg.solve(k.matrix, rhs, assume_a="sym")
-        except (scipy.linalg.LinAlgError, ValueError) as exc:
-            raise FactorizationFailed(str(exc)) from exc
-        kkt_norm = np.linalg.norm(k.matrix)
+        with warnings.catch_warnings():
+            # Ill-conditioning is judged by the backward-error check below.
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            try:
+                x = _dense_solve(k.matrix, rhs)
+            except (scipy.linalg.LinAlgError, ValueError) as exc:
+                if k.matrix.ndim == 2:
+                    raise FactorizationFailed(str(exc)) from exc
+                # The batched solve's message does not identify the system.
+                raise FactorizationFailed(
+                    "singular or non-finite KKT matrix", _first_unsolvable(k.matrix, rhs)
+                ) from exc
+        kkt_norm = np.linalg.norm(k.matrix, axis=(-2, -1))
     _check_solution(k.matrix, kkt_norm, x, rhs)
-    n = k.g_k.shape[0]
-    return x[:n], x[n:]
+    n = k.g_k.shape[-1]
+    return x[..., :n], x[..., n:]
 
 
-def _check_solution(kkt, kkt_norm: float, x: np.ndarray, rhs: np.ndarray):
+def _dense_solve(kkt: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    return scipy.linalg.solve(kkt, rhs[..., None], assume_a="sym")[..., 0]
+
+
+def _first_unsolvable(kkt: np.ndarray, rhs: np.ndarray) -> int | None:
+    """Index of the first system of a stack that the dense solve rejects on
+    its own."""
+    for i in range(kkt.shape[0]):
+        try:
+            _dense_solve(kkt[i], rhs[i])
+        except (scipy.linalg.LinAlgError, ValueError):
+            return i
+    return None
+
+
+def _check_solution(kkt, kkt_norm, x: np.ndarray, rhs: np.ndarray):
     """Reject a solution that is not finite or that misses the system by
-    more than the backward error of a stable factorization."""
-    if not np.all(np.isfinite(x)):
-        raise FactorizationFailed("non-finite solution")
-    residual = kkt @ x - rhs
+    more than the backward error of a stable factorization.  Each system of
+    a stack is judged on its own norms, and the exception carries the index
+    of the first one that fails."""
+    _raise_for_first(~np.isfinite(x).all(axis=-1), "non-finite solution")
+    residual = (kkt @ x[..., None])[..., 0] - rhs
+    x_norm, rhs_norm, residual_norm = np.linalg.norm([x, rhs, residual], axis=-1)
     # Near-degenerate systems produce huge solutions whose residual scales
     # with |K| |x|.
-    backward = 100.0 * x.shape[0] * np.finfo(float).eps * kkt_norm * np.linalg.norm(x)
-    tolerance = 1e-7 * max(1.0, np.linalg.norm(rhs)) + backward
-    if np.linalg.norm(residual) > tolerance:
-        raise FactorizationFailed(
-            "solution does not satisfy the KKT system; constraints are likely "
-            "contradictory or duplicated"
-        )
+    backward = 100.0 * x.shape[-1] * np.finfo(float).eps * kkt_norm * x_norm
+    tolerance = 1e-7 * np.maximum(1.0, rhs_norm) + backward
+    _raise_for_first(
+        residual_norm > tolerance,
+        "solution does not satisfy the KKT system; constraints are likely "
+        "contradictory or duplicated",
+    )
+
+
+def _raise_for_first(failed: np.ndarray, message: str):
+    if failed.ndim == 0:
+        if failed:
+            raise FactorizationFailed(message)
+    elif failed.any():
+        raise FactorizationFailed(message, int(np.argmax(failed)))
 
 
 def apply_update(s: KinematicStructure, theta: np.ndarray, mode: SolverMode):

@@ -1,12 +1,24 @@
 """Independent reference implementations used to check the library.
 
 Rotations are cross-checked through quaternions, derivatives through central
-finite differences, registration through the closed-form Kabsch fit, and the
+finite differences, registration through the closed-form Kabsch fit, the
 sparse free-body KKT system through a dense one built from selection
-Jacobians.
+Jacobians, and the batched convergence study through a trial-by-trial run of
+the scalar solver.
 """
 
 import numpy as np
+
+from multibody.constraints import (
+    Constraint,
+    OrthogonalityConstraint,
+    relative_constraint_pose,
+)
+from multibody.energy import BodyEnergy, zero_energy
+from multibody.experiments import random_spd
+from multibody.kinematics import Body, Joint, KinematicStructure, axes_mask
+from multibody.se3 import Pose, log_rotation
+from multibody.solver import SolverConfig, SolverMode, step
 
 
 def quat_from_rotvec(v):
@@ -18,19 +30,6 @@ def quat_from_rotvec(v):
     return np.concatenate([[np.cos(angle / 2.0)], np.sin(angle / 2.0) * axis])
 
 
-def quat_mul(q1, q2):
-    w1, x1, y1, z1 = q1
-    w2, x2, y2, z2 = q2
-    return np.array(
-        [
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-        ]
-    )
-
-
 def rotmat_from_quat(q):
     w, x, y, z = q / np.linalg.norm(q)
     return np.array(
@@ -40,22 +39,6 @@ def rotmat_from_quat(q):
             [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
         ]
     )
-
-
-def rotvec_from_quat(q):
-    q = q / np.linalg.norm(q)
-    if q[0] < 0:
-        q = -q
-    sin_half = np.linalg.norm(q[1:])
-    if sin_half < 1e-300:
-        return np.zeros(3)
-    angle = 2.0 * np.arctan2(sin_half, q[0])
-    return angle * q[1:] / sin_half
-
-
-def compose_rotvecs_quat(a, b):
-    """Principal-branch rotation vector of exp(a) exp(b) through quaternions."""
-    return rotvec_from_quat(quat_mul(quat_from_rotvec(a), quat_from_rotvec(b)))
 
 
 def random_rotvec(rng, max_angle=np.pi):
@@ -148,3 +131,102 @@ def solve_dense_kkt(h, g, b_mat, b_vec):
     kkt = np.block([[0.5 * (h + h.T), b_mat.T], [b_mat, np.zeros((m, m))]])
     x = np.linalg.solve(kkt, -np.concatenate([g, b_vec]))
     return x[:n], x[n:]
+
+
+def random_unit_vector(rng):
+    v = rng.standard_normal(3)
+    return v / np.linalg.norm(v)
+
+
+def sample_rotvec(rng):
+    """Axis uniform on the sphere, signed length uniform on [-pi, pi]."""
+    return rng.uniform(-np.pi, np.pi) * random_unit_vector(rng)
+
+
+def sample_translation(rng):
+    """Axis uniform on the sphere, signed length uniform on [-1, 1] meters."""
+    return rng.uniform(-1.0, 1.0) * random_unit_vector(rng)
+
+
+def two_body_structure(kind, rng, equal_frames):
+    """Two unconnected free bodies, restricted to the kind's axes, with the
+    requested constraint between random frames, starting from a sampled
+    initial pose difference."""
+    if kind in ("rotvec", "ortho"):
+        # Rotation-only study: frames and poses are pure rotations, so the
+        # translational part of the relative pose stays identically zero.
+        frame_a = Pose.identity() if equal_frames else Pose.from_rotvec(sample_rotvec(rng))
+        frame_b = Pose.identity() if equal_frames else Pose.from_rotvec(sample_rotvec(rng))
+        diff = Pose.from_rotvec(sample_rotvec(rng))
+        pose_a = Pose.from_rotvec(sample_rotvec(rng))
+    elif kind == "trans":
+        frame_a = Pose(np.eye(3), np.zeros(3) if equal_frames else sample_translation(rng))
+        frame_b = Pose(np.eye(3), np.zeros(3) if equal_frames else sample_translation(rng))
+        diff = Pose(np.eye(3), sample_translation(rng))
+        pose_a = Pose(np.eye(3), sample_translation(rng))
+    else:
+        frame_a = (
+            Pose.identity()
+            if equal_frames
+            else Pose.from_rotvec(sample_rotvec(rng), sample_translation(rng))
+        )
+        frame_b = (
+            Pose.identity()
+            if equal_frames
+            else Pose.from_rotvec(sample_rotvec(rng), sample_translation(rng))
+        )
+        diff = Pose.from_rotvec(sample_rotvec(rng), sample_translation(rng))
+        pose_a = Pose.from_rotvec(sample_rotvec(rng), sample_translation(rng))
+
+    # diff = frame_a o pose_a^-1 o pose_b o frame_b^-1, solved for pose_b.
+    pose_b = pose_a @ frame_a.inverse() @ diff @ frame_b
+
+    if kind in ("rotvec", "ortho"):
+        axes = axes_mask(["rot_x", "rot_y", "rot_z"])
+    elif kind == "trans":
+        axes = axes_mask(["trans_x", "trans_y", "trans_z"])
+    else:
+        axes = np.ones(6, dtype=bool)
+    if kind == "ortho":
+        constraint = OrthogonalityConstraint(0, 1, frame_a, frame_b)
+    else:
+        constraint = Constraint(0, 1, frame_a, frame_b, axes.copy())
+    bodies = [
+        Body(name="a", joint=Joint(free_axes=axes.copy()), pose=pose_a),
+        Body(name="b", joint=Joint(free_axes=axes.copy()), pose=pose_b),
+    ]
+    return KinematicStructure(bodies, [constraint]), constraint
+
+
+def pose_difference(constraint, s):
+    rel = relative_constraint_pose(constraint, s)
+    return float(np.linalg.norm(log_rotation(rel.r))), float(np.linalg.norm(rel.t))
+
+
+def scalar_convergence_errors(
+    n_trials, n_iterations, kind, seed=0, random_energy=False, equal_frames=False
+):
+    """Rotation and translation errors (n_trials, n_iterations + 1) of the
+    convergence study, one trial at a time through combined-mode
+    solver.step calls on a KinematicStructure."""
+    cfg = SolverConfig(mode=SolverMode.COMBINED)
+    rot_errors = np.zeros((n_trials, n_iterations + 1))
+    trans_errors = np.zeros((n_trials, n_iterations + 1))
+    for trial in range(n_trials):
+        rng = np.random.default_rng([seed, trial])
+        s, constraint = two_body_structure(kind, rng, equal_frames)
+        if random_energy:
+            energies = [
+                BodyEnergy(rng.standard_normal(6), random_spd(rng))
+                for _ in s.bodies
+            ]
+            provider = lambda i, pose: energies[i]  # noqa: E731
+        else:
+            provider = zero_energy
+        rot_errors[trial, 0], trans_errors[trial, 0] = pose_difference(constraint, s)
+        for it in range(1, n_iterations + 1):
+            step(s, provider, cfg)
+            rot_errors[trial, it], trans_errors[trial, it] = pose_difference(
+                constraint, s
+            )
+    return rot_errors, trans_errors

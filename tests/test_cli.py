@@ -1,9 +1,12 @@
 """Command-line interface: subcommands, outputs, exit codes."""
 
+import functools
 import json
 from pathlib import Path
 
+from multibody import cli
 from multibody.cli import main
+from multibody.solver import Regularization
 
 DEMO_CONFIG = Path(__file__).parent.parent / "demos" / "fourbar.json"
 
@@ -27,6 +30,22 @@ class TestConverge:
              "--random-energy", "--out", str(out)]
         )
         assert code == 0
+
+    def test_singular_trial_exit_code(self, tmp_path, monkeypatch, capsys):
+        # Without regularization the zero-energy trials are singular.
+        monkeypatch.setattr(
+            cli,
+            "run_convergence_study",
+            functools.partial(
+                cli.run_convergence_study, regularization=Regularization(0.0, 0.0)
+            ),
+        )
+        code = main(
+            ["converge", "--trials", "4", "--iters", "1", "--kind", "full",
+             "--out", str(tmp_path / "x.csv")]
+        )
+        assert code == 2
+        assert "full convergence trial 0" in capsys.readouterr().err
 
     def test_bad_kind_is_config_error(self, tmp_path):
         import pytest

@@ -1,20 +1,26 @@
 """Convergence, scaling, and tracking studies: determinism and behavior."""
 
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from multibody.experiments import (
+    CONVERGENCE_KINDS,
     ConvergenceStudy,
     build_serial_chain,
     kkt_dimension,
     run_convergence_study,
     run_scaling_study,
     run_synthetic_tracking,
-    sample_rotvec,
+    sample_trials,
     write_convergence_csv,
     write_scaling_csv,
 )
-from multibody.solver import SolverMode
+from multibody.se3 import log_rotation_stack, row_norms
+from multibody.solver import FactorizationFailed, Regularization, SolverMode
+from oracles import scalar_convergence_errors
 
 from pathlib import Path
 
@@ -23,11 +29,13 @@ DEMO_CONFIG = Path(__file__).parent.parent / "demos" / "fourbar.json"
 
 class TestSampling:
     def test_rotation_angle_mean_matches_uniform(self):
-        # |angle| is uniform on [0, pi]: mean pi/2, std pi/sqrt(12).
-        rng = np.random.default_rng(0)
-        n = 100_000
-        angles = np.array([np.linalg.norm(sample_rotvec(rng)) for _ in range(n)])
-        se = (np.pi / np.sqrt(12.0)) / np.sqrt(n)
+        # |angle| is uniform on [0, pi]: mean pi/2, std pi/sqrt(12).  Each
+        # trial samples three rotations directly: frame_a, frame_b, pose_a.
+        frame_a, frame_b, pose_a, *_ = sample_trials("rotvec", 30_000, seed=0)
+        angles = np.concatenate(
+            [row_norms(log_rotation_stack(pose[0])) for pose in (frame_a, frame_b, pose_a)]
+        )
+        se = (np.pi / np.sqrt(12.0)) / np.sqrt(angles.size)
         assert abs(angles.mean() - np.pi / 2) < 3 * se
         assert angles.max() <= np.pi
 
@@ -72,6 +80,67 @@ class TestConvergenceStudy:
         assert a.read_bytes() == b.read_bytes()
         header = a.read_text().splitlines()[0]
         assert header == "kind,iteration,percentile,rot_err,trans_err"
+
+
+def ortho_statistics(rot_errors):
+    """Criterion 3's statistics: median error after one iteration and the
+    count of trials ending within 1e-3 of pi or 2 pi / 3."""
+    final = rot_errors[:, -1]
+    spurious = np.sum(
+        (np.abs(final - np.pi) < 1e-3) | (np.abs(final - 2 * np.pi / 3) < 1e-3)
+    )
+    return float(np.median(rot_errors[:, 1])), int(spurious)
+
+
+class TestBatchedStudy:
+    """The batched study against the trial-by-trial scalar solver."""
+
+    @pytest.mark.parametrize("equal_frames", [False, True])
+    @pytest.mark.parametrize("random_energy", [False, True])
+    @pytest.mark.parametrize("kind", CONVERGENCE_KINDS)
+    def test_matches_scalar_oracle(self, kind, random_energy, equal_frames):
+        args = (30, 4, kind)
+        kwargs = dict(seed=21, random_energy=random_energy, equal_frames=equal_frames)
+        study = run_convergence_study(*args, **kwargs)
+        rot, trans = scalar_convergence_errors(*args, **kwargs)
+        if kind == "ortho":
+            # Its Newton iteration does not converge and wanders near pi,
+            # where arccos amplifies rounding: compare the statistics.
+            oracle = ConvergenceStudy(kind, *args[:2], rot, trans)
+            for ours, theirs in zip(study.percentile_rows(), oracle.percentile_rows()):
+                assert abs(ours.rot_err - theirs.rot_err) <= 1e-6
+                assert abs(ours.trans_err - theirs.trans_err) <= 1e-6
+            assert ortho_statistics(study.rot_errors) == ortho_statistics(rot)
+        else:
+            assert np.max(np.abs(study.rot_errors - rot)) <= 1e-12
+            assert np.max(np.abs(study.trans_errors - trans)) <= 1e-12
+
+    def test_orthogonality_statistics_match_scalar_oracle(self):
+        study = run_convergence_study(300, 4, "ortho", seed=3)
+        rot, _ = scalar_convergence_errors(300, 4, "ortho", seed=3)
+        median, spurious = ortho_statistics(study.rot_errors)
+        assert (median, spurious) == ortho_statistics(rot)
+        assert spurious > 0
+
+    @pytest.mark.parametrize("random_energy", [False, True])
+    @pytest.mark.parametrize("kind", CONVERGENCE_KINDS)
+    def test_leading_trials_independent_of_batch_size(self, kind, random_energy):
+        big = run_convergence_study(40, 3, kind, seed=8, random_energy=random_energy)
+        for k in (1, 13):
+            small = run_convergence_study(k, 3, kind, seed=8, random_energy=random_energy)
+            assert np.array_equal(small.rot_errors, big.rot_errors[:k])
+            assert np.array_equal(small.trans_errors, big.trans_errors[:k])
+
+    @pytest.mark.parametrize("kind", CONVERGENCE_KINDS)
+    def test_singular_trial_named(self, kind):
+        # Zero energy and zero regularization leave H = 0, so every trial's
+        # KKT matrix is singular; the first one is named.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(FactorizationFailed, match=f"{kind} .*trial 0") as info:
+                run_convergence_study(5, 1, kind, regularization=Regularization(0, 0))
+        assert info.value.system == 0
+        assert not [w for w in caught if issubclass(w.category, scipy.linalg.LinAlgWarning)]
 
 
 class TestScalingStudy:

@@ -2,22 +2,28 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multibody.se3 import (
+    NEAR_PI,
+    SMALL_ANGLE,
     Pose,
     adjoint,
-    canonical_rotvec,
-    compose_rotvecs,
     exp_rotvec,
+    exp_rotvec_stack,
     log_rotation,
+    log_rotation_stack,
     pose_with_variation,
     relative_variation,
+    row_norms,
     skew,
+    skew_stack,
     variation_matrix,
+    variation_matrix_stack,
     variation_transform,
 )
 from oracles import (
-    compose_rotvecs_quat,
     numeric_jacobian,
     quat_from_rotvec,
     random_rotvec,
@@ -93,13 +99,6 @@ class TestLogRotation:
         for _ in range(200):
             v = log_rotation(exp_rotvec(random_rotvec(rng, 3 * np.pi)))
             assert np.linalg.norm(v) <= np.pi + 1e-12
-
-
-def test_canonical_rotvec_wraps_long_vectors():
-    v = np.array([0.0, 0.0, 1.5 * np.pi])
-    w = canonical_rotvec(v)
-    assert np.linalg.norm(w) <= np.pi
-    assert np.allclose(exp_rotvec(w), exp_rotvec(v), atol=1e-12)
 
 
 class TestPose:
@@ -205,40 +204,6 @@ class TestVariationMatrix:
             assert np.linalg.norm(c.T @ c - np.eye(3)) > 1e-6
 
 
-class TestComposeRotvecs:
-    def test_zero_theta_returns_r(self):
-        r = np.array([0.1, 0.2, -0.3])
-        assert np.allclose(compose_rotvecs(np.zeros(3), r), r)
-
-    def test_collinear_axes_add(self):
-        out = compose_rotvecs([0, 0, 0.4], [0, 0, 0.5])
-        assert np.allclose(out, [0, 0, 0.9], atol=1e-12)
-
-    def test_matches_matrix_log(self):
-        rng = np.random.default_rng(13)
-        for _ in range(500):
-            a, b = random_rotvec(rng), random_rotvec(rng)
-            expected = log_rotation(exp_rotvec(a) @ exp_rotvec(b))
-            assert np.allclose(compose_rotvecs(a, b), expected, atol=1e-9)
-
-    def test_matches_quaternion_oracle(self):
-        rng = np.random.default_rng(14)
-        for _ in range(500):
-            a, b = random_rotvec(rng), random_rotvec(rng)
-            assert np.allclose(
-                compose_rotvecs(a, b), compose_rotvecs_quat(a, b), atol=1e-9
-            )
-
-    def test_near_full_turn_fallback(self):
-        # Composed angle close to 2 pi, where the axis reconstruction from
-        # the half-angle formulas degenerates.
-        a = np.array([0.0, 0.0, np.pi - 1e-8])
-        b = np.array([0.0, 0.0, np.pi - 1e-8])
-        out = compose_rotvecs(a, b)
-        assert np.allclose(exp_rotvec(out), exp_rotvec(a) @ exp_rotvec(b), atol=1e-6)
-        assert np.linalg.norm(out) <= np.pi
-
-
 class TestVariationHelpers:
     def test_translation_is_additive_in_local_frame(self):
         rng = np.random.default_rng(15)
@@ -263,3 +228,83 @@ def test_round_trip_across_angle_regimes(angle):
     axis /= np.linalg.norm(axis)
     v = angle * axis
     assert np.allclose(log_rotation(exp_rotvec(v)), v, atol=1e-8)
+
+
+# Stacked kernels against their scalar twins, row by row, at the branch
+# seams of the scalar functions and on stacks mixing the branches.
+SEAM_ANGLES = (
+    0.0,
+    SMALL_ANGLE * (1 - 1e-9),
+    SMALL_ANGLE * (1 + 1e-9),
+    NEAR_PI - 1e-9,
+    NEAR_PI + 1e-9,
+    np.pi,
+)
+STACK_TOL = 2e-15
+
+axes = (
+    st.tuples(*[st.floats(-1.0, 1.0)] * 3)
+    .map(np.array)
+    .filter(lambda v: np.linalg.norm(v) > 0.1)
+    .map(lambda v: v / np.linalg.norm(v))
+)
+angles = st.one_of(st.sampled_from(SEAM_ANGLES), st.floats(0.0, np.pi))
+rotvec_stacks = st.lists(st.tuples(axes, angles), min_size=1, max_size=12).map(
+    lambda rows: np.array([angle * axis for axis, angle in rows])
+)
+
+
+def assert_rows_match(stacked, scalar, rows):
+    expected = np.array([scalar(row) for row in rows])
+    assert stacked.shape == expected.shape
+    assert np.max(np.abs(stacked - expected)) <= STACK_TOL
+
+
+class TestStackedKernels:
+    @settings(max_examples=150, deadline=None)
+    @given(rotvec_stacks)
+    def test_skew(self, v):
+        assert_rows_match(skew_stack(v), skew, v)
+
+    @settings(max_examples=150, deadline=None)
+    @given(rotvec_stacks)
+    def test_exp_rotvec(self, v):
+        assert_rows_match(exp_rotvec_stack(v), exp_rotvec, v)
+
+    @settings(max_examples=150, deadline=None)
+    @given(rotvec_stacks)
+    def test_variation_matrix(self, v):
+        assert_rows_match(variation_matrix_stack(v), variation_matrix, v)
+
+    @settings(max_examples=150, deadline=None)
+    @given(rotvec_stacks)
+    def test_log_rotation(self, v):
+        r = np.array([exp_rotvec(row) for row in v])
+        assert_rows_match(log_rotation_stack(r), log_rotation, r)
+
+    def test_log_rotation_exact_half_turns(self):
+        # Rotations by exactly pi have no skew part; the scalar sign rule
+        # decides, mixed here with the other branches.
+        r = np.array(
+            [
+                np.diag([1.0, -1.0, -1.0]),
+                np.eye(3),
+                np.diag([-1.0, 1.0, -1.0]),
+                exp_rotvec([0.0, 1e-6, 0.0]),
+                np.diag([-1.0, -1.0, 1.0]),
+                exp_rotvec([0.3, -1.2, 0.4]),
+            ]
+        )
+        assert_rows_match(log_rotation_stack(r), log_rotation, r)
+
+    @settings(max_examples=50, deadline=None)
+    @given(rotvec_stacks)
+    def test_row_norms_equal_numpy_norm_bit_for_bit(self, v):
+        assert np.array_equal(row_norms(v), [np.linalg.norm(row) for row in v])
+
+    def test_leading_axes_and_empty_stacks(self):
+        rng = np.random.default_rng(17)
+        v = np.array([random_rotvec(rng) for _ in range(6)]).reshape(2, 3, 3)
+        assert exp_rotvec_stack(v).shape == (2, 3, 3, 3)
+        assert np.allclose(log_rotation_stack(exp_rotvec_stack(v)), v, atol=1e-12)
+        assert variation_matrix_stack(np.zeros((0, 3))).shape == (0, 3, 3)

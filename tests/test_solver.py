@@ -186,6 +186,54 @@ class TestSolveKkt:
             assert np.linalg.norm(b_mat @ theta + b_vec) < 1e-7 * rhs_norm
 
 
+    def test_stack_matches_single_solves(self):
+        rng = np.random.default_rng(6)
+        blocks = [
+            (random_spd(rng, 8), rng.standard_normal(8), rng.standard_normal((3, 8)),
+             rng.standard_normal(3))
+            for _ in range(20)
+        ]
+        theta, lam = solve_kkt(KktSystem.from_blocks(*map(np.array, zip(*blocks))))
+        assert theta.shape == (20, 8) and lam.shape == (20, 3)
+        for i, system in enumerate(blocks):
+            single_theta, single_lam = solve_kkt(KktSystem.from_blocks(*system))
+            assert np.array_equal(theta[i], single_theta)
+            assert np.array_equal(lam[i], single_lam)
+
+    @pytest.mark.parametrize(
+        "defect", ["duplicated_row", "singular", "non_finite_input", "overflow"]
+    )
+    def test_stack_names_first_failing_system(self, defect):
+        h = np.array([np.eye(2)] * 4)
+        g = np.zeros((4, 2))
+        b_mat = np.array([[[1.0, 0.0], [0.0, 1.0]]] * 4)
+        b_vec = np.ones((4, 2))
+        if defect == "duplicated_row":
+            b_mat[1, 1] = b_mat[1, 0]
+        elif defect == "singular":
+            b_mat[1] = 0.0
+            h[1] = 0.0
+        elif defect == "non_finite_input":
+            g[1, 0] = np.nan
+        else:
+            # Factors fine, but the solution overflows.
+            b_mat[1] = 0.0
+            h[1] = np.diag([1e-310, 1.0])
+            g[1] = 1.0
+        # A later defective system is not the one named.
+        b_mat[3] = 0.0
+        h[3] = 0.0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(FactorizationFailed) as info:
+                solve_kkt(KktSystem.from_blocks(h, g, b_mat, b_vec))
+        assert info.value.system == 1
+        assert not caught
+        with pytest.raises(FactorizationFailed) as info:
+            solve_kkt(KktSystem.from_blocks(h[1], g[1], b_mat[1], b_vec[1]))
+        assert info.value.system is None
+
+
 class TestFreeBodySparseKkt:
     """The sparse free-body system against the dense selection-Jacobian one."""
 

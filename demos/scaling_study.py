@@ -12,7 +12,7 @@ Run from the repository root:  python3 demos/scaling_study.py
 from multibody.experiments import run_scaling_study
 from multibody.solver import SolverMode
 
-samples = run_scaling_study(max_bodies=30, repetitions=5, seed=0)
+samples = run_scaling_study(max_bodies=30, repetitions=5)
 by_n = {}
 for s in samples:
     by_n.setdefault(s.n_bodies, {})[s.mode] = s

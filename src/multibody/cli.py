@@ -52,7 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scaling.add_argument("--max-bodies", type=int, default=50)
     scaling.add_argument("--reps", type=int, default=5)
-    scaling.add_argument("--seed", type=int, default=0)
     scaling.add_argument("--out", required=True)
 
     track = sub.add_parser("track", help="synthetic trajectory tracking")
@@ -79,9 +78,7 @@ def main(argv=None) -> int:
             )
             write_convergence_csv(study, args.out)
         elif args.command == "scaling":
-            samples = run_scaling_study(
-                max_bodies=args.max_bodies, repetitions=args.reps, seed=args.seed
-            )
+            samples = run_scaling_study(max_bodies=args.max_bodies, repetitions=args.reps)
             write_scaling_csv(samples, args.out)
         elif args.command == "track":
             report = run_synthetic_tracking(

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kinematics import KinematicStructure, axes_mask
+from .kinematics import KinematicStructure
 from .se3 import Pose, log_rotation, skew, variation_matrix
 
 
@@ -49,26 +49,36 @@ class Constraint:
         return int(np.count_nonzero(self.constrained_axes))
 
     def residual(self, s: KinematicStructure) -> np.ndarray:
-        return evaluate_constraint(self, s)
+        """Residual rows [log of relative rotation | relative translation],
+        selected by the constrained axes."""
+        a_t_b = relative_constraint_pose(self, s)
+        extended = np.concatenate([log_rotation(a_t_b.r), a_t_b.t])
+        return extended[self.constrained_axes]
 
     def variation_blocks(self, s: KinematicStructure):
         """Residual-row derivatives w.r.t. the 6-DoF variations of body_a
-        and body_b, each n_rows x 6."""
-        da, db = constraint_variation_blocks(self, s)
+        and body_b (in their own model frames), each n_rows x 6."""
+        pose_a = s.bodies[self.body_a].pose
+        pose_b = s.bodies[self.body_b].pose
+        a_t_b = relative_constraint_pose(self, s)
+        cmat = variation_matrix(log_rotation(a_t_b.r))
+
+        r_a_ma = self.frame_a.r
+        a_t_mb = self.frame_a @ pose_a.inverse() @ pose_b
+        r_a_mb = a_t_mb.r
+        ma_t_b = self.frame_a.inverse() @ a_t_b
+        mb_t_b = self.frame_b.inverse()
+
+        da = np.zeros((6, 6))
+        da[:3, :3] = -cmat @ r_a_ma
+        da[3:, :3] = r_a_ma @ skew(ma_t_b.t)
+        da[3:, 3:] = -r_a_ma
+
+        db = np.zeros((6, 6))
+        db[:3, :3] = cmat @ r_a_mb
+        db[3:, :3] = -r_a_mb @ skew(mb_t_b.t)
+        db[3:, 3:] = r_a_mb
         return da[self.constrained_axes], db[self.constrained_axes]
-
-    def jacobian(self, s) -> np.ndarray:
-        return constraint_jacobian(self, s)
-
-    @staticmethod
-    def from_axis_names(body_a, body_b, axes, frame_a=None, frame_b=None):
-        return Constraint(
-            body_a,
-            body_b,
-            frame_a if frame_a is not None else Pose.identity(),
-            frame_b if frame_b is not None else Pose.identity(),
-            axes_mask(axes),
-        )
 
 
 def relative_constraint_pose(c, s: KinematicStructure) -> Pose:
@@ -76,40 +86,6 @@ def relative_constraint_pose(c, s: KinematicStructure) -> Pose:
     pose_a = s.bodies[c.body_a].pose
     pose_b = s.bodies[c.body_b].pose
     return c.frame_a @ pose_a.inverse() @ pose_b @ c.frame_b.inverse()
-
-
-def evaluate_constraint(c: Constraint, s: KinematicStructure) -> np.ndarray:
-    """Residual rows [log of relative rotation | relative translation],
-    selected by the constrained axes."""
-    a_t_b = relative_constraint_pose(c, s)
-    extended = np.concatenate([log_rotation(a_t_b.r), a_t_b.t])
-    return extended[c.constrained_axes]
-
-
-def constraint_variation_blocks(c: Constraint, s: KinematicStructure):
-    """Unmasked 6x6 derivatives of the extended residual w.r.t. the 6-DoF
-    variations of body_a and body_b (in their own model frames)."""
-    pose_a = s.bodies[c.body_a].pose
-    pose_b = s.bodies[c.body_b].pose
-    a_t_b = relative_constraint_pose(c, s)
-    cmat = variation_matrix(log_rotation(a_t_b.r))
-
-    r_a_ma = c.frame_a.r
-    a_t_mb = c.frame_a @ pose_a.inverse() @ pose_b
-    r_a_mb = a_t_mb.r
-    ma_t_b = c.frame_a.inverse() @ a_t_b
-    mb_t_b = c.frame_b.inverse()
-
-    da = np.zeros((6, 6))
-    da[:3, :3] = -cmat @ r_a_ma
-    da[3:, :3] = r_a_ma @ skew(ma_t_b.t)
-    da[3:, 3:] = -r_a_ma
-
-    db = np.zeros((6, 6))
-    db[:3, :3] = cmat @ r_a_mb
-    db[3:, :3] = -r_a_mb @ skew(mb_t_b.t)
-    db[3:, 3:] = r_a_mb
-    return da, db
 
 
 def constraint_jacobian(c, s: KinematicStructure):
@@ -148,35 +124,24 @@ class OrthogonalityConstraint:
         return 3
 
     def residual(self, s) -> np.ndarray:
-        return evaluate_orthogonality(self, s)
+        """Residual e_i . (R_AB e_j) for each orthogonal axis pair."""
+        r_ab = relative_constraint_pose(self, s).r
+        return np.array([r_ab[i, j] for i, j in ORTHOGONAL_AXIS_PAIRS])
 
     def variation_blocks(self, s):
-        return orthogonality_variation_blocks(self, s)
+        """3x6 derivatives of the residual w.r.t. the 6-DoF variations of
+        body_a and body_b."""
+        pose_a = s.bodies[self.body_a].pose
+        pose_b = s.bodies[self.body_b].pose
+        r_ab = relative_constraint_pose(self, s).r
+        r_a_ma = self.frame_a.r
+        r_a_mb = (self.frame_a @ pose_a.inverse() @ pose_b).r
 
-    def jacobian(self, s) -> np.ndarray:
-        return constraint_jacobian(self, s)
-
-
-def evaluate_orthogonality(c: OrthogonalityConstraint, s) -> np.ndarray:
-    """Residual e_i . (R_AB e_j) for each orthogonal axis pair."""
-    r_ab = relative_constraint_pose(c, s).r
-    return np.array([r_ab[i, j] for i, j in ORTHOGONAL_AXIS_PAIRS])
-
-
-def orthogonality_variation_blocks(c: OrthogonalityConstraint, s):
-    """3x6 derivatives of the orthogonality residual w.r.t. the 6-DoF
-    variations of body_a and body_b."""
-    pose_a = s.bodies[c.body_a].pose
-    pose_b = s.bodies[c.body_b].pose
-    r_ab = relative_constraint_pose(c, s).r
-    r_a_ma = c.frame_a.r
-    r_a_mb = (c.frame_a @ pose_a.inverse() @ pose_b).r
-
-    # Translational variation columns do not move the residual.
-    da = np.zeros((3, 6))
-    db = np.zeros((3, 6))
-    for k, (i, j) in enumerate(ORTHOGONAL_AXIS_PAIRS):
-        cross = skew(r_ab @ np.eye(3)[j])
-        da[k, :3] = np.eye(3)[i] @ cross @ r_a_ma
-        db[k, :3] = -np.eye(3)[i] @ cross @ r_a_mb
-    return da, db
+        # Translational variation columns do not move the residual.
+        da = np.zeros((3, 6))
+        db = np.zeros((3, 6))
+        for k, (i, j) in enumerate(ORTHOGONAL_AXIS_PAIRS):
+            cross = skew(r_ab @ np.eye(3)[j])
+            da[k, :3] = np.eye(3)[i] @ cross @ r_a_ma
+            db[k, :3] = -np.eye(3)[i] @ cross @ r_a_mb
+        return da, db

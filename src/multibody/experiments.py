@@ -156,7 +156,7 @@ def sample_trials(kind, n_trials, seed, equal_frames=False, random_energy=False)
 def _pose_constraint_rows(frame_a, frame_b, a_t_mb, a_t_b, rotvec):
     """Extended residual [rotvec | translation] of a Constraint and its 6x6
     derivatives w.r.t. the variations of body_a and body_b, per trial: the
-    stacked form of constraints.constraint_variation_blocks."""
+    stacked form of Constraint.variation_blocks."""
     n = rotvec.shape[0]
     cmat = variation_matrix_stack(rotvec)
     r_a_ma = frame_a[0]
@@ -179,7 +179,7 @@ def _pose_constraint_rows(frame_a, frame_b, a_t_mb, a_t_b, rotvec):
 def _orthogonality_rows(frame_a, a_t_mb, a_t_b):
     """Residual of an OrthogonalityConstraint and its 3x6 derivatives
     w.r.t. the variations of body_a and body_b, per trial: the stacked
-    form of constraints.orthogonality_variation_blocks."""
+    form of OrthogonalityConstraint.variation_blocks."""
     r_ab = a_t_b[0]
     residual = np.stack([r_ab[:, i, j] for i, j in ORTHOGONAL_AXIS_PAIRS], axis=-1)
     # Row i of skew(R_AB e_j) for each pair.
@@ -343,9 +343,7 @@ SCALING_MIN_SAMPLED_S = 0.1
 SCALING_MAX_ROUNDS = 50
 
 
-def run_scaling_study(
-    max_bodies: int, repetitions: int = 5, seed: int = 0
-) -> list[ScalingSample]:
+def run_scaling_study(max_bodies: int, repetitions: int = 5) -> list[ScalingSample]:
     """Per-iteration wall-clock time of projected vs constrained solves on
     serial chains of growing length.
 

@@ -50,16 +50,10 @@ class Joint:
         self.free_axes = np.asarray(self.free_axes, dtype=bool)
         if self.free_axes.shape != (6,):
             raise ValueError("free_axes must have 6 entries")
-
-    @property
-    def n_dof(self) -> int:
-        return int(np.count_nonzero(self.free_axes))
-
-    def expansion(self) -> np.ndarray:
-        """6 x n_dof matrix taking the joint variation to the extended 6-vector."""
-        sel = np.zeros((6, self.n_dof))
-        sel[np.flatnonzero(self.free_axes), np.arange(self.n_dof)] = 1.0
-        return sel
+        # Indices of the free axes: the joint's motion subspace is these
+        # columns of the identity.
+        self.free = np.flatnonzero(self.free_axes)
+        self.n_dof = int(self.free.shape[0])
 
 
 def expand_joint_variation(joint: Joint, theta_j: np.ndarray) -> np.ndarray:
@@ -69,7 +63,9 @@ def expand_joint_variation(joint: Joint, theta_j: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"joint variation has length {theta_j.shape[0]}, expected {joint.n_dof}"
         )
-    return joint.expansion() @ theta_j
+    extended = np.zeros(6)
+    extended[joint.free] = theta_j
+    return extended
 
 
 @dataclass
@@ -78,7 +74,6 @@ class Body:
     joint: Joint
     pose: Pose = field(default_factory=Pose.identity)
     parent: int | None = None
-    jacobian: np.ndarray | None = None
 
 
 class KinematicStructure:
@@ -98,9 +93,11 @@ class KinematicStructure:
             self.dof_offsets.append(offset)
             offset += body.joint.n_dof
         self.n_dof = offset
-        self._jacobians_valid = False
+        self._jacobians = None
 
     def _validate(self):
+        if not self.bodies:
+            raise ValueError("a structure needs at least one body")
         names = set()
         for i, body in enumerate(self.bodies):
             if body.name in names:
@@ -110,45 +107,41 @@ class KinematicStructure:
                 raise ValueError(
                     f"body {body.name!r}: parent index {body.parent} must precede it"
                 )
-
-    def body_index(self, name: str) -> int:
-        for i, body in enumerate(self.bodies):
-            if body.name == name:
-                return i
-        raise KeyError(name)
+        for k, c in enumerate(self.constraints):
+            for index in (c.body_a, c.body_b):
+                if not 0 <= index < len(self.bodies):
+                    raise ValueError(
+                        f"constraint {k}: body index {index} is not one of the "
+                        f"{len(self.bodies)} bodies"
+                    )
 
     def invalidate_jacobians(self):
-        self._jacobians_valid = False
-        for body in self.bodies:
-            body.jacobian = None
+        self._jacobians = None
 
-    def compute_body_jacobians(self):
-        """Fill each body's 6 x n_dof Jacobian by recursion over parents.
+    def compute_body_jacobians(self) -> list[np.ndarray]:
+        """Each body's 6 x n_dof Jacobian, by recursion over parents; also
+        cached for `body_jacobians`.
 
-        J = Ad(M_T_P) J_parent + columns of Ad(M_T_J) at the body's offset,
-        with the root contributing only the joint term.
+        J = Ad(M_T_P) J_parent + free columns of Ad(M_T_J) at the body's
+        offset, with the root contributing only the joint term.
         """
-        for i, body in enumerate(self.bodies):
+        jacobians = []
+        for body, off in zip(self.bodies, self.dof_offsets):
             jac = np.zeros((6, self.n_dof))
             if body.parent is not None:
-                parent = self.bodies[body.parent]
-                m_t_p = body.pose.inverse() @ parent.pose
-                jac += adjoint(m_t_p) @ parent.jacobian
+                m_t_p = body.pose.inverse() @ self.bodies[body.parent].pose
+                jac += adjoint(m_t_p) @ jacobians[body.parent]
             if body.joint.n_dof > 0:
                 ad_m_t_j = adjoint(body.joint.joint_to_model.inverse())
-                off = self.dof_offsets[i]
-                jac[:, off : off + body.joint.n_dof] += ad_m_t_j @ body.joint.expansion()
-            body.jacobian = jac
-        self._jacobians_valid = True
+                jac[:, off : off + body.joint.n_dof] += ad_m_t_j[:, body.joint.free]
+            jacobians.append(jac)
+        self._jacobians = jacobians
+        return jacobians
 
     def body_jacobians(self) -> list[np.ndarray]:
-        if not self._jacobians_valid:
-            self.compute_body_jacobians()
-        return [body.jacobian for body in self.bodies]
-
-    def joint_variation(self, i: int, theta_k: np.ndarray) -> np.ndarray:
-        off = self.dof_offsets[i]
-        return theta_k[off : off + self.bodies[i].joint.n_dof]
+        if self._jacobians is None:
+            return self.compute_body_jacobians()
+        return self._jacobians
 
     def update_poses(self, theta_k: np.ndarray):
         """Recursive pose update from the stacked variation vector.
@@ -161,9 +154,9 @@ class KinematicStructure:
         theta_k = np.asarray(theta_k, dtype=float)
         if theta_k.shape != (self.n_dof,):
             raise ValueError(f"theta has length {theta_k.shape[0]}, expected {self.n_dof}")
-        for i, body in enumerate(self.bodies):
+        for body, off in zip(self.bodies, self.dof_offsets):
             joint = body.joint
-            extended = expand_joint_variation(joint, self.joint_variation(i, theta_k))
+            extended = expand_joint_variation(joint, theta_k[off : off + joint.n_dof])
             j_t_m = joint.joint_to_model
             step = pose_with_variation(j_t_m.inverse(), extended) @ j_t_m
             if body.parent is None:

@@ -27,6 +27,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
+from .constraints import constraint_jacobian
 from .energy import BodyEnergy
 from .kinematics import KinematicStructure
 from .se3 import pose_with_variation
@@ -149,15 +150,11 @@ def _assemble_tree(s, energies, constraints, b_vec, regularization) -> KktSystem
         g_k += jac.T @ energy.g
         h_k += jac.T @ energy.h @ jac
     if regularization is not None:
-        rot_mask = np.zeros(n, dtype=bool)
-        for i, body in enumerate(s.bodies):
-            off = s.dof_offsets[i]
-            for k, axis in enumerate(np.flatnonzero(body.joint.free_axes)):
-                rot_mask[off + k] = axis < 3
+        rot_mask = np.concatenate([b.joint.free for b in s.bodies]) < 3
         diag = np.where(rot_mask, regularization.lambda_r, regularization.lambda_t)
         h_k[np.diag_indices(n)] += diag
     if constraints:
-        b_mat = np.vstack([c.jacobian(s) for c in constraints])
+        b_mat = np.vstack([constraint_jacobian(c, s) for c in constraints])
     else:
         b_mat = np.zeros((0, n))
     return KktSystem.from_blocks(h_k, g_k, b_mat, b_vec)

@@ -1,7 +1,8 @@
 """Independent reference implementations used to check the library.
 
 Rotations are cross-checked through quaternions, derivatives through central
-finite differences, registration through the closed-form Kabsch fit, the
+finite differences, the tree Jacobians through a recursion over 6 x n_dof
+joint selection matrices, registration through the closed-form Kabsch fit, the
 sparse free-body KKT system through a dense one built from selection
 Jacobians, and the batched convergence study through a trial-by-trial run of
 the scalar solver.
@@ -17,7 +18,7 @@ from multibody.constraints import (
 from multibody.energy import BodyEnergy, zero_energy
 from multibody.experiments import random_spd
 from multibody.kinematics import Body, Joint, KinematicStructure, axes_mask
-from multibody.se3 import Pose, log_rotation
+from multibody.se3 import Pose, adjoint, log_rotation
 from multibody.solver import SolverConfig, SolverMode, step
 
 
@@ -103,6 +104,26 @@ def brute_force_add_s(vertices, rel_matrix):
     for v in vertices:
         total += min(np.linalg.norm(m - v) for m in moved)
     return total / len(vertices)
+
+
+def selection_body_jacobians(s):
+    """Body Jacobians by the tree recursion with each joint's motion
+    subspace as a 6 x n_dof selection matrix E:
+    J = Ad(M_T_P) J_parent + Ad(M_T_J) E at the body's offset."""
+    jacobians = []
+    for body, off in zip(s.bodies, s.dof_offsets):
+        n_dof = body.joint.n_dof
+        expansion = np.zeros((6, n_dof))
+        expansion[np.flatnonzero(body.joint.free_axes), np.arange(n_dof)] = 1.0
+        jac = np.zeros((6, s.n_dof))
+        if body.parent is not None:
+            m_t_p = body.pose.inverse() @ s.bodies[body.parent].pose
+            jac += adjoint(m_t_p) @ jacobians[body.parent]
+        if n_dof > 0:
+            ad_m_t_j = adjoint(body.joint.joint_to_model.inverse())
+            jac[:, off : off + n_dof] += ad_m_t_j @ expansion
+        jacobians.append(jac)
+    return jacobians
 
 
 def selection_kkt(s, energies, constraints, reg_diag):

@@ -158,7 +158,7 @@ class TestScalingStudy:
             assert np.max(np.abs(c.residual(s))) < 1e-12
 
     def test_samples_and_csv(self, tmp_path):
-        samples = run_scaling_study(4, repetitions=2, seed=0)
+        samples = run_scaling_study(4, repetitions=2)
         assert len(samples) == 8
         assert all(s.seconds_per_iter > 0 for s in samples)
         out = tmp_path / "scaling.csv"

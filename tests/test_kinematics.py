@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from builders import random_pose, random_tree
+from multibody.constraints import Constraint, OrthogonalityConstraint
 from multibody.kinematics import (
     Body,
     FixedSide,
@@ -15,6 +16,8 @@ from multibody.kinematics import (
     expand_joint_variation,
 )
 from multibody.se3 import Pose, adjoint, exp_rotvec, relative_variation
+from multibody.solver import SolverMode, apply_update
+from oracles import selection_body_jacobians
 
 
 class TestExpandJointVariation:
@@ -38,6 +41,10 @@ class TestExpandJointVariation:
 
 
 class TestStructureValidation:
+    def test_empty_structure_rejected(self):
+        with pytest.raises(ValueError, match="at least one body"):
+            KinematicStructure([])
+
     def test_duplicate_names_rejected(self):
         j = Joint(free_axes=np.ones(6, dtype=bool))
         bodies = [Body("a", copy.deepcopy(j)), Body("a", copy.deepcopy(j))]
@@ -62,12 +69,22 @@ class TestStructureValidation:
             offset += body.joint.n_dof
         assert s.n_dof == offset
 
+    @pytest.mark.parametrize("kind", [Constraint, OrthogonalityConstraint])
+    @pytest.mark.parametrize("bad", [5, -1])
+    def test_constraint_body_index_out_of_range(self, kind, bad):
+        j = Joint(free_axes=np.ones(6, dtype=bool))
+        bodies = [Body("a", copy.deepcopy(j)), Body("b", copy.deepcopy(j))]
+        ok = kind(0, 1)
+        with pytest.raises(ValueError, match=f"constraint 1: body index {bad}"):
+            KinematicStructure(bodies, [ok, kind(0, bad)])
+        with pytest.raises(ValueError, match=f"constraint 0: body index {bad}"):
+            KinematicStructure(bodies, [kind(bad, 1)])
+
 
 class TestBodyJacobians:
     def test_free_root_with_identity_frames(self):
         s = KinematicStructure([Body("root", Joint(free_axes=np.ones(6, dtype=bool)))])
-        s.compute_body_jacobians()
-        assert np.allclose(s.bodies[0].jacobian, np.eye(6))
+        assert np.allclose(s.compute_body_jacobians()[0], np.eye(6))
 
     def test_single_revolute_child_column(self):
         rng = np.random.default_rng(1)
@@ -84,18 +101,24 @@ class TestBodyJacobians:
             parent=0,
         )
         s = KinematicStructure([root, child])
-        s.compute_body_jacobians()
+        jacobians = s.compute_body_jacobians()
         expected = adjoint(joint.joint_to_model.inverse())[:, 2]
-        assert np.allclose(s.bodies[1].jacobian[:, 0], expected, atol=1e-12)
+        assert np.allclose(jacobians[1][:, 0], expected, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_selection_matrix_recursion(self, seed):
+        rng = np.random.default_rng(seed)
+        s = random_tree(rng, 6)
+        for actual, expected in zip(s.compute_body_jacobians(), selection_body_jacobians(s)):
+            assert np.array_equal(actual, expected)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_finite_difference_chain(self, seed):
         rng = np.random.default_rng(seed)
         s = random_tree(rng, 4)
-        s.compute_body_jacobians()
+        jacobians = s.compute_body_jacobians()
         eps = 1e-6
-        for i, body in enumerate(s.bodies):
-            jac = body.jacobian
+        for i, jac in enumerate(jacobians):
             for k in range(s.n_dof):
                 theta = np.zeros(s.n_dof)
                 theta[k] = eps
@@ -161,13 +184,13 @@ class TestUpdatePoses:
     def test_first_order_projection_consistency(self):
         rng = np.random.default_rng(5)
         s = random_tree(rng, 5)
-        s.compute_body_jacobians()
+        jacobians = s.compute_body_jacobians()
         theta = 1e-4 * rng.standard_normal(s.n_dof)
         moved = copy.deepcopy(s)
         moved.update_poses(theta)
         for i, body in enumerate(s.bodies):
             delta = relative_variation(body.pose, moved.bodies[i].pose)
-            assert np.max(np.abs(delta - body.jacobian @ theta)) < 1e-6
+            assert np.max(np.abs(delta - jacobians[i] @ theta)) < 1e-6
 
     def test_locked_axes_stay_locked(self):
         rng = np.random.default_rng(6)
@@ -212,5 +235,11 @@ class TestUpdatePoses:
         s = random_tree(rng, 3)
         first = [j.copy() for j in s.body_jacobians()]
         s.update_poses(rng.uniform(-0.3, 0.3, s.n_dof))
-        second = s.body_jacobians()
+        second = [j.copy() for j in s.body_jacobians()]
         assert any(not np.allclose(a, b) for a, b in zip(first, second))
+        # The free-body update writes the poses directly.
+        apply_update(s, rng.uniform(-0.3, 0.3, 6 * len(s.bodies)), SolverMode.INDEPENDENT)
+        third = s.body_jacobians()
+        assert any(not np.allclose(a, b) for a, b in zip(second, third))
+        for a, b in zip(third, selection_body_jacobians(s)):
+            assert np.array_equal(a, b)

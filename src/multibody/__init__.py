@@ -16,7 +16,6 @@ from .kinematics import (
     Joint,
     KinematicStructure,
     axes_mask,
-    expand_joint_variation,
 )
 from .metrics import Mesh, add_error, add_s_error, auc_score, load_obj
 from .se3 import (
@@ -63,7 +62,6 @@ __all__ = [
     "auc_score",
     "axes_mask",
     "exp_rotvec",
-    "expand_joint_variation",
     "load_obj",
     "log_rotation",
     "per_body",

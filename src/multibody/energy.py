@@ -37,6 +37,9 @@ def zero_energy(body_index: int, pose: Pose) -> BodyEnergy:
     return BodyEnergy.zero()
 
 
+_TRANS_DIAGONAL = ((3, 4, 5), (3, 4, 5))
+
+
 def quadratic_pose_target(target: Pose, weight_r: float = 1.0, weight_t: float = 1.0):
     """Provider for E = w_r * |log(R_t^T R)|^2 + w_t * |t - t_target|^2.
 
@@ -47,15 +50,18 @@ def quadratic_pose_target(target: Pose, weight_r: float = 1.0, weight_t: float =
     if weight_r < 0 or weight_t < 0:
         raise ValueError("weights must be non-negative")
 
+    scale_r = 2.0 * weight_r
+    scale_t = 2.0 * weight_t
+
     def provider(body_index: int, pose: Pose) -> BodyEnergy:
         g = np.zeros(6)
         h = np.zeros((6, 6))
         r0 = log_rotation(target.r.T @ pose.r)
         cmat = variation_matrix(r0)
-        g[:3] = 2.0 * weight_r * r0
-        h[:3, :3] = 2.0 * weight_r * (cmat @ cmat.T)
-        g[3:] = 2.0 * weight_t * (pose.r.T @ (pose.t - target.t))
-        h[3:, 3:] = 2.0 * weight_t * np.eye(3)
+        g[:3] = scale_r * r0
+        h[:3, :3] = scale_r * (cmat @ cmat.T)
+        g[3:] = scale_t * (pose.r.T @ (pose.t - target.t))
+        h[_TRANS_DIAGONAL] = scale_t
         return BodyEnergy(g, h)
 
     return provider
@@ -92,10 +98,3 @@ def per_body(providers: dict, default=zero_energy):
 
     return provider
 
-
-def evaluate_quadratic_target(pose: Pose, target: Pose, weight_r=1.0, weight_t=1.0):
-    """Scalar energy matching quadratic_pose_target; handy for decrease checks."""
-    r0 = log_rotation(target.r.T @ pose.r)
-    return weight_r * float(r0 @ r0) + weight_t * float(
-        (pose.t - target.t) @ (pose.t - target.t)
-    )

@@ -16,17 +16,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import TrackingConfig, load_config
-from .constraints import ORTHOGONAL_AXIS_PAIRS, Constraint
+from .constraints import (
+    Constraint,
+    orthogonality_blocks,
+    orthogonality_residual,
+    pose_constraint_blocks,
+    relative_poses,
+)
 from .energy import per_body, quadratic_pose_target, zero_energy
 from .kinematics import Body, Joint, KinematicStructure, axes_mask
 from .metrics import add_error, add_s_error, auc_score
 from .se3 import (
     Pose,
+    compose_stack,
     exp_rotvec_stack,
+    inverse_stack,
     log_rotation_stack,
+    pose_with_variation_stack,
     row_norms,
-    skew_stack,
-    variation_matrix_stack,
 )
 from .solver import (
     FactorizationFailed,
@@ -91,21 +98,6 @@ _STUDY_AXES = {
 }
 
 
-# Stacked poses are (r, t) pairs of shapes (N, 3, 3) and (N, 3); these
-# mirror Pose.compose and Pose.inverse row by row.
-def _rotate(r, t):
-    return (r @ t[..., None])[..., 0]
-
-
-def _compose(p, q):
-    return p[0] @ q[0], _rotate(p[0], q[1]) + p[1]
-
-
-def _inverse(p):
-    rt = np.swapaxes(p[0], -1, -2)
-    return rt, _rotate(-rt, p[1])
-
-
 def sample_trials(kind, n_trials, seed, equal_frames=False, random_energy=False):
     """Inputs of the convergence study's trials, stacked.
 
@@ -149,47 +141,10 @@ def sample_trials(kind, n_trials, seed, equal_frames=False, random_energy=False)
     frame_a, frame_b, diff, pose_a = ((rotations[:, i], vectors[:, i, 1]) for i in range(4))
     # pose_b such that the initial relative pose equals the sampled diff:
     # diff = frame_a o pose_a^-1 o pose_b o frame_b^-1.
-    pose_b = _compose(_compose(_compose(pose_a, _inverse(frame_a)), diff), frame_b)
-    return frame_a, frame_b, pose_a, pose_b, gradients, hessians
-
-
-def _pose_constraint_rows(frame_a, frame_b, a_t_mb, a_t_b, rotvec):
-    """Extended residual [rotvec | translation] of a Constraint and its 6x6
-    derivatives w.r.t. the variations of body_a and body_b, per trial: the
-    stacked form of Constraint.variation_blocks."""
-    n = rotvec.shape[0]
-    cmat = variation_matrix_stack(rotvec)
-    r_a_ma = frame_a[0]
-    r_a_mb = a_t_mb[0]
-    ma_t_b = _compose(_inverse(frame_a), a_t_b)
-    mb_t_b = _inverse(frame_b)
-
-    d_a = np.zeros((n, 6, 6))
-    d_a[:, :3, :3] = -cmat @ r_a_ma
-    d_a[:, 3:, :3] = r_a_ma @ skew_stack(ma_t_b[1])
-    d_a[:, 3:, 3:] = -r_a_ma
-
-    d_b = np.zeros((n, 6, 6))
-    d_b[:, :3, :3] = cmat @ r_a_mb
-    d_b[:, 3:, :3] = -r_a_mb @ skew_stack(mb_t_b[1])
-    d_b[:, 3:, 3:] = r_a_mb
-    return np.concatenate([rotvec, a_t_b[1]], axis=-1), d_a, d_b
-
-
-def _orthogonality_rows(frame_a, a_t_mb, a_t_b):
-    """Residual of an OrthogonalityConstraint and its 3x6 derivatives
-    w.r.t. the variations of body_a and body_b, per trial: the stacked
-    form of OrthogonalityConstraint.variation_blocks."""
-    r_ab = a_t_b[0]
-    residual = np.stack([r_ab[:, i, j] for i, j in ORTHOGONAL_AXIS_PAIRS], axis=-1)
-    # Row i of skew(R_AB e_j) for each pair.
-    cross = np.stack(
-        [skew_stack(r_ab[:, :, j])[:, i] for i, j in ORTHOGONAL_AXIS_PAIRS], axis=1
+    pose_b = compose_stack(
+        compose_stack(compose_stack(pose_a, inverse_stack(frame_a)), diff), frame_b
     )
-    zeros = np.zeros(cross.shape)
-    d_a = np.concatenate([cross @ frame_a[0], zeros], axis=-1)
-    d_b = np.concatenate([-cross @ a_t_mb[0], zeros], axis=-1)
-    return residual, d_a, d_b
+    return frame_a, frame_b, pose_a, pose_b, gradients, hessians
 
 
 def run_convergence_study(
@@ -236,18 +191,19 @@ def run_convergence_study(
     rot_errors = np.zeros((n_trials, n_iterations + 1))
     trans_errors = np.zeros((n_trials, n_iterations + 1))
     for it in range(n_iterations + 1):
-        a_t_mb = _compose(_compose(frame_a, _inverse(pose_a)), pose_b)
-        a_t_b = _compose(a_t_mb, _inverse(frame_b))
+        a_t_mb, a_t_b = relative_poses(frame_a, frame_b, pose_a, pose_b)
         rotvec = log_rotation_stack(a_t_b[0])
         rot_errors[:, it] = row_norms(rotvec)
         trans_errors[:, it] = row_norms(a_t_b[1])
         if it == n_iterations:
             break
         if kind == "ortho":
-            b_vec, d_a, d_b = _orthogonality_rows(frame_a, a_t_mb, a_t_b)
+            b_vec = orthogonality_residual(a_t_b)
+            d_a, d_b = orthogonality_blocks(frame_a, a_t_mb, a_t_b)
         else:
-            b_vec, d_a, d_b = _pose_constraint_rows(frame_a, frame_b, a_t_mb, a_t_b, rotvec)
-            b_vec, d_a, d_b = b_vec[:, free], d_a[:, free], d_b[:, free]
+            b_vec = np.concatenate([rotvec, a_t_b[1]], axis=-1)[:, free]
+            d_a, d_b = pose_constraint_blocks(frame_a, frame_b, a_t_mb, a_t_b, rotvec)
+            d_a, d_b = d_a[:, free], d_b[:, free]
         b_mat = np.concatenate([d_a[:, :, free], d_b[:, :, free]], axis=-1)
         try:
             theta, _ = solve_kkt(KktSystem.from_blocks(h_k, g_k, b_mat, b_vec))
@@ -255,18 +211,12 @@ def run_convergence_study(
             raise FactorizationFailed(
                 f"{kind} convergence trial {exc.system}: {exc}", exc.system
             ) from exc
-        pose_a = _apply_variation(pose_a, theta[:, :k], free)
-        pose_b = _apply_variation(pose_b, theta[:, k:], free)
+        # pose o T(theta) per trial, theta scattered onto the free axes.
+        extended = np.zeros((n_trials, 2, 6))
+        extended[:, :, free] = theta.reshape(n_trials, 2, k)
+        pose_a = pose_with_variation_stack(pose_a, extended[:, 0])
+        pose_b = pose_with_variation_stack(pose_b, extended[:, 1])
     return ConvergenceStudy(kind, n_trials, n_iterations, rot_errors, trans_errors)
-
-
-def _apply_variation(pose, theta_j, free):
-    """pose o T(theta) per trial, theta scattered onto the free axes: the
-    root-joint update of KinematicStructure.update_poses."""
-    extended = np.zeros((theta_j.shape[0], 6))
-    extended[:, free] = theta_j
-    r, t = pose
-    return r @ exp_rotvec_stack(extended[:, :3]), _rotate(r, extended[:, 3:]) + t
 
 
 def write_convergence_csv(study: ConvergenceStudy, path):
@@ -328,15 +278,6 @@ def build_serial_chain(n_bodies: int, link_length: float = 0.1) -> KinematicStru
     return s
 
 
-def kkt_dimension(mode: SolverMode, n_bodies: int) -> int:
-    """Size of the assembled saddle-point system for a serial chain."""
-    if mode is SolverMode.PROJECTED:
-        return 6 + (n_bodies - 1)
-    if mode is SolverMode.CONSTRAINED:
-        return 6 * n_bodies + 5 * (n_bodies - 1)
-    raise ValueError(f"scaling study covers projected/constrained, not {mode}")
-
-
 # Timing rounds of the scaling study: at least `repetitions`, then more, up to
 # the cap, until each mode has this much sampled time.
 SCALING_MIN_SAMPLED_S = 0.1
@@ -364,8 +305,8 @@ def run_scaling_study(max_bodies: int, repetitions: int = 5) -> list[ScalingSamp
         for n in range(1, max_bodies + 1):
             chains = {mode: build_serial_chain(n) for mode in modes}
             cfgs = {mode: SolverConfig(mode=mode) for mode in modes}
-            for mode in modes:
-                step(chains[mode], zero_energy, cfgs[mode])  # warm-up
+            # Warm-up step; it reports the KKT size.
+            kkt_dims = {mode: step(chains[mode], zero_energy, cfgs[mode]).kkt_dim for mode in modes}
             times = {mode: [] for mode in modes}
             rounds = 0
             while rounds < repetitions or (
@@ -385,7 +326,7 @@ def run_scaling_study(max_bodies: int, repetitions: int = 5) -> list[ScalingSamp
                     seconds_per_iter=float(
                         np.median(np.array(times[mode]) / round_s) * np.median(round_s)
                     ),
-                    kkt_dim=kkt_dimension(mode, n),
+                    kkt_dim=kkt_dims[mode],
                 )
                 for mode in modes
             )
@@ -461,11 +402,7 @@ def run_synthetic_tracking(
         for i, (w_r, w_t) in config.weights.items():
             if w_r > 0 or w_t > 0:
                 providers[i] = quadratic_pose_target(truth.bodies[i].pose, w_r, w_t)
-        run(estimate, per_body(providers), solver_cfg)
-
-        report.residuals.append(
-            [float(np.linalg.norm(c.residual(estimate))) for c in estimate.constraints]
-        )
+        report.residuals.append(run(estimate, per_body(providers), solver_cfg)[-1].residuals_after)
         for i, mesh in config.meshes.items():
             rel = estimate.bodies[i].pose.inverse() @ truth.bodies[i].pose
             add = add_error(mesh, rel)

@@ -19,10 +19,6 @@ class Mesh:
         if self.vertices.shape[0] < 1:
             raise ValueError("mesh must contain at least one vertex")
 
-    @property
-    def n_vertices(self) -> int:
-        return self.vertices.shape[0]
-
 
 def load_obj(path) -> Mesh:
     """Vertices from the "v x y z" lines of an ASCII OBJ file; everything

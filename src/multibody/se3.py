@@ -21,6 +21,9 @@ SMALL_ANGLE = 1e-4
 # From this angle on, log_rotation recovers the axis from the symmetric part.
 NEAR_PI = np.pi - 1e-4
 
+_EYE3 = np.eye(3)
+_EYE3.flags.writeable = False
+
 
 def skew(v: np.ndarray) -> np.ndarray:
     """Cross-product matrix [v]x such that skew(v) @ w == cross(v, w)."""
@@ -44,7 +47,7 @@ def exp_rotvec(v: np.ndarray) -> np.ndarray:
         s = np.sin(angle) / angle
         c = (1.0 - np.cos(angle)) / (angle * angle)
     k = skew(v)
-    return np.eye(3) + s * k + c * (k @ k)
+    return _EYE3 + s * k + c * (k @ k)
 
 
 def log_rotation(r: np.ndarray) -> np.ndarray:
@@ -56,7 +59,7 @@ def log_rotation(r: np.ndarray) -> np.ndarray:
     component is positive is returned.
     """
     r = np.asarray(r, dtype=float)
-    cos_a = np.clip((np.trace(r) - 1.0) / 2.0, -1.0, 1.0)
+    cos_a = min(max((np.trace(r) - 1.0) / 2.0, -1.0), 1.0)
     angle = np.arccos(cos_a)
     w = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
 
@@ -124,9 +127,6 @@ class Pose:
         points = np.asarray(points, dtype=float)
         return points @ self.r.T + self.t
 
-    def rotvec(self) -> np.ndarray:
-        return log_rotation(self.r)
-
     def matrix(self) -> np.ndarray:
         m = np.eye(4)
         m[:3, :3] = self.r
@@ -134,16 +134,18 @@ class Pose:
         return m
 
 
-def adjoint(p: Pose) -> np.ndarray:
-    """6x6 adjoint projecting a variation between reference frames.
+def adjoint(p) -> np.ndarray:
+    """6x6 adjoint projecting a variation between reference frames, of a
+    Pose or of each row of a stacked pose (..., 6, 6).
 
     Block layout matches the [rot | trans] vector ordering:
     [[R, 0], [[t]x R, R]].
     """
-    ad = np.zeros((6, 6))
-    ad[:3, :3] = p.r
-    ad[3:, :3] = skew(p.t) @ p.r
-    ad[3:, 3:] = p.r
+    r, t = (p.r, p.t) if isinstance(p, Pose) else p
+    ad = np.zeros(r.shape[:-2] + (6, 6))
+    ad[..., :3, :3] = r
+    ad[..., 3:, :3] = skew_stack(t) @ r
+    ad[..., 3:, 3:] = r
     return ad
 
 
@@ -165,38 +167,59 @@ def variation_matrix(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     angle = np.linalg.norm(v)
     if angle < SMALL_ANGLE:
-        return _half_angle_cot(angle) * np.eye(3) - 0.5 * skew(v)
+        return _half_angle_cot(angle) * _EYE3 - 0.5 * skew(v)
     e = v / angle
     h = _half_angle_cot(angle)
-    return h * np.eye(3) - (angle / 2.0) * skew(e) + (1.0 - h) * np.outer(e, e)
-
-
-def variation_transform(theta: np.ndarray) -> Pose:
-    """T(theta): exponential rotation, additive translation."""
-    theta = np.asarray(theta, dtype=float)
-    return Pose(exp_rotvec(theta[:3]), theta[3:].copy())
+    return h * _EYE3 - (angle / 2.0) * skew(e) + (1.0 - h) * (e[:, None] * e)
 
 
 def pose_with_variation(pose: Pose, theta: np.ndarray) -> Pose:
-    """Pose after applying a variation in its own model frame.
+    """Pose after applying a variation in its own model frame, pose o T(theta)
+    with T(theta) the exponential rotation and the additive translation.
 
-    Single shared definition so that energies, constraints, and updates all
-    differentiate the same map.
+    Energies, constraints and updates all differentiate this map.
     """
-    return pose @ variation_transform(theta)
+    theta = np.asarray(theta, dtype=float)
+    return pose @ Pose(exp_rotvec(theta[:3]), theta[3:].copy())
 
 
-def relative_variation(reference: Pose, varied: Pose) -> np.ndarray:
-    """Variation theta with varied == reference o T(theta) (exact inverse)."""
-    rel = reference.inverse() @ varied
-    return np.concatenate([log_rotation(rel.r), rel.t])
+# Stacked kernels: skew, exp_rotvec, log_rotation, variation_matrix and pose
+# algebra over the leading axes of their input, for callers that run many
+# independent problems at once.  Branches are chosen per row by masks; each
+# row matches the scalar function to rounding.  One stacked call costs
+# several scalar calls, so single poses keep the scalar functions.
+#
+# A stacked pose is an (r, t) pair of shapes (..., 3, 3) and (..., 3);
+# compose_stack and inverse_stack mirror Pose.compose and Pose.inverse row
+# by row, and adjoint takes one as well.
 
 
-# Stacked kernels: skew, exp_rotvec, log_rotation and variation_matrix over
-# the leading axes of their input, for callers that run many independent
-# problems at once.  Branches are chosen per row by masks; each row matches
-# the scalar function to rounding.  One stacked call costs several scalar
-# calls, so single poses keep the scalar functions.
+def stack_poses(poses):
+    """One stacked pose from Pose objects."""
+    poses = list(poses)
+    return (
+        np.array([p.r for p in poses]).reshape(-1, 3, 3),
+        np.array([p.t for p in poses]).reshape(-1, 3),
+    )
+
+
+def _rotate(r: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """r @ t for each row: (..., 3, 3), (..., 3) -> (..., 3)."""
+    return (r @ t[..., None])[..., 0]
+
+
+def compose_stack(p, q):
+    return p[0] @ q[0], _rotate(p[0], q[1]) + p[1]
+
+
+def inverse_stack(p):
+    rt = np.swapaxes(p[0], -1, -2)
+    return rt, _rotate(-rt, p[1])
+
+
+def pose_with_variation_stack(p, theta: np.ndarray):
+    """pose_with_variation of each row: theta (..., 6)."""
+    return compose_stack(p, (exp_rotvec_stack(theta[..., :3]), theta[..., 3:]))
 
 
 def row_norms(v: np.ndarray) -> np.ndarray:
@@ -231,7 +254,7 @@ def exp_rotvec_stack(v: np.ndarray) -> np.ndarray:
     s = np.where(small, 1.0 - a2 / 6.0, np.sin(safe) / safe)
     c = np.where(small, 0.5 * (1.0 - a2 / 12.0), (1.0 - np.cos(safe)) / (safe * safe))
     k = skew_stack(v)
-    return np.eye(3) + s[..., None, None] * k + c[..., None, None] * (k @ k)
+    return _EYE3 + s[..., None, None] * k + c[..., None, None] * (k @ k)
 
 
 def log_rotation_stack(r: np.ndarray) -> np.ndarray:
@@ -241,12 +264,10 @@ def log_rotation_stack(r: np.ndarray) -> np.ndarray:
     for its axis and sign recovery.
     """
     r = np.asarray(r, dtype=float)
-    cos_a = np.clip((np.trace(r, axis1=-2, axis2=-1) - 1.0) / 2.0, -1.0, 1.0)
+    cos_a = np.minimum(np.maximum((np.trace(r, axis1=-2, axis2=-1) - 1.0) / 2.0, -1.0), 1.0)
     angle = np.arccos(cos_a)
-    w = np.stack(
-        [r[..., 2, 1] - r[..., 1, 2], r[..., 0, 2] - r[..., 2, 0], r[..., 1, 0] - r[..., 0, 1]],
-        axis=-1,
-    )
+    # [r21 - r12, r02 - r20, r10 - r01]
+    w = r[..., (2, 0, 1), (1, 2, 0)] - r[..., (1, 2, 0), (2, 0, 1)]
     small = angle < SMALL_ANGLE
     safe = np.where(small, 1.0, angle)
     out = np.where(
@@ -254,8 +275,10 @@ def log_rotation_stack(r: np.ndarray) -> np.ndarray:
         0.5 * w * (1.0 + angle * angle / 6.0)[..., None],
         (safe / (2.0 * np.sin(safe)))[..., None] * w,
     )
-    for index in zip(*np.nonzero(angle >= NEAR_PI)):
-        out[index] = log_rotation(r[index])
+    near_pi = angle >= NEAR_PI
+    if near_pi.any():
+        for index in zip(*np.nonzero(near_pi)):
+            out[index] = log_rotation(r[index])
     return out
 
 
@@ -274,7 +297,7 @@ def variation_matrix_stack(v: np.ndarray) -> np.ndarray:
     half = np.where(small, 0.5, angle / 2.0)
     tail = np.where(small, 0.0, 1.0 - h)
     return (
-        h[..., None, None] * np.eye(3)
+        h[..., None, None] * _EYE3
         - half[..., None, None] * skew_stack(e)
         + tail[..., None, None] * (e[..., :, None] * e[..., None, :])
     )

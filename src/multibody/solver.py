@@ -10,11 +10,13 @@ Four configurations are supported:
   constraint rows.
 * combined: tree projection plus constraint rows (closed chains).
 
-The free-body modes (independent, constrained) scatter 6x6 energy blocks and
+Each step evaluates all energies and all constraints once, on stacks.  The
+free-body modes (independent, constrained) scatter 6x6 energy blocks and
 each constraint's two 6-column blocks into a block-sparse KKT matrix that
 SuperLU factors.  The tree modes (projected, combined) assemble a small
-dense KKT matrix in joint coordinates and factor it densely.  Dense systems
-of one size can also be solved as a stack in one batched call.
+dense KKT matrix in joint coordinates by composite-body sums and factor it
+densely.  Dense systems of one size can also be solved as a stack in one
+batched call.
 """
 
 from __future__ import annotations
@@ -27,10 +29,10 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .constraints import constraint_jacobian
+from .constraints import ConstraintRows, evaluate_constraints
 from .energy import BodyEnergy
 from .kinematics import KinematicStructure
-from .se3 import pose_with_variation
+from .se3 import pose_with_variation_stack
 
 
 class SolverMode(enum.Enum):
@@ -111,9 +113,16 @@ class KktSystem:
 
 @dataclass
 class StepReport:
+    """What one Newton step did.  Per-constraint lists follow
+    ``s.constraints``; ``multipliers`` holds each constraint's Lagrange
+    multipliers (its constraint force) in the constraint modes and is empty
+    otherwise.  ``kkt_dim`` is the size of the solved system."""
+
     theta_norm: float
     residuals_before: list
     residuals_after: list
+    multipliers: list
+    kkt_dim: int
 
 
 def assemble(
@@ -121,73 +130,82 @@ def assemble(
     energies: list[BodyEnergy],
     mode: SolverMode,
     regularization: Regularization | None = None,
+    rows: ConstraintRows | None = None,
 ) -> KktSystem:
     """Gradient/Hessian plus regularization, and constraint rows in the
-    constraint modes."""
+    constraint modes.  ``rows`` may hold the structure's constraints
+    already evaluated with blocks.  Raises FactorizationFailed naming the
+    first body whose energy is not finite."""
     if len(energies) != len(s.bodies):
         raise ValueError(
             f"got {len(energies)} energies for {len(s.bodies)} bodies"
         )
-    constraints = s.constraints if mode in _CONSTRAINED_MODES else []
-    b_vec = (
-        np.concatenate([c.residual(s) for c in constraints])
-        if constraints
-        else np.zeros(0)
-    )
+    g = np.array([e.g for e in energies])
+    h = np.array([e.h for e in energies])
+    finite = np.isfinite(g).all(axis=1) & np.isfinite(h).all(axis=(1, 2))
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise FactorizationFailed(
+            f"non-finite energy gradient or Hessian for body {i} ({s.bodies[i].name!r})"
+        )
+    if mode not in _CONSTRAINED_MODES:
+        rows = evaluate_constraints([], s.bodies)
+    elif rows is None:
+        rows = evaluate_constraints(s.constraints, s.bodies)
     if mode in _FREE_BODY_MODES:
-        return _assemble_free_bodies(s, energies, constraints, b_vec, regularization)
-    return _assemble_tree(s, energies, constraints, b_vec, regularization)
+        return _assemble_free_bodies(g, h, rows, regularization)
+    return _assemble_tree(s, g, h, rows, regularization)
 
 
-def _assemble_tree(s, energies, constraints, b_vec, regularization) -> KktSystem:
-    """Dense system in joint coordinates: H = sum J^T H_i J over the tree
-    Jacobians, constraint rows chained through them."""
-    jacobians = s.body_jacobians()
-    n = s.n_dof
-    h_k = np.zeros((n, n))
-    g_k = np.zeros(n)
-    for jac, energy in zip(jacobians, energies):
-        g_k += jac.T @ energy.g
-        h_k += jac.T @ energy.h @ jac
+def _assemble_tree(s, g, h, rows, regularization) -> KktSystem:
+    """Dense system in joint coordinates, H = sum J_i^T H_i J_i, by
+    composite-body sums (Featherstone's composite rigid body algorithm).
+
+    With J_i = Ad(pose_i^-1) (S o anc_i), body i's energy moved into the
+    world frame acts on every joint coordinate above it.  Summing the world
+    energies over each body's subtree gives H[p, q] = S_p^T Hc S_q, with
+    Hc the sum over the subtree of the deeper of the two coordinates'
+    bodies, and zero where neither body is above the other.  Constraint rows
+    chain through the body Jacobians.
+    """
+    factors = ad_inv, motion = s.jacobian_factors()
+    n = g.shape[0]
+    g_c = s.subtree @ (g[:, None, :] @ ad_inv)[:, 0]
+    h = 0.5 * (h + h.swapaxes(1, 2))
+    h_c = (s.subtree @ (ad_inv.swapaxes(1, 2) @ h @ ad_inv).reshape(n, 36)).reshape(n, 6, 6)
+    columns = motion.T
+    g_k = (g_c[s.dof_body] * columns).sum(axis=1)
+    p = columns @ (h_c[s.dof_body] @ columns[:, :, None])[:, :, 0].T
+    h_k = np.where(s.dof_below, p, np.where(s.dof_below.T, p.T, 0.0))
     if regularization is not None:
-        rot_mask = np.concatenate([b.joint.free for b in s.bodies]) < 3
-        diag = np.where(rot_mask, regularization.lambda_r, regularization.lambda_t)
-        h_k[np.diag_indices(n)] += diag
-    if constraints:
-        b_mat = np.vstack([constraint_jacobian(c, s) for c in constraints])
-    else:
-        b_mat = np.zeros((0, n))
-    return KktSystem.from_blocks(h_k, g_k, b_mat, b_vec)
+        diag = np.where(s.dof_axis < 3, regularization.lambda_r, regularization.lambda_t)
+        h_k[np.diag_indices(s.n_dof)] += diag
+    b_mat = rows.jacobian(s.body_jacobians(factors)) if rows.residual.size else np.zeros((0, s.n_dof))
+    return KktSystem.from_blocks(h_k, g_k, b_mat, rows.residual)
 
 
 _BLOCK = np.arange(6)
 
 
-def _assemble_free_bodies(s, energies, constraints, b_vec, regularization) -> KktSystem:
+def _assemble_free_bodies(g, h, rows, regularization) -> KktSystem:
     """Sparse system over one 6-DoF block per body.
 
     H is block diagonal, and each constraint row touches only the 12
     columns of its two bodies, so the blocks are scattered straight into
     one COO matrix, with B and B^T sharing index arrays and values.
     """
-    n = 6 * len(s.bodies)
-    h = np.array([e.h for e in energies])
+    n = g.size
     if regularization is not None:
         h = h + np.diag(np.repeat([regularization.lambda_r, regularization.lambda_t], 3))
     h = 0.5 * (h + h.transpose(0, 2, 1))
-    start = 6 * np.arange(len(s.bodies))[:, None, None]
+    start = 6 * np.arange(g.shape[0])[:, None, None]
     h_rows = np.broadcast_to(start + _BLOCK[:, None], h.shape).ravel()
     h_cols = np.broadcast_to(start + _BLOCK, h.shape).ravel()
 
     # One row of b_data per constraint row: [d/d body_a | d/d body_b].
-    blocks = [c.variation_blocks(s) for c in constraints]
-    b_data = np.vstack([np.hstack(pair) for pair in blocks] or [np.zeros((0, 12))])
+    b_data = np.hstack([rows.d_a, rows.d_b])
     m = b_data.shape[0]
-    first_cols = np.repeat(
-        np.array([(6 * c.body_a, 6 * c.body_b) for c in constraints], dtype=int).reshape(-1, 2),
-        [da.shape[0] for da, _ in blocks],
-        axis=0,
-    )
+    first_cols = 6 * np.stack([rows.body_a, rows.body_b], axis=1)
     b_rows = np.repeat(n + np.arange(m), 12)
     b_cols = (first_cols[:, :, None] + _BLOCK).ravel()
 
@@ -201,7 +219,7 @@ def _assemble_free_bodies(s, energies, constraints, b_vec, regularization) -> Kk
         ),
         shape=(n + m, n + m),
     ).tocsc()
-    return KktSystem(kkt, np.concatenate([e.g for e in energies]), b_vec)
+    return KktSystem(kkt, g.ravel(), rows.residual)
 
 
 def solve_kkt(k: KktSystem):
@@ -284,39 +302,35 @@ def _raise_for_first(failed: np.ndarray, message: str):
 
 
 def apply_update(s: KinematicStructure, theta: np.ndarray, mode: SolverMode):
-    """Write the solved variation back into the body poses."""
+    """Write the solved variation back into the body poses: in the free-body
+    modes each body moves to pose o T(theta_i), all at once."""
     if mode in _FREE_BODY_MODES:
-        for i, body in enumerate(s.bodies):
-            body.pose = pose_with_variation(body.pose, theta[6 * i : 6 * i + 6])
-        s.refresh_joint_transforms()
-        s.invalidate_jacobians()
+        s.set_poses(pose_with_variation_stack(s.poses(), theta.reshape(-1, 6)))
     else:
         s.update_poses(theta)
 
 
-def constraint_residual_norms(s: KinematicStructure) -> list:
-    return [float(np.linalg.norm(c.residual(s))) for c in s.constraints]
-
-
 def step(s: KinematicStructure, provider, cfg: SolverConfig) -> StepReport:
-    """One full Newton iteration: energies, assembly, KKT solve, pose update."""
+    """One full Newton iteration: energies, assembly, KKT solve, pose update.
+
+    The constraints are evaluated twice, each time all at once: before the
+    solve for the residuals and, in the constraint modes, the KKT rows; and
+    after the update for the residuals.
+    """
     energies = [provider(i, body.pose) for i, body in enumerate(s.bodies)]
-    kkt = assemble(s, energies, cfg.mode, cfg.regularization)
-    if cfg.mode in _CONSTRAINED_MODES:
-        # The constraint rows of the right-hand side are the residuals.
-        ends = np.cumsum([c.n_rows for c in s.constraints])
-        residuals_before = [
-            float(np.linalg.norm(kkt.b_vec[end - c.n_rows : end]))
-            for c, end in zip(s.constraints, ends)
-        ]
-    else:
-        residuals_before = constraint_residual_norms(s)
-    theta, _ = solve_kkt(kkt)
+    with_rows = cfg.mode in _CONSTRAINED_MODES
+    before = evaluate_constraints(s.constraints, s.bodies, blocks=with_rows)
+    kkt = assemble(s, energies, cfg.mode, cfg.regularization, before)
+    theta, lam = solve_kkt(kkt)
     apply_update(s, theta, cfg.mode)
+    after = evaluate_constraints(s.constraints, s.bodies, blocks=False)
     return StepReport(
         theta_norm=float(np.linalg.norm(theta)),
-        residuals_before=residuals_before,
-        residuals_after=constraint_residual_norms(s),
+        residuals_before=before.norms(),
+        residuals_after=after.norms(),
+        multipliers=[lam[e - c : e] for c, e in zip(before.counts, np.cumsum(before.counts))]
+        if with_rows else [],
+        kkt_dim=kkt.g_k.shape[0] + kkt.b_vec.shape[0],
     )
 
 

@@ -23,14 +23,14 @@ def random_joint(rng, min_dof=1):
     )
 
 
-def random_tree(rng, n_bodies):
+def random_tree(rng, n_bodies, min_dof=1):
     """Random tree with consistent initial poses derived from the joints."""
     bodies = [
-        Body(name="body0", joint=random_joint(rng), pose=random_pose(rng))
+        Body(name="body0", joint=random_joint(rng, min_dof), pose=random_pose(rng))
     ]
     for i in range(1, n_bodies):
         parent = int(rng.integers(0, i))
-        joint = random_joint(rng)
+        joint = random_joint(rng, min_dof)
         pose = bodies[parent].pose @ joint.parent_to_joint @ joint.joint_to_model
         bodies.append(Body(name=f"body{i}", joint=joint, pose=pose, parent=parent))
     return KinematicStructure(bodies)

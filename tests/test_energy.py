@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 
 from builders import random_pose
-from multibody.energy import (
-    evaluate_quadratic_target,
-    point_registration_energy,
-    quadratic_pose_target,
-)
+from multibody.energy import point_registration_energy, quadratic_pose_target
 from multibody.kinematics import Body, Joint, KinematicStructure
 from multibody.se3 import Pose, exp_rotvec, log_rotation, pose_with_variation
 from multibody.solver import Regularization, SolverConfig, SolverMode, step
-from oracles import kabsch, numeric_hessian, numeric_jacobian, random_rotvec
+from oracles import (
+    evaluate_quadratic_target,
+    kabsch,
+    numeric_hessian,
+    numeric_jacobian,
+    random_rotvec,
+)
 
 
 class TestQuadraticPoseTarget:

@@ -10,7 +10,6 @@ from multibody.experiments import (
     CONVERGENCE_KINDS,
     ConvergenceStudy,
     build_serial_chain,
-    kkt_dimension,
     run_convergence_study,
     run_scaling_study,
     run_synthetic_tracking,
@@ -20,7 +19,7 @@ from multibody.experiments import (
 )
 from multibody.se3 import log_rotation_stack, row_norms
 from multibody.solver import FactorizationFailed, Regularization, SolverMode
-from oracles import scalar_convergence_errors
+from oracles import kkt_dimension, scalar_convergence_errors
 
 from pathlib import Path
 

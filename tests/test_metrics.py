@@ -6,6 +6,7 @@ import pytest
 from builders import random_pose
 from multibody.metrics import Mesh, add_error, add_s_error, auc_score, load_obj
 from multibody.se3 import Pose, exp_rotvec
+from oracles import n_vertices
 
 
 class TestAddError:
@@ -108,7 +109,7 @@ class TestLoadObj:
             "f 1 2 3\n"
         )
         mesh = load_obj(path)
-        assert mesh.n_vertices == 3
+        assert n_vertices(mesh) == 3
         assert np.allclose(mesh.vertices[1], [1, 0, 0])
 
     def test_no_vertices_rejected(self, tmp_path):

@@ -15,19 +15,19 @@ from multibody.se3 import (
     log_rotation,
     log_rotation_stack,
     pose_with_variation,
-    relative_variation,
     row_norms,
     skew,
     skew_stack,
     variation_matrix,
     variation_matrix_stack,
-    variation_transform,
 )
 from oracles import (
     numeric_jacobian,
     quat_from_rotvec,
     random_rotvec,
+    relative_variation,
     rotmat_from_quat,
+    variation_transform,
 )
 
 

@@ -11,7 +11,6 @@ from builders import random_pose, random_tree
 from multibody.constraints import Constraint, OrthogonalityConstraint
 from multibody.energy import (
     BodyEnergy,
-    evaluate_quadratic_target,
     per_body,
     quadratic_pose_target,
     zero_energy,
@@ -31,8 +30,10 @@ from multibody.solver import (
     step,
 )
 from oracles import (
+    evaluate_quadratic_target,
     numeric_hessian,
     random_rotvec,
+    scalar_kkt,
     selection_kkt,
     solve_dense_kkt,
 )
@@ -50,10 +51,11 @@ def dense_blocks(k):
     return kkt[:n, :n], kkt[n:, :n]
 
 
-def constrained_tree(rng, n_bodies=5):
+def constrained_tree(rng, n_bodies=5, min_dof=1):
     """Random tree with violated constraints of both kinds between its
-    bodies, one of them masked."""
-    s = random_tree(rng, n_bodies)
+    bodies, one of them masked.  With fewer than 6 DoF per joint, the
+    constraint rows in joint coordinates are usually rank deficient."""
+    s = random_tree(rng, n_bodies, min_dof)
     s.constraints = [
         Constraint(0, 3, random_pose(rng), random_pose(rng)),
         OrthogonalityConstraint(1, 4, random_pose(rng), random_pose(rng)),
@@ -87,7 +89,7 @@ class TestAssemble:
     def test_child_contribution_projected(self):
         rng = np.random.default_rng(1)
         s = random_tree(rng, 2)
-        j1 = s.compute_body_jacobians()[1]
+        j1 = s.body_jacobians()[1]
         e0 = BodyEnergy.zero()
         e1 = BodyEnergy(rng.standard_normal(6), random_spd(rng))
         k = assemble(s, [e0, e1], SolverMode.PROJECTED, None)
@@ -100,7 +102,6 @@ class TestAssemble:
         # scalar energy.
         rng = np.random.default_rng(2)
         s = random_tree(rng, 3)
-        s.compute_body_jacobians()
         targets = [b.pose for b in s.bodies]
         provider = lambda i, pose: quadratic_pose_target(targets[i])(i, pose)  # noqa: E731
         energies = [provider(i, b.pose) for i, b in enumerate(s.bodies)]
@@ -396,3 +397,41 @@ class TestStep:
             step(s, per_body(providers), cfg)
             worst = max(np.max(np.abs(b.pose.r.T @ b.pose.r - np.eye(3))) for b in s.bodies)
             assert worst <= 1e-9, f"frame {frame}: orthonormality error {worst:.1e}"
+
+
+class TestStepReport:
+    @pytest.mark.parametrize("mode", [SolverMode.CONSTRAINED, SolverMode.COMBINED])
+    def test_multipliers_match_dense_oracle(self, mode):
+        rng = np.random.default_rng(14)
+        s = constrained_tree(rng, min_dof=6)
+        energies = random_energies(rng, len(s.bodies))
+        reg = Regularization()
+        _, lam_ref = solve_dense_kkt(*scalar_kkt(s, energies, mode, reg))
+        n = 6 * len(s.bodies) if mode is SolverMode.CONSTRAINED else s.n_dof
+        report = step(s, fixed_energies(energies), SolverConfig(mode=mode))
+        assert [m.shape[0] for m in report.multipliers] == [c.n_rows for c in s.constraints]
+        assert relative_error(np.concatenate(report.multipliers), lam_ref) < 1e-10
+        assert report.kkt_dim == n + lam_ref.shape[0]
+
+    @pytest.mark.parametrize("mode", [SolverMode.INDEPENDENT, SolverMode.PROJECTED])
+    def test_no_multipliers_without_constraint_rows(self, mode):
+        s = constrained_tree(np.random.default_rng(15))
+        report = step(s, zero_energy, SolverConfig(mode=mode))
+        assert report.multipliers == []
+        assert report.kkt_dim == (6 * len(s.bodies) if mode is SolverMode.INDEPENDENT else s.n_dof)
+
+
+class TestNonFiniteEnergy:
+    @pytest.mark.parametrize("mode", list(SolverMode))
+    @pytest.mark.parametrize("part", ["g", "h"])
+    def test_named_before_the_solve(self, mode, part):
+        s = constrained_tree(np.random.default_rng(16))
+        energies = random_energies(np.random.default_rng(17), len(s.bodies))
+        getattr(energies[2], part)[0] = np.nan
+        before = [(b.pose.r.copy(), b.pose.t.copy()) for b in s.bodies]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FactorizationFailed, match="body 2"):
+                step(s, fixed_energies(energies), SolverConfig(mode=mode))
+        for (r, t), body in zip(before, s.bodies):
+            assert np.array_equal(body.pose.r, r) and np.array_equal(body.pose.t, t)

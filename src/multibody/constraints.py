@@ -23,6 +23,7 @@ from .se3 import (
     inverse_stack,
     log_rotation_stack,
     row_norms,
+    rows_stack,
     skew_stack,
     stack_poses,
     variation_matrix_stack,
@@ -70,10 +71,6 @@ class Constraint(_FramePair):
         if not self.constrained_axes.any():
             raise ValueError("constraint must select at least one axis")
 
-    @property
-    def n_rows(self) -> int:
-        return int(np.count_nonzero(self.constrained_axes))
-
 
 # Axis pairs (i, j) whose inner product must vanish: (x,y), (y,z), (z,x).
 ORTHOGONAL_AXIS_PAIRS = ((0, 1), (1, 2), (2, 0))
@@ -88,8 +85,6 @@ class OrthogonalityConstraint(_FramePair):
     matching signs also satisfies it, which admits spurious solutions with
     rotational errors of pi and 2*pi/3.
     """
-
-    n_rows = 3
 
 
 # Stacked formulas, one row per constraint.  Frames and body poses are
@@ -177,14 +172,6 @@ class ConstraintRows:
         bit for bit that of np.linalg.norm over the selected rows."""
         return row_norms(np.where(self.masks, self.extended, 0.0)).tolist()
 
-    def jacobian(self, body_jacobians: np.ndarray) -> np.ndarray:
-        """Rows w.r.t. the joint coordinates, chained through the (n, 6,
-        n_dof) body Jacobians: d_a J_a + d_b J_b."""
-        return (
-            self.d_a[:, None, :] @ body_jacobians[self.body_a]
-            + self.d_b[:, None, :] @ body_jacobians[self.body_b]
-        )[:, 0]
-
 
 def evaluate_constraints(constraints, bodies, blocks: bool = True) -> ConstraintRows:
     """Every constraint of the list at once, from the poses of ``bodies``:
@@ -209,10 +196,10 @@ def evaluate_constraints(constraints, bodies, blocks: bool = True) -> Constraint
         d_a, d_b = pose_constraint_blocks(frame_a, frame_b, a_t_mb, a_t_b, rotvec)
     ortho = np.array([isinstance(c, OrthogonalityConstraint) for c in constraints], dtype=bool)
     if ortho.any():
-        extended[ortho, :3] = orthogonality_residual(_rows(a_t_b, ortho))
+        extended[ortho, :3] = orthogonality_residual(rows_stack(a_t_b, ortho))
         if blocks:
             d_a[ortho, :3], d_b[ortho, :3] = orthogonality_blocks(
-                _rows(frame_a, ortho), _rows(a_t_mb, ortho), _rows(a_t_b, ortho)
+                rows_stack(frame_a, ortho), rows_stack(a_t_mb, ortho), rows_stack(a_t_b, ortho)
             )
     masks = np.array(
         [_ORTHOGONALITY_ROWS if o else c.constrained_axes for c, o in zip(constraints, ortho)],
@@ -227,10 +214,6 @@ def evaluate_constraints(constraints, bodies, blocks: bool = True) -> Constraint
         np.repeat(np.array([c.body_a for c in constraints], dtype=int), counts),
         np.repeat(np.array([c.body_b for c in constraints], dtype=int), counts),
     )
-
-
-def _rows(pose, index):
-    return pose[0][index], pose[1][index]
 
 
 _ORTHOGONALITY_ROWS = np.array([True, True, True, False, False, False])

@@ -6,12 +6,15 @@ all joint variations drives the whole structure.  Body Jacobians map that
 stacked vector to the 6-DoF variation of each body's model frame.  They
 follow Featherstone's spatial-algebra form (Rigid Body Dynamics Algorithms,
 2008, ch. 6): each joint coordinate moves the bodies below it along one
-world-frame motion column, so no recursion over parents is needed.
+motion column in the frame of its tree's root, so no recursion over parents
+is needed.  The same algebra covers free bodies: the forest view of a
+structure makes every body a root with its own six coordinates.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +25,7 @@ from .se3 import (
     compose_stack,
     inverse_stack,
     pose_with_variation_stack,
+    rows_stack,
     stack_poses,
 )
 
@@ -74,8 +78,86 @@ class Body:
     parent: int | None = None
 
 
+class Coordinates:
+    """Variation coordinates over a forest of bodies, one per free joint
+    axis; each moves its own body and every body below it.  The tree view
+    of a structure takes parents and joints from its bodies.  The forest
+    view (``joints`` None) makes every body a root with six free axes and
+    an identity joint_to_model, so that its coordinates are its own 6-DoF
+    variation.
+    """
+
+    def __init__(self, parents, joints=None):
+        n = len(parents)
+        self.joints = joints
+        free = [j.free for j in joints] if joints else [np.arange(6)] * n
+        n_dofs = [f.shape[0] for f in free]
+        self.n_dof = sum(n_dofs)
+        self.offsets = np.cumsum([0] + n_dofs[:-1]).tolist()
+        # Body and axis of each coordinate.
+        self.body = np.repeat(np.arange(n), n_dofs)
+        self.axis = np.concatenate(free)
+        self.rotational = self.axis < 3
+        self.links = [(i, p) for i, p in enumerate(parents) if p is not None]
+        self.children, self.parents = np.array(self.links, dtype=int).reshape(-1, 2).T
+        # ancestors[i, j]: body j is body i or one of its ancestors, of which
+        # the root comes first.
+        ancestors = np.eye(n, dtype=bool)
+        for i, parent in self.links:
+            ancestors[i] |= ancestors[parent]
+        self.root = ancestors.argmax(axis=1)
+        # subtree[j, i] = 1.0: body i is body j or below it.
+        self.subtree = ancestors.T.astype(float)
+        # moves[i, q]: coordinate q moves body i.
+        self.moves = ancestors[:, self.body]
+        # Upper triangle of H's pattern: pairs p <= q of coordinates whose
+        # bodies are in an ancestor relation, the body of q at or below p's,
+        # from the pairs of related bodies.
+        below, above = np.nonzero(ancestors)
+        n_dofs, first = np.array(n_dofs), np.array(self.offsets, dtype=int)
+        count = n_dofs[above] * n_dofs[below]
+        pair = np.repeat(np.arange(count.shape[0]), count)
+        within = np.arange(pair.shape[0]) - np.repeat(np.cumsum(count) - count, count)
+        p = first[above[pair]] + within // n_dofs[below[pair]]
+        q = first[below[pair]] + within % n_dofs[below[pair]]
+        upper = p <= q
+        p, q = self.pairs = p[upper], q[upper]
+        self.diagonal, self.mirrored = np.flatnonzero(p == q), np.flatnonzero(p != q)
+        # Slots in a (trees, width) layout, one row per tree, in which
+        # products of per-tree blocks cover every pattern pair.
+        tree = np.unique(self.root[self.body], return_inverse=True)[1].reshape(-1)
+        counts = np.bincount(tree)
+        rank = np.empty(self.n_dof, dtype=int)
+        rank[np.argsort(tree, kind="stable")] = np.arange(self.n_dof) - np.repeat(
+            np.cumsum(counts) - counts, counts
+        )
+        self.layout = (counts.shape[0], int(counts.max(initial=0)))
+        self.slots = tree * self.layout[1] + rank
+        self.pair_slots = self.slots[p] * self.layout[1] + rank[q]
+        self.padded = not np.array_equal(self.slots, np.arange(self.n_dof))
+        # Where the solver places the KKT entries of this view, kept from
+        # one step to the next.
+        self.kkt_pattern = None
+
+    def per_tree(self, x: np.ndarray) -> np.ndarray:
+        """Rows of x, one per coordinate, in the (trees, width) layout."""
+        if not self.padded:
+            return x.reshape(self.layout + x.shape[1:])
+        out = np.zeros((self.layout[0] * self.layout[1],) + x.shape[1:])
+        out[self.slots] = x
+        return out.reshape(self.layout + x.shape[1:])
+
+    def joint_to_model(self):
+        """The joint_to_model transforms as one stacked pose."""
+        if self.joints is None:
+            n = self.subtree.shape[0]
+            return np.broadcast_to(_EYE3, (n, 3, 3)), np.zeros((n, 3))
+        return stack_poses(j.joint_to_model for j in self.joints)
+
+
 class KinematicStructure:
-    """Bodies in topological order plus constraints and the stacked DoF map.
+    """Bodies in topological order, constraints, and two coordinate views:
+    ``tree``, the structure's joint coordinates, and ``forest``.
 
     ``Body.pose`` and the joint transforms are the only state: evaluations
     gather them into stacked arrays, updates write them back once.
@@ -83,35 +165,23 @@ class KinematicStructure:
     read-only snapshots may be shared for parallel evaluation.
     """
 
-    def __init__(self, bodies: list[Body], constraints: list | None = None):
+    def __init__(self, bodies: list[Body], constraints=()):
         self.bodies = list(bodies)
-        self.constraints = constraints or []
-        n_dofs = [b.joint.n_dof for b in self.bodies]
-        self.dof_offsets = np.cumsum([0] + n_dofs[:-1]).tolist()
-        self.n_dof = sum(n_dofs)
-        # Body and axis of each joint coordinate.
-        self.dof_body = np.repeat(np.arange(len(self.bodies)), n_dofs)
-        self.dof_axis = np.concatenate([b.joint.free for b in self.bodies])
-        # ancestors[i, j]: body j is body i or one of its ancestors.
-        ancestors = np.eye(len(self.bodies), dtype=bool)
-        self._links = [(i, b.parent) for i, b in enumerate(self.bodies) if b.parent is not None]
-        for i, parent in self._links:
-            ancestors[i] |= ancestors[parent]
-        self._children, self._parents = np.array(self._links, dtype=int).reshape(-1, 2).T
-        # subtree[j, i] = 1.0: body i is body j or below it.
-        self.subtree = ancestors.T.astype(float)
-        # dof_ancestors[i, q]: joint coordinate q moves body i.
-        self.dof_ancestors = ancestors[:, self.dof_body]
-        # dof_below[p, q]: the body of coordinate q is at or below that of p.
-        self.dof_below = self.dof_ancestors[self.dof_body].T
+        self.constraints = constraints
+        self.tree = Coordinates([b.parent for b in self.bodies], [b.joint for b in self.bodies])
+        self.n_dof, self.dof_offsets = self.tree.n_dof, self.tree.offsets
+
+    @functools.cached_property
+    def forest(self) -> Coordinates:
+        return Coordinates([None] * len(self.bodies))
 
     @property
-    def constraints(self) -> list:
+    def constraints(self) -> tuple:
         return self._constraints
 
     @constraints.setter
     def constraints(self, constraints):
-        constraints = list(constraints)
+        constraints = tuple(constraints)
         self._validate(constraints)
         self._constraints = constraints
 
@@ -139,54 +209,62 @@ class KinematicStructure:
         """Body poses as one stacked pose, (n, 3, 3) and (n, 3)."""
         return stack_poses(b.pose for b in self.bodies)
 
-    def jacobian_factors(self):
-        """The factors of the body Jacobians J_i = Ad(pose_i^-1) (S o anc_i):
-        the (n, 6, 6) stack Ad(pose_i^-1) and the 6 x n_dof world-frame
-        motion columns S, for each joint coordinate the free column of
-        Ad(pose_j o joint_to_model_j^-1).  anc_i is row i of dof_ancestors."""
+    def jacobian_factors(self, view: Coordinates):
+        """The factors of the body Jacobians J_i = Ad(rel_i^-1) (S o anc_i)
+        of a view, in the model frame of each body's tree root: the stack
+        Ad(rel_i^-1) of the non-root bodies (view.children), with rel_i body
+        i's pose in that frame, and the 6 x n_dof motion columns S, for
+        each coordinate the free column of Ad(F_j), with F_j =
+        rel_j o joint_to_model_j^-1 its joint frame.  anc_i, the
+        coordinates that move body i, is view.moves[i].
+
+        Without links every body is its own root, rel is the identity and
+        no pose is read; in the forest view every J_i is exactly the
+        identity.
+        """
+        frames = inverse_stack(view.joint_to_model())
+        if not view.links:
+            return np.zeros((0, 6, 6)), adjoint(frames)[view.body, :, view.axis].T
         poses = self.poses()
-        joints = stack_poses(b.joint.joint_to_model for b in self.bodies)
-        frames = adjoint(compose_stack(poses, inverse_stack(joints)))
-        return adjoint(inverse_stack(poses)), frames[self.dof_body, :, self.dof_axis].T
+        rel = compose_stack(inverse_stack(rows_stack(poses, view.root)), poses)
+        # One adjoint call for both stacks.
+        both = zip(inverse_stack(rel), compose_stack(rel, frames))
+        ad = adjoint([np.concatenate(pair) for pair in both])
+        return ad[view.children], ad[len(self.bodies) + view.body, :, view.axis].T
 
-    def body_jacobians(self, factors=None) -> np.ndarray:
-        """Each body's 6 x n_dof Jacobian, (n, 6, n_dof): the motion columns
-        of body i's ancestors and its own, moved into its model frame."""
-        ad_inv, motion = factors or self.jacobian_factors()
-        return (ad_inv @ motion) * self.dof_ancestors[:, None, :]
-
-    def update_poses(self, theta_k: np.ndarray):
-        """Pose update from the stacked variation vector.
+    def update_poses(self, theta_k: np.ndarray, view: Coordinates | None = None):
+        """Pose update from a variation vector in the coordinates of a view,
+        the tree view by default.
 
         Each joint's variation T(theta_j) acts in its joint frame: a root
         moves to pose o J_T_M^-1 o T o J_T_M, any other body to
         parent o P_T_J o T o J_T_M with its parent's new pose, in
-        topological order.  Afterwards the non-fixed joint transform of
-        every joint is re-inferred from the new poses.
+        topological order.  In the forest view every body is a root with
+        J_T_M = I and moves to pose o T(theta_i).  Afterwards the non-fixed
+        joint transform of every joint is re-inferred from the new poses.
         """
+        view = view or self.tree
         theta_k = np.asarray(theta_k, dtype=float)
-        if theta_k.shape != (self.n_dof,):
-            raise ValueError(f"theta has length {theta_k.shape[0]}, expected {self.n_dof}")
+        if theta_k.shape != (view.n_dof,):
+            raise ValueError(f"theta has length {theta_k.shape[0]}, expected {view.n_dof}")
         n = len(self.bodies)
         extended = np.zeros((n, 6))
-        extended[self.dof_body, self.dof_axis] = theta_k
-        base = stack_poses(
-            b.pose @ b.joint.joint_to_model.inverse() if b.parent is None else b.joint.parent_to_joint
-            for b in self.bodies
-        )
-        joints = stack_poses(b.joint.joint_to_model for b in self.bodies)
-        # Homogeneous matrices: one product per body down the tree.
-        world = np.zeros((n, 4, 4))
-        world[:, :3, :3], world[:, :3, 3] = compose_stack(
-            pose_with_variation_stack(base, extended), joints
-        )
-        world[:, 3, 3] = 1.0
-        for i, parent in self._links:
-            world[i] = world[parent] @ world[i]
-        self.set_poses((np.ascontiguousarray(world[:, :3, :3]), world[:, :3, 3].copy()))
-
-    def set_poses(self, poses):
-        """Write stacked poses into the bodies and re-infer the joints."""
+        extended[view.body, view.axis] = theta_k
+        joints = view.joint_to_model()
+        base = compose_stack(self.poses(), inverse_stack(joints))
+        if view.links:
+            base[0][view.children], base[1][view.children] = stack_poses(
+                view.joints[i].parent_to_joint for i in view.children
+            )
+        poses = compose_stack(pose_with_variation_stack(base, extended), joints)
+        if view.links:
+            # Homogeneous matrices: one product per body down the tree.
+            world = np.zeros((n, 4, 4))
+            world[:, :3, :3], world[:, :3, 3] = poses
+            world[:, 3, 3] = 1.0
+            for i, parent in view.links:
+                world[i] = world[parent] @ world[i]
+            poses = np.ascontiguousarray(world[:, :3, :3]), world[:, :3, 3].copy()
         for body, r, t in zip(self.bodies, *poses):
             body.pose = Pose(r, t)
         self._refresh_joints(poses)
@@ -198,17 +276,16 @@ class KinematicStructure:
     def _refresh_joints(self, poses):
         """With rel = parent^-1 o pose for each non-root body, P_T_J =
         rel o J_T_M^-1 where J_T_M is fixed, else J_T_M = P_T_J^-1 o rel."""
-        if not self._links:
+        if not self.tree.links:
             return
-        children, parents = self._children, self._parents
+        children, parents = self.tree.children, self.tree.parents
         joints = [self.bodies[i].joint for i in children]
         model_fixed = np.array([j.fixed_side is FixedSide.JOINT_TO_MODEL for j in joints])
         fixed_inv = inverse_stack(
             stack_poses(j.joint_to_model if f else j.parent_to_joint for j, f in zip(joints, model_fixed))
         )
         rel = compose_stack(
-            inverse_stack((poses[0][parents], poses[1][parents])),
-            (poses[0][children], poses[1][children]),
+            inverse_stack(rows_stack(poses, parents)), rows_stack(poses, children)
         )
         mask = model_fixed[:, None, None], model_fixed[:, None]
         left = [np.where(m, a, b) for m, a, b in zip(mask, rel, fixed_inv)]
@@ -232,3 +309,4 @@ def _orthonormalized(poses):
 
 
 _THREE_I = 3.0 * np.eye(3)
+_EYE3 = np.eye(3)

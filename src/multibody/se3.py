@@ -31,6 +31,10 @@ def skew(v: np.ndarray) -> np.ndarray:
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
+# Row k is skew(e_k), flattened.
+_SKEW_BASIS = np.array([skew(e) for e in np.eye(3)]).reshape(3, 9)
+
+
 def exp_rotvec(v: np.ndarray) -> np.ndarray:
     """Rotation matrix for an axis-angle vector (Rodrigues formula).
 
@@ -127,12 +131,6 @@ class Pose:
         points = np.asarray(points, dtype=float)
         return points @ self.r.T + self.t
 
-    def matrix(self) -> np.ndarray:
-        m = np.eye(4)
-        m[:3, :3] = self.r
-        m[:3, 3] = self.t
-        return m
-
 
 def adjoint(p) -> np.ndarray:
     """6x6 adjoint projecting a variation between reference frames, of a
@@ -217,6 +215,11 @@ def inverse_stack(p):
     return rt, _rotate(-rt, p[1])
 
 
+def rows_stack(p, index):
+    """The rows of a stacked pose at ``index``."""
+    return p[0][index], p[1][index]
+
+
 def pose_with_variation_stack(p, theta: np.ndarray):
     """pose_with_variation of each row: theta (..., 6)."""
     return compose_stack(p, (exp_rotvec_stack(theta[..., :3]), theta[..., 3:]))
@@ -232,16 +235,11 @@ def row_norms(v: np.ndarray) -> np.ndarray:
 
 
 def skew_stack(v: np.ndarray) -> np.ndarray:
-    """skew of each row: (..., 3) -> (..., 3, 3)."""
+    """skew of each row: (..., 3) -> (..., 3, 3), as one product with the
+    skew matrices of the unit vectors; each entry is exactly one component,
+    its negation or zero."""
     v = np.asarray(v, dtype=float)
-    out = np.zeros(v.shape + (3,))
-    out[..., 0, 1] = -v[..., 2]
-    out[..., 0, 2] = v[..., 1]
-    out[..., 1, 0] = v[..., 2]
-    out[..., 1, 2] = -v[..., 0]
-    out[..., 2, 0] = -v[..., 1]
-    out[..., 2, 1] = v[..., 0]
-    return out
+    return (v @ _SKEW_BASIS).reshape(v.shape + (3,))
 
 
 def exp_rotvec_stack(v: np.ndarray) -> np.ndarray:

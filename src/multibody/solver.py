@@ -10,13 +10,14 @@ Four configurations are supported:
   constraint rows.
 * combined: tree projection plus constraint rows (closed chains).
 
-Each step evaluates all energies and all constraints once, on stacks.  The
-free-body modes (independent, constrained) scatter 6x6 energy blocks and
-each constraint's two 6-column blocks into a block-sparse KKT matrix that
-SuperLU factors.  The tree modes (projected, combined) assemble a small
-dense KKT matrix in joint coordinates by composite-body sums and factor it
-densely.  Dense systems of one size can also be solved as a stack in one
-batched call.
+They are two switches over one code path.  Projection picks the
+coordinates: the structure's tree view, or its forest view in which every
+body is a free root, so that its Jacobian is the identity.  Constraint rows
+are on or off.  Each step evaluates all energies and all constraints once,
+on stacks, and assembles only the structurally nonzero entries of the KKT
+matrix.  One size rule stores and factors it: small or dense systems
+densely, large sparse ones in CSC format by SuperLU.  Dense systems of one
+size can also be solved as a stack in one batched call.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ import scipy.sparse
 from .constraints import ConstraintRows, evaluate_constraints
 from .energy import BodyEnergy
 from .kinematics import KinematicStructure
-from .se3 import pose_with_variation_stack
 
 
 class SolverMode(enum.Enum):
@@ -42,9 +42,9 @@ class SolverMode(enum.Enum):
     COMBINED = "combined"
 
 
-# Modes where each body keeps its own 6-DoF block instead of joint coordinates.
-_FREE_BODY_MODES = (SolverMode.INDEPENDENT, SolverMode.CONSTRAINED)
-# Modes where constraint rows enter the system.
+# The two switches: modes in the tree view's joint coordinates (the others
+# use the forest view), and modes where constraint rows enter the system.
+_TREE_MODES = (SolverMode.PROJECTED, SolverMode.COMBINED)
 _CONSTRAINED_MODES = (SolverMode.CONSTRAINED, SolverMode.COMBINED)
 
 
@@ -84,12 +84,21 @@ class SolverConfig:
             raise ValueError("iterations must be >= 1")
 
 
+# The storage rule: a KKT matrix up to this dimension, or with at least this
+# share of structurally nonzero entries, is stored and factored densely;
+# any other goes to CSC and SuperLU.
+DENSE_MAX_DIM = 32
+DENSE_MIN_FILL = 0.5
+
+
 @dataclass
 class KktSystem:
     """Saddle-point system [[H, B^T], [B, 0]] [theta; lam] = -[g; b].
 
-    ``matrix`` is the whole symmetric KKT matrix: a scipy CSC matrix in the
-    free-body modes, a dense array in the tree modes.  A dense system may
+    ``matrix`` is the whole symmetric KKT matrix.  Every mode assembles it
+    the same way, in the tree or the forest view, with or without
+    constraint rows, and one size rule (DENSE_MAX_DIM, DENSE_MIN_FILL)
+    stores it as a dense array or a scipy CSC matrix.  A dense system may
     carry a leading batch axis on every field: a stack of independent
     systems of one size.
     """
@@ -109,6 +118,63 @@ class KktSystem:
         kkt[..., :n, n:] = b_mat.swapaxes(-1, -2)
         kkt[..., n:, :n] = b_mat
         return cls(kkt, g_k, b_vec)
+
+
+@dataclass
+class _Pattern:
+    """Where the structurally nonzero entries of one view's KKT matrix go,
+    for constraint rows on given bodies, as the size rule stores it.
+
+    The entries are H's pattern pairs (view.pairs), their mirror images,
+    then B's and B^T's: for each side of each row (side k of row k mod m,
+    on ``bodies[k]``) and each coordinate that moves that side's body.
+    ``slots`` gives each entry's place in the flat dense matrix or in the
+    CSC data; entries at one place add up.  ``moved`` holds the sides on
+    non-root bodies, ``moved_rank`` their bodies' places in view.children.
+    """
+
+    key: bytes
+    sides: np.ndarray
+    coords: np.ndarray
+    moved: np.ndarray
+    moved_rank: np.ndarray
+    dim: int
+    slots: np.ndarray
+    indices: np.ndarray | None = None
+    indptr: np.ndarray | None = None
+
+    @classmethod
+    def build(cls, view, bodies: np.ndarray) -> "_Pattern":
+        m = bodies.shape[0] // 2
+        sides, coords = np.nonzero(view.moves[bodies])
+        b_rows = view.n_dof + sides % max(m, 1)
+        p, q = view.pairs
+        rows = np.concatenate([p, q[view.mirrored], b_rows, coords])
+        cols = np.concatenate([q, p[view.mirrored], coords, b_rows])
+        moved = np.flatnonzero(np.isin(bodies, view.children))
+        rank = np.searchsorted(view.children, bodies[moved])
+        dim = view.n_dof + m
+        fields = bodies.tobytes(), sides, coords, moved, rank, dim
+        if dim <= DENSE_MAX_DIM or rows.shape[0] >= DENSE_MIN_FILL * dim * dim:
+            return cls(*fields, rows * dim + cols)
+        places, slots = np.unique(cols * dim + rows, return_inverse=True)
+        return cls(*fields, slots, places % dim, np.searchsorted(places, dim * np.arange(dim + 1)))
+
+    def matrix(self, values: np.ndarray):
+        """The KKT matrix with these values at the pattern's entries."""
+        if self.indices is None:
+            return np.bincount(self.slots, values, self.dim**2).reshape(self.dim, self.dim)
+        data = np.bincount(self.slots, values, self.indices.shape[0])
+        return scipy.sparse.csc_array((data, self.indices, self.indptr), shape=(self.dim, self.dim))
+
+
+def _pattern(view, bodies: np.ndarray) -> _Pattern:
+    """The view's last pattern, rebuilt when the rows' bodies change.  Read
+    once, so that concurrent assemblies at worst rebuild it."""
+    pattern = view.kkt_pattern
+    if pattern is None or pattern.key != bodies.tobytes():
+        pattern = view.kkt_pattern = _Pattern.build(view, bodies)
+    return pattern
 
 
 @dataclass
@@ -132,10 +198,18 @@ def assemble(
     regularization: Regularization | None = None,
     rows: ConstraintRows | None = None,
 ) -> KktSystem:
-    """Gradient/Hessian plus regularization, and constraint rows in the
-    constraint modes.  ``rows`` may hold the structure's constraints
-    already evaluated with blocks.  Raises FactorizationFailed naming the
-    first body whose energy is not finite."""
+    """Gradient/Hessian plus regularization in the mode's coordinates, and
+    constraint rows in the constraint modes.  ``rows`` may hold the
+    structure's constraints already evaluated with blocks.  Raises
+    FactorizationFailed naming the first body whose energy is not finite.
+
+    With J_i = Ad(rel_i^-1) (S o anc_i) (KinematicStructure.jacobian_factors),
+    summing the energies moved into each tree's root frame over subtrees
+    gives H[p, q] = S_p^T Hc S_q, with Hc the sum over the subtree of the
+    deeper of the two coordinates' bodies (Featherstone's composite rigid
+    body algorithm), zero unless one body is above the other.  A constraint
+    row is d_a J_a + d_b J_b.  Only the pattern's entries are computed.
+    """
     if len(energies) != len(s.bodies):
         raise ValueError(
             f"got {len(energies)} energies for {len(s.bodies)} bodies"
@@ -152,74 +226,41 @@ def assemble(
         rows = evaluate_constraints([], s.bodies)
     elif rows is None:
         rows = evaluate_constraints(s.constraints, s.bodies)
-    if mode in _FREE_BODY_MODES:
-        return _assemble_free_bodies(g, h, rows, regularization)
-    return _assemble_tree(s, g, h, rows, regularization)
-
-
-def _assemble_tree(s, g, h, rows, regularization) -> KktSystem:
-    """Dense system in joint coordinates, H = sum J_i^T H_i J_i, by
-    composite-body sums (Featherstone's composite rigid body algorithm).
-
-    With J_i = Ad(pose_i^-1) (S o anc_i), body i's energy moved into the
-    world frame acts on every joint coordinate above it.  Summing the world
-    energies over each body's subtree gives H[p, q] = S_p^T Hc S_q, with
-    Hc the sum over the subtree of the deeper of the two coordinates'
-    bodies, and zero where neither body is above the other.  Constraint rows
-    chain through the body Jacobians.
-    """
-    factors = ad_inv, motion = s.jacobian_factors()
-    n = g.shape[0]
-    g_c = s.subtree @ (g[:, None, :] @ ad_inv)[:, 0]
+    view = _coordinates(s, mode)
+    ad_inv, motion = s.jacobian_factors(view)
+    # A root is its tree's reference frame; the other bodies' energies and
+    # constraint derivatives move into it.
+    inner = view.children
     h = 0.5 * (h + h.swapaxes(1, 2))
-    h_c = (s.subtree @ (ad_inv.swapaxes(1, 2) @ h @ ad_inv).reshape(n, 36)).reshape(n, 6, 6)
+    g[inner] = (g[inner, None, :] @ ad_inv)[:, 0]
+    h[inner] = ad_inv.swapaxes(1, 2) @ h[inner] @ ad_inv
+    g_c = view.subtree @ g
+    h_c = (view.subtree @ h.reshape(-1, 36)).reshape(-1, 6, 6)
     columns = motion.T
-    g_k = (g_c[s.dof_body] * columns).sum(axis=1)
-    p = columns @ (h_c[s.dof_body] @ columns[:, :, None])[:, :, 0].T
-    h_k = np.where(s.dof_below, p, np.where(s.dof_below.T, p.T, 0.0))
+    g_k = np.einsum("ij,ij->i", g_c.take(view.body, axis=0), columns)
+    # S_p^T (Hc S_q) for every pair of coordinates of one tree.
+    hs = np.einsum("qij,qj->qi", h_c.take(view.body, axis=0), columns)
+    products = view.per_tree(columns) @ view.per_tree(hs).swapaxes(1, 2)
+    h_values = products.take(view.pair_slots)
     if regularization is not None:
-        diag = np.where(s.dof_axis < 3, regularization.lambda_r, regularization.lambda_t)
-        h_k[np.diag_indices(s.n_dof)] += diag
-    b_mat = rows.jacobian(s.body_jacobians(factors)) if rows.residual.size else np.zeros((0, s.n_dof))
-    return KktSystem.from_blocks(h_k, g_k, b_mat, rows.residual)
+        reg = regularization
+        h_values[view.diagonal] += np.where(view.rotational, reg.lambda_r, reg.lambda_t)
+    # Each row's derivatives w.r.t. the variations of its two bodies against
+    # each coordinate that moves that body.
+    bodies = np.concatenate([rows.body_a, rows.body_b])
+    pattern = _pattern(view, bodies)
+    derivatives = np.concatenate([rows.d_a, rows.d_b])
+    moved = pattern.moved
+    derivatives[moved] = (derivatives[moved, None, :] @ ad_inv[pattern.moved_rank])[:, 0]
+    b_values = np.einsum(
+        "ij,ij->i", derivatives.take(pattern.sides, axis=0), columns.take(pattern.coords, axis=0)
+    )
+    values = np.concatenate([h_values, h_values[view.mirrored], b_values, b_values])
+    return KktSystem(pattern.matrix(values), g_k, rows.residual)
 
 
-_BLOCK = np.arange(6)
-
-
-def _assemble_free_bodies(g, h, rows, regularization) -> KktSystem:
-    """Sparse system over one 6-DoF block per body.
-
-    H is block diagonal, and each constraint row touches only the 12
-    columns of its two bodies, so the blocks are scattered straight into
-    one COO matrix, with B and B^T sharing index arrays and values.
-    """
-    n = g.size
-    if regularization is not None:
-        h = h + np.diag(np.repeat([regularization.lambda_r, regularization.lambda_t], 3))
-    h = 0.5 * (h + h.transpose(0, 2, 1))
-    start = 6 * np.arange(g.shape[0])[:, None, None]
-    h_rows = np.broadcast_to(start + _BLOCK[:, None], h.shape).ravel()
-    h_cols = np.broadcast_to(start + _BLOCK, h.shape).ravel()
-
-    # One row of b_data per constraint row: [d/d body_a | d/d body_b].
-    b_data = np.hstack([rows.d_a, rows.d_b])
-    m = b_data.shape[0]
-    first_cols = 6 * np.stack([rows.body_a, rows.body_b], axis=1)
-    b_rows = np.repeat(n + np.arange(m), 12)
-    b_cols = (first_cols[:, :, None] + _BLOCK).ravel()
-
-    kkt = scipy.sparse.coo_array(
-        (
-            np.concatenate([h.ravel(), b_data.ravel(), b_data.ravel()]),
-            (
-                np.concatenate([h_rows, b_rows, b_cols]),
-                np.concatenate([h_cols, b_cols, b_rows]),
-            ),
-        ),
-        shape=(n + m, n + m),
-    ).tocsc()
-    return KktSystem(kkt, g.ravel(), rows.residual)
+def _coordinates(s: KinematicStructure, mode: SolverMode):
+    return s.tree if mode in _TREE_MODES else s.forest
 
 
 def solve_kkt(k: KktSystem):
@@ -232,13 +273,13 @@ def solve_kkt(k: KktSystem):
     rhs = -np.concatenate([k.g_k, k.b_vec], axis=-1)
     if scipy.sparse.issparse(k.matrix):
         # Imported on first use: it adds about 35 modules and 2 MB to
-        # `import multibody`, and only the free-body modes need it.
+        # `import multibody`, and only large sparse systems need it.
         from scipy.sparse import linalg as sparse_linalg
 
         try:
             x = sparse_linalg.splu(k.matrix).solve(rhs)
         except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-            raise FactorizationFailed(str(exc)) from exc
+            raise FactorizationFailed("singular KKT matrix") from exc
         kkt_norm = sparse_linalg.norm(k.matrix)
     else:
         with warnings.catch_warnings():
@@ -247,9 +288,9 @@ def solve_kkt(k: KktSystem):
             try:
                 x = _dense_solve(k.matrix, rhs)
             except (scipy.linalg.LinAlgError, ValueError) as exc:
+                # scipy words even a single system's failure for a batch.
                 if k.matrix.ndim == 2:
-                    raise FactorizationFailed(str(exc)) from exc
-                # The batched solve's message does not identify the system.
+                    raise FactorizationFailed("singular or non-finite KKT matrix") from exc
                 raise FactorizationFailed(
                     "singular or non-finite KKT matrix", _first_unsolvable(k.matrix, rhs)
                 ) from exc
@@ -301,15 +342,6 @@ def _raise_for_first(failed: np.ndarray, message: str):
         raise FactorizationFailed(message, int(np.argmax(failed)))
 
 
-def apply_update(s: KinematicStructure, theta: np.ndarray, mode: SolverMode):
-    """Write the solved variation back into the body poses: in the free-body
-    modes each body moves to pose o T(theta_i), all at once."""
-    if mode in _FREE_BODY_MODES:
-        s.set_poses(pose_with_variation_stack(s.poses(), theta.reshape(-1, 6)))
-    else:
-        s.update_poses(theta)
-
-
 def step(s: KinematicStructure, provider, cfg: SolverConfig) -> StepReport:
     """One full Newton iteration: energies, assembly, KKT solve, pose update.
 
@@ -321,8 +353,11 @@ def step(s: KinematicStructure, provider, cfg: SolverConfig) -> StepReport:
     with_rows = cfg.mode in _CONSTRAINED_MODES
     before = evaluate_constraints(s.constraints, s.bodies, blocks=with_rows)
     kkt = assemble(s, energies, cfg.mode, cfg.regularization, before)
-    theta, lam = solve_kkt(kkt)
-    apply_update(s, theta, cfg.mode)
+    try:
+        theta, lam = solve_kkt(kkt)
+    except FactorizationFailed as exc:
+        raise FactorizationFailed(f"{exc}; {_diagnosis(s, kkt, before)}") from exc
+    s.update_poses(theta, _coordinates(s, cfg.mode))
     after = evaluate_constraints(s.constraints, s.bodies, blocks=False)
     return StepReport(
         theta_norm=float(np.linalg.norm(theta)),
@@ -332,6 +367,34 @@ def step(s: KinematicStructure, provider, cfg: SolverConfig) -> StepReport:
         if with_rows else [],
         kkt_dim=kkt.g_k.shape[0] + kkt.b_vec.shape[0],
     )
+
+
+def _diagnosis(s: KinematicStructure, k: KktSystem, rows: ConstraintRows) -> str:
+    """The size of a KKT system that failed, and the constraints with a row
+    of B that pivoted QR of B^T finds numerically dependent on the rows
+    before it (Nocedal & Wright, Numerical Optimization, ch. 16).  A row
+    counts as dependent when what it adds is below the rounding level of
+    the whole KKT matrix."""
+    n, m = k.g_k.shape[0], k.b_vec.shape[0]
+    size = f"KKT system of {n} coordinates and {m} constraint rows"
+    if not m:
+        return size
+    sparse = scipy.sparse.issparse(k.matrix)
+    b_mat = k.matrix[n:, :n].toarray() if sparse else k.matrix[n:, :n]
+    _, r, order = scipy.linalg.qr(b_mat.T, mode="economic", pivoting=True)
+    kkt_norm = np.linalg.norm(k.matrix.data if sparse else k.matrix)
+    tolerance = (n + m) * np.finfo(float).eps * kkt_norm
+    rank = int(np.count_nonzero(np.abs(np.diag(r)) > tolerance))
+    owner = np.repeat(np.arange(rows.counts.shape[0]), rows.counts)
+    dependent = sorted(set(owner[order[rank:]].tolist()))
+    if not dependent:
+        return f"{size}; the constraint rows are independent"
+    named = ", ".join(
+        f"{i} (bodies {s.constraints[i].body_a} {s.bodies[s.constraints[i].body_a].name!r}, "
+        f"{s.constraints[i].body_b} {s.bodies[s.constraints[i].body_b].name!r})"
+        for i in dependent
+    )
+    return f"{size}, of rank {rank}; numerically dependent rows in constraints {named}"
 
 
 def run(s: KinematicStructure, provider, cfg: SolverConfig) -> list[StepReport]:

@@ -112,6 +112,34 @@ def brute_force_add_s(vertices, rel_matrix):
     return total / len(vertices)
 
 
+def pose_matrix(pose):
+    """4 x 4 homogeneous matrix of a Pose."""
+    m = np.eye(4)
+    m[:3, :3] = pose.r
+    m[:3, 3] = pose.t
+    return m
+
+
+def body_jacobians(s, view=None):
+    """Each body's 6 x n_dof Jacobian in the coordinates of a view (the
+    tree view by default), (n, 6, n_dof), from the library's factors:
+    the motion columns of the coordinates that move body i, moved into its
+    model frame."""
+    view = view or s.tree
+    ad_inv = np.array([np.eye(6)] * len(s.bodies))
+    ad_inv[view.children], motion = s.jacobian_factors(view)
+    return (ad_inv @ motion) * view.moves[:, None, :]
+
+
+def rows_jacobian(rows, jacobians):
+    """Constraint rows w.r.t. the joint coordinates, chained through the
+    (n, 6, n_dof) body Jacobians: d_a J_a + d_b J_b."""
+    return (
+        rows.d_a[:, None, :] @ jacobians[rows.body_a]
+        + rows.d_b[:, None, :] @ jacobians[rows.body_b]
+    )[:, 0]
+
+
 def expand_joint_variation(joint, theta_j):
     """Extended 6-vector with joint values on free axes, zeros on fixed ones."""
     theta_j = np.atleast_1d(np.asarray(theta_j, dtype=float))
@@ -162,6 +190,13 @@ def constraint_residual(c, s):
         return np.array([a_t_b.r[0, 1], a_t_b.r[1, 2], a_t_b.r[2, 0]])
     extended = np.concatenate([log_rotation(a_t_b.r), a_t_b.t])
     return extended[c.constrained_axes]
+
+
+def n_rows(c):
+    """Number of residual rows of a constraint."""
+    if isinstance(c, OrthogonalityConstraint):
+        return 3
+    return int(np.count_nonzero(c.constrained_axes))
 
 
 def constraint_variation_blocks(c, s):

@@ -14,7 +14,14 @@ from multibody.constraints import (
 )
 from multibody.kinematics import Body, Joint, KinematicStructure, axes_mask
 from multibody.se3 import Pose, adjoint, exp_rotvec, stack_poses
-from oracles import numeric_jacobian, random_rotvec, relative_constraint_pose
+from oracles import (
+    body_jacobians,
+    numeric_jacobian,
+    pose_matrix,
+    random_rotvec,
+    relative_constraint_pose,
+    rows_jacobian,
+)
 
 
 def two_free_bodies(pose_a, pose_b):
@@ -50,7 +57,7 @@ def variation_blocks(c, s):
 def constraint_jacobian(c, s):
     """The stacked kernel's rows of one constraint w.r.t. the joint
     coordinates, chained through the body Jacobians."""
-    return evaluate_constraints([c], s.bodies).jacobian(s.body_jacobians())
+    return rows_jacobian(evaluate_constraints([c], s.bodies), body_jacobians(s))
 
 
 def fd_constraint_jacobian(c, s, eps=1e-6):
@@ -88,14 +95,14 @@ class TestEvaluateConstraint:
         for _ in range(50):
             s, c = random_violated_structure(rng, 3)
             expected = (
-                c.frame_a.matrix()
-                @ np.linalg.inv(s.bodies[c.body_a].pose.matrix())
-                @ s.bodies[c.body_b].pose.matrix()
-                @ np.linalg.inv(c.frame_b.matrix())
+                pose_matrix(c.frame_a)
+                @ np.linalg.inv(pose_matrix(s.bodies[c.body_a].pose))
+                @ pose_matrix(s.bodies[c.body_b].pose)
+                @ np.linalg.inv(pose_matrix(c.frame_b))
             )
             poses = (c.frame_a, c.frame_b, s.bodies[c.body_a].pose, s.bodies[c.body_b].pose)
             _, (r, t) = relative_poses(*(stack_poses([p]) for p in poses))
-            actual = Pose(r[0], t[0]).matrix()
+            actual = pose_matrix(Pose(r[0], t[0]))
             assert np.max(np.abs(actual - expected)) < 1e-10
 
     def test_rotational_rows_stay_principal(self):

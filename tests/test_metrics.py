@@ -6,7 +6,7 @@ import pytest
 from builders import random_pose
 from multibody.metrics import Mesh, add_error, add_s_error, auc_score, load_obj
 from multibody.se3 import Pose, exp_rotvec
-from oracles import n_vertices
+from oracles import n_vertices, pose_matrix
 
 
 class TestAddError:
@@ -27,7 +27,7 @@ class TestAddError:
         corners = [(sx, sy, sz) for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)]
         mesh = Mesh(0.5 * np.array(corners, dtype=float))
         rel = Pose(exp_rotvec([0, 0, np.pi / 2]), np.zeros(3))
-        expected = brute_force_add(mesh.vertices, rel.matrix())
+        expected = brute_force_add(mesh.vertices, pose_matrix(rel))
         assert abs(add_error(mesh, rel) - expected) < 1e-12
 
     def test_invariance_to_common_rigid_transform(self):
@@ -63,7 +63,7 @@ class TestAddSError:
         for _ in range(100):
             mesh = Mesh(rng.uniform(-1, 1, (10, 3)))
             rel = random_pose(rng)
-            expected = brute_force_add_s(mesh.vertices, rel.matrix())
+            expected = brute_force_add_s(mesh.vertices, pose_matrix(rel))
             assert abs(add_s_error(mesh, rel) - expected) < 1e-12
 
     def test_never_exceeds_add(self):

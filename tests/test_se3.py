@@ -23,8 +23,10 @@ from multibody.se3 import (
 )
 from oracles import (
     numeric_jacobian,
+    pose_matrix,
     quat_from_rotvec,
     random_rotvec,
+    random_unit_vector,
     relative_variation,
     rotmat_from_quat,
     variation_transform,
@@ -122,7 +124,7 @@ class TestPose:
         rng = np.random.default_rng(7)
         p = random_pose(rng)
         pts = rng.uniform(-1, 1, (5, 3))
-        m = p.matrix()
+        m = pose_matrix(p)
         expected = pts @ m[:3, :3].T + m[:3, 3]
         assert np.allclose(p.apply(pts), expected, atol=1e-12)
 
@@ -160,6 +162,16 @@ class TestAdjoint:
         assert np.max(np.abs(jac - adjoint(p))) < 1e-5
 
 
+def right_jacobian(v):
+    """J_r(v) = I - (1 - cos a)/a^2 [v]x + (a - sin a)/a^3 [v]x^2, with
+    its series below 1e-3."""
+    a = np.linalg.norm(v)
+    k = skew(v)
+    if a < 1e-3:
+        return np.eye(3) - (0.5 - a * a / 24.0) * k + (1.0 / 6.0 - a * a / 120.0) * (k @ k)
+    return np.eye(3) - (1.0 - np.cos(a)) / a**2 * k + (a - np.sin(a)) / a**3 * (k @ k)
+
+
 class TestVariationMatrix:
     def test_zero_angle_is_identity(self):
         assert np.allclose(variation_matrix(np.zeros(3)), np.eye(3))
@@ -180,11 +192,27 @@ class TestVariationMatrix:
 
         jac = numeric_jacobian(composed, np.zeros(3), eps=1e-6)
         assert np.max(np.abs(jac - variation_matrix(v))) < 1e-5
+        # The variation matrix is the inverse left Jacobian J_l^-1(v) of
+        # Sola et al., "A micro Lie theory for state estimation in robotics"
+        # (arXiv:1812.01537): exp(d) exp(v) = exp(v + J_l^-1 d), and its
+        # transpose the inverse right Jacobian: exp(v) exp(d) =
+        # exp(v + J_r^-1 d), to first order in d.  Checked through exp, here
+        # and at the branch seams, where log_rotation's own rounding would
+        # swamp a finite difference.
+        rng = np.random.default_rng(18)
+        for v in [v] + [a * random_unit_vector(rng) for a in IDENTITY_ANGLES]:
+            c = variation_matrix(v)
+            for _ in range(10):
+                d = 1e-6 * random_unit_vector(rng)
+                left = exp_rotvec(v + c @ d) - exp_rotvec(d) @ exp_rotvec(v)
+                right = exp_rotvec(v + c.T @ d) - exp_rotvec(v) @ exp_rotvec(d)
+                assert np.max(np.abs(left)) < 1e-5 * 1e-6
+                assert np.max(np.abs(right)) < 1e-5 * 1e-6
 
     def test_identity_suite(self):
         rng = np.random.default_rng(11)
-        for _ in range(1000):
-            v = random_rotvec(rng)
+        seams = [a * random_unit_vector(rng) for a in IDENTITY_ANGLES]
+        for v in [random_rotvec(rng) for _ in range(1000)] + seams:
             r = exp_rotvec(v)
             c = variation_matrix(v)
             assert np.allclose(c @ c.T, c.T @ c, atol=1e-8)
@@ -192,6 +220,12 @@ class TestVariationMatrix:
             assert np.allclose(c @ r, c.T, atol=1e-8)
             assert np.allclose(c.T @ np.linalg.inv(c), r, atol=1e-8)
             assert np.allclose(np.linalg.inv(c) @ c.T, r, atol=1e-8)
+            # Right Jacobian J_r(v) = J_l(v)^T = J_l(-v) in closed form
+            # (Sola et al.) against the kernel's inverses.
+            j_r = right_jacobian(v)
+            assert np.allclose(c.T @ j_r, np.eye(3), atol=1e-8)
+            assert np.allclose(c @ right_jacobian(-v), np.eye(3), atol=1e-8)
+            assert np.allclose(r @ j_r, j_r.T, atol=1e-8)
 
     def test_neither_symmetric_nor_orthogonal(self):
         rng = np.random.default_rng(12)
@@ -241,6 +275,9 @@ SEAM_ANGLES = (
     np.pi,
 )
 STACK_TOL = 2e-15
+# The seams for the scalar identities, with pi - 1e-6 in place of pi, where
+# the rotation vector of exp(v) is ambiguous.
+IDENTITY_ANGLES = tuple(a if a < np.pi else np.pi - 1e-6 for a in SEAM_ANGLES)
 
 axes = (
     st.tuples(*[st.floats(-1.0, 1.0)] * 3)

@@ -19,6 +19,8 @@ from multibody.experiments import build_serial_chain
 from multibody.kinematics import Body, Joint, KinematicStructure
 from multibody.se3 import Pose
 from multibody.solver import (
+    DENSE_MAX_DIM,
+    DENSE_MIN_FILL,
     FactorizationFailed,
     KktSystem,
     Regularization,
@@ -30,7 +32,9 @@ from multibody.solver import (
     step,
 )
 from oracles import (
+    body_jacobians,
     evaluate_quadratic_target,
+    n_rows,
     numeric_hessian,
     random_rotvec,
     scalar_kkt,
@@ -89,7 +93,7 @@ class TestAssemble:
     def test_child_contribution_projected(self):
         rng = np.random.default_rng(1)
         s = random_tree(rng, 2)
-        j1 = s.body_jacobians()[1]
+        j1 = body_jacobians(s)[1]
         e0 = BodyEnergy.zero()
         e1 = BodyEnergy(rng.standard_normal(6), random_spd(rng))
         k = assemble(s, [e0, e1], SolverMode.PROJECTED, None)
@@ -235,13 +239,17 @@ class TestSolveKkt:
 
 
 class TestFreeBodySparseKkt:
-    """The sparse free-body system against the dense selection-Jacobian one."""
+    """The free-body system, stored as the size rule says, against the dense
+    selection-Jacobian one."""
 
     @staticmethod
     def check(s, energies, mode):
         reg = Regularization()
         k = assemble(s, energies, mode, reg)
-        assert scipy.sparse.issparse(k.matrix)
+        dim = k.g_k.shape[0] + k.b_vec.shape[0]
+        sparse = scipy.sparse.issparse(k.matrix)
+        nnz = k.matrix.nnz if sparse else np.count_nonzero(k.matrix)
+        assert sparse == (dim > DENSE_MAX_DIM and nnz < DENSE_MIN_FILL * dim * dim)
         theta, lam = solve_kkt(k)
         constraints = s.constraints if mode is SolverMode.CONSTRAINED else []
         reference = selection_kkt(
@@ -272,8 +280,30 @@ class TestFreeBodySparseKkt:
         s.constraints = s.constraints + s.constraints
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(FactorizationFailed):
+            with pytest.raises(FactorizationFailed) as info:
                 step(s, zero_energy, SolverConfig(mode=SolverMode.CONSTRAINED))
+        # The copies are named, not their originals.
+        copies = ", ".join(
+            f"{i + 4} (bodies {i} 'body{i}', {i + 1} 'body{i + 1}')" for i in range(4)
+        )
+        assert str(info.value).endswith(f"constraints {copies}")
+
+
+class TestFailureDiagnosis:
+    @pytest.mark.parametrize("n_bodies", [4, 10])
+    def test_combined_chain_names_size_and_dependent_constraints(self, n_bodies):
+        # The mirrored joint constraints are noise-level rows in joint
+        # coordinates, so every one of them is dependent.
+        s = build_serial_chain(n_bodies)
+        with pytest.raises(FactorizationFailed) as info:
+            step(s, zero_energy, SolverConfig(mode=SolverMode.COMBINED))
+        message = str(info.value)
+        assert "slice" not in message
+        assert f"{5 + n_bodies} coordinates and {5 * (n_bodies - 1)} constraint rows" in message
+        named = ", ".join(
+            f"{i} (bodies {i} 'body{i}', {i + 1} 'body{i + 1}')" for i in range(n_bodies - 1)
+        )
+        assert message.endswith(f"of rank 0; numerically dependent rows in constraints {named}")
 
 
 class TestStep:
@@ -409,7 +439,7 @@ class TestStepReport:
         _, lam_ref = solve_dense_kkt(*scalar_kkt(s, energies, mode, reg))
         n = 6 * len(s.bodies) if mode is SolverMode.CONSTRAINED else s.n_dof
         report = step(s, fixed_energies(energies), SolverConfig(mode=mode))
-        assert [m.shape[0] for m in report.multipliers] == [c.n_rows for c in s.constraints]
+        assert [m.shape[0] for m in report.multipliers] == [n_rows(c) for c in s.constraints]
         assert relative_error(np.concatenate(report.multipliers), lam_ref) < 1e-10
         assert report.kkt_dim == n + lam_ref.shape[0]
 

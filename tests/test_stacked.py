@@ -2,6 +2,7 @@
 they replaced (one constraint, one body, one Pose at a time)."""
 
 import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,11 +11,13 @@ from builders import random_pose, random_tree
 from multibody.constraints import Constraint, OrthogonalityConstraint, evaluate_constraints
 from multibody.energy import BodyEnergy, per_body, quadratic_pose_target
 from multibody.experiments import build_serial_chain
+from multibody.kinematics import KinematicStructure
 from multibody.se3 import NEAR_PI, SMALL_ANGLE, Pose
 from multibody.solver import Regularization, SolverConfig, SolverMode, assemble, solve_kkt, step
 from oracles import (
     constraint_residual,
     constraint_variation_blocks,
+    n_rows,
     random_rotvec,
     scalar_kkt,
     scalar_step,
@@ -75,7 +78,7 @@ class TestKernelMatchesPerConstraintOracle:
         assert np.array_equal(rows.residual, residual)
         assert np.array_equal(rows.d_a, np.vstack([da for da, _ in blocks]))
         assert np.array_equal(rows.d_b, np.vstack([db for _, db in blocks]))
-        assert rows.counts.tolist() == [c.n_rows for c in s.constraints]
+        assert rows.counts.tolist() == [n_rows(c) for c in s.constraints]
         assert rows.norms() == [float(np.linalg.norm(constraint_residual(c, s))) for c in s.constraints]
         # Without blocks, the same residuals.
         assert np.array_equal(evaluate_constraints(s.constraints, s.bodies, blocks=False).residual, residual)
@@ -99,6 +102,11 @@ class TestSolutionMatchesScalarOracle:
             # Joint-coordinate constraint rows are rank deficient unless
             # every joint has 6 DoF.
             s = random_tree(rng, 5, min_dof=6 if mode is SolverMode.COMBINED else 1)
+            if seed % 2:
+                # Cut at body 2: two trees whose bodies interleave.
+                s = KinematicStructure(
+                    [replace(b, parent=None) if i == 2 else b for i, b in enumerate(s.bodies)]
+                )
             # Distinct body pairs, so that the rows are independent.
             s.constraints = [
                 constraint_at(rng, s, Constraint, None, (0, 3)),

@@ -4,7 +4,8 @@ The file format is a plain JSON object:
 
 * bodies: ordered list; each entry has name, parent (name or null), joint
   {axes, fixed_side, joint_to_model, parent_to_joint}, pose, optional
-  mesh_path (relative to the config file) and weights {rot, trans}.
+  mesh_path (relative to the config file) and weights {rot, trans}, finite
+  and non-negative, default 1.
 * constraints: list of {body_a, body_b, frame_a, frame_b, axes} with an
   optional type of "pose" (default) or "orthogonality".
 * trajectory: per-body sinusoidal joint programs {amplitude, period, phase}.
@@ -71,6 +72,16 @@ def _parse_vec3(value, where):
     if vec.shape != (3,):
         raise ConfigError(f"{where}: expected exactly 3 numbers, got shape {vec.shape}")
     return vec
+
+
+def _parse_weight(value, where) -> float:
+    try:
+        weight = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: expected a number, got {value!r}") from exc
+    if not np.isfinite(weight) or weight < 0:
+        raise ConfigError(f"{where}: expected a finite non-negative number, got {value!r}")
+    return weight
 
 
 def _parse_pose(value, where) -> Pose:
@@ -155,9 +166,11 @@ def parse_config(raw: dict, base_dir=None) -> TrackingConfig:
             except (OSError, ValueError) as exc:
                 raise ConfigError(f"{where}.mesh_path: {exc}") from exc
         weight_entry = entry.get("weights", {})
-        weights[i] = (
-            float(weight_entry.get("rot", 1.0)),
-            float(weight_entry.get("trans", 1.0)),
+        if not isinstance(weight_entry, dict):
+            raise ConfigError(f"{where}.weights: expected an object with rot/trans")
+        weights[i] = tuple(
+            _parse_weight(weight_entry.get(key, 1.0), f"{where}.weights.{key}")
+            for key in ("rot", "trans")
         )
 
     constraints = []

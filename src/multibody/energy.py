@@ -5,15 +5,22 @@ evaluated at zero variation of the given pose.  Gradients and Hessians are
 expressed in the body's own variation coordinates, i.e. they differentiate
 the energy along ``pose_with_variation(pose, theta)`` at theta = 0, the same
 map the constraint derivatives use.
+
+``evaluate`` is the one place where energies are evaluated, for all bodies
+at once.  Providers with an ``evaluate_stack(poses)`` method, which are pose
+targets, ``per_body`` maps and ``zero_energy``, give every body's gradient
+and Hessian in one pass; any other callable is called once per body.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .se3 import Pose, log_rotation, skew, variation_matrix
+from .se3 import Pose, log_rotation_stack, rows_stack, skew, stack_poses, variation_matrix_stack
 
 
 @dataclass
@@ -32,39 +39,96 @@ class BodyEnergy:
         return BodyEnergy(np.zeros(6), np.zeros((6, 6)))
 
 
-def zero_energy(body_index: int, pose: Pose) -> BodyEnergy:
+def _zeros(n: int):
+    return np.zeros((n, 6)), np.zeros((n, 6, 6))
+
+
+class ZeroEnergy:
     """Provider with no measurement; regularization alone shapes the step."""
-    return BodyEnergy.zero()
+
+    def __call__(self, body_index: int, pose: Pose) -> BodyEnergy:
+        return BodyEnergy.zero()
+
+    def evaluate_stack(self, poses):
+        return _zeros(poses[1].shape[0])
 
 
-_TRANS_DIAGONAL = ((3, 4, 5), (3, 4, 5))
+zero_energy = ZeroEnergy()
 
 
-def quadratic_pose_target(target: Pose, weight_r: float = 1.0, weight_t: float = 1.0):
+def evaluate(provider, poses):
+    """Gradients (n, 6) and Hessians (n, 6, 6) of every body's energy at a
+    stacked pose of the n bodies."""
+    stacked = getattr(provider, "evaluate_stack", None)
+    if stacked is not None:
+        return stacked(poses)
+    g, h = _zeros(poses[1].shape[0])
+    _call_per_body(provider, range(g.shape[0]), poses, g, h)
+    return g, h
+
+
+def _call_per_body(provider, bodies, poses, g, h):
+    """Rows of g and h for the given bodies, one provider call each."""
+    for i in bodies:
+        e = provider(i, Pose(poses[0][i], poses[1][i]))
+        g[i], h[i] = e.g, e.h
+
+
+def pose_target_stack(targets, scales, poses):
+    """Gradient (n, 6) and Gauss-Newton Hessian (n, 6, 6) of
+    E = w_r |log(R_t^T R)|^2 + w_t |t - t_target|^2 for each row of a
+    stacked pose, with stacked targets and ``scales`` (n, 2) holding
+    2 w_r and 2 w_t.
+
+    The rotation-vector residual r0 = log(R_target^T R) is an eigenvector
+    of its variation matrix C, which collapses the chain rule to
+    g_rot = 2 w_r r0; the Hessian's rotation block is 2 w_r C C^T.
+    """
+    rt = np.swapaxes(poses[0], -1, -2)
+    r0 = log_rotation_stack(np.swapaxes(targets[0], -1, -2) @ poses[0])
+    cmat = variation_matrix_stack(r0)
+    scale_r, scale_t = scales[:, 0], scales[:, 1]
+    g = np.empty((r0.shape[0], 6))
+    h = np.zeros((r0.shape[0], 6, 6))
+    g[:, :3] = scale_r[:, None] * r0
+    g[:, 3:] = scale_t[:, None] * (rt @ (poses[1] - targets[1])[:, :, None])[:, :, 0]
+    h[:, :3, :3] = scale_r[:, None, None] * (cmat @ np.swapaxes(cmat, -1, -2))
+    h[:, (3, 4, 5), (3, 4, 5)] = scale_t[:, None]
+    return g, h
+
+
+@dataclass(frozen=True)
+class PoseTarget:
+    """Provider for E = w_r * |log(R_t^T R)|^2 + w_t * |t - t_target|^2, as
+    data: the target pose and the scales 2 w_r and 2 w_t.  Every body it is
+    evaluated for is pulled toward the same target; ``per_body`` gives each
+    body its own."""
+
+    target: Pose
+    scale_r: float
+    scale_t: float
+
+    def _stacked(self, n: int):
+        targets = np.broadcast_to(self.target.r, (n, 3, 3)), np.broadcast_to(self.target.t, (n, 3))
+        return targets, np.broadcast_to([self.scale_r, self.scale_t], (n, 2))
+
+    def __call__(self, body_index: int, pose: Pose) -> BodyEnergy:
+        g, h = pose_target_stack(*self._stacked(1), (pose.r[None], pose.t[None]))
+        return BodyEnergy(g[0], h[0])
+
+    def evaluate_stack(self, poses):
+        return pose_target_stack(*self._stacked(poses[1].shape[0]), poses)
+
+
+def quadratic_pose_target(target: Pose, weight_r: float = 1.0, weight_t: float = 1.0) -> PoseTarget:
     """Provider for E = w_r * |log(R_t^T R)|^2 + w_t * |t - t_target|^2.
 
-    Gradient and Gauss-Newton Hessian are exact for this quadratic form:
-    the rotation-vector residual r0 = log(R_target^T R) is an eigenvector of
-    its variation matrix, which collapses the chain rule to g_rot = 2 w_r r0.
+    Gradient and Gauss-Newton Hessian are exact for this quadratic form
+    (pose_target_stack).
     """
-    if weight_r < 0 or weight_t < 0:
-        raise ValueError("weights must be non-negative")
-
-    scale_r = 2.0 * weight_r
-    scale_t = 2.0 * weight_t
-
-    def provider(body_index: int, pose: Pose) -> BodyEnergy:
-        g = np.zeros(6)
-        h = np.zeros((6, 6))
-        r0 = log_rotation(target.r.T @ pose.r)
-        cmat = variation_matrix(r0)
-        g[:3] = scale_r * r0
-        h[:3, :3] = scale_r * (cmat @ cmat.T)
-        g[3:] = scale_t * (pose.r.T @ (pose.t - target.t))
-        h[_TRANS_DIAGONAL] = scale_t
-        return BodyEnergy(g, h)
-
-    return provider
+    if not (math.isfinite(weight_r) and math.isfinite(weight_t)) or weight_r < 0 or weight_t < 0:
+        raise ValueError(f"weights must be finite and non-negative, got {weight_r!r}, {weight_t!r}")
+    return PoseTarget(target, 2.0 * weight_r, 2.0 * weight_t)
 
 
 def point_registration_energy(model_points, observed_points):
@@ -90,11 +154,44 @@ def point_registration_energy(model_points, observed_points):
     return provider
 
 
-def per_body(providers: dict, default=zero_energy):
+class PerBody:
+    """Provider dispatching body index -> provider, falling back to
+    ``default`` for the other bodies.  The pose targets among the providers
+    are stacked once, here, and evaluated together in one kernel call."""
+
+    def __init__(self, providers: dict, default=zero_energy):
+        for i in providers:
+            if operator.index(i) < 0:
+                raise ValueError(f"per_body: body index {i} is negative")
+        self.providers = dict(providers)
+        self.default = default
+        targets = {i: p for i, p in self.providers.items() if isinstance(p, PoseTarget)}
+        self.target_bodies = np.array(list(targets), dtype=int)
+        self.targets = stack_poses(p.target for p in targets.values())
+        self.scales = np.array([(p.scale_r, p.scale_t) for p in targets.values()]).reshape(-1, 2)
+        self.others = sorted(i for i in self.providers if i not in targets)
+        self.last = max(self.providers, default=-1)
+
+    def __call__(self, body_index: int, pose: Pose) -> BodyEnergy:
+        return self.providers.get(body_index, self.default)(body_index, pose)
+
+    def evaluate_stack(self, poses):
+        n = poses[1].shape[0]
+        if self.last >= n:
+            raise ValueError(f"per_body: body index {self.last} is out of range for {n} bodies")
+        g, h = _zeros(n)
+        targets = self.target_bodies
+        if targets.shape[0]:
+            rows = rows_stack(poses, targets)
+            g[targets], h[targets] = pose_target_stack(self.targets, self.scales, rows)
+        rest = self.others
+        if not isinstance(self.default, ZeroEnergy):
+            rest = np.setdiff1d(np.arange(n), targets).tolist()
+        # Each remaining body through its own provider or the default.
+        _call_per_body(self, rest, poses, g, h)
+        return g, h
+
+
+def per_body(providers: dict, default=zero_energy) -> PerBody:
     """Dispatch provider: body index -> provider, falling back to ``default``."""
-
-    def provider(body_index: int, pose: Pose) -> BodyEnergy:
-        return providers.get(body_index, default)(body_index, pose)
-
-    return provider
-
+    return PerBody(providers, default)

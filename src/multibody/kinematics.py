@@ -84,37 +84,44 @@ class Coordinates:
     of a structure takes parents and joints from its bodies.  The forest
     view (``joints`` None) makes every body a root with six free axes and
     an identity joint_to_model, so that its coordinates are its own 6-DoF
-    variation.
+    variation.  A view without links, such as the forest view, holds no
+    n x n array: each body is its own root and subtree, moved by its own
+    coordinates only.
     """
 
     def __init__(self, parents, joints=None):
         n = len(parents)
         self.joints = joints
         free = [j.free for j in joints] if joints else [np.arange(6)] * n
-        n_dofs = [f.shape[0] for f in free]
-        self.n_dof = sum(n_dofs)
-        self.offsets = np.cumsum([0] + n_dofs[:-1]).tolist()
+        # Each body's number of coordinates and its first one.
+        self.n_dofs = n_dofs = np.array([f.shape[0] for f in free], dtype=int)
+        first = np.cumsum(n_dofs) - n_dofs
+        self.n_dof = int(n_dofs.sum())
+        self.offsets = first.tolist()
         # Body and axis of each coordinate.
         self.body = np.repeat(np.arange(n), n_dofs)
         self.axis = np.concatenate(free)
         self.rotational = self.axis < 3
         self.links = [(i, p) for i, p in enumerate(parents) if p is not None]
         self.children, self.parents = np.array(self.links, dtype=int).reshape(-1, 2).T
-        # ancestors[i, j]: body j is body i or one of its ancestors, of which
-        # the root comes first.
-        ancestors = np.eye(n, dtype=bool)
-        for i, parent in self.links:
-            ancestors[i] |= ancestors[parent]
-        self.root = ancestors.argmax(axis=1)
-        # subtree[j, i] = 1.0: body i is body j or below it.
-        self.subtree = ancestors.T.astype(float)
-        # moves[i, q]: coordinate q moves body i.
-        self.moves = ancestors[:, self.body]
+        if self.links:
+            # ancestors[i, j]: body j is body i or one of its ancestors, of
+            # which the root comes first.
+            ancestors = np.eye(n, dtype=bool)
+            for i, parent in self.links:
+                ancestors[i] |= ancestors[parent]
+            self.root = ancestors.argmax(axis=1)
+            # subtree[j, i] = 1.0: body i is body j or below it.
+            self.subtree = ancestors.T.astype(float)
+            # moves[i, q]: coordinate q moves body i.
+            self.moves = ancestors[:, self.body]
+            below, above = np.nonzero(ancestors)
+        else:
+            self.root = below = above = np.arange(n)
+            self.subtree = self.moves = None
         # Upper triangle of H's pattern: pairs p <= q of coordinates whose
         # bodies are in an ancestor relation, the body of q at or below p's,
         # from the pairs of related bodies.
-        below, above = np.nonzero(ancestors)
-        n_dofs, first = np.array(n_dofs), np.array(self.offsets, dtype=int)
         count = n_dofs[above] * n_dofs[below]
         pair = np.repeat(np.arange(count.shape[0]), count)
         within = np.arange(pair.shape[0]) - np.repeat(np.cumsum(count) - count, count)
@@ -139,6 +146,17 @@ class Coordinates:
         # one step to the next.
         self.kkt_pattern = None
 
+    def moving(self, bodies: np.ndarray):
+        """(k, q) for every coordinate q that moves body bodies[k], by k and
+        then q, as np.nonzero of the rows of ``moves`` at ``bodies``."""
+        if self.moves is not None:
+            return np.nonzero(self.moves[bodies])
+        count = self.n_dofs[bodies]
+        sides = np.repeat(np.arange(bodies.shape[0]), count)
+        start = np.cumsum(count) - count
+        first = np.array(self.offsets, dtype=int)[bodies]
+        return sides, np.arange(sides.shape[0]) + np.repeat(first - start, count)
+
     def per_tree(self, x: np.ndarray) -> np.ndarray:
         """Rows of x, one per coordinate, in the (trees, width) layout."""
         if not self.padded:
@@ -150,7 +168,7 @@ class Coordinates:
     def joint_to_model(self):
         """The joint_to_model transforms as one stacked pose."""
         if self.joints is None:
-            n = self.subtree.shape[0]
+            n = self.root.shape[0]
             return np.broadcast_to(_EYE3, (n, 3, 3)), np.zeros((n, 3))
         return stack_poses(j.joint_to_model for j in self.joints)
 
@@ -216,7 +234,7 @@ class KinematicStructure:
         i's pose in that frame, and the 6 x n_dof motion columns S, for
         each coordinate the free column of Ad(F_j), with F_j =
         rel_j o joint_to_model_j^-1 its joint frame.  anc_i, the
-        coordinates that move body i, is view.moves[i].
+        coordinates that move body i, are those view.moving lists for it.
 
         Without links every body is its own root, rel is the identity and
         no pose is read; in the forest view every J_i is exactly the

@@ -13,11 +13,11 @@ Four configurations are supported:
 They are two switches over one code path.  Projection picks the
 coordinates: the structure's tree view, or its forest view in which every
 body is a free root, so that its Jacobian is the identity.  Constraint rows
-are on or off.  Each step evaluates all energies and all constraints once,
-on stacks, and assembles only the structurally nonzero entries of the KKT
-matrix.  One size rule stores and factors it: small or dense systems
-densely, large sparse ones in CSC format by SuperLU.  Dense systems of one
-size can also be solved as a stack in one batched call.
+are on or off.  Each step evaluates all energies (energy.evaluate) and all
+constraints once, on stacks, and assembles only the structurally nonzero
+entries of the KKT matrix.  One size rule stores and factors it: small or
+dense systems densely, large sparse ones in CSC format by SuperLU.  Dense
+systems of one size can also be solved as a stack in one batched call.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import scipy.linalg
 import scipy.sparse
 
 from .constraints import ConstraintRows, evaluate_constraints
-from .energy import BodyEnergy
+from .energy import evaluate
 from .kinematics import KinematicStructure
 
 
@@ -100,12 +100,15 @@ class KktSystem:
     constraint rows, and one size rule (DENSE_MAX_DIM, DENSE_MIN_FILL)
     stores it as a dense array or a scipy CSC matrix.  A dense system may
     carry a leading batch axis on every field: a stack of independent
-    systems of one size.
+    systems of one size.  ``backward_error`` is set by solve_kkt: the
+    normwise relative residual |K x - r| / (|K| |x| + |r|) of the solution
+    it found, one per system of a stack.
     """
 
     matrix: np.ndarray | scipy.sparse.csc_array
     g_k: np.ndarray
     b_vec: np.ndarray
+    backward_error: float | np.ndarray | None = None
 
     @classmethod
     def from_blocks(cls, h_k, g_k, b_mat, b_vec) -> "KktSystem":
@@ -146,7 +149,7 @@ class _Pattern:
     @classmethod
     def build(cls, view, bodies: np.ndarray) -> "_Pattern":
         m = bodies.shape[0] // 2
-        sides, coords = np.nonzero(view.moves[bodies])
+        sides, coords = view.moving(bodies)
         b_rows = view.n_dof + sides % max(m, 1)
         p, q = view.pairs
         rows = np.concatenate([p, q[view.mirrored], b_rows, coords])
@@ -182,25 +185,30 @@ class StepReport:
     """What one Newton step did.  Per-constraint lists follow
     ``s.constraints``; ``multipliers`` holds each constraint's Lagrange
     multipliers (its constraint force) in the constraint modes and is empty
-    otherwise.  ``kkt_dim`` is the size of the solved system."""
+    otherwise.  ``kkt_dim`` is the size of the solved system and
+    ``backward_error`` the relative residual of its solution
+    (KktSystem.backward_error)."""
 
     theta_norm: float
     residuals_before: list
     residuals_after: list
     multipliers: list
     kkt_dim: int
+    backward_error: float
 
 
 def assemble(
     s: KinematicStructure,
-    energies: list[BodyEnergy],
+    g: np.ndarray,
+    h: np.ndarray,
     mode: SolverMode,
     regularization: Regularization | None = None,
     rows: ConstraintRows | None = None,
 ) -> KktSystem:
     """Gradient/Hessian plus regularization in the mode's coordinates, and
-    constraint rows in the constraint modes.  ``rows`` may hold the
-    structure's constraints already evaluated with blocks.  Raises
+    constraint rows in the constraint modes.  ``g`` (n, 6) and ``h``
+    (n, 6, 6) are the bodies' energies (energy.evaluate).  ``rows`` may
+    hold the structure's constraints already evaluated with blocks.  Raises
     FactorizationFailed naming the first body whose energy is not finite.
 
     With J_i = Ad(rel_i^-1) (S o anc_i) (KinematicStructure.jacobian_factors),
@@ -210,12 +218,10 @@ def assemble(
     body algorithm), zero unless one body is above the other.  A constraint
     row is d_a J_a + d_b J_b.  Only the pattern's entries are computed.
     """
-    if len(energies) != len(s.bodies):
-        raise ValueError(
-            f"got {len(energies)} energies for {len(s.bodies)} bodies"
-        )
-    g = np.array([e.g for e in energies])
-    h = np.array([e.h for e in energies])
+    n = len(s.bodies)
+    if np.shape(g) != (n, 6) or np.shape(h) != (n, 6, 6):
+        raise ValueError(f"got energies of shapes {np.shape(g)} and {np.shape(h)} for {n} bodies")
+    g = np.array(g, dtype=float)
     finite = np.isfinite(g).all(axis=1) & np.isfinite(h).all(axis=(1, 2))
     if not finite.all():
         i = int(np.argmin(finite))
@@ -234,8 +240,12 @@ def assemble(
     h = 0.5 * (h + h.swapaxes(1, 2))
     g[inner] = (g[inner, None, :] @ ad_inv)[:, 0]
     h[inner] = ad_inv.swapaxes(1, 2) @ h[inner] @ ad_inv
-    g_c = view.subtree @ g
-    h_c = (view.subtree @ h.reshape(-1, 36)).reshape(-1, 6, 6)
+    if view.links:
+        g_c = view.subtree @ g
+        h_c = (view.subtree @ h.reshape(-1, 36)).reshape(-1, 6, 6)
+    else:
+        # Lone roots: each body's composite sum is its own energy.
+        g_c, h_c = g, h
     columns = motion.T
     g_k = np.einsum("ij,ij->i", g_c.take(view.body, axis=0), columns)
     # S_p^T (Hc S_q) for every pair of coordinates of one tree.
@@ -295,7 +305,7 @@ def solve_kkt(k: KktSystem):
                     "singular or non-finite KKT matrix", _first_unsolvable(k.matrix, rhs)
                 ) from exc
         kkt_norm = np.linalg.norm(k.matrix, axis=(-2, -1))
-    _check_solution(k.matrix, kkt_norm, x, rhs)
+    k.backward_error = _check_solution(k.matrix, kkt_norm, x, rhs)
     n = k.g_k.shape[-1]
     return x[..., :n], x[..., n:]
 
@@ -319,7 +329,8 @@ def _check_solution(kkt, kkt_norm, x: np.ndarray, rhs: np.ndarray):
     """Reject a solution that is not finite or that misses the system by
     more than the backward error of a stable factorization.  Each system of
     a stack is judged on its own norms, and the exception carries the index
-    of the first one that fails."""
+    of the first one that fails.  Returns the normwise backward error of
+    each system."""
     _raise_for_first(~np.isfinite(x).all(axis=-1), "non-finite solution")
     residual = (kkt @ x[..., None])[..., 0] - rhs
     x_norm, rhs_norm, residual_norm = np.linalg.norm([x, rhs, residual], axis=-1)
@@ -332,6 +343,7 @@ def _check_solution(kkt, kkt_norm, x: np.ndarray, rhs: np.ndarray):
         "solution does not satisfy the KKT system; constraints are likely "
         "contradictory or duplicated",
     )
+    return residual_norm / np.maximum(kkt_norm * x_norm + rhs_norm, np.finfo(float).tiny)
 
 
 def _raise_for_first(failed: np.ndarray, message: str):
@@ -345,14 +357,15 @@ def _raise_for_first(failed: np.ndarray, message: str):
 def step(s: KinematicStructure, provider, cfg: SolverConfig) -> StepReport:
     """One full Newton iteration: energies, assembly, KKT solve, pose update.
 
-    The constraints are evaluated twice, each time all at once: before the
+    The energies are evaluated once, for all bodies (energy.evaluate).  The
+    constraints are evaluated twice, each time all at once: before the
     solve for the residuals and, in the constraint modes, the KKT rows; and
     after the update for the residuals.
     """
-    energies = [provider(i, body.pose) for i, body in enumerate(s.bodies)]
+    g, h = evaluate(provider, s.poses())
     with_rows = cfg.mode in _CONSTRAINED_MODES
     before = evaluate_constraints(s.constraints, s.bodies, blocks=with_rows)
-    kkt = assemble(s, energies, cfg.mode, cfg.regularization, before)
+    kkt = assemble(s, g, h, cfg.mode, cfg.regularization, before)
     try:
         theta, lam = solve_kkt(kkt)
     except FactorizationFailed as exc:
@@ -366,6 +379,7 @@ def step(s: KinematicStructure, provider, cfg: SolverConfig) -> StepReport:
         multipliers=[lam[e - c : e] for c, e in zip(before.counts, np.cumsum(before.counts))]
         if with_rows else [],
         kkt_dim=kkt.g_k.shape[0] + kkt.b_vec.shape[0],
+        backward_error=float(kkt.backward_error),
     )
 
 

@@ -128,7 +128,9 @@ def body_jacobians(s, view=None):
     view = view or s.tree
     ad_inv = np.array([np.eye(6)] * len(s.bodies))
     ad_inv[view.children], motion = s.jacobian_factors(view)
-    return (ad_inv @ motion) * view.moves[:, None, :]
+    moves = np.zeros((len(s.bodies), view.n_dof), dtype=bool)
+    moves[view.moving(np.arange(len(s.bodies)))] = True
+    return (ad_inv @ motion) * moves[:, None, :]
 
 
 def rows_jacobian(rows, jacobians):
@@ -162,6 +164,31 @@ def relative_variation(reference, varied):
     """Variation theta with varied == reference o T(theta) (exact inverse)."""
     rel = reference.inverse() @ varied
     return np.concatenate([log_rotation(rel.r), rel.t])
+
+
+def pose_target_energy(target, weight_r, weight_t, pose):
+    """Gradient and Gauss-Newton Hessian of quadratic_pose_target at one
+    pose, by the scalar formula the stacked kernel replaced."""
+    scale_r = 2.0 * weight_r
+    scale_t = 2.0 * weight_t
+    g = np.zeros(6)
+    h = np.zeros((6, 6))
+    r0 = log_rotation(target.r.T @ pose.r)
+    cmat = variation_matrix(r0)
+    g[:3] = scale_r * r0
+    h[:3, :3] = scale_r * (cmat @ cmat.T)
+    g[3:] = scale_t * (pose.r.T @ (pose.t - target.t))
+    h[(3, 4, 5), (3, 4, 5)] = scale_t
+    return BodyEnergy(g, h)
+
+
+def stacked_energies(energies):
+    """The (n, 6) gradients and (n, 6, 6) Hessians of a list of BodyEnergy,
+    as assemble takes them."""
+    return (
+        np.array([e.g for e in energies]).reshape(-1, 6),
+        np.array([e.h for e in energies]).reshape(-1, 6, 6),
+    )
 
 
 def evaluate_quadratic_target(pose, target, weight_r=1.0, weight_t=1.0):

@@ -39,6 +39,7 @@ from oracles import (
     pose_matrix,
     random_rotvec,
     relative_variation,
+    stacked_energies,
 )
 from test_constraints import (
     constraint_jacobian,
@@ -206,7 +207,7 @@ def test_criterion_7_scaling_study():
         # Cross-check against the actually assembled system size.
         s = build_serial_chain(sample.n_bodies)
         energies = [BodyEnergy.zero() for _ in s.bodies]
-        k = assemble(s, energies, sample.mode, Regularization())
+        k = assemble(s, *stacked_energies(energies), sample.mode, Regularization())
         assembled_dim = k.g_k.shape[0] + k.b_vec.shape[0]
         dims_ok &= assembled_dim == sample.kkt_dim
         by_mode[(sample.mode, sample.n_bodies)] = sample.seconds_per_iter
@@ -233,8 +234,9 @@ def test_criterion_8_mode_equivalence():
         for _ in s.bodies:
             a = rng.standard_normal((6, 6))
             energies.append(BodyEnergy(rng.standard_normal(6), a @ a.T + np.eye(6)))
-        k1 = assemble(copy.deepcopy(s), energies, SolverMode.PROJECTED, Regularization())
-        k2 = assemble(copy.deepcopy(s), energies, SolverMode.COMBINED, Regularization())
+        g, h = stacked_energies(energies)
+        k1 = assemble(copy.deepcopy(s), g, h, SolverMode.PROJECTED, Regularization())
+        k2 = assemble(copy.deepcopy(s), g, h, SolverMode.COMBINED, Regularization())
         t1, _ = solve_kkt(k1)
         t2, _ = solve_kkt(k2)
         identical &= bool(np.array_equal(t1, t2))

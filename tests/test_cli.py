@@ -4,6 +4,8 @@ import functools
 import json
 from pathlib import Path
 
+import pytest
+
 from multibody import cli
 from multibody.cli import main
 from multibody.solver import Regularization
@@ -100,6 +102,22 @@ class TestTrack:
              "--out", str(tmp_path / "x.csv")]
         )
         assert code == 2
+
+
+class TestWeights:
+    @pytest.mark.parametrize("weight", ["nan", "inf", -1, "abc"])
+    def test_bad_weight_is_config_error(self, tmp_path, capsys, weight):
+        raw = json.loads(DEMO_CONFIG.read_text())
+        raw["bodies"][1]["weights"]["rot"] = weight
+        for body in raw["bodies"]:
+            body.pop("mesh_path", None)
+        path = tmp_path / "weights.json"
+        path.write_text(json.dumps(raw))
+        code = main(
+            ["track", "--config", str(path), "--steps", "2", "--out", str(tmp_path / "x.csv")]
+        )
+        assert code == 1
+        assert f"bodies[1].weights.rot: expected a " in capsys.readouterr().err
 
 
 class TestUsage:

@@ -72,6 +72,21 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="rot_w"):
             parse_config(raw)
 
+    @pytest.mark.parametrize(
+        "weights", [{"trans": float("nan")}, {"trans": "-inf"}, {"trans": [1.0]}]
+    )
+    def test_bad_trans_weight(self, weights):
+        raw = minimal_config()
+        raw["bodies"][0]["weights"] = weights
+        with pytest.raises(ConfigError, match=r"bodies\[0\]\.weights\.trans"):
+            parse_config(raw)
+
+    def test_weights_must_be_an_object(self):
+        raw = minimal_config()
+        raw["bodies"][0]["weights"] = [1.0, 1.0]
+        with pytest.raises(ConfigError, match=r"bodies\[0\]\.weights"):
+            parse_config(raw)
+
     def test_bad_fixed_side(self):
         raw = minimal_config()
         raw["bodies"][0]["joint"]["fixed_side"] = "both"

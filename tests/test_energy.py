@@ -1,21 +1,45 @@
-"""Synthetic energy providers against FD and closed-form registration oracles."""
+"""Synthetic energy providers against FD and closed-form registration oracles,
+and the stacked pose-target kernel against the scalar formula it replaced."""
+
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from builders import random_pose
-from multibody.energy import point_registration_energy, quadratic_pose_target
+from builders import random_pose, random_tree
+from multibody import energy, solver
+from multibody.energy import (
+    PoseTarget,
+    evaluate,
+    per_body,
+    point_registration_energy,
+    pose_target_stack,
+    quadratic_pose_target,
+    zero_energy,
+)
+from multibody.experiments import build_serial_chain
 from multibody.kinematics import Body, Joint, KinematicStructure
-from multibody.se3 import Pose, exp_rotvec, log_rotation, pose_with_variation
-from multibody.solver import Regularization, SolverConfig, SolverMode, step
+from multibody.se3 import (
+    NEAR_PI,
+    SMALL_ANGLE,
+    Pose,
+    exp_rotvec,
+    log_rotation,
+    pose_with_variation,
+    stack_poses,
+)
+from multibody.solver import FactorizationFailed, Regularization, SolverConfig, SolverMode, step
 from oracles import (
     evaluate_quadratic_target,
     kabsch,
     numeric_hessian,
     numeric_jacobian,
+    pose_target_energy,
     random_rotvec,
+    stacked_energies,
 )
-
 
 class TestQuadraticPoseTarget:
     def test_zero_gradient_at_target(self):
@@ -68,6 +92,13 @@ class TestQuadraticPoseTarget:
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError):
             quadratic_pose_target(Pose.identity(), weight_r=-1.0)
+
+    @pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights_rejected(self, weight):
+        with pytest.raises(ValueError, match="finite"):
+            quadratic_pose_target(Pose.identity(), weight_r=weight)
+        with pytest.raises(ValueError, match="finite"):
+            quadratic_pose_target(Pose.identity(), weight_t=weight)
 
 
 class TestPointRegistration:
@@ -147,3 +178,161 @@ class TestEnergyDecrease:
             assert current < previous
             previous = current
         assert np.linalg.norm(provider(0, s.bodies[0].pose).g) < 1e-8
+
+
+# Relative rotation angles at the branch seams of log_rotation and the
+# variation matrix, mixed with random angles in stacks.
+SEAM_ANGLES = (
+    0.0,
+    SMALL_ANGLE * (1 - 1e-9),
+    SMALL_ANGLE * (1 + 1e-9),
+    NEAR_PI - 1e-9,
+    NEAR_PI + 1e-9,
+    np.pi,
+)
+axes = (
+    st.tuples(*[st.floats(-1.0, 1.0)] * 3)
+    .map(np.array)
+    .filter(lambda v: np.linalg.norm(v) > 0.1)
+    .map(lambda v: v / np.linalg.norm(v))
+)
+angles = st.one_of(st.sampled_from(SEAM_ANGLES), st.floats(0.0, np.pi))
+weights = st.floats(0.0, 1e3)
+target_rows = st.tuples(axes, angles, st.integers(0, 2**32 - 1), weights, weights)
+
+
+def targets_at(rows):
+    """(target, w_r, w_t, pose) per row: a random pose and a target whose
+    rotation differs from it by the row's angle about the row's axis."""
+    out = []
+    for axis, angle, seed, w_r, w_t in rows:
+        rng = np.random.default_rng(seed)
+        pose = random_pose(rng)
+        target = Pose(pose.r @ exp_rotvec(angle * axis).T, rng.uniform(-1, 1, 3))
+        out.append((target, w_r, w_t, pose))
+    return out
+
+
+class TestPoseTargetKernel:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(target_rows, min_size=1, max_size=12))
+    def test_stack_equals_scalar_formula_bit_for_bit(self, rows):
+        cases = targets_at(rows)
+        g, h = pose_target_stack(
+            stack_poses(target for target, _, _, _ in cases),
+            np.array([(2.0 * w_r, 2.0 * w_t) for _, w_r, w_t, _ in cases]),
+            stack_poses(pose for _, _, _, pose in cases),
+        )
+        expected = [pose_target_energy(*case) for case in cases]
+        g_ref, h_ref = stacked_energies(expected)
+        assert np.array_equal(g, g_ref) and np.array_equal(h, h_ref)
+        # The one-row case, as a provider.
+        for (target, w_r, w_t, pose), e in zip(cases, expected):
+            row = quadratic_pose_target(target, w_r, w_t)(0, pose)
+            assert np.array_equal(row.g, e.g) and np.array_equal(row.h, e.h)
+
+    def test_one_target_for_every_body(self):
+        rng = np.random.default_rng(20)
+        s = random_tree(rng, 5)
+        provider = quadratic_pose_target(random_pose(rng), 0.3, 2.0)
+        g, h = evaluate(provider, s.poses())
+        g_ref, h_ref = stacked_energies([provider(i, b.pose) for i, b in enumerate(s.bodies)])
+        assert np.array_equal(g, g_ref) and np.array_equal(h, h_ref)
+
+
+class TestPerBody:
+    @staticmethod
+    def mixed_providers(rng):
+        model = rng.uniform(-0.2, 0.2, (6, 3))
+        fixed = energy.BodyEnergy(rng.standard_normal(6), np.diag(rng.uniform(1, 2, 6)))
+        return {
+            0: quadratic_pose_target(random_pose(rng), 2.0, 3.0),
+            2: point_registration_energy(model, rng.uniform(-0.3, 0.3, (6, 3))),
+            3: lambda i, pose: fixed,
+            5: quadratic_pose_target(random_pose(rng), 0.0, 1.0),
+        }
+
+    @pytest.mark.parametrize("with_default", [False, True])
+    def test_mixed_providers_equal_the_per_body_loop(self, with_default):
+        rng = np.random.default_rng(21)
+        s = random_tree(rng, 7)
+        providers = self.mixed_providers(rng)
+        default = quadratic_pose_target(random_pose(rng), 1.0, 4.0) if with_default else zero_energy
+        provider = per_body(providers, default)
+        g, h = evaluate(provider, s.poses())
+        g_ref, h_ref = stacked_energies([provider(i, b.pose) for i, b in enumerate(s.bodies)])
+        assert np.array_equal(g, g_ref) and np.array_equal(h, h_ref)
+        assert with_default == bool(np.any(h[1]))
+
+    def test_plain_callable_is_called_once_per_body(self):
+        s = random_tree(np.random.default_rng(22), 4)
+        calls = []
+
+        def provider(i, pose):
+            calls.append(i)
+            return energy.BodyEnergy(np.full(6, i), np.eye(6))
+
+        g, _ = evaluate(provider, s.poses())
+        assert calls == [0, 1, 2, 3]
+        assert np.array_equal(g[:, 0], [0, 1, 2, 3])
+
+    def test_negative_key_rejected(self):
+        with pytest.raises(ValueError, match="-1"):
+            per_body({-1: quadratic_pose_target(Pose.identity())})
+
+    def test_out_of_range_key_rejected_before_any_change(self):
+        s = random_tree(np.random.default_rng(23), 3)
+        before = [(b.pose.r.copy(), b.pose.t.copy()) for b in s.bodies]
+        provider = per_body({1: zero_energy, 3: quadratic_pose_target(Pose.identity())})
+        with pytest.raises(ValueError, match="body index 3"):
+            step(s, provider, SolverConfig(mode=SolverMode.PROJECTED))
+        for (r, t), body in zip(before, s.bodies):
+            assert np.array_equal(body.pose.r, r) and np.array_equal(body.pose.t, t)
+
+    @pytest.mark.parametrize("mode", list(SolverMode))
+    def test_nan_target_named_before_the_solve(self, mode, monkeypatch):
+        s = random_tree(np.random.default_rng(24), 4, min_dof=6)
+        target = Pose(np.full((3, 3), np.nan), np.zeros(3))
+        providers = {i: quadratic_pose_target(b.pose) for i, b in enumerate(s.bodies)}
+        providers[2] = quadratic_pose_target(target)
+
+        def no_solve(k):
+            raise AssertionError("solve_kkt was called")
+
+        monkeypatch.setattr(solver, "solve_kkt", no_solve)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FactorizationFailed, match="body 2"):
+                step(s, per_body(providers), SolverConfig(mode=mode))
+
+
+class TestStackedPath:
+    """The step evaluates stacked providers in one pass: the claimed speed
+    of a pose-target step rests on it."""
+
+    def test_pose_targets_take_one_kernel_call_per_step(self, monkeypatch):
+        s = build_serial_chain(8)
+        kernel_calls = []
+        kernel = energy.pose_target_stack
+
+        def counting_kernel(*args):
+            kernel_calls.append(args[2][1].shape[0])
+            return kernel(*args)
+
+        def no_row_call(self, body_index, pose):
+            raise AssertionError("per-body PoseTarget call")
+
+        monkeypatch.setattr(energy, "pose_target_stack", counting_kernel)
+        monkeypatch.setattr(PoseTarget, "__call__", no_row_call)
+        provider = per_body({i: quadratic_pose_target(b.pose) for i, b in enumerate(s.bodies)})
+        for _ in range(3):
+            step(s, provider, SolverConfig(mode=SolverMode.CONSTRAINED))
+        assert kernel_calls == [8, 8, 8]
+
+    def test_zero_energy_step_makes_no_provider_call(self, monkeypatch):
+        def no_call(self, body_index, pose):
+            raise AssertionError("per-body provider call")
+
+        monkeypatch.setattr(type(zero_energy), "__call__", no_call)
+        for mode in (SolverMode.PROJECTED, SolverMode.CONSTRAINED):
+            step(build_serial_chain(5), zero_energy, SolverConfig(mode=mode))

@@ -15,6 +15,9 @@ from multibody.kinematics import (
     axes_mask,
 )
 from multibody.se3 import Pose, adjoint, exp_rotvec
+from multibody.solver import SolverConfig, SolverMode, step
+from multibody.energy import zero_energy
+from multibody.experiments import build_serial_chain
 from oracles import (
     body_jacobians,
     expand_joint_variation,
@@ -42,6 +45,38 @@ class TestExpandJointVariation:
         j = Joint(free_axes=axes_mask(["rot_z"]))
         with pytest.raises(ValueError):
             expand_joint_variation(j, [0.1, 0.2])
+
+
+class TestCoordinates:
+    def test_forest_view_holds_no_n_by_n_array(self):
+        n = 50
+        s = build_serial_chain(n)
+        step(s, zero_energy, SolverConfig(mode=SolverMode.CONSTRAINED))
+        view = s.forest
+        assert view.kkt_pattern is not None
+        assert view.subtree is None and view.moves is None
+        arrays = [v for v in vars(view).values() if isinstance(v, np.ndarray)]
+        arrays += list(view.pairs) + [view.kkt_pattern.slots]
+        assert all(a.ndim == 1 for a in arrays)
+        assert s.tree.subtree.shape == (n, n)
+
+    @pytest.mark.parametrize("linked", [False, True])
+    def test_moving_lists_the_coordinates_that_move_each_body(self, linked):
+        rng = np.random.default_rng(30)
+        s = random_tree(rng, 6)
+        if not linked:
+            s = KinematicStructure([Body(b.name, b.joint, b.pose) for b in s.bodies])
+        view = s.tree
+        # Coordinate q moves body i when q's body is i or one of its ancestors.
+        lineage = [{i} for i in range(len(s.bodies))]
+        for i, body in enumerate(s.bodies):
+            if body.parent is not None:
+                lineage[i] |= lineage[body.parent]
+        bodies = rng.integers(0, len(s.bodies), 9)
+        moves = np.array([[view.body[q] in lineage[i] for q in range(view.n_dof)] for i in bodies])
+        sides, coords = view.moving(bodies)
+        assert np.array_equal(sides, np.nonzero(moves)[0])
+        assert np.array_equal(coords, np.nonzero(moves)[1])
 
 
 class TestStructureValidation:

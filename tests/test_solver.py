@@ -40,6 +40,7 @@ from oracles import (
     scalar_kkt,
     selection_kkt,
     solve_dense_kkt,
+    stacked_energies,
 )
 
 
@@ -86,7 +87,7 @@ class TestAssemble:
         s = KinematicStructure([Body("a", Joint(free_axes=np.ones(6, dtype=bool)))])
         rng = np.random.default_rng(0)
         e = BodyEnergy(rng.standard_normal(6), random_spd(rng))
-        k = assemble(s, [e], SolverMode.PROJECTED, None)
+        k = assemble(s, *stacked_energies([e]), SolverMode.PROJECTED, None)
         assert np.allclose(dense_blocks(k)[0], e.h)
         assert np.allclose(k.g_k, e.g)
 
@@ -96,7 +97,7 @@ class TestAssemble:
         j1 = body_jacobians(s)[1]
         e0 = BodyEnergy.zero()
         e1 = BodyEnergy(rng.standard_normal(6), random_spd(rng))
-        k = assemble(s, [e0, e1], SolverMode.PROJECTED, None)
+        k = assemble(s, *stacked_energies([e0, e1]), SolverMode.PROJECTED, None)
         assert np.allclose(dense_blocks(k)[0], j1.T @ e1.h @ j1, atol=1e-12)
         assert np.allclose(k.g_k, j1.T @ e1.g, atol=1e-12)
 
@@ -109,7 +110,7 @@ class TestAssemble:
         targets = [b.pose for b in s.bodies]
         provider = lambda i, pose: quadratic_pose_target(targets[i])(i, pose)  # noqa: E731
         energies = [provider(i, b.pose) for i, b in enumerate(s.bodies)]
-        k = assemble(s, energies, SolverMode.PROJECTED, None)
+        k = assemble(s, *stacked_energies(energies), SolverMode.PROJECTED, None)
 
         def composed(theta):
             moved = copy.deepcopy(s)
@@ -124,14 +125,15 @@ class TestAssemble:
 
     def test_regularization_on_matching_axes(self):
         s = KinematicStructure([Body("a", Joint(free_axes=np.ones(6, dtype=bool)))])
-        k = assemble(s, [BodyEnergy.zero()], SolverMode.PROJECTED, Regularization(7.0, 9.0))
+        g, h = stacked_energies([BodyEnergy.zero()])
+        k = assemble(s, g, h, SolverMode.PROJECTED, Regularization(7.0, 9.0))
         assert np.allclose(np.diag(dense_blocks(k)[0]), [7, 7, 7, 9, 9, 9])
 
     def test_energy_count_mismatch(self):
         rng = np.random.default_rng(3)
         s = random_tree(rng, 2)
         with pytest.raises(ValueError):
-            assemble(s, [BodyEnergy.zero()], SolverMode.PROJECTED, None)
+            assemble(s, *stacked_energies([BodyEnergy.zero()]), SolverMode.PROJECTED, None)
 
     def test_free_body_modes_match_selection_formula(self):
         rng = np.random.default_rng(4)
@@ -141,7 +143,7 @@ class TestAssemble:
             (SolverMode.INDEPENDENT, []),
             (SolverMode.CONSTRAINED, s.constraints),
         ):
-            k = assemble(s, energies, mode, Regularization(7.0, 9.0))
+            k = assemble(s, *stacked_energies(energies), mode, Regularization(7.0, 9.0))
             h, g, b_mat, b_vec = selection_kkt(s, energies, constraints, [7, 7, 7, 9, 9, 9])
             h_k, b_k = dense_blocks(k)
             assert np.allclose(h_k, 0.5 * (h + h.T), rtol=0.0, atol=1e-12)
@@ -245,7 +247,7 @@ class TestFreeBodySparseKkt:
     @staticmethod
     def check(s, energies, mode):
         reg = Regularization()
-        k = assemble(s, energies, mode, reg)
+        k = assemble(s, *stacked_energies(energies), mode, reg)
         dim = k.g_k.shape[0] + k.b_vec.shape[0]
         sparse = scipy.sparse.issparse(k.matrix)
         nnz = k.matrix.nnz if sparse else np.count_nonzero(k.matrix)
@@ -365,8 +367,9 @@ class TestStep:
         energies = [
             BodyEnergy(rng.standard_normal(6), random_spd(rng)) for _ in s.bodies
         ]
-        k_proj = assemble(copy.deepcopy(s), energies, SolverMode.PROJECTED, Regularization())
-        k_comb = assemble(copy.deepcopy(s), energies, SolverMode.COMBINED, Regularization())
+        g, h = stacked_energies(energies)
+        k_proj = assemble(copy.deepcopy(s), g, h, SolverMode.PROJECTED, Regularization())
+        k_comb = assemble(copy.deepcopy(s), g, h, SolverMode.COMBINED, Regularization())
         theta_proj, _ = solve_kkt(k_proj)
         theta_comb, _ = solve_kkt(k_comb)
         assert np.array_equal(theta_proj, theta_comb)
@@ -378,7 +381,8 @@ class TestStep:
             e = BodyEnergy(rng.standard_normal(6), random_spd(rng))
             norms = []
             for scale in (1.0, 10.0, 100.0, 1000.0):
-                k = assemble(s, [e], SolverMode.PROJECTED, Regularization(scale, 10 * scale))
+                g, h = stacked_energies([e])
+                k = assemble(s, g, h, SolverMode.PROJECTED, Regularization(scale, 10 * scale))
                 theta, _ = solve_kkt(k)
                 norms.append(np.linalg.norm(theta))
             assert all(a >= b - 1e-12 for a, b in zip(norms, norms[1:]))
@@ -449,6 +453,46 @@ class TestStepReport:
         report = step(s, zero_energy, SolverConfig(mode=mode))
         assert report.multipliers == []
         assert report.kkt_dim == (6 * len(s.bodies) if mode is SolverMode.INDEPENDENT else s.n_dof)
+
+
+class TestBackwardError:
+    @pytest.mark.parametrize(
+        "n_bodies, mode",
+        [(3, SolverMode.PROJECTED), (3, SolverMode.CONSTRAINED), (64, SolverMode.CONSTRAINED)],
+    )
+    def test_well_posed_step_reports_rounding_level(self, n_bodies, mode):
+        s = build_serial_chain(n_bodies)
+        rng = np.random.default_rng(n_bodies)
+        report = step(s, fixed_energies(random_energies(rng, n_bodies)), SolverConfig(mode=mode))
+        assert 0.0 <= report.backward_error < 1e-14
+
+    def test_matches_the_residual_of_the_returned_solution(self):
+        rng = np.random.default_rng(18)
+        for sparse in (False, True):
+            s = build_serial_chain(64 if sparse else 3)
+            energies = random_energies(rng, len(s.bodies))
+            k = assemble(s, *stacked_energies(energies), SolverMode.CONSTRAINED, Regularization())
+            assert scipy.sparse.issparse(k.matrix) == sparse
+            theta, lam = solve_kkt(k)
+            kkt = k.matrix.toarray() if sparse else k.matrix
+            x = np.concatenate([theta, lam])
+            rhs = -np.concatenate([k.g_k, k.b_vec])
+            expected = np.linalg.norm(kkt @ x - rhs) / (
+                np.linalg.norm(kkt) * np.linalg.norm(x) + np.linalg.norm(rhs)
+            )
+            assert k.backward_error == pytest.approx(expected, rel=0.5, abs=1e-17)
+
+    def test_one_per_system_of_a_stack(self):
+        rng = np.random.default_rng(19)
+        blocks = [
+            (random_spd(rng, 4), rng.standard_normal(4), rng.standard_normal((2, 4)),
+             rng.standard_normal(2))
+            for _ in range(5)
+        ]
+        k = KktSystem.from_blocks(*map(np.array, zip(*blocks)))
+        solve_kkt(k)
+        assert k.backward_error.shape == (5,)
+        assert np.all(k.backward_error < 1e-14)
 
 
 class TestNonFiniteEnergy:

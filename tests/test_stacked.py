@@ -22,6 +22,7 @@ from oracles import (
     scalar_kkt,
     scalar_step,
     solve_dense_kkt,
+    stacked_energies,
 )
 
 # Relative rotation angles at the branch points of log_rotation and the
@@ -118,7 +119,7 @@ class TestSolutionMatchesScalarOracle:
                 for a in rng.standard_normal((len(s.bodies), 6, 6))
             ]
             reg = Regularization()
-            k = assemble(s, energies, mode, reg)
+            k = assemble(s, *stacked_energies(energies), mode, reg)
             kkt = k.matrix.toarray() if hasattr(k.matrix, "toarray") else k.matrix
             n = k.g_k.shape[0]
             theta, lam = solve_dense_kkt(kkt[:n, :n], k.g_k, kkt[n:, :n], k.b_vec)

@@ -6,9 +6,9 @@ one attached to each body.  Residual rows are taken from the extended
 ordering of frame A.  An orthogonality constraint is also provided as a
 baseline formulation that only asks pairs of axes to stay perpendicular.
 
-Constraints are evaluated together: `evaluate_constraints` computes the
-residual rows and their derivatives for every constraint of a list at once,
-on stacks over the constraints.
+Constraints are frozen records, stacked once into a ConstraintStack when
+a structure's constraints are assigned.  `evaluate_constraints` computes the
+residual rows and derivatives of all of them at once, at a stacked pose.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .se3 import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class _FramePair:
     """Two distinct bodies with a frame on each: ``frame_a`` maps body_a's
     model frame into frame A, ``frame_b`` body_b's model frame into B."""
@@ -46,10 +46,10 @@ class _FramePair:
 
     def residual(self, s) -> np.ndarray:
         """Residual rows at the structure's current poses."""
-        return evaluate_constraints([self], s.bodies, blocks=False).residual
+        return evaluate_constraints(ConstraintStack([self]), s.poses(), blocks=False).residual
 
 
-@dataclass
+@dataclass(frozen=True)
 class Constraint(_FramePair):
     """Equality constraint on the relative pose between frame A (on body_a)
     and frame B (on body_b).
@@ -65,10 +65,12 @@ class Constraint(_FramePair):
 
     def __post_init__(self):
         super().__post_init__()
-        self.constrained_axes = np.asarray(self.constrained_axes, dtype=bool)
-        if self.constrained_axes.shape != (6,):
+        axes = np.array(self.constrained_axes, dtype=bool)
+        axes.flags.writeable = False
+        object.__setattr__(self, "constrained_axes", axes)
+        if axes.shape != (6,):
             raise ValueError("constrained_axes must have 6 entries")
-        if not self.constrained_axes.any():
+        if not axes.any():
             raise ValueError("constraint must select at least one axis")
 
 
@@ -76,7 +78,7 @@ class Constraint(_FramePair):
 ORTHOGONAL_AXIS_PAIRS = ((0, 1), (1, 2), (2, 0))
 
 
-@dataclass
+@dataclass(frozen=True)
 class OrthogonalityConstraint(_FramePair):
     """Baseline constraint asking pairs of frame axes to stay perpendicular:
     residual e_i . (R_AB e_j) for each orthogonal axis pair.
@@ -142,78 +144,72 @@ def orthogonality_blocks(frame_a, a_t_mb, a_t_b):
     return d_a, d_b
 
 
+class ConstraintStack:
+    """Constraints as stacks: ``frame_a``/``frame_b``, ``body_a``/``body_b``,
+    ``ortho`` flags, row ``masks``, their ``counts``, each row's ``row_a``/``row_b``."""
+
+    def __init__(self, constraints):
+        self.frame_a = stack_poses(c.frame_a for c in constraints)
+        self.frame_b = stack_poses(c.frame_b for c in constraints)
+        self.body_a = np.array([c.body_a for c in constraints], dtype=int)
+        self.body_b = np.array([c.body_b for c in constraints], dtype=int)
+        self.ortho = np.array([isinstance(c, OrthogonalityConstraint) for c in constraints], bool)
+        axes = [getattr(c, "constrained_axes", _ORTHOGONALITY_ROWS) for c in constraints]
+        self.masks = np.array(axes, dtype=bool).reshape(-1, 6)
+        self.counts = self.masks.sum(axis=1)
+        self.row_a = np.repeat(self.body_a, self.counts)
+        self.row_b = np.repeat(self.body_b, self.counts)
+
+
 @dataclass
 class ConstraintRows:
-    """Constraints evaluated together.  ``extended`` holds each constraint's
-    residual over all six axes (the three orthogonality residuals first for
-    an OrthogonalityConstraint), ``masks`` its rows.  The rows, in
-    constraint order, are ``residual``, their derivatives w.r.t. the 6-DoF
-    variations of their bodies ``body_a``/``body_b`` are ``d_a``/``d_b``
-    (rows x 6, None when evaluated without blocks)."""
+    """A stack of constraints evaluated together.  ``extended`` holds each
+    constraint's residual over all six axes (the three orthogonality
+    residuals first for an OrthogonalityConstraint).  The rows, in
+    constraint order, are ``residual``; their derivatives w.r.t. the 6-DoF
+    variations of their bodies (``stack.row_a``/``row_b``) are ``d_a``/
+    ``d_b`` (rows x 6, None when evaluated without blocks)."""
 
     extended: np.ndarray
-    masks: np.ndarray
     d_a: np.ndarray | None
     d_b: np.ndarray | None
-    body_a: np.ndarray
-    body_b: np.ndarray
+    stack: ConstraintStack
 
     @property
     def residual(self) -> np.ndarray:
-        return self.extended[self.masks]
-
-    @property
-    def counts(self) -> np.ndarray:
-        return self.masks.sum(axis=1)
+        return self.extended[self.stack.masks]
 
     def norms(self) -> list[float]:
         """Euclidean norm of each constraint's residual.  Zeros in place of
         the unselected axes leave each row's dot product, and so the norm,
         bit for bit that of np.linalg.norm over the selected rows."""
-        return row_norms(np.where(self.masks, self.extended, 0.0)).tolist()
+        return row_norms(np.where(self.stack.masks, self.extended, 0.0)).tolist()
 
 
-def evaluate_constraints(constraints, bodies, blocks: bool = True) -> ConstraintRows:
-    """Every constraint of the list at once, from the poses of ``bodies``:
+def evaluate_constraints(stack: ConstraintStack, poses, blocks: bool = True) -> ConstraintRows:
+    """Every constraint of a stack at once, at a stacked pose of the bodies:
     one stack of relative poses and rotation logs, the extended residuals
     and, with ``blocks``, the variation blocks of the Constraint formulas,
     with the rows of orthogonality constraints replaced by theirs."""
-    if not constraints:
+    if not stack.body_a.shape[0]:
         d = np.zeros((0, 6)) if blocks else None
-        index = np.zeros(0, dtype=int)
-        return ConstraintRows(np.zeros((0, 6)), np.zeros((0, 6), dtype=bool), d, d, index, index)
-    frame_a = stack_poses(c.frame_a for c in constraints)
-    frame_b = stack_poses(c.frame_b for c in constraints)
+        return ConstraintRows(np.zeros((0, 6)), d, d, stack)
     a_t_mb, a_t_b = relative_poses(
-        frame_a,
-        frame_b,
-        stack_poses(bodies[c.body_a].pose for c in constraints),
-        stack_poses(bodies[c.body_b].pose for c in constraints),
+        stack.frame_a, stack.frame_b, rows_stack(poses, stack.body_a), rows_stack(poses, stack.body_b)
     )
     rotvec = log_rotation_stack(a_t_b[0])
     extended = np.concatenate([rotvec, a_t_b[1]], axis=-1)
     if blocks:
-        d_a, d_b = pose_constraint_blocks(frame_a, frame_b, a_t_mb, a_t_b, rotvec)
-    ortho = np.array([isinstance(c, OrthogonalityConstraint) for c in constraints], dtype=bool)
+        d_a, d_b = pose_constraint_blocks(stack.frame_a, stack.frame_b, a_t_mb, a_t_b, rotvec)
+    ortho = stack.ortho
     if ortho.any():
         extended[ortho, :3] = orthogonality_residual(rows_stack(a_t_b, ortho))
         if blocks:
             d_a[ortho, :3], d_b[ortho, :3] = orthogonality_blocks(
-                rows_stack(frame_a, ortho), rows_stack(a_t_mb, ortho), rows_stack(a_t_b, ortho)
+                rows_stack(stack.frame_a, ortho), rows_stack(a_t_mb, ortho), rows_stack(a_t_b, ortho)
             )
-    masks = np.array(
-        [_ORTHOGONALITY_ROWS if o else c.constrained_axes for c, o in zip(constraints, ortho)],
-        dtype=bool,
-    ).reshape(-1, 6)
-    counts = masks.sum(axis=1)
-    return ConstraintRows(
-        extended,
-        masks,
-        d_a[masks] if blocks else None,
-        d_b[masks] if blocks else None,
-        np.repeat(np.array([c.body_a for c in constraints], dtype=int), counts),
-        np.repeat(np.array([c.body_b for c in constraints], dtype=int), counts),
-    )
+    d_a, d_b = (d_a[stack.masks], d_b[stack.masks]) if blocks else (None, None)
+    return ConstraintRows(extended, d_a, d_b, stack)
 
 
 _ORTHOGONALITY_ROWS = np.array([True, True, True, False, False, False])

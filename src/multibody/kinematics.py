@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .constraints import ConstraintStack
 from .se3 import (
     Pose,
     adjoint,
@@ -179,6 +180,7 @@ class KinematicStructure:
 
     ``Body.pose`` and the joint transforms are the only state: evaluations
     gather them into stacked arrays, updates write them back once.
+    ``constraint_stack`` is rebuilt whenever the constraints are assigned.
     Mutating operations (pose updates) must be serialized by the caller;
     read-only snapshots may be shared for parallel evaluation.
     """
@@ -202,6 +204,7 @@ class KinematicStructure:
         constraints = tuple(constraints)
         self._validate(constraints)
         self._constraints = constraints
+        self.constraint_stack = ConstraintStack(constraints)
 
     def _validate(self, constraints):
         if not self.bodies:
@@ -227,7 +230,7 @@ class KinematicStructure:
         """Body poses as one stacked pose, (n, 3, 3) and (n, 3)."""
         return stack_poses(b.pose for b in self.bodies)
 
-    def jacobian_factors(self, view: Coordinates):
+    def jacobian_factors(self, view: Coordinates, poses=None):
         """The factors of the body Jacobians J_i = Ad(rel_i^-1) (S o anc_i)
         of a view, in the model frame of each body's tree root: the stack
         Ad(rel_i^-1) of the non-root bodies (view.children), with rel_i body
@@ -238,21 +241,22 @@ class KinematicStructure:
 
         Without links every body is its own root, rel is the identity and
         no pose is read; in the forest view every J_i is exactly the
-        identity.
+        identity.  ``poses`` is the bodies' stacked pose, if already gathered.
         """
         frames = inverse_stack(view.joint_to_model())
         if not view.links:
             return np.zeros((0, 6, 6)), adjoint(frames)[view.body, :, view.axis].T
-        poses = self.poses()
+        poses = self.poses() if poses is None else poses
         rel = compose_stack(inverse_stack(rows_stack(poses, view.root)), poses)
         # One adjoint call for both stacks.
         both = zip(inverse_stack(rel), compose_stack(rel, frames))
         ad = adjoint([np.concatenate(pair) for pair in both])
         return ad[view.children], ad[len(self.bodies) + view.body, :, view.axis].T
 
-    def update_poses(self, theta_k: np.ndarray, view: Coordinates | None = None):
+    def update_poses(self, theta_k: np.ndarray, view: Coordinates | None = None, poses=None):
         """Pose update from a variation vector in the coordinates of a view,
-        the tree view by default.
+        the tree view by default, applied to ``poses``, the bodies' current
+        stacked pose if already gathered.  Returns the new stacked pose.
 
         Each joint's variation T(theta_j) acts in its joint frame: a root
         moves to pose o J_T_M^-1 o T o J_T_M, any other body to
@@ -269,7 +273,7 @@ class KinematicStructure:
         extended = np.zeros((n, 6))
         extended[view.body, view.axis] = theta_k
         joints = view.joint_to_model()
-        base = compose_stack(self.poses(), inverse_stack(joints))
+        base = compose_stack(self.poses() if poses is None else poses, inverse_stack(joints))
         if view.links:
             base[0][view.children], base[1][view.children] = stack_poses(
                 view.joints[i].parent_to_joint for i in view.children
@@ -285,17 +289,17 @@ class KinematicStructure:
             poses = np.ascontiguousarray(world[:, :3, :3]), world[:, :3, 3].copy()
         for body, r, t in zip(self.bodies, *poses):
             body.pose = Pose(r, t)
-        self._refresh_joints(poses)
+        self.refresh_joint_transforms(poses)
+        return poses
 
-    def refresh_joint_transforms(self):
-        """Re-infer the non-fixed joint transform of every joint from current poses."""
-        self._refresh_joints(self.poses())
-
-    def _refresh_joints(self, poses):
-        """With rel = parent^-1 o pose for each non-root body, P_T_J =
+    def refresh_joint_transforms(self, poses=None):
+        """Re-infer the non-fixed joint transform of every joint from a
+        stacked pose of the bodies, their current poses by default.  With
+        rel = parent^-1 o pose for each non-root body, P_T_J =
         rel o J_T_M^-1 where J_T_M is fixed, else J_T_M = P_T_J^-1 o rel."""
         if not self.tree.links:
             return
+        poses = self.poses() if poses is None else poses
         children, parents = self.tree.children, self.tree.parents
         joints = [self.bodies[i].joint for i in children]
         model_fixed = np.array([j.fixed_side is FixedSide.JOINT_TO_MODEL for j in joints])

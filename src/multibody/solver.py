@@ -15,14 +15,16 @@ coordinates: the structure's tree view, or its forest view in which every
 body is a free root, so that its Jacobian is the identity.  Constraint rows
 are on or off.  Each step evaluates all energies (energy.evaluate) and all
 constraints once, on stacks, and assembles only the structurally nonzero
-entries of the KKT matrix.  One size rule stores and factors it: small or
-dense systems densely, large sparse ones in CSC format by SuperLU.  Dense
-systems of one size can also be solved as a stack in one batched call.
+entries of the KKT matrix, all at one stacked pose of the bodies per step.
+One size rule stores and factors it: small or dense systems densely, large
+sparse ones in CSC format by SuperLU.  Dense systems of one size can also
+be solved as a stack in one batched call.
 """
 
 from __future__ import annotations
 
 import enum
+import time
 import warnings
 from dataclasses import dataclass, field
 
@@ -30,7 +32,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .constraints import ConstraintRows, evaluate_constraints
+from .constraints import ConstraintRows, ConstraintStack, evaluate_constraints
 from .energy import evaluate
 from .kinematics import KinematicStructure
 
@@ -46,6 +48,8 @@ class SolverMode(enum.Enum):
 # use the forest view), and modes where constraint rows enter the system.
 _TREE_MODES = (SolverMode.PROJECTED, SolverMode.COMBINED)
 _CONSTRAINED_MODES = (SolverMode.CONSTRAINED, SolverMode.COMBINED)
+_NO_CONSTRAINTS = ConstraintStack(())
+STEP_LAYERS = ("energy", "constraints_before", "assemble", "solve", "update", "constraints_after")
 
 
 class FactorizationFailed(RuntimeError):
@@ -187,7 +191,8 @@ class StepReport:
     multipliers (its constraint force) in the constraint modes and is empty
     otherwise.  ``kkt_dim`` is the size of the solved system and
     ``backward_error`` the relative residual of its solution
-    (KktSystem.backward_error)."""
+    (KktSystem.backward_error).  ``timings`` holds the seconds spent in each
+    layer of the step (STEP_LAYERS), by time.perf_counter."""
 
     theta_norm: float
     residuals_before: list
@@ -195,6 +200,7 @@ class StepReport:
     multipliers: list
     kkt_dim: int
     backward_error: float
+    timings: dict
 
 
 def assemble(
@@ -204,11 +210,13 @@ def assemble(
     mode: SolverMode,
     regularization: Regularization | None = None,
     rows: ConstraintRows | None = None,
+    poses=None,
 ) -> KktSystem:
     """Gradient/Hessian plus regularization in the mode's coordinates, and
     constraint rows in the constraint modes.  ``g`` (n, 6) and ``h``
-    (n, 6, 6) are the bodies' energies (energy.evaluate).  ``rows`` may
-    hold the structure's constraints already evaluated with blocks.  Raises
+    (n, 6, 6) are the bodies' energies (energy.evaluate) at ``poses``, the
+    bodies' stacked pose (gathered here when None).  ``rows`` may hold the
+    structure's constraints already evaluated there with blocks.  Raises
     FactorizationFailed naming the first body whose energy is not finite.
 
     With J_i = Ad(rel_i^-1) (S o anc_i) (KinematicStructure.jacobian_factors),
@@ -228,12 +236,13 @@ def assemble(
         raise FactorizationFailed(
             f"non-finite energy gradient or Hessian for body {i} ({s.bodies[i].name!r})"
         )
+    poses = s.poses() if poses is None else poses
     if mode not in _CONSTRAINED_MODES:
-        rows = evaluate_constraints([], s.bodies)
+        rows = evaluate_constraints(_NO_CONSTRAINTS, poses)
     elif rows is None:
-        rows = evaluate_constraints(s.constraints, s.bodies)
+        rows = evaluate_constraints(s.constraint_stack, poses)
     view = _coordinates(s, mode)
-    ad_inv, motion = s.jacobian_factors(view)
+    ad_inv, motion = s.jacobian_factors(view, poses)
     # A root is its tree's reference frame; the other bodies' energies and
     # constraint derivatives move into it.
     inner = view.children
@@ -257,7 +266,7 @@ def assemble(
         h_values[view.diagonal] += np.where(view.rotational, reg.lambda_r, reg.lambda_t)
     # Each row's derivatives w.r.t. the variations of its two bodies against
     # each coordinate that moves that body.
-    bodies = np.concatenate([rows.body_a, rows.body_b])
+    bodies = np.concatenate([rows.stack.row_a, rows.stack.row_b])
     pattern = _pattern(view, bodies)
     derivatives = np.concatenate([rows.d_a, rows.d_b])
     moved = pattern.moved
@@ -357,29 +366,38 @@ def _raise_for_first(failed: np.ndarray, message: str):
 def step(s: KinematicStructure, provider, cfg: SolverConfig) -> StepReport:
     """One full Newton iteration: energies, assembly, KKT solve, pose update.
 
-    The energies are evaluated once, for all bodies (energy.evaluate).  The
-    constraints are evaluated twice, each time all at once: before the
-    solve for the residuals and, in the constraint modes, the KKT rows; and
-    after the update for the residuals.
+    The energies (energy.evaluate), constraints, assembly and update share
+    one stacked pose of the bodies.  The constraints are evaluated twice,
+    all at once: before the solve (residuals and, in the constraint modes,
+    KKT rows) and after it, at the stacked pose update_poses returns.
     """
-    g, h = evaluate(provider, s.poses())
+    marks = [time.perf_counter()]
+    poses = s.poses()
+    g, h = evaluate(provider, poses)
+    marks.append(time.perf_counter())
     with_rows = cfg.mode in _CONSTRAINED_MODES
-    before = evaluate_constraints(s.constraints, s.bodies, blocks=with_rows)
-    kkt = assemble(s, g, h, cfg.mode, cfg.regularization, before)
+    before = evaluate_constraints(s.constraint_stack, poses, blocks=with_rows)
+    marks.append(time.perf_counter())
+    kkt = assemble(s, g, h, cfg.mode, cfg.regularization, before, poses)
+    marks.append(time.perf_counter())
     try:
         theta, lam = solve_kkt(kkt)
     except FactorizationFailed as exc:
         raise FactorizationFailed(f"{exc}; {_diagnosis(s, kkt, before)}") from exc
-    s.update_poses(theta, _coordinates(s, cfg.mode))
-    after = evaluate_constraints(s.constraints, s.bodies, blocks=False)
+    marks.append(time.perf_counter())
+    poses = s.update_poses(theta, _coordinates(s, cfg.mode), poses)
+    marks.append(time.perf_counter())
+    after = evaluate_constraints(s.constraint_stack, poses, blocks=False)
+    marks.append(time.perf_counter())
+    counts = before.stack.counts
     return StepReport(
         theta_norm=float(np.linalg.norm(theta)),
         residuals_before=before.norms(),
         residuals_after=after.norms(),
-        multipliers=[lam[e - c : e] for c, e in zip(before.counts, np.cumsum(before.counts))]
-        if with_rows else [],
+        multipliers=[lam[e - c : e] for c, e in zip(counts, np.cumsum(counts))] if with_rows else [],
         kkt_dim=kkt.g_k.shape[0] + kkt.b_vec.shape[0],
         backward_error=float(kkt.backward_error),
+        timings=dict(zip(STEP_LAYERS, np.diff(marks).tolist())),
     )
 
 
@@ -399,7 +417,7 @@ def _diagnosis(s: KinematicStructure, k: KktSystem, rows: ConstraintRows) -> str
     kkt_norm = np.linalg.norm(k.matrix.data if sparse else k.matrix)
     tolerance = (n + m) * np.finfo(float).eps * kkt_norm
     rank = int(np.count_nonzero(np.abs(np.diag(r)) > tolerance))
-    owner = np.repeat(np.arange(rows.counts.shape[0]), rows.counts)
+    owner = np.repeat(np.arange(rows.stack.counts.shape[0]), rows.stack.counts)
     dependent = sorted(set(owner[order[rank:]].tolist()))
     if not dependent:
         return f"{size}; the constraint rows are independent"

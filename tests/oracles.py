@@ -137,8 +137,8 @@ def rows_jacobian(rows, jacobians):
     """Constraint rows w.r.t. the joint coordinates, chained through the
     (n, 6, n_dof) body Jacobians: d_a J_a + d_b J_b."""
     return (
-        rows.d_a[:, None, :] @ jacobians[rows.body_a]
-        + rows.d_b[:, None, :] @ jacobians[rows.body_b]
+        rows.d_a[:, None, :] @ jacobians[rows.stack.row_a]
+        + rows.d_b[:, None, :] @ jacobians[rows.stack.row_b]
     )[:, 0]
 
 

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from multibody.config import ConfigError, load_config, parse_config
-from multibody.constraints import evaluate_constraints
 
 DEMO_CONFIG = Path(__file__).parent.parent / "demos" / "fourbar.json"
 
@@ -132,7 +131,7 @@ class TestParseConfig:
         ]
         cfg = parse_config(raw)
         s = cfg.structure
-        assert evaluate_constraints(s.constraints, s.bodies, blocks=False).counts.tolist() == [3]
+        assert s.constraint_stack.counts.tolist() == [3]
 
     def test_roundtrip_through_file(self, tmp_path):
         path = tmp_path / "cfg.json"

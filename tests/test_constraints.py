@@ -1,6 +1,7 @@
 """Constraint residuals and Jacobians against composition and FD oracles."""
 
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from builders import random_pose, random_tree
 from multibody.constraints import (
     Constraint,
+    ConstraintStack,
     OrthogonalityConstraint,
     evaluate_constraints,
     relative_poses,
@@ -16,6 +18,7 @@ from multibody.kinematics import Body, Joint, KinematicStructure, axes_mask
 from multibody.se3 import Pose, adjoint, exp_rotvec, stack_poses
 from oracles import (
     body_jacobians,
+    constraint_residual,
     numeric_jacobian,
     pose_matrix,
     random_rotvec,
@@ -50,14 +53,14 @@ def random_violated_structure(rng, n_bodies):
 def variation_blocks(c, s):
     """The stacked kernel's derivative rows of one constraint w.r.t. the
     6-DoF variations of its two bodies."""
-    rows = evaluate_constraints([c], s.bodies)
+    rows = evaluate_constraints(ConstraintStack([c]), s.poses())
     return rows.d_a, rows.d_b
 
 
 def constraint_jacobian(c, s):
     """The stacked kernel's rows of one constraint w.r.t. the joint
     coordinates, chained through the body Jacobians."""
-    return rows_jacobian(evaluate_constraints([c], s.bodies), body_jacobians(s))
+    return rows_jacobian(evaluate_constraints(ConstraintStack([c]), s.poses()), body_jacobians(s))
 
 
 def fd_constraint_jacobian(c, s, eps=1e-6):
@@ -220,3 +223,38 @@ class TestOrthogonality:
         jac = constraint_jacobian(c, s)
         theta = np.concatenate([random_rotvec(rng), rng.uniform(-1, 1, 3)])
         assert np.max(np.abs(jac @ np.concatenate([theta, theta]))) < 1e-9
+
+
+class TestFrozenRecords:
+    """Constraints cannot change after construction, so the stack a
+    structure builds when they are assigned cannot go stale."""
+
+    def test_fields_cannot_be_reassigned(self):
+        c = Constraint(0, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            c.frame_a = Pose.from_rotvec([0.1, 0.0, 0.0])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            OrthogonalityConstraint(0, 1).body_b = 2
+        with pytest.raises(ValueError):
+            c.constrained_axes[0] = False
+
+    def test_axes_are_copied(self):
+        axes = np.ones(6, dtype=bool)
+        c = Constraint(0, 1, constrained_axes=axes)
+        axes[0] = False
+        assert c.constrained_axes.all()
+
+    def test_reassignment_rebuilds_the_stack(self):
+        rng = np.random.default_rng(21)
+        s = random_tree(rng, 5)
+        s.constraints = [Constraint(0, 3, random_pose(rng), random_pose(rng))]
+        first = s.constraint_stack
+        s.constraints = [
+            OrthogonalityConstraint(1, 4, random_pose(rng), random_pose(rng)),
+            Constraint(2, 0, random_pose(rng), random_pose(rng), [1, 0, 1, 1, 0, 1]),
+        ]
+        assert s.constraint_stack is not first
+        rows = evaluate_constraints(s.constraint_stack, s.poses())
+        expected = np.concatenate([constraint_residual(c, s) for c in s.constraints])
+        assert np.array_equal(rows.residual, expected)
+        assert s.constraint_stack.counts.tolist() == [3, 4]

@@ -194,3 +194,25 @@ class TestSyntheticTracking:
         report = run_synthetic_tracking(DEMO_CONFIG, "combined", steps=3, seed=0)
         assert len(report.rows) == 3 * 4
         assert 0.0 <= report.auc <= 1.0
+
+
+class TestCriterion1Analysis:
+    """Why criterion 1 (tests/test_acceptance.py) fails while its bound
+    stands.  With equal frames, the rotational residual after one step is
+    log(exp(-theta_a) exp(r) exp(theta_b)) for the residual r and the
+    bodies' rotational updates.  With zero gradients and isotropic Hessians
+    (the regularization alone) the KKT solution moves both bodies parallel
+    to r, the exponentials commute and the linearized constraint is exact:
+    one step closes it.  Random Hessians and gradients turn the updates off
+    r; the exponentials then no longer commute, and one step leaves an error
+    of second order in the non-parallel part."""
+
+    def test_one_step_is_exact_only_when_the_update_is_parallel_to_the_residual(self):
+        def worst(random_energy):
+            study = run_convergence_study(
+                1000, 1, "rotvec", seed=11, equal_frames=True, random_energy=random_energy
+            )
+            return float(np.max(study.rot_errors[:, 1]))
+
+        assert worst(random_energy=False) <= 1e-8
+        assert worst(random_energy=True) > 1e-8

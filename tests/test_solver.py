@@ -1,6 +1,7 @@
 """KKT assembly, solve, and the four solver configurations."""
 
 import copy
+import time
 import warnings
 
 import numpy as np
@@ -21,6 +22,7 @@ from multibody.se3 import Pose
 from multibody.solver import (
     DENSE_MAX_DIM,
     DENSE_MIN_FILL,
+    STEP_LAYERS,
     FactorizationFailed,
     KktSystem,
     Regularization,
@@ -453,6 +455,18 @@ class TestStepReport:
         report = step(s, zero_energy, SolverConfig(mode=mode))
         assert report.multipliers == []
         assert report.kkt_dim == (6 * len(s.bodies) if mode is SolverMode.INDEPENDENT else s.n_dof)
+
+    @pytest.mark.parametrize("mode", list(SolverMode))
+    def test_timings_of_every_layer_within_the_wall_time(self, mode):
+        rng = np.random.default_rng(16)
+        s = constrained_tree(rng, min_dof=6)
+        provider = fixed_energies(random_energies(rng, len(s.bodies)))
+        start = time.perf_counter()
+        report = step(s, provider, SolverConfig(mode=mode))
+        wall = time.perf_counter() - start
+        assert list(report.timings) == list(STEP_LAYERS)
+        assert all(t >= 0.0 for t in report.timings.values())
+        assert sum(report.timings.values()) <= wall
 
 
 class TestBackwardError:

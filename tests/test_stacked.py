@@ -2,13 +2,20 @@
 they replaced (one constraint, one body, one Pose at a time)."""
 
 import copy
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from builders import random_pose, random_tree
-from multibody.constraints import Constraint, OrthogonalityConstraint, evaluate_constraints
+from multibody import se3
+from multibody.constraints import (
+    Constraint,
+    ConstraintStack,
+    OrthogonalityConstraint,
+    evaluate_constraints,
+)
 from multibody.energy import BodyEnergy, per_body, quadratic_pose_target
 from multibody.experiments import build_serial_chain
 from multibody.kinematics import KinematicStructure
@@ -73,20 +80,21 @@ class TestKernelMatchesPerConstraintOracle:
         ]
         order = rng.permutation(len(s.constraints))
         s.constraints = [s.constraints[k] for k in order]
-        rows = evaluate_constraints(s.constraints, s.bodies)
+        rows = evaluate_constraints(s.constraint_stack, s.poses())
         blocks = [constraint_variation_blocks(c, s) for c in s.constraints]
         residual = np.concatenate([constraint_residual(c, s) for c in s.constraints])
         assert np.array_equal(rows.residual, residual)
         assert np.array_equal(rows.d_a, np.vstack([da for da, _ in blocks]))
         assert np.array_equal(rows.d_b, np.vstack([db for _, db in blocks]))
-        assert rows.counts.tolist() == [n_rows(c) for c in s.constraints]
+        assert rows.stack.counts.tolist() == [n_rows(c) for c in s.constraints]
         assert rows.norms() == [float(np.linalg.norm(constraint_residual(c, s))) for c in s.constraints]
         # Without blocks, the same residuals.
-        assert np.array_equal(evaluate_constraints(s.constraints, s.bodies, blocks=False).residual, residual)
+        without = evaluate_constraints(s.constraint_stack, s.poses(), blocks=False)
+        assert np.array_equal(without.residual, residual)
 
     def test_no_constraints(self):
         s = random_tree(np.random.default_rng(7), 3)
-        rows = evaluate_constraints([], s.bodies)
+        rows = evaluate_constraints(ConstraintStack([]), s.poses())
         assert rows.residual.shape == (0,) and rows.d_a.shape == (0, 6)
         assert rows.norms() == []
 
@@ -166,3 +174,34 @@ class TestStepMatchesScalarOracle:
                 )
         print(f"64-body constrained chain, 20 steps: max |pose diff| {worst:.1e}")
         assert worst < 1e-12
+
+
+class TestOnePoseStackPerStep:
+    """A step gathers the body poses into one stack and reads the constraint
+    frames from the stack built when the constraints were assigned: the
+    claimed speed of a constrained step rests on it.  Calls are counted, not
+    timed, so the result does not depend on machine load."""
+
+    def test_constrained_step_stacks_poses_at_most_three_times(self, monkeypatch):
+        s = build_serial_chain(8)
+        frames = {id(f) for c in s.constraints for f in (c.frame_a, c.frame_b)}
+        stacked = []
+        original = se3.stack_poses
+
+        def spy(poses):
+            poses = list(poses)
+            stacked.append(poses)
+            return original(poses)
+
+        # Every module that imported stack_poses by name.
+        for name, module in list(sys.modules.items()):
+            if name.startswith("multibody") and getattr(module, "stack_poses", None) is original:
+                monkeypatch.setattr(module, "stack_poses", spy)
+        nudge = Pose.from_rotvec([0.02, -0.01, 0.03], [0.01, 0.0, -0.02])
+        targets = {i: quadratic_pose_target(b.pose @ nudge, 100.0) for i, b in enumerate(s.bodies)}
+        before = [b.pose for b in s.bodies]
+        step(s, per_body(targets), SolverConfig(mode=SolverMode.CONSTRAINED))
+        assert any(not np.array_equal(b.pose.t, p.t) for b, p in zip(s.bodies, before))
+        # s.poses(), the joint re-inference and per_body's own targets.
+        assert len(stacked) <= 3, [len(poses) for poses in stacked]
+        assert not any(id(p) in frames for poses in stacked for p in poses)

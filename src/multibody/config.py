@@ -9,8 +9,8 @@ The file format is a plain JSON object:
 * constraints: list of {body_a, body_b, frame_a, frame_b, axes} with an
   optional type of "pose" (default) or "orthogonality".
 * trajectory: per-body sinusoidal joint programs {amplitude, period, phase}.
-* e_t: error threshold in meters for the area-under-curve score.
-* iterations: solver iterations per tracking step.
+* e_t: error threshold in meters for the area-under-curve score (> 0).
+* iterations: solver iterations per tracking step (an integer >= 1).
 
 Poses are written as {"rotvec": [x, y, z], "trans": [x, y, z]}; both keys
 default to zero.
@@ -74,14 +74,14 @@ def _parse_vec3(value, where):
     return vec
 
 
-def _parse_weight(value, where) -> float:
+def _parse_nonnegative(value, where) -> float:
     try:
-        weight = float(value)
+        number = float(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: expected a number, got {value!r}") from exc
-    if not np.isfinite(weight) or weight < 0:
+    if not np.isfinite(number) or number < 0:
         raise ConfigError(f"{where}: expected a finite non-negative number, got {value!r}")
-    return weight
+    return number
 
 
 def _parse_pose(value, where) -> Pose:
@@ -169,7 +169,7 @@ def parse_config(raw: dict, base_dir=None) -> TrackingConfig:
         if not isinstance(weight_entry, dict):
             raise ConfigError(f"{where}.weights: expected an object with rot/trans")
         weights[i] = tuple(
-            _parse_weight(weight_entry.get(key, 1.0), f"{where}.weights.{key}")
+            _parse_nonnegative(weight_entry.get(key, 1.0), f"{where}.weights.{key}")
             for key in ("rot", "trans")
         )
 
@@ -229,12 +229,12 @@ def parse_config(raw: dict, base_dir=None) -> TrackingConfig:
             phase=float(entry.get("phase", 0.0)),
         )
 
-    e_t = float(raw.get("e_t", 0.1))
-    if e_t <= 0:
-        raise ConfigError("config.e_t: must be positive")
-    iterations = int(raw.get("iterations", 3))
-    if iterations < 1:
-        raise ConfigError("config.iterations: must be >= 1")
+    e_t = _parse_nonnegative(raw.get("e_t", 0.1), "config.e_t")
+    if e_t == 0:
+        raise ConfigError(f"config.e_t: expected a positive number, got {e_t!r}")
+    iterations = raw.get("iterations", 3)
+    if type(iterations) is not int or iterations < 1:
+        raise ConfigError(f"config.iterations: expected an integer >= 1, got {iterations!r}")
 
     return TrackingConfig(
         structure=structure,

@@ -121,6 +121,7 @@ def sample_trials(kind, n_trials, seed, equal_frames=False, random_energy=False)
         bounds.append((0, np.pi))
     if kind in ("trans", "full"):
         bounds.append((1, 1.0))
+    draws = [(p, part, bound) for p in range(2 if equal_frames else 0, 4) for part, bound in bounds]
     # [trial, pose, rotation | translation]; unused vectors stay zero.
     lengths = np.zeros((n_trials, 4, 2))
     directions = np.ones((n_trials, 4, 2, 3))
@@ -128,10 +129,10 @@ def sample_trials(kind, n_trials, seed, equal_frames=False, random_energy=False)
     hessians = np.zeros((n_trials, 2, 6, 6))
     for trial in range(n_trials):
         rng = np.random.default_rng([seed, trial])
-        for pose in range(2 if equal_frames else 0, 4):
-            for part, bound in bounds:
-                lengths[trial, pose, part] = rng.uniform(-bound, bound)
-                directions[trial, pose, part] = rng.standard_normal(3)
+        for pose, part, bound in draws:
+            # Generator.uniform(-bound, bound), bit for bit, at a third of its cost.
+            lengths[trial, pose, part] = -bound + 2.0 * bound * rng.random()
+            directions[trial, pose, part] = rng.standard_normal(3)
         if random_energy:
             for body in range(2):
                 gradients[trial, body] = rng.standard_normal(6)
@@ -219,15 +220,17 @@ def run_convergence_study(
     return ConvergenceStudy(kind, n_trials, n_iterations, rot_errors, trans_errors)
 
 
-def write_convergence_csv(study: ConvergenceStudy, path):
+def _write_csv(path, header, values):
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(["kind", "iteration", "percentile", "rot_err", "trans_err"])
-        for row in study.percentile_rows():
-            writer.writerow(
-                [row.kind, row.iteration, row.percentile,
-                 repr(row.rot_err), repr(row.trans_err)]
-            )
+        writer.writerow(header)
+        writer.writerows(values)
+
+
+def write_convergence_csv(study: ConvergenceStudy, path):
+    rows = study.percentile_rows()
+    values = ([r.kind, r.iteration, r.percentile, repr(r.rot_err), repr(r.trans_err)] for r in rows)
+    _write_csv(path, ["kind", "iteration", "percentile", "rot_err", "trans_err"], values)
 
 
 @dataclass
@@ -337,13 +340,8 @@ def run_scaling_study(max_bodies: int, repetitions: int = 5) -> list[ScalingSamp
 
 
 def write_scaling_csv(samples: list[ScalingSample], path):
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["mode", "n_bodies", "seconds_per_iter"])
-        for sample in samples:
-            writer.writerow(
-                [sample.mode.value, sample.n_bodies, repr(sample.seconds_per_iter)]
-            )
+    values = ([x.mode.value, x.n_bodies, repr(x.seconds_per_iter)] for x in samples)
+    _write_csv(path, ["mode", "n_bodies", "seconds_per_iter"], values)
 
 
 @dataclass
@@ -415,8 +413,5 @@ def run_synthetic_tracking(
 
 
 def write_tracking_csv(report: TrackingReport, path):
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["step", "body", "add", "add_s"])
-        for row in report.rows:
-            writer.writerow([row.stp, row.body, repr(row.add), repr(row.add_s)])
+    values = ([r.stp, r.body, repr(r.add), repr(r.add_s)] for r in report.rows)
+    _write_csv(path, ["step", "body", "add", "add_s"], values)

@@ -16,21 +16,22 @@ body is a free root, so that its Jacobian is the identity.  Constraint rows
 are on or off.  Each step evaluates all energies (energy.evaluate) and all
 constraints once, on stacks, and assembles only the structurally nonzero
 entries of the KKT matrix, all at one stacked pose of the bodies per step.
-One size rule stores and factors it: small or dense systems densely, large
-sparse ones in CSC format by SuperLU.  Dense systems of one size can also
-be solved as a stack in one batched call.
+One size rule stores and factors it: small or dense systems densely, by
+LAPACK's symmetric-indefinite dsytrf and dsytrs, alone or as a stack of one
+size; large sparse ones in CSC format by SuperLU.
 """
 
 from __future__ import annotations
 
 import enum
+import numbers
 import time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+from scipy.linalg.lapack import dsytrf, dsytrf_lwork, dsytrs
 
 from .constraints import ConstraintRows, ConstraintStack, evaluate_constraints
 from .energy import evaluate
@@ -71,8 +72,9 @@ class Regularization:
     lambda_t: float = 1000.0
 
     def __post_init__(self):
-        if self.lambda_r < 0 or self.lambda_t < 0:
-            raise ValueError("regularization parameters must be non-negative")
+        for name, value in vars(self).items():
+            if not np.isfinite(value) or value < 0:
+                raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
 
 
 @dataclass
@@ -84,6 +86,8 @@ class SolverConfig:
     def __post_init__(self):
         if isinstance(self.mode, str):
             self.mode = SolverMode(self.mode)
+        if not isinstance(self.iterations, numbers.Integral) or isinstance(self.iterations, bool):
+            raise TypeError(f"iterations must be an integer, got {self.iterations!r}")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
 
@@ -286,8 +290,8 @@ def solve_kkt(k: KktSystem):
     """Solve the saddle-point system for the variation and the multipliers.
 
     Sparse systems are factored by SuperLU, dense ones, alone or stacked,
-    by a pivoted symmetric-indefinite factorization; every solution passes
-    the same finite and backward-error checks.
+    by LAPACK's Bunch-Kaufman factorization (_dense_solve); every solution
+    passes the same finite and backward-error checks.
     """
     rhs = -np.concatenate([k.g_k, k.b_vec], axis=-1)
     if scipy.sparse.issparse(k.matrix):
@@ -301,18 +305,7 @@ def solve_kkt(k: KktSystem):
             raise FactorizationFailed("singular KKT matrix") from exc
         kkt_norm = sparse_linalg.norm(k.matrix)
     else:
-        with warnings.catch_warnings():
-            # Ill-conditioning is judged by the backward-error check below.
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            try:
-                x = _dense_solve(k.matrix, rhs)
-            except (scipy.linalg.LinAlgError, ValueError) as exc:
-                # scipy words even a single system's failure for a batch.
-                if k.matrix.ndim == 2:
-                    raise FactorizationFailed("singular or non-finite KKT matrix") from exc
-                raise FactorizationFailed(
-                    "singular or non-finite KKT matrix", _first_unsolvable(k.matrix, rhs)
-                ) from exc
+        x = _dense_solve(k.matrix, rhs)
         kkt_norm = np.linalg.norm(k.matrix, axis=(-2, -1))
     k.backward_error = _check_solution(k.matrix, kkt_norm, x, rhs)
     n = k.g_k.shape[-1]
@@ -320,18 +313,30 @@ def solve_kkt(k: KktSystem):
 
 
 def _dense_solve(kkt: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    return scipy.linalg.solve(kkt, rhs[..., None], assume_a="sym")[..., 0]
-
-
-def _first_unsolvable(kkt: np.ndarray, rhs: np.ndarray) -> int | None:
-    """Index of the first system of a stack that the dense solve rejects on
-    its own."""
-    for i in range(kkt.shape[0]):
-        try:
-            _dense_solve(kkt[i], rhs[i])
-        except (scipy.linalg.LinAlgError, ValueError):
-            return i
-    return None
+    """x with kkt x = rhs, for one system or each of a stack: the calls of
+    scipy.linalg.solve(..., assume_a="sym") without its argument handling
+    and condition estimate.  LAPACK dsytrf factors the upper triangle
+    (Bunch-Kaufman LDL^T, optimal workspace) and dsytrs solves; a single
+    1 x 1 system is divided, as scipy does.  Raises FactorizationFailed
+    naming the first system that is not finite or has a zero pivot."""
+    stacked = kkt.ndim == 3
+    if not stacked:
+        kkt, rhs = kkt[None], rhs[None]
+    finite = np.isfinite(kkt).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=1)
+    n = kkt.shape[-1]
+    lwork = int(dsytrf_lwork(n)[0])
+    x = np.empty_like(rhs)
+    for i in range(kkt.shape[0] if n else 0):
+        system = i if stacked else None
+        if not finite[i]:
+            raise FactorizationFailed("non-finite KKT matrix or right-hand side", system)
+        ldu, pivots, info = dsytrf(kkt[i], lwork=lwork)
+        if info > 0:
+            raise FactorizationFailed("singular KKT matrix", system)
+        x[i] = dsytrs(ldu, pivots, rhs[i])[0]
+    if stacked:
+        return x
+    return rhs[0] / kkt[0, 0] if n == 1 else x[0]
 
 
 def _check_solution(kkt, kkt_norm, x: np.ndarray, rhs: np.ndarray):
@@ -356,11 +361,8 @@ def _check_solution(kkt, kkt_norm, x: np.ndarray, rhs: np.ndarray):
 
 
 def _raise_for_first(failed: np.ndarray, message: str):
-    if failed.ndim == 0:
-        if failed:
-            raise FactorizationFailed(message)
-    elif failed.any():
-        raise FactorizationFailed(message, int(np.argmax(failed)))
+    if failed.any():
+        raise FactorizationFailed(message, int(np.argmax(failed)) if failed.ndim else None)
 
 
 def step(s: KinematicStructure, provider, cfg: SolverConfig) -> StepReport:
@@ -402,31 +404,34 @@ def step(s: KinematicStructure, provider, cfg: SolverConfig) -> StepReport:
 
 
 def _diagnosis(s: KinematicStructure, k: KktSystem, rows: ConstraintRows) -> str:
-    """The size of a KKT system that failed, and the constraints with a row
-    of B that pivoted QR of B^T finds numerically dependent on the rows
-    before it (Nocedal & Wright, Numerical Optimization, ch. 16).  A row
-    counts as dependent when what it adds is below the rounding level of
-    the whole KKT matrix."""
+    """The size of a KKT system that failed, and the constraints to blame.
+    If the matrix or the residuals are not finite, these are the constraints
+    with non-finite rows.  Otherwise they have a row of B that pivoted QR of
+    B^T finds numerically dependent on the rows before it (Nocedal & Wright,
+    Numerical Optimization, ch. 16): what it adds is below the rounding
+    level of the whole KKT matrix."""
     n, m = k.g_k.shape[0], k.b_vec.shape[0]
     size = f"KKT system of {n} coordinates and {m} constraint rows"
     if not m:
         return size
     sparse = scipy.sparse.issparse(k.matrix)
     b_mat = k.matrix[n:, :n].toarray() if sparse else k.matrix[n:, :n]
-    _, r, order = scipy.linalg.qr(b_mat.T, mode="economic", pivoting=True)
-    kkt_norm = np.linalg.norm(k.matrix.data if sparse else k.matrix)
-    tolerance = (n + m) * np.finfo(float).eps * kkt_norm
-    rank = int(np.count_nonzero(np.abs(np.diag(r)) > tolerance))
+    values = k.matrix.data if sparse else k.matrix
+    finite_rows = np.isfinite(b_mat).all(axis=1) & np.isfinite(k.b_vec)
+    if np.isfinite(values).all() and finite_rows.all():
+        _, r, order = scipy.linalg.qr(b_mat.T, mode="economic", pivoting=True)
+        tolerance = (n + m) * np.finfo(float).eps * np.linalg.norm(values)
+        rank = int(np.count_nonzero(np.abs(np.diag(r)) > tolerance))
+        size, blamed = f"{size}, of rank {rank}; numerically dependent", order[rank:]
+    else:
+        size, blamed = f"{size}, not finite; non-finite", np.flatnonzero(~finite_rows)
     owner = np.repeat(np.arange(rows.stack.counts.shape[0]), rows.stack.counts)
-    dependent = sorted(set(owner[order[rank:]].tolist()))
-    if not dependent:
-        return f"{size}; the constraint rows are independent"
     named = ", ".join(
         f"{i} (bodies {s.constraints[i].body_a} {s.bodies[s.constraints[i].body_a].name!r}, "
         f"{s.constraints[i].body_b} {s.bodies[s.constraints[i].body_b].name!r})"
-        for i in dependent
+        for i in sorted(set(owner[blamed].tolist()))
     )
-    return f"{size}, of rank {rank}; numerically dependent rows in constraints {named}"
+    return f"{size} rows in constraints {named}" if named else f"{size} rows in no constraint"
 
 
 def run(s: KinematicStructure, provider, cfg: SolverConfig) -> list[StepReport]:

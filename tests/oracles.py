@@ -4,13 +4,18 @@ Rotations are cross-checked through quaternions, derivatives through central
 finite differences, the tree Jacobians through a recursion over 6 x n_dof
 joint selection matrices, registration through the closed-form Kabsch fit, the
 sparse free-body KKT system through a dense one built from selection
-Jacobians, and the batched convergence study through a trial-by-trial run of
-the scalar solver.  The stacked constraint kernel and the stacked tree layer
-are checked against the per-object formulas they replaced: one constraint,
-one body, one Pose at a time (`scalar_kkt`, `scalar_update`, `scalar_step`).
+Jacobians, the dense KKT solve through scipy.linalg.solve, the batched
+convergence study through a trial-by-trial run of the scalar solver, and its
+trial draws through Generator.uniform.  The stacked constraint kernel and the
+stacked tree layer are checked against the per-object formulas they
+replaced: one constraint, one body, one Pose at a time (`scalar_kkt`,
+`scalar_update`, `scalar_step`).
 """
 
+import warnings
+
 import numpy as np
+import scipy.linalg
 
 from multibody.constraints import Constraint, OrthogonalityConstraint
 from multibody.energy import BodyEnergy, zero_energy
@@ -19,9 +24,13 @@ from multibody.kinematics import Body, FixedSide, Joint, KinematicStructure, axe
 from multibody.se3 import (
     Pose,
     adjoint,
+    compose_stack,
     exp_rotvec,
+    exp_rotvec_stack,
+    inverse_stack,
     log_rotation,
     pose_with_variation,
+    row_norms,
     skew,
     variation_matrix,
 )
@@ -396,6 +405,46 @@ def solve_dense_kkt(h, g, b_mat, b_vec):
     kkt = np.block([[0.5 * (h + h.T), b_mat.T], [b_mat, np.zeros((m, m))]])
     x = np.linalg.solve(kkt, -np.concatenate([g, b_vec]))
     return x[:n], x[n:]
+
+
+def scipy_symmetric_solve(kkt, rhs):
+    """x of kkt x = rhs, alone or stacked, by scipy.linalg.solve with
+    assume_a="sym": the dense solve that solver._dense_solve calls LAPACK
+    for directly.  Its condition-number warning is dropped."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        return scipy.linalg.solve(kkt, rhs[..., None], assume_a="sym")[..., 0]
+
+
+def uniform_sample_trials(kind, n_trials, seed, equal_frames=False, random_energy=False):
+    """experiments.sample_trials with each signed length drawn by
+    Generator.uniform(-bound, bound)."""
+    bounds = []  # (part, bound)
+    if kind != "trans":
+        bounds.append((0, np.pi))
+    if kind in ("trans", "full"):
+        bounds.append((1, 1.0))
+    lengths = np.zeros((n_trials, 4, 2))
+    directions = np.ones((n_trials, 4, 2, 3))
+    gradients = np.zeros((n_trials, 2, 6))
+    hessians = np.zeros((n_trials, 2, 6, 6))
+    for trial in range(n_trials):
+        rng = np.random.default_rng([seed, trial])
+        for pose in range(2 if equal_frames else 0, 4):
+            for part, bound in bounds:
+                lengths[trial, pose, part] = rng.uniform(-bound, bound)
+                directions[trial, pose, part] = rng.standard_normal(3)
+        if random_energy:
+            for body in range(2):
+                gradients[trial, body] = rng.standard_normal(6)
+                hessians[trial, body] = random_spd(rng)
+    vectors = lengths[..., None] * (directions / row_norms(directions)[..., None])
+    rotations = exp_rotvec_stack(vectors[:, :, 0])
+    frame_a, frame_b, diff, pose_a = ((rotations[:, i], vectors[:, i, 1]) for i in range(4))
+    pose_b = compose_stack(
+        compose_stack(compose_stack(pose_a, inverse_stack(frame_a)), diff), frame_b
+    )
+    return frame_a, frame_b, pose_a, pose_b, gradients, hessians
 
 
 def random_unit_vector(rng):

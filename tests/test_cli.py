@@ -120,6 +120,24 @@ class TestWeights:
         assert f"bodies[1].weights.rot: expected a " in capsys.readouterr().err
 
 
+class TestScalars:
+    @pytest.mark.parametrize(
+        "field, value", [("e_t", float("nan")), ("iterations", 2.7), ("iterations", True)]
+    )
+    def test_bad_scalar_is_config_error(self, tmp_path, capsys, field, value):
+        raw = json.loads(DEMO_CONFIG.read_text())
+        raw[field] = value
+        for body in raw["bodies"]:
+            body.pop("mesh_path", None)
+        path = tmp_path / "scalars.json"
+        path.write_text(json.dumps(raw))
+        code = main(
+            ["track", "--config", str(path), "--steps", "2", "--out", str(tmp_path / "x.csv")]
+        )
+        assert code == 1
+        assert f"config.{field}: expected " in capsys.readouterr().err
+
+
 class TestUsage:
     def test_unknown_subcommand_exits_one(self, capsys):
         import pytest

@@ -118,6 +118,27 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="e_t"):
             parse_config(raw)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), "x", None])
+    def test_non_finite_threshold(self, value):
+        raw = minimal_config()
+        raw["e_t"] = value
+        with pytest.raises(ConfigError, match=r"config\.e_t"):
+            parse_config(raw)
+
+    @pytest.mark.parametrize("value", [2.7, 2.0, True, "x", 0])
+    def test_iterations_must_be_a_positive_integer(self, value):
+        raw = minimal_config()
+        raw["iterations"] = value
+        with pytest.raises(ConfigError, match=r"config\.iterations"):
+            parse_config(raw)
+
+    def test_non_finite_threshold_in_a_file(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(minimal_config(), e_t=float("nan"))))
+        assert "NaN" in path.read_text()
+        with pytest.raises(ConfigError, match=r"config\.e_t"):
+            load_config(path)
+
     def test_pose_defaults_to_identity(self):
         cfg = parse_config(minimal_config())
         assert np.allclose(cfg.structure.bodies[0].pose.r, np.eye(3))

@@ -19,7 +19,7 @@ from multibody.experiments import (
 )
 from multibody.se3 import log_rotation_stack, row_norms
 from multibody.solver import FactorizationFailed, Regularization, SolverMode
-from oracles import kkt_dimension, scalar_convergence_errors
+from oracles import kkt_dimension, scalar_convergence_errors, uniform_sample_trials
 
 from pathlib import Path
 
@@ -37,6 +37,19 @@ class TestSampling:
         se = (np.pi / np.sqrt(12.0)) / np.sqrt(angles.size)
         assert abs(angles.mean() - np.pi / 2) < 3 * se
         assert angles.max() <= np.pi
+
+    @pytest.mark.parametrize("kind", CONVERGENCE_KINDS)
+    @pytest.mark.parametrize("equal_frames", [False, True])
+    @pytest.mark.parametrize("random_energy", [False, True])
+    def test_draws_match_generator_uniform_bit_for_bit(self, kind, equal_frames, random_energy):
+        for seed in (0, 7):
+            args = kind, 40, seed, equal_frames, random_energy
+            actual, expected = sample_trials(*args), uniform_sample_trials(*args)
+            # Four (r, t) pose stacks, then the gradients and Hessians.
+            for a, e in zip(actual[:4], expected[:4]):
+                assert np.array_equal(a[0], e[0]) and np.array_equal(a[1], e[1])
+            for a, e in zip(actual[4:], expected[4:]):
+                assert np.array_equal(a, e)
 
 
 class TestConvergenceStudy:

@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 
 from builders import random_pose, random_tree
@@ -18,6 +19,7 @@ from multibody.energy import (
 )
 from multibody.experiments import build_serial_chain
 from multibody.kinematics import Body, Joint, KinematicStructure
+from multibody import solver
 from multibody.se3 import Pose
 from multibody.solver import (
     DENSE_MAX_DIM,
@@ -40,6 +42,7 @@ from oracles import (
     numeric_hessian,
     random_rotvec,
     scalar_kkt,
+    scipy_symmetric_solve,
     selection_kkt,
     solve_dense_kkt,
     stacked_energies,
@@ -208,6 +211,50 @@ class TestSolveKkt:
             assert np.array_equal(theta[i], single_theta)
             assert np.array_equal(lam[i], single_lam)
 
+    @staticmethod
+    def random_kkt(rng, dim, batch=()):
+        """A random symmetric indefinite KKT system (or stack) of this size,
+        with up to half of it constraint rows."""
+        m = int(rng.integers(0, dim // 2 + 1))
+        n = dim - m
+        a = rng.standard_normal(batch + (n, n))
+        return KktSystem.from_blocks(
+            a + a.swapaxes(-1, -2),
+            rng.standard_normal(batch + (n,)),
+            rng.standard_normal(batch + (m, n)),
+            rng.standard_normal(batch + (m,)),
+        )
+
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    def test_dense_solve_matches_scipy_bit_for_bit(self, batch):
+        # Sizes 60-210 take LAPACK's blocked factorization; scipy divides a
+        # single 1 x 1 system, which differs from a 1 x 1 LDL^T solve in the
+        # last bit for about half of all draws.
+        rng = np.random.default_rng(12)
+        for dim in [*range(1, 41)] * 3 + [*range(60, 211)]:
+            k = self.random_kkt(rng, dim, batch)
+            expected = scipy_symmetric_solve(k.matrix, -np.concatenate([k.g_k, k.b_vec], axis=-1))
+            theta, lam = solve_kkt(k)
+            assert np.array_equal(np.concatenate([theta, lam], axis=-1), expected), dim
+
+    def test_dense_solve_factors_each_system_once(self, monkeypatch):
+        calls = {"solve": 0, "sytrf": 0}
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(scipy.linalg, "solve", counted("solve", scipy.linalg.solve))
+        monkeypatch.setattr(solver, "dsytrf", counted("sytrf", solver.dsytrf))
+        rng = np.random.default_rng(13)
+        solve_kkt(self.random_kkt(rng, 12, (5,)))
+        assert calls == {"solve": 0, "sytrf": 5}
+        solve_kkt(self.random_kkt(rng, 12))
+        assert calls == {"solve": 0, "sytrf": 6}
+
     @pytest.mark.parametrize(
         "defect", ["duplicated_row", "singular", "non_finite_input", "overflow"]
     )
@@ -308,6 +355,36 @@ class TestFailureDiagnosis:
             f"{i} (bodies {i} 'body{i}', {i + 1} 'body{i + 1}')" for i in range(n_bodies - 1)
         )
         assert message.endswith(f"of rank 0; numerically dependent rows in constraints {named}")
+
+
+    @pytest.mark.parametrize("mode", [SolverMode.CONSTRAINED, SolverMode.COMBINED])
+    def test_non_finite_pose_names_its_constraints(self, mode):
+        s = build_serial_chain(4)
+        s.bodies[2].pose = Pose(np.eye(3), np.array([np.nan, 0.0, 0.0]))
+        with pytest.raises(FactorizationFailed) as info:
+            step(s, zero_energy, SolverConfig(mode=mode))
+        assert str(info.value).endswith(
+            "not finite; non-finite rows in constraints "
+            "1 (bodies 1 'body1', 2 'body2'), 2 (bodies 2 'body2', 3 'body3')"
+        )
+
+
+class TestSolverConfig:
+    @pytest.mark.parametrize("field", ["lambda_r", "lambda_t"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
+    def test_regularization_must_be_finite_and_non_negative(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            Regularization(**{field: value})
+
+    @pytest.mark.parametrize("iterations", [2.5, 2.0, True, "3"])
+    def test_iterations_must_be_an_integer(self, iterations):
+        with pytest.raises(TypeError, match="iterations"):
+            SolverConfig(iterations=iterations)
+
+    def test_integer_iterations(self):
+        assert SolverConfig(iterations=np.int64(2)).iterations == 2
+        with pytest.raises(ValueError, match="iterations"):
+            SolverConfig(iterations=0)
 
 
 class TestStep:

@@ -23,7 +23,6 @@ from .se3 import (
     adjoint,
     exp_rotvec,
     log_rotation,
-    pose_with_variation,
     variation_matrix,
 )
 from .solver import (
@@ -66,7 +65,6 @@ __all__ = [
     "log_rotation",
     "per_body",
     "point_registration_energy",
-    "pose_with_variation",
     "quadratic_pose_target",
     "solve_kkt",
     "step",

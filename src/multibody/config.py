@@ -57,6 +57,8 @@ class TrackingConfig:
 
 
 def _expect(obj, key, where, default=None, required=False):
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}: expected an object, got {obj!r}")
     if key not in obj:
         if required:
             raise ConfigError(f"{where}: missing required field {key!r}")
@@ -64,24 +66,54 @@ def _expect(obj, key, where, default=None, required=False):
     return obj[key]
 
 
-def _parse_vec3(value, where):
+def _parse_numbers(value, where) -> np.ndarray:
     try:
         vec = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: expected a list of 3 numbers") from exc
+        raise ConfigError(f"{where}: expected a list of numbers, got {value!r}") from exc
+    if not np.isfinite(vec).all():
+        raise ConfigError(f"{where}: expected finite numbers, got {value!r}")
+    return vec
+
+
+def _parse_vec3(value, where):
+    vec = _parse_numbers(value, where)
     if vec.shape != (3,):
         raise ConfigError(f"{where}: expected exactly 3 numbers, got shape {vec.shape}")
     return vec
 
 
-def _parse_nonnegative(value, where) -> float:
+def _parse_finite(value, where) -> float:
     try:
         number = float(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: expected a number, got {value!r}") from exc
-    if not np.isfinite(number) or number < 0:
+    if not np.isfinite(number):
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+    return number
+
+
+def _parse_nonnegative(value, where) -> float:
+    number = _parse_finite(value, where)
+    if number < 0:
         raise ConfigError(f"{where}: expected a finite non-negative number, got {value!r}")
     return number
+
+
+def _body_index(value, names, where) -> int:
+    """Index of the body a name refers to, among the bodies named so far."""
+    if not isinstance(value, str) or value not in names:
+        raise ConfigError(f"{where}: {value!r} is not the name of an earlier body")
+    return names[value]
+
+
+def _parse_axes(value, where) -> np.ndarray:
+    if not isinstance(value, list):
+        raise ConfigError(f"{where}: expected a list of axis names, got {value!r}")
+    try:
+        return axes_mask(value)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _parse_pose(value, where) -> Pose:
@@ -97,11 +129,7 @@ def _parse_pose(value, where) -> Pose:
 def _parse_joint(value, where) -> Joint:
     if value is None:
         value = {}
-    axes = _expect(value, "axes", where, default=[])
-    try:
-        mask = axes_mask(axes)
-    except ValueError as exc:
-        raise ConfigError(f"{where}.axes: {exc}") from exc
+    mask = _parse_axes(_expect(value, "axes", where, default=[]), f"{where}.axes")
     fixed_side = _expect(value, "fixed_side", where, default="joint_to_model")
     try:
         side = FixedSide(fixed_side)
@@ -143,17 +171,13 @@ def parse_config(raw: dict, base_dir=None) -> TrackingConfig:
     for i, entry in enumerate(body_entries):
         where = f"bodies[{i}]"
         name = _expect(entry, "name", where, required=True)
+        if not isinstance(name, str):
+            raise ConfigError(f"{where}.name: expected a string, got {name!r}")
         if name in names:
             raise ConfigError(f"{where}: duplicate body name {name!r}")
-        parent_name = _expect(entry, "parent", where)
-        if parent_name is None:
-            parent = None
-        elif parent_name in names:
-            parent = names[parent_name]
-        else:
-            raise ConfigError(
-                f"{where}.parent: {parent_name!r} must name an earlier body"
-            )
+        parent = _expect(entry, "parent", where)
+        if parent is not None:
+            parent = _body_index(parent, names, f"{where}.parent")
         joint = _parse_joint(entry.get("joint"), f"{where}.joint")
         pose = _parse_pose(entry.get("pose"), f"{where}.pose")
         bodies.append(Body(name=name, joint=joint, pose=pose, parent=parent))
@@ -163,7 +187,7 @@ def parse_config(raw: dict, base_dir=None) -> TrackingConfig:
         if mesh_path is not None:
             try:
                 meshes[i] = load_obj(base_dir / mesh_path)
-            except (OSError, ValueError) as exc:
+            except (OSError, TypeError, ValueError) as exc:
                 raise ConfigError(f"{where}.mesh_path: {exc}") from exc
         weight_entry = entry.get("weights", {})
         if not isinstance(weight_entry, dict):
@@ -173,29 +197,27 @@ def parse_config(raw: dict, base_dir=None) -> TrackingConfig:
             for key in ("rot", "trans")
         )
 
+    constraint_entries = raw.get("constraints", [])
+    if not isinstance(constraint_entries, list):
+        raise ConfigError("config.constraints: expected a list")
     constraints = []
-    for i, entry in enumerate(raw.get("constraints", [])):
+    for i, entry in enumerate(constraint_entries):
         where = f"constraints[{i}]"
         kind = _expect(entry, "type", where, default="pose")
-        body_a = _expect(entry, "body_a", where, required=True)
-        body_b = _expect(entry, "body_b", where, required=True)
-        for label, value in (("body_a", body_a), ("body_b", body_b)):
-            if value not in names:
-                raise ConfigError(f"{where}.{label}: unknown body {value!r}")
+        body_a, body_b = (
+            _body_index(_expect(entry, label, where, required=True), names, f"{where}.{label}")
+            for label in ("body_a", "body_b")
+        )
         frame_a = _parse_pose(entry.get("frame_a"), f"{where}.frame_a")
         frame_b = _parse_pose(entry.get("frame_b"), f"{where}.frame_b")
         if kind == "pose":
-            axes = _expect(entry, "axes", where, required=True)
-            try:
-                mask = axes_mask(axes)
-            except ValueError as exc:
-                raise ConfigError(f"{where}.axes: {exc}") from exc
+            mask = _parse_axes(_expect(entry, "axes", where, required=True), f"{where}.axes")
             constraints.append(
-                Constraint(names[body_a], names[body_b], frame_a, frame_b, mask)
+                Constraint(body_a, body_b, frame_a, frame_b, mask)
             )
         elif kind == "orthogonality":
             constraints.append(
-                OrthogonalityConstraint(names[body_a], names[body_b], frame_a, frame_b)
+                OrthogonalityConstraint(body_a, body_b, frame_a, frame_b)
             )
         else:
             raise ConfigError(f"{where}.type: unknown constraint type {kind!r}")
@@ -205,28 +227,31 @@ def parse_config(raw: dict, base_dir=None) -> TrackingConfig:
     except ValueError as exc:
         raise ConfigError(f"config.bodies: {exc}") from exc
 
+    trajectory_entries = raw.get("trajectory", {})
+    if not isinstance(trajectory_entries, dict):
+        raise ConfigError("config.trajectory: expected an object")
     trajectory = {}
-    for name, entry in raw.get("trajectory", {}).items():
+    for name, entry in trajectory_entries.items():
         where = f"trajectory[{name!r}]"
         if name not in names:
             raise ConfigError(f"{where}: unknown body {name!r}")
         index = names[name]
         n_dof = structure.bodies[index].joint.n_dof
-        amplitude = np.asarray(
-            _expect(entry, "amplitude", where, required=True), dtype=float
+        amplitude = _parse_numbers(
+            _expect(entry, "amplitude", where, required=True), f"{where}.amplitude"
         ).reshape(-1)
         if amplitude.shape != (n_dof,):
             raise ConfigError(
                 f"{where}.amplitude: expected {n_dof} values for the joint's "
                 f"free axes, got {amplitude.shape[0]}"
             )
-        period = float(_expect(entry, "period", where, required=True))
+        period = _parse_finite(_expect(entry, "period", where, required=True), f"{where}.period")
         if period <= 0:
             raise ConfigError(f"{where}.period: must be positive")
         trajectory[index] = JointProgram(
             amplitude=amplitude,
             period=period,
-            phase=float(entry.get("phase", 0.0)),
+            phase=_parse_finite(entry.get("phase", 0.0), f"{where}.phase"),
         )
 
     e_t = _parse_nonnegative(raw.get("e_t", 0.1), "config.e_t")

@@ -21,12 +21,12 @@ from .se3 import (
     Pose,
     compose_stack,
     inverse_stack,
-    log_rotation_stack,
+    log_rotation,
     row_norms,
     rows_stack,
-    skew_stack,
+    skew,
     stack_poses,
-    variation_matrix_stack,
+    variation_matrix,
 )
 
 
@@ -105,7 +105,7 @@ def pose_constraint_blocks(frame_a, frame_b, a_t_mb, a_t_b, rotvec):
     [rotvec | translation] w.r.t. the 6-DoF variations of body_a and body_b
     in their own model frames; rotvec is log(R_AB)."""
     n = rotvec.shape[0]
-    cmat = variation_matrix_stack(rotvec)
+    cmat = variation_matrix(rotvec)
     r_a_ma = frame_a[0]
     r_a_mb = a_t_mb[0]
     ma_t_b = compose_stack(inverse_stack(frame_a), a_t_b)
@@ -113,12 +113,12 @@ def pose_constraint_blocks(frame_a, frame_b, a_t_mb, a_t_b, rotvec):
 
     d_a = np.zeros((n, 6, 6))
     d_a[:, :3, :3] = -cmat @ r_a_ma
-    d_a[:, 3:, :3] = r_a_ma @ skew_stack(ma_t_b[1])
+    d_a[:, 3:, :3] = r_a_ma @ skew(ma_t_b[1])
     d_a[:, 3:, 3:] = -r_a_ma
 
     d_b = np.zeros((n, 6, 6))
     d_b[:, :3, :3] = cmat @ r_a_mb
-    d_b[:, 3:, :3] = -r_a_mb @ skew_stack(mb_t_b[1])
+    d_b[:, 3:, :3] = -r_a_mb @ skew(mb_t_b[1])
     d_b[:, 3:, 3:] = r_a_mb
     return d_a, d_b
 
@@ -136,7 +136,7 @@ def orthogonality_blocks(frame_a, a_t_mb, a_t_b):
     r_ab = a_t_b[0]
     # Row i of skew(R_AB e_j) for each pair.
     cross = np.stack(
-        [skew_stack(r_ab[:, :, j])[:, i] for i, j in ORTHOGONAL_AXIS_PAIRS], axis=1
+        [skew(r_ab[:, :, j])[:, i] for i, j in ORTHOGONAL_AXIS_PAIRS], axis=1
     )
     zeros = np.zeros(cross.shape)
     d_a = np.concatenate([cross @ frame_a[0], zeros], axis=-1)
@@ -197,7 +197,7 @@ def evaluate_constraints(stack: ConstraintStack, poses, blocks: bool = True) -> 
     a_t_mb, a_t_b = relative_poses(
         stack.frame_a, stack.frame_b, rows_stack(poses, stack.body_a), rows_stack(poses, stack.body_b)
     )
-    rotvec = log_rotation_stack(a_t_b[0])
+    rotvec = log_rotation(a_t_b[0])
     extended = np.concatenate([rotvec, a_t_b[1]], axis=-1)
     if blocks:
         d_a, d_b = pose_constraint_blocks(stack.frame_a, stack.frame_b, a_t_mb, a_t_b, rotvec)

@@ -3,8 +3,8 @@
 An energy provider is any callable ``provider(body_index, pose) -> BodyEnergy``
 evaluated at zero variation of the given pose.  Gradients and Hessians are
 expressed in the body's own variation coordinates, i.e. they differentiate
-the energy along ``pose_with_variation(pose, theta)`` at theta = 0, the same
-map the constraint derivatives use.
+the energy along ``pose_with_variation_stack(pose, theta)`` at theta = 0,
+the same map the constraint derivatives use.
 
 ``evaluate`` is the one place where energies are evaluated, for all bodies
 at once.  Providers with an ``evaluate_stack(poses)`` method, which are pose
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .se3 import Pose, log_rotation_stack, rows_stack, skew, stack_poses, variation_matrix_stack
+from .se3 import Pose, log_rotation, rows_stack, skew, stack_poses, variation_matrix
 
 
 @dataclass
@@ -85,8 +85,8 @@ def pose_target_stack(targets, scales, poses):
     g_rot = 2 w_r r0; the Hessian's rotation block is 2 w_r C C^T.
     """
     rt = np.swapaxes(poses[0], -1, -2)
-    r0 = log_rotation_stack(np.swapaxes(targets[0], -1, -2) @ poses[0])
-    cmat = variation_matrix_stack(r0)
+    r0 = log_rotation(np.swapaxes(targets[0], -1, -2) @ poses[0])
+    cmat = variation_matrix(r0)
     scale_r, scale_t = scales[:, 0], scales[:, 1]
     g = np.empty((r0.shape[0], 6))
     h = np.zeros((r0.shape[0], 6, 6))
@@ -141,14 +141,14 @@ def point_registration_energy(model_points, observed_points):
     if model_points.shape[0] < 3:
         raise ValueError("at least 3 point correspondences are required")
 
+    # d(R x + t)/d theta = [-R [x]x, R] for each point: (k, 3, 6).
+    cross = skew(model_points)
+
     def provider(body_index: int, pose: Pose) -> BodyEnergy:
-        g = np.zeros(6)
-        h = np.zeros((6, 6))
-        for x, y in zip(model_points, observed_points):
-            residual = pose.apply(x) - y
-            jac = np.hstack([-pose.r @ skew(x), pose.r])
-            g += 2.0 * jac.T @ residual
-            h += 2.0 * jac.T @ jac
+        residuals = pose.apply(model_points) - observed_points
+        jac = np.concatenate([-pose.r @ cross, np.broadcast_to(pose.r, cross.shape)], axis=2)
+        g = 2.0 * np.einsum("kij,ki->j", jac, residuals)
+        h = 2.0 * np.einsum("kij,kil->jl", jac, jac)
         return BodyEnergy(g, h)
 
     return provider

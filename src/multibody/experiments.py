@@ -29,9 +29,9 @@ from .metrics import add_error, add_s_error, auc_score
 from .se3 import (
     Pose,
     compose_stack,
-    exp_rotvec_stack,
+    exp_rotvec,
     inverse_stack,
-    log_rotation_stack,
+    log_rotation,
     pose_with_variation_stack,
     row_norms,
 )
@@ -138,7 +138,7 @@ def sample_trials(kind, n_trials, seed, equal_frames=False, random_energy=False)
                 gradients[trial, body] = rng.standard_normal(6)
                 hessians[trial, body] = random_spd(rng)
     vectors = lengths[..., None] * (directions / row_norms(directions)[..., None])
-    rotations = exp_rotvec_stack(vectors[:, :, 0])
+    rotations = exp_rotvec(vectors[:, :, 0])
     frame_a, frame_b, diff, pose_a = ((rotations[:, i], vectors[:, i, 1]) for i in range(4))
     # pose_b such that the initial relative pose equals the sampled diff:
     # diff = frame_a o pose_a^-1 o pose_b o frame_b^-1.
@@ -193,7 +193,7 @@ def run_convergence_study(
     trans_errors = np.zeros((n_trials, n_iterations + 1))
     for it in range(n_iterations + 1):
         a_t_mb, a_t_b = relative_poses(frame_a, frame_b, pose_a, pose_b)
-        rotvec = log_rotation_stack(a_t_b[0])
+        rotvec = log_rotation(a_t_b[0])
         rot_errors[:, it] = row_norms(rotvec)
         trans_errors[:, it] = row_norms(a_t_b[1])
         if it == n_iterations:

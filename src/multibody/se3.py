@@ -8,6 +8,10 @@ Conventions used throughout the package:
   axis-angle rotation (radians), indices 3-5 a translation (meters).
 * The variation transform keeps translation additive: rotation goes through
   the exponential map, translation is applied as-is in the local frame.
+
+Each formula (skew, exp_rotvec, log_rotation, variation_matrix) has one
+kernel, over any leading axes of its input: a single (3,) or (3, 3) input
+gives the single result.  Branches are chosen per row by masks.
 """
 
 from __future__ import annotations
@@ -24,38 +28,47 @@ NEAR_PI = np.pi - 1e-4
 _EYE3 = np.eye(3)
 _EYE3.flags.writeable = False
 
+# Row k is skew(e_k), flattened, with the signed zeros of the entry-wise
+# formula [[0, -z, y], [z, 0, -x], [-y, x, 0]].
+_SKEW_BASIS = np.array([[[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]] for x, y, z in _EYE3]).reshape(3, 9)
+
+
+def row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row: (..., k) -> (...).
+
+    Bit for bit np.linalg.norm of the row: both take one BLAS dot product.
+    """
+    v = np.asarray(v, dtype=float)
+    return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
+
 
 def skew(v: np.ndarray) -> np.ndarray:
-    """Cross-product matrix [v]x such that skew(v) @ w == cross(v, w)."""
-    x, y, z = v
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
-
-
-# Row k is skew(e_k), flattened.
-_SKEW_BASIS = np.array([skew(e) for e in np.eye(3)]).reshape(3, 9)
+    """Cross-product matrix [v]x, skew(v) @ w == cross(v, w), of each row:
+    (..., 3) -> (..., 3, 3).  Each entry is exactly one component, its
+    negation or zero."""
+    v = np.asarray(v, dtype=float)
+    return (v @ _SKEW_BASIS).reshape(v.shape + (3,))
 
 
 def exp_rotvec(v: np.ndarray) -> np.ndarray:
-    """Rotation matrix for an axis-angle vector (Rodrigues formula).
-
-    Continuous at the identity through series expansions of sin(a)/a and
-    (1 - cos(a))/a^2.
+    """Rotation matrix of each axis-angle row (Rodrigues formula):
+    (..., 3) -> (..., 3, 3).  Continuous at the identity through series
+    expansions of sin(a)/a and (1 - cos(a))/a^2.
     """
     v = np.asarray(v, dtype=float)
-    angle = np.linalg.norm(v)
-    if angle < SMALL_ANGLE:
-        a2 = angle * angle
-        s = 1.0 - a2 / 6.0          # sin(a)/a
-        c = 0.5 * (1.0 - a2 / 12.0)  # (1 - cos(a))/a^2
-    else:
-        s = np.sin(angle) / angle
-        c = (1.0 - np.cos(angle)) / (angle * angle)
+    angle = row_norms(v)
+    small = angle < SMALL_ANGLE
+    safe = np.where(small, 1.0, angle)
+    a2 = angle * angle
+    s = np.where(small, 1.0 - a2 / 6.0, np.sin(safe) / safe)
+    c = np.where(small, 0.5 * (1.0 - a2 / 12.0), (1.0 - np.cos(safe)) / (safe * safe))
     k = skew(v)
-    return _EYE3 + s * k + c * (k @ k)
+    return _EYE3 + s[..., None, None] * k + c[..., None, None] * (k @ k)
 
 
 def log_rotation(r: np.ndarray) -> np.ndarray:
-    """Principal rotation vector of a rotation matrix, norm in [0, pi].
+    """Principal rotation vector of each rotation matrix, norm in [0, pi]:
+    (..., 3, 3) -> (..., 3).
 
     Near pi the axis is recovered from the symmetric part of the matrix;
     the usual asin-based formula loses the axis there.  At exactly pi the
@@ -63,38 +76,36 @@ def log_rotation(r: np.ndarray) -> np.ndarray:
     component is positive is returned.
     """
     r = np.asarray(r, dtype=float)
-    cos_a = min(max((np.trace(r) - 1.0) / 2.0, -1.0), 1.0)
+    cos_a = np.minimum(np.maximum((np.trace(r, axis1=-2, axis2=-1) - 1.0) / 2.0, -1.0), 1.0)
     angle = np.arccos(cos_a)
-    w = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
-
-    if angle < SMALL_ANGLE:
-        # w = 2 sin(a) e; sin(a)/a ~ 1 - a^2/6
-        return 0.5 * w * (1.0 + angle * angle / 6.0)
-
-    if angle < NEAR_PI:
-        return (angle / (2.0 * np.sin(angle))) * w
-
+    # [r21 - r12, r02 - r20, r10 - r01]
+    w = r[..., (2, 0, 1), (1, 2, 0)] - r[..., (1, 2, 0), (2, 0, 1)]
+    small = angle < SMALL_ANGLE
+    safe = np.where(small, 1.0, angle)
+    # w = 2 sin(a) e; sin(a)/a ~ 1 - a^2/6
+    out = np.where(
+        small[..., None],
+        0.5 * w * (1.0 + angle * angle / 6.0)[..., None],
+        (safe / (2.0 * np.sin(safe)))[..., None] * w,
+    )
+    near_pi = angle >= NEAR_PI
+    if not near_pi.any():
+        return out
     # Near pi: e e^T = (S - cos(a) I) / (1 - cos(a)) with S the symmetric part.
-    s = 0.5 * (r + r.T)
-    ee = (s - cos_a * np.eye(3)) / (1.0 - cos_a)
-    axis = np.sqrt(np.clip(np.diag(ee), 0.0, None))
-    # Relative signs from the off-diagonal products e_i e_j.
-    i = int(np.argmax(axis))
-    for j in range(3):
-        if j != i and ee[i, j] < 0.0:
-            axis[j] = -axis[j]
-    axis /= np.linalg.norm(axis)
-    # Overall sign from the skew part if it still carries information.
-    if np.linalg.norm(w) > 1e-9:
-        if np.dot(axis, w) < 0.0:
-            axis = -axis
-    else:
-        for component in axis:
-            if component != 0.0:
-                if component < 0.0:
-                    axis = -axis
-                break
-    return angle * axis
+    m, cos_m, w = r[near_pi], np.asarray(cos_a)[near_pi, None, None], w[near_pi]
+    ee = (0.5 * (m + np.swapaxes(m, -1, -2)) - cos_m * _EYE3) / (1.0 - cos_m)
+    axis = np.sqrt(np.clip(np.diagonal(ee, axis1=-2, axis2=-1), 0.0, None))
+    # Relative signs from the off-diagonal products e_i e_j, i the largest.
+    rows, i = np.arange(axis.shape[0]), np.argmax(axis, axis=-1)
+    axis = np.where((ee[rows, i] < 0.0) & (np.arange(3) != i[:, None]), -axis, axis)
+    axis /= row_norms(axis)[:, None]
+    # Overall sign from the skew part if it still carries information, else
+    # the first nonzero component is made positive.
+    dot = (axis[:, None, :] @ w[:, :, None])[:, 0, 0]
+    first = axis[rows, np.argmax(axis != 0.0, axis=-1)]
+    negative = np.where(row_norms(w) > 1e-9, dot < 0.0, first < 0.0)
+    out[near_pi] = np.asarray(angle)[near_pi, None] * np.where(negative[:, None], -axis, axis)
+    return out
 
 
 @dataclass(frozen=True)
@@ -142,54 +153,41 @@ def adjoint(p) -> np.ndarray:
     r, t = (p.r, p.t) if isinstance(p, Pose) else p
     ad = np.zeros(r.shape[:-2] + (6, 6))
     ad[..., :3, :3] = r
-    ad[..., 3:, :3] = skew_stack(t) @ r
+    ad[..., 3:, :3] = skew(t) @ r
     ad[..., 3:, 3:] = r
     return ad
 
 
-def _half_angle_cot(angle: float) -> float:
-    """(a/2) * cot(a/2) with the series limit 1 - a^2/12 at small angles."""
-    if angle < SMALL_ANGLE:
-        return 1.0 - angle * angle / 12.0
-    return (angle / 2.0) / np.tan(angle / 2.0)
-
-
 def variation_matrix(v: np.ndarray) -> np.ndarray:
-    """First-order change of a rotation vector under a subsequent rotation.
+    """First-order change of a rotation vector under a subsequent rotation,
+    for each row: (..., 3) -> (..., 3, 3).
 
     For r = a*e the matrix is
     (a/2)cot(a/2) I - (a/2)[e]x + (1 - (a/2)cot(a/2)) e e^T,
     reducing to the identity at a = 0.  Its transpose plays the same role
-    for a preceding infinitesimal rotation.
+    for a preceding infinitesimal rotation.  Below SMALL_ANGLE the series
+    (1 - a^2/12) I - [v]x / 2 is the formula with e = v, a/2 = 1/2 and no
+    e e^T term.
     """
     v = np.asarray(v, dtype=float)
-    angle = np.linalg.norm(v)
-    if angle < SMALL_ANGLE:
-        return _half_angle_cot(angle) * _EYE3 - 0.5 * skew(v)
-    e = v / angle
-    h = _half_angle_cot(angle)
-    return h * _EYE3 - (angle / 2.0) * skew(e) + (1.0 - h) * (e[:, None] * e)
+    angle = row_norms(v)
+    small = angle < SMALL_ANGLE
+    safe = np.where(small, 1.0, angle)
+    h = np.where(small, 1.0 - angle * angle / 12.0, (safe / 2.0) / np.tan(safe / 2.0))
+    e = np.where(small[..., None], v, v / safe[..., None])
+    half = np.where(small, 0.5, angle / 2.0)
+    tail = np.where(small, 0.0, 1.0 - h)
+    return (
+        h[..., None, None] * _EYE3
+        - half[..., None, None] * skew(e)
+        + tail[..., None, None] * (e[..., :, None] * e[..., None, :])
+    )
 
 
-def pose_with_variation(pose: Pose, theta: np.ndarray) -> Pose:
-    """Pose after applying a variation in its own model frame, pose o T(theta)
-    with T(theta) the exponential rotation and the additive translation.
-
-    Energies, constraints and updates all differentiate this map.
-    """
-    theta = np.asarray(theta, dtype=float)
-    return pose @ Pose(exp_rotvec(theta[:3]), theta[3:].copy())
-
-
-# Stacked kernels: skew, exp_rotvec, log_rotation, variation_matrix and pose
-# algebra over the leading axes of their input, for callers that run many
-# independent problems at once.  Branches are chosen per row by masks; each
-# row matches the scalar function to rounding.  One stacked call costs
-# several scalar calls, so single poses keep the scalar functions.
-#
-# A stacked pose is an (r, t) pair of shapes (..., 3, 3) and (..., 3);
-# compose_stack and inverse_stack mirror Pose.compose and Pose.inverse row
-# by row, and adjoint takes one as well.
+# Stacked pose algebra for callers that run many poses at once.  A stacked
+# pose is an (r, t) pair of shapes (..., 3, 3) and (..., 3); compose_stack
+# and inverse_stack mirror Pose.compose and Pose.inverse row by row, and
+# adjoint takes one as well.
 
 
 def stack_poses(poses):
@@ -221,81 +219,10 @@ def rows_stack(p, index):
 
 
 def pose_with_variation_stack(p, theta: np.ndarray):
-    """pose_with_variation of each row: theta (..., 6)."""
-    return compose_stack(p, (exp_rotvec_stack(theta[..., :3]), theta[..., 3:]))
+    """Pose after applying a variation in its own model frame, pose o T(theta)
+    with T(theta) the exponential rotation and the additive translation, for
+    each row of a stacked pose: theta (..., 6).
 
-
-def row_norms(v: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row: (..., k) -> (...).
-
-    Bit for bit np.linalg.norm of the row: both take one BLAS dot product.
+    Energies, constraints and updates all differentiate this map.
     """
-    v = np.asarray(v, dtype=float)
-    return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
-
-
-def skew_stack(v: np.ndarray) -> np.ndarray:
-    """skew of each row: (..., 3) -> (..., 3, 3), as one product with the
-    skew matrices of the unit vectors; each entry is exactly one component,
-    its negation or zero."""
-    v = np.asarray(v, dtype=float)
-    return (v @ _SKEW_BASIS).reshape(v.shape + (3,))
-
-
-def exp_rotvec_stack(v: np.ndarray) -> np.ndarray:
-    """exp_rotvec of each row: (..., 3) -> (..., 3, 3)."""
-    v = np.asarray(v, dtype=float)
-    angle = row_norms(v)
-    small = angle < SMALL_ANGLE
-    safe = np.where(small, 1.0, angle)
-    a2 = angle * angle
-    s = np.where(small, 1.0 - a2 / 6.0, np.sin(safe) / safe)
-    c = np.where(small, 0.5 * (1.0 - a2 / 12.0), (1.0 - np.cos(safe)) / (safe * safe))
-    k = skew_stack(v)
-    return _EYE3 + s[..., None, None] * k + c[..., None, None] * (k @ k)
-
-
-def log_rotation_stack(r: np.ndarray) -> np.ndarray:
-    """log_rotation of each matrix: (..., 3, 3) -> (..., 3).
-
-    Rows at NEAR_PI or beyond, which are rare, go to log_rotation itself
-    for its axis and sign recovery.
-    """
-    r = np.asarray(r, dtype=float)
-    cos_a = np.minimum(np.maximum((np.trace(r, axis1=-2, axis2=-1) - 1.0) / 2.0, -1.0), 1.0)
-    angle = np.arccos(cos_a)
-    # [r21 - r12, r02 - r20, r10 - r01]
-    w = r[..., (2, 0, 1), (1, 2, 0)] - r[..., (1, 2, 0), (2, 0, 1)]
-    small = angle < SMALL_ANGLE
-    safe = np.where(small, 1.0, angle)
-    out = np.where(
-        small[..., None],
-        0.5 * w * (1.0 + angle * angle / 6.0)[..., None],
-        (safe / (2.0 * np.sin(safe)))[..., None] * w,
-    )
-    near_pi = angle >= NEAR_PI
-    if near_pi.any():
-        for index in zip(*np.nonzero(near_pi)):
-            out[index] = log_rotation(r[index])
-    return out
-
-
-def variation_matrix_stack(v: np.ndarray) -> np.ndarray:
-    """variation_matrix of each row: (..., 3) -> (..., 3, 3).
-
-    Small rows take the scalar form's series branch as the general formula
-    with e = v, a/2 = 1/2 and a zero e e^T coefficient.
-    """
-    v = np.asarray(v, dtype=float)
-    angle = row_norms(v)
-    small = angle < SMALL_ANGLE
-    safe = np.where(small, 1.0, angle)
-    h = np.where(small, 1.0 - angle * angle / 12.0, (safe / 2.0) / np.tan(safe / 2.0))
-    e = np.where(small[..., None], v, v / safe[..., None])
-    half = np.where(small, 0.5, angle / 2.0)
-    tail = np.where(small, 0.0, 1.0 - h)
-    return (
-        h[..., None, None] * _EYE3
-        - half[..., None, None] * skew_stack(e)
-        + tail[..., None, None] * (e[..., :, None] * e[..., None, :])
-    )
+    return compose_stack(p, (exp_rotvec(theta[..., :3]), theta[..., 3:]))

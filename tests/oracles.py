@@ -6,10 +6,14 @@ joint selection matrices, registration through the closed-form Kabsch fit, the
 sparse free-body KKT system through a dense one built from selection
 Jacobians, the dense KKT solve through scipy.linalg.solve, the batched
 convergence study through a trial-by-trial run of the scalar solver, and its
-trial draws through Generator.uniform.  The stacked constraint kernel and the
-stacked tree layer are checked against the per-object formulas they
-replaced: one constraint, one body, one Pose at a time (`scalar_kkt`,
-`scalar_update`, `scalar_step`).
+trial draws through Generator.uniform.  The stacked constraint kernel, the
+stacked tree layer and the point-registration energy are checked against
+the per-object formulas they replaced: one constraint, one body, one Pose,
+one point at a time (`scalar_kkt`, `scalar_update`, `scalar_step`,
+`point_registration_loop`).  The SE(3) kernels must equal the scalar
+formulas kept here (`skew`, `exp_rotvec`, `log_rotation`,
+`variation_matrix`, `pose_with_variation`) bit for bit, and every
+per-object oracle builds on these, not on the kernels under test.
 """
 
 import warnings
@@ -22,19 +26,124 @@ from multibody.energy import BodyEnergy, zero_energy
 from multibody.experiments import random_spd
 from multibody.kinematics import Body, FixedSide, Joint, KinematicStructure, axes_mask
 from multibody.se3 import (
+    NEAR_PI,
+    SMALL_ANGLE,
     Pose,
     adjoint,
     compose_stack,
-    exp_rotvec,
-    exp_rotvec_stack,
     inverse_stack,
-    log_rotation,
-    pose_with_variation,
     row_norms,
-    skew,
-    variation_matrix,
 )
 from multibody.solver import KktSystem, Regularization, SolverMode, solve_kkt
+
+
+# The SE(3) formulas, one rotation at a time.  The library kernels must equal
+# them bit for bit, and the per-object oracles below build on them, not on
+# the kernels.
+
+_EYE3 = np.eye(3)
+
+
+def skew(v: np.ndarray) -> np.ndarray:
+    """Cross-product matrix [v]x such that skew(v) @ w == cross(v, w)."""
+    x, y, z = v
+    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+
+
+def exp_rotvec(v: np.ndarray) -> np.ndarray:
+    """Rotation matrix for an axis-angle vector (Rodrigues formula).
+
+    Continuous at the identity through series expansions of sin(a)/a and
+    (1 - cos(a))/a^2.
+    """
+    v = np.asarray(v, dtype=float)
+    angle = np.linalg.norm(v)
+    if angle < SMALL_ANGLE:
+        a2 = angle * angle
+        s = 1.0 - a2 / 6.0          # sin(a)/a
+        c = 0.5 * (1.0 - a2 / 12.0)  # (1 - cos(a))/a^2
+    else:
+        s = np.sin(angle) / angle
+        c = (1.0 - np.cos(angle)) / (angle * angle)
+    k = skew(v)
+    return _EYE3 + s * k + c * (k @ k)
+
+
+def log_rotation(r: np.ndarray) -> np.ndarray:
+    """Principal rotation vector of a rotation matrix, norm in [0, pi].
+
+    Near pi the axis is recovered from the symmetric part of the matrix;
+    the usual asin-based formula loses the axis there.  At exactly pi the
+    axis sign is ambiguous and the representative whose first nonzero
+    component is positive is returned.
+    """
+    r = np.asarray(r, dtype=float)
+    cos_a = min(max((np.trace(r) - 1.0) / 2.0, -1.0), 1.0)
+    angle = np.arccos(cos_a)
+    w = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
+
+    if angle < SMALL_ANGLE:
+        # w = 2 sin(a) e; sin(a)/a ~ 1 - a^2/6
+        return 0.5 * w * (1.0 + angle * angle / 6.0)
+
+    if angle < NEAR_PI:
+        return (angle / (2.0 * np.sin(angle))) * w
+
+    # Near pi: e e^T = (S - cos(a) I) / (1 - cos(a)) with S the symmetric part.
+    s = 0.5 * (r + r.T)
+    ee = (s - cos_a * np.eye(3)) / (1.0 - cos_a)
+    axis = np.sqrt(np.clip(np.diag(ee), 0.0, None))
+    # Relative signs from the off-diagonal products e_i e_j.
+    i = int(np.argmax(axis))
+    for j in range(3):
+        if j != i and ee[i, j] < 0.0:
+            axis[j] = -axis[j]
+    axis /= np.linalg.norm(axis)
+    # Overall sign from the skew part if it still carries information.
+    if np.linalg.norm(w) > 1e-9:
+        if np.dot(axis, w) < 0.0:
+            axis = -axis
+    else:
+        for component in axis:
+            if component != 0.0:
+                if component < 0.0:
+                    axis = -axis
+                break
+    return angle * axis
+
+
+def _half_angle_cot(angle: float) -> float:
+    """(a/2) * cot(a/2) with the series limit 1 - a^2/12 at small angles."""
+    if angle < SMALL_ANGLE:
+        return 1.0 - angle * angle / 12.0
+    return (angle / 2.0) / np.tan(angle / 2.0)
+
+
+def variation_matrix(v: np.ndarray) -> np.ndarray:
+    """First-order change of a rotation vector under a subsequent rotation.
+
+    For r = a*e the matrix is
+    (a/2)cot(a/2) I - (a/2)[e]x + (1 - (a/2)cot(a/2)) e e^T,
+    reducing to the identity at a = 0.  Its transpose plays the same role
+    for a preceding infinitesimal rotation.
+    """
+    v = np.asarray(v, dtype=float)
+    angle = np.linalg.norm(v)
+    if angle < SMALL_ANGLE:
+        return _half_angle_cot(angle) * _EYE3 - 0.5 * skew(v)
+    e = v / angle
+    h = _half_angle_cot(angle)
+    return h * _EYE3 - (angle / 2.0) * skew(e) + (1.0 - h) * (e[:, None] * e)
+
+
+def pose_with_variation(pose: Pose, theta: np.ndarray) -> Pose:
+    """Pose after applying a variation in its own model frame, pose o T(theta)
+    with T(theta) the exponential rotation and the additive translation.
+
+    Energies, constraints and updates all differentiate this map.
+    """
+    theta = np.asarray(theta, dtype=float)
+    return pose @ Pose(exp_rotvec(theta[:3]), theta[3:].copy())
 
 
 def quat_from_rotvec(v):
@@ -188,6 +297,20 @@ def pose_target_energy(target, weight_r, weight_t, pose):
     h[:3, :3] = scale_r * (cmat @ cmat.T)
     g[3:] = scale_t * (pose.r.T @ (pose.t - target.t))
     h[(3, 4, 5), (3, 4, 5)] = scale_t
+    return BodyEnergy(g, h)
+
+
+def point_registration_loop(model_points, observed_points, pose):
+    """Gradient and Gauss-Newton Hessian of point_registration_energy at one
+    pose, one point at a time, as the library computed them before it
+    stacked the points."""
+    g = np.zeros(6)
+    h = np.zeros((6, 6))
+    for x, y in zip(model_points, observed_points):
+        residual = pose.apply(x) - y
+        jac = np.hstack([-pose.r @ skew(x), pose.r])
+        g += 2.0 * jac.T @ residual
+        h += 2.0 * jac.T @ jac
     return BodyEnergy(g, h)
 
 
@@ -439,7 +562,8 @@ def uniform_sample_trials(kind, n_trials, seed, equal_frames=False, random_energ
                 gradients[trial, body] = rng.standard_normal(6)
                 hessians[trial, body] = random_spd(rng)
     vectors = lengths[..., None] * (directions / row_norms(directions)[..., None])
-    rotations = exp_rotvec_stack(vectors[:, :, 0])
+    rotvecs = vectors[:, :, 0].reshape(-1, 3)
+    rotations = np.array([exp_rotvec(v) for v in rotvecs]).reshape(-1, 4, 3, 3)
     frame_a, frame_b, diff, pose_a = ((rotations[:, i], vectors[:, i, 1]) for i in range(4))
     pose_b = compose_stack(
         compose_stack(compose_stack(pose_a, inverse_stack(frame_a)), diff), frame_b

@@ -138,6 +138,58 @@ class TestScalars:
         assert f"config.{field}: expected " in capsys.readouterr().err
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+class TestMalformedConfig:
+    # (path to the value in demos/fourbar.json, bad value, field the error names)
+    CASES = [
+        (("trajectory", "link_a", "period"), "x", "trajectory['link_a'].period"),
+        (("trajectory", "link_a", "phase"), "x", "trajectory['link_a'].phase"),
+        (("trajectory", "link_a", "amplitude"), "x", "trajectory['link_a'].amplitude"),
+        (("trajectory", "link_a", "period"), NAN, "trajectory['link_a'].period"),
+        (("trajectory", "link_a", "phase"), NAN, "trajectory['link_a'].phase"),
+        (("trajectory", "link_a", "amplitude"), [NAN], "trajectory['link_a'].amplitude"),
+        (("trajectory", "link_a", "period"), INF, "trajectory['link_a'].period"),
+        (("trajectory", "link_a"), 5, "trajectory['link_a']"),
+        (("trajectory",), [], "config.trajectory"),
+        (("bodies", 3), 5, "bodies[3]"),
+        (("bodies", 1, "joint"), "rot_z", "bodies[1].joint"),
+        (("constraints", 0), 5, "constraints[0]"),
+        (("constraints",), {}, "config.constraints"),
+        (("bodies", 0, "name"), ["ground"], "bodies[0].name"),
+        (("bodies", 1, "parent"), ["ground"], "bodies[1].parent"),
+        (("constraints", 0, "body_a"), ["coupler"], "constraints[0].body_a"),
+        (("bodies", 1, "joint", "axes"), "rot_z", "bodies[1].joint.axes"),
+        (("constraints", 0, "axes"), "trans_x", "constraints[0].axes"),
+        (("bodies", 1, "pose"), {"rotvec": [NAN, 0, 0]}, "bodies[1].pose.rotvec"),
+        (("constraints", 0, "frame_a", "trans"), [INF, 0, 0], "constraints[0].frame_a.trans"),
+        (
+            ("bodies", 1, "joint", "joint_to_model"),
+            {"rotvec": [0, NAN, 0]},
+            "bodies[1].joint.joint_to_model.rotvec",
+        ),
+        (("bodies", 1, "mesh_path"), 5, "bodies[1].mesh_path"),
+    ]
+
+    @pytest.mark.parametrize("path, value, field", CASES, ids=[c[2] for c in CASES])
+    def test_named_config_error(self, tmp_path, capsys, path, value, field):
+        raw = json.loads(DEMO_CONFIG.read_text())
+        for body in raw["bodies"]:
+            body.pop("mesh_path", None)
+        parent = functools.reduce(lambda node, key: node[key], path[:-1], raw)
+        parent[path[-1]] = value
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(raw))
+        code = main(
+            ["track", "--config", str(config), "--steps", "2", "--out", str(tmp_path / "x.csv")]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"error: {field}" in err
+        assert "Traceback" not in err
+
+
 class TestUsage:
     def test_unknown_subcommand_exits_one(self, capsys):
         import pytest

@@ -27,7 +27,6 @@ from multibody.se3 import (
     Pose,
     exp_rotvec,
     log_rotation,
-    pose_with_variation,
     stack_poses,
 )
 from multibody.solver import FactorizationFailed, Regularization, SolverConfig, SolverMode, step
@@ -36,7 +35,9 @@ from oracles import (
     kabsch,
     numeric_hessian,
     numeric_jacobian,
+    point_registration_loop,
     pose_target_energy,
+    pose_with_variation,
     random_rotvec,
     stacked_energies,
 )
@@ -124,6 +125,18 @@ class TestPointRegistration:
 
         g_fd = numeric_jacobian(scalar, np.zeros(6), eps=1e-6)[0]
         assert np.max(np.abs(g_fd - e.g)) < 1e-5
+
+    def test_point_stack_equals_the_per_point_loop(self):
+        # The einsum sums the points in another order than the loop did.
+        rng = np.random.default_rng(20)
+        model = rng.uniform(-0.2, 0.2, (30, 3))
+        observed = rng.uniform(-0.3, 0.3, (30, 3))
+        provider = point_registration_energy(model, observed)
+        for _ in range(50):
+            pose = random_pose(rng)
+            e, expected = provider(0, pose), point_registration_loop(model, observed, pose)
+            assert np.linalg.norm(e.g - expected.g) <= 1e-12 * np.linalg.norm(expected.g)
+            assert np.linalg.norm(e.h - expected.h) <= 1e-12 * np.linalg.norm(expected.h)
 
     def test_small_rotation_recovered_against_kabsch(self):
         corners = [(sx, sy, sz) for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)]

@@ -17,7 +17,7 @@ from multibody.experiments import (
     write_convergence_csv,
     write_scaling_csv,
 )
-from multibody.se3 import log_rotation_stack, row_norms
+from multibody.se3 import log_rotation, row_norms
 from multibody.solver import FactorizationFailed, Regularization, SolverMode
 from oracles import kkt_dimension, scalar_convergence_errors, uniform_sample_trials
 
@@ -32,7 +32,7 @@ class TestSampling:
         # trial samples three rotations directly: frame_a, frame_b, pose_a.
         frame_a, frame_b, pose_a, *_ = sample_trials("rotvec", 30_000, seed=0)
         angles = np.concatenate(
-            [row_norms(log_rotation_stack(pose[0])) for pose in (frame_a, frame_b, pose_a)]
+            [row_norms(log_rotation(pose[0])) for pose in (frame_a, frame_b, pose_a)]
         )
         se = (np.pi / np.sqrt(12.0)) / np.sqrt(angles.size)
         assert abs(angles.mean() - np.pi / 2) < 3 * se

@@ -5,21 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles as scalar
 from multibody.se3 import (
     NEAR_PI,
     SMALL_ANGLE,
     Pose,
     adjoint,
     exp_rotvec,
-    exp_rotvec_stack,
     log_rotation,
-    log_rotation_stack,
-    pose_with_variation,
+    pose_with_variation_stack,
     row_norms,
     skew,
-    skew_stack,
     variation_matrix,
-    variation_matrix_stack,
 )
 from oracles import (
     numeric_jacobian,
@@ -243,7 +240,7 @@ class TestVariationHelpers:
         rng = np.random.default_rng(15)
         p = random_pose(rng)
         theta = np.array([0, 0, 0, 0.1, -0.2, 0.3])
-        moved = pose_with_variation(p, theta)
+        moved = Pose(*pose_with_variation_stack((p.r, p.t), theta))
         assert np.allclose(moved.r, p.r)
         assert np.allclose(moved.t, p.t + p.r @ theta[3:], atol=1e-12)
 
@@ -252,7 +249,8 @@ class TestVariationHelpers:
         for _ in range(100):
             p = random_pose(rng)
             theta = np.concatenate([random_rotvec(rng), rng.uniform(-1, 1, 3)])
-            recovered = relative_variation(p, pose_with_variation(p, theta))
+            moved = Pose(*pose_with_variation_stack((p.r, p.t), theta))
+            recovered = relative_variation(p, moved)
             assert np.allclose(recovered, theta, atol=1e-9)
 
 
@@ -264,8 +262,9 @@ def test_round_trip_across_angle_regimes(angle):
     assert np.allclose(log_rotation(exp_rotvec(v)), v, atol=1e-8)
 
 
-# Stacked kernels against their scalar twins, row by row, at the branch
-# seams of the scalar functions and on stacks mixing the branches.
+# The kernels against the scalar formulas kept in oracles, bit for bit: on
+# stacks mixing the branches, and on single inputs at the branch seams of
+# the scalar functions.
 SEAM_ANGLES = (
     0.0,
     SMALL_ANGLE * (1 - 1e-9),
@@ -274,7 +273,6 @@ SEAM_ANGLES = (
     NEAR_PI + 1e-9,
     np.pi,
 )
-STACK_TOL = 2e-15
 # The seams for the scalar identities, with pi - 1e-6 in place of pi, where
 # the rotation vector of exp(v) is ambiguous.
 IDENTITY_ANGLES = tuple(a if a < np.pi else np.pi - 1e-6 for a in SEAM_ANGLES)
@@ -291,48 +289,78 @@ rotvec_stacks = st.lists(st.tuples(axes, angles), min_size=1, max_size=12).map(
 )
 
 
-def assert_rows_match(stacked, scalar, rows):
-    expected = np.array([scalar(row) for row in rows])
+def assert_rows_match(stacked, reference, rows):
+    expected = np.array([reference(row) for row in rows])
     assert stacked.shape == expected.shape
-    assert np.max(np.abs(stacked - expected)) <= STACK_TOL
+    assert np.array_equal(stacked, expected)
+
+
+def half_turn_mix():
+    """Rotations through every branch of log_rotation: exact and near half
+    turns, small and ordinary angles, the identity."""
+    e = np.array([2.0, -1.0, 0.5]) / np.linalg.norm([2.0, -1.0, 0.5])
+    return np.array(
+        [
+            np.diag([1.0, -1.0, -1.0]),
+            scalar.exp_rotvec((NEAR_PI + 5e-5) * e),
+            np.eye(3),
+            np.diag([-1.0, 1.0, -1.0]),
+            scalar.exp_rotvec([0.0, 1e-6, 0.0]),
+            scalar.exp_rotvec(np.pi * e),
+            np.diag([-1.0, -1.0, 1.0]),
+            scalar.exp_rotvec([0.3, -1.2, 0.4]),
+            scalar.exp_rotvec(-NEAR_PI * e),
+        ]
+    )
 
 
 class TestStackedKernels:
     @settings(max_examples=150, deadline=None)
     @given(rotvec_stacks)
     def test_skew(self, v):
-        assert_rows_match(skew_stack(v), skew, v)
+        assert_rows_match(skew(v), scalar.skew, v)
 
     @settings(max_examples=150, deadline=None)
     @given(rotvec_stacks)
     def test_exp_rotvec(self, v):
-        assert_rows_match(exp_rotvec_stack(v), exp_rotvec, v)
+        assert_rows_match(exp_rotvec(v), scalar.exp_rotvec, v)
 
     @settings(max_examples=150, deadline=None)
     @given(rotvec_stacks)
     def test_variation_matrix(self, v):
-        assert_rows_match(variation_matrix_stack(v), variation_matrix, v)
+        assert_rows_match(variation_matrix(v), scalar.variation_matrix, v)
 
     @settings(max_examples=150, deadline=None)
     @given(rotvec_stacks)
     def test_log_rotation(self, v):
-        r = np.array([exp_rotvec(row) for row in v])
-        assert_rows_match(log_rotation_stack(r), log_rotation, r)
+        r = np.array([scalar.exp_rotvec(row) for row in v])
+        assert_rows_match(log_rotation(r), scalar.log_rotation, r)
 
     def test_log_rotation_exact_half_turns(self):
         # Rotations by exactly pi have no skew part; the scalar sign rule
         # decides, mixed here with the other branches.
-        r = np.array(
-            [
-                np.diag([1.0, -1.0, -1.0]),
-                np.eye(3),
-                np.diag([-1.0, 1.0, -1.0]),
-                exp_rotvec([0.0, 1e-6, 0.0]),
-                np.diag([-1.0, -1.0, 1.0]),
-                exp_rotvec([0.3, -1.2, 0.4]),
-            ]
-        )
-        assert_rows_match(log_rotation_stack(r), log_rotation, r)
+        r = half_turn_mix()
+        assert_rows_match(log_rotation(r), scalar.log_rotation, r)
+
+    def test_log_rotation_two_leading_axes(self):
+        r = half_turn_mix()
+        expected = np.array([scalar.log_rotation(m) for m in r]).reshape(3, 3, 3)
+        assert np.array_equal(log_rotation(r.reshape(3, 3, 3, 3)), expected)
+
+    @pytest.mark.parametrize("angle", SEAM_ANGLES)
+    def test_single_inputs_at_the_seams(self, angle):
+        rng = np.random.default_rng(19)
+        for v in [angle * random_unit_vector(rng) for _ in range(20)] + list(angle * np.eye(3)):
+            for kernel, reference in (
+                (skew, scalar.skew),
+                (exp_rotvec, scalar.exp_rotvec),
+                (variation_matrix, scalar.variation_matrix),
+            ):
+                assert kernel(v).shape == (3, 3)
+                assert np.array_equal(kernel(v), reference(v))
+            r = scalar.exp_rotvec(v)
+            assert log_rotation(r).shape == (3,)
+            assert np.array_equal(log_rotation(r), scalar.log_rotation(r))
 
     @settings(max_examples=50, deadline=None)
     @given(rotvec_stacks)
@@ -342,6 +370,7 @@ class TestStackedKernels:
     def test_leading_axes_and_empty_stacks(self):
         rng = np.random.default_rng(17)
         v = np.array([random_rotvec(rng) for _ in range(6)]).reshape(2, 3, 3)
-        assert exp_rotvec_stack(v).shape == (2, 3, 3, 3)
-        assert np.allclose(log_rotation_stack(exp_rotvec_stack(v)), v, atol=1e-12)
-        assert variation_matrix_stack(np.zeros((0, 3))).shape == (0, 3, 3)
+        assert exp_rotvec(v).shape == (2, 3, 3, 3)
+        assert np.allclose(log_rotation(exp_rotvec(v)), v, atol=1e-12)
+        assert variation_matrix(np.zeros((0, 3))).shape == (0, 3, 3)
+        assert log_rotation(np.zeros((0, 3, 3))).shape == (0, 3)

@@ -40,6 +40,7 @@ from oracles import (
     evaluate_quadratic_target,
     n_rows,
     numeric_hessian,
+    pose_with_variation,
     random_rotvec,
     scalar_kkt,
     scipy_symmetric_solve,
@@ -421,8 +422,6 @@ class TestStep:
         targets = []
         for body in s.bodies:
             offset = np.concatenate([random_rotvec(rng, 0.3), 0.1 * rng.standard_normal(3)])
-            from multibody.se3 import pose_with_variation
-
             targets.append(pose_with_variation(body.pose, offset))
         provider = lambda i, pose: quadratic_pose_target(targets[i])(i, pose)  # noqa: E731
 

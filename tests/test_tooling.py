@@ -1,9 +1,13 @@
-"""Guards on what importing the package costs."""
+"""Guards on what importing the package costs and on its public names."""
 
+import inspect
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import multibody
+from multibody import se3
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -20,3 +24,15 @@ def test_import_leaves_sparse_linalg_unloaded():
         check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_every_exported_name_resolves():
+    for name in multibody.__all__:
+        assert hasattr(multibody, name), name
+
+
+def test_se3_keeps_one_kernel_per_formula():
+    """No public function of se3 has a <name>_stack twin: each formula
+    takes any leading axes itself."""
+    names = {name for name, _ in inspect.getmembers(se3, inspect.isfunction)}
+    assert not {name for name in names if f"{name}_stack" in names}

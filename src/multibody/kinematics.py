@@ -230,7 +230,7 @@ class KinematicStructure:
         """Body poses as one stacked pose, (n, 3, 3) and (n, 3)."""
         return stack_poses(b.pose for b in self.bodies)
 
-    def jacobian_factors(self, view: Coordinates, poses=None):
+    def jacobian_factors(self, view: Coordinates, poses=None, joints=None):
         """The factors of the body Jacobians J_i = Ad(rel_i^-1) (S o anc_i)
         of a view, in the model frame of each body's tree root: the stack
         Ad(rel_i^-1) of the non-root bodies (view.children), with rel_i body
@@ -241,9 +241,10 @@ class KinematicStructure:
 
         Without links every body is its own root, rel is the identity and
         no pose is read; in the forest view every J_i is exactly the
-        identity.  ``poses`` is the bodies' stacked pose, if already gathered.
+        identity.  ``poses`` is the bodies' stacked pose and ``joints``
+        view.joint_to_model(), if already gathered.
         """
-        frames = inverse_stack(view.joint_to_model())
+        frames = inverse_stack(view.joint_to_model() if joints is None else joints)
         if not view.links:
             return np.zeros((0, 6, 6)), adjoint(frames)[view.body, :, view.axis].T
         poses = self.poses() if poses is None else poses
@@ -253,10 +254,13 @@ class KinematicStructure:
         ad = adjoint([np.concatenate(pair) for pair in both])
         return ad[view.children], ad[len(self.bodies) + view.body, :, view.axis].T
 
-    def update_poses(self, theta_k: np.ndarray, view: Coordinates | None = None, poses=None):
+    def update_poses(
+        self, theta_k: np.ndarray, view: Coordinates | None = None, poses=None, joints=None
+    ):
         """Pose update from a variation vector in the coordinates of a view,
         the tree view by default, applied to ``poses``, the bodies' current
-        stacked pose if already gathered.  Returns the new stacked pose.
+        stacked pose, with ``joints``, view.joint_to_model(), if already
+        gathered.  Returns the new stacked pose.
 
         Each joint's variation T(theta_j) acts in its joint frame: a root
         moves to pose o J_T_M^-1 o T o J_T_M, any other body to
@@ -272,7 +276,7 @@ class KinematicStructure:
         n = len(self.bodies)
         extended = np.zeros((n, 6))
         extended[view.body, view.axis] = theta_k
-        joints = view.joint_to_model()
+        joints = view.joint_to_model() if joints is None else joints
         base = compose_stack(self.poses() if poses is None else poses, inverse_stack(joints))
         if view.links:
             base[0][view.children], base[1][view.children] = stack_poses(

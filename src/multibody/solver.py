@@ -18,7 +18,9 @@ constraints once, on stacks, and assembles only the structurally nonzero
 entries of the KKT matrix, all at one stacked pose of the bodies per step.
 One size rule stores and factors it: small or dense systems densely, by
 LAPACK's symmetric-indefinite dsytrf and dsytrs, alone or as a stack of one
-size; large sparse ones in CSC format by SuperLU.
+size; large sparse ones in band storage and reverse Cuthill-McKee order by
+LAPACK's banded LU dgbtrf and dgbtrs, which makes a chain's system banded
+as in Baraff's linear-time solver (SIGGRAPH 1996).
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
-from scipy.linalg.lapack import dsytrf, dsytrf_lwork, dsytrs
+from scipy.linalg.blas import dgbmv
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dsytrf, dsytrf_lwork, dsytrs
 
 from .constraints import ConstraintRows, ConstraintStack, evaluate_constraints
 from .energy import evaluate
@@ -93,10 +95,34 @@ class SolverConfig:
 
 
 # The storage rule: a KKT matrix up to this dimension, or with at least this
-# share of structurally nonzero entries, is stored and factored densely;
-# any other goes to CSC and SuperLU.
+# share of structurally nonzero entries, or whose band in reverse
+# Cuthill-McKee order holds at least this share, is stored and factored
+# densely; any other as a band matrix.
 DENSE_MAX_DIM = 32
 DENSE_MIN_FILL = 0.5
+
+
+@dataclass
+class BandMatrix:
+    """A square matrix A in LAPACK band storage, its unknowns reordered:
+    A[order[i], order[j]] is band[2 w + i - j, j] for |i - j| <= w, the
+    half-bandwidth ``width``, and zero elsewhere.  The top w rows of
+    ``band``, (3 w + 1, dim) in Fortran order, are room for dgbtrf's
+    fill-in."""
+
+    band: np.ndarray
+    width: int
+    order: np.ndarray
+
+    def toarray(self) -> np.ndarray:
+        """A as a dense array, in the original order of its unknowns."""
+        w, dim = self.width, self.band.shape[1]
+        j = np.broadcast_to(np.arange(dim), (2 * w + 1, dim))
+        i = j + np.arange(-w, w + 1)[:, None]
+        inside = (i >= 0) & (i < dim)
+        dense = np.zeros((dim, dim))
+        dense[self.order[i[inside]], self.order[j[inside]]] = self.band[w:][inside]
+        return dense
 
 
 @dataclass
@@ -106,14 +132,14 @@ class KktSystem:
     ``matrix`` is the whole symmetric KKT matrix.  Every mode assembles it
     the same way, in the tree or the forest view, with or without
     constraint rows, and one size rule (DENSE_MAX_DIM, DENSE_MIN_FILL)
-    stores it as a dense array or a scipy CSC matrix.  A dense system may
+    stores it as a dense array or a BandMatrix.  A dense system may
     carry a leading batch axis on every field: a stack of independent
     systems of one size.  ``backward_error`` is set by solve_kkt: the
     normwise relative residual |K x - r| / (|K| |x| + |r|) of the solution
     it found, one per system of a stack.
     """
 
-    matrix: np.ndarray | scipy.sparse.csc_array
+    matrix: np.ndarray | BandMatrix
     g_k: np.ndarray
     b_vec: np.ndarray
     backward_error: float | np.ndarray | None = None
@@ -139,9 +165,11 @@ class _Pattern:
     The entries are H's pattern pairs (view.pairs), their mirror images,
     then B's and B^T's: for each side of each row (side k of row k mod m,
     on ``bodies[k]``) and each coordinate that moves that side's body.
-    ``slots`` gives each entry's place in the flat dense matrix or in the
-    CSC data; entries at one place add up.  ``moved`` holds the sides on
-    non-root bodies, ``moved_rank`` their bodies' places in view.children.
+    ``slots`` gives each entry's place in the flat dense matrix or, with
+    ``order`` set, in the Fortran-order band of a BandMatrix of half-
+    bandwidth ``width``; entries at one place add up.  ``moved`` holds the
+    sides on non-root bodies, ``moved_rank`` their bodies' places in
+    view.children.
     """
 
     key: bytes
@@ -151,8 +179,8 @@ class _Pattern:
     moved_rank: np.ndarray
     dim: int
     slots: np.ndarray
-    indices: np.ndarray | None = None
-    indptr: np.ndarray | None = None
+    width: int = 0
+    order: np.ndarray | None = None
 
     @classmethod
     def build(cls, view, bodies: np.ndarray) -> "_Pattern":
@@ -166,17 +194,59 @@ class _Pattern:
         rank = np.searchsorted(view.children, bodies[moved])
         dim = view.n_dof + m
         fields = bodies.tobytes(), sides, coords, moved, rank, dim
-        if dim <= DENSE_MAX_DIM or rows.shape[0] >= DENSE_MIN_FILL * dim * dim:
-            return cls(*fields, rows * dim + cols)
-        places, slots = np.unique(cols * dim + rows, return_inverse=True)
-        return cls(*fields, slots, places % dim, np.searchsorted(places, dim * np.arange(dim + 1)))
+        if dim > DENSE_MAX_DIM and rows.shape[0] < DENSE_MIN_FILL * dim * dim:
+            # Unknowns with the same neighbours form one block: a body's
+            # coordinates, and the rows on one pair of bodies.
+            n = view.n_dofs.shape[0]
+            _, block = np.unique(
+                np.concatenate([view.body, n + bodies[:m] * n + bodies[m:]]), return_inverse=True
+            )
+            block_place = _reverse_cuthill_mckee(int(block.max()) + 1, block[rows], block[cols])
+            order = np.argsort(block_place[block], kind="stable")
+            place = np.argsort(order)
+            i, j = place[rows], place[cols]
+            w = int(np.abs(i - j).max())
+            if (2 * w + 1) * dim < DENSE_MIN_FILL * dim * dim:
+                return cls(*fields, 2 * w + i - j + (3 * w + 1) * j, w, order)
+        return cls(*fields, rows * dim + cols)
 
     def matrix(self, values: np.ndarray):
         """The KKT matrix with these values at the pattern's entries."""
-        if self.indices is None:
+        if self.order is None:
             return np.bincount(self.slots, values, self.dim**2).reshape(self.dim, self.dim)
-        data = np.bincount(self.slots, values, self.indices.shape[0])
-        return scipy.sparse.csc_array((data, self.indices, self.indptr), shape=(self.dim, self.dim))
+        ldab = 3 * self.width + 1
+        band = np.bincount(self.slots, values, ldab * self.dim).reshape(self.dim, ldab).T
+        return BandMatrix(band, self.width, self.order)
+
+
+def _reverse_cuthill_mckee(nodes: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each node's place in the reverse Cuthill-McKee order of the graph of
+    ``nodes`` nodes with edges (a, b) (George & Liu, Computer Solution of
+    Large Sparse Positive Definite Systems, 1981, ch. 4).  Each connected
+    part is searched breadth first from its node of least degree,
+    neighbours by increasing degree; the order found is reversed."""
+    edges = np.unique(a * nodes + b)
+    a, b = np.divmod(edges[edges // nodes != edges % nodes], nodes)
+    degree = np.bincount(a, minlength=nodes)
+    by_degree = np.lexsort((b, degree[b], a))
+    starts = np.searchsorted(a[by_degree], np.arange(1, nodes))
+    neighbours = [x.tolist() for x in np.split(b[by_degree], starts)]
+    seen = [False] * nodes
+    visited, head = [], 0
+    for start in np.argsort(degree, kind="stable").tolist():
+        if seen[start]:
+            continue
+        seen[start] = True
+        visited.append(start)
+        while head < len(visited):
+            for node in neighbours[visited[head]]:
+                if not seen[node]:
+                    seen[node] = True
+                    visited.append(node)
+            head += 1
+    place = np.empty(nodes, dtype=int)
+    place[visited[::-1]] = np.arange(nodes)
+    return place
 
 
 def _pattern(view, bodies: np.ndarray) -> _Pattern:
@@ -215,11 +285,13 @@ def assemble(
     regularization: Regularization | None = None,
     rows: ConstraintRows | None = None,
     poses=None,
+    joints=None,
 ) -> KktSystem:
     """Gradient/Hessian plus regularization in the mode's coordinates, and
     constraint rows in the constraint modes.  ``g`` (n, 6) and ``h``
     (n, 6, 6) are the bodies' energies (energy.evaluate) at ``poses``, the
-    bodies' stacked pose (gathered here when None).  ``rows`` may hold the
+    bodies' stacked pose (gathered here when None); ``joints`` is the mode's
+    view.joint_to_model(), if already gathered.  ``rows`` may hold the
     structure's constraints already evaluated there with blocks.  Raises
     FactorizationFailed naming the first body whose energy is not finite.
 
@@ -246,7 +318,7 @@ def assemble(
     elif rows is None:
         rows = evaluate_constraints(s.constraint_stack, poses)
     view = _coordinates(s, mode)
-    ad_inv, motion = s.jacobian_factors(view, poses)
+    ad_inv, motion = s.jacobian_factors(view, poses, joints)
     # A root is its tree's reference frame; the other bodies' energies and
     # constraint derivatives move into it.
     inner = view.children
@@ -289,27 +361,45 @@ def _coordinates(s: KinematicStructure, mode: SolverMode):
 def solve_kkt(k: KktSystem):
     """Solve the saddle-point system for the variation and the multipliers.
 
-    Sparse systems are factored by SuperLU, dense ones, alone or stacked,
-    by LAPACK's Bunch-Kaufman factorization (_dense_solve); every solution
-    passes the same finite and backward-error checks.
+    Band systems are factored by banded LU (_band_solve), dense ones, alone
+    or stacked, by Bunch-Kaufman (_dense_solve); every solution passes the
+    same finite and backward-error checks.  More constraint rows than
+    coordinates make K singular whatever its values (rank B <= n < m), and
+    are rejected first.
     """
     rhs = -np.concatenate([k.g_k, k.b_vec], axis=-1)
-    if scipy.sparse.issparse(k.matrix):
-        # Imported on first use: it adds about 35 modules and 2 MB to
-        # `import multibody`, and only large sparse systems need it.
-        from scipy.sparse import linalg as sparse_linalg
-
-        try:
-            x = sparse_linalg.splu(k.matrix).solve(rhs)
-        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-            raise FactorizationFailed("singular KKT matrix") from exc
-        kkt_norm = sparse_linalg.norm(k.matrix)
+    n = k.g_k.shape[-1]
+    if k.b_vec.shape[-1] > n:
+        system = 0 if rhs.ndim > 1 else None
+        raise FactorizationFailed("more constraint rows than coordinates", system)
+    if isinstance(k.matrix, BandMatrix):
+        x, residual = _band_solve(k.matrix, rhs)
+        kkt_norm = np.linalg.norm(k.matrix.band)
     else:
         x = _dense_solve(k.matrix, rhs)
+        residual = (k.matrix @ x[..., None])[..., 0] - rhs
         kkt_norm = np.linalg.norm(k.matrix, axis=(-2, -1))
-    k.backward_error = _check_solution(k.matrix, kkt_norm, x, rhs)
-    n = k.g_k.shape[-1]
+    k.backward_error = _check_solution(residual, kkt_norm, x, rhs)
     return x[..., :n], x[..., n:]
+
+
+def _band_solve(a: BandMatrix, rhs: np.ndarray):
+    """x with A x = rhs, and A x - rhs in A's order of the unknowns: LAPACK
+    dgbtrf factors the band (LU with partial pivoting) and dgbtrs solves;
+    dgbmv multiplies by the unfactored band, whose w fill-in rows of zeros
+    it takes for more superdiagonals.  Raises FactorizationFailed if A or
+    rhs is not finite or a pivot is zero."""
+    if not (np.isfinite(a.band).all() and np.isfinite(rhs).all()):
+        raise FactorizationFailed("non-finite KKT matrix or right-hand side")
+    w, dim = a.width, rhs.shape[0]
+    lu, pivots, info = dgbtrf(a.band, w, w)
+    if info > 0:
+        raise FactorizationFailed("singular KKT matrix")
+    rhs = rhs[a.order]
+    y = dgbtrs(lu, w, w, rhs, pivots)[0]
+    x = np.empty_like(y)
+    x[a.order] = y
+    return x, dgbmv(dim, dim, w, 2 * w, 1.0, a.band, y, beta=-1.0, y=rhs)
 
 
 def _dense_solve(kkt: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -339,14 +429,13 @@ def _dense_solve(kkt: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return rhs[0] / kkt[0, 0] if n == 1 else x[0]
 
 
-def _check_solution(kkt, kkt_norm, x: np.ndarray, rhs: np.ndarray):
+def _check_solution(residual: np.ndarray, kkt_norm, x: np.ndarray, rhs: np.ndarray):
     """Reject a solution that is not finite or that misses the system by
     more than the backward error of a stable factorization.  Each system of
     a stack is judged on its own norms, and the exception carries the index
     of the first one that fails.  Returns the normwise backward error of
     each system."""
     _raise_for_first(~np.isfinite(x).all(axis=-1), "non-finite solution")
-    residual = (kkt @ x[..., None])[..., 0] - rhs
     x_norm, rhs_norm, residual_norm = np.linalg.norm([x, rhs, residual], axis=-1)
     # Near-degenerate systems produce huge solutions whose residual scales
     # with |K| |x|.
@@ -369,7 +458,8 @@ def step(s: KinematicStructure, provider, cfg: SolverConfig) -> StepReport:
     """One full Newton iteration: energies, assembly, KKT solve, pose update.
 
     The energies (energy.evaluate), constraints, assembly and update share
-    one stacked pose of the bodies.  The constraints are evaluated twice,
+    one stacked pose of the bodies, and the assembly and update one stack of
+    the joint transforms.  The constraints are evaluated twice,
     all at once: before the solve (residuals and, in the constraint modes,
     KKT rows) and after it, at the stacked pose update_poses returns.
     """
@@ -380,14 +470,16 @@ def step(s: KinematicStructure, provider, cfg: SolverConfig) -> StepReport:
     with_rows = cfg.mode in _CONSTRAINED_MODES
     before = evaluate_constraints(s.constraint_stack, poses, blocks=with_rows)
     marks.append(time.perf_counter())
-    kkt = assemble(s, g, h, cfg.mode, cfg.regularization, before, poses)
+    view = _coordinates(s, cfg.mode)
+    joints = view.joint_to_model()
+    kkt = assemble(s, g, h, cfg.mode, cfg.regularization, before, poses, joints)
     marks.append(time.perf_counter())
     try:
         theta, lam = solve_kkt(kkt)
     except FactorizationFailed as exc:
         raise FactorizationFailed(f"{exc}; {_diagnosis(s, kkt, before)}") from exc
     marks.append(time.perf_counter())
-    poses = s.update_poses(theta, _coordinates(s, cfg.mode), poses)
+    poses = s.update_poses(theta, view, poses, joints)
     marks.append(time.perf_counter())
     after = evaluate_constraints(s.constraint_stack, poses, blocks=False)
     marks.append(time.perf_counter())
@@ -414,13 +506,12 @@ def _diagnosis(s: KinematicStructure, k: KktSystem, rows: ConstraintRows) -> str
     size = f"KKT system of {n} coordinates and {m} constraint rows"
     if not m:
         return size
-    sparse = scipy.sparse.issparse(k.matrix)
-    b_mat = k.matrix[n:, :n].toarray() if sparse else k.matrix[n:, :n]
-    values = k.matrix.data if sparse else k.matrix
+    kkt = k.matrix.toarray() if isinstance(k.matrix, BandMatrix) else k.matrix
+    b_mat = kkt[n:, :n]
     finite_rows = np.isfinite(b_mat).all(axis=1) & np.isfinite(k.b_vec)
-    if np.isfinite(values).all() and finite_rows.all():
+    if np.isfinite(kkt).all() and finite_rows.all():
         _, r, order = scipy.linalg.qr(b_mat.T, mode="economic", pivoting=True)
-        tolerance = (n + m) * np.finfo(float).eps * np.linalg.norm(values)
+        tolerance = (n + m) * np.finfo(float).eps * np.linalg.norm(kkt)
         rank = int(np.count_nonzero(np.abs(np.diag(r)) > tolerance))
         size, blamed = f"{size}, of rank {rank}; numerically dependent", order[rank:]
     else:

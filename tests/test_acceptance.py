@@ -216,8 +216,15 @@ def test_criterion_7_scaling_study():
         for n in range(10, 51)
     )
     ok = dims_ok and ordering_ok
+    # The margin of the ordering: its smallest constrained/projected ratio.
+    ratios = {
+        n: by_mode[(SolverMode.CONSTRAINED, n)] / by_mode[(SolverMode.PROJECTED, n)]
+        for n in range(10, 51)
+    }
+    tightest = min(ratios, key=ratios.get)
     report(7, ok, f"dimensions {'exact' if dims_ok else 'WRONG'}, "
-                  f"ordering {'holds' if ordering_ok else 'violated'} for n>=10")
+                  f"ordering {'holds' if ordering_ok else 'violated'} for n>=10, "
+                  f"min constrained/projected {ratios[tightest]:.2f} at n = {tightest}")
     assert dims_ok
     assert ordering_ok
 

@@ -7,7 +7,6 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse
 
 from builders import random_pose, random_tree
 from multibody.constraints import Constraint, OrthogonalityConstraint
@@ -19,12 +18,14 @@ from multibody.energy import (
 )
 from multibody.experiments import build_serial_chain
 from multibody.kinematics import Body, Joint, KinematicStructure
-from multibody import solver
+import multibody
+from multibody import se3, solver
 from multibody.se3 import Pose
 from multibody.solver import (
     DENSE_MAX_DIM,
     DENSE_MIN_FILL,
     STEP_LAYERS,
+    BandMatrix,
     FactorizationFailed,
     KktSystem,
     Regularization,
@@ -55,9 +56,14 @@ def random_spd(rng, n=6):
     return a @ a.T + 0.5 * np.eye(n)
 
 
+def dense_matrix(k):
+    """The KKT matrix of an assembled system as a dense array."""
+    return k.matrix.toarray() if isinstance(k.matrix, BandMatrix) else k.matrix
+
+
 def dense_blocks(k):
     """H and B of an assembled system as dense arrays."""
-    kkt = k.matrix.toarray() if scipy.sparse.issparse(k.matrix) else k.matrix
+    kkt = dense_matrix(k)
     n = k.g_k.shape[0]
     return kkt[:n, :n], kkt[n:, :n]
 
@@ -289,19 +295,32 @@ class TestSolveKkt:
             solve_kkt(KktSystem.from_blocks(h[1], g[1], b_mat[1], b_vec[1]))
         assert info.value.system is None
 
+    def test_more_rows_than_coordinates_fail_in_every_system(self):
+        rng = np.random.default_rng(21)
+        h = np.array([random_spd(rng, 2) for _ in range(3)])
+        b_mat = rng.standard_normal((3, 3, 2))
+        k = KktSystem.from_blocks(h, np.ones((3, 2)), b_mat, np.ones((3, 3)))
+        for system, single in ((0, k), (None, KktSystem(k.matrix[2], k.g_k[2], k.b_vec[2]))):
+            with pytest.raises(FactorizationFailed, match="more constraint rows") as info:
+                solve_kkt(single)
+            assert info.value.system == system
+
 
 class TestFreeBodySparseKkt:
     """The free-body system, stored as the size rule says, against the dense
     selection-Jacobian one."""
 
     @staticmethod
-    def check(s, energies, mode):
+    def check(s, energies, mode, band):
         reg = Regularization()
         k = assemble(s, *stacked_energies(energies), mode, reg)
         dim = k.g_k.shape[0] + k.b_vec.shape[0]
-        sparse = scipy.sparse.issparse(k.matrix)
-        nnz = k.matrix.nnz if sparse else np.count_nonzero(k.matrix)
-        assert sparse == (dim > DENSE_MAX_DIM and nnz < DENSE_MIN_FILL * dim * dim)
+        assert isinstance(k.matrix, BandMatrix) == band
+        if band:
+            # Neither small nor dense, and narrow enough for the band.
+            fill = DENSE_MIN_FILL * dim * dim
+            assert dim > DENSE_MAX_DIM and np.count_nonzero(k.matrix.toarray()) < fill
+            assert (2 * k.matrix.width + 1) * dim < fill
         theta, lam = solve_kkt(k)
         constraints = s.constraints if mode is SolverMode.CONSTRAINED else []
         reference = selection_kkt(
@@ -318,14 +337,19 @@ class TestFreeBodySparseKkt:
         rng = np.random.default_rng(11)
         for _ in range(5):
             s = constrained_tree(rng)
-            self.check(s, random_energies(rng, len(s.bodies)), mode)
+            # INDEPENDENT has 30 unknowns; CONSTRAINED 43, in a band of
+            # half-width 11 that holds more than half of the 43 x 43 matrix.
+            self.check(s, random_energies(rng, len(s.bodies)), mode, band=False)
 
     @pytest.mark.parametrize("n_bodies", [2, 5, 64])
     @pytest.mark.parametrize("mode", [SolverMode.INDEPENDENT, SolverMode.CONSTRAINED])
     def test_serial_chain_matches_dense_reference(self, mode, n_bodies):
         rng = np.random.default_rng(n_bodies)
         s = build_serial_chain(n_bodies)
-        self.check(s, random_energies(rng, n_bodies), mode)
+        dim = 6 * n_bodies + (5 * (n_bodies - 1) if mode is SolverMode.CONSTRAINED else 0)
+        # A chain's band is at most 21 wide (TestBandOrder), so only the
+        # small systems are dense.
+        self.check(s, random_energies(rng, n_bodies), mode, band=dim > DENSE_MAX_DIM)
 
     def test_duplicated_chain_constraints_fail_without_warning(self):
         s = build_serial_chain(5)
@@ -341,7 +365,66 @@ class TestFreeBodySparseKkt:
         assert str(info.value).endswith(f"constraints {copies}")
 
 
+class TestBandOrder:
+    """Large sparse systems in band storage, in reverse Cuthill-McKee order
+    of blocks: a body's coordinates, the rows on one pair of bodies."""
+
+    @pytest.mark.parametrize("n_bodies", [7, 64, 200])
+    @pytest.mark.parametrize(
+        "mode, width", [(SolverMode.CONSTRAINED, 10), (SolverMode.INDEPENDENT, 5)]
+    )
+    def test_chain_half_bandwidth_is_constant(self, mode, width, n_bodies):
+        """Along a chain, body, joint rows, body: 6 + 5 - 1 apart at most.
+        Alone, a body's 6 coordinates are 5 apart."""
+        s = build_serial_chain(n_bodies)
+        k = assemble(s, *stacked_energies([BodyEnergy.zero()] * n_bodies), mode)
+        assert isinstance(k.matrix, BandMatrix)
+        assert k.matrix.width == width
+        assert k.matrix.band.shape == (3 * width + 1, k.g_k.shape[0] + k.b_vec.shape[0])
+        assert k.matrix.band.flags.f_contiguous
+
+    @pytest.mark.parametrize("mode", [SolverMode.INDEPENDENT, SolverMode.CONSTRAINED])
+    def test_constrained_tree_matches_dense_solve(self, mode):
+        rng = np.random.default_rng(20)
+        for _ in range(5):
+            s = constrained_tree(rng, n_bodies=12)
+            energies = random_energies(rng, len(s.bodies))
+            k = assemble(s, *stacked_energies(energies), mode, Regularization())
+            assert isinstance(k.matrix, BandMatrix)
+            kkt = k.matrix.toarray()
+            assert np.array_equal(kkt, kkt.T)
+            theta, lam = solve_kkt(k)
+            expected = np.linalg.solve(kkt, -np.concatenate([k.g_k, k.b_vec]))
+            assert relative_error(np.concatenate([theta, lam]), expected) < 1e-10
+            assert k.backward_error < 1e-14
+
+
 class TestFailureDiagnosis:
+    def test_more_rows_than_coordinates_fail_before_any_factorization(self, capfd):
+        """69 joint coordinates and 315 constraint rows: K is singular for
+        any values.  A dense solve returns |lam| near 1e37 with a tiny
+        backward error, so the size alone must reject it, and nothing may
+        write to the process's stderr on the way."""
+        s = build_serial_chain(64)
+        targets = [b.pose for b in s.bodies]
+        s.update_poses(0.05 * np.random.default_rng(0).standard_normal(s.n_dof))
+        provider = per_body(
+            {i: quadratic_pose_target(t, 100.0, 100.0) for i, t in enumerate(targets)}
+        )
+        capfd.readouterr()
+        with pytest.raises(FactorizationFailed) as info:
+            step(s, provider, SolverConfig(mode=SolverMode.COMBINED))
+        message = str(info.value)
+        assert message.startswith(
+            "more constraint rows than coordinates; "
+            "KKT system of 69 coordinates and 315 constraint rows"
+        )
+        named = ", ".join(
+            f"{i} (bodies {i} 'body{i}', {i + 1} 'body{i + 1}')" for i in range(63)
+        )
+        assert message.endswith(f"numerically dependent rows in constraints {named}")
+        assert capfd.readouterr().err == ""
+
     @pytest.mark.parametrize("n_bodies", [4, 10])
     def test_combined_chain_names_size_and_dependent_constraints(self, n_bodies):
         # The mirrored joint constraints are noise-level rows in joint
@@ -510,6 +593,22 @@ class TestStep:
             worst = max(np.max(np.abs(b.pose.r.T @ b.pose.r - np.eye(3))) for b in s.bodies)
             assert worst <= 1e-9, f"frame {frame}: orthonormality error {worst:.1e}"
 
+    def test_projected_step_gathers_each_stack_once(self, monkeypatch):
+        """The body poses, the joint_to_model stack (shared by the Jacobians
+        and the update), the parent_to_joint stack of the update and the
+        fixed transforms of the joint refresh: four gathers."""
+        s = build_serial_chain(64)
+        calls = []
+
+        def spy(poses):
+            calls.append(1)
+            return se3.stack_poses(poses)
+
+        for module in (multibody.kinematics, multibody.energy, multibody.constraints):
+            monkeypatch.setattr(module, "stack_poses", spy)
+        step(s, zero_energy, SolverConfig(mode=SolverMode.PROJECTED))
+        assert len(calls) == 4
+
 
 class TestStepReport:
     @pytest.mark.parametrize("mode", [SolverMode.CONSTRAINED, SolverMode.COMBINED])
@@ -558,13 +657,13 @@ class TestBackwardError:
 
     def test_matches_the_residual_of_the_returned_solution(self):
         rng = np.random.default_rng(18)
-        for sparse in (False, True):
-            s = build_serial_chain(64 if sparse else 3)
+        for band in (False, True):
+            s = build_serial_chain(64 if band else 3)
             energies = random_energies(rng, len(s.bodies))
             k = assemble(s, *stacked_energies(energies), SolverMode.CONSTRAINED, Regularization())
-            assert scipy.sparse.issparse(k.matrix) == sparse
+            assert isinstance(k.matrix, BandMatrix) == band
             theta, lam = solve_kkt(k)
-            kkt = k.matrix.toarray() if sparse else k.matrix
+            kkt = dense_matrix(k)
             x = np.concatenate([theta, lam])
             rhs = -np.concatenate([k.g_k, k.b_vec])
             expected = np.linalg.norm(kkt @ x - rhs) / (

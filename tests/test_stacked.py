@@ -20,7 +20,15 @@ from multibody.energy import BodyEnergy, per_body, quadratic_pose_target
 from multibody.experiments import build_serial_chain
 from multibody.kinematics import KinematicStructure
 from multibody.se3 import NEAR_PI, SMALL_ANGLE, Pose
-from multibody.solver import Regularization, SolverConfig, SolverMode, assemble, solve_kkt, step
+from multibody.solver import (
+    BandMatrix,
+    Regularization,
+    SolverConfig,
+    SolverMode,
+    assemble,
+    solve_kkt,
+    step,
+)
 from oracles import (
     constraint_residual,
     constraint_variation_blocks,
@@ -128,7 +136,7 @@ class TestSolutionMatchesScalarOracle:
             ]
             reg = Regularization()
             k = assemble(s, *stacked_energies(energies), mode, reg)
-            kkt = k.matrix.toarray() if hasattr(k.matrix, "toarray") else k.matrix
+            kkt = k.matrix.toarray() if isinstance(k.matrix, BandMatrix) else k.matrix
             n = k.g_k.shape[0]
             theta, lam = solve_dense_kkt(kkt[:n, :n], k.g_k, kkt[n:, :n], k.b_vec)
             theta_ref, lam_ref = solve_dense_kkt(*scalar_kkt(s, energies, mode, reg))
@@ -145,8 +153,8 @@ class TestStepMatchesScalarOracle:
     def test_constrained_chain_20_steps(self):
         """The 64-body constrained chain pulled toward moving pose targets:
         poses after 20 steps against scalar_step (dense selection-Jacobian
-        KKT, one body at a time).  The two paths factor differently (SuperLU
-        vs dense), so they agree to rounding, not bit for bit."""
+        KKT, one body at a time).  The two paths factor differently (banded
+        LU vs dense), so they agree to rounding, not bit for bit."""
         n_bodies = 64
         s = build_serial_chain(n_bodies)
         oracle = copy.deepcopy(s)

@@ -258,6 +258,8 @@ def build_serial_chain(n_bodies: int, link_length: float = 0.1) -> KinematicStru
             Body(
                 name=f"body{i}",
                 joint=Joint(free_axes=axes_mask(["rot_z"]), parent_to_joint=offset),
+                # Consistent initial poses along the chain.
+                pose=bodies[-1].pose @ offset,
                 parent=i - 1,
             )
         )
@@ -273,10 +275,6 @@ def build_serial_chain(n_bodies: int, link_length: float = 0.1) -> KinematicStru
             )
         )
     s = KinematicStructure(bodies, constraints)
-    # Consistent initial poses along the chain.
-    for i, body in enumerate(s.bodies):
-        if body.parent is not None:
-            body.pose = s.bodies[body.parent].pose @ offset
     s.refresh_joint_transforms()
     return s
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .se3 import (
     inverse_stack,
     pose_with_variation_stack,
     rows_stack,
-    stack_poses,
 )
 
 AXIS_NAMES = ("rot_x", "rot_y", "rot_z", "trans_x", "trans_y", "trans_z")
@@ -50,16 +49,44 @@ def axes_mask(names) -> np.ndarray:
     return mask
 
 
+class _PoseRow:
+    """A Pose attribute of a Body or Joint.  The object holds it until a
+    KinematicStructure adopts the object; from then on it is row
+    ``obj._index`` of the structure's stack of that name.  Reading gives a
+    copy of the row, so a Pose read before a step keeps its value;
+    assigning writes the row (KinematicStructure._write)."""
+
+    def __set_name__(self, cls, name):
+        self.name = name
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return None  # the dataclass field's default: the identity
+        if obj._owner is None:
+            return obj.__dict__[self.name]
+        r, t = obj._owner._stacks[self.name]
+        return Pose(r[obj._index].copy(), t[obj._index].copy())
+
+    def __set__(self, obj, pose):
+        pose = Pose.identity() if pose is None else pose
+        if obj._owner is None:
+            obj.__dict__[self.name] = pose
+        else:
+            obj._owner._write(self.name, obj._index, pose)
+
+
 @dataclass
 class Joint:
     """Connection allowing motion along a chosen set of joint-frame axes:
     the free-axis values are scattered into the extended 6-vector and fixed
-    axes stay zero."""
+    axes stay zero.  ``fixed_side`` is read once, when a structure adopts
+    the joint."""
 
     free_axes: np.ndarray
-    joint_to_model: Pose = field(default_factory=Pose.identity)
-    parent_to_joint: Pose = field(default_factory=Pose.identity)
+    joint_to_model: Pose = _PoseRow()
+    parent_to_joint: Pose = _PoseRow()
     fixed_side: FixedSide = FixedSide.JOINT_TO_MODEL
+    _owner = None
 
     def __post_init__(self):
         self.free_axes = np.asarray(self.free_axes, dtype=bool)
@@ -75,25 +102,27 @@ class Joint:
 class Body:
     name: str
     joint: Joint
-    pose: Pose = field(default_factory=Pose.identity)
+    pose: Pose = _PoseRow()
     parent: int | None = None
+    _owner = None
 
 
 class Coordinates:
     """Variation coordinates over a forest of bodies, one per free joint
     axis; each moves its own body and every body below it.  The tree view
-    of a structure takes parents and joints from its bodies.  The forest
-    view (``joints`` None) makes every body a root with six free axes and
-    an identity joint_to_model, so that its coordinates are its own 6-DoF
-    variation.  A view without links, such as the forest view, holds no
-    n x n array: each body is its own root and subtree, moved by its own
-    coordinates only.
+    of a structure takes parents, free axes and ``frames``, the stacked
+    joint_to_model, from its bodies' joints.  The forest view (``free``
+    None) makes every body a root with six free axes and an identity
+    joint_to_model, so that its coordinates are its own 6-DoF variation.
+    A view without links, such as the forest view, holds no n x n array:
+    each body is its own root and subtree, moved by its own coordinates
+    only.
     """
 
-    def __init__(self, parents, joints=None):
+    def __init__(self, parents, free=None, frames=None):
         n = len(parents)
-        self.joints = joints
-        free = [j.free for j in joints] if joints else [np.arange(6)] * n
+        free = free or [np.arange(6)] * n
+        self.frames = frames or (np.broadcast_to(_EYE3, (n, 3, 3)), np.zeros((n, 3)))
         # Each body's number of coordinates and its first one.
         self.n_dofs = n_dofs = np.array([f.shape[0] for f in free], dtype=int)
         first = np.cumsum(n_dofs) - n_dofs
@@ -166,20 +195,17 @@ class Coordinates:
         out[self.slots] = x
         return out.reshape(self.layout + x.shape[1:])
 
-    def joint_to_model(self):
-        """The joint_to_model transforms as one stacked pose."""
-        if self.joints is None:
-            n = self.root.shape[0]
-            return np.broadcast_to(_EYE3, (n, 3, 3)), np.zeros((n, 3))
-        return stack_poses(j.joint_to_model for j in self.joints)
-
 
 class KinematicStructure:
     """Bodies in topological order, constraints, and two coordinate views:
     ``tree``, the structure's joint coordinates, and ``forest``.
 
-    ``Body.pose`` and the joint transforms are the only state: evaluations
-    gather them into stacked arrays, updates write them back once.
+    The structure owns the state as stacked poses, one row per body: the
+    body poses (``poses``, replaced by each update) and the joints'
+    joint_to_model and parent_to_joint (written in place), copied here
+    from the bodies and joints it adopts, and the joints' fixed sides.
+    ``Body.pose`` and the joint transforms then read and write their row; a
+    body or joint handed to a second structure belongs to that one.
     ``constraint_stack`` is rebuilt whenever the constraints are assigned.
     Mutating operations (pose updates) must be serialized by the caller;
     read-only snapshots may be shared for parallel evaluation.
@@ -188,7 +214,25 @@ class KinematicStructure:
     def __init__(self, bodies: list[Body], constraints=()):
         self.bodies = list(bodies)
         self.constraints = constraints
-        self.tree = Coordinates([b.parent for b in self.bodies], [b.joint for b in self.bodies])
+        n = len(self.bodies)
+        self._stacks = {name: (np.empty((n, 3, 3)), np.empty((n, 3))) for name in _STACKED}
+        rows = [
+            (i, name, obj)
+            for i, body in enumerate(self.bodies)
+            for name, obj in zip(_STACKED, (body, body.joint, body.joint))
+        ]
+        for i, name, obj in rows:
+            self._write(name, i, getattr(obj, name))
+        # Bound only once every row is valid.
+        for i, name, obj in rows:
+            vars(obj).pop(name, None)
+            obj._owner, obj._index = self, i
+        joints = [b.joint for b in self.bodies]
+        self._model_fixed = np.array([j.fixed_side is FixedSide.JOINT_TO_MODEL for j in joints])
+        # The joint stacks are written in place, so the tree view's frames
+        # stay the structure's joint_to_model.
+        parents = [b.parent for b in self.bodies]
+        self.tree = Coordinates(parents, [j.free for j in joints], self._stacks["joint_to_model"])
         self.n_dof, self.dof_offsets = self.tree.n_dof, self.tree.offsets
 
     @functools.cached_property
@@ -209,7 +253,7 @@ class KinematicStructure:
     def _validate(self, constraints):
         if not self.bodies:
             raise ValueError("a structure needs at least one body")
-        names = set()
+        names, joints = set(), {}
         for i, body in enumerate(self.bodies):
             if body.name in names:
                 raise ValueError(f"duplicate body name {body.name!r}")
@@ -218,6 +262,9 @@ class KinematicStructure:
                 raise ValueError(
                     f"body {body.name!r}: parent index {body.parent} must precede it"
                 )
+            first = self.bodies[joints.setdefault(id(body.joint), i)]
+            if first is not body:
+                raise ValueError(f"body {body.name!r} shares its joint with body {first.name!r}")
         for k, c in enumerate(constraints):
             for index in (c.body_a, c.body_b):
                 if not 0 <= index < len(self.bodies):
@@ -226,13 +273,27 @@ class KinematicStructure:
                         f"{len(self.bodies)} bodies"
                     )
 
-    def poses(self):
-        """Body poses as one stacked pose, (n, 3, 3) and (n, 3)."""
-        return stack_poses(b.pose for b in self.bodies)
+    def _write(self, name: str, i: int, pose: Pose):
+        """Write row i of the stack ``name``, if the pose's rotation is
+        (3, 3) and its translation (3,).  Values are not checked: a step
+        names the body or constraints that a non-finite pose makes fail."""
+        for part, value, shape in (("rotation", pose.r, (3, 3)), ("translation", pose.t, (3,))):
+            if value.shape != shape:
+                body = self.bodies[i].name
+                owner = f"body {body!r}" if name == "pose" else f"joint of body {body!r}"
+                raise ValueError(f"{owner}: {name} {part} has shape {value.shape}, not {shape}")
+        r, t = self._stacks[name]
+        r[i], t[i] = pose.r, pose.t
 
-    def jacobian_factors(self, view: Coordinates, poses=None, joints=None):
+    def poses(self):
+        """Body poses as one stacked pose, (n, 3, 3) and (n, 3): the
+        structure's own stack, to be read, not written."""
+        return self._stacks["pose"]
+
+    def jacobian_factors(self, view: Coordinates):
         """The factors of the body Jacobians J_i = Ad(rel_i^-1) (S o anc_i)
-        of a view, in the model frame of each body's tree root: the stack
+        of a view at the structure's poses, in the model frame of each
+        body's tree root, with joint_to_model_j from view.frames: the stack
         Ad(rel_i^-1) of the non-root bodies (view.children), with rel_i body
         i's pose in that frame, and the 6 x n_dof motion columns S, for
         each coordinate the free column of Ad(F_j), with F_j =
@@ -241,26 +302,22 @@ class KinematicStructure:
 
         Without links every body is its own root, rel is the identity and
         no pose is read; in the forest view every J_i is exactly the
-        identity.  ``poses`` is the bodies' stacked pose and ``joints``
-        view.joint_to_model(), if already gathered.
+        identity.
         """
-        frames = inverse_stack(view.joint_to_model() if joints is None else joints)
+        frames = inverse_stack(view.frames)
         if not view.links:
             return np.zeros((0, 6, 6)), adjoint(frames)[view.body, :, view.axis].T
-        poses = self.poses() if poses is None else poses
+        poses = self.poses()
         rel = compose_stack(inverse_stack(rows_stack(poses, view.root)), poses)
         # One adjoint call for both stacks.
         both = zip(inverse_stack(rel), compose_stack(rel, frames))
         ad = adjoint([np.concatenate(pair) for pair in both])
         return ad[view.children], ad[len(self.bodies) + view.body, :, view.axis].T
 
-    def update_poses(
-        self, theta_k: np.ndarray, view: Coordinates | None = None, poses=None, joints=None
-    ):
+    def update_poses(self, theta_k: np.ndarray, view: Coordinates | None = None):
         """Pose update from a variation vector in the coordinates of a view,
-        the tree view by default, applied to ``poses``, the bodies' current
-        stacked pose, with ``joints``, view.joint_to_model(), if already
-        gathered.  Returns the new stacked pose.
+        the tree view by default.  Replaces the body pose stack and returns
+        it.
 
         Each joint's variation T(theta_j) acts in its joint frame: a root
         moves to pose o J_T_M^-1 o T o J_T_M, any other body to
@@ -276,13 +333,12 @@ class KinematicStructure:
         n = len(self.bodies)
         extended = np.zeros((n, 6))
         extended[view.body, view.axis] = theta_k
-        joints = view.joint_to_model() if joints is None else joints
-        base = compose_stack(self.poses() if poses is None else poses, inverse_stack(joints))
+        base = compose_stack(self.poses(), inverse_stack(view.frames))
         if view.links:
-            base[0][view.children], base[1][view.children] = stack_poses(
-                view.joints[i].parent_to_joint for i in view.children
-            )
-        poses = compose_stack(pose_with_variation_stack(base, extended), joints)
+            parent_to_joint = self._stacks["parent_to_joint"]
+            base[0][view.children] = parent_to_joint[0][view.children]
+            base[1][view.children] = parent_to_joint[1][view.children]
+        poses = compose_stack(pose_with_variation_stack(base, extended), view.frames)
         if view.links:
             # Homogeneous matrices: one product per body down the tree.
             world = np.zeros((n, 4, 4))
@@ -291,35 +347,34 @@ class KinematicStructure:
             for i, parent in view.links:
                 world[i] = world[parent] @ world[i]
             poses = np.ascontiguousarray(world[:, :3, :3]), world[:, :3, 3].copy()
-        for body, r, t in zip(self.bodies, *poses):
-            body.pose = Pose(r, t)
-        self.refresh_joint_transforms(poses)
+        self._stacks["pose"] = poses
+        self.refresh_joint_transforms()
         return poses
 
-    def refresh_joint_transforms(self, poses=None):
-        """Re-infer the non-fixed joint transform of every joint from a
-        stacked pose of the bodies, their current poses by default.  With
-        rel = parent^-1 o pose for each non-root body, P_T_J =
-        rel o J_T_M^-1 where J_T_M is fixed, else J_T_M = P_T_J^-1 o rel."""
+    def refresh_joint_transforms(self):
+        """Re-infer the non-fixed joint transform of every joint from the
+        body poses.  With rel = parent^-1 o pose for each non-root body,
+        P_T_J = rel o J_T_M^-1 where J_T_M is fixed, else
+        J_T_M = P_T_J^-1 o rel."""
         if not self.tree.links:
             return
-        poses = self.poses() if poses is None else poses
+        poses = self.poses()
         children, parents = self.tree.children, self.tree.parents
-        joints = [self.bodies[i].joint for i in children]
-        model_fixed = np.array([j.fixed_side is FixedSide.JOINT_TO_MODEL for j in joints])
+        model_fixed = self._model_fixed[children]
+        mask = model_fixed[:, None, None], model_fixed[:, None]
+        model, parent = self._stacks["joint_to_model"], self._stacks["parent_to_joint"]
         fixed_inv = inverse_stack(
-            stack_poses(j.joint_to_model if f else j.parent_to_joint for j, f in zip(joints, model_fixed))
+            [np.where(m, a[children], b[children]) for m, a, b in zip(mask, model, parent)]
         )
         rel = compose_stack(
             inverse_stack(rows_stack(poses, parents)), rows_stack(poses, children)
         )
-        mask = model_fixed[:, None, None], model_fixed[:, None]
         left = [np.where(m, a, b) for m, a, b in zip(mask, rel, fixed_inv)]
         right = [np.where(m, b, a) for m, a, b in zip(mask, rel, fixed_inv)]
-        for joint, fixed, r, t in zip(
-            joints, model_fixed, *_orthonormalized(compose_stack(left, right))
-        ):
-            setattr(joint, "parent_to_joint" if fixed else "joint_to_model", Pose(r, t))
+        inferred = _orthonormalized(compose_stack(left, right))
+        for name, rows in (("parent_to_joint", model_fixed), ("joint_to_model", ~model_fixed)):
+            for stack, values in zip(self._stacks[name], inferred):
+                stack[children[rows]] = values[rows]
 
 
 def _orthonormalized(poses):
@@ -334,5 +389,6 @@ def _orthonormalized(poses):
     return r @ (_THREE_I - np.swapaxes(r, -1, -2) @ r) * 0.5, t
 
 
+_STACKED = ("pose", "joint_to_model", "parent_to_joint")
 _THREE_I = 3.0 * np.eye(3)
 _EYE3 = np.eye(3)

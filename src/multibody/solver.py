@@ -15,7 +15,7 @@ coordinates: the structure's tree view, or its forest view in which every
 body is a free root, so that its Jacobian is the identity.  Constraint rows
 are on or off.  Each step evaluates all energies (energy.evaluate) and all
 constraints once, on stacks, and assembles only the structurally nonzero
-entries of the KKT matrix, all at one stacked pose of the bodies per step.
+entries of the KKT matrix, all at the pose stacks the structure owns.
 One size rule stores and factors it: small or dense systems densely, by
 LAPACK's symmetric-indefinite dsytrf and dsytrs, alone or as a stack of one
 size; large sparse ones in band storage and reverse Cuthill-McKee order by
@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.blas import dgbmv
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dsytrf, dsytrf_lwork, dsytrs
 
 from .constraints import ConstraintRows, ConstraintStack, evaluate_constraints
@@ -284,16 +283,13 @@ def assemble(
     mode: SolverMode,
     regularization: Regularization | None = None,
     rows: ConstraintRows | None = None,
-    poses=None,
-    joints=None,
 ) -> KktSystem:
     """Gradient/Hessian plus regularization in the mode's coordinates, and
     constraint rows in the constraint modes.  ``g`` (n, 6) and ``h``
-    (n, 6, 6) are the bodies' energies (energy.evaluate) at ``poses``, the
-    bodies' stacked pose (gathered here when None); ``joints`` is the mode's
-    view.joint_to_model(), if already gathered.  ``rows`` may hold the
-    structure's constraints already evaluated there with blocks.  Raises
-    FactorizationFailed naming the first body whose energy is not finite.
+    (n, 6, 6) are the bodies' energies (energy.evaluate) at the structure's
+    poses (s.poses()).  ``rows`` may hold the structure's constraints
+    already evaluated there with blocks.  Raises FactorizationFailed naming
+    the first body whose energy is not finite.
 
     With J_i = Ad(rel_i^-1) (S o anc_i) (KinematicStructure.jacobian_factors),
     summing the energies moved into each tree's root frame over subtrees
@@ -312,13 +308,12 @@ def assemble(
         raise FactorizationFailed(
             f"non-finite energy gradient or Hessian for body {i} ({s.bodies[i].name!r})"
         )
-    poses = s.poses() if poses is None else poses
     if mode not in _CONSTRAINED_MODES:
-        rows = evaluate_constraints(_NO_CONSTRAINTS, poses)
+        rows = evaluate_constraints(_NO_CONSTRAINTS, s.poses())
     elif rows is None:
-        rows = evaluate_constraints(s.constraint_stack, poses)
+        rows = evaluate_constraints(s.constraint_stack, s.poses())
     view = _coordinates(s, mode)
-    ad_inv, motion = s.jacobian_factors(view, poses, joints)
+    ad_inv, motion = s.jacobian_factors(view)
     # A root is its tree's reference frame; the other bodies' energies and
     # constraint derivatives move into it.
     inner = view.children
@@ -374,7 +369,9 @@ def solve_kkt(k: KktSystem):
         raise FactorizationFailed("more constraint rows than coordinates", system)
     if isinstance(k.matrix, BandMatrix):
         x, residual = _band_solve(k.matrix, rhs)
-        kkt_norm = np.linalg.norm(k.matrix.band)
+        # Not np.linalg.norm: its BLAS dot product of a large band, split
+        # over threads, costs more than the band solve itself.
+        kkt_norm = np.sqrt(np.einsum("ij,ij->", k.matrix.band, k.matrix.band))
     else:
         x = _dense_solve(k.matrix, rhs)
         residual = (k.matrix @ x[..., None])[..., 0] - rhs
@@ -386,9 +383,9 @@ def solve_kkt(k: KktSystem):
 def _band_solve(a: BandMatrix, rhs: np.ndarray):
     """x with A x = rhs, and A x - rhs in A's order of the unknowns: LAPACK
     dgbtrf factors the band (LU with partial pivoting) and dgbtrs solves;
-    dgbmv multiplies by the unfactored band, whose w fill-in rows of zeros
-    it takes for more superdiagonals.  Raises FactorizationFailed if A or
-    rhs is not finite or a pivot is zero."""
+    the product is taken with the unfactored band, one diagonal at a time.
+    Raises FactorizationFailed if A or rhs is not finite or a pivot is
+    zero."""
     if not (np.isfinite(a.band).all() and np.isfinite(rhs).all()):
         raise FactorizationFailed("non-finite KKT matrix or right-hand side")
     w, dim = a.width, rhs.shape[0]
@@ -399,7 +396,14 @@ def _band_solve(a: BandMatrix, rhs: np.ndarray):
     y = dgbtrs(lu, w, w, rhs, pivots)[0]
     x = np.empty_like(y)
     x[a.order] = y
-    return x, dgbmv(dim, dim, w, 2 * w, 1.0, a.band, y, beta=-1.0, y=rhs)
+    # A[i, i + d] is band[2 w - d, i + d].  Not BLAS dgbmv: OpenBLAS
+    # splits it over threads at any size, at many times the solve's cost.
+    product = np.zeros(dim)
+    for d in range(-w, w + 1):
+        rows = slice(max(0, -d), min(dim, dim - d))
+        cols = slice(rows.start + d, rows.stop + d)
+        product[rows] += a.band[2 * w - d, cols] * y[cols]
+    return x, product - rhs
 
 
 def _dense_solve(kkt: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -457,29 +461,26 @@ def _raise_for_first(failed: np.ndarray, message: str):
 def step(s: KinematicStructure, provider, cfg: SolverConfig) -> StepReport:
     """One full Newton iteration: energies, assembly, KKT solve, pose update.
 
-    The energies (energy.evaluate), constraints, assembly and update share
-    one stacked pose of the bodies, and the assembly and update one stack of
-    the joint transforms.  The constraints are evaluated twice,
-    all at once: before the solve (residuals and, in the constraint modes,
-    KKT rows) and after it, at the stacked pose update_poses returns.
+    The energies (energy.evaluate), constraints and assembly all read the
+    structure's own pose stacks; the update replaces them.  The constraints
+    are evaluated twice, all at once: before the solve (residuals and, in
+    the constraint modes, KKT rows) and after it, at the stacked pose
+    update_poses returns.
     """
     marks = [time.perf_counter()]
-    poses = s.poses()
-    g, h = evaluate(provider, poses)
+    g, h = evaluate(provider, s.poses())
     marks.append(time.perf_counter())
     with_rows = cfg.mode in _CONSTRAINED_MODES
-    before = evaluate_constraints(s.constraint_stack, poses, blocks=with_rows)
+    before = evaluate_constraints(s.constraint_stack, s.poses(), blocks=with_rows)
     marks.append(time.perf_counter())
-    view = _coordinates(s, cfg.mode)
-    joints = view.joint_to_model()
-    kkt = assemble(s, g, h, cfg.mode, cfg.regularization, before, poses, joints)
+    kkt = assemble(s, g, h, cfg.mode, cfg.regularization, before)
     marks.append(time.perf_counter())
     try:
         theta, lam = solve_kkt(kkt)
     except FactorizationFailed as exc:
         raise FactorizationFailed(f"{exc}; {_diagnosis(s, kkt, before)}") from exc
     marks.append(time.perf_counter())
-    poses = s.update_poses(theta, view, poses, joints)
+    poses = s.update_poses(theta, _coordinates(s, cfg.mode))
     marks.append(time.perf_counter())
     after = evaluate_constraints(s.constraint_stack, poses, blocks=False)
     marks.append(time.perf_counter())

@@ -1,6 +1,7 @@
 """Body Jacobians and the recursive pose update against FD and matrix oracles."""
 
 import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from oracles import (
     expand_joint_variation,
     pose_matrix,
     relative_variation,
+    scalar_update,
     selection_body_jacobians,
 )
 
@@ -132,6 +134,104 @@ class TestStructureValidation:
         with pytest.raises(AttributeError):
             s.constraints.append(kind(0, 99))
         assert len(s.constraints) == 1
+
+    def test_malformed_pose_rows_rejected(self):
+        j = Joint(free_axes=np.ones(6, dtype=bool))
+        flat = Pose(np.eye(3).reshape(9), np.zeros(3))
+        with pytest.raises(
+            ValueError, match=r"body 'a': pose rotation has shape \(9,\), not \(3, 3\)"
+        ):
+            KinematicStructure([Body("a", copy.deepcopy(j), pose=flat)])
+        short = Pose(np.eye(3), np.zeros(2))
+        a = Body("a", copy.deepcopy(j))
+        first = KinematicStructure([a])
+        with pytest.raises(
+            ValueError, match=r"joint of body 'b': parent_to_joint translation has shape \(2,\)"
+        ):
+            KinematicStructure([a, Body("b", Joint(j.free_axes, parent_to_joint=short))])
+        # A structure that fails to build adopts none of its bodies.
+        a.pose = Pose.from_rotvec([0.1, 0.0, 0.0])
+        assert np.array_equal(first.poses()[0][0], a.pose.r)
+        s = build_serial_chain(3)
+        saved = state(s)
+        with pytest.raises(ValueError, match="body 'body1': pose rotation"):
+            s.bodies[1].pose = flat
+        with pytest.raises(ValueError, match="joint of body 'body2': joint_to_model translation"):
+            s.bodies[2].joint.joint_to_model = short
+        assert same_state(state(s), saved)
+        # Values are not checked: a step names what a NaN pose breaks.
+        s.bodies[1].pose = Pose(np.eye(3), np.full(3, np.nan))
+        assert np.isnan(s.poses()[1][1]).all()
+
+    def test_shared_joint_rejected(self):
+        j = Joint(free_axes=np.ones(6, dtype=bool))
+        with pytest.raises(ValueError, match="body 'b' shares its joint with body 'a'"):
+            KinematicStructure([Body("a", j), Body("b", j, parent=0)])
+
+
+def state(s):
+    """Copies of every body pose and joint transform of s."""
+    return [
+        (p.r.copy(), p.t.copy())
+        for b in s.bodies
+        for p in (b.pose, b.joint.joint_to_model, b.joint.parent_to_joint)
+    ]
+
+
+def same_state(a, b):
+    return all(np.array_equal(x, y) for pa, pb in zip(a, b) for x, y in zip(pa, pb))
+
+
+class TestOwnedState:
+    """The structure owns the pose stacks; Body and Joint attributes are
+    rows of them."""
+
+    def test_deepcopy_is_independent_of_its_original(self):
+        s = random_tree(np.random.default_rng(31), 5)
+        clone = copy.deepcopy(s)
+        original = state(s)
+        cfg = SolverConfig(mode=SolverMode.PROJECTED)
+        step(clone, zero_energy, cfg)
+        assert same_state(state(s), original)
+        stepped = state(clone)
+        assert not same_state(stepped, original)
+        step(s, zero_energy, cfg)
+        assert same_state(state(clone), stepped)
+        # Stepped alike, the two agree bit for bit.
+        assert same_state(state(s), stepped)
+
+    def test_poses_read_before_a_step_keep_their_values(self):
+        s = random_tree(np.random.default_rng(32), 5)
+        read = [
+            p for b in s.bodies for p in (b.pose, b.joint.joint_to_model, b.joint.parent_to_joint)
+        ]
+        saved = state(s)
+        step(s, zero_energy, SolverConfig(mode=SolverMode.PROJECTED))
+        assert same_state([(p.r, p.t) for p in read], saved)
+        # The bodies and the re-inferred parent_to_joint did move.
+        assert not same_state(state(s)[0::3], saved[0::3])
+        assert not same_state(state(s)[2::3], saved[2::3])
+
+    def test_updates_use_the_re_inferred_joint_to_model(self):
+        """Joints with a fixed parent_to_joint get a new joint_to_model
+        from each update; the next update and the Jacobians must use it."""
+        rng = np.random.default_rng(33)
+        s = random_tree(rng, 6)
+        parent_fixed = FixedSide.PARENT_TO_JOINT
+        s = KinematicStructure(
+            [replace(b, joint=replace(b.joint, fixed_side=parent_fixed)) if i % 2 else b
+             for i, b in enumerate(s.bodies)]
+        )
+        oracle = copy.deepcopy(s)
+        for _ in range(3):
+            theta = rng.uniform(-0.3, 0.3, s.n_dof)
+            s.update_poses(theta)
+            scalar_update(oracle, theta, SolverMode.PROJECTED)
+        assert max(
+            np.abs(a - b).max() for pa, pb in zip(state(s), state(oracle)) for a, b in zip(pa, pb)
+        ) < 1e-12
+        for jac, ref in zip(body_jacobians(s), selection_body_jacobians(s)):
+            assert np.allclose(jac, ref, atol=1e-12)
 
 
 class TestBodyJacobians:
@@ -279,7 +379,10 @@ class TestUpdatePoses:
         s = KinematicStructure([root, child])
         fixed_before = joint.parent_to_joint
         s.update_poses(np.array([0.4]))
-        assert joint.parent_to_joint is fixed_before
+        # The fixed side keeps its value bit for bit.
+        fixed_after = joint.parent_to_joint
+        assert np.array_equal(fixed_after.r, fixed_before.r)
+        assert np.array_equal(fixed_after.t, fixed_before.t)
         # The inferred side must keep the kinematic chain consistent.
         rebuilt = root.pose @ joint.parent_to_joint @ joint.joint_to_model
         assert np.allclose(pose_matrix(rebuilt), pose_matrix(s.bodies[1].pose), atol=1e-12)

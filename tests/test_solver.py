@@ -1,6 +1,7 @@
 """KKT assembly, solve, and the four solver configurations."""
 
 import copy
+import sys
 import time
 import warnings
 
@@ -18,7 +19,6 @@ from multibody.energy import (
 )
 from multibody.experiments import build_serial_chain
 from multibody.kinematics import Body, Joint, KinematicStructure
-import multibody
 from multibody import se3, solver
 from multibody.se3 import Pose
 from multibody.solver import (
@@ -593,21 +593,23 @@ class TestStep:
             worst = max(np.max(np.abs(b.pose.r.T @ b.pose.r - np.eye(3))) for b in s.bodies)
             assert worst <= 1e-9, f"frame {frame}: orthonormality error {worst:.1e}"
 
-    def test_projected_step_gathers_each_stack_once(self, monkeypatch):
-        """The body poses, the joint_to_model stack (shared by the Jacobians
-        and the update), the parent_to_joint stack of the update and the
-        fixed transforms of the joint refresh: four gathers."""
-        s = build_serial_chain(64)
+    def test_step_gathers_no_pose_stack(self, monkeypatch):
+        """The structure owns its body and joint pose stacks: a step in any
+        mode reads them and gathers no Pose objects into a stack."""
+        s = constrained_tree(np.random.default_rng(17), min_dof=6)
         calls = []
+        original = se3.stack_poses
 
         def spy(poses):
             calls.append(1)
-            return se3.stack_poses(poses)
+            return original(poses)
 
-        for module in (multibody.kinematics, multibody.energy, multibody.constraints):
-            monkeypatch.setattr(module, "stack_poses", spy)
-        step(s, zero_energy, SolverConfig(mode=SolverMode.PROJECTED))
-        assert len(calls) == 4
+        for name, module in list(sys.modules.items()):
+            if name.startswith("multibody") and hasattr(module, "stack_poses"):
+                monkeypatch.setattr(module, "stack_poses", spy)
+        for mode in SolverMode:
+            step(s, zero_energy, SolverConfig(mode=mode))
+        assert calls == []
 
 
 class TestStepReport:

@@ -185,14 +185,19 @@ class TestStepMatchesScalarOracle:
 
 
 class TestOnePoseStackPerStep:
-    """A step gathers the body poses into one stack and reads the constraint
-    frames from the stack built when the constraints were assigned: the
-    claimed speed of a constrained step rests on it.  Calls are counted, not
-    timed, so the result does not depend on machine load."""
+    """A step reads the one body pose stack and the joint stacks its
+    structure owns, and the constraint frames from the stack built when the
+    constraints were assigned: the claimed speed of a step rests on it.
+    Calls are counted, not timed, so the result does not depend on machine
+    load."""
 
-    def test_constrained_step_stacks_poses_at_most_three_times(self, monkeypatch):
-        s = build_serial_chain(8)
-        frames = {id(f) for c in s.constraints for f in (c.frame_a, c.frame_b)}
+    def test_step_stacks_only_the_targets_of_per_body(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        s = random_tree(rng, 6, min_dof=6)
+        s.constraints = [
+            constraint_at(rng, s, Constraint, None, (0, 3)),
+            constraint_at(rng, s, OrthogonalityConstraint, None, (1, 4)),
+        ]
         stacked = []
         original = se3.stack_poses
 
@@ -206,10 +211,15 @@ class TestOnePoseStackPerStep:
             if name.startswith("multibody") and getattr(module, "stack_poses", None) is original:
                 monkeypatch.setattr(module, "stack_poses", spy)
         nudge = Pose.from_rotvec([0.02, -0.01, 0.03], [0.01, 0.0, -0.02])
-        targets = {i: quadratic_pose_target(b.pose @ nudge, 100.0) for i, b in enumerate(s.bodies)}
-        before = [b.pose for b in s.bodies]
-        step(s, per_body(targets), SolverConfig(mode=SolverMode.CONSTRAINED))
-        assert any(not np.array_equal(b.pose.t, p.t) for b, p in zip(s.bodies, before))
-        # s.poses(), the joint re-inference and per_body's own targets.
-        assert len(stacked) <= 3, [len(poses) for poses in stacked]
-        assert not any(id(p) in frames for poses in stacked for p in poses)
+        for mode in SolverMode:
+            providers = {
+                i: quadratic_pose_target(b.pose @ nudge, 100.0) for i, b in enumerate(s.bodies)
+            }
+            targets = {id(p.target) for p in providers.values()}
+            del stacked[:]
+            before = [b.pose for b in s.bodies]
+            step(s, per_body(providers), SolverConfig(mode=mode))
+            assert any(not np.array_equal(b.pose.t, p.t) for b, p in zip(s.bodies, before))
+            # per_body stacks its targets once; the step stacks nothing.
+            assert len(stacked) == 1, (mode, [len(poses) for poses in stacked])
+            assert all(id(p) in targets for p in stacked[0])

@@ -1,5 +1,7 @@
-"""Guards on what importing the package costs and on its public names."""
+"""Guards on what importing the package costs, on its public names and on
+the names the benchmark calls."""
 
+import importlib.util
 import inspect
 import os
 import subprocess
@@ -7,9 +9,12 @@ import sys
 from pathlib import Path
 
 import multibody
+import multibody.config
+import multibody.experiments
 from multibody import se3
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 def sparse_linalg_loaded_after(code: str) -> str:
@@ -54,3 +59,34 @@ def test_se3_keeps_one_kernel_per_formula():
     takes any leading axes itself."""
     names = {name for name, _ in inspect.getmembers(se3, inspect.isfunction)}
     assert not {name for name in names if f"{name}_stack" in names}
+
+
+def perfbench_module(name: str):
+    """perfbench/<name>.py, loaded from its file."""
+    path = ROOT / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_workloads_run_traced_against_the_library():
+    """Every workload of the benchmark, built, run and checked through its
+    own code with the tracer's wrappers installed, as perfbench/run.py
+    does: a renamed function, attribute or parameter that the benchmark
+    calls fails here rather than as a failed benchmark run."""
+    workloads, tracing = perfbench_module("workloads"), perfbench_module("tracer")
+    tracer = tracing.Tracer()
+    for name in workloads.NAMES:
+        workload = workloads.build(name, multibody, 3, ROOT, tiny=True)
+        for i in range(4):
+            workload.prepare(i)
+            tracer.install()
+            try:
+                out = workload.op(i)
+            finally:
+                tracer.uninstall()
+            assert workload.check(i, out) == 0, (name, i)
+        workload.reset()
+        assert workload.cross_check(), name
+    assert tracer.observers["solver.solve_kkt"].calls > 0

@@ -17,17 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .se3 import (
-    Pose,
-    compose_stack,
-    inverse_stack,
-    log_rotation,
-    row_norms,
-    rows_stack,
-    skew,
-    stack_poses,
-    variation_matrix,
-)
+from .se3 import Pose, log_rotation, row_norms, skew, variation_matrix
 
 
 @dataclass(frozen=True)
@@ -90,14 +80,14 @@ class OrthogonalityConstraint(_FramePair):
 
 
 # Stacked formulas, one row per constraint.  Frames and body poses are
-# stacked poses (r, t) as in se3.compose_stack.
+# stacked Poses.
 
 
-def relative_poses(frame_a, frame_b, pose_a, pose_b):
+def relative_poses(frame_a: Pose, frame_b: Pose, pose_a: Pose, pose_b: Pose):
     """A_T_Mb = frame_a o pose_a^-1 o pose_b and the transform from frame B
     into frame A, A_T_B = A_T_Mb o frame_b^-1."""
-    a_t_mb = compose_stack(compose_stack(frame_a, inverse_stack(pose_a)), pose_b)
-    return a_t_mb, compose_stack(a_t_mb, inverse_stack(frame_b))
+    a_t_mb = frame_a @ pose_a.inverse() @ pose_b
+    return a_t_mb, a_t_mb @ frame_b.inverse()
 
 
 def pose_constraint_blocks(frame_a, frame_b, a_t_mb, a_t_b, rotvec):
@@ -106,26 +96,26 @@ def pose_constraint_blocks(frame_a, frame_b, a_t_mb, a_t_b, rotvec):
     in their own model frames; rotvec is log(R_AB)."""
     n = rotvec.shape[0]
     cmat = variation_matrix(rotvec)
-    r_a_ma = frame_a[0]
-    r_a_mb = a_t_mb[0]
-    ma_t_b = compose_stack(inverse_stack(frame_a), a_t_b)
-    mb_t_b = inverse_stack(frame_b)
+    r_a_ma = frame_a.r
+    r_a_mb = a_t_mb.r
+    ma_t_b = frame_a.inverse() @ a_t_b
+    mb_t_b = frame_b.inverse()
 
     d_a = np.zeros((n, 6, 6))
     d_a[:, :3, :3] = -cmat @ r_a_ma
-    d_a[:, 3:, :3] = r_a_ma @ skew(ma_t_b[1])
+    d_a[:, 3:, :3] = r_a_ma @ skew(ma_t_b.t)
     d_a[:, 3:, 3:] = -r_a_ma
 
     d_b = np.zeros((n, 6, 6))
     d_b[:, :3, :3] = cmat @ r_a_mb
-    d_b[:, 3:, :3] = -r_a_mb @ skew(mb_t_b[1])
+    d_b[:, 3:, :3] = -r_a_mb @ skew(mb_t_b.t)
     d_b[:, 3:, 3:] = r_a_mb
     return d_a, d_b
 
 
 def orthogonality_residual(a_t_b) -> np.ndarray:
     """e_i . (R_AB e_j) for each orthogonal axis pair, (n, 3)."""
-    r_ab = a_t_b[0]
+    r_ab = a_t_b.r
     return np.stack([r_ab[:, i, j] for i, j in ORTHOGONAL_AXIS_PAIRS], axis=-1)
 
 
@@ -133,14 +123,14 @@ def orthogonality_blocks(frame_a, a_t_mb, a_t_b):
     """3x6 derivatives of an OrthogonalityConstraint's residual w.r.t. the
     6-DoF variations of body_a and body_b; translational variations do not
     move it."""
-    r_ab = a_t_b[0]
+    r_ab = a_t_b.r
     # Row i of skew(R_AB e_j) for each pair.
     cross = np.stack(
         [skew(r_ab[:, :, j])[:, i] for i, j in ORTHOGONAL_AXIS_PAIRS], axis=1
     )
     zeros = np.zeros(cross.shape)
-    d_a = np.concatenate([cross @ frame_a[0], zeros], axis=-1)
-    d_b = np.concatenate([-cross @ a_t_mb[0], zeros], axis=-1)
+    d_a = np.concatenate([cross @ frame_a.r, zeros], axis=-1)
+    d_b = np.concatenate([-cross @ a_t_mb.r, zeros], axis=-1)
     return d_a, d_b
 
 
@@ -149,8 +139,8 @@ class ConstraintStack:
     ``ortho`` flags, row ``masks``, their ``counts``, each row's ``row_a``/``row_b``."""
 
     def __init__(self, constraints):
-        self.frame_a = stack_poses(c.frame_a for c in constraints)
-        self.frame_b = stack_poses(c.frame_b for c in constraints)
+        self.frame_a = Pose.stack(c.frame_a for c in constraints)
+        self.frame_b = Pose.stack(c.frame_b for c in constraints)
         self.body_a = np.array([c.body_a for c in constraints], dtype=int)
         self.body_b = np.array([c.body_b for c in constraints], dtype=int)
         self.ortho = np.array([isinstance(c, OrthogonalityConstraint) for c in constraints], bool)
@@ -195,18 +185,18 @@ def evaluate_constraints(stack: ConstraintStack, poses, blocks: bool = True) -> 
         d = np.zeros((0, 6)) if blocks else None
         return ConstraintRows(np.zeros((0, 6)), d, d, stack)
     a_t_mb, a_t_b = relative_poses(
-        stack.frame_a, stack.frame_b, rows_stack(poses, stack.body_a), rows_stack(poses, stack.body_b)
+        stack.frame_a, stack.frame_b, poses[stack.body_a], poses[stack.body_b]
     )
-    rotvec = log_rotation(a_t_b[0])
-    extended = np.concatenate([rotvec, a_t_b[1]], axis=-1)
+    rotvec = log_rotation(a_t_b.r)
+    extended = np.concatenate([rotvec, a_t_b.t], axis=-1)
     if blocks:
         d_a, d_b = pose_constraint_blocks(stack.frame_a, stack.frame_b, a_t_mb, a_t_b, rotvec)
     ortho = stack.ortho
     if ortho.any():
-        extended[ortho, :3] = orthogonality_residual(rows_stack(a_t_b, ortho))
+        extended[ortho, :3] = orthogonality_residual(a_t_b[ortho])
         if blocks:
             d_a[ortho, :3], d_b[ortho, :3] = orthogonality_blocks(
-                rows_stack(stack.frame_a, ortho), rows_stack(a_t_mb, ortho), rows_stack(a_t_b, ortho)
+                stack.frame_a[ortho], a_t_mb[ortho], a_t_b[ortho]
             )
     d_a, d_b = (d_a[stack.masks], d_b[stack.masks]) if blocks else (None, None)
     return ConstraintRows(extended, d_a, d_b, stack)

@@ -3,13 +3,13 @@
 An energy provider is any callable ``provider(body_index, pose) -> BodyEnergy``
 evaluated at zero variation of the given pose.  Gradients and Hessians are
 expressed in the body's own variation coordinates, i.e. they differentiate
-the energy along ``pose_with_variation_stack(pose, theta)`` at theta = 0,
-the same map the constraint derivatives use.
+the energy along ``pose.with_variation(theta)`` at theta = 0, the same map
+the constraint derivatives use.
 
 ``evaluate`` is the one place where energies are evaluated, for all bodies
-at once.  Providers with an ``evaluate_stack(poses)`` method, which are pose
-targets, ``per_body`` maps and ``zero_energy``, give every body's gradient
-and Hessian in one pass; any other callable is called once per body.
+at a stacked Pose.  Providers with an ``evaluate_stack(poses)`` method, which
+are pose targets, ``per_body`` maps and ``zero_energy``, give every body's
+gradient and Hessian in one pass; any other callable is called per body.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .se3 import Pose, log_rotation, rows_stack, skew, stack_poses, variation_matrix
+from .se3 import Pose, log_rotation, single, skew, variation_matrix
 
 
 @dataclass
@@ -49,20 +49,20 @@ class ZeroEnergy:
     def __call__(self, body_index: int, pose: Pose) -> BodyEnergy:
         return BodyEnergy.zero()
 
-    def evaluate_stack(self, poses):
-        return _zeros(poses[1].shape[0])
+    def evaluate_stack(self, poses: Pose):
+        return _zeros(poses.t.shape[0])
 
 
 zero_energy = ZeroEnergy()
 
 
-def evaluate(provider, poses):
+def evaluate(provider, poses: Pose):
     """Gradients (n, 6) and Hessians (n, 6, 6) of every body's energy at a
     stacked pose of the n bodies."""
     stacked = getattr(provider, "evaluate_stack", None)
     if stacked is not None:
         return stacked(poses)
-    g, h = _zeros(poses[1].shape[0])
+    g, h = _zeros(poses.t.shape[0])
     _call_per_body(provider, range(g.shape[0]), poses, g, h)
     return g, h
 
@@ -70,30 +70,30 @@ def evaluate(provider, poses):
 def _call_per_body(provider, bodies, poses, g, h):
     """Rows of g and h for the given bodies, one provider call each."""
     for i in bodies:
-        e = provider(i, Pose(poses[0][i], poses[1][i]))
+        e = provider(i, poses[i])
         g[i], h[i] = e.g, e.h
 
 
-def pose_target_stack(targets, scales, poses):
+def pose_target_stack(targets: Pose, scales, poses: Pose):
     """Gradient (n, 6) and Gauss-Newton Hessian (n, 6, 6) of
     E = w_r |log(R_t^T R)|^2 + w_t |t - t_target|^2 for each row of a
-    stacked pose, with stacked targets and ``scales`` (n, 2) holding
-    2 w_r and 2 w_t.
+    stacked pose, with a target and ``scales``, 2 w_r and 2 w_t, per row,
+    (n, 2), or one for all, (2,).
 
     The rotation-vector residual r0 = log(R_target^T R) is an eigenvector
     of its variation matrix C, which collapses the chain rule to
     g_rot = 2 w_r r0; the Hessian's rotation block is 2 w_r C C^T.
     """
-    rt = np.swapaxes(poses[0], -1, -2)
-    r0 = log_rotation(np.swapaxes(targets[0], -1, -2) @ poses[0])
+    rt = poses.r.swapaxes(-1, -2)
+    r0 = log_rotation(targets.r.swapaxes(-1, -2) @ poses.r)
     cmat = variation_matrix(r0)
-    scale_r, scale_t = scales[:, 0], scales[:, 1]
+    scale_r, scale_t = scales[..., 0, None], scales[..., 1, None]
     g = np.empty((r0.shape[0], 6))
     h = np.zeros((r0.shape[0], 6, 6))
-    g[:, :3] = scale_r[:, None] * r0
-    g[:, 3:] = scale_t[:, None] * (rt @ (poses[1] - targets[1])[:, :, None])[:, :, 0]
-    h[:, :3, :3] = scale_r[:, None, None] * (cmat @ np.swapaxes(cmat, -1, -2))
-    h[:, (3, 4, 5), (3, 4, 5)] = scale_t[:, None]
+    g[:, :3] = scale_r * r0
+    g[:, 3:] = scale_t * (rt @ (poses.t - targets.t)[:, :, None])[:, :, 0]
+    h[:, :3, :3] = scale_r[..., None] * (cmat @ cmat.swapaxes(-1, -2))
+    h[:, (3, 4, 5), (3, 4, 5)] = scale_t
     return g, h
 
 
@@ -108,16 +108,12 @@ class PoseTarget:
     scale_r: float
     scale_t: float
 
-    def _stacked(self, n: int):
-        targets = np.broadcast_to(self.target.r, (n, 3, 3)), np.broadcast_to(self.target.t, (n, 3))
-        return targets, np.broadcast_to([self.scale_r, self.scale_t], (n, 2))
-
     def __call__(self, body_index: int, pose: Pose) -> BodyEnergy:
-        g, h = pose_target_stack(*self._stacked(1), (pose.r[None], pose.t[None]))
+        g, h = self.evaluate_stack(Pose(pose.r[None], pose.t[None]))
         return BodyEnergy(g[0], h[0])
 
-    def evaluate_stack(self, poses):
-        return pose_target_stack(*self._stacked(poses[1].shape[0]), poses)
+    def evaluate_stack(self, poses: Pose):
+        return pose_target_stack(self.target, np.array([self.scale_r, self.scale_t]), poses)
 
 
 def quadratic_pose_target(target: Pose, weight_r: float = 1.0, weight_t: float = 1.0) -> PoseTarget:
@@ -167,7 +163,12 @@ class PerBody:
         self.default = default
         targets = {i: p for i, p in self.providers.items() if isinstance(p, PoseTarget)}
         self.target_bodies = np.array(list(targets), dtype=int)
-        self.targets = stack_poses(p.target for p in targets.values())
+        try:
+            self.targets = Pose.stack(p.target for p in targets.values())
+        except ValueError:
+            for i, p in targets.items():
+                single(p.target, f"per_body: body {i} target")
+            raise
         self.scales = np.array([(p.scale_r, p.scale_t) for p in targets.values()]).reshape(-1, 2)
         self.others = sorted(i for i in self.providers if i not in targets)
         self.last = max(self.providers, default=-1)
@@ -175,15 +176,14 @@ class PerBody:
     def __call__(self, body_index: int, pose: Pose) -> BodyEnergy:
         return self.providers.get(body_index, self.default)(body_index, pose)
 
-    def evaluate_stack(self, poses):
-        n = poses[1].shape[0]
+    def evaluate_stack(self, poses: Pose):
+        n = poses.t.shape[0]
         if self.last >= n:
             raise ValueError(f"per_body: body index {self.last} is out of range for {n} bodies")
         g, h = _zeros(n)
         targets = self.target_bodies
         if targets.shape[0]:
-            rows = rows_stack(poses, targets)
-            g[targets], h[targets] = pose_target_stack(self.targets, self.scales, rows)
+            g[targets], h[targets] = pose_target_stack(self.targets, self.scales, poses[targets])
         rest = self.others
         if not isinstance(self.default, ZeroEnergy):
             rest = np.setdiff1d(np.arange(n), targets).tolist()

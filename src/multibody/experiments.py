@@ -26,15 +26,7 @@ from .constraints import (
 from .energy import per_body, quadratic_pose_target, zero_energy
 from .kinematics import Body, Joint, KinematicStructure, axes_mask
 from .metrics import add_error, add_s_error, auc_score
-from .se3 import (
-    Pose,
-    compose_stack,
-    exp_rotvec,
-    inverse_stack,
-    log_rotation,
-    pose_with_variation_stack,
-    row_norms,
-)
+from .se3 import Pose, exp_rotvec, log_rotation, row_norms
 from .solver import (
     FactorizationFailed,
     KktSystem,
@@ -113,7 +105,7 @@ def sample_trials(kind, n_trials, seed, equal_frames=False, random_energy=False)
     draws a gradient (standard normal) and an SPD Hessian (random_spd);
     otherwise both are zero.
 
-    Returns frame_a, frame_b, pose_a, pose_b as stacked (r, t) pairs, the
+    Returns frame_a, frame_b, pose_a, pose_b as stacked Poses, the
     gradients (N, 2, 6) and the Hessians (N, 2, 6, 6).
     """
     bounds = []  # (part, bound)
@@ -139,12 +131,10 @@ def sample_trials(kind, n_trials, seed, equal_frames=False, random_energy=False)
                 hessians[trial, body] = random_spd(rng)
     vectors = lengths[..., None] * (directions / row_norms(directions)[..., None])
     rotations = exp_rotvec(vectors[:, :, 0])
-    frame_a, frame_b, diff, pose_a = ((rotations[:, i], vectors[:, i, 1]) for i in range(4))
+    frame_a, frame_b, diff, pose_a = (Pose(rotations[:, i], vectors[:, i, 1]) for i in range(4))
     # pose_b such that the initial relative pose equals the sampled diff:
     # diff = frame_a o pose_a^-1 o pose_b o frame_b^-1.
-    pose_b = compose_stack(
-        compose_stack(compose_stack(pose_a, inverse_stack(frame_a)), diff), frame_b
-    )
+    pose_b = pose_a @ frame_a.inverse() @ diff @ frame_b
     return frame_a, frame_b, pose_a, pose_b, gradients, hessians
 
 
@@ -193,16 +183,16 @@ def run_convergence_study(
     trans_errors = np.zeros((n_trials, n_iterations + 1))
     for it in range(n_iterations + 1):
         a_t_mb, a_t_b = relative_poses(frame_a, frame_b, pose_a, pose_b)
-        rotvec = log_rotation(a_t_b[0])
+        rotvec = log_rotation(a_t_b.r)
         rot_errors[:, it] = row_norms(rotvec)
-        trans_errors[:, it] = row_norms(a_t_b[1])
+        trans_errors[:, it] = row_norms(a_t_b.t)
         if it == n_iterations:
             break
         if kind == "ortho":
             b_vec = orthogonality_residual(a_t_b)
             d_a, d_b = orthogonality_blocks(frame_a, a_t_mb, a_t_b)
         else:
-            b_vec = np.concatenate([rotvec, a_t_b[1]], axis=-1)[:, free]
+            b_vec = np.concatenate([rotvec, a_t_b.t], axis=-1)[:, free]
             d_a, d_b = pose_constraint_blocks(frame_a, frame_b, a_t_mb, a_t_b, rotvec)
             d_a, d_b = d_a[:, free], d_b[:, free]
         b_mat = np.concatenate([d_a[:, :, free], d_b[:, :, free]], axis=-1)
@@ -215,8 +205,8 @@ def run_convergence_study(
         # pose o T(theta) per trial, theta scattered onto the free axes.
         extended = np.zeros((n_trials, 2, 6))
         extended[:, :, free] = theta.reshape(n_trials, 2, k)
-        pose_a = pose_with_variation_stack(pose_a, extended[:, 0])
-        pose_b = pose_with_variation_stack(pose_b, extended[:, 1])
+        pose_a = pose_a.with_variation(extended[:, 0])
+        pose_b = pose_b.with_variation(extended[:, 1])
     return ConvergenceStudy(kind, n_trials, n_iterations, rot_errors, trans_errors)
 
 

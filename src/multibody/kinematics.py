@@ -20,14 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import ConstraintStack
-from .se3 import (
-    Pose,
-    adjoint,
-    compose_stack,
-    inverse_stack,
-    pose_with_variation_stack,
-    rows_stack,
-)
+from .se3 import Pose, adjoint, single
 
 AXIS_NAMES = ("rot_x", "rot_y", "rot_z", "trans_x", "trans_y", "trans_z")
 
@@ -64,8 +57,8 @@ class _PoseRow:
             return None  # the dataclass field's default: the identity
         if obj._owner is None:
             return obj.__dict__[self.name]
-        r, t = obj._owner._stacks[self.name]
-        return Pose(r[obj._index].copy(), t[obj._index].copy())
+        stack = obj._owner._stacks[self.name]
+        return Pose(stack.r[obj._index].copy(), stack.t[obj._index].copy())
 
     def __set__(self, obj, pose):
         pose = Pose.identity() if pose is None else pose
@@ -122,7 +115,7 @@ class Coordinates:
     def __init__(self, parents, free=None, frames=None):
         n = len(parents)
         free = free or [np.arange(6)] * n
-        self.frames = frames or (np.broadcast_to(_EYE3, (n, 3, 3)), np.zeros((n, 3)))
+        self.frames = frames or Pose(np.broadcast_to(_EYE3, (n, 3, 3)), np.zeros((n, 3)))
         # Each body's number of coordinates and its first one.
         self.n_dofs = n_dofs = np.array([f.shape[0] for f in free], dtype=int)
         first = np.cumsum(n_dofs) - n_dofs
@@ -215,7 +208,7 @@ class KinematicStructure:
         self.bodies = list(bodies)
         self.constraints = constraints
         n = len(self.bodies)
-        self._stacks = {name: (np.empty((n, 3, 3)), np.empty((n, 3))) for name in _STACKED}
+        self._stacks = {name: Pose(np.empty((n, 3, 3)), np.empty((n, 3))) for name in _STACKED}
         rows = [
             (i, name, obj)
             for i, body in enumerate(self.bodies)
@@ -272,21 +265,18 @@ class KinematicStructure:
                         f"constraint {k}: body index {index} is not one of the "
                         f"{len(self.bodies)} bodies"
                     )
+            for side in ("frame_a", "frame_b"):
+                single(getattr(c, side), f"constraint {k}: {side}")
 
     def _write(self, name: str, i: int, pose: Pose):
-        """Write row i of the stack ``name``, if the pose's rotation is
-        (3, 3) and its translation (3,).  Values are not checked: a step
-        names the body or constraints that a non-finite pose makes fail."""
-        for part, value, shape in (("rotation", pose.r, (3, 3)), ("translation", pose.t, (3,))):
-            if value.shape != shape:
-                body = self.bodies[i].name
-                owner = f"body {body!r}" if name == "pose" else f"joint of body {body!r}"
-                raise ValueError(f"{owner}: {name} {part} has shape {value.shape}, not {shape}")
-        r, t = self._stacks[name]
-        r[i], t[i] = pose.r, pose.t
+        """Write row i of the stack ``name``, if the pose is a single one."""
+        body = self.bodies[i].name
+        owner = f"body {body!r}" if name == "pose" else f"joint of body {body!r}"
+        pose, stack = single(pose, f"{owner}: {name}"), self._stacks[name]
+        stack.r[i], stack.t[i] = pose.r, pose.t
 
-    def poses(self):
-        """Body poses as one stacked pose, (n, 3, 3) and (n, 3): the
+    def poses(self) -> Pose:
+        """Body poses as one stacked Pose, (n, 3, 3) and (n, 3): the
         structure's own stack, to be read, not written."""
         return self._stacks["pose"]
 
@@ -304,14 +294,14 @@ class KinematicStructure:
         no pose is read; in the forest view every J_i is exactly the
         identity.
         """
-        frames = inverse_stack(view.frames)
+        frames = view.frames.inverse()
         if not view.links:
             return np.zeros((0, 6, 6)), adjoint(frames)[view.body, :, view.axis].T
         poses = self.poses()
-        rel = compose_stack(inverse_stack(rows_stack(poses, view.root)), poses)
+        rel = poses[view.root].inverse() @ poses
         # One adjoint call for both stacks.
-        both = zip(inverse_stack(rel), compose_stack(rel, frames))
-        ad = adjoint([np.concatenate(pair) for pair in both])
+        a, b = rel.inverse(), rel @ frames
+        ad = adjoint(Pose(np.concatenate([a.r, b.r]), np.concatenate([a.t, b.t])))
         return ad[view.children], ad[len(self.bodies) + view.body, :, view.axis].T
 
     def update_poses(self, theta_k: np.ndarray, view: Coordinates | None = None):
@@ -333,20 +323,18 @@ class KinematicStructure:
         n = len(self.bodies)
         extended = np.zeros((n, 6))
         extended[view.body, view.axis] = theta_k
-        base = compose_stack(self.poses(), inverse_stack(view.frames))
+        base = self.poses() @ view.frames.inverse()
         if view.links:
-            parent_to_joint = self._stacks["parent_to_joint"]
-            base[0][view.children] = parent_to_joint[0][view.children]
-            base[1][view.children] = parent_to_joint[1][view.children]
-        poses = compose_stack(pose_with_variation_stack(base, extended), view.frames)
+            base = _where(view.root == np.arange(n), base, self._stacks["parent_to_joint"])
+        poses = base.with_variation(extended) @ view.frames
         if view.links:
             # Homogeneous matrices: one product per body down the tree.
             world = np.zeros((n, 4, 4))
-            world[:, :3, :3], world[:, :3, 3] = poses
+            world[:, :3, :3], world[:, :3, 3] = poses.r, poses.t
             world[:, 3, 3] = 1.0
             for i, parent in view.links:
                 world[i] = world[parent] @ world[i]
-            poses = np.ascontiguousarray(world[:, :3, :3]), world[:, :3, 3].copy()
+            poses = Pose(np.ascontiguousarray(world[:, :3, :3]), world[:, :3, 3].copy())
         self._stacks["pose"] = poses
         self.refresh_joint_transforms()
         return poses
@@ -360,24 +348,22 @@ class KinematicStructure:
             return
         poses = self.poses()
         children, parents = self.tree.children, self.tree.parents
-        model_fixed = self._model_fixed[children]
-        mask = model_fixed[:, None, None], model_fixed[:, None]
+        fixed = self._model_fixed[children]
         model, parent = self._stacks["joint_to_model"], self._stacks["parent_to_joint"]
-        fixed_inv = inverse_stack(
-            [np.where(m, a[children], b[children]) for m, a, b in zip(mask, model, parent)]
-        )
-        rel = compose_stack(
-            inverse_stack(rows_stack(poses, parents)), rows_stack(poses, children)
-        )
-        left = [np.where(m, a, b) for m, a, b in zip(mask, rel, fixed_inv)]
-        right = [np.where(m, b, a) for m, a, b in zip(mask, rel, fixed_inv)]
-        inferred = _orthonormalized(compose_stack(left, right))
-        for name, rows in (("parent_to_joint", model_fixed), ("joint_to_model", ~model_fixed)):
-            for stack, values in zip(self._stacks[name], inferred):
-                stack[children[rows]] = values[rows]
+        fixed_inv = _where(fixed, model[children], parent[children]).inverse()
+        rel = poses[parents].inverse() @ poses[children]
+        inferred = _orthonormalized(_where(fixed, rel, fixed_inv) @ _where(fixed, fixed_inv, rel))
+        for name, rows in (("parent_to_joint", fixed), ("joint_to_model", ~fixed)):
+            stack = self._stacks[name]
+            stack.r[children[rows]], stack.t[children[rows]] = inferred.r[rows], inferred.t[rows]
 
 
-def _orthonormalized(poses):
+def _where(mask: np.ndarray, a: Pose, b: Pose) -> Pose:
+    """Row i of a where mask[i], else row i of b."""
+    return Pose(np.where(mask[:, None, None], a.r, b.r), np.where(mask[:, None], a.t, b.t))
+
+
+def _orthonormalized(poses: Pose) -> Pose:
     """One Newton-Schulz polar step per row, R <- R (3I - R^T R) / 2.
 
     ``Pose.inverse`` transposes R, which inverts it only while R is
@@ -385,8 +371,8 @@ def _orthonormalized(poses):
     joint transform feeds the next pose update and grows with every step
     down a long chain; the step squares the error instead.
     """
-    r, t = poses
-    return r @ (_THREE_I - np.swapaxes(r, -1, -2) @ r) * 0.5, t
+    r = poses.r
+    return Pose(r @ (_THREE_I - r.swapaxes(-1, -2) @ r) * 0.5, poses.t)
 
 
 _STACKED = ("pose", "joint_to_model", "parent_to_joint")

@@ -16,8 +16,6 @@ gives the single result.  Branches are chosen per row by masks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # Below this angle, closed-form coefficients switch to series expansions.
@@ -108,49 +106,97 @@ def log_rotation(r: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
 class Pose:
-    """Rigid transform: rotation matrix ``r`` plus translation ``t``."""
+    """Rigid transform, or a stack of them: rotations ``r`` (..., 3, 3) and
+    translations ``t`` (..., 3), on which ``@``, ``inverse``, ``with_variation``
+    and ``pose[index]`` act row by row.  Immutable, and not a pair to unpack."""
 
-    r: np.ndarray
-    t: np.ndarray
+    __slots__ = ("r", "t")
+    __iter__ = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "r", np.asarray(self.r, dtype=float))
-        object.__setattr__(self, "t", np.asarray(self.t, dtype=float))
+    def __init__(self, r, t):
+        _set_r(self, np.asarray(r, dtype=float))
+        _set_t(self, np.asarray(t, dtype=float))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{name!r} is read-only: a Pose is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return Pose, (self.r, self.t)
 
     @staticmethod
     def identity() -> "Pose":
-        return Pose(np.eye(3), np.zeros(3))
+        return _pose(np.eye(3), np.zeros(3))
 
     @staticmethod
     def from_rotvec(v, t=(0.0, 0.0, 0.0)) -> "Pose":
-        return Pose(exp_rotvec(np.asarray(v, dtype=float)), np.asarray(t, dtype=float))
+        return Pose(exp_rotvec(v), t)
+
+    @staticmethod
+    def stack(poses) -> "Pose":
+        """(n, 3, 3) and (n, 3) stack of n single poses; ValueError for other rows."""
+        rows = list(poses)
+        r, t = np.array([p.r for p in rows]), np.array([p.t for p in rows])
+        if rows and (r.shape[1:] != (3, 3) or t.shape[1:] != (3,)):
+            raise ValueError(f"rows of shapes {r.shape[1:]} and {t.shape[1:]} are not single poses")
+        return _pose(r.reshape(-1, 3, 3), t.reshape(-1, 3))
 
     def compose(self, other: "Pose") -> "Pose":
-        return Pose(self.r @ other.r, self.r @ other.t + self.t)
+        return _pose(self.r @ other.r, (self.r @ other.t[..., None])[..., 0] + self.t)
 
-    def __matmul__(self, other: "Pose") -> "Pose":
-        return self.compose(other)
+    __matmul__ = compose
 
     def inverse(self) -> "Pose":
-        rt = self.r.T
-        return Pose(rt, -rt @ self.t)
+        rt = self.r.swapaxes(-1, -2)
+        return _pose(rt, (-rt @ self.t[..., None])[..., 0])
+
+    def with_variation(self, theta) -> "Pose":
+        """self o T(theta), theta (..., 6), with T(theta) the exponential rotation
+        and the additive translation: energies, constraints and updates differentiate it."""
+        theta = np.asarray(theta, dtype=float)
+        return self @ _pose(exp_rotvec(theta[..., :3]), theta[..., 3:])
+
+    def __getitem__(self, index) -> "Pose":
+        if self.t.ndim < 2:
+            raise TypeError("a single pose has no rows")
+        return _pose(self.r[index], self.t[index])
 
     def apply(self, points: np.ndarray) -> np.ndarray:
-        """Transform one point (3,) or a stack of points (n, 3)."""
+        """One point (3,) or points (n, 3) moved by a single pose."""
+        single(self, "Pose.apply:")
         points = np.asarray(points, dtype=float)
         return points @ self.r.T + self.t
 
 
-def adjoint(p) -> np.ndarray:
-    """6x6 adjoint projecting a variation between reference frames, of a
-    Pose or of each row of a stacked pose (..., 6, 6).
+_set_r, _set_t = Pose.r.__set__, Pose.t.__set__
+
+
+def _pose(r: np.ndarray, t: np.ndarray) -> Pose:
+    """Pose of float arrays as they are, without Pose.__init__'s conversion."""
+    p = object.__new__(Pose)
+    _set_r(p, r)
+    _set_t(p, t)
+    return p
+
+
+def single(pose: Pose, what: str) -> Pose:
+    """``pose`` if it is one transform, else ValueError naming ``what``; values are not checked."""
+    for part, value, shape in (("rotation", pose.r, (3, 3)), ("translation", pose.t, (3,))):
+        if value.shape != shape:
+            raise ValueError(f"{what} {part} has shape {value.shape}, not {shape}")
+    return pose
+
+
+def adjoint(p: Pose) -> np.ndarray:
+    """6x6 adjoint projecting a variation between reference frames, of each
+    row of a pose: (..., 6, 6).
 
     Block layout matches the [rot | trans] vector ordering:
     [[R, 0], [[t]x R, R]].
     """
-    r, t = (p.r, p.t) if isinstance(p, Pose) else p
+    r, t = p.r, p.t
     ad = np.zeros(r.shape[:-2] + (6, 6))
     ad[..., :3, :3] = r
     ad[..., 3:, :3] = skew(t) @ r
@@ -182,47 +228,3 @@ def variation_matrix(v: np.ndarray) -> np.ndarray:
         - half[..., None, None] * skew(e)
         + tail[..., None, None] * (e[..., :, None] * e[..., None, :])
     )
-
-
-# Stacked pose algebra for callers that run many poses at once.  A stacked
-# pose is an (r, t) pair of shapes (..., 3, 3) and (..., 3); compose_stack
-# and inverse_stack mirror Pose.compose and Pose.inverse row by row, and
-# adjoint takes one as well.
-
-
-def stack_poses(poses):
-    """One stacked pose from Pose objects."""
-    poses = list(poses)
-    return (
-        np.array([p.r for p in poses]).reshape(-1, 3, 3),
-        np.array([p.t for p in poses]).reshape(-1, 3),
-    )
-
-
-def _rotate(r: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """r @ t for each row: (..., 3, 3), (..., 3) -> (..., 3)."""
-    return (r @ t[..., None])[..., 0]
-
-
-def compose_stack(p, q):
-    return p[0] @ q[0], _rotate(p[0], q[1]) + p[1]
-
-
-def inverse_stack(p):
-    rt = np.swapaxes(p[0], -1, -2)
-    return rt, _rotate(-rt, p[1])
-
-
-def rows_stack(p, index):
-    """The rows of a stacked pose at ``index``."""
-    return p[0][index], p[1][index]
-
-
-def pose_with_variation_stack(p, theta: np.ndarray):
-    """Pose after applying a variation in its own model frame, pose o T(theta)
-    with T(theta) the exponential rotation and the additive translation, for
-    each row of a stacked pose: theta (..., 6).
-
-    Energies, constraints and updates all differentiate this map.
-    """
-    return compose_stack(p, (exp_rotvec(theta[..., :3]), theta[..., 3:]))

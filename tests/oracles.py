@@ -25,15 +25,7 @@ from multibody.constraints import Constraint, OrthogonalityConstraint
 from multibody.energy import BodyEnergy, zero_energy
 from multibody.experiments import random_spd
 from multibody.kinematics import Body, FixedSide, Joint, KinematicStructure, axes_mask
-from multibody.se3 import (
-    NEAR_PI,
-    SMALL_ANGLE,
-    Pose,
-    adjoint,
-    compose_stack,
-    inverse_stack,
-    row_norms,
-)
+from multibody.se3 import NEAR_PI, SMALL_ANGLE, Pose, adjoint, row_norms
 from multibody.solver import KktSystem, Regularization, SolverMode, solve_kkt
 
 
@@ -564,10 +556,8 @@ def uniform_sample_trials(kind, n_trials, seed, equal_frames=False, random_energ
     vectors = lengths[..., None] * (directions / row_norms(directions)[..., None])
     rotvecs = vectors[:, :, 0].reshape(-1, 3)
     rotations = np.array([exp_rotvec(v) for v in rotvecs]).reshape(-1, 4, 3, 3)
-    frame_a, frame_b, diff, pose_a = ((rotations[:, i], vectors[:, i, 1]) for i in range(4))
-    pose_b = compose_stack(
-        compose_stack(compose_stack(pose_a, inverse_stack(frame_a)), diff), frame_b
-    )
+    frame_a, frame_b, diff, pose_a = (Pose(rotations[:, i], vectors[:, i, 1]) for i in range(4))
+    pose_b = pose_a @ frame_a.inverse() @ diff @ frame_b
     return frame_a, frame_b, pose_a, pose_b, gradients, hessians
 
 

@@ -15,7 +15,7 @@ from multibody.constraints import (
     relative_poses,
 )
 from multibody.kinematics import Body, Joint, KinematicStructure, axes_mask
-from multibody.se3 import Pose, adjoint, exp_rotvec, stack_poses
+from multibody.se3 import Pose, adjoint, exp_rotvec
 from oracles import (
     body_jacobians,
     constraint_residual,
@@ -104,8 +104,8 @@ class TestEvaluateConstraint:
                 @ np.linalg.inv(pose_matrix(c.frame_b))
             )
             poses = (c.frame_a, c.frame_b, s.bodies[c.body_a].pose, s.bodies[c.body_b].pose)
-            _, (r, t) = relative_poses(*(stack_poses([p]) for p in poses))
-            actual = pose_matrix(Pose(r[0], t[0]))
+            _, a_t_b = relative_poses(*(Pose.stack([p]) for p in poses))
+            actual = pose_matrix(a_t_b[0])
             assert np.max(np.abs(actual - expected)) < 1e-10
 
     def test_rotational_rows_stay_principal(self):

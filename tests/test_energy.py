@@ -27,7 +27,6 @@ from multibody.se3 import (
     Pose,
     exp_rotvec,
     log_rotation,
-    stack_poses,
 )
 from multibody.solver import FactorizationFailed, Regularization, SolverConfig, SolverMode, step
 from oracles import (
@@ -232,9 +231,9 @@ class TestPoseTargetKernel:
     def test_stack_equals_scalar_formula_bit_for_bit(self, rows):
         cases = targets_at(rows)
         g, h = pose_target_stack(
-            stack_poses(target for target, _, _, _ in cases),
+            Pose.stack(target for target, _, _, _ in cases),
             np.array([(2.0 * w_r, 2.0 * w_t) for _, w_r, w_t, _ in cases]),
-            stack_poses(pose for _, _, _, pose in cases),
+            Pose.stack(pose for _, _, _, pose in cases),
         )
         expected = [pose_target_energy(*case) for case in cases]
         g_ref, h_ref = stacked_energies(expected)
@@ -293,6 +292,17 @@ class TestPerBody:
         with pytest.raises(ValueError, match="-1"):
             per_body({-1: quadratic_pose_target(Pose.identity())})
 
+    def test_malformed_target_rejected_naming_its_body(self):
+        flat = Pose(np.eye(3).reshape(9), np.zeros(3))
+        with pytest.raises(
+            ValueError, match=r"per_body: body 0 target rotation has shape \(9,\), not \(3, 3\)"
+        ):
+            per_body({0: quadratic_pose_target(flat)})
+        with pytest.raises(ValueError, match=r"per_body: body 2 target rotation has shape \(9,\)"):
+            per_body({0: quadratic_pose_target(Pose.identity()), 2: quadratic_pose_target(flat)})
+        nan = per_body({0: quadratic_pose_target(Pose(np.eye(3), np.full(3, np.nan)))})
+        assert nan.targets.t.shape == (1, 3) and np.isnan(nan.targets.t).all()
+
     def test_out_of_range_key_rejected_before_any_change(self):
         s = random_tree(np.random.default_rng(23), 3)
         before = [(b.pose.r.copy(), b.pose.t.copy()) for b in s.bodies]
@@ -329,7 +339,7 @@ class TestStackedPath:
         kernel = energy.pose_target_stack
 
         def counting_kernel(*args):
-            kernel_calls.append(args[2][1].shape[0])
+            kernel_calls.append(args[2].t.shape[0])
             return kernel(*args)
 
         def no_row_call(self, body_index, pose):

@@ -17,6 +17,18 @@ from multibody.experiments import (
     write_convergence_csv,
     write_scaling_csv,
 )
+from multibody import (
+    Body,
+    BodyEnergy,
+    Constraint,
+    Joint,
+    KinematicStructure,
+    OrthogonalityConstraint,
+    SolverConfig,
+    axes_mask,
+    step,
+)
+from multibody.constraints import relative_poses
 from multibody.se3 import log_rotation, row_norms
 from multibody.solver import FactorizationFailed, Regularization, SolverMode
 from oracles import kkt_dimension, scalar_convergence_errors, uniform_sample_trials
@@ -32,7 +44,7 @@ class TestSampling:
         # trial samples three rotations directly: frame_a, frame_b, pose_a.
         frame_a, frame_b, pose_a, *_ = sample_trials("rotvec", 30_000, seed=0)
         angles = np.concatenate(
-            [row_norms(log_rotation(pose[0])) for pose in (frame_a, frame_b, pose_a)]
+            [row_norms(log_rotation(pose.r)) for pose in (frame_a, frame_b, pose_a)]
         )
         se = (np.pi / np.sqrt(12.0)) / np.sqrt(angles.size)
         assert abs(angles.mean() - np.pi / 2) < 3 * se
@@ -45,9 +57,9 @@ class TestSampling:
         for seed in (0, 7):
             args = kind, 40, seed, equal_frames, random_energy
             actual, expected = sample_trials(*args), uniform_sample_trials(*args)
-            # Four (r, t) pose stacks, then the gradients and Hessians.
+            # Four pose stacks, then the gradients and Hessians.
             for a, e in zip(actual[:4], expected[:4]):
-                assert np.array_equal(a[0], e[0]) and np.array_equal(a[1], e[1])
+                assert np.array_equal(a.r, e.r) and np.array_equal(a.t, e.t)
             for a, e in zip(actual[4:], expected[4:]):
                 assert np.array_equal(a, e)
 
@@ -126,6 +138,45 @@ class TestBatchedStudy:
         else:
             assert np.max(np.abs(study.rot_errors - rot)) <= 1e-12
             assert np.max(np.abs(study.trans_errors - trans)) <= 1e-12
+
+    @pytest.mark.parametrize("equal_frames", [False, True])
+    @pytest.mark.parametrize("random_energy", [False, True])
+    @pytest.mark.parametrize("kind", CONVERGENCE_KINDS)
+    def test_is_the_tracker_step_bit_for_bit(self, kind, random_energy, equal_frames):
+        """Each trial replayed through solver.step: two bodies whose joints
+        are free on the kind's axes, the trial's constraint, its energies
+        as providers, a COMBINED step with the default regularization.  So
+        criteria 1-3 measure the Newton step the tracker runs."""
+        args = (kind, 40, 21, equal_frames, random_energy)
+        frame_a, frame_b, pose_a, pose_b, gradients, hessians = sample_trials(*args)
+        study = run_convergence_study(40, 4, kind, 21, random_energy, equal_frames)
+        rotation = axes_mask(["rot_x", "rot_y", "rot_z"])
+        free = {"rotvec": rotation, "ortho": rotation, "trans": ~rotation}.get(
+            kind, np.ones(6, dtype=bool)
+        )
+        cfg = SolverConfig(mode=SolverMode.COMBINED)
+        for trial in range(40):
+            bodies = [
+                Body(name, Joint(free.copy()), pose=pose[trial])
+                for name, pose in (("a", pose_a), ("b", pose_b))
+            ]
+            frames = frame_a[trial], frame_b[trial]
+            if kind == "ortho":
+                constraint = OrthogonalityConstraint(0, 1, *frames)
+            else:
+                constraint = Constraint(0, 1, *frames, constrained_axes=free)
+            s = KinematicStructure(bodies, [constraint])
+            energies = [BodyEnergy(gradients[trial, i], hessians[trial, i]) for i in range(2)]
+            provider = lambda i, pose: energies[i]  # noqa: E731
+            rot, trans = np.zeros(5), np.zeros(5)
+            for it in range(5):
+                if it:
+                    step(s, provider, cfg)
+                stack, poses = s.constraint_stack, s.poses()
+                _, a_t_b = relative_poses(stack.frame_a, stack.frame_b, poses[[0]], poses[[1]])
+                rot[it], trans[it] = row_norms(log_rotation(a_t_b.r))[0], row_norms(a_t_b.t)[0]
+            assert np.array_equal(rot, study.rot_errors[trial]), trial
+            assert np.array_equal(trans, study.trans_errors[trial]), trial
 
     def test_orthogonality_statistics_match_scalar_oracle(self):
         study = run_convergence_study(300, 4, "ortho", seed=3)

@@ -151,7 +151,7 @@ class TestStructureValidation:
             KinematicStructure([a, Body("b", Joint(j.free_axes, parent_to_joint=short))])
         # A structure that fails to build adopts none of its bodies.
         a.pose = Pose.from_rotvec([0.1, 0.0, 0.0])
-        assert np.array_equal(first.poses()[0][0], a.pose.r)
+        assert np.array_equal(first.poses().r[0], a.pose.r)
         s = build_serial_chain(3)
         saved = state(s)
         with pytest.raises(ValueError, match="body 'body1': pose rotation"):
@@ -161,7 +161,25 @@ class TestStructureValidation:
         assert same_state(state(s), saved)
         # Values are not checked: a step names what a NaN pose breaks.
         s.bodies[1].pose = Pose(np.eye(3), np.full(3, np.nan))
-        assert np.isnan(s.poses()[1][1]).all()
+        assert np.isnan(s.poses().t[1]).all()
+
+    @pytest.mark.parametrize("kind", [Constraint, OrthogonalityConstraint])
+    def test_malformed_constraint_frames_rejected(self, kind):
+        flat = Pose(np.eye(3).reshape(9), np.zeros(3))
+        s = build_serial_chain(3)
+        with pytest.raises(
+            ValueError, match=r"constraint 0: frame_a rotation has shape \(9,\), not \(3, 3\)"
+        ):
+            s.constraints = [kind(0, 2, frame_a=flat)]
+        assert len(s.constraints) == 2
+        short = Pose(np.eye(3), np.zeros(2))
+        with pytest.raises(
+            ValueError, match=r"constraint 1: frame_b translation has shape \(2,\), not \(3,\)"
+        ):
+            KinematicStructure(build_serial_chain(3).bodies, [kind(0, 1), kind(1, 2, frame_b=short)])
+        # Values are not checked: a step names what a NaN frame breaks.
+        s.constraints = [kind(0, 2, frame_a=Pose(np.eye(3), np.full(3, np.nan)))]
+        assert np.isnan(s.constraint_stack.frame_a.t).all()
 
     def test_shared_joint_rejected(self):
         j = Joint(free_axes=np.ones(6, dtype=bool))

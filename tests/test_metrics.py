@@ -66,6 +66,17 @@ class TestAddSError:
             expected = brute_force_add_s(mesh.vertices, pose_matrix(rel))
             assert abs(add_s_error(mesh, rel) - expected) < 1e-12
 
+    def test_equals_cdist_bit_for_bit(self):
+        from scipy.spatial.distance import cdist
+
+        rng = np.random.default_rng(6)
+        for _ in range(500):
+            scale = 10.0 ** rng.uniform(-4, 2)
+            mesh = Mesh(scale * rng.standard_normal((int(rng.integers(1, 81)), 3)))
+            rel = Pose(exp_rotvec(rng.uniform(-1, 1, 3)), scale * rng.uniform(-1, 1, 3))
+            expected = float(np.mean(cdist(mesh.vertices, rel.apply(mesh.vertices)).min(axis=1)))
+            assert add_s_error(mesh, rel) == expected
+
     def test_never_exceeds_add(self):
         rng = np.random.default_rng(5)
         for _ in range(100):

@@ -1,5 +1,8 @@
 """Rotation and rigid-transform algebra against quaternion and FD oracles."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +16,6 @@ from multibody.se3 import (
     adjoint,
     exp_rotvec,
     log_rotation,
-    pose_with_variation_stack,
     row_norms,
     skew,
     variation_matrix,
@@ -240,7 +242,7 @@ class TestVariationHelpers:
         rng = np.random.default_rng(15)
         p = random_pose(rng)
         theta = np.array([0, 0, 0, 0.1, -0.2, 0.3])
-        moved = Pose(*pose_with_variation_stack((p.r, p.t), theta))
+        moved = p.with_variation(theta)
         assert np.allclose(moved.r, p.r)
         assert np.allclose(moved.t, p.t + p.r @ theta[3:], atol=1e-12)
 
@@ -249,7 +251,7 @@ class TestVariationHelpers:
         for _ in range(100):
             p = random_pose(rng)
             theta = np.concatenate([random_rotvec(rng), rng.uniform(-1, 1, 3)])
-            moved = Pose(*pose_with_variation_stack((p.r, p.t), theta))
+            moved = p.with_variation(theta)
             recovered = relative_variation(p, moved)
             assert np.allclose(recovered, theta, atol=1e-9)
 
@@ -374,3 +376,146 @@ class TestStackedKernels:
         assert np.allclose(log_rotation(exp_rotvec(v)), v, atol=1e-12)
         assert variation_matrix(np.zeros((0, 3))).shape == (0, 3, 3)
         assert log_rotation(np.zeros((0, 3, 3))).shape == (0, 3)
+
+
+leading_shapes = st.lists(st.integers(0, 4), min_size=1, max_size=3).map(tuple)
+seeds = st.integers(0, 2**32 - 1)
+
+
+def random_stack(rng, shape):
+    """A Pose of random rotations and translations over leading axes ``shape``."""
+    v = np.array([random_rotvec(rng) for _ in range(int(np.prod(shape)))]).reshape(shape + (3,))
+    return Pose(exp_rotvec(v), rng.uniform(-1, 1, shape + (3,)))
+
+
+def single_rows(p):
+    """(index, single Pose of row index) for every row of a stacked pose,
+    built from the arrays, not by Pose.__getitem__."""
+    for index in np.ndindex(p.t.shape[:-1]):
+        yield index, Pose(p.r[index].copy(), p.t[index].copy())
+
+
+def assert_same_pose(actual, expected):
+    assert actual.r.shape == expected.r.shape and actual.t.shape == expected.t.shape
+    assert np.array_equal(actual.r, expected.r) and np.array_equal(actual.t, expected.t)
+
+
+class TestStackedPose:
+    """A Pose of any leading shape acts row by row, bit for bit as the
+    single-pose operations on each of its rows."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(leading_shapes, seeds)
+    def test_compose(self, shape, seed):
+        rng = np.random.default_rng(seed)
+        p, q = random_stack(rng, shape), random_stack(rng, shape)
+        pq = p @ q
+        assert_same_pose(p.compose(q), pq)
+        rows_q = dict(single_rows(q))
+        for index, row in single_rows(p):
+            expected = row @ rows_q[index]
+            assert_same_pose(pq[index], expected)
+            # The single-pose formula, written out.
+            r, t = row.r, row.t
+            assert np.array_equal(expected.r, r @ rows_q[index].r)
+            assert np.array_equal(expected.t, r @ rows_q[index].t + t)
+
+    @settings(max_examples=60, deadline=None)
+    @given(leading_shapes, seeds)
+    def test_inverse(self, shape, seed):
+        p = random_stack(np.random.default_rng(seed), shape)
+        inv = p.inverse()
+        for index, row in single_rows(p):
+            expected = row.inverse()
+            assert_same_pose(inv[index], expected)
+            assert np.array_equal(expected.r, row.r.T)
+            assert np.array_equal(expected.t, -row.r.T @ row.t)
+
+    @settings(max_examples=60, deadline=None)
+    @given(leading_shapes, seeds)
+    def test_with_variation(self, shape, seed):
+        rng = np.random.default_rng(seed)
+        p = random_stack(rng, shape)
+        theta = rng.normal(size=shape + (6,))
+        moved = p.with_variation(theta)
+        for index, row in single_rows(p):
+            expected = scalar.pose_with_variation(row, theta[index])
+            assert_same_pose(row.with_variation(theta[index]), expected)
+            assert_same_pose(moved[index], expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(leading_shapes, seeds)
+    def test_rows_and_stack_round_trip(self, shape, seed):
+        p = random_stack(np.random.default_rng(seed), shape)
+        rows = []
+        for index, row in single_rows(p):
+            assert_same_pose(p[index], row)
+            rows.append(row)
+        flat = Pose.stack(rows)
+        assert flat.r.shape == (len(rows), 3, 3) and flat.t.shape == (len(rows), 3)
+        assert np.array_equal(flat.r.reshape(p.r.shape), p.r)
+        assert np.array_equal(flat.t.reshape(p.t.shape), p.t)
+        for i, row in enumerate(rows):
+            assert_same_pose(flat[i], row)
+        # Index arrays select rows in their order.
+        if rows:
+            picks = np.arange(len(rows))[::-1]
+            assert_same_pose(flat[picks], Pose.stack(rows[::-1]))
+
+    def test_stack_and_single_broadcast(self):
+        rng = np.random.default_rng(23)
+        p, q = random_stack(rng, (5,)), random_pose(rng)
+        for i, row in single_rows(p):
+            assert_same_pose((p @ q)[i], row @ q)
+            assert_same_pose((q @ p)[i], q @ row)
+
+    def test_stack_rejects_rows_that_are_not_single_poses(self):
+        good, flat = Pose.identity(), Pose(np.eye(3).reshape(9), np.zeros(3))
+        # A lone flat rotation is not reshaped into a 3 x 3 one.
+        with pytest.raises(ValueError, match=r"rows of shapes \(9,\) and \(3,\) are not single"):
+            Pose.stack([flat])
+        with pytest.raises(ValueError):
+            Pose.stack([good, flat])
+        with pytest.raises(ValueError, match=r"shapes \(3, 3\) and \(1, 3\) are not single"):
+            Pose.stack([Pose(np.eye(3), np.zeros((1, 3)))])
+        stacked = Pose.stack([good, good])
+        with pytest.raises(ValueError, match=r"shapes \(2, 3, 3\) and \(2, 3\) are not single"):
+            Pose.stack([stacked])
+        # apply moves points by one transform only.
+        with pytest.raises(ValueError, match=r"Pose.apply: rotation has shape \(2, 3, 3\)"):
+            stacked.apply(np.zeros(3))
+        # Values are not checked.
+        nan = Pose.stack([Pose(np.full((3, 3), np.nan), np.zeros(3))])
+        assert np.isnan(nan.r).all()
+        assert Pose.stack([]).r.shape == (0, 3, 3) and Pose.stack([]).t.shape == (0, 3)
+
+    def test_a_pose_is_not_a_pair(self):
+        p = Pose.stack([Pose.identity(), Pose.from_rotvec([0.1, 0.2, 0.3], [1.0, 2.0, 3.0])])
+        with pytest.raises(TypeError):
+            r, t = p
+        with pytest.raises(TypeError):
+            iter(Pose.identity())
+        with pytest.raises(TypeError):
+            list(p)
+        with pytest.raises(TypeError, match="a single pose has no rows"):
+            Pose.identity()[0]
+
+    def test_a_pose_is_immutable(self):
+        p = Pose.from_rotvec([0.1, 0.2, 0.3], [1.0, 2.0, 3.0])
+        for name in ("r", "t", "other"):
+            with pytest.raises(AttributeError):
+                setattr(p, name, np.zeros(3))
+        with pytest.raises(AttributeError):
+            del p.r
+        assert np.array_equal(p.t, [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("shape", [(), (0,), (4,), (2, 3)])
+    def test_deepcopy_and_pickle_round_trips(self, shape):
+        rng = np.random.default_rng(29)
+        p = random_pose(rng) if shape == () else random_stack(rng, shape)
+        for copied in (copy.deepcopy(p), pickle.loads(pickle.dumps(p)), copy.copy(p)):
+            assert type(copied) is Pose
+            assert_same_pose(copied, p)
+            with pytest.raises(AttributeError):
+                copied.r = p.r
+        assert copy.deepcopy(p).r is not p.r

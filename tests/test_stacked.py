@@ -2,7 +2,6 @@
 they replaced (one constraint, one body, one Pose at a time)."""
 
 import copy
-import sys
 from dataclasses import replace
 
 import numpy as np
@@ -199,17 +198,14 @@ class TestOnePoseStackPerStep:
             constraint_at(rng, s, OrthogonalityConstraint, None, (1, 4)),
         ]
         stacked = []
-        original = se3.stack_poses
+        original = se3.Pose.stack
 
         def spy(poses):
             poses = list(poses)
             stacked.append(poses)
             return original(poses)
 
-        # Every module that imported stack_poses by name.
-        for name, module in list(sys.modules.items()):
-            if name.startswith("multibody") and getattr(module, "stack_poses", None) is original:
-                monkeypatch.setattr(module, "stack_poses", spy)
+        monkeypatch.setattr(se3.Pose, "stack", staticmethod(spy))
         nudge = Pose.from_rotvec([0.02, -0.01, 0.03], [0.01, 0.0, -0.02])
         for mode in SolverMode:
             providers = {

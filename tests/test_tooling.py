@@ -17,13 +17,13 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 
 
-def sparse_linalg_loaded_after(code: str) -> str:
-    """Whether scipy.sparse.linalg is loaded after running code in a fresh
-    process that imports multibody."""
+def loaded_after(code: str, module: str = "scipy.sparse.linalg") -> str:
+    """Whether ``module`` is loaded after running code in a fresh process
+    that imports multibody."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, "-c", f"import sys, multibody\n{code}\n"
-         "print('scipy.sparse.linalg' in sys.modules)"],
+         f"print({module!r} in sys.modules)"],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
@@ -36,7 +36,15 @@ def test_import_leaves_sparse_linalg_unloaded():
     """scipy.sparse.linalg adds about 35 modules and 2 MB to a fresh
     process; the solver needs none of it, since large sparse KKT systems
     are factored in band storage by LAPACK."""
-    assert sparse_linalg_loaded_after("") == "False"
+    assert loaded_after("") == "False"
+
+
+def test_import_leaves_scipy_spatial_and_sparse_unloaded():
+    """ADD-S sums squared differences itself, so neither scipy.spatial nor
+    the scipy.sparse it imports is loaded: about 90 modules and 9 MB of a
+    fresh process."""
+    for module in ("scipy.spatial", "scipy.sparse"):
+        assert loaded_after("import multibody.experiments", module) == "False"
 
 
 def test_band_solve_leaves_sparse_linalg_unloaded():
@@ -46,7 +54,7 @@ def test_band_solve_leaves_sparse_linalg_unloaded():
         "    multibody.SolverConfig(mode='constrained'))\n"
         "assert report.kkt_dim == 699"
     )
-    assert sparse_linalg_loaded_after(step) == "False"
+    assert loaded_after(step) == "False"
 
 
 def test_every_exported_name_resolves():
@@ -56,9 +64,14 @@ def test_every_exported_name_resolves():
 
 def test_se3_keeps_one_kernel_per_formula():
     """No public function of se3 has a <name>_stack twin: each formula
-    takes any leading axes itself."""
+    takes any leading axes itself, and Pose is the one pose type, for one
+    transform or a stack, with no helpers for (r, t) pairs beside it."""
     names = {name for name, _ in inspect.getmembers(se3, inspect.isfunction)}
     assert not {name for name in names if f"{name}_stack" in names}
+    pair_helpers = (
+        "compose_stack", "inverse_stack", "rows_stack", "pose_with_variation_stack", "stack_poses"
+    )
+    assert not [name for name in pair_helpers if hasattr(se3, name)]
 
 
 def perfbench_module(name: str):

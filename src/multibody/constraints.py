@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .se3 import Pose, log_rotation, row_norms, skew, variation_matrix
+from .se3 import Pose, log_rotation, row_norms, single, skew, variation_matrix
 
 
 @dataclass(frozen=True)
@@ -139,8 +139,7 @@ class ConstraintStack:
     ``ortho`` flags, row ``masks``, their ``counts``, each row's ``row_a``/``row_b``."""
 
     def __init__(self, constraints):
-        self.frame_a = Pose.stack(c.frame_a for c in constraints)
-        self.frame_b = Pose.stack(c.frame_b for c in constraints)
+        self.frame_a, self.frame_b = (_frames(constraints, side) for side in ("frame_a", "frame_b"))
         self.body_a = np.array([c.body_a for c in constraints], dtype=int)
         self.body_b = np.array([c.body_b for c in constraints], dtype=int)
         self.ortho = np.array([isinstance(c, OrthogonalityConstraint) for c in constraints], bool)
@@ -149,6 +148,17 @@ class ConstraintStack:
         self.counts = self.masks.sum(axis=1)
         self.row_a = np.repeat(self.body_a, self.counts)
         self.row_b = np.repeat(self.body_b, self.counts)
+
+
+def _frames(constraints, side: str) -> Pose:
+    """The constraints' frames on one side as a stack; ValueError naming the
+    first constraint whose frame is not a single pose."""
+    try:
+        return Pose.stack(getattr(c, side) for c in constraints)
+    except ValueError:
+        for k, c in enumerate(constraints):
+            single(getattr(c, side), f"constraint {k}: {side}")
+        raise
 
 
 @dataclass

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import ConstraintStack
+from .constraints import ConstraintRows, ConstraintStack, evaluate_constraints
 from .se3 import Pose, adjoint, single
 
 AXIS_NAMES = ("rot_x", "rot_y", "rot_z", "trans_x", "trans_y", "trans_z")
@@ -200,8 +200,15 @@ class KinematicStructure:
     ``Body.pose`` and the joint transforms then read and write their row; a
     body or joint handed to a second structure belongs to that one.
     ``constraint_stack`` is rebuilt whenever the constraints are assigned.
+
+    The structure also keeps its constraints evaluated at the body-pose
+    stack (``constraint_rows``), so that each pose is evaluated once: a
+    Newton step starts from the rows the previous step or frame left.  The
+    rows are dropped whenever the stack is replaced (update_poses), a body
+    pose is written, or the constraints are assigned.
     Mutating operations (pose updates) must be serialized by the caller;
-    read-only snapshots may be shared for parallel evaluation.
+    read-only snapshots may be shared for parallel evaluation, which at
+    worst evaluates the same rows twice.
     """
 
     def __init__(self, bodies: list[Body], constraints=()):
@@ -240,8 +247,8 @@ class KinematicStructure:
     def constraints(self, constraints):
         constraints = tuple(constraints)
         self._validate(constraints)
-        self._constraints = constraints
-        self.constraint_stack = ConstraintStack(constraints)
+        stack = ConstraintStack(constraints)
+        self._constraints, self.constraint_stack, self._rows = constraints, stack, None
 
     def _validate(self, constraints):
         if not self.bodies:
@@ -265,8 +272,6 @@ class KinematicStructure:
                         f"constraint {k}: body index {index} is not one of the "
                         f"{len(self.bodies)} bodies"
                     )
-            for side in ("frame_a", "frame_b"):
-                single(getattr(c, side), f"constraint {k}: {side}")
 
     def _write(self, name: str, i: int, pose: Pose):
         """Write row i of the stack ``name``, if the pose is a single one."""
@@ -274,11 +279,24 @@ class KinematicStructure:
         owner = f"body {body!r}" if name == "pose" else f"joint of body {body!r}"
         pose, stack = single(pose, f"{owner}: {name}"), self._stacks[name]
         stack.r[i], stack.t[i] = pose.r, pose.t
+        if name == "pose":
+            self._rows = None
 
     def poses(self) -> Pose:
         """Body poses as one stacked Pose, (n, 3, 3) and (n, 3): the
-        structure's own stack, to be read, not written."""
+        structure's own stack, read-only.  An in-place write would leave
+        the stored constraint rows stale; assign Body.pose instead."""
         return self._stacks["pose"]
+
+    def constraint_rows(self, blocks: bool = True) -> ConstraintRows:
+        """The constraints evaluated at the body-pose stack, with their
+        variation blocks if ``blocks``: the stored rows, evaluated again
+        only if they are gone or lack the blocks asked for.  Shared, to be
+        read, not written."""
+        rows = self._rows
+        if rows is None or (blocks and rows.d_a is None):
+            rows = self._rows = evaluate_constraints(self.constraint_stack, self.poses(), blocks)
+        return rows
 
     def jacobian_factors(self, view: Coordinates):
         """The factors of the body Jacobians J_i = Ad(rel_i^-1) (S o anc_i)
@@ -315,6 +333,7 @@ class KinematicStructure:
         topological order.  In the forest view every body is a root with
         J_T_M = I and moves to pose o T(theta_i).  Afterwards the non-fixed
         joint transform of every joint is re-inferred from the new poses.
+        The stored constraint rows are dropped.
         """
         view = view or self.tree
         theta_k = np.asarray(theta_k, dtype=float)
@@ -335,7 +354,7 @@ class KinematicStructure:
             for i, parent in view.links:
                 world[i] = world[parent] @ world[i]
             poses = Pose(np.ascontiguousarray(world[:, :3, :3]), world[:, :3, 3].copy())
-        self._stacks["pose"] = poses
+        self._stacks["pose"], self._rows = poses, None
         self.refresh_joint_transforms()
         return poses
 

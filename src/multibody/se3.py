@@ -136,9 +136,15 @@ class Pose:
 
     @staticmethod
     def stack(poses) -> "Pose":
-        """(n, 3, 3) and (n, 3) stack of n single poses; ValueError for other rows."""
+        """(n, 3, 3) and (n, 3) stack of n single poses; ValueError for other
+        rows, naming the first bad one if their shapes differ."""
         rows = list(poses)
-        r, t = np.array([p.r for p in rows]), np.array([p.t for p in rows])
+        try:
+            r, t = np.array([p.r for p in rows]), np.array([p.t for p in rows])
+        except ValueError:
+            for i, p in enumerate(rows):
+                single(p, f"row {i}:")
+            raise
         if rows and (r.shape[1:] != (3, 3) or t.shape[1:] != (3,)):
             raise ValueError(f"rows of shapes {r.shape[1:]} and {t.shape[1:]} are not single poses")
         return _pose(r.reshape(-1, 3, 3), t.reshape(-1, 3))

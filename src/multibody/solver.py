@@ -13,9 +13,11 @@ Four configurations are supported:
 They are two switches over one code path.  Projection picks the
 coordinates: the structure's tree view, or its forest view in which every
 body is a free root, so that its Jacobian is the identity.  Constraint rows
-are on or off.  Each step evaluates all energies (energy.evaluate) and all
-constraints once, on stacks, and assembles only the structurally nonzero
-entries of the KKT matrix, all at the pose stacks the structure owns.
+are on or off.  Each step evaluates all energies (energy.evaluate) once, on
+stacks, takes the constraints evaluated at its poses from the structure,
+which evaluates them once per pose, and assembles only the structurally
+nonzero entries of the KKT matrix, all at the pose stacks the structure
+owns.
 One size rule stores and factors it: small or dense systems densely, by
 LAPACK's symmetric-indefinite dsytrf and dsytrs, alone or as a stack of one
 size; large sparse ones in band storage and reverse Cuthill-McKee order by
@@ -34,7 +36,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dsytrf, dsytrf_lwork, dsytrs
 
-from .constraints import ConstraintRows, ConstraintStack, evaluate_constraints
+from .constraints import ConstraintRows, ConstraintStack
 from .energy import evaluate
 from .kinematics import KinematicStructure
 
@@ -50,7 +52,8 @@ class SolverMode(enum.Enum):
 # use the forest view), and modes where constraint rows enter the system.
 _TREE_MODES = (SolverMode.PROJECTED, SolverMode.COMBINED)
 _CONSTRAINED_MODES = (SolverMode.CONSTRAINED, SolverMode.COMBINED)
-_NO_CONSTRAINTS = ConstraintStack(())
+# The rows of no constraint, at any pose.
+_NO_ROWS = ConstraintRows(np.zeros((0, 6)), np.zeros((0, 6)), np.zeros((0, 6)), ConstraintStack(()))
 STEP_LAYERS = ("energy", "constraints_before", "assemble", "solve", "update", "constraints_after")
 
 
@@ -265,7 +268,10 @@ class StepReport:
     otherwise.  ``kkt_dim`` is the size of the solved system and
     ``backward_error`` the relative residual of its solution
     (KktSystem.backward_error).  ``timings`` holds the seconds spent in each
-    layer of the step (STEP_LAYERS), by time.perf_counter."""
+    layer of the step (STEP_LAYERS), by time.perf_counter;
+    ``constraints_before`` reads about 0 when the step reused the rows the
+    structure kept from the previous step, and ``constraints_after``
+    includes the blocks a constraint mode evaluates for the next one."""
 
     theta_norm: float
     residuals_before: list
@@ -287,8 +293,9 @@ def assemble(
     """Gradient/Hessian plus regularization in the mode's coordinates, and
     constraint rows in the constraint modes.  ``g`` (n, 6) and ``h``
     (n, 6, 6) are the bodies' energies (energy.evaluate) at the structure's
-    poses (s.poses()).  ``rows`` may hold the structure's constraints
-    already evaluated there with blocks.  Raises FactorizationFailed naming
+    poses (s.poses()).  ``rows`` holds the structure's constraints
+    evaluated there with blocks, by default those it keeps
+    (KinematicStructure.constraint_rows).  Raises FactorizationFailed naming
     the first body whose energy is not finite.
 
     With J_i = Ad(rel_i^-1) (S o anc_i) (KinematicStructure.jacobian_factors),
@@ -309,9 +316,9 @@ def assemble(
             f"non-finite energy gradient or Hessian for body {i} ({s.bodies[i].name!r})"
         )
     if mode not in _CONSTRAINED_MODES:
-        rows = evaluate_constraints(_NO_CONSTRAINTS, s.poses())
+        rows = _NO_ROWS
     elif rows is None:
-        rows = evaluate_constraints(s.constraint_stack, s.poses())
+        rows = s.constraint_rows()
     view = _coordinates(s, mode)
     ad_inv, motion = s.jacobian_factors(view)
     # A root is its tree's reference frame; the other bodies' energies and
@@ -463,15 +470,18 @@ def step(s: KinematicStructure, provider, cfg: SolverConfig) -> StepReport:
 
     The energies (energy.evaluate), constraints and assembly all read the
     structure's own pose stacks; the update replaces them.  The constraints
-    are evaluated twice, all at once: before the solve (residuals and, in
-    the constraint modes, KKT rows) and after it, at the stacked pose
-    update_poses returns.
+    are evaluated once per pose, all at once, by the structure
+    (KinematicStructure.constraint_rows): after the update, with the KKT
+    blocks in the constraint modes, and kept there.  The residuals before
+    the solve, and in the constraint modes its KKT rows, are then those the
+    previous step or frame left, unless the poses or the constraints have
+    changed since.
     """
     marks = [time.perf_counter()]
     g, h = evaluate(provider, s.poses())
     marks.append(time.perf_counter())
     with_rows = cfg.mode in _CONSTRAINED_MODES
-    before = evaluate_constraints(s.constraint_stack, s.poses(), blocks=with_rows)
+    before = s.constraint_rows(blocks=with_rows)
     marks.append(time.perf_counter())
     kkt = assemble(s, g, h, cfg.mode, cfg.regularization, before)
     marks.append(time.perf_counter())
@@ -480,9 +490,9 @@ def step(s: KinematicStructure, provider, cfg: SolverConfig) -> StepReport:
     except FactorizationFailed as exc:
         raise FactorizationFailed(f"{exc}; {_diagnosis(s, kkt, before)}") from exc
     marks.append(time.perf_counter())
-    poses = s.update_poses(theta, _coordinates(s, cfg.mode))
+    s.update_poses(theta, _coordinates(s, cfg.mode))
     marks.append(time.perf_counter())
-    after = evaluate_constraints(s.constraint_stack, poses, blocks=False)
+    after = s.constraint_rows(blocks=with_rows)
     marks.append(time.perf_counter())
     counts = before.stack.counts
     return StepReport(

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from builders import random_pose, random_tree
-from multibody.constraints import Constraint, OrthogonalityConstraint
+from multibody.constraints import Constraint, ConstraintStack, OrthogonalityConstraint
 from multibody.kinematics import (
     Body,
     FixedSide,
@@ -177,6 +177,11 @@ class TestStructureValidation:
             ValueError, match=r"constraint 1: frame_b translation has shape \(2,\), not \(3,\)"
         ):
             KinematicStructure(build_serial_chain(3).bodies, [kind(0, 1), kind(1, 2, frame_b=short)])
+        # A stack built directly names the constraint as well.
+        with pytest.raises(
+            ValueError, match=r"constraint 2: frame_a rotation has shape \(9,\), not \(3, 3\)"
+        ):
+            ConstraintStack([kind(0, 1), kind(1, 2), kind(0, 2, frame_a=flat)])
         # Values are not checked: a step names what a NaN frame breaks.
         s.constraints = [kind(0, 2, frame_a=Pose(np.eye(3), np.full(3, np.nan)))]
         assert np.isnan(s.constraint_stack.frame_a.t).all()

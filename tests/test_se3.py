@@ -474,8 +474,11 @@ class TestStackedPose:
         # A lone flat rotation is not reshaped into a 3 x 3 one.
         with pytest.raises(ValueError, match=r"rows of shapes \(9,\) and \(3,\) are not single"):
             Pose.stack([flat])
-        with pytest.raises(ValueError):
-            Pose.stack([good, flat])
+        # Rows of mixed shapes: the first bad one is named.
+        with pytest.raises(ValueError, match=r"row 1: rotation has shape \(9,\), not \(3, 3\)"):
+            Pose.stack([good, flat, flat])
+        with pytest.raises(ValueError, match=r"row 2: translation has shape \(1, 3\), not \(3,\)"):
+            Pose.stack([good, good, Pose(np.eye(3), np.zeros((1, 3)))])
         with pytest.raises(ValueError, match=r"shapes \(3, 3\) and \(1, 3\) are not single"):
             Pose.stack([Pose(np.eye(3), np.zeros((1, 3)))])
         stacked = Pose.stack([good, good])

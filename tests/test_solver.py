@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg
 
 from builders import random_pose, random_tree
-from multibody.constraints import Constraint, OrthogonalityConstraint
+from multibody.constraints import Constraint, OrthogonalityConstraint, evaluate_constraints
 from multibody.energy import (
     BodyEnergy,
     per_body,
@@ -18,7 +18,7 @@ from multibody.energy import (
 )
 from multibody.experiments import build_serial_chain
 from multibody.kinematics import Body, Joint, KinematicStructure
-from multibody import se3, solver
+from multibody import constraints, kinematics, se3, solver
 from multibody.se3 import Pose
 from multibody.solver import (
     DENSE_MAX_DIM,
@@ -697,3 +697,131 @@ class TestNonFiniteEnergy:
                 step(s, fixed_energies(energies), SolverConfig(mode=mode))
         for (r, t), body in zip(before, s.bodies):
             assert np.array_equal(body.pose.r, r) and np.array_equal(body.pose.t, t)
+
+
+class TestStoredConstraintRows:
+    """The structure keeps its constraints evaluated at its body poses, so
+    that each pose is evaluated once: a step starts from the rows the
+    previous one left.  Calls are counted, not timed."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        """The `blocks` argument of every evaluate_constraints call, from any
+        module that looks the function up."""
+        calls = []
+        original = constraints.evaluate_constraints
+
+        def spy(stack, poses, blocks=True):
+            calls.append(blocks)
+            return original(stack, poses, blocks)
+
+        for module in (constraints, kinematics, solver):
+            if hasattr(module, "evaluate_constraints"):
+                monkeypatch.setattr(module, "evaluate_constraints", spy)
+        return calls
+
+    @staticmethod
+    def fresh_norms(s):
+        return evaluate_constraints(s.constraint_stack, s.poses(), blocks=False).norms()
+
+    @staticmethod
+    def pulled(s, rng):
+        """Pose targets a little away from every body's pose."""
+        return per_body(
+            {
+                i: quadratic_pose_target(b.pose @ random_pose(rng, 0.05, 0.05), 100.0, 100.0)
+                for i, b in enumerate(s.bodies)
+            }
+        )
+
+    @pytest.mark.parametrize("mode", list(SolverMode))
+    def test_run_evaluates_each_pose_once(self, mode, monkeypatch):
+        rng = np.random.default_rng(30)
+        s = constrained_tree(rng, min_dof=6)
+        calls = self.spy(monkeypatch)
+        with_rows = mode in (SolverMode.CONSTRAINED, SolverMode.COMBINED)
+        provider = self.pulled(s, rng)
+        run(s, provider, SolverConfig(mode=mode, iterations=3))
+        assert calls == [with_rows] * 4
+        # At unchanged poses a second run starts from the rows the first left.
+        del calls[:]
+        expected = self.fresh_norms(s)
+        reports = run(s, provider, SolverConfig(mode=mode, iterations=2))
+        assert calls == [with_rows] * 2
+        assert reports[0].residuals_before == expected
+
+    def test_changes_force_a_new_evaluation(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        s = constrained_tree(rng, min_dof=6)
+        projected = SolverConfig(mode=SolverMode.PROJECTED)
+        combined = SolverConfig(mode=SolverMode.COMBINED)
+        step(s, self.pulled(s, rng), projected)
+        calls = self.spy(monkeypatch)
+
+        def write_pose():
+            s.bodies[1].pose = s.bodies[1].pose @ random_pose(rng, 0.1, 0.1)
+
+        def reassign_constraints():
+            s.constraints = s.constraints[:2]
+
+        changes = [
+            ("pose", write_pose, projected, [False, False]),
+            ("constraints", reassign_constraints, projected, [False, False]),
+            # Rows without blocks do not serve a constraint mode.
+            ("blocks", lambda: None, combined, [True, True]),
+            # Rows with blocks serve a mode without constraint rows.
+            ("reuse", lambda: None, projected, [False]),
+        ]
+        for name, change, cfg, expected_calls in changes:
+            change()
+            expected = self.fresh_norms(s)
+            del calls[:]
+            report = step(s, self.pulled(s, rng), cfg)
+            assert calls == expected_calls, name
+            assert report.residuals_before == expected, name
+            assert report.residuals_after == self.fresh_norms(s), name
+
+    def test_deep_copy_steps_independently(self):
+        rng = np.random.default_rng(32)
+        s = constrained_tree(rng, min_dof=6)
+        cfg = SolverConfig(mode=SolverMode.COMBINED)
+        provider = self.pulled(s, rng)
+        step(s, provider, cfg)
+        twin = copy.deepcopy(s)
+        expected = self.fresh_norms(s)
+        twin_reports = run(twin, provider, SolverConfig(mode=cfg.mode, iterations=2))
+        report = step(s, provider, cfg)
+        assert report.residuals_before == expected == twin_reports[0].residuals_before
+        assert report.residuals_after == twin_reports[0].residuals_after
+        assert np.array_equal(
+            np.concatenate(report.multipliers), np.concatenate(twin_reports[0].multipliers)
+        )
+        assert twin_reports[1].residuals_before == twin_reports[0].residuals_after
+
+    @pytest.mark.parametrize("mode", list(SolverMode))
+    def test_bit_identical_to_steps_from_fresh_rows(self, mode):
+        """Poses, multipliers, residuals and backward errors of steps that
+        reuse the stored rows against steps that drop them first, by
+        reassigning the constraints."""
+        rng = np.random.default_rng(33)
+        s = random_tree(rng, 6, min_dof=6)
+        s.constraints = [
+            Constraint(0, 3, random_pose(rng), random_pose(rng),
+                       np.array([True, False, True, False, True, True])),
+            OrthogonalityConstraint(1, 4, random_pose(rng), random_pose(rng)),
+        ]
+        fresh = copy.deepcopy(s)
+        cfg = SolverConfig(mode=mode)
+        for _ in range(5):
+            provider = self.pulled(s, rng)
+            fresh.constraints = fresh.constraints
+            expected = step(fresh, provider, cfg)
+            report = step(s, provider, cfg)
+            for name in ("theta_norm", "residuals_before", "residuals_after", "kkt_dim",
+                         "backward_error"):
+                assert getattr(report, name) == getattr(expected, name), name
+            assert len(report.multipliers) == len(expected.multipliers)
+            for lam, lam_expected in zip(report.multipliers, expected.multipliers):
+                assert np.array_equal(lam, lam_expected)
+            for name in ("r", "t"):
+                assert np.array_equal(getattr(s.poses(), name), getattr(fresh.poses(), name))

@@ -87,19 +87,30 @@ def test_benchmark_workloads_run_traced_against_the_library():
     """Every workload of the benchmark, built, run and checked through its
     own code with the tracer's wrappers installed, as perfbench/run.py
     does: a renamed function, attribute or parameter that the benchmark
-    calls fails here rather than as a failed benchmark run."""
+    calls fails here rather than as a failed benchmark run.
+
+    A tracking frame evaluates the constraints once per Newton step, at the
+    poses the step leaves: from its second frame on, each starts from the
+    rows the previous frame left."""
     workloads, tracing = perfbench_module("workloads"), perfbench_module("tracer")
-    tracer = tracing.Tracer()
+    groups = {**tracing.GROUPS, "evaluate": ("constraints", ("evaluate_constraints",))}
+    tracer = tracing.Tracer(groups=groups)
+    evaluations = tracer.groups["evaluate"]
     for name in workloads.NAMES:
         workload = workloads.build(name, multibody, 3, ROOT, tiny=True)
+        per_op = []
         for i in range(4):
             workload.prepare(i)
+            calls = evaluations.calls
             tracer.install()
             try:
                 out = workload.op(i)
             finally:
                 tracer.uninstall()
+            per_op.append(evaluations.calls - calls)
             assert workload.check(i, out) == 0, (name, i)
+        if name == "fourbar-track":
+            assert workload.solver_cfg.iterations == 3 and per_op[1:] == [3, 3, 3], per_op
         workload.reset()
         assert workload.cross_check(), name
     assert tracer.observers["solver.solve_kkt"].calls > 0

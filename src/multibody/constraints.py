@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .se3 import Pose, log_rotation, row_norms, single, skew, variation_matrix
+from .se3 import Pose, log_rotation, row_norms, skew, variation_matrix
 
 
 @dataclass(frozen=True)
@@ -83,23 +83,24 @@ class OrthogonalityConstraint(_FramePair):
 # stacked Poses.
 
 
-def relative_poses(frame_a: Pose, frame_b: Pose, pose_a: Pose, pose_b: Pose):
+def relative_poses(frame_a: Pose, inverse_b: Pose, pose_a: Pose, pose_b: Pose):
     """A_T_Mb = frame_a o pose_a^-1 o pose_b and the transform from frame B
-    into frame A, A_T_B = A_T_Mb o frame_b^-1."""
+    into frame A, A_T_B = A_T_Mb o frame_b^-1, given inverse_b = frame_b^-1."""
     a_t_mb = frame_a @ pose_a.inverse() @ pose_b
-    return a_t_mb, a_t_mb @ frame_b.inverse()
+    return a_t_mb, a_t_mb @ inverse_b
 
 
-def pose_constraint_blocks(frame_a, frame_b, a_t_mb, a_t_b, rotvec):
+def pose_constraint_blocks(frame_a, inverse_a, inverse_b, a_t_mb, a_t_b, rotvec):
     """6x6 derivatives of a Constraint's extended residual
     [rotvec | translation] w.r.t. the 6-DoF variations of body_a and body_b
-    in their own model frames; rotvec is log(R_AB)."""
+    in their own model frames; rotvec is log(R_AB), inverse_a and inverse_b
+    are frame_a^-1 and frame_b^-1."""
     n = rotvec.shape[0]
     cmat = variation_matrix(rotvec)
     r_a_ma = frame_a.r
     r_a_mb = a_t_mb.r
-    ma_t_b = frame_a.inverse() @ a_t_b
-    mb_t_b = frame_b.inverse()
+    ma_t_b = inverse_a @ a_t_b
+    mb_t_b = inverse_b
 
     d_a = np.zeros((n, 6, 6))
     d_a[:, :3, :3] = -cmat @ r_a_ma
@@ -135,11 +136,17 @@ def orthogonality_blocks(frame_a, a_t_mb, a_t_b):
 
 
 class ConstraintStack:
-    """Constraints as stacks: ``frame_a``/``frame_b``, ``body_a``/``body_b``,
-    ``ortho`` flags, row ``masks``, their ``counts``, each row's ``row_a``/``row_b``."""
+    """Constraints as stacks, built once per assignment: ``frame_a``/``frame_b``
+    and their ``inverse_a``/``inverse_b``, ``body_a``/``body_b``, ``ortho`` flags,
+    row ``masks``, their ``counts``, each row's ``row_a``/``row_b`` and ``sides``,
+    the two concatenated."""
 
     def __init__(self, constraints):
-        self.frame_a, self.frame_b = (_frames(constraints, side) for side in ("frame_a", "frame_b"))
+        self.frame_a, self.frame_b = (
+            Pose.stack([getattr(c, side) for c in constraints], f"constraint {{}}: {side}".format)
+            for side in ("frame_a", "frame_b")
+        )
+        self.inverse_a, self.inverse_b = self.frame_a.inverse(), self.frame_b.inverse()
         self.body_a = np.array([c.body_a for c in constraints], dtype=int)
         self.body_b = np.array([c.body_b for c in constraints], dtype=int)
         self.ortho = np.array([isinstance(c, OrthogonalityConstraint) for c in constraints], bool)
@@ -148,17 +155,7 @@ class ConstraintStack:
         self.counts = self.masks.sum(axis=1)
         self.row_a = np.repeat(self.body_a, self.counts)
         self.row_b = np.repeat(self.body_b, self.counts)
-
-
-def _frames(constraints, side: str) -> Pose:
-    """The constraints' frames on one side as a stack; ValueError naming the
-    first constraint whose frame is not a single pose."""
-    try:
-        return Pose.stack(getattr(c, side) for c in constraints)
-    except ValueError:
-        for k, c in enumerate(constraints):
-            single(getattr(c, side), f"constraint {k}: {side}")
-        raise
+        self.sides = np.concatenate([self.row_a, self.row_b])
 
 
 @dataclass
@@ -168,22 +165,31 @@ class ConstraintRows:
     residuals first for an OrthogonalityConstraint).  The rows, in
     constraint order, are ``residual``; their derivatives w.r.t. the 6-DoF
     variations of their bodies (``stack.row_a``/``row_b``) are ``d_a``/
-    ``d_b`` (rows x 6, None when evaluated without blocks)."""
+    ``d_b`` (rows x 6, None when evaluated without blocks).  The arrays are
+    made read-only here, so that the norms computed once stay theirs."""
 
     extended: np.ndarray
     d_a: np.ndarray | None
     d_b: np.ndarray | None
     stack: ConstraintStack
+    _norms: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for array in (self.extended, self.d_a, self.d_b):
+            if array is not None:
+                array.flags.writeable = False
 
     @property
     def residual(self) -> np.ndarray:
         return self.extended[self.stack.masks]
 
     def norms(self) -> list[float]:
-        """Euclidean norm of each constraint's residual.  Zeros in place of
-        the unselected axes leave each row's dot product, and so the norm,
-        bit for bit that of np.linalg.norm over the selected rows."""
-        return row_norms(np.where(self.stack.masks, self.extended, 0.0)).tolist()
+        """Euclidean norm of each constraint's residual, computed once.  Zeros
+        in place of the unselected axes leave each row's dot product, and so
+        the norm, bit for bit that of np.linalg.norm over the selected rows."""
+        if self._norms is None:
+            self._norms = tuple(row_norms(np.where(self.stack.masks, self.extended, 0.0)).tolist())
+        return list(self._norms)
 
 
 def evaluate_constraints(stack: ConstraintStack, poses, blocks: bool = True) -> ConstraintRows:
@@ -195,14 +201,16 @@ def evaluate_constraints(stack: ConstraintStack, poses, blocks: bool = True) -> 
         d = np.zeros((0, 6)) if blocks else None
         return ConstraintRows(np.zeros((0, 6)), d, d, stack)
     a_t_mb, a_t_b = relative_poses(
-        stack.frame_a, stack.frame_b, poses[stack.body_a], poses[stack.body_b]
+        stack.frame_a, stack.inverse_b, poses[stack.body_a], poses[stack.body_b]
     )
     rotvec = log_rotation(a_t_b.r)
     extended = np.concatenate([rotvec, a_t_b.t], axis=-1)
     if blocks:
-        d_a, d_b = pose_constraint_blocks(stack.frame_a, stack.frame_b, a_t_mb, a_t_b, rotvec)
+        d_a, d_b = pose_constraint_blocks(
+            stack.frame_a, stack.inverse_a, stack.inverse_b, a_t_mb, a_t_b, rotvec
+        )
     ortho = stack.ortho
-    if ortho.any():
+    if np.count_nonzero(ortho):
         extended[ortho, :3] = orthogonality_residual(a_t_b[ortho])
         if blocks:
             d_a[ortho, :3], d_b[ortho, :3] = orthogonality_blocks(

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .se3 import Pose, log_rotation, single, skew, variation_matrix
+from .se3 import Pose, log_rotation, skew, variation_matrix
 
 
 @dataclass
@@ -163,12 +163,8 @@ class PerBody:
         self.default = default
         targets = {i: p for i, p in self.providers.items() if isinstance(p, PoseTarget)}
         self.target_bodies = np.array(list(targets), dtype=int)
-        try:
-            self.targets = Pose.stack(p.target for p in targets.values())
-        except ValueError:
-            for i, p in targets.items():
-                single(p.target, f"per_body: body {i} target")
-            raise
+        name = lambda k: f"per_body: body {self.target_bodies[k]} target"  # noqa: E731
+        self.targets = Pose.stack([p.target for p in targets.values()], name)
         self.scales = np.array([(p.scale_r, p.scale_t) for p in targets.values()]).reshape(-1, 2)
         self.others = sorted(i for i in self.providers if i not in targets)
         self.last = max(self.providers, default=-1)

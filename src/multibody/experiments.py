@@ -181,8 +181,9 @@ def run_convergence_study(
 
     rot_errors = np.zeros((n_trials, n_iterations + 1))
     trans_errors = np.zeros((n_trials, n_iterations + 1))
+    inverse_a, inverse_b = frame_a.inverse(), frame_b.inverse()
     for it in range(n_iterations + 1):
-        a_t_mb, a_t_b = relative_poses(frame_a, frame_b, pose_a, pose_b)
+        a_t_mb, a_t_b = relative_poses(frame_a, inverse_b, pose_a, pose_b)
         rotvec = log_rotation(a_t_b.r)
         rot_errors[:, it] = row_norms(rotvec)
         trans_errors[:, it] = row_norms(a_t_b.t)
@@ -193,7 +194,7 @@ def run_convergence_study(
             d_a, d_b = orthogonality_blocks(frame_a, a_t_mb, a_t_b)
         else:
             b_vec = np.concatenate([rotvec, a_t_b.t], axis=-1)[:, free]
-            d_a, d_b = pose_constraint_blocks(frame_a, frame_b, a_t_mb, a_t_b, rotvec)
+            d_a, d_b = pose_constraint_blocks(frame_a, inverse_a, inverse_b, a_t_mb, a_t_b, rotvec)
             d_a, d_b = d_a[:, free], d_b[:, free]
         b_mat = np.concatenate([d_a[:, :, free], d_b[:, :, free]], axis=-1)
         try:

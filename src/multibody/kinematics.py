@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import ConstraintRows, ConstraintStack, evaluate_constraints
-from .se3 import Pose, adjoint, single
+from .se3 import Pose, _pose, adjoint, single
 
 AXIS_NAMES = ("rot_x", "rot_y", "rot_z", "trans_x", "trans_y", "trans_z")
 
@@ -58,7 +58,7 @@ class _PoseRow:
         if obj._owner is None:
             return obj.__dict__[self.name]
         stack = obj._owner._stacks[self.name]
-        return Pose(stack.r[obj._index].copy(), stack.t[obj._index].copy())
+        return _pose(stack.r[obj._index].copy(), stack.t[obj._index].copy())
 
     def __set__(self, obj, pose):
         pose = Pose.identity() if pose is None else pose
@@ -109,7 +109,8 @@ class Coordinates:
     joint_to_model, so that its coordinates are its own 6-DoF variation.
     A view without links, such as the forest view, holds no n x n array:
     each body is its own root and subtree, moved by its own coordinates
-    only.
+    only.  All of it is fixed with the structure but ``inverse_frames``,
+    which the structure drops (frames_written) when it writes joint_to_model.
     """
 
     def __init__(self, parents, free=None, frames=None):
@@ -169,6 +170,15 @@ class Coordinates:
         # one step to the next.
         self.kkt_pattern = None
 
+    @functools.cached_property
+    def inverse_frames(self) -> Pose:
+        """frames.inverse(), kept until frames_written."""
+        return self.frames.inverse()
+
+    def frames_written(self):
+        """Drop what was derived from ``frames``: its rows have changed."""
+        self.__dict__.pop("inverse_frames", None)
+
     def moving(self, bodies: np.ndarray):
         """(k, q) for every coordinate q that moves body bodies[k], by k and
         then q, as np.nonzero of the rows of ``moves`` at ``bodies``."""
@@ -202,10 +212,9 @@ class KinematicStructure:
     ``constraint_stack`` is rebuilt whenever the constraints are assigned.
 
     The structure also keeps its constraints evaluated at the body-pose
-    stack (``constraint_rows``), so that each pose is evaluated once: a
-    Newton step starts from the rows the previous step or frame left.  The
-    rows are dropped whenever the stack is replaced (update_poses), a body
-    pose is written, or the constraints are assigned.
+    stack (``constraint_rows``, read-only arrays), so that each pose is
+    evaluated once.  The rows are dropped whenever the stack is replaced
+    (update_poses), a body pose is written, or the constraints are assigned.
     Mutating operations (pose updates) must be serialized by the caller;
     read-only snapshots may be shared for parallel evaluation, which at
     worst evaluates the same rows twice.
@@ -216,6 +225,19 @@ class KinematicStructure:
         self.constraints = constraints
         n = len(self.bodies)
         self._stacks = {name: Pose(np.empty((n, 3, 3)), np.empty((n, 3))) for name in _STACKED}
+        joints = [b.joint for b in self.bodies]
+        # The joint stacks are written in place, so the tree view's frames
+        # stay the structure's joint_to_model.
+        parents = [b.parent for b in self.bodies]
+        self.tree = Coordinates(parents, [j.free for j in joints], self._stacks["joint_to_model"])
+        self.n_dof, self.dof_offsets = self.tree.n_dof, self.tree.offsets
+        # Per fixed side (joint_to_model, then parent_to_joint): children, parents, stack inferred.
+        children, parents = self.tree.children, self.tree.parents
+        fixed = np.array([joints[i].fixed_side is FixedSide.JOINT_TO_MODEL for i in children], bool)
+        self._joint_sides = [
+            (children[rows], parents[rows], name)
+            for rows, name in ((fixed, "parent_to_joint"), (~fixed, "joint_to_model")) if rows.any()
+        ]
         rows = [
             (i, name, obj)
             for i, body in enumerate(self.bodies)
@@ -227,13 +249,6 @@ class KinematicStructure:
         for i, name, obj in rows:
             vars(obj).pop(name, None)
             obj._owner, obj._index = self, i
-        joints = [b.joint for b in self.bodies]
-        self._model_fixed = np.array([j.fixed_side is FixedSide.JOINT_TO_MODEL for j in joints])
-        # The joint stacks are written in place, so the tree view's frames
-        # stay the structure's joint_to_model.
-        parents = [b.parent for b in self.bodies]
-        self.tree = Coordinates(parents, [j.free for j in joints], self._stacks["joint_to_model"])
-        self.n_dof, self.dof_offsets = self.tree.n_dof, self.tree.offsets
 
     @functools.cached_property
     def forest(self) -> Coordinates:
@@ -281,6 +296,8 @@ class KinematicStructure:
         stack.r[i], stack.t[i] = pose.r, pose.t
         if name == "pose":
             self._rows = None
+        elif name == "joint_to_model":
+            self.tree.frames_written()
 
     def poses(self) -> Pose:
         """Body poses as one stacked Pose, (n, 3, 3) and (n, 3): the
@@ -312,14 +329,14 @@ class KinematicStructure:
         no pose is read; in the forest view every J_i is exactly the
         identity.
         """
-        frames = view.frames.inverse()
+        frames = view.inverse_frames
         if not view.links:
             return np.zeros((0, 6, 6)), adjoint(frames)[view.body, :, view.axis].T
         poses = self.poses()
         rel = poses[view.root].inverse() @ poses
         # One adjoint call for both stacks.
         a, b = rel.inverse(), rel @ frames
-        ad = adjoint(Pose(np.concatenate([a.r, b.r]), np.concatenate([a.t, b.t])))
+        ad = adjoint(_pose(np.concatenate([a.r, b.r]), np.concatenate([a.t, b.t])))
         return ad[view.children], ad[len(self.bodies) + view.body, :, view.axis].T
 
     def update_poses(self, theta_k: np.ndarray, view: Coordinates | None = None):
@@ -342,9 +359,10 @@ class KinematicStructure:
         n = len(self.bodies)
         extended = np.zeros((n, 6))
         extended[view.body, view.axis] = theta_k
-        base = self.poses() @ view.frames.inverse()
+        base = self.poses() @ view.inverse_frames
         if view.links:
-            base = _where(view.root == np.arange(n), base, self._stacks["parent_to_joint"])
+            inner, parent_to_joint = view.children, self._stacks["parent_to_joint"]
+            base.r[inner], base.t[inner] = parent_to_joint.r[inner], parent_to_joint.t[inner]
         poses = base.with_variation(extended) @ view.frames
         if view.links:
             # Homogeneous matrices: one product per body down the tree.
@@ -353,7 +371,7 @@ class KinematicStructure:
             world[:, 3, 3] = 1.0
             for i, parent in view.links:
                 world[i] = world[parent] @ world[i]
-            poses = Pose(np.ascontiguousarray(world[:, :3, :3]), world[:, :3, 3].copy())
+            poses = _pose(np.ascontiguousarray(world[:, :3, :3]), world[:, :3, 3].copy())
         self._stacks["pose"], self._rows = poses, None
         self.refresh_joint_transforms()
         return poses
@@ -363,23 +381,18 @@ class KinematicStructure:
         body poses.  With rel = parent^-1 o pose for each non-root body,
         P_T_J = rel o J_T_M^-1 where J_T_M is fixed, else
         J_T_M = P_T_J^-1 o rel."""
-        if not self.tree.links:
-            return
         poses = self.poses()
-        children, parents = self.tree.children, self.tree.parents
-        fixed = self._model_fixed[children]
-        model, parent = self._stacks["joint_to_model"], self._stacks["parent_to_joint"]
-        fixed_inv = _where(fixed, model[children], parent[children]).inverse()
-        rel = poses[parents].inverse() @ poses[children]
-        inferred = _orthonormalized(_where(fixed, rel, fixed_inv) @ _where(fixed, fixed_inv, rel))
-        for name, rows in (("parent_to_joint", fixed), ("joint_to_model", ~fixed)):
-            stack = self._stacks[name]
-            stack.r[children[rows]], stack.t[children[rows]] = inferred.r[rows], inferred.t[rows]
-
-
-def _where(mask: np.ndarray, a: Pose, b: Pose) -> Pose:
-    """Row i of a where mask[i], else row i of b."""
-    return Pose(np.where(mask[:, None, None], a.r, b.r), np.where(mask[:, None], a.t, b.t))
+        for children, parents, name in self._joint_sides:
+            rel = poses[parents].inverse() @ poses[children]
+            if name == "parent_to_joint":
+                inferred = rel @ self.tree.inverse_frames[children]
+            else:
+                # In C order: the product's rounding depends on the layout.
+                inverse = self._stacks["parent_to_joint"][children].inverse()
+                inferred = _pose(np.ascontiguousarray(inverse.r), inverse.t) @ rel
+                self.tree.frames_written()
+            inferred, stack = _orthonormalized(inferred), self._stacks[name]
+            stack.r[children], stack.t[children] = inferred.r, inferred.t
 
 
 def _orthonormalized(poses: Pose) -> Pose:
@@ -391,7 +404,7 @@ def _orthonormalized(poses: Pose) -> Pose:
     down a long chain; the step squares the error instead.
     """
     r = poses.r
-    return Pose(r @ (_THREE_I - r.swapaxes(-1, -2) @ r) * 0.5, poses.t)
+    return _pose(r @ (_THREE_I - r.swapaxes(-1, -2) @ r) * 0.5, poses.t)
 
 
 _STACKED = ("pose", "joint_to_model", "parent_to_joint")

@@ -36,8 +36,9 @@ def load_obj(path) -> Mesh:
 def add_error(mesh: Mesh, rel: Pose) -> float:
     """Mean distance between mesh vertices and their images under the
     relative transform between estimated and ground-truth pose."""
-    moved = rel.apply(mesh.vertices)
-    return float(np.mean(np.linalg.norm(moved - mesh.vertices, axis=1)))
+    d = rel.apply(mesh.vertices) - mesh.vertices
+    # np.linalg.norm(d, axis=1), without its wrapper.
+    return float(np.sqrt(np.add.reduce(d * d, axis=1)).mean())
 
 
 def add_s_error(mesh: Mesh, rel: Pose) -> float:
@@ -52,7 +53,7 @@ def add_s_error(mesh: Mesh, rel: Pose) -> float:
     d *= d
     squared = d[0] + d[1]
     squared += d[2]
-    return float(np.mean(np.sqrt(squared.min(axis=1))))
+    return float(np.sqrt(np.minimum.reduce(squared, axis=1)).mean())
 
 
 def auc_score(errors, e_t: float) -> float:

@@ -11,7 +11,8 @@ Conventions used throughout the package:
 
 Each formula (skew, exp_rotvec, log_rotation, variation_matrix) has one
 kernel, over any leading axes of its input: a single (3,) or (3, 3) input
-gives the single result.  Branches are chosen per row by masks.
+gives the single result.  Branches are chosen per row by masks, and a series
+branch is computed only if some row needs it.
 """
 
 from __future__ import annotations
@@ -48,6 +49,14 @@ def skew(v: np.ndarray) -> np.ndarray:
     return (v @ _SKEW_BASIS).reshape(v.shape + (3,))
 
 
+def _small(angle: np.ndarray):
+    """Rows below SMALL_ANGLE (a mask, or None), and the angles with 1.0 there."""
+    small = angle < SMALL_ANGLE
+    if not np.count_nonzero(small):
+        return None, angle
+    return small, np.where(small, 1.0, angle)
+
+
 def exp_rotvec(v: np.ndarray) -> np.ndarray:
     """Rotation matrix of each axis-angle row (Rodrigues formula):
     (..., 3) -> (..., 3, 3).  Continuous at the identity through series
@@ -55,11 +64,11 @@ def exp_rotvec(v: np.ndarray) -> np.ndarray:
     """
     v = np.asarray(v, dtype=float)
     angle = row_norms(v)
-    small = angle < SMALL_ANGLE
-    safe = np.where(small, 1.0, angle)
-    a2 = angle * angle
-    s = np.where(small, 1.0 - a2 / 6.0, np.sin(safe) / safe)
-    c = np.where(small, 0.5 * (1.0 - a2 / 12.0), (1.0 - np.cos(safe)) / (safe * safe))
+    small, safe = _small(angle)
+    s, c = np.sin(safe) / safe, (1.0 - np.cos(safe)) / (safe * safe)
+    if small is not None:
+        a2 = angle * angle
+        s, c = np.where(small, 1.0 - a2 / 6.0, s), np.where(small, 0.5 * (1.0 - a2 / 12.0), c)
     k = skew(v)
     return _EYE3 + s[..., None, None] * k + c[..., None, None] * (k @ k)
 
@@ -74,20 +83,19 @@ def log_rotation(r: np.ndarray) -> np.ndarray:
     component is positive is returned.
     """
     r = np.asarray(r, dtype=float)
-    cos_a = np.minimum(np.maximum((np.trace(r, axis1=-2, axis2=-1) - 1.0) / 2.0, -1.0), 1.0)
+    # The trace, and [r21 - r12, r02 - r20, r10 - r01], from the flat entries.
+    flat = r.reshape(r.shape[:-2] + (9,))
+    trace = flat[..., 0] + flat[..., 4] + flat[..., 8]
+    cos_a = np.minimum(np.maximum((trace - 1.0) / 2.0, -1.0), 1.0)
     angle = np.arccos(cos_a)
-    # [r21 - r12, r02 - r20, r10 - r01]
-    w = r[..., (2, 0, 1), (1, 2, 0)] - r[..., (1, 2, 0), (2, 0, 1)]
-    small = angle < SMALL_ANGLE
-    safe = np.where(small, 1.0, angle)
-    # w = 2 sin(a) e; sin(a)/a ~ 1 - a^2/6
-    out = np.where(
-        small[..., None],
-        0.5 * w * (1.0 + angle * angle / 6.0)[..., None],
-        (safe / (2.0 * np.sin(safe)))[..., None] * w,
-    )
+    w = flat.take([7, 2, 3], axis=-1) - flat.take([5, 6, 1], axis=-1)
+    small, safe = _small(angle)
+    out = (safe / (2.0 * np.sin(safe)))[..., None] * w
+    if small is not None:
+        # w = 2 sin(a) e; sin(a)/a ~ 1 - a^2/6
+        out = np.where(small[..., None], 0.5 * w * (1.0 + angle * angle / 6.0)[..., None], out)
     near_pi = angle >= NEAR_PI
-    if not near_pi.any():
+    if not np.count_nonzero(near_pi):
         return out
     # Near pi: e e^T = (S - cos(a) I) / (1 - cos(a)) with S the symmetric part.
     m, cos_m, w = r[near_pi], np.asarray(cos_a)[near_pi, None, None], w[near_pi]
@@ -135,18 +143,18 @@ class Pose:
         return Pose(exp_rotvec(v), t)
 
     @staticmethod
-    def stack(poses) -> "Pose":
-        """(n, 3, 3) and (n, 3) stack of n single poses; ValueError for other
-        rows, naming the first bad one if their shapes differ."""
+    def stack(poses, name="row {}:".format) -> "Pose":
+        """(n, 3, 3) and (n, 3) stack of n single poses; ValueError naming the
+        first row that is not one, as name(its index)."""
         rows = list(poses)
         try:
             r, t = np.array([p.r for p in rows]), np.array([p.t for p in rows])
+            if rows and (r.shape[1:] != (3, 3) or t.shape[1:] != (3,)):
+                raise ValueError("rows are not single poses")
         except ValueError:
             for i, p in enumerate(rows):
-                single(p, f"row {i}:")
+                single(p, name(i))
             raise
-        if rows and (r.shape[1:] != (3, 3) or t.shape[1:] != (3,)):
-            raise ValueError(f"rows of shapes {r.shape[1:]} and {t.shape[1:]} are not single poses")
         return _pose(r.reshape(-1, 3, 3), t.reshape(-1, 3))
 
     def compose(self, other: "Pose") -> "Pose":
@@ -189,9 +197,10 @@ def _pose(r: np.ndarray, t: np.ndarray) -> Pose:
 
 def single(pose: Pose, what: str) -> Pose:
     """``pose`` if it is one transform, else ValueError naming ``what``; values are not checked."""
-    for part, value, shape in (("rotation", pose.r, (3, 3)), ("translation", pose.t, (3,))):
-        if value.shape != shape:
-            raise ValueError(f"{what} {part} has shape {value.shape}, not {shape}")
+    if pose.r.shape != (3, 3) or pose.t.shape != (3,):
+        for part, value, shape in (("rotation", pose.r, (3, 3)), ("translation", pose.t, (3,))):
+            if value.shape != shape:
+                raise ValueError(f"{what} {part} has shape {value.shape}, not {shape}")
     return pose
 
 
@@ -223,12 +232,12 @@ def variation_matrix(v: np.ndarray) -> np.ndarray:
     """
     v = np.asarray(v, dtype=float)
     angle = row_norms(v)
-    small = angle < SMALL_ANGLE
-    safe = np.where(small, 1.0, angle)
-    h = np.where(small, 1.0 - angle * angle / 12.0, (safe / 2.0) / np.tan(safe / 2.0))
-    e = np.where(small[..., None], v, v / safe[..., None])
-    half = np.where(small, 0.5, angle / 2.0)
-    tail = np.where(small, 0.0, 1.0 - h)
+    small, safe = _small(angle)
+    half = safe / 2.0
+    h = half / np.tan(half)
+    e, tail = v / safe[..., None], 1.0 - h
+    if small is not None:
+        h, tail = np.where(small, 1.0 - angle * angle / 12.0, h), np.where(small, 0.0, tail)
     return (
         h[..., None, None] * _EYE3
         - half[..., None, None] * skew(e)

@@ -28,6 +28,7 @@ as in Baraff's linear-time solver (SIGGRAPH 1996).
 from __future__ import annotations
 
 import enum
+import functools
 import numbers
 import time
 from dataclasses import dataclass, field
@@ -54,6 +55,8 @@ _TREE_MODES = (SolverMode.PROJECTED, SolverMode.COMBINED)
 _CONSTRAINED_MODES = (SolverMode.CONSTRAINED, SolverMode.COMBINED)
 # The rows of no constraint, at any pose.
 _NO_ROWS = ConstraintRows(np.zeros((0, 6)), np.zeros((0, 6)), np.zeros((0, 6)), ConstraintStack(()))
+# dsytrf's optimal workspace for an n x n matrix, asked once per n.
+_dsytrf_lwork = functools.cache(lambda n: int(dsytrf_lwork(n)[0]))
 STEP_LAYERS = ("energy", "constraints_before", "assemble", "solve", "update", "constraints_after")
 
 
@@ -309,9 +312,8 @@ def assemble(
     if np.shape(g) != (n, 6) or np.shape(h) != (n, 6, 6):
         raise ValueError(f"got energies of shapes {np.shape(g)} and {np.shape(h)} for {n} bodies")
     g = np.array(g, dtype=float)
-    finite = np.isfinite(g).all(axis=1) & np.isfinite(h).all(axis=(1, 2))
-    if not finite.all():
-        i = int(np.argmin(finite))
+    if not (np.isfinite(g).all() and np.isfinite(h).all()):
+        i = int(np.argmin(np.isfinite(g).all(axis=1) & np.isfinite(h).all(axis=(1, 2))))
         raise FactorizationFailed(
             f"non-finite energy gradient or Hessian for body {i} ({s.bodies[i].name!r})"
         )
@@ -344,8 +346,7 @@ def assemble(
         h_values[view.diagonal] += np.where(view.rotational, reg.lambda_r, reg.lambda_t)
     # Each row's derivatives w.r.t. the variations of its two bodies against
     # each coordinate that moves that body.
-    bodies = np.concatenate([rows.stack.row_a, rows.stack.row_b])
-    pattern = _pattern(view, bodies)
+    pattern = _pattern(view, rows.stack.sides)
     derivatives = np.concatenate([rows.d_a, rows.d_b])
     moved = pattern.moved
     derivatives[moved] = (derivatives[moved, None, :] @ ad_inv[pattern.moved_rank])[:, 0]
@@ -374,16 +375,19 @@ def solve_kkt(k: KktSystem):
     if k.b_vec.shape[-1] > n:
         system = 0 if rhs.ndim > 1 else None
         raise FactorizationFailed("more constraint rows than coordinates", system)
-    if isinstance(k.matrix, BandMatrix):
-        x, residual = _band_solve(k.matrix, rhs)
-        # Not np.linalg.norm: its BLAS dot product of a large band, split
-        # over threads, costs more than the band solve itself.
-        kkt_norm = np.sqrt(np.einsum("ij,ij->", k.matrix.band, k.matrix.band))
-    else:
-        x = _dense_solve(k.matrix, rhs)
-        residual = (k.matrix @ x[..., None])[..., 0] - rhs
-        kkt_norm = np.linalg.norm(k.matrix, axis=(-2, -1))
-    k.backward_error = _check_solution(residual, kkt_norm, x, rhs)
+    # A product or norm that overflows is inf, which _check_solution rejects.
+    with np.errstate(over="ignore"):
+        if isinstance(k.matrix, BandMatrix):
+            x, residual = _band_solve(k.matrix, rhs)
+            # Not np.linalg.norm: its BLAS dot product of a large band, split
+            # over threads, costs more than the band solve itself.
+            kkt_norm = np.sqrt(np.einsum("ij,ij->", k.matrix.band, k.matrix.band))
+        else:
+            x = _dense_solve(k.matrix, rhs)
+            residual = (k.matrix @ x[..., None])[..., 0] - rhs
+            # The Frobenius norm, as np.linalg.norm computes it.
+            kkt_norm = np.sqrt(np.add.reduce(k.matrix * k.matrix, axis=(-2, -1)))
+        k.backward_error = _check_solution(residual, kkt_norm, x, rhs)
     return x[..., :n], x[..., n:]
 
 
@@ -425,7 +429,7 @@ def _dense_solve(kkt: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         kkt, rhs = kkt[None], rhs[None]
     finite = np.isfinite(kkt).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=1)
     n = kkt.shape[-1]
-    lwork = int(dsytrf_lwork(n)[0])
+    lwork = _dsytrf_lwork(n)
     x = np.empty_like(rhs)
     for i in range(kkt.shape[0] if n else 0):
         system = i if stacked else None
@@ -441,13 +445,17 @@ def _dense_solve(kkt: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _check_solution(residual: np.ndarray, kkt_norm, x: np.ndarray, rhs: np.ndarray):
-    """Reject a solution that is not finite or that misses the system by
-    more than the backward error of a stable factorization.  Each system of
-    a stack is judged on its own norms, and the exception carries the index
-    of the first one that fails.  Returns the normwise backward error of
-    each system."""
-    _raise_for_first(~np.isfinite(x).all(axis=-1), "non-finite solution")
-    x_norm, rhs_norm, residual_norm = np.linalg.norm([x, rhs, residual], axis=-1)
+    """Reject a solution that is not finite, whose norm or the system's
+    overflows, or that misses the system by more than the backward error of
+    a stable factorization.  Each system of a stack is judged on its own
+    norms, and the exception carries the index of the first one that fails.
+    Returns the normwise backward error of each system."""
+    vectors = np.array([x, rhs, residual])  # normed as np.linalg.norm does
+    x_norm, rhs_norm, residual_norm = np.sqrt(np.add.reduce(vectors * vectors, axis=-1))
+    scale = kkt_norm * x_norm + rhs_norm
+    if not np.isfinite(scale).all():
+        _raise_for_first(~np.isfinite(x).all(axis=-1), "non-finite solution")
+        _raise_for_first(~np.isfinite(scale), "norm of the solution or of the KKT system overflows")
     # Near-degenerate systems produce huge solutions whose residual scales
     # with |K| |x|.
     backward = 100.0 * x.shape[-1] * np.finfo(float).eps * kkt_norm * x_norm
@@ -457,11 +465,11 @@ def _check_solution(residual: np.ndarray, kkt_norm, x: np.ndarray, rhs: np.ndarr
         "solution does not satisfy the KKT system; constraints are likely "
         "contradictory or duplicated",
     )
-    return residual_norm / np.maximum(kkt_norm * x_norm + rhs_norm, np.finfo(float).tiny)
+    return residual_norm / np.maximum(scale, np.finfo(float).tiny)
 
 
 def _raise_for_first(failed: np.ndarray, message: str):
-    if failed.any():
+    if np.count_nonzero(failed):
         raise FactorizationFailed(message, int(np.argmax(failed)) if failed.ndim else None)
 
 
@@ -496,13 +504,13 @@ def step(s: KinematicStructure, provider, cfg: SolverConfig) -> StepReport:
     marks.append(time.perf_counter())
     counts = before.stack.counts
     return StepReport(
-        theta_norm=float(np.linalg.norm(theta)),
+        theta_norm=float(np.sqrt(theta.dot(theta))),
         residuals_before=before.norms(),
         residuals_after=after.norms(),
         multipliers=[lam[e - c : e] for c, e in zip(counts, np.cumsum(counts))] if with_rows else [],
         kkt_dim=kkt.g_k.shape[0] + kkt.b_vec.shape[0],
         backward_error=float(kkt.backward_error),
-        timings=dict(zip(STEP_LAYERS, np.diff(marks).tolist())),
+        timings={layer: b - a for layer, a, b in zip(STEP_LAYERS, marks, marks[1:])},
     )
 
 

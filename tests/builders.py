@@ -11,7 +11,7 @@ def random_pose(rng, max_angle=np.pi, max_trans=1.0):
     return Pose(exp_rotvec(random_rotvec(rng, max_angle)), rng.uniform(-max_trans, max_trans, 3))
 
 
-def random_joint(rng, min_dof=1):
+def random_joint(rng, min_dof=1, fixed_side=FixedSide.JOINT_TO_MODEL):
     mask = np.zeros(6, dtype=bool)
     while mask.sum() < min_dof:
         mask = rng.random(6) < 0.5
@@ -19,18 +19,20 @@ def random_joint(rng, min_dof=1):
         free_axes=mask,
         joint_to_model=random_pose(rng, max_angle=1.0, max_trans=0.3),
         parent_to_joint=random_pose(rng, max_angle=1.0, max_trans=0.3),
-        fixed_side=FixedSide.JOINT_TO_MODEL,
+        fixed_side=fixed_side,
     )
 
 
-def random_tree(rng, n_bodies, min_dof=1):
-    """Random tree with consistent initial poses derived from the joints."""
+def random_tree(rng, n_bodies, min_dof=1, fixed_sides=None):
+    """Random tree with consistent initial poses derived from the joints;
+    ``fixed_sides`` gives each joint's fixed side, JOINT_TO_MODEL by default."""
+    sides = fixed_sides or [FixedSide.JOINT_TO_MODEL] * n_bodies
     bodies = [
-        Body(name="body0", joint=random_joint(rng, min_dof), pose=random_pose(rng))
+        Body(name="body0", joint=random_joint(rng, min_dof, sides[0]), pose=random_pose(rng))
     ]
     for i in range(1, n_bodies):
         parent = int(rng.integers(0, i))
-        joint = random_joint(rng, min_dof)
+        joint = random_joint(rng, min_dof, sides[i])
         pose = bodies[parent].pose @ joint.parent_to_joint @ joint.joint_to_model
         bodies.append(Body(name=f"body{i}", joint=joint, pose=pose, parent=parent))
     return KinematicStructure(bodies)

@@ -103,7 +103,8 @@ class TestEvaluateConstraint:
                 @ pose_matrix(s.bodies[c.body_b].pose)
                 @ np.linalg.inv(pose_matrix(c.frame_b))
             )
-            poses = (c.frame_a, c.frame_b, s.bodies[c.body_a].pose, s.bodies[c.body_b].pose)
+            pose_a, pose_b = s.bodies[c.body_a].pose, s.bodies[c.body_b].pose
+            poses = (c.frame_a, c.frame_b.inverse(), pose_a, pose_b)
             _, a_t_b = relative_poses(*(Pose.stack([p]) for p in poses))
             actual = pose_matrix(a_t_b[0])
             assert np.max(np.abs(actual - expected)) < 1e-10

@@ -173,7 +173,7 @@ class TestBatchedStudy:
                 if it:
                     step(s, provider, cfg)
                 stack, poses = s.constraint_stack, s.poses()
-                _, a_t_b = relative_poses(stack.frame_a, stack.frame_b, poses[[0]], poses[[1]])
+                _, a_t_b = relative_poses(stack.frame_a, stack.inverse_b, poses[[0]], poses[[1]])
                 rot[it], trans[it] = row_norms(log_rotation(a_t_b.r))[0], row_norms(a_t_b.t)[0]
             assert np.array_equal(rot, study.rot_errors[trial]), trial
             assert np.array_equal(trans, study.trans_errors[trial]), trial

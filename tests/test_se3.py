@@ -472,17 +472,17 @@ class TestStackedPose:
     def test_stack_rejects_rows_that_are_not_single_poses(self):
         good, flat = Pose.identity(), Pose(np.eye(3).reshape(9), np.zeros(3))
         # A lone flat rotation is not reshaped into a 3 x 3 one.
-        with pytest.raises(ValueError, match=r"rows of shapes \(9,\) and \(3,\) are not single"):
+        with pytest.raises(ValueError, match=r"row 0: rotation has shape \(9,\), not \(3, 3\)"):
             Pose.stack([flat])
         # Rows of mixed shapes: the first bad one is named.
         with pytest.raises(ValueError, match=r"row 1: rotation has shape \(9,\), not \(3, 3\)"):
             Pose.stack([good, flat, flat])
         with pytest.raises(ValueError, match=r"row 2: translation has shape \(1, 3\), not \(3,\)"):
             Pose.stack([good, good, Pose(np.eye(3), np.zeros((1, 3)))])
-        with pytest.raises(ValueError, match=r"shapes \(3, 3\) and \(1, 3\) are not single"):
+        with pytest.raises(ValueError, match=r"row 0: translation has shape \(1, 3\), not \(3,\)"):
             Pose.stack([Pose(np.eye(3), np.zeros((1, 3)))])
         stacked = Pose.stack([good, good])
-        with pytest.raises(ValueError, match=r"shapes \(2, 3, 3\) and \(2, 3\) are not single"):
+        with pytest.raises(ValueError, match=r"row 0: rotation has shape \(2, 3, 3\), not \(3, 3\)"):
             Pose.stack([stacked])
         # apply moves points by one transform only.
         with pytest.raises(ValueError, match=r"Pose.apply: rotation has shape \(2, 3, 3\)"):

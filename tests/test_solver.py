@@ -599,9 +599,9 @@ class TestStep:
         calls = []
         original = se3.Pose.stack
 
-        def spy(poses):
+        def spy(poses, *name):
             calls.append(1)
-            return original(poses)
+            return original(poses, *name)
 
         monkeypatch.setattr(se3.Pose, "stack", staticmethod(spy))
         for mode in SolverMode:

@@ -200,10 +200,10 @@ class TestOnePoseStackPerStep:
         stacked = []
         original = se3.Pose.stack
 
-        def spy(poses):
+        def spy(poses, *name):
             poses = list(poses)
             stacked.append(poses)
-            return original(poses)
+            return original(poses, *name)
 
         monkeypatch.setattr(se3.Pose, "stack", staticmethod(spy))
         nudge = Pose.from_rotvec([0.02, -0.01, 0.03], [0.01, 0.0, -0.02])

@@ -35,7 +35,8 @@ class _FramePair:
             raise ValueError("constraint must reference two distinct bodies")
 
     def residual(self, s) -> np.ndarray:
-        """Residual rows at the structure's current poses."""
+        """Residual rows at the structure's current poses.  Kept for the
+        benchmark's structure check (perfbench/workloads.py, structure_ok)."""
         return evaluate_constraints(ConstraintStack([self]), s.poses(), blocks=False).residual
 
 

@@ -363,8 +363,6 @@ def run_synthetic_tracking(
     """
     if not isinstance(config, TrackingConfig):
         config = load_config(config)
-    if isinstance(mode, str):
-        mode = SolverMode(mode)
     estimate = config.structure
     truth = copy.deepcopy(estimate)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import ConstraintRows, ConstraintStack, evaluate_constraints
-from .se3 import Pose, _pose, adjoint, single
+from .se3 import Pose, _pose, adjoint
 
 AXIS_NAMES = ("rot_x", "rot_y", "rot_z", "trans_x", "trans_y", "trans_z")
 
@@ -45,9 +45,9 @@ def axes_mask(names) -> np.ndarray:
 class _PoseRow:
     """A Pose attribute of a Body or Joint.  The object holds it until a
     KinematicStructure adopts the object; from then on it is row
-    ``obj._index`` of the structure's stack of that name.  Reading gives a
-    copy of the row, so a Pose read before a step keeps its value;
-    assigning writes the row (KinematicStructure._write)."""
+    ``obj._index`` of the structure's read-only stack of that name.  Reading
+    gives a view of the row, which keeps its value: only update_poses
+    changes the state, by replacing the stacks.  Assigning raises."""
 
     def __set_name__(self, cls, name):
         self.name = name
@@ -57,15 +57,13 @@ class _PoseRow:
             return None  # the dataclass field's default: the identity
         if obj._owner is None:
             return obj.__dict__[self.name]
-        stack = obj._owner._stacks[self.name]
-        return _pose(stack.r[obj._index].copy(), stack.t[obj._index].copy())
+        return obj._owner._stacks[self.name][obj._index]
 
     def __set__(self, obj, pose):
-        pose = Pose.identity() if pose is None else pose
-        if obj._owner is None:
-            obj.__dict__[self.name] = pose
-        else:
-            obj._owner._write(self.name, obj._index, pose)
+        if obj._owner is not None:
+            what = _row_name(obj._owner, self.name, obj._index)
+            raise AttributeError(f"{what} is read-only once a structure adopts it")
+        obj.__dict__[self.name] = Pose.identity() if pose is None else pose
 
 
 @dataclass
@@ -109,14 +107,15 @@ class Coordinates:
     joint_to_model, so that its coordinates are its own 6-DoF variation.
     A view without links, such as the forest view, holds no n x n array:
     each body is its own root and subtree, moved by its own coordinates
-    only.  All of it is fixed with the structure but ``inverse_frames``,
-    which the structure drops (frames_written) when it writes joint_to_model.
+    only.  All of it is fixed with the structure but ``frames`` and
+    ``inverse_frames``, which refresh_joint_transforms replaces together.
     """
 
     def __init__(self, parents, free=None, frames=None):
         n = len(parents)
         free = free or [np.arange(6)] * n
-        self.frames = frames or Pose(np.broadcast_to(_EYE3, (n, 3, 3)), np.zeros((n, 3)))
+        frames = frames or Pose(np.broadcast_to(_EYE3, (n, 3, 3)), np.zeros((n, 3)))
+        self.frames, self.inverse_frames = _frozen(frames), _frozen(frames.inverse())
         # Each body's number of coordinates and its first one.
         self.n_dofs = n_dofs = np.array([f.shape[0] for f in free], dtype=int)
         first = np.cumsum(n_dofs) - n_dofs
@@ -170,14 +169,10 @@ class Coordinates:
         # one step to the next.
         self.kkt_pattern = None
 
-    @functools.cached_property
-    def inverse_frames(self) -> Pose:
-        """frames.inverse(), kept until frames_written."""
-        return self.frames.inverse()
-
-    def frames_written(self):
-        """Drop what was derived from ``frames``: its rows have changed."""
-        self.__dict__.pop("inverse_frames", None)
+    def __setstate__(self, state):
+        # A copy's arrays come back writeable.
+        self.__dict__.update(state)
+        self.frames, self.inverse_frames = _frozen(self.frames), _frozen(self.inverse_frames)
 
     def moving(self, bodies: np.ndarray):
         """(k, q) for every coordinate q that moves body bodies[k], by k and
@@ -203,18 +198,18 @@ class KinematicStructure:
     """Bodies in topological order, constraints, and two coordinate views:
     ``tree``, the structure's joint coordinates, and ``forest``.
 
-    The structure owns the state as stacked poses, one row per body: the
-    body poses (``poses``, replaced by each update) and the joints'
-    joint_to_model and parent_to_joint (written in place), copied here
-    from the bodies and joints it adopts, and the joints' fixed sides.
-    ``Body.pose`` and the joint transforms then read and write their row; a
-    body or joint handed to a second structure belongs to that one.
-    ``constraint_stack`` is rebuilt whenever the constraints are assigned.
+    The structure owns the state as read-only stacked poses, one row per
+    body: the body poses (``poses``) and the joints' joint_to_model and
+    parent_to_joint, copied from the bodies and joints it adopts, and the
+    joints' fixed sides.  Only update_poses changes them, by replacing the
+    stacks; ``Body.pose`` and the joint transforms read their row and refuse
+    assignment.  A body or joint handed to a second structure belongs to
+    that one.  ``constraint_stack`` is rebuilt when constraints are assigned.
 
     The structure also keeps its constraints evaluated at the body-pose
     stack (``constraint_rows``, read-only arrays), so that each pose is
     evaluated once.  The rows are dropped whenever the stack is replaced
-    (update_poses), a body pose is written, or the constraints are assigned.
+    (update_poses), the constraints are assigned or the structure is copied.
     Mutating operations (pose updates) must be serialized by the caller;
     read-only snapshots may be shared for parallel evaluation, which at
     worst evaluates the same rows twice.
@@ -223,11 +218,11 @@ class KinematicStructure:
     def __init__(self, bodies: list[Body], constraints=()):
         self.bodies = list(bodies)
         self.constraints = constraints
-        n = len(self.bodies)
-        self._stacks = {name: Pose(np.empty((n, 3, 3)), np.empty((n, 3))) for name in _STACKED}
         joints = [b.joint for b in self.bodies]
-        # The joint stacks are written in place, so the tree view's frames
-        # stay the structure's joint_to_model.
+        self._stacks = {}
+        for name, objs in zip(_STACKED, (self.bodies, joints, joints)):
+            rows = [getattr(obj, name) for obj in objs]
+            self._stacks[name] = _frozen(Pose.stack(rows, functools.partial(_row_name, self, name)))
         parents = [b.parent for b in self.bodies]
         self.tree = Coordinates(parents, [j.free for j in joints], self._stacks["joint_to_model"])
         self.n_dof, self.dof_offsets = self.tree.n_dof, self.tree.offsets
@@ -238,17 +233,17 @@ class KinematicStructure:
             (children[rows], parents[rows], name)
             for rows, name in ((fixed, "parent_to_joint"), (~fixed, "joint_to_model")) if rows.any()
         ]
-        rows = [
-            (i, name, obj)
-            for i, body in enumerate(self.bodies)
-            for name, obj in zip(_STACKED, (body, body.joint, body.joint))
-        ]
-        for i, name, obj in rows:
-            self._write(name, i, getattr(obj, name))
         # Bound only once every row is valid.
-        for i, name, obj in rows:
-            vars(obj).pop(name, None)
-            obj._owner, obj._index = self, i
+        for i, body in enumerate(self.bodies):
+            for name, obj in zip(_STACKED, (body, body.joint, body.joint)):
+                vars(obj).pop(name, None)
+                obj._owner, obj._index = self, i
+
+    def __setstate__(self, state):
+        # numpy copies arrays writeable: a copy evaluates its rows again and freezes its stacks.
+        self.__dict__.update(state, _rows=None)
+        for pose in self._stacks.values():
+            _frozen(pose)
 
     @functools.cached_property
     def forest(self) -> Coordinates:
@@ -288,21 +283,10 @@ class KinematicStructure:
                         f"{len(self.bodies)} bodies"
                     )
 
-    def _write(self, name: str, i: int, pose: Pose):
-        """Write row i of the stack ``name``, if the pose is a single one."""
-        body = self.bodies[i].name
-        owner = f"body {body!r}" if name == "pose" else f"joint of body {body!r}"
-        pose, stack = single(pose, f"{owner}: {name}"), self._stacks[name]
-        stack.r[i], stack.t[i] = pose.r, pose.t
-        if name == "pose":
-            self._rows = None
-        elif name == "joint_to_model":
-            self.tree.frames_written()
-
     def poses(self) -> Pose:
         """Body poses as one stacked Pose, (n, 3, 3) and (n, 3): the
-        structure's own stack, read-only.  An in-place write would leave
-        the stored constraint rows stale; assign Body.pose instead."""
+        structure's own stack, with read-only arrays, which only
+        update_poses replaces."""
         return self._stacks["pose"]
 
     def constraint_rows(self, blocks: bool = True) -> ConstraintRows:
@@ -341,8 +325,8 @@ class KinematicStructure:
 
     def update_poses(self, theta_k: np.ndarray, view: Coordinates | None = None):
         """Pose update from a variation vector in the coordinates of a view,
-        the tree view by default.  Replaces the body pose stack and returns
-        it.
+        the tree view by default.  Replaces the body pose and joint stacks,
+        the only change to the state after adoption; returns the poses.
 
         Each joint's variation T(theta_j) acts in its joint frame: a root
         moves to pose o J_T_M^-1 o T o J_T_M, any other body to
@@ -372,7 +356,7 @@ class KinematicStructure:
             for i, parent in view.links:
                 world[i] = world[parent] @ world[i]
             poses = _pose(np.ascontiguousarray(world[:, :3, :3]), world[:, :3, 3].copy())
-        self._stacks["pose"], self._rows = poses, None
+        self._stacks["pose"], self._rows = _frozen(poses), None
         self.refresh_joint_transforms()
         return poses
 
@@ -380,7 +364,8 @@ class KinematicStructure:
         """Re-infer the non-fixed joint transform of every joint from the
         body poses.  With rel = parent^-1 o pose for each non-root body,
         P_T_J = rel o J_T_M^-1 where J_T_M is fixed, else
-        J_T_M = P_T_J^-1 o rel."""
+        J_T_M = P_T_J^-1 o rel.  Each re-inferred stack replaces the old one,
+        and a new joint_to_model the tree view's frames and their inverse."""
         poses = self.poses()
         for children, parents, name in self._joint_sides:
             rel = poses[parents].inverse() @ poses[children]
@@ -390,9 +375,12 @@ class KinematicStructure:
                 # In C order: the product's rounding depends on the layout.
                 inverse = self._stacks["parent_to_joint"][children].inverse()
                 inferred = _pose(np.ascontiguousarray(inverse.r), inverse.t) @ rel
-                self.tree.frames_written()
-            inferred, stack = _orthonormalized(inferred), self._stacks[name]
-            stack.r[children], stack.t[children] = inferred.r, inferred.t
+            inferred, old = _orthonormalized(inferred), self._stacks[name]
+            r, t = old.r.copy(), old.t.copy()
+            r[children], t[children] = inferred.r, inferred.t
+            self._stacks[name] = stack = _frozen(_pose(r, t))
+            if name == "joint_to_model":
+                self.tree.frames, self.tree.inverse_frames = stack, _frozen(stack.inverse())
 
 
 def _orthonormalized(poses: Pose) -> Pose:
@@ -405,6 +393,17 @@ def _orthonormalized(poses: Pose) -> Pose:
     """
     r = poses.r
     return _pose(r @ (_THREE_I - r.swapaxes(-1, -2) @ r) * 0.5, poses.t)
+
+
+def _frozen(poses: Pose) -> Pose:
+    """The pose, its arrays made read-only."""
+    poses.r.flags.writeable = poses.t.flags.writeable = False
+    return poses
+
+
+def _row_name(s, name: str, i: int) -> str:
+    """Row i of the stack ``name`` of s, by its body: its pose or its joint's transform."""
+    return f"{'body' if name == 'pose' else 'joint of body'} {s.bodies[i].name!r}: {name}"
 
 
 _STACKED = ("pose", "joint_to_model", "parent_to_joint")

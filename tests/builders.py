@@ -4,7 +4,7 @@ import numpy as np
 
 from multibody.kinematics import Body, FixedSide, Joint, KinematicStructure
 from multibody.se3 import Pose, exp_rotvec
-from oracles import random_rotvec
+from oracles import detached, random_rotvec
 
 
 def random_pose(rng, max_angle=np.pi, max_trans=1.0):
@@ -36,3 +36,10 @@ def random_tree(rng, n_bodies, min_dof=1, fixed_sides=None):
         pose = bodies[parent].pose @ joint.parent_to_joint @ joint.joint_to_model
         bodies.append(Body(name=f"body{i}", joint=joint, pose=pose, parent=parent))
     return KinematicStructure(bodies)
+
+
+def rebuilt(s, **rows):
+    """A new structure with the poses, joint transforms, fixed sides and
+    constraints of s but for ``rows`` (oracles.detached), which has kept
+    nothing yet: the way to give a structure a new state."""
+    return KinematicStructure(detached(s, **rows), s.constraints)

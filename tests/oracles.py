@@ -455,13 +455,33 @@ def _orthonormalized(pose):
     return Pose(r @ (3.0 * np.eye(3) - r.T @ r) * 0.5, pose.t)
 
 
-def scalar_refresh(s):
-    """Re-infer the non-fixed joint transforms, one joint at a time."""
-    for body in s.bodies:
+def detached(s, **rows):
+    """Copies of the bodies and joints of s that no structure has adopted,
+    with the same state but for ``rows``: name={i: pose} puts pose in row i
+    of the stack name ("pose", "joint_to_model" or "parent_to_joint")."""
+    def row(name, i, obj):
+        return rows.get(name, {}).get(i, getattr(obj, name))
+
+    return [
+        Body(
+            b.name,
+            Joint(b.joint.free_axes, row("joint_to_model", i, b.joint),
+                  row("parent_to_joint", i, b.joint), b.joint.fixed_side),
+            row("pose", i, b),
+            b.parent,
+        )
+        for i, b in enumerate(s.bodies)
+    ]
+
+
+def scalar_refresh(bodies):
+    """Re-infer the non-fixed joint transforms of un-adopted bodies, one
+    joint at a time."""
+    for body in bodies:
         if body.parent is None:
             continue
         joint = body.joint
-        parent_pose = s.bodies[body.parent].pose
+        parent_pose = bodies[body.parent].pose
         if joint.fixed_side is FixedSide.JOINT_TO_MODEL:
             joint.parent_to_joint = _orthonormalized(
                 parent_pose.inverse() @ body.pose @ joint.joint_to_model.inverse()
@@ -474,12 +494,15 @@ def scalar_refresh(s):
 
 def scalar_update(s, theta, mode):
     """Pose update one body at a time: pose o T(theta_i) in the free-body
-    modes, the recursion over parents in the tree modes."""
+    modes, the recursion over parents in the tree modes.  It works on
+    detached copies of the bodies of s and returns a new structure with the
+    updated state and the constraints of s."""
+    bodies = detached(s)
     if mode in (SolverMode.INDEPENDENT, SolverMode.CONSTRAINED):
-        for i, body in enumerate(s.bodies):
+        for i, body in enumerate(bodies):
             body.pose = pose_with_variation(body.pose, theta[6 * i : 6 * i + 6])
     else:
-        for body, off in zip(s.bodies, s.dof_offsets):
+        for body, off in zip(bodies, s.dof_offsets):
             joint = body.joint
             extended = expand_joint_variation(joint, theta[off : off + joint.n_dof])
             j_t_m = joint.joint_to_model
@@ -487,21 +510,21 @@ def scalar_update(s, theta, mode):
             if body.parent is None:
                 body.pose = body.pose @ motion
             else:
-                parent_pose = s.bodies[body.parent].pose
+                parent_pose = bodies[body.parent].pose
                 body.pose = parent_pose @ joint.parent_to_joint @ j_t_m @ motion
-    scalar_refresh(s)
+    scalar_refresh(bodies)
+    return KinematicStructure(bodies, s.constraints)
 
 
 def scalar_step(s, provider, mode, regularization=None):
     """One Newton step through scalar_kkt, the library's dense solve and
-    scalar_update; returns theta and lambda."""
+    scalar_update; returns the stepped structure, theta and lambda."""
     regularization = regularization or Regularization()
     energies = [provider(i, body.pose) for i, body in enumerate(s.bodies)]
     theta, lam = solve_kkt(
         KktSystem.from_blocks(*scalar_kkt(s, energies, mode, regularization))
     )
-    scalar_update(s, theta, mode)
-    return theta, lam
+    return scalar_update(s, theta, mode), theta, lam
 
 
 def kkt_dimension(mode, n_bodies):
@@ -652,7 +675,7 @@ def scalar_convergence_errors(
             provider = zero_energy
         rot_errors[trial, 0], trans_errors[trial, 0] = pose_difference(constraint, s)
         for it in range(1, n_iterations + 1):
-            scalar_step(s, provider, SolverMode.COMBINED)
+            s = scalar_step(s, provider, SolverMode.COMBINED)[0]
             rot_errors[trial, it], trans_errors[trial, it] = pose_difference(
                 constraint, s
             )

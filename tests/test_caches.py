@@ -1,23 +1,26 @@
 """What a structure, its views and its constraint stack keep between steps.
 
 Everything derived from the structure, a view or the constraint stack is
-computed once and dropped where its source changes.  A step on a structure
-that kept it must equal, bit for bit, the same step on a structure built
-afresh from the same state.  Each test's docstring names a change to the
-library that makes it fail.
+computed once and replaced or dropped where its source changes.  A step on
+a structure that kept it must equal, bit for bit, the same step on a
+structure built afresh from the same state.  Only update_poses changes a
+structure's state: every array it keeps is read-only, also in a copy.  Each
+test's docstring names a change to the library that makes it fail.
 """
+
+import copy
 
 import numpy as np
 import pytest
 
 import oracles as scalar
-from builders import random_pose, random_tree
-from multibody import solver
+from builders import random_pose, random_tree, rebuilt
+from multibody import kinematics, solver
 from multibody.constraints import Constraint, OrthogonalityConstraint
 from multibody.energy import per_body, quadratic_pose_target
 from multibody.experiments import build_serial_chain
-from multibody.kinematics import Body, FixedSide, Joint, KinematicStructure
-from multibody.se3 import SMALL_ANGLE, exp_rotvec, log_rotation, variation_matrix
+from multibody.kinematics import Body, FixedSide, Joint
+from multibody.se3 import SMALL_ANGLE, Pose, exp_rotvec, log_rotation, variation_matrix
 from multibody.solver import (
     FactorizationFailed, KktSystem, SolverConfig, SolverMode, solve_kkt, step
 )
@@ -28,22 +31,6 @@ SIDES = {
     "mixed": [MODEL, PARENT, MODEL, PARENT, PARENT, MODEL],
     "joint_to_model": [MODEL] * 6,
 }
-
-
-def rebuilt(s):
-    """A new structure with the poses, joint transforms, fixed sides and
-    constraints of s, which has kept nothing yet."""
-    bodies = [
-        Body(
-            b.name,
-            Joint(b.joint.free_axes, b.joint.joint_to_model, b.joint.parent_to_joint,
-                  b.joint.fixed_side),
-            b.pose,
-            b.parent,
-        )
-        for b in s.bodies
-    ]
-    return KinematicStructure(bodies, s.constraints)
 
 
 def state(s):
@@ -75,19 +62,19 @@ class TestStepsOnAKeptStructure:
     @pytest.mark.parametrize("sides", list(SIDES))
     @pytest.mark.parametrize("mode", list(SolverMode))
     def test_equal_steps_on_a_rebuilt_structure(self, sides, mode):
-        """Fails if ``KinematicStructure._write`` stops dropping the tree
-        view's inverse frames (the joint transform written below), if
-        ``refresh_joint_transforms`` stops dropping them after it re-infers
-        joint_to_model (parent_to_joint and mixed sides), or if assigning the
-        constraints keeps the old rows or stack."""
+        """Fails if ``refresh_joint_transforms`` stops replacing the tree
+        view's frames and inverse frames along with the joint_to_model it
+        re-infers (parent_to_joint and mixed sides), or if assigning the
+        constraints keeps the old rows or stack.  At step 2 the structure is
+        rebuilt with new joint transforms, and kept from then on."""
         rng = np.random.default_rng(40 + list(SIDES).index(sides))
         s = random_tree(rng, 6, min_dof=3, fixed_sides=SIDES[sides])
         s.constraints = some_constraints(rng)
         cfg = SolverConfig(mode=mode)
         for k in range(8):
             if k == 2:
-                s.bodies[3].joint.joint_to_model = random_pose(rng, 0.3, 0.1)
-                s.bodies[4].joint.parent_to_joint = random_pose(rng, 0.3, 0.1)
+                s = rebuilt(s, joint_to_model={3: random_pose(rng, 0.3, 0.1)},
+                            parent_to_joint={4: random_pose(rng, 0.3, 0.1)})
             if k == 4:
                 s.constraints = s.constraints[::-1]
             if k == 6:
@@ -105,17 +92,19 @@ class TestStepsOnAKeptStructure:
 
     @pytest.mark.parametrize("sides", list(SIDES))
     def test_inverse_frames_follow_joint_to_model(self, sides):
-        """Fails if ``_write`` or ``refresh_joint_transforms`` stops calling
-        ``Coordinates.frames_written``."""
+        """Fails if ``refresh_joint_transforms`` replaces joint_to_model but
+        not the tree view's frames, or not their inverse (parent_to_joint and
+        mixed sides)."""
         rng = np.random.default_rng(50)
         s = random_tree(rng, 6, fixed_sides=SIDES[sides])
 
         def assert_current():
+            assert s.tree.frames is s._stacks["joint_to_model"]
             inverse, expected = s.tree.inverse_frames, s.tree.frames.inverse()
             assert np.array_equal(inverse.r, expected.r) and np.array_equal(inverse.t, expected.t)
 
         assert_current()
-        s.bodies[2].joint.joint_to_model = random_pose(rng, 0.5, 0.2)
+        s = rebuilt(s, joint_to_model={2: random_pose(rng, 0.5, 0.2)})
         assert_current()
         s.update_poses(0.1 * rng.standard_normal(s.n_dof))
         assert_current()
@@ -146,7 +135,8 @@ class TestReadOnlyRows:
         """Fails if ``ConstraintRows.norms`` evaluates again on a second call,
         or hands out the list it keeps."""
         s = build_serial_chain(3)
-        s.bodies[2].pose = s.bodies[2].pose @ random_pose(np.random.default_rng(51), 0.1, 0.1)
+        moved = s.bodies[2].pose @ random_pose(np.random.default_rng(51), 0.1, 0.1)
+        s = rebuilt(s, pose={2: moved})
         rows = s.constraint_rows(blocks=False)
         first = rows.norms()
         calls = []
@@ -157,6 +147,108 @@ class TestReadOnlyRows:
         assert rows.norms() == first[:-1] and not calls
         per_constraint = np.split(rows.residual, np.cumsum(rows.stack.counts)[:-1])
         assert first[:-1] == [float(np.linalg.norm(r)) for r in per_constraint]
+
+
+def kept_arrays(s):
+    """Every array the structure and its views keep, by name, and the
+    arrays of its stored rows."""
+    rows = s.constraint_rows()
+    poses = {
+        "poses()": s.poses(),
+        **{f"_stacks[{name!r}]": stack for name, stack in s._stacks.items()},
+        "tree.frames": s.tree.frames,
+        "tree.inverse_frames": s.tree.inverse_frames,
+        "forest.frames": s.forest.frames,
+        "forest.inverse_frames": s.forest.inverse_frames,
+    }
+    arrays = {f"{name}.{part}": getattr(p, part) for name, p in poses.items() for part in "rt"}
+    arrays.update({f"constraint_rows().{n}": getattr(rows, n) for n in ("extended", "d_a", "d_b")})
+    return arrays
+
+
+COMBINED = SolverConfig(mode=SolverMode.COMBINED)
+
+
+def pulled_tree():
+    """A random tree of mixed fixed sides with both kinds of constraint, and
+    pose targets that pull it."""
+    rng = np.random.default_rng(53)
+    s = random_tree(rng, 6, min_dof=3, fixed_sides=SIDES["mixed"])
+    s.constraints = some_constraints(rng)
+    return s, per_body({i: quadratic_pose_target(random_pose(rng), 50.0, 80.0) for i in (0, 3)})
+
+
+class TestOneWriter:
+    """update_poses is the only writer of a structure's state: it replaces
+    the read-only stacks, and nothing writes into them."""
+
+    def test_a_write_behind_the_stored_rows_raises(self):
+        """An in-place write to the pose stack would leave the stored rows
+        stale: norms [0, 0] where a fresh evaluation gives [0, 0.866].
+        Fails if the structure's pose stack is writeable."""
+        s = build_serial_chain(3)
+        rows = s.constraint_rows(blocks=False)
+        with pytest.raises(ValueError, match="read-only"):
+            s.poses().t[2] += 0.5
+        fresh = [float(np.linalg.norm(scalar.constraint_residual(c, s))) for c in s.constraints]
+        assert rows.norms() == [0.0, 0.0] == fresh
+
+    @pytest.mark.parametrize("which", ["original", "copy before a step", "copy after a step"])
+    def test_kept_arrays_refuse_in_place_writes(self, which):
+        """Fails if update_poses or refresh_joint_transforms leaves a stack
+        it replaces writeable; on a copy, if ``__setstate__`` of
+        KinematicStructure or Coordinates stops freezing the stacks, or if
+        a copy keeps its stored rows, whose arrays numpy copies writeable."""
+        s, provider = pulled_tree()
+        assert not s.forest.links  # built now, so that a copy copies it
+        if which == "copy before a step":
+            s = copy.deepcopy(s)
+        step(s, provider, COMBINED)
+        if which == "copy after a step":
+            s = copy.deepcopy(s)
+        for name, array in kept_arrays(s).items():
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = 1.0
+            assert not array.flags.writeable, name
+
+    def test_copies_evaluate_their_rows_again_bit_for_bit(self, monkeypatch):
+        """Fails if a copy keeps the stored rows, whose arrays numpy copies
+        writeable, instead of evaluating them again, or if the rows it
+        evaluates or its next step differ from the original's by a bit."""
+        s, provider = pulled_tree()
+        step(s, provider, COMBINED)
+        rows = s.constraint_rows()
+        twin = copy.deepcopy(s)
+        calls = []
+        original = kinematics.evaluate_constraints
+        monkeypatch.setattr(
+            kinematics, "evaluate_constraints", lambda *args: calls.append(1) or original(*args)
+        )
+        again = twin.constraint_rows()
+        assert calls == [1] and again.stack is twin.constraint_stack
+        for name in ("extended", "d_a", "d_b"):
+            assert getattr(again, name).tobytes() == getattr(rows, name).tobytes(), name
+        assert again.norms() == rows.norms()
+        assert outcome(twin, provider, COMBINED) == outcome(s, provider, COMBINED)
+        assert state(twin) == state(s)
+
+    def test_assigning_a_row_after_adoption_raises(self):
+        """Fails if ``_PoseRow.__set__`` writes an adopted row, or if its
+        error stops naming the body and the field."""
+        body = Body("lone", Joint(np.ones(6, dtype=bool)))
+        pose = Pose.from_rotvec([0.1, 0.0, 0.0], [0.0, 0.2, 0.0])
+        body.pose = body.joint.parent_to_joint = pose
+        assert body.pose is pose and body.joint.parent_to_joint is pose
+        s = build_serial_chain(3)
+        rows, saved = s.constraint_rows(), state(s)
+        for obj, field, named in [
+            (s.bodies[1], "pose", "body 'body1': pose"),
+            (s.bodies[2].joint, "joint_to_model", "joint of body 'body2': joint_to_model"),
+            (s.bodies[0].joint, "parent_to_joint", "joint of body 'body0': parent_to_joint"),
+        ]:
+            with pytest.raises(AttributeError, match=f"^{named} is read-only"):
+                setattr(obj, field, pose)
+        assert state(s) == saved and s.constraint_rows() is rows
 
 
 class TestWorkspaceQuery:

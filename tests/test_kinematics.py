@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from builders import random_pose, random_tree
+from builders import random_pose, random_tree, rebuilt
 from multibody.constraints import Constraint, ConstraintStack, OrthogonalityConstraint
 from multibody.kinematics import (
     Body,
@@ -150,17 +150,17 @@ class TestStructureValidation:
         ):
             KinematicStructure([a, Body("b", Joint(j.free_axes, parent_to_joint=short))])
         # A structure that fails to build adopts none of its bodies.
-        a.pose = Pose.from_rotvec([0.1, 0.0, 0.0])
+        first.update_poses(np.full(6, 0.1))
         assert np.array_equal(first.poses().r[0], a.pose.r)
         s = build_serial_chain(3)
         saved = state(s)
         with pytest.raises(ValueError, match="body 'body1': pose rotation"):
-            s.bodies[1].pose = flat
+            rebuilt(s, pose={1: flat})
         with pytest.raises(ValueError, match="joint of body 'body2': joint_to_model translation"):
-            s.bodies[2].joint.joint_to_model = short
+            rebuilt(s, joint_to_model={2: short})
         assert same_state(state(s), saved)
         # Values are not checked: a step names what a NaN pose breaks.
-        s.bodies[1].pose = Pose(np.eye(3), np.full(3, np.nan))
+        s = rebuilt(s, pose={1: Pose(np.eye(3), np.full(3, np.nan))})
         assert np.isnan(s.poses().t[1]).all()
 
     @pytest.mark.parametrize("kind", [Constraint, OrthogonalityConstraint])
@@ -249,7 +249,7 @@ class TestOwnedState:
         for _ in range(3):
             theta = rng.uniform(-0.3, 0.3, s.n_dof)
             s.update_poses(theta)
-            scalar_update(oracle, theta, SolverMode.PROJECTED)
+            oracle = scalar_update(oracle, theta, SolverMode.PROJECTED)
         assert max(
             np.abs(a - b).max() for pa, pb in zip(state(s), state(oracle)) for a, b in zip(pa, pb)
         ) < 1e-12

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from builders import random_pose, random_tree
+from builders import random_pose, random_tree, rebuilt
 from multibody.constraints import Constraint, OrthogonalityConstraint, evaluate_constraints
 from multibody.energy import (
     BodyEnergy,
@@ -442,8 +442,7 @@ class TestFailureDiagnosis:
 
     @pytest.mark.parametrize("mode", [SolverMode.CONSTRAINED, SolverMode.COMBINED])
     def test_non_finite_pose_names_its_constraints(self, mode):
-        s = build_serial_chain(4)
-        s.bodies[2].pose = Pose(np.eye(3), np.array([np.nan, 0.0, 0.0]))
+        s = rebuilt(build_serial_chain(4), pose={2: Pose(np.eye(3), np.array([np.nan, 0.0, 0.0]))})
         with pytest.raises(FactorizationFailed) as info:
             step(s, zero_energy, SolverConfig(mode=mode))
         assert str(info.value).endswith(
@@ -758,14 +757,14 @@ class TestStoredConstraintRows:
         step(s, self.pulled(s, rng), projected)
         calls = self.spy(monkeypatch)
 
-        def write_pose():
-            s.bodies[1].pose = s.bodies[1].pose @ random_pose(rng, 0.1, 0.1)
+        def move_poses():
+            s.update_poses(0.1 * rng.standard_normal(s.n_dof))
 
         def reassign_constraints():
             s.constraints = s.constraints[:2]
 
         changes = [
-            ("pose", write_pose, projected, [False, False]),
+            ("poses", move_poses, projected, [False, False]),
             ("constraints", reassign_constraints, projected, [False, False]),
             # Rows without blocks do not serve a constraint mode.
             ("blocks", lambda: None, combined, [True, True]),

@@ -172,7 +172,7 @@ class TestStepMatchesScalarOracle:
                 {i: quadratic_pose_target(t, 100.0, 100.0) for i, t in enumerate(targets)}
             )
             step(s, provider, cfg)
-            scalar_step(oracle, provider, cfg.mode)
+            oracle = scalar_step(oracle, provider, cfg.mode)[0]
             for body, ref in zip(s.bodies, oracle.bodies):
                 worst = max(
                     worst,

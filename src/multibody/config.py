@@ -236,7 +236,7 @@ def parse_config(raw: dict, base_dir=None) -> TrackingConfig:
         if name not in names:
             raise ConfigError(f"{where}: unknown body {name!r}")
         index = names[name]
-        n_dof = structure.bodies[index].joint.n_dof
+        n_dof = structure.tree.n_dofs[index]
         amplitude = _parse_numbers(
             _expect(entry, "amplitude", where, required=True), f"{where}.amplitude"
         ).reshape(-1)

@@ -6,9 +6,10 @@ one attached to each body.  Residual rows are taken from the extended
 ordering of frame A.  An orthogonality constraint is also provided as a
 baseline formulation that only asks pairs of axes to stay perpendicular.
 
-Constraints are frozen records, stacked once into a ConstraintStack when
-a structure's constraints are assigned.  `evaluate_constraints` computes the
-residual rows and derivatives of all of them at once, at a stacked pose.
+Constraints are frozen records, given to a structure when it is built and
+stacked once into a read-only ConstraintStack.  `evaluate_constraints`
+computes the residual rows and derivatives of all of them at once, at a
+stacked pose; the convergence study calls the formulas below on its own.
 """
 
 from __future__ import annotations
@@ -137,10 +138,10 @@ def orthogonality_blocks(frame_a, a_t_mb, a_t_b):
 
 
 class ConstraintStack:
-    """Constraints as stacks, built once per assignment: ``frame_a``/``frame_b``
+    """Constraints as stacks, built once with a structure: ``frame_a``/``frame_b``
     and their ``inverse_a``/``inverse_b``, ``body_a``/``body_b``, ``ortho`` flags,
     row ``masks``, their ``counts``, each row's ``row_a``/``row_b`` and ``sides``,
-    the two concatenated."""
+    the two concatenated.  Every array is read-only (freeze)."""
 
     def __init__(self, constraints):
         self.frame_a, self.frame_b = (
@@ -157,6 +158,13 @@ class ConstraintStack:
         self.row_a = np.repeat(self.body_a, self.counts)
         self.row_b = np.repeat(self.body_b, self.counts)
         self.sides = np.concatenate([self.row_a, self.row_b])
+        self.freeze()
+
+    def freeze(self):
+        """Make every array read-only, also in a copy: numpy copies arrays writeable."""
+        for value in vars(self).values():
+            for array in (value.r, value.t) if isinstance(value, Pose) else (value,):
+                array.flags.writeable = False
 
 
 @dataclass

@@ -8,8 +8,8 @@ the constraint derivatives use.
 
 ``evaluate`` is the one place where energies are evaluated, for all bodies
 at a stacked Pose.  Providers with an ``evaluate_stack(poses)`` method, which
-are pose targets, ``per_body`` maps and ``zero_energy``, give every body's
-gradient and Hessian in one pass; any other callable is called per body.
+are pose targets and ``per_body`` maps (``zero_energy`` is the empty one), give
+every body's gradient and Hessian in one pass; any other callable is called per body.
 """
 
 from __future__ import annotations
@@ -41,19 +41,6 @@ class BodyEnergy:
 
 def _zeros(n: int):
     return np.zeros((n, 6)), np.zeros((n, 6, 6))
-
-
-class ZeroEnergy:
-    """Provider with no measurement; regularization alone shapes the step."""
-
-    def __call__(self, body_index: int, pose: Pose) -> BodyEnergy:
-        return BodyEnergy.zero()
-
-    def evaluate_stack(self, poses: Pose):
-        return _zeros(poses.t.shape[0])
-
-
-zero_energy = ZeroEnergy()
 
 
 def evaluate(provider, poses: Pose):
@@ -151,16 +138,15 @@ def point_registration_energy(model_points, observed_points):
 
 
 class PerBody:
-    """Provider dispatching body index -> provider, falling back to
-    ``default`` for the other bodies.  The pose targets among the providers
-    are stacked once, here, and evaluated together in one kernel call."""
+    """Provider dispatching body index -> provider; a body without one has
+    zero energy.  The pose targets among the providers are stacked once,
+    here, and evaluated together in one kernel call."""
 
-    def __init__(self, providers: dict, default=zero_energy):
+    def __init__(self, providers: dict):
         for i in providers:
             if operator.index(i) < 0:
                 raise ValueError(f"per_body: body index {i} is negative")
         self.providers = dict(providers)
-        self.default = default
         targets = {i: p for i, p in self.providers.items() if isinstance(p, PoseTarget)}
         self.target_bodies = np.array(list(targets), dtype=int)
         name = lambda k: f"per_body: body {self.target_bodies[k]} target"  # noqa: E731
@@ -170,7 +156,8 @@ class PerBody:
         self.last = max(self.providers, default=-1)
 
     def __call__(self, body_index: int, pose: Pose) -> BodyEnergy:
-        return self.providers.get(body_index, self.default)(body_index, pose)
+        provider = self.providers.get(body_index)
+        return BodyEnergy.zero() if provider is None else provider(body_index, pose)
 
     def evaluate_stack(self, poses: Pose):
         n = poses.t.shape[0]
@@ -180,14 +167,14 @@ class PerBody:
         targets = self.target_bodies
         if targets.shape[0]:
             g[targets], h[targets] = pose_target_stack(self.targets, self.scales, poses[targets])
-        rest = self.others
-        if not isinstance(self.default, ZeroEnergy):
-            rest = np.setdiff1d(np.arange(n), targets).tolist()
-        # Each remaining body through its own provider or the default.
-        _call_per_body(self, rest, poses, g, h)
+        # Each remaining body with a provider through it.
+        _call_per_body(self, self.others, poses, g, h)
         return g, h
 
 
-def per_body(providers: dict, default=zero_energy) -> PerBody:
-    """Dispatch provider: body index -> provider, falling back to ``default``."""
-    return PerBody(providers, default)
+def per_body(providers: dict) -> PerBody:
+    """Dispatch provider: body index -> provider, zero energy for the other bodies."""
+    return PerBody(providers)
+
+
+zero_energy = per_body({})

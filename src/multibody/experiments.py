@@ -43,9 +43,9 @@ PERCENTILE_LEVELS = (1, 10, 20, 30, 40, 50, 60, 70, 80, 90, 99)
 CONVERGENCE_KINDS = ("rotvec", "trans", "full", "ortho")
 
 
-def random_spd(rng, n: int = 6, scale: float = 100.0) -> np.ndarray:
-    a = rng.standard_normal((n, n))
-    return scale * (a @ a.T / n + 0.1 * np.eye(n))
+def random_spd(rng) -> np.ndarray:
+    a = rng.standard_normal((6, 6))
+    return 100.0 * (a @ a.T / 6 + 0.1 * np.eye(6))
 
 
 @dataclass
@@ -232,8 +232,8 @@ class ScalingSample:
     kkt_dim: int
 
 
-def build_serial_chain(n_bodies: int, link_length: float = 0.1) -> KinematicStructure:
-    """Root with a 6-DoF joint plus rotational links, each offset along x.
+def build_serial_chain(n_bodies: int) -> KinematicStructure:
+    """Root with a 6-DoF joint plus rotational links, each offset 0.1 along x.
 
     Constraints mirroring the joints (all axes but rot_z locked between
     consecutive bodies) are attached so that the same structure serves both
@@ -243,7 +243,7 @@ def build_serial_chain(n_bodies: int, link_length: float = 0.1) -> KinematicStru
         raise ValueError("need at least one body")
     bodies = [Body(name="body0", joint=Joint(free_axes=np.ones(6, dtype=bool)))]
     constraints = []
-    offset = Pose(np.eye(3), np.array([link_length, 0.0, 0.0]))
+    offset = Pose(np.eye(3), np.array([0.1, 0.0, 0.0]))
     for i in range(1, n_bodies):
         bodies.append(
             Body(

@@ -42,60 +42,73 @@ def axes_mask(names) -> np.ndarray:
     return mask
 
 
+def _frozen(poses: Pose) -> Pose:
+    """The pose, its arrays made read-only."""
+    poses.r.flags.writeable = poses.t.flags.writeable = False
+    return poses
+
+
 class _PoseRow:
-    """A Pose attribute of a Body or Joint.  The object holds it until a
-    KinematicStructure adopts the object; from then on it is row
-    ``obj._index`` of the structure's read-only stack of that name.  Reading
-    gives a view of the row, which keeps its value: only update_poses
-    changes the state, by replacing the stacks.  Assigning raises."""
+    """A Pose attribute of a Body or Joint, the identity by default.  The
+    object holds it in its own ``__dict__``, which shadows this non-data
+    descriptor, until a KinematicStructure adopts the object and takes it;
+    from then on it is row ``obj._index`` of the structure's read-only stack
+    of that name.  Reading gives a view of the row, which keeps its value:
+    only update_poses changes the state, by replacing the stacks."""
 
     def __set_name__(self, cls, name):
         self.name = name
 
     def __get__(self, obj, cls=None):
         if obj is None:
-            return None  # the dataclass field's default: the identity
-        if obj._owner is None:
-            return obj.__dict__[self.name]
+            return _frozen(Pose.identity())  # the dataclass field's default, shared
         return obj._owner._stacks[self.name][obj._index]
 
-    def __set__(self, obj, pose):
-        if obj._owner is not None:
-            what = _row_name(obj._owner, self.name, obj._index)
+
+class _Adoptable:
+    """A Body or Joint.  A KinematicStructure reads its fields once, when it
+    adopts the object, and from then on no field can be assigned."""
+
+    _owner = None
+
+    def __setattr__(self, name, value):
+        if self._owner is not None:
+            what = _row_name(self._owner, self._role, name, self._index)
             raise AttributeError(f"{what} is read-only once a structure adopts it")
-        obj.__dict__[self.name] = Pose.identity() if pose is None else pose
+        object.__setattr__(self, name, value)
 
 
 @dataclass
-class Joint:
+class Joint(_Adoptable):
     """Connection allowing motion along a chosen set of joint-frame axes:
     the free-axis values are scattered into the extended 6-vector and fixed
-    axes stay zero.  ``fixed_side`` is read once, when a structure adopts
-    the joint."""
+    axes stay zero."""
 
     free_axes: np.ndarray
     joint_to_model: Pose = _PoseRow()
     parent_to_joint: Pose = _PoseRow()
     fixed_side: FixedSide = FixedSide.JOINT_TO_MODEL
-    _owner = None
+    _role = "joint of body"
 
     def __post_init__(self):
-        self.free_axes = np.asarray(self.free_axes, dtype=bool)
+        self.free_axes = np.array(self.free_axes, dtype=bool)
         if self.free_axes.shape != (6,):
             raise ValueError("free_axes must have 6 entries")
-        # Indices of the free axes: the joint's motion subspace is these
-        # columns of the identity.
-        self.free = np.flatnonzero(self.free_axes)
-        self.n_dof = int(self.free.shape[0])
+        self.free_axes.flags.writeable = False
+
+    def __setstate__(self, state):
+        # numpy copies arrays writeable.
+        vars(self).update(state)
+        self.free_axes.flags.writeable = False
 
 
 @dataclass
-class Body:
+class Body(_Adoptable):
     name: str
     joint: Joint
     pose: Pose = _PoseRow()
     parent: int | None = None
-    _owner = None
+    _role = "body"
 
 
 class Coordinates:
@@ -204,12 +217,13 @@ class KinematicStructure:
     joints' fixed sides.  Only update_poses changes them, by replacing the
     stacks; ``Body.pose`` and the joint transforms read their row and refuse
     assignment.  A body or joint handed to a second structure belongs to
-    that one.  ``constraint_stack`` is rebuilt when constraints are assigned.
+    that one; no field of an adopted body or joint can be assigned.  The
+    constraints, given at construction, are stacked once (``constraint_stack``).
 
     The structure also keeps its constraints evaluated at the body-pose
     stack (``constraint_rows``, read-only arrays), so that each pose is
     evaluated once.  The rows are dropped whenever the stack is replaced
-    (update_poses), the constraints are assigned or the structure is copied.
+    (update_poses) or the structure is copied.
     Mutating operations (pose updates) must be serialized by the caller;
     read-only snapshots may be shared for parallel evaluation, which at
     worst evaluates the same rows twice.
@@ -217,14 +231,18 @@ class KinematicStructure:
 
     def __init__(self, bodies: list[Body], constraints=()):
         self.bodies = list(bodies)
-        self.constraints = constraints
+        self._constraints = tuple(constraints)
+        self._validate()
+        self.constraint_stack, self._rows = ConstraintStack(self._constraints), None
         joints = [b.joint for b in self.bodies]
         self._stacks = {}
         for name, objs in zip(_STACKED, (self.bodies, joints, joints)):
             rows = [getattr(obj, name) for obj in objs]
-            self._stacks[name] = _frozen(Pose.stack(rows, functools.partial(_row_name, self, name)))
+            name_row = functools.partial(_row_name, self, objs[0]._role, name)
+            self._stacks[name] = _frozen(Pose.stack(rows, name_row))
         parents = [b.parent for b in self.bodies]
-        self.tree = Coordinates(parents, [j.free for j in joints], self._stacks["joint_to_model"])
+        free = [np.flatnonzero(j.free_axes) for j in joints]
+        self.tree = Coordinates(parents, free, self._stacks["joint_to_model"])
         self.n_dof, self.dof_offsets = self.tree.n_dof, self.tree.offsets
         # Per fixed side (joint_to_model, then parent_to_joint): children, parents, stack inferred.
         children, parents = self.tree.children, self.tree.parents
@@ -237,13 +255,14 @@ class KinematicStructure:
         for i, body in enumerate(self.bodies):
             for name, obj in zip(_STACKED, (body, body.joint, body.joint)):
                 vars(obj).pop(name, None)
-                obj._owner, obj._index = self, i
+                vars(obj).update(_owner=self, _index=i)
 
     def __setstate__(self, state):
         # numpy copies arrays writeable: a copy evaluates its rows again and freezes its stacks.
         self.__dict__.update(state, _rows=None)
         for pose in self._stacks.values():
             _frozen(pose)
+        self.constraint_stack.freeze()
 
     @functools.cached_property
     def forest(self) -> Coordinates:
@@ -253,14 +272,7 @@ class KinematicStructure:
     def constraints(self) -> tuple:
         return self._constraints
 
-    @constraints.setter
-    def constraints(self, constraints):
-        constraints = tuple(constraints)
-        self._validate(constraints)
-        stack = ConstraintStack(constraints)
-        self._constraints, self.constraint_stack, self._rows = constraints, stack, None
-
-    def _validate(self, constraints):
+    def _validate(self):
         if not self.bodies:
             raise ValueError("a structure needs at least one body")
         names, joints = set(), {}
@@ -275,7 +287,7 @@ class KinematicStructure:
             first = self.bodies[joints.setdefault(id(body.joint), i)]
             if first is not body:
                 raise ValueError(f"body {body.name!r} shares its joint with body {first.name!r}")
-        for k, c in enumerate(constraints):
+        for k, c in enumerate(self._constraints):
             for index in (c.body_a, c.body_b):
                 if not 0 <= index < len(self.bodies):
                     raise ValueError(
@@ -395,15 +407,9 @@ def _orthonormalized(poses: Pose) -> Pose:
     return _pose(r @ (_THREE_I - r.swapaxes(-1, -2) @ r) * 0.5, poses.t)
 
 
-def _frozen(poses: Pose) -> Pose:
-    """The pose, its arrays made read-only."""
-    poses.r.flags.writeable = poses.t.flags.writeable = False
-    return poses
-
-
-def _row_name(s, name: str, i: int) -> str:
-    """Row i of the stack ``name`` of s, by its body: its pose or its joint's transform."""
-    return f"{'body' if name == 'pose' else 'joint of body'} {s.bodies[i].name!r}: {name}"
+def _row_name(s, role: str, name: str, i: int) -> str:
+    """Field ``name`` of body i of s (role "body") or of its joint, by the body's name."""
+    return f"{role} {s.bodies[i].name!r}: {name}"
 
 
 _STACKED = ("pose", "joint_to_model", "parent_to_joint")

@@ -73,7 +73,7 @@ class FactorizationFailed(RuntimeError):
         self.system = system
 
 
-@dataclass
+@dataclass(frozen=True)
 class Regularization:
     lambda_r: float = 100.0
     lambda_t: float = 1000.0
@@ -84,15 +84,18 @@ class Regularization:
                 raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     mode: SolverMode = SolverMode.PROJECTED
     iterations: int = 1
     regularization: Regularization = field(default_factory=Regularization)
 
     def __post_init__(self):
-        if isinstance(self.mode, str):
-            self.mode = SolverMode(self.mode)
+        if not isinstance(self.mode, (SolverMode, str)):
+            raise TypeError(f"mode must be a SolverMode or its value, got {self.mode!r}")
+        object.__setattr__(self, "mode", SolverMode(self.mode))
+        if not isinstance(self.regularization, Regularization):
+            raise TypeError(f"regularization must be a Regularization, got {self.regularization!r}")
         if not isinstance(self.iterations, numbers.Integral) or isinstance(self.iterations, bool):
             raise TypeError(f"iterations must be an integer, got {self.iterations!r}")
         if self.iterations < 1:
@@ -290,16 +293,15 @@ def assemble(
     g: np.ndarray,
     h: np.ndarray,
     mode: SolverMode,
-    regularization: Regularization | None = None,
-    rows: ConstraintRows | None = None,
+    regularization: Regularization,
 ) -> KktSystem:
     """Gradient/Hessian plus regularization in the mode's coordinates, and
     constraint rows in the constraint modes.  ``g`` (n, 6) and ``h``
     (n, 6, 6) are the bodies' energies (energy.evaluate) at the structure's
-    poses (s.poses()).  ``rows`` holds the structure's constraints
-    evaluated there with blocks, by default those it keeps
-    (KinematicStructure.constraint_rows).  Raises FactorizationFailed naming
-    the first body whose energy is not finite.
+    poses (s.poses()); the rows are the structure's constraints evaluated
+    there with blocks, those it keeps (KinematicStructure.constraint_rows).
+    Raises FactorizationFailed naming the first body whose energy is not
+    finite.
 
     With J_i = Ad(rel_i^-1) (S o anc_i) (KinematicStructure.jacobian_factors),
     summing the energies moved into each tree's root frame over subtrees
@@ -317,10 +319,7 @@ def assemble(
         raise FactorizationFailed(
             f"non-finite energy gradient or Hessian for body {i} ({s.bodies[i].name!r})"
         )
-    if mode not in _CONSTRAINED_MODES:
-        rows = _NO_ROWS
-    elif rows is None:
-        rows = s.constraint_rows()
+    rows = s.constraint_rows() if mode in _CONSTRAINED_MODES else _NO_ROWS
     view = _coordinates(s, mode)
     ad_inv, motion = s.jacobian_factors(view)
     # A root is its tree's reference frame; the other bodies' energies and
@@ -341,9 +340,8 @@ def assemble(
     hs = np.einsum("qij,qj->qi", h_c.take(view.body, axis=0), columns)
     products = view.per_tree(columns) @ view.per_tree(hs).swapaxes(1, 2)
     h_values = products.take(view.pair_slots)
-    if regularization is not None:
-        reg = regularization
-        h_values[view.diagonal] += np.where(view.rotational, reg.lambda_r, reg.lambda_t)
+    reg = regularization
+    h_values[view.diagonal] += np.where(view.rotational, reg.lambda_r, reg.lambda_t)
     # Each row's derivatives w.r.t. the variations of its two bodies against
     # each coordinate that moves that body.
     pattern = _pattern(view, rows.stack.sides)
@@ -482,8 +480,7 @@ def step(s: KinematicStructure, provider, cfg: SolverConfig) -> StepReport:
     (KinematicStructure.constraint_rows): after the update, with the KKT
     blocks in the constraint modes, and kept there.  The residuals before
     the solve, and in the constraint modes its KKT rows, are then those the
-    previous step or frame left, unless the poses or the constraints have
-    changed since.
+    previous step or frame left, unless the poses have changed since.
     """
     marks = [time.perf_counter()]
     g, h = evaluate(provider, s.poses())
@@ -491,7 +488,7 @@ def step(s: KinematicStructure, provider, cfg: SolverConfig) -> StepReport:
     with_rows = cfg.mode in _CONSTRAINED_MODES
     before = s.constraint_rows(blocks=with_rows)
     marks.append(time.perf_counter())
-    kkt = assemble(s, g, h, cfg.mode, cfg.regularization, before)
+    kkt = assemble(s, g, h, cfg.mode, cfg.regularization)
     marks.append(time.perf_counter())
     try:
         theta, lam = solve_kkt(kkt)

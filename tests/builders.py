@@ -38,8 +38,10 @@ def random_tree(rng, n_bodies, min_dof=1, fixed_sides=None):
     return KinematicStructure(bodies)
 
 
-def rebuilt(s, **rows):
+def rebuilt(s, constraints=None, **rows):
     """A new structure with the poses, joint transforms, fixed sides and
-    constraints of s but for ``rows`` (oracles.detached), which has kept
-    nothing yet: the way to give a structure a new state."""
-    return KinematicStructure(detached(s, **rows), s.constraints)
+    constraints of s but for ``rows`` (oracles.detached) and, if given,
+    ``constraints``, which has kept nothing yet: the way to give a structure
+    a new state or other constraints."""
+    constraints = s.constraints if constraints is None else constraints
+    return KinematicStructure(detached(s, **rows), constraints)

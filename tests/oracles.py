@@ -255,12 +255,11 @@ def rows_jacobian(rows, jacobians):
 def expand_joint_variation(joint, theta_j):
     """Extended 6-vector with joint values on free axes, zeros on fixed ones."""
     theta_j = np.atleast_1d(np.asarray(theta_j, dtype=float))
-    if theta_j.shape != (joint.n_dof,):
-        raise ValueError(
-            f"joint variation has length {theta_j.shape[0]}, expected {joint.n_dof}"
-        )
+    n_dof = np.count_nonzero(joint.free_axes)
+    if theta_j.shape != (n_dof,):
+        raise ValueError(f"joint variation has length {theta_j.shape[0]}, expected {n_dof}")
     extended = np.zeros(6)
-    extended[joint.free] = theta_j
+    extended[joint.free_axes] = theta_j
     return extended
 
 
@@ -397,7 +396,7 @@ def selection_body_jacobians(s):
     J = Ad(M_T_P) J_parent + Ad(M_T_J) E at the body's offset."""
     jacobians = []
     for body, off in zip(s.bodies, s.dof_offsets):
-        n_dof = body.joint.n_dof
+        n_dof = np.count_nonzero(body.joint.free_axes)
         expansion = np.zeros((6, n_dof))
         expansion[np.flatnonzero(body.joint.free_axes), np.arange(n_dof)] = 1.0
         jac = np.zeros((6, s.n_dof))
@@ -440,7 +439,7 @@ def scalar_kkt(s, energies, mode, regularization):
         return selection_kkt(s, energies, constraints, reg)
     jacobians = selection_body_jacobians(s)
     h = sum(j.T @ e.h @ j for j, e in zip(jacobians, energies))
-    h = h + np.diag([reg[a] for b in s.bodies for a in b.joint.free])
+    h = h + np.diag([reg[a] for b in s.bodies for a in np.flatnonzero(b.joint.free_axes)])
     g = sum(j.T @ e.g for j, e in zip(jacobians, energies))
     b_mat = np.zeros((0, s.n_dof))
     b_vec = np.zeros(0)
@@ -504,7 +503,8 @@ def scalar_update(s, theta, mode):
     else:
         for body, off in zip(bodies, s.dof_offsets):
             joint = body.joint
-            extended = expand_joint_variation(joint, theta[off : off + joint.n_dof])
+            n_dof = np.count_nonzero(joint.free_axes)
+            extended = expand_joint_variation(joint, theta[off : off + n_dof])
             j_t_m = joint.joint_to_model
             motion = pose_with_variation(j_t_m.inverse(), extended) @ j_t_m
             if body.parent is None:

@@ -16,7 +16,7 @@ import pytest
 import oracles as scalar
 from builders import random_pose, random_tree, rebuilt
 from multibody import kinematics, solver
-from multibody.constraints import Constraint, OrthogonalityConstraint
+from multibody.constraints import Constraint, OrthogonalityConstraint, evaluate_constraints
 from multibody.energy import per_body, quadratic_pose_target
 from multibody.experiments import build_serial_chain
 from multibody.kinematics import Body, FixedSide, Joint
@@ -64,21 +64,21 @@ class TestStepsOnAKeptStructure:
     def test_equal_steps_on_a_rebuilt_structure(self, sides, mode):
         """Fails if ``refresh_joint_transforms`` stops replacing the tree
         view's frames and inverse frames along with the joint_to_model it
-        re-infers (parent_to_joint and mixed sides), or if assigning the
-        constraints keeps the old rows or stack.  At step 2 the structure is
-        rebuilt with new joint transforms, and kept from then on."""
+        re-infers (parent_to_joint and mixed sides).  At step 2 the structure
+        is rebuilt with new joint transforms, at steps 4 and 6 with its
+        constraints reversed and then cut, and kept in between."""
         rng = np.random.default_rng(40 + list(SIDES).index(sides))
         s = random_tree(rng, 6, min_dof=3, fixed_sides=SIDES[sides])
-        s.constraints = some_constraints(rng)
+        s = rebuilt(s, constraints=some_constraints(rng))
         cfg = SolverConfig(mode=mode)
         for k in range(8):
             if k == 2:
                 s = rebuilt(s, joint_to_model={3: random_pose(rng, 0.3, 0.1)},
                             parent_to_joint={4: random_pose(rng, 0.3, 0.1)})
             if k == 4:
-                s.constraints = s.constraints[::-1]
+                s = rebuilt(s, constraints=s.constraints[::-1])
             if k == 6:
-                s.constraints = s.constraints[1:]
+                s = rebuilt(s, constraints=s.constraints[1:])
             provider = per_body(
                 {i: quadratic_pose_target(random_pose(rng), 50.0, 80.0) for i in (0, 2, 3, 5)}
             )
@@ -150,9 +150,10 @@ class TestReadOnlyRows:
 
 
 def kept_arrays(s):
-    """Every array the structure and its views keep, by name, and the
-    arrays of its stored rows."""
+    """Every array the structure, its views, its constraint stack and its
+    joints keep, by name, and the arrays of its stored rows."""
     rows = s.constraint_rows()
+    frames = {n: p for n, p in vars(s.constraint_stack).items() if isinstance(p, Pose)}
     poses = {
         "poses()": s.poses(),
         **{f"_stacks[{name!r}]": stack for name, stack in s._stacks.items()},
@@ -160,9 +161,16 @@ def kept_arrays(s):
         "tree.inverse_frames": s.tree.inverse_frames,
         "forest.frames": s.forest.frames,
         "forest.inverse_frames": s.forest.inverse_frames,
+        **{f"constraint_stack.{name}": p for name, p in frames.items()},
     }
     arrays = {f"{name}.{part}": getattr(p, part) for name, p in poses.items() for part in "rt"}
     arrays.update({f"constraint_rows().{n}": getattr(rows, n) for n in ("extended", "d_a", "d_b")})
+    arrays.update(
+        {f"constraint_stack.{n}": a for n, a in vars(s.constraint_stack).items() if n not in frames}
+    )
+    arrays.update(
+        {f"bodies[{i}].joint.free_axes": b.joint.free_axes for i, b in enumerate(s.bodies)}
+    )
     return arrays
 
 
@@ -174,7 +182,7 @@ def pulled_tree():
     pose targets that pull it."""
     rng = np.random.default_rng(53)
     s = random_tree(rng, 6, min_dof=3, fixed_sides=SIDES["mixed"])
-    s.constraints = some_constraints(rng)
+    s = rebuilt(s, constraints=some_constraints(rng))
     return s, per_body({i: quadratic_pose_target(random_pose(rng), 50.0, 80.0) for i in (0, 3)})
 
 
@@ -182,23 +190,35 @@ class TestOneWriter:
     """update_poses is the only writer of a structure's state: it replaces
     the read-only stacks, and nothing writes into them."""
 
-    def test_a_write_behind_the_stored_rows_raises(self):
-        """An in-place write to the pose stack would leave the stored rows
-        stale: norms [0, 0] where a fresh evaluation gives [0, 0.866].
-        Fails if the structure's pose stack is writeable."""
+    @pytest.mark.parametrize("copied", [False, True])
+    @pytest.mark.parametrize("stack", ["pose", "constraint"])
+    def test_a_write_behind_the_stored_rows_raises(self, stack, copied):
+        """An in-place write to the pose stack or to the constraint stack
+        would leave the stored rows stale: norms [0, 0] where a fresh
+        evaluation gives [0, 0.866].  Fails if the structure's pose stack is
+        writeable, or if ``ConstraintStack.freeze`` misses an array, or is
+        not called again on a copy."""
         s = build_serial_chain(3)
+        if copied:
+            s = copy.deepcopy(s)
         rows = s.constraint_rows(blocks=False)
         with pytest.raises(ValueError, match="read-only"):
-            s.poses().t[2] += 0.5
+            if stack == "pose":
+                s.poses().t[2] += 0.5
+            else:
+                s.constraint_stack.inverse_b.t[1] += 0.5
         fresh = [float(np.linalg.norm(scalar.constraint_residual(c, s))) for c in s.constraints]
-        assert rows.norms() == [0.0, 0.0] == fresh
+        again = evaluate_constraints(s.constraint_stack, s.poses(), blocks=False).norms()
+        assert rows.norms() == [0.0, 0.0] == fresh == again
 
     @pytest.mark.parametrize("which", ["original", "copy before a step", "copy after a step"])
     def test_kept_arrays_refuse_in_place_writes(self, which):
         """Fails if update_poses or refresh_joint_transforms leaves a stack
-        it replaces writeable; on a copy, if ``__setstate__`` of
-        KinematicStructure or Coordinates stops freezing the stacks, or if
-        a copy keeps its stored rows, whose arrays numpy copies writeable."""
+        it replaces writeable, or if the constraint stack or a joint's free
+        axes are writeable; on a copy, if ``__setstate__`` of
+        KinematicStructure, Coordinates or Joint stops freezing what it
+        holds, or if a copy keeps its stored rows, whose arrays numpy copies
+        writeable."""
         s, provider = pulled_tree()
         assert not s.forest.links  # built now, so that a copy copies it
         if which == "copy before a step":
@@ -232,22 +252,40 @@ class TestOneWriter:
         assert outcome(twin, provider, COMBINED) == outcome(s, provider, COMBINED)
         assert state(twin) == state(s)
 
-    def test_assigning_a_row_after_adoption_raises(self):
-        """Fails if ``_PoseRow.__set__`` writes an adopted row, or if its
-        error stops naming the body and the field."""
+    @pytest.mark.parametrize("copied", [False, True])
+    def test_assigning_a_field_after_adoption_raises(self, copied):
+        """The structure reads a body's and a joint's fields once, when it
+        adopts them: an assigned pose row would be written behind its
+        stacks, and an assigned parent, joint, free axes or fixed side
+        would have no effect.  Fails if ``_Adoptable.__setattr__`` lets an
+        adopted field be assigned, also in a copy, or if its error stops
+        naming the body and the field, or if ``Joint`` leaves its free axes
+        writeable."""
         body = Body("lone", Joint(np.ones(6, dtype=bool)))
         pose = Pose.from_rotvec([0.1, 0.0, 0.0], [0.0, 0.2, 0.0])
         body.pose = body.joint.parent_to_joint = pose
+        body.parent, body.joint.fixed_side = 3, PARENT
         assert body.pose is pose and body.joint.parent_to_joint is pose
         s = build_serial_chain(3)
-        rows, saved = s.constraint_rows(), state(s)
-        for obj, field, named in [
-            (s.bodies[1], "pose", "body 'body1': pose"),
-            (s.bodies[2].joint, "joint_to_model", "joint of body 'body2': joint_to_model"),
-            (s.bodies[0].joint, "parent_to_joint", "joint of body 'body0': parent_to_joint"),
+        if copied:
+            s = copy.deepcopy(s)
+        rows, saved, n_dof = s.constraint_rows(), state(s), s.n_dof
+        joint = s.bodies[1].joint
+        for obj, field, value, named in [
+            (s.bodies[1], "pose", pose, "body 'body1': pose"),
+            (s.bodies[2].joint, "joint_to_model", pose, "joint of body 'body2': joint_to_model"),
+            (s.bodies[0].joint, "parent_to_joint", pose, "joint of body 'body0': parent_to_joint"),
+            (s.bodies[1], "parent", 0, "body 'body1': parent"),
+            (s.bodies[2], "joint", Joint(np.ones(6, dtype=bool)), "body 'body2': joint"),
+            (joint, "fixed_side", PARENT, "joint of body 'body1': fixed_side"),
+            (joint, "free_axes", np.ones(6, dtype=bool), "joint of body 'body1': free_axes"),
         ]:
             with pytest.raises(AttributeError, match=f"^{named} is read-only"):
-                setattr(obj, field, pose)
+                setattr(obj, field, value)
+        with pytest.raises(ValueError, match="read-only"):
+            joint.free_axes[0] = True
+        assert joint.fixed_side is MODEL and s.bodies[1].parent == 0
+        assert joint.free_axes.sum() == 1 and s.n_dof == n_dof == 8
         assert state(s) == saved and s.constraint_rows() is rows
 
 

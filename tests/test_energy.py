@@ -264,17 +264,15 @@ class TestPerBody:
             5: quadratic_pose_target(random_pose(rng), 0.0, 1.0),
         }
 
-    @pytest.mark.parametrize("with_default", [False, True])
-    def test_mixed_providers_equal_the_per_body_loop(self, with_default):
+    def test_mixed_providers_equal_the_per_body_loop(self):
         rng = np.random.default_rng(21)
         s = random_tree(rng, 7)
-        providers = self.mixed_providers(rng)
-        default = quadratic_pose_target(random_pose(rng), 1.0, 4.0) if with_default else zero_energy
-        provider = per_body(providers, default)
+        provider = per_body(self.mixed_providers(rng))
         g, h = evaluate(provider, s.poses())
         g_ref, h_ref = stacked_energies([provider(i, b.pose) for i, b in enumerate(s.bodies)])
         assert np.array_equal(g, g_ref) and np.array_equal(h, h_ref)
-        assert with_default == bool(np.any(h[1]))
+        # A body without a provider has zero energy.
+        assert not (np.any(g[1]) or np.any(h[1]))
 
     def test_plain_callable_is_called_once_per_body(self):
         s = random_tree(np.random.default_rng(22), 4)

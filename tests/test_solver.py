@@ -1,6 +1,7 @@
 """KKT assembly, solve, and the four solver configurations."""
 
 import copy
+import dataclasses
 import time
 import warnings
 
@@ -50,6 +51,10 @@ from oracles import (
 )
 
 
+# Adds exact zeros: the energies alone.
+NO_REGULARIZATION = Regularization(0.0, 0.0)
+
+
 def random_spd(rng, n=6):
     a = rng.standard_normal((n, n))
     return a @ a.T + 0.5 * np.eye(n)
@@ -71,14 +76,14 @@ def constrained_tree(rng, n_bodies=5, min_dof=1):
     """Random tree with violated constraints of both kinds between its
     bodies, one of them masked.  With fewer than 6 DoF per joint, the
     constraint rows in joint coordinates are usually rank deficient."""
+    # The frames are drawn after the tree, so that a seed keeps its inputs.
     s = random_tree(rng, n_bodies, min_dof)
-    s.constraints = [
+    return rebuilt(s, constraints=[
         Constraint(0, 3, random_pose(rng), random_pose(rng)),
         OrthogonalityConstraint(1, 4, random_pose(rng), random_pose(rng)),
         Constraint(4, 2, random_pose(rng), random_pose(rng),
                    np.array([True, False, True, False, True, True])),
-    ]
-    return s
+    ])
 
 
 def random_energies(rng, n_bodies):
@@ -98,7 +103,7 @@ class TestAssemble:
         s = KinematicStructure([Body("a", Joint(free_axes=np.ones(6, dtype=bool)))])
         rng = np.random.default_rng(0)
         e = BodyEnergy(rng.standard_normal(6), random_spd(rng))
-        k = assemble(s, *stacked_energies([e]), SolverMode.PROJECTED, None)
+        k = assemble(s, *stacked_energies([e]), SolverMode.PROJECTED, NO_REGULARIZATION)
         assert np.allclose(dense_blocks(k)[0], e.h)
         assert np.allclose(k.g_k, e.g)
 
@@ -108,7 +113,7 @@ class TestAssemble:
         j1 = body_jacobians(s)[1]
         e0 = BodyEnergy.zero()
         e1 = BodyEnergy(rng.standard_normal(6), random_spd(rng))
-        k = assemble(s, *stacked_energies([e0, e1]), SolverMode.PROJECTED, None)
+        k = assemble(s, *stacked_energies([e0, e1]), SolverMode.PROJECTED, NO_REGULARIZATION)
         assert np.allclose(dense_blocks(k)[0], j1.T @ e1.h @ j1, atol=1e-12)
         assert np.allclose(k.g_k, j1.T @ e1.g, atol=1e-12)
 
@@ -121,7 +126,7 @@ class TestAssemble:
         targets = [b.pose for b in s.bodies]
         provider = lambda i, pose: quadratic_pose_target(targets[i])(i, pose)  # noqa: E731
         energies = [provider(i, b.pose) for i, b in enumerate(s.bodies)]
-        k = assemble(s, *stacked_energies(energies), SolverMode.PROJECTED, None)
+        k = assemble(s, *stacked_energies(energies), SolverMode.PROJECTED, NO_REGULARIZATION)
 
         def composed(theta):
             moved = copy.deepcopy(s)
@@ -144,7 +149,9 @@ class TestAssemble:
         rng = np.random.default_rng(3)
         s = random_tree(rng, 2)
         with pytest.raises(ValueError):
-            assemble(s, *stacked_energies([BodyEnergy.zero()]), SolverMode.PROJECTED, None)
+            assemble(
+                s, *stacked_energies([BodyEnergy.zero()]), SolverMode.PROJECTED, NO_REGULARIZATION
+            )
 
     def test_free_body_modes_match_selection_formula(self):
         rng = np.random.default_rng(4)
@@ -352,7 +359,7 @@ class TestFreeBodySparseKkt:
 
     def test_duplicated_chain_constraints_fail_without_warning(self):
         s = build_serial_chain(5)
-        s.constraints = s.constraints + s.constraints
+        s = rebuilt(s, constraints=s.constraints + s.constraints)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(FactorizationFailed) as info:
@@ -376,7 +383,7 @@ class TestBandOrder:
         """Along a chain, body, joint rows, body: 6 + 5 - 1 apart at most.
         Alone, a body's 6 coordinates are 5 apart."""
         s = build_serial_chain(n_bodies)
-        k = assemble(s, *stacked_energies([BodyEnergy.zero()] * n_bodies), mode)
+        k = assemble(s, *stacked_energies([BodyEnergy.zero()] * n_bodies), mode, NO_REGULARIZATION)
         assert isinstance(k.matrix, BandMatrix)
         assert k.matrix.width == width
         assert k.matrix.band.shape == (3 * width + 1, k.g_k.shape[0] + k.b_vec.shape[0])
@@ -467,6 +474,27 @@ class TestSolverConfig:
         assert SolverConfig(iterations=np.int64(2)).iterations == 2
         with pytest.raises(ValueError, match="iterations"):
             SolverConfig(iterations=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("mode", None), ("mode", 2), ("regularization", None), ("regularization", (1.0, 1.0))],
+    )
+    def test_mode_and_regularization_types(self, field, value):
+        """A mode that is not a SolverMode (or its value) ran as INDEPENDENT,
+        and a missing regularization was dropped: both are refused at
+        construction, and a config cannot be changed afterwards, also in a
+        copy."""
+        assert SolverConfig(mode="combined").mode is SolverMode.COMBINED
+        with pytest.raises(TypeError, match=f"^{field} must be a "):
+            SolverConfig(**{field: value})
+        cfg = copy.deepcopy(SolverConfig())
+        with pytest.raises(TypeError, match=f"^{field} must be a "):
+            dataclasses.replace(cfg, **{field: value})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, field, value)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.regularization.lambda_r = 0.0
+        assert step(build_serial_chain(3), zero_energy, cfg).kkt_dim == 8
 
 
 class TestStep:
@@ -760,12 +788,14 @@ class TestStoredConstraintRows:
         def move_poses():
             s.update_poses(0.1 * rng.standard_normal(s.n_dof))
 
-        def reassign_constraints():
-            s.constraints = s.constraints[:2]
+        def rebuild_with_fewer_constraints():
+            # A new structure evaluates its rows on its first step.
+            nonlocal s
+            s = rebuilt(s, constraints=s.constraints[:2])
 
         changes = [
             ("poses", move_poses, projected, [False, False]),
-            ("constraints", reassign_constraints, projected, [False, False]),
+            ("rebuilt", rebuild_with_fewer_constraints, projected, [False, False]),
             # Rows without blocks do not serve a constraint mode.
             ("blocks", lambda: None, combined, [True, True]),
             # Rows with blocks serve a mode without constraint rows.
@@ -800,20 +830,20 @@ class TestStoredConstraintRows:
     @pytest.mark.parametrize("mode", list(SolverMode))
     def test_bit_identical_to_steps_from_fresh_rows(self, mode):
         """Poses, multipliers, residuals and backward errors of steps that
-        reuse the stored rows against steps that drop them first, by
-        reassigning the constraints."""
+        reuse the stored rows against steps on a structure rebuilt at the
+        same state, which has none."""
         rng = np.random.default_rng(33)
         s = random_tree(rng, 6, min_dof=6)
-        s.constraints = [
+        s = rebuilt(s, constraints=[
             Constraint(0, 3, random_pose(rng), random_pose(rng),
                        np.array([True, False, True, False, True, True])),
             OrthogonalityConstraint(1, 4, random_pose(rng), random_pose(rng)),
-        ]
+        ])
         fresh = copy.deepcopy(s)
         cfg = SolverConfig(mode=mode)
         for _ in range(5):
             provider = self.pulled(s, rng)
-            fresh.constraints = fresh.constraints
+            fresh = rebuilt(fresh)
             expected = step(fresh, provider, cfg)
             report = step(s, provider, cfg)
             for name in ("theta_norm", "residuals_before", "residuals_after", "kkt_dim",

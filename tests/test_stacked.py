@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from builders import random_pose, random_tree
+from builders import random_pose, random_tree, rebuilt
 from multibody import se3
 from multibody.constraints import (
     Constraint,
@@ -80,13 +80,13 @@ class TestKernelMatchesPerConstraintOracle:
     def test_mixed_constraints_on_random_trees(self, seed):
         rng = np.random.default_rng(seed)
         s = random_tree(rng, 6)
-        s.constraints = [
+        constraints = [
             constraint_at(rng, s, kind, angle)
             for angle in ANGLES
             for kind in (Constraint, OrthogonalityConstraint)
         ]
-        order = rng.permutation(len(s.constraints))
-        s.constraints = [s.constraints[k] for k in order]
+        order = rng.permutation(len(constraints))
+        s = rebuilt(s, constraints=[constraints[k] for k in order])
         rows = evaluate_constraints(s.constraint_stack, s.poses())
         blocks = [constraint_variation_blocks(c, s) for c in s.constraints]
         residual = np.concatenate([constraint_residual(c, s) for c in s.constraints])
@@ -124,11 +124,11 @@ class TestSolutionMatchesScalarOracle:
                     [replace(b, parent=None) if i == 2 else b for i, b in enumerate(s.bodies)]
                 )
             # Distinct body pairs, so that the rows are independent.
-            s.constraints = [
+            s = rebuilt(s, constraints=[
                 constraint_at(rng, s, Constraint, None, (0, 3)),
                 constraint_at(rng, s, OrthogonalityConstraint, None, (1, 4)),
                 constraint_at(rng, s, Constraint, None, (4, 2)),
-            ]
+            ])
             energies = [
                 BodyEnergy(rng.standard_normal(6), a @ a.T + 0.5 * np.eye(6))
                 for a in rng.standard_normal((len(s.bodies), 6, 6))
@@ -185,18 +185,18 @@ class TestStepMatchesScalarOracle:
 
 class TestOnePoseStackPerStep:
     """A step reads the one body pose stack and the joint stacks its
-    structure owns, and the constraint frames from the stack built when the
-    constraints were assigned: the claimed speed of a step rests on it.
+    structure owns, and the constraint frames from the stack built with the
+    structure: the claimed speed of a step rests on it.
     Calls are counted, not timed, so the result does not depend on machine
     load."""
 
     def test_step_stacks_only_the_targets_of_per_body(self, monkeypatch):
         rng = np.random.default_rng(21)
         s = random_tree(rng, 6, min_dof=6)
-        s.constraints = [
+        s = rebuilt(s, constraints=[
             constraint_at(rng, s, Constraint, None, (0, 3)),
             constraint_at(rng, s, OrthogonalityConstraint, None, (1, 4)),
-        ]
+        ])
         stacked = []
         original = se3.Pose.stack
 

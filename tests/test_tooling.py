@@ -10,7 +10,9 @@ from pathlib import Path
 
 import multibody
 import multibody.config
+import multibody.energy
 import multibody.experiments
+import multibody.solver
 from multibody import se3
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -72,6 +74,26 @@ def test_se3_keeps_one_kernel_per_formula():
         "compose_stack", "inverse_stack", "rows_stack", "pose_with_variation_stack", "stack_poses"
     )
     assert not [name for name in pair_helpers if hasattr(se3, name)]
+
+
+def test_a_structure_is_configured_once():
+    """The options only tests set stay removed: ``assemble`` takes the
+    rows its structure keeps and a regularization, ``per_body`` gives a
+    body without a provider zero energy, a structure's constraints are
+    given at construction, and the studies' constants are not parameters."""
+    params = inspect.signature(multibody.solver.assemble).parameters
+    assert list(params) == ["s", "g", "h", "mode", "regularization"]
+    assert all(p.default is inspect.Parameter.empty for p in params.values())
+    for provider in (multibody.energy.per_body, multibody.energy.PerBody):
+        assert list(inspect.signature(provider).parameters) == ["providers"]
+    assert not hasattr(multibody.energy, "ZeroEnergy")
+    constraints = inspect.getattr_static(multibody.KinematicStructure, "constraints")
+    assert isinstance(constraints, property) and constraints.fset is None
+    for function, names in (
+        (multibody.experiments.random_spd, ["rng"]),
+        (multibody.experiments.build_serial_chain, ["n_bodies"]),
+    ):
+        assert list(inspect.signature(function).parameters) == names
 
 
 def perfbench_module(name: str):

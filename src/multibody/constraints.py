@@ -21,10 +21,27 @@ import numpy as np
 from .se3 import Pose, log_rotation, row_norms, skew, variation_matrix
 
 
+class _ReadOnly:
+    """Every array among the attributes, and those of the Poses among them,
+    is read-only, also in a copy: numpy copies arrays writeable."""
+
+    def _freeze(self):
+        for value in vars(self).values():
+            for array in (value.r, value.t) if isinstance(value, Pose) else (value,):
+                if isinstance(array, np.ndarray):
+                    array.flags.writeable = False
+
+    def __setstate__(self, state):
+        vars(self).update(state)
+        self._freeze()
+
+
 @dataclass(frozen=True)
-class _FramePair:
+class _FramePair(_ReadOnly):
     """Two distinct bodies with a frame on each: ``frame_a`` maps body_a's
-    model frame into frame A, ``frame_b`` body_b's model frame into B."""
+    model frame into frame A, ``frame_b`` body_b's model frame into B.  The
+    frames are copied, and their arrays, like every array of the record,
+    are read-only, also in a copy."""
 
     body_a: int
     body_b: int
@@ -34,6 +51,10 @@ class _FramePair:
     def __post_init__(self):
         if self.body_a == self.body_b:
             raise ValueError("constraint must reference two distinct bodies")
+        for side in ("frame_a", "frame_b"):
+            frame = getattr(self, side)
+            object.__setattr__(self, side, Pose(np.array(frame.r, float), np.array(frame.t, float)))
+        self._freeze()
 
     def residual(self, s) -> np.ndarray:
         """Residual rows at the structure's current poses.  Kept for the
@@ -56,10 +77,9 @@ class Constraint(_FramePair):
     )
 
     def __post_init__(self):
-        super().__post_init__()
         axes = np.array(self.constrained_axes, dtype=bool)
-        axes.flags.writeable = False
         object.__setattr__(self, "constrained_axes", axes)
+        super().__post_init__()
         if axes.shape != (6,):
             raise ValueError("constrained_axes must have 6 entries")
         if not axes.any():
@@ -137,11 +157,11 @@ def orthogonality_blocks(frame_a, a_t_mb, a_t_b):
     return d_a, d_b
 
 
-class ConstraintStack:
+class ConstraintStack(_ReadOnly):
     """Constraints as stacks, built once with a structure: ``frame_a``/``frame_b``
     and their ``inverse_a``/``inverse_b``, ``body_a``/``body_b``, ``ortho`` flags,
     row ``masks``, their ``counts``, each row's ``row_a``/``row_b`` and ``sides``,
-    the two concatenated.  Every array is read-only (freeze)."""
+    the two concatenated.  Every array is read-only, also in a copy."""
 
     def __init__(self, constraints):
         self.frame_a, self.frame_b = (
@@ -158,13 +178,7 @@ class ConstraintStack:
         self.row_a = np.repeat(self.body_a, self.counts)
         self.row_b = np.repeat(self.body_b, self.counts)
         self.sides = np.concatenate([self.row_a, self.row_b])
-        self.freeze()
-
-    def freeze(self):
-        """Make every array read-only, also in a copy: numpy copies arrays writeable."""
-        for value in vars(self).values():
-            for array in (value.r, value.t) if isinstance(value, Pose) else (value,):
-                array.flags.writeable = False
+        self._freeze()
 
 
 @dataclass

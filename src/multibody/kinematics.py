@@ -207,6 +207,22 @@ class Coordinates:
         return out.reshape(self.layout + x.shape[1:])
 
 
+class RowsAt:
+    """A structure's constraints evaluated at one of its body-pose stacks,
+    when first asked for, and kept: without blocks, or with them, which
+    serve both.  Since pose stacks are replaced, never written, the rows
+    stay those of the poses whatever the structure does afterwards."""
+
+    def __init__(self, stack: ConstraintStack, poses: Pose):
+        self.stack, self.poses, self.rows = stack, poses, None
+
+    def __call__(self, blocks: bool = True) -> ConstraintRows:
+        rows = self.rows
+        if rows is None or (blocks and rows.d_a is None):
+            rows = self.rows = evaluate_constraints(self.stack, self.poses, blocks)
+        return rows
+
+
 class KinematicStructure:
     """Bodies in topological order, constraints, and two coordinate views:
     ``tree``, the structure's joint coordinates, and ``forest``.
@@ -221,9 +237,9 @@ class KinematicStructure:
     constraints, given at construction, are stacked once (``constraint_stack``).
 
     The structure also keeps its constraints evaluated at the body-pose
-    stack (``constraint_rows``, read-only arrays), so that each pose is
-    evaluated once.  The rows are dropped whenever the stack is replaced
-    (update_poses) or the structure is copied.
+    stack (``constraint_rows``, read-only arrays), evaluated when first
+    asked for, so that each pose is evaluated at most once.  Each new stack
+    (update_poses, or a copy) starts a new, empty store (rows_at_poses).
     Mutating operations (pose updates) must be serialized by the caller;
     read-only snapshots may be shared for parallel evaluation, which at
     worst evaluates the same rows twice.
@@ -233,13 +249,14 @@ class KinematicStructure:
         self.bodies = list(bodies)
         self._constraints = tuple(constraints)
         self._validate()
-        self.constraint_stack, self._rows = ConstraintStack(self._constraints), None
+        self.constraint_stack = ConstraintStack(self._constraints)
         joints = [b.joint for b in self.bodies]
         self._stacks = {}
         for name, objs in zip(_STACKED, (self.bodies, joints, joints)):
             rows = [getattr(obj, name) for obj in objs]
             name_row = functools.partial(_row_name, self, objs[0]._role, name)
             self._stacks[name] = _frozen(Pose.stack(rows, name_row))
+        self._rows = RowsAt(self.constraint_stack, self.poses())
         parents = [b.parent for b in self.bodies]
         free = [np.flatnonzero(j.free_axes) for j in joints]
         self.tree = Coordinates(parents, free, self._stacks["joint_to_model"])
@@ -259,10 +276,10 @@ class KinematicStructure:
 
     def __setstate__(self, state):
         # numpy copies arrays writeable: a copy evaluates its rows again and freezes its stacks.
-        self.__dict__.update(state, _rows=None)
+        self.__dict__.update(state)
         for pose in self._stacks.values():
             _frozen(pose)
-        self.constraint_stack.freeze()
+        self._rows = RowsAt(self.constraint_stack, self.poses())
 
     @functools.cached_property
     def forest(self) -> Coordinates:
@@ -306,10 +323,13 @@ class KinematicStructure:
         variation blocks if ``blocks``: the stored rows, evaluated again
         only if they are gone or lack the blocks asked for.  Shared, to be
         read, not written."""
-        rows = self._rows
-        if rows is None or (blocks and rows.d_a is None):
-            rows = self._rows = evaluate_constraints(self.constraint_stack, self.poses(), blocks)
-        return rows
+        return self._rows(blocks)
+
+    def rows_at_poses(self) -> RowsAt:
+        """The store behind constraint_rows for the current body-pose stack.
+        It stays bound to that stack after update_poses replaces it, so rows
+        asked of it later are still those of the poses it was taken at."""
+        return self._rows
 
     def jacobian_factors(self, view: Coordinates):
         """The factors of the body Jacobians J_i = Ad(rel_i^-1) (S o anc_i)
@@ -323,7 +343,9 @@ class KinematicStructure:
 
         Without links every body is its own root, rel is the identity and
         no pose is read; in the forest view every J_i is exactly the
-        identity.
+        identity, so the solver never calls this for it: its assembly
+        gathers the energies' entries and update_poses moves each body by
+        its own variation.
         """
         frames = view.inverse_frames
         if not view.links:
@@ -344,9 +366,10 @@ class KinematicStructure:
         moves to pose o J_T_M^-1 o T o J_T_M, any other body to
         parent o P_T_J o T o J_T_M with its parent's new pose, in
         topological order.  In the forest view every body is a root with
-        J_T_M = I and moves to pose o T(theta_i).  Afterwards the non-fixed
-        joint transform of every joint is re-inferred from the new poses.
-        The stored constraint rows are dropped.
+        J_T_M = I and moves to pose o T(theta_i), composed with no identity
+        frame.  Afterwards the non-fixed joint transform of every joint is
+        re-inferred from the new poses.  The new pose stack starts an empty
+        store of constraint rows (rows_at_poses).
         """
         view = view or self.tree
         theta_k = np.asarray(theta_k, dtype=float)
@@ -355,11 +378,14 @@ class KinematicStructure:
         n = len(self.bodies)
         extended = np.zeros((n, 6))
         extended[view.body, view.axis] = theta_k
-        base = self.poses() @ view.inverse_frames
-        if view.links:
-            inner, parent_to_joint = view.children, self._stacks["parent_to_joint"]
-            base.r[inner], base.t[inner] = parent_to_joint.r[inner], parent_to_joint.t[inner]
-        poses = base.with_variation(extended) @ view.frames
+        if view is self.forest:
+            poses = self.poses().with_variation(extended)
+        else:
+            base = self.poses() @ view.inverse_frames
+            if view.links:
+                inner, parent_to_joint = view.children, self._stacks["parent_to_joint"]
+                base.r[inner], base.t[inner] = parent_to_joint.r[inner], parent_to_joint.t[inner]
+            poses = base.with_variation(extended) @ view.frames
         if view.links:
             # Homogeneous matrices: one product per body down the tree.
             world = np.zeros((n, 4, 4))
@@ -368,7 +394,8 @@ class KinematicStructure:
             for i, parent in view.links:
                 world[i] = world[parent] @ world[i]
             poses = _pose(np.ascontiguousarray(world[:, :3, :3]), world[:, :3, 3].copy())
-        self._stacks["pose"], self._rows = _frozen(poses), None
+        self._stacks["pose"] = _frozen(poses)
+        self._rows = RowsAt(self.constraint_stack, poses)
         self.refresh_joint_transforms()
         return poses
 

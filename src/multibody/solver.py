@@ -12,12 +12,13 @@ Four configurations are supported:
 
 They are two switches over one code path.  Projection picks the
 coordinates: the structure's tree view, or its forest view in which every
-body is a free root, so that its Jacobian is the identity.  Constraint rows
-are on or off.  Each step evaluates all energies (energy.evaluate) once, on
-stacks, takes the constraints evaluated at its poses from the structure,
-which evaluates them once per pose, and assembles only the structurally
-nonzero entries of the KKT matrix, all at the pose stacks the structure
-owns.
+body is a free root, so that its Jacobian is the identity and its KKT
+entries are gathered, not multiplied.  Constraint rows are on or off.  Each
+step evaluates all energies (energy.evaluate) once, on stacks, takes the
+constraints evaluated at its poses from the structure, which evaluates them
+at most once per pose and only when asked for, and assembles only the
+structurally nonzero entries of the KKT matrix, all at the pose stacks the
+structure owns.
 One size rule stores and factors it: small or dense systems densely, by
 LAPACK's symmetric-indefinite dsytrf and dsytrs, alone or as a stack of one
 size; large sparse ones in band storage and reverse Cuthill-McKee order by
@@ -39,7 +40,7 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs, dsytrf, dsytrf_lwork, dsytrs
 
 from .constraints import ConstraintRows, ConstraintStack
 from .energy import evaluate
-from .kinematics import KinematicStructure
+from .kinematics import KinematicStructure, RowsAt
 
 
 class SolverMode(enum.Enum):
@@ -57,6 +58,8 @@ _CONSTRAINED_MODES = (SolverMode.CONSTRAINED, SolverMode.COMBINED)
 _NO_ROWS = ConstraintRows(np.zeros((0, 6)), np.zeros((0, 6)), np.zeros((0, 6)), ConstraintStack(()))
 # dsytrf's optimal workspace for an n x n matrix, asked once per n.
 _dsytrf_lwork = functools.cache(lambda n: int(dsytrf_lwork(n)[0]))
+_EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
+_NON_FINITE = "non-finite KKT matrix or right-hand side"
 STEP_LAYERS = ("energy", "constraints_before", "assemble", "solve", "update", "constraints_after")
 
 
@@ -277,15 +280,30 @@ class StepReport:
     layer of the step (STEP_LAYERS), by time.perf_counter;
     ``constraints_before`` reads about 0 when the step reused the rows the
     structure kept from the previous step, and ``constraints_after``
-    includes the blocks a constraint mode evaluates for the next one."""
+    includes the blocks a constraint mode evaluates for the next one.
+
+    ``residuals_before`` and ``residuals_after`` are the constraints'
+    residual norms at the pose stacks the step started from and left
+    (KinematicStructure.rows_at_poses).  In the modes without constraint
+    rows the step evaluates no constraint, so that ``constraints_after``
+    reads about 0 there; a residual is evaluated when first read, once per
+    pose stack, from the rows the structure stored if it has them."""
 
     theta_norm: float
-    residuals_before: list
-    residuals_after: list
     multipliers: list
     kkt_dim: int
     backward_error: float
     timings: dict
+    rows_before: RowsAt = field(repr=False)
+    rows_after: RowsAt = field(repr=False)
+
+    @property
+    def residuals_before(self) -> list:
+        return self.rows_before(blocks=False).norms()
+
+    @property
+    def residuals_after(self) -> list:
+        return self.rows_after(blocks=False).norms()
 
 
 def assemble(
@@ -308,7 +326,10 @@ def assemble(
     gives H[p, q] = S_p^T Hc S_q, with Hc the sum over the subtree of the
     deeper of the two coordinates' bodies (Featherstone's composite rigid
     body algorithm), zero unless one body is above the other.  A constraint
-    row is d_a J_a + d_b J_b.  Only the pattern's entries are computed.
+    row is d_a J_a + d_b J_b.  Only the pattern's entries are computed.  In
+    the forest view every J_i is the identity, so that they are gathered,
+    not multiplied: H[p, q] is entry (axis_p, axis_q) of the Hessian of
+    coordinate p's body, and g's and B's entries are picked alike.
     """
     n = len(s.bodies)
     if np.shape(g) != (n, 6) or np.shape(h) != (n, 6, 6):
@@ -321,11 +342,33 @@ def assemble(
         )
     rows = s.constraint_rows() if mode in _CONSTRAINED_MODES else _NO_ROWS
     view = _coordinates(s, mode)
+    pattern = _pattern(view, rows.stack.sides)
+    h = 0.5 * (h + h.swapaxes(1, 2))
+    # Each row's derivatives w.r.t. the variations of its two bodies.
+    derivatives = np.concatenate([rows.d_a, rows.d_b])
+    if view is s.forest:
+        # Every J_i is the identity: each coordinate is one axis of its own
+        # body's variation, and the entries are the energies' and rows'.
+        body, axis = view.body, view.axis
+        p, q = view.pairs
+        g_k = g[body, axis]
+        h_values = h[body[p], axis[p], axis[q]]
+        b_values = derivatives[pattern.sides, axis[pattern.coords]]
+    else:
+        g_k, h_values, b_values = _projected(s, view, pattern, g, h, derivatives)
+    reg = regularization
+    h_values[view.diagonal] += np.where(view.rotational, reg.lambda_r, reg.lambda_t)
+    values = np.concatenate([h_values, h_values[view.mirrored], b_values, b_values])
+    return KktSystem(pattern.matrix(values), g_k, rows.residual)
+
+
+def _projected(s: KinematicStructure, view, pattern: _Pattern, g, h, derivatives):
+    """g, H's pattern pairs and B's entries in a view's joint coordinates,
+    through the factors of its Jacobians (assemble)."""
     ad_inv, motion = s.jacobian_factors(view)
     # A root is its tree's reference frame; the other bodies' energies and
     # constraint derivatives move into it.
     inner = view.children
-    h = 0.5 * (h + h.swapaxes(1, 2))
     g[inner] = (g[inner, None, :] @ ad_inv)[:, 0]
     h[inner] = ad_inv.swapaxes(1, 2) @ h[inner] @ ad_inv
     if view.links:
@@ -340,19 +383,13 @@ def assemble(
     hs = np.einsum("qij,qj->qi", h_c.take(view.body, axis=0), columns)
     products = view.per_tree(columns) @ view.per_tree(hs).swapaxes(1, 2)
     h_values = products.take(view.pair_slots)
-    reg = regularization
-    h_values[view.diagonal] += np.where(view.rotational, reg.lambda_r, reg.lambda_t)
-    # Each row's derivatives w.r.t. the variations of its two bodies against
-    # each coordinate that moves that body.
-    pattern = _pattern(view, rows.stack.sides)
-    derivatives = np.concatenate([rows.d_a, rows.d_b])
+    # Against each coordinate that moves the row's body.
     moved = pattern.moved
     derivatives[moved] = (derivatives[moved, None, :] @ ad_inv[pattern.moved_rank])[:, 0]
     b_values = np.einsum(
         "ij,ij->i", derivatives.take(pattern.sides, axis=0), columns.take(pattern.coords, axis=0)
     )
-    values = np.concatenate([h_values, h_values[view.mirrored], b_values, b_values])
-    return KktSystem(pattern.matrix(values), g_k, rows.residual)
+    return g_k, h_values, b_values
 
 
 def _coordinates(s: KinematicStructure, mode: SolverMode):
@@ -366,38 +403,47 @@ def solve_kkt(k: KktSystem):
     or stacked, by Bunch-Kaufman (_dense_solve); every solution passes the
     same finite and backward-error checks.  More constraint rows than
     coordinates make K singular whatever its values (rank B <= n < m), and
-    are rejected first.
+    are rejected first.  A system whose matrix or right-hand side is not
+    finite, which their norms show, is rejected before its factorization.
     """
     rhs = -np.concatenate([k.g_k, k.b_vec], axis=-1)
     n = k.g_k.shape[-1]
     if k.b_vec.shape[-1] > n:
         system = 0 if rhs.ndim > 1 else None
         raise FactorizationFailed("more constraint rows than coordinates", system)
+    band = isinstance(k.matrix, BandMatrix)
     # A product or norm that overflows is inf, which _check_solution rejects.
     with np.errstate(over="ignore"):
-        if isinstance(k.matrix, BandMatrix):
-            x, residual = _band_solve(k.matrix, rhs)
+        if band:
             # Not np.linalg.norm: its BLAS dot product of a large band, split
             # over threads, costs more than the band solve itself.
             kkt_norm = np.sqrt(np.einsum("ij,ij->", k.matrix.band, k.matrix.band))
         else:
-            x = _dense_solve(k.matrix, rhs)
-            residual = (k.matrix @ x[..., None])[..., 0] - rhs
             # The Frobenius norm, as np.linalg.norm computes it.
             kkt_norm = np.sqrt(np.add.reduce(k.matrix * k.matrix, axis=(-2, -1)))
-        k.backward_error = _check_solution(residual, kkt_norm, x, rhs)
+        rhs_norm = _norm(rhs)
+        finite = True
+        if not (np.isfinite(kkt_norm).all() and np.isfinite(rhs_norm).all()):
+            # Not finite, or finite values whose norm overflows: which system?
+            entries = k.matrix.band if band else k.matrix
+            finite = np.isfinite(entries).all(axis=(-2, -1)) & np.isfinite(rhs).all(axis=-1)
+        if band:
+            if not finite:
+                raise FactorizationFailed(_NON_FINITE)
+            x, residual = _band_solve(k.matrix, rhs)
+        else:
+            x = _dense_solve(k.matrix, rhs, finite)
+            residual = (k.matrix @ x[..., None])[..., 0] - rhs
+        k.backward_error = _check_solution(residual, kkt_norm, x, rhs_norm)
     return x[..., :n], x[..., n:]
 
 
 def _band_solve(a: BandMatrix, rhs: np.ndarray):
-    """x with A x = rhs, and A x - rhs in A's order of the unknowns: LAPACK
-    dgbtrf factors the band (LU with partial pivoting) and dgbtrs solves;
-    the product is taken with the unfactored band, one diagonal at a time.
-    Raises FactorizationFailed if A or rhs is not finite or a pivot is
-    zero."""
-    if not (np.isfinite(a.band).all() and np.isfinite(rhs).all()):
-        raise FactorizationFailed("non-finite KKT matrix or right-hand side")
-    w, dim = a.width, rhs.shape[0]
+    """x with A x = rhs, and A x - rhs in A's order of the unknowns, for a
+    finite A and rhs: LAPACK dgbtrf factors the band (LU with partial
+    pivoting) and dgbtrs solves; the product is taken with the unfactored
+    band.  Raises FactorizationFailed if a pivot is zero."""
+    w = a.width
     lu, pivots, info = dgbtrf(a.band, w, w)
     if info > 0:
         raise FactorizationFailed("singular KKT matrix")
@@ -405,34 +451,45 @@ def _band_solve(a: BandMatrix, rhs: np.ndarray):
     y = dgbtrs(lu, w, w, rhs, pivots)[0]
     x = np.empty_like(y)
     x[a.order] = y
-    # A[i, i + d] is band[2 w - d, i + d].  Not BLAS dgbmv: OpenBLAS
-    # splits it over threads at any size, at many times the solve's cost.
-    product = np.zeros(dim)
-    for d in range(-w, w + 1):
-        rows = slice(max(0, -d), min(dim, dim - d))
-        cols = slice(rows.start + d, rows.stop + d)
-        product[rows] += a.band[2 * w - d, cols] * y[cols]
-    return x, product - rhs
+    return x, _band_product(a.band, w, y) - rhs
 
 
-def _dense_solve(kkt: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _band_product(band: np.ndarray, w: int, y: np.ndarray) -> np.ndarray:
+    """A y for the band of A, half-bandwidth w, in its order of the unknowns:
+    row k of ``terms`` holds A[i, i + d] y[i + d] = band[2 w - d, i + d]
+    y[i + d] for d = k - w, zero past the ends, and the sum over k adds them
+    in the order d = -w .. w.  Not BLAS dgbmv: OpenBLAS splits it over
+    threads at any size, at many times the solve's cost."""
+    dim, length = y.shape[0], y.shape[0] + 2 * w
+    padded = np.zeros((2 * w + 1, length))
+    np.multiply(band[w:][::-1], y, out=padded[:, w : w + dim])
+    # terms[k, i] is padded[k, i + k]: rows of the flat array one step apart.
+    terms = np.lib.stride_tricks.as_strided(
+        padded, (2 * w + 1, dim), ((length + 1) * padded.itemsize, padded.itemsize), writeable=False
+    )
+    return np.add.reduce(terms, axis=0)
+
+
+def _dense_solve(kkt: np.ndarray, rhs: np.ndarray, finite) -> np.ndarray:
     """x with kkt x = rhs, for one system or each of a stack: the calls of
     scipy.linalg.solve(..., assume_a="sym") without its argument handling
     and condition estimate.  LAPACK dsytrf factors the upper triangle
     (Bunch-Kaufman LDL^T, optimal workspace) and dsytrs solves; a single
-    1 x 1 system is divided, as scipy does.  Raises FactorizationFailed
-    naming the first system that is not finite or has a zero pivot."""
+    1 x 1 system is divided, as scipy does.  ``finite`` tells, for the
+    system or each of the stack, whether its matrix and right-hand side are
+    finite.  Raises FactorizationFailed naming the first system that is not
+    finite or has a zero pivot."""
     stacked = kkt.ndim == 3
     if not stacked:
         kkt, rhs = kkt[None], rhs[None]
-    finite = np.isfinite(kkt).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=1)
+    finite = np.broadcast_to(finite, kkt.shape[:1])
     n = kkt.shape[-1]
     lwork = _dsytrf_lwork(n)
     x = np.empty_like(rhs)
     for i in range(kkt.shape[0] if n else 0):
         system = i if stacked else None
         if not finite[i]:
-            raise FactorizationFailed("non-finite KKT matrix or right-hand side", system)
+            raise FactorizationFailed(_NON_FINITE, system)
         ldu, pivots, info = dsytrf(kkt[i], lwork=lwork)
         if info > 0:
             raise FactorizationFailed("singular KKT matrix", system)
@@ -442,28 +499,32 @@ def _dense_solve(kkt: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return rhs[0] / kkt[0, 0] if n == 1 else x[0]
 
 
-def _check_solution(residual: np.ndarray, kkt_norm, x: np.ndarray, rhs: np.ndarray):
+def _norm(v: np.ndarray):
+    """The norm of each vector of the last axis, as np.linalg.norm computes it."""
+    return np.sqrt(np.add.reduce(v * v, axis=-1))
+
+
+def _check_solution(residual: np.ndarray, kkt_norm, x: np.ndarray, rhs_norm):
     """Reject a solution that is not finite, whose norm or the system's
     overflows, or that misses the system by more than the backward error of
     a stable factorization.  Each system of a stack is judged on its own
     norms, and the exception carries the index of the first one that fails.
     Returns the normwise backward error of each system."""
-    vectors = np.array([x, rhs, residual])  # normed as np.linalg.norm does
-    x_norm, rhs_norm, residual_norm = np.sqrt(np.add.reduce(vectors * vectors, axis=-1))
+    x_norm, residual_norm = _norm(x), _norm(residual)
     scale = kkt_norm * x_norm + rhs_norm
     if not np.isfinite(scale).all():
         _raise_for_first(~np.isfinite(x).all(axis=-1), "non-finite solution")
         _raise_for_first(~np.isfinite(scale), "norm of the solution or of the KKT system overflows")
     # Near-degenerate systems produce huge solutions whose residual scales
     # with |K| |x|.
-    backward = 100.0 * x.shape[-1] * np.finfo(float).eps * kkt_norm * x_norm
+    backward = 100.0 * x.shape[-1] * _EPS * kkt_norm * x_norm
     tolerance = 1e-7 * np.maximum(1.0, rhs_norm) + backward
     _raise_for_first(
         residual_norm > tolerance,
         "solution does not satisfy the KKT system; constraints are likely "
         "contradictory or duplicated",
     )
-    return residual_norm / np.maximum(scale, np.finfo(float).tiny)
+    return residual_norm / np.maximum(scale, _TINY)
 
 
 def _raise_for_first(failed: np.ndarray, message: str):
@@ -476,42 +537,46 @@ def step(s: KinematicStructure, provider, cfg: SolverConfig) -> StepReport:
 
     The energies (energy.evaluate), constraints and assembly all read the
     structure's own pose stacks; the update replaces them.  The constraints
-    are evaluated once per pose, all at once, by the structure
-    (KinematicStructure.constraint_rows): after the update, with the KKT
-    blocks in the constraint modes, and kept there.  The residuals before
-    the solve, and in the constraint modes its KKT rows, are then those the
-    previous step or frame left, unless the poses have changed since.
+    are evaluated at most once per pose, all at once, by the structure
+    (KinematicStructure.rows_at_poses).  The constraint modes evaluate them
+    with the KKT blocks after the update, and the next step or frame starts
+    from those rows unless the poses have changed since.  The other modes
+    evaluate none: their report's residuals are evaluated when read.
     """
     marks = [time.perf_counter()]
     g, h = evaluate(provider, s.poses())
     marks.append(time.perf_counter())
     with_rows = cfg.mode in _CONSTRAINED_MODES
-    before = s.constraint_rows(blocks=with_rows)
+    before = s.rows_at_poses()
+    if with_rows:
+        before(blocks=True)
     marks.append(time.perf_counter())
     kkt = assemble(s, g, h, cfg.mode, cfg.regularization)
     marks.append(time.perf_counter())
     try:
         theta, lam = solve_kkt(kkt)
     except FactorizationFailed as exc:
-        raise FactorizationFailed(f"{exc}; {_diagnosis(s, kkt, before)}") from exc
+        raise FactorizationFailed(f"{exc}; {_diagnosis(s, kkt)}") from exc
     marks.append(time.perf_counter())
     s.update_poses(theta, _coordinates(s, cfg.mode))
     marks.append(time.perf_counter())
-    after = s.constraint_rows(blocks=with_rows)
+    after = s.rows_at_poses()
+    if with_rows:
+        after(blocks=True)
     marks.append(time.perf_counter())
-    counts = before.stack.counts
+    counts = s.constraint_stack.counts
     return StepReport(
         theta_norm=float(np.sqrt(theta.dot(theta))),
-        residuals_before=before.norms(),
-        residuals_after=after.norms(),
         multipliers=[lam[e - c : e] for c, e in zip(counts, np.cumsum(counts))] if with_rows else [],
         kkt_dim=kkt.g_k.shape[0] + kkt.b_vec.shape[0],
         backward_error=float(kkt.backward_error),
         timings={layer: b - a for layer, a, b in zip(STEP_LAYERS, marks, marks[1:])},
+        rows_before=before,
+        rows_after=after,
     )
 
 
-def _diagnosis(s: KinematicStructure, k: KktSystem, rows: ConstraintRows) -> str:
+def _diagnosis(s: KinematicStructure, k: KktSystem) -> str:
     """The size of a KKT system that failed, and the constraints to blame.
     If the matrix or the residuals are not finite, these are the constraints
     with non-finite rows.  Otherwise they have a row of B that pivoted QR of
@@ -532,7 +597,8 @@ def _diagnosis(s: KinematicStructure, k: KktSystem, rows: ConstraintRows) -> str
         size, blamed = f"{size}, of rank {rank}; numerically dependent", order[rank:]
     else:
         size, blamed = f"{size}, not finite; non-finite", np.flatnonzero(~finite_rows)
-    owner = np.repeat(np.arange(rows.stack.counts.shape[0]), rows.stack.counts)
+    counts = s.constraint_stack.counts
+    owner = np.repeat(np.arange(counts.shape[0]), counts)
     named = ", ".join(
         f"{i} (bodies {s.constraints[i].body_a} {s.bodies[s.constraints[i].body_a].name!r}, "
         f"{s.constraints[i].body_b} {s.bodies[s.constraints[i].body_b].name!r})"

@@ -10,7 +10,9 @@ trial draws through Generator.uniform.  The stacked constraint kernel, the
 stacked tree layer and the point-registration energy are checked against
 the per-object formulas they replaced: one constraint, one body, one Pose,
 one point at a time (`scalar_kkt`, `scalar_update`, `scalar_step`,
-`point_registration_loop`).  The SE(3) kernels must equal the scalar
+`point_registration_loop`).  The forest view's gathered assembly and the
+band product are checked against the product path and the per-diagonal
+loop they replaced (`assemble_by_products`, `band_product_by_diagonals`).  The SE(3) kernels must equal the scalar
 formulas kept here (`skew`, `exp_rotvec`, `log_rotation`,
 `variation_matrix`, `pose_with_variation`) bit for bit, and every
 per-object oracle builds on these, not on the kernels under test.
@@ -26,6 +28,7 @@ from multibody.energy import BodyEnergy, zero_energy
 from multibody.experiments import random_spd
 from multibody.kinematics import Body, FixedSide, Joint, KinematicStructure, axes_mask
 from multibody.se3 import NEAR_PI, SMALL_ANGLE, Pose, adjoint, row_norms
+from multibody import solver
 from multibody.solver import KktSystem, Regularization, SolverMode, solve_kkt
 
 
@@ -241,6 +244,55 @@ def body_jacobians(s, view=None):
     moves = np.zeros((len(s.bodies), view.n_dof), dtype=bool)
     moves[view.moving(np.arange(len(s.bodies)))] = True
     return (ad_inv @ motion) * moves[:, None, :]
+
+
+def assemble_by_products(s, g, h, mode, regularization):
+    """solver.assemble through the factors of the body Jacobians
+    (KinematicStructure.jacobian_factors) in every view: adjoints, composite
+    sums, motion columns and per-tree products, as the library assembled
+    the forest view too before it gathered that view's entries."""
+    g = np.array(g, dtype=float)
+    with_rows = mode in (SolverMode.CONSTRAINED, SolverMode.COMBINED)
+    rows = s.constraint_rows() if with_rows else solver._NO_ROWS
+    view = s.tree if mode in (SolverMode.PROJECTED, SolverMode.COMBINED) else s.forest
+    ad_inv, motion = s.jacobian_factors(view)
+    inner = view.children
+    h = 0.5 * (h + h.swapaxes(1, 2))
+    g[inner] = (g[inner, None, :] @ ad_inv)[:, 0]
+    h[inner] = ad_inv.swapaxes(1, 2) @ h[inner] @ ad_inv
+    if view.links:
+        g_c = view.subtree @ g
+        h_c = (view.subtree @ h.reshape(-1, 36)).reshape(-1, 6, 6)
+    else:
+        g_c, h_c = g, h
+    columns = motion.T
+    g_k = np.einsum("ij,ij->i", g_c.take(view.body, axis=0), columns)
+    hs = np.einsum("qij,qj->qi", h_c.take(view.body, axis=0), columns)
+    products = view.per_tree(columns) @ view.per_tree(hs).swapaxes(1, 2)
+    h_values = products.take(view.pair_slots)
+    reg = regularization
+    h_values[view.diagonal] += np.where(view.rotational, reg.lambda_r, reg.lambda_t)
+    pattern = solver._pattern(view, rows.stack.sides)
+    derivatives = np.concatenate([rows.d_a, rows.d_b])
+    moved = pattern.moved
+    derivatives[moved] = (derivatives[moved, None, :] @ ad_inv[pattern.moved_rank])[:, 0]
+    b_values = np.einsum(
+        "ij,ij->i", derivatives.take(pattern.sides, axis=0), columns.take(pattern.coords, axis=0)
+    )
+    values = np.concatenate([h_values, h_values[view.mirrored], b_values, b_values])
+    return KktSystem(pattern.matrix(values), g_k, rows.residual)
+
+
+def band_product_by_diagonals(band, w, y):
+    """A y for a band matrix in LAPACK band storage, half-bandwidth w: one
+    diagonal d = -w .. w at a time, A[i, i + d] being band[2 w - d, i + d]."""
+    dim = y.shape[0]
+    product = np.zeros(dim)
+    for d in range(-w, w + 1):
+        rows = slice(max(0, -d), min(dim, dim - d))
+        cols = slice(rows.start + d, rows.stop + d)
+        product[rows] += band[2 * w - d, cols] * y[cols]
+    return product
 
 
 def rows_jacobian(rows, jacobians):

@@ -196,8 +196,8 @@ class TestOneWriter:
         """An in-place write to the pose stack or to the constraint stack
         would leave the stored rows stale: norms [0, 0] where a fresh
         evaluation gives [0, 0.866].  Fails if the structure's pose stack is
-        writeable, or if ``ConstraintStack.freeze`` misses an array, or is
-        not called again on a copy."""
+        writeable, or if ``ConstraintStack`` leaves an array writeable, also
+        in a copy."""
         s = build_serial_chain(3)
         if copied:
             s = copy.deepcopy(s)

@@ -241,9 +241,35 @@ class TestFrozenRecords:
 
     def test_axes_are_copied(self):
         axes = np.ones(6, dtype=bool)
-        c = Constraint(0, 1, constrained_axes=axes)
+        frame = Pose.from_rotvec([0.1, 0.2, 0.3], [1.0, 2.0, 3.0])
+        c = Constraint(0, 1, frame, frame, constrained_axes=axes)
         axes[0] = False
+        frame.t[0] = frame.r[0, 0] = 9.0
         assert c.constrained_axes.all()
+        assert c.frame_a.t[0] == c.frame_b.t[0] == 1.0 and c.frame_a.r[0, 0] < 1.0
+
+    @pytest.mark.parametrize("copied", [False, True])
+    def test_frames_and_axes_refuse_in_place_writes(self, copied):
+        """A write there would leave a constraint and the stack its
+        structure built from it disagreeing.  Fails if ``_FramePair``
+        leaves its frames' arrays writeable, or if a deep copy, whose arrays
+        numpy copies writeable, does not freeze its frames and axes again."""
+        rng = np.random.default_rng(22)
+        s = rebuilt(random_tree(rng, 3), constraints=[
+            Constraint(0, 2, random_pose(rng), random_pose(rng), [1, 0, 1, 1, 0, 1]),
+            OrthogonalityConstraint(1, 2, random_pose(rng), random_pose(rng)),
+        ])
+        if copied:
+            s = copy.deepcopy(s)
+        pose, ortho = s.constraints
+        arrays = [pose.constrained_axes] + [
+            getattr(getattr(c, side), part)
+            for c in (pose, ortho) for side in ("frame_a", "frame_b") for part in "rt"
+        ]
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = 9.0
+        assert np.array_equal(s.constraint_stack.frame_a.t[0], pose.frame_a.t)
 
     def test_each_structure_stacks_its_constraints(self):
         rng = np.random.default_rng(21)

@@ -37,6 +37,8 @@ from multibody.solver import (
     step,
 )
 from oracles import (
+    assemble_by_products,
+    band_product_by_diagonals,
     body_jacobians,
     evaluate_quadratic_target,
     n_rows,
@@ -405,6 +407,73 @@ class TestBandOrder:
             assert k.backward_error < 1e-14
 
 
+class TestGatheredForestAssembly:
+    """In the forest view every body Jacobian is the identity, so that
+    assemble gathers g's, H's and B's entries instead of multiplying by the
+    Jacobians' factors.  The gathered system must equal the product path it
+    replaced (oracles.assemble_by_products), and the band product the
+    per-diagonal loop, by np.array_equal: only the sign of an exact zero
+    may differ."""
+
+    @staticmethod
+    def structures(rng):
+        """Trees without constraints, trees with pose constraints, an
+        orthogonality constraint and an axis mask, and with small joints;
+        then chains of 3 and 64 bodies, whose constrained system is banded."""
+        yield random_tree(rng, 5)
+        yield constrained_tree(rng, min_dof=6)
+        yield constrained_tree(rng, n_bodies=12)
+        yield build_serial_chain(3)
+        yield build_serial_chain(64)
+
+    @staticmethod
+    def assert_equal_systems(k, expected):
+        assert type(k.matrix) is type(expected.matrix)
+        if isinstance(k.matrix, BandMatrix):
+            assert k.matrix.width == expected.matrix.width
+            assert np.array_equal(k.matrix.order, expected.matrix.order)
+            assert np.array_equal(k.matrix.band, expected.matrix.band)
+        else:
+            assert np.array_equal(k.matrix, expected.matrix)
+        assert np.array_equal(k.g_k, expected.g_k)
+        assert np.array_equal(k.b_vec, expected.b_vec)
+
+    @pytest.mark.parametrize("mode", list(SolverMode))
+    def test_equals_the_product_path(self, mode):
+        rng = np.random.default_rng(35)
+        for s in self.structures(rng):
+            for _ in range(2):
+                n = len(s.bodies)
+                # Unsymmetric Hessians, so that the symmetrization counts too.
+                g, h = rng.standard_normal((n, 6)), rng.standard_normal((n, 6, 6))
+                reg = Regularization(rng.uniform(0, 10), rng.uniform(0, 10))
+                expected = assemble_by_products(s, g, h, mode, reg)
+                self.assert_equal_systems(assemble(s, g, h, mode, reg), expected)
+                s.update_poses(0.1 * rng.standard_normal(s.forest.n_dof), s.forest)
+
+    @pytest.mark.parametrize("w", range(13))
+    def test_band_product_equals_the_per_diagonal_loop(self, w):
+        rng = np.random.default_rng(36 + w)
+        for dim in (1, w, w + 1, 2 * w + 1, 3 * w + 7, 40):
+            band = rng.standard_normal((3 * w + 1, dim))
+            band[rng.random(band.shape) < 0.2] = 0.0
+            y = rng.standard_normal(dim)
+            expected = band_product_by_diagonals(band, w, y)
+            assert np.array_equal(solver._band_product(np.asfortranarray(band), w, y), expected)
+
+    def test_band_residual_of_the_chain_equals_the_per_diagonal_loop(self):
+        rng = np.random.default_rng(37)
+        s = build_serial_chain(64)
+        g, h = stacked_energies(random_energies(rng, 64))
+        k = assemble(s, g, h, SolverMode.CONSTRAINED, Regularization())
+        a = k.matrix
+        assert isinstance(a, BandMatrix) and a.width == 10
+        rhs = -np.concatenate([k.g_k, k.b_vec])
+        x, residual = solver._band_solve(a, rhs)
+        expected = band_product_by_diagonals(a.band, a.width, x[a.order]) - rhs[a.order]
+        assert np.array_equal(residual, expected)
+
+
 class TestFailureDiagnosis:
     def test_more_rows_than_coordinates_fail_before_any_factorization(self, capfd):
         """69 joint coordinates and 315 constraint rows: K is singular for
@@ -728,8 +797,9 @@ class TestNonFiniteEnergy:
 
 class TestStoredConstraintRows:
     """The structure keeps its constraints evaluated at its body poses, so
-    that each pose is evaluated once: a step starts from the rows the
-    previous one left.  Calls are counted, not timed."""
+    that each pose is evaluated at most once: a step starts from the rows
+    the previous one left.  A step without constraint rows evaluates none;
+    its residuals are evaluated when read.  Calls are counted, not timed."""
 
     @staticmethod
     def spy(monkeypatch):
@@ -763,19 +833,26 @@ class TestStoredConstraintRows:
 
     @pytest.mark.parametrize("mode", list(SolverMode))
     def test_run_evaluates_each_pose_once(self, mode, monkeypatch):
+        """A constraint mode evaluates each pose it sees, with blocks, as it
+        steps; the other modes evaluate none, and reading every residual of
+        their reports then evaluates each pose once, without blocks."""
         rng = np.random.default_rng(30)
         s = constrained_tree(rng, min_dof=6)
         calls = self.spy(monkeypatch)
         with_rows = mode in (SolverMode.CONSTRAINED, SolverMode.COMBINED)
         provider = self.pulled(s, rng)
-        run(s, provider, SolverConfig(mode=mode, iterations=3))
-        assert calls == [with_rows] * 4
+        reports = run(s, provider, SolverConfig(mode=mode, iterations=3))
+        assert calls == ([True] * 4 if with_rows else [])
+        for _ in range(2):
+            norms = [(r.residuals_before, r.residuals_after) for r in reports]
+            assert calls == [with_rows] * 4
+        assert [after for _, after in norms[:-1]] == [before for before, _ in norms[1:]]
         # At unchanged poses a second run starts from the rows the first left.
         del calls[:]
         expected = self.fresh_norms(s)
         reports = run(s, provider, SolverConfig(mode=mode, iterations=2))
-        assert calls == [with_rows] * 2
         assert reports[0].residuals_before == expected
+        assert calls == ([True] * 2 if with_rows else [])
 
     def test_changes_force_a_new_evaluation(self, monkeypatch):
         rng = np.random.default_rng(31)
@@ -789,26 +866,44 @@ class TestStoredConstraintRows:
             s.update_poses(0.1 * rng.standard_normal(s.n_dof))
 
         def rebuild_with_fewer_constraints():
-            # A new structure evaluates its rows on its first step.
+            # A new structure evaluates its rows when first asked for them.
             nonlocal s
             s = rebuilt(s, constraints=s.constraints[:2])
 
+        # The calls of the step, then those of reading both residuals.
         changes = [
-            ("poses", move_poses, projected, [False, False]),
-            ("rebuilt", rebuild_with_fewer_constraints, projected, [False, False]),
+            ("poses", move_poses, projected, [], [False, False]),
+            ("rebuilt", rebuild_with_fewer_constraints, projected, [], [False, False]),
             # Rows without blocks do not serve a constraint mode.
-            ("blocks", lambda: None, combined, [True, True]),
+            ("blocks", lambda: None, combined, [True, True], []),
             # Rows with blocks serve a mode without constraint rows.
-            ("reuse", lambda: None, projected, [False]),
+            ("reuse", lambda: None, projected, [], [False]),
         ]
-        for name, change, cfg, expected_calls in changes:
+        for name, change, cfg, step_calls, read_calls in changes:
             change()
             expected = self.fresh_norms(s)
             del calls[:]
             report = step(s, self.pulled(s, rng), cfg)
-            assert calls == expected_calls, name
+            assert calls == step_calls, name
+            del calls[:]
             assert report.residuals_before == expected, name
             assert report.residuals_after == self.fresh_norms(s), name
+            assert calls == read_calls, name
+
+    @pytest.mark.parametrize("mode", [SolverMode.INDEPENDENT, SolverMode.PROJECTED])
+    def test_residuals_read_later_are_those_of_the_steps_poses(self, mode):
+        """A report read after later steps still gives the residuals at the
+        poses its own step started from and left."""
+        rng = np.random.default_rng(34)
+        s = constrained_tree(rng, min_dof=6)
+        provider = self.pulled(s, rng)
+        expected, reports = [self.fresh_norms(s)], []
+        for _ in range(3):
+            reports.append(step(s, provider, SolverConfig(mode=mode)))
+            expected.append(self.fresh_norms(s))
+        assert max(expected[1]) > 0.0 and expected[1] != expected[2]
+        assert [r.residuals_after for r in reports] == expected[1:]
+        assert [r.residuals_before for r in reports] == expected[:-1]
 
     def test_deep_copy_steps_independently(self):
         rng = np.random.default_rng(32)

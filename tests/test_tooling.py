@@ -136,3 +136,41 @@ def test_benchmark_workloads_run_traced_against_the_library():
         workload.reset()
         assert workload.cross_check(), name
     assert tracer.observers["solver.solve_kkt"].calls > 0
+
+
+def test_free_body_steps_multiply_by_no_jacobian_and_evaluate_only_what_is_read(monkeypatch):
+    """Calls are counted, not timed.  A CONSTRAINED step on a 64-body chain
+    gathers its KKT entries and moves each body by its own variation, so
+    that it calls no jacobian_factors; a PROJECTED step evaluates no
+    constraint until a residual of its report is read, and then once per
+    pose stack."""
+    counts = {"jacobian_factors": 0, "evaluate_constraints": 0}
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    kinematics = multibody.kinematics
+    monkeypatch.setattr(
+        kinematics.KinematicStructure, "jacobian_factors",
+        counted("jacobian_factors", kinematics.KinematicStructure.jacobian_factors),
+    )
+    monkeypatch.setattr(
+        kinematics, "evaluate_constraints",
+        counted("evaluate_constraints", kinematics.evaluate_constraints),
+    )
+    s = multibody.experiments.build_serial_chain(64)
+    cfg = multibody.SolverConfig
+    constrained = multibody.step(s, multibody.zero_energy, cfg(mode="constrained"))
+    assert constrained.kkt_dim == 699
+    assert counts == {"jacobian_factors": 0, "evaluate_constraints": 2}
+    projected = multibody.step(s, multibody.zero_energy, cfg(mode="projected"))
+    assert counts == {"jacobian_factors": 1, "evaluate_constraints": 2}
+    assert projected.residuals_before == constrained.residuals_after
+    assert counts["evaluate_constraints"] == 2
+    for _ in range(2):
+        assert len(projected.residuals_after) == 63
+    assert counts["evaluate_constraints"] == 3

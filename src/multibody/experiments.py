@@ -159,10 +159,15 @@ def run_convergence_study(
     All trials advance together: each iteration assembles the reduced KKT
     system of every trial, as the combined-mode solver step does for one,
     and solves the stack at once.  Raises FactorizationFailed naming the
-    first trial whose system fails.
+    first trial whose system fails, and ValueError for an unknown kind, no
+    trial or a negative number of iterations.
     """
     if kind not in CONVERGENCE_KINDS:
         raise ValueError(f"unknown convergence kind {kind!r}")
+    if n_trials < 1:
+        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+    if n_iterations < 0:
+        raise ValueError(f"n_iterations must be >= 0, got {n_iterations}")
     if regularization is None:
         regularization = Regularization()
     frame_a, frame_b, pose_a, pose_b, gradients, hessians = sample_trials(
@@ -360,7 +365,10 @@ def run_synthetic_tracking(
     starts from a slightly perturbed state and is pulled toward the ground
     truth poses each step, weighted per body (weight 0 leaves a body
     unobserved).  Errors are reported against the ground truth poses.
+    Raises ValueError for a negative number of steps.
     """
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
     if not isinstance(config, TrackingConfig):
         config = load_config(config)
     estimate = config.structure

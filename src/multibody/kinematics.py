@@ -114,21 +114,18 @@ class Body(_Adoptable):
 class Coordinates:
     """Variation coordinates over a forest of bodies, one per free joint
     axis; each moves its own body and every body below it.  The tree view
-    of a structure takes parents, free axes and ``frames``, the stacked
-    joint_to_model, from its bodies' joints.  The forest view (``free``
-    None) makes every body a root with six free axes and an identity
-    joint_to_model, so that its coordinates are its own 6-DoF variation.
-    A view without links, such as the forest view, holds no n x n array:
-    each body is its own root and subtree, moved by its own coordinates
-    only.  All of it is fixed with the structure but ``frames`` and
-    ``inverse_frames``, which refresh_joint_transforms replaces together.
+    of a structure takes parents and free axes from its bodies' joints.
+    The forest view (``free`` None) makes every body a root with six free
+    axes, so that its coordinates are its own 6-DoF variation.  A view
+    without links, such as the forest view, holds no n x n array: each body
+    is its own root and subtree, moved by its own coordinates only.  All of
+    it is index data, fixed with the structure; the joint frames are the
+    structure's stacks.
     """
 
-    def __init__(self, parents, free=None, frames=None):
+    def __init__(self, parents, free=None):
         n = len(parents)
         free = free or [np.arange(6)] * n
-        frames = frames or Pose(np.broadcast_to(_EYE3, (n, 3, 3)), np.zeros((n, 3)))
-        self.frames, self.inverse_frames = _frozen(frames), _frozen(frames.inverse())
         # Each body's number of coordinates and its first one.
         self.n_dofs = n_dofs = np.array([f.shape[0] for f in free], dtype=int)
         first = np.cumsum(n_dofs) - n_dofs
@@ -166,26 +163,9 @@ class Coordinates:
         upper = p <= q
         p, q = self.pairs = p[upper], q[upper]
         self.diagonal, self.mirrored = np.flatnonzero(p == q), np.flatnonzero(p != q)
-        # Slots in a (trees, width) layout, one row per tree, in which
-        # products of per-tree blocks cover every pattern pair.
-        tree = np.unique(self.root[self.body], return_inverse=True)[1].reshape(-1)
-        counts = np.bincount(tree)
-        rank = np.empty(self.n_dof, dtype=int)
-        rank[np.argsort(tree, kind="stable")] = np.arange(self.n_dof) - np.repeat(
-            np.cumsum(counts) - counts, counts
-        )
-        self.layout = (counts.shape[0], int(counts.max(initial=0)))
-        self.slots = tree * self.layout[1] + rank
-        self.pair_slots = self.slots[p] * self.layout[1] + rank[q]
-        self.padded = not np.array_equal(self.slots, np.arange(self.n_dof))
         # Where the solver places the KKT entries of this view, kept from
         # one step to the next.
         self.kkt_pattern = None
-
-    def __setstate__(self, state):
-        # A copy's arrays come back writeable.
-        self.__dict__.update(state)
-        self.frames, self.inverse_frames = _frozen(self.frames), _frozen(self.inverse_frames)
 
     def moving(self, bodies: np.ndarray):
         """(k, q) for every coordinate q that moves body bodies[k], by k and
@@ -197,14 +177,6 @@ class Coordinates:
         start = np.cumsum(count) - count
         first = np.array(self.offsets, dtype=int)[bodies]
         return sides, np.arange(sides.shape[0]) + np.repeat(first - start, count)
-
-    def per_tree(self, x: np.ndarray) -> np.ndarray:
-        """Rows of x, one per coordinate, in the (trees, width) layout."""
-        if not self.padded:
-            return x.reshape(self.layout + x.shape[1:])
-        out = np.zeros((self.layout[0] * self.layout[1],) + x.shape[1:])
-        out[self.slots] = x
-        return out.reshape(self.layout + x.shape[1:])
 
 
 class RowsAt:
@@ -230,8 +202,10 @@ class KinematicStructure:
     The structure owns the state as read-only stacked poses, one row per
     body: the body poses (``poses``) and the joints' joint_to_model and
     parent_to_joint, copied from the bodies and joints it adopts, and the
-    joints' fixed sides.  Only update_poses changes them, by replacing the
-    stacks; ``Body.pose`` and the joint transforms read their row and refuse
+    joints' fixed sides, and beside joint_to_model its inverse
+    (model_to_joint), the joint frames of the tree view's Jacobians and
+    updates.  Only update_poses changes them, by replacing the stacks;
+    ``Body.pose`` and the joint transforms read their row and refuse
     assignment.  A body or joint handed to a second structure belongs to
     that one; no field of an adopted body or joint can be assigned.  The
     constraints, given at construction, are stacked once (``constraint_stack``).
@@ -256,10 +230,11 @@ class KinematicStructure:
             rows = [getattr(obj, name) for obj in objs]
             name_row = functools.partial(_row_name, self, objs[0]._role, name)
             self._stacks[name] = _frozen(Pose.stack(rows, name_row))
+        self._stacks["model_to_joint"] = _frozen(self._stacks["joint_to_model"].inverse())
         self._rows = RowsAt(self.constraint_stack, self.poses())
         parents = [b.parent for b in self.bodies]
         free = [np.flatnonzero(j.free_axes) for j in joints]
-        self.tree = Coordinates(parents, free, self._stacks["joint_to_model"])
+        self.tree = Coordinates(parents, free)
         self.n_dof, self.dof_offsets = self.tree.n_dof, self.tree.offsets
         # Per fixed side (joint_to_model, then parent_to_joint): children, parents, stack inferred.
         children, parents = self.tree.children, self.tree.parents
@@ -331,23 +306,22 @@ class KinematicStructure:
         asked of it later are still those of the poses it was taken at."""
         return self._rows
 
-    def jacobian_factors(self, view: Coordinates):
-        """The factors of the body Jacobians J_i = Ad(rel_i^-1) (S o anc_i)
-        of a view at the structure's poses, in the model frame of each
-        body's tree root, with joint_to_model_j from view.frames: the stack
-        Ad(rel_i^-1) of the non-root bodies (view.children), with rel_i body
-        i's pose in that frame, and the 6 x n_dof motion columns S, for
-        each coordinate the free column of Ad(F_j), with F_j =
-        rel_j o joint_to_model_j^-1 its joint frame.  anc_i, the
-        coordinates that move body i, are those view.moving lists for it.
+    def jacobian_factors(self):
+        """The factors of the tree view's body Jacobians
+        J_i = Ad(rel_i^-1) (S o anc_i) at the structure's poses, in the
+        model frame of each body's tree root: the stack Ad(rel_i^-1) of the
+        non-root bodies (tree.children), with rel_i body i's pose in that
+        frame, and the 6 x n_dof motion columns S, for each coordinate the
+        free column of Ad(F_j), with F_j = rel_j o joint_to_model_j^-1 its
+        joint frame from the structure's stacks.  anc_i, the coordinates
+        that move body i, are those tree.moving lists for it.
 
         Without links every body is its own root, rel is the identity and
-        no pose is read; in the forest view every J_i is exactly the
-        identity, so the solver never calls this for it: its assembly
-        gathers the energies' entries and update_poses moves each body by
-        its own variation.
+        no pose is read.  The forest view has no Jacobian factors: each of
+        its J_i is exactly the identity, so that the solver gathers its KKT
+        entries and update_poses moves each body by its own variation.
         """
-        frames = view.inverse_frames
+        view, frames = self.tree, self._stacks["model_to_joint"]
         if not view.links:
             return np.zeros((0, 6, 6)), adjoint(frames)[view.body, :, view.axis].T
         poses = self.poses()
@@ -365,11 +339,12 @@ class KinematicStructure:
         Each joint's variation T(theta_j) acts in its joint frame: a root
         moves to pose o J_T_M^-1 o T o J_T_M, any other body to
         parent o P_T_J o T o J_T_M with its parent's new pose, in
-        topological order.  In the forest view every body is a root with
-        J_T_M = I and moves to pose o T(theta_i), composed with no identity
-        frame.  Afterwards the non-fixed joint transform of every joint is
-        re-inferred from the new poses.  The new pose stack starts an empty
-        store of constraint rows (rows_at_poses).
+        topological order, J_T_M and its inverse from the structure's stacks.
+        In the forest view every body is a root with J_T_M = I and moves to
+        pose o T(theta_i), composed with no frame.  Afterwards the non-fixed
+        joint transform of every joint is re-inferred from the new poses.
+        The new pose stack starts an empty store of constraint rows
+        (rows_at_poses).
         """
         view = view or self.tree
         theta_k = np.asarray(theta_k, dtype=float)
@@ -381,11 +356,11 @@ class KinematicStructure:
         if view is self.forest:
             poses = self.poses().with_variation(extended)
         else:
-            base = self.poses() @ view.inverse_frames
+            base = self.poses() @ self._stacks["model_to_joint"]
             if view.links:
                 inner, parent_to_joint = view.children, self._stacks["parent_to_joint"]
                 base.r[inner], base.t[inner] = parent_to_joint.r[inner], parent_to_joint.t[inner]
-            poses = base.with_variation(extended) @ view.frames
+            poses = base.with_variation(extended) @ self._stacks["joint_to_model"]
         if view.links:
             # Homogeneous matrices: one product per body down the tree.
             world = np.zeros((n, 4, 4))
@@ -404,12 +379,12 @@ class KinematicStructure:
         body poses.  With rel = parent^-1 o pose for each non-root body,
         P_T_J = rel o J_T_M^-1 where J_T_M is fixed, else
         J_T_M = P_T_J^-1 o rel.  Each re-inferred stack replaces the old one,
-        and a new joint_to_model the tree view's frames and their inverse."""
+        and a new joint_to_model its inverse, model_to_joint, too."""
         poses = self.poses()
         for children, parents, name in self._joint_sides:
             rel = poses[parents].inverse() @ poses[children]
             if name == "parent_to_joint":
-                inferred = rel @ self.tree.inverse_frames[children]
+                inferred = rel @ self._stacks["model_to_joint"][children]
             else:
                 # In C order: the product's rounding depends on the layout.
                 inverse = self._stacks["parent_to_joint"][children].inverse()
@@ -419,7 +394,7 @@ class KinematicStructure:
             r[children], t[children] = inferred.r, inferred.t
             self._stacks[name] = stack = _frozen(_pose(r, t))
             if name == "joint_to_model":
-                self.tree.frames, self.tree.inverse_frames = stack, _frozen(stack.inverse())
+                self._stacks["model_to_joint"] = _frozen(stack.inverse())
 
 
 def _orthonormalized(poses: Pose) -> Pose:
@@ -441,4 +416,3 @@ def _row_name(s, role: str, name: str, i: int) -> str:
 
 _STACKED = ("pose", "joint_to_model", "parent_to_joint")
 _THREE_I = 3.0 * np.eye(3)
-_EYE3 = np.eye(3)

@@ -325,9 +325,11 @@ def assemble(
     summing the energies moved into each tree's root frame over subtrees
     gives H[p, q] = S_p^T Hc S_q, with Hc the sum over the subtree of the
     deeper of the two coordinates' bodies (Featherstone's composite rigid
-    body algorithm), zero unless one body is above the other.  A constraint
-    row is d_a J_a + d_b J_b.  Only the pattern's entries are computed.  In
-    the forest view every J_i is the identity, so that they are gathered,
+    body algorithm), zero unless one body is above the other.  One product
+    of the motion columns with the columns Hc S_q gives every S_p^T Hc S_q,
+    of which H keeps its pattern's pairs; a constraint row is
+    d_a J_a + d_b J_b, computed at the pattern's entries only.  In the
+    forest view every J_i is the identity, so that they are gathered,
     not multiplied: H[p, q] is entry (axis_p, axis_q) of the Hessian of
     coordinate p's body, and g's and B's entries are picked alike.
     """
@@ -355,17 +357,18 @@ def assemble(
         h_values = h[body[p], axis[p], axis[q]]
         b_values = derivatives[pattern.sides, axis[pattern.coords]]
     else:
-        g_k, h_values, b_values = _projected(s, view, pattern, g, h, derivatives)
+        g_k, h_values, b_values = _projected(s, pattern, g, h, derivatives)
     reg = regularization
     h_values[view.diagonal] += np.where(view.rotational, reg.lambda_r, reg.lambda_t)
     values = np.concatenate([h_values, h_values[view.mirrored], b_values, b_values])
     return KktSystem(pattern.matrix(values), g_k, rows.residual)
 
 
-def _projected(s: KinematicStructure, view, pattern: _Pattern, g, h, derivatives):
-    """g, H's pattern pairs and B's entries in a view's joint coordinates,
-    through the factors of its Jacobians (assemble)."""
-    ad_inv, motion = s.jacobian_factors(view)
+def _projected(s: KinematicStructure, pattern: _Pattern, g, h, derivatives):
+    """g, H's pattern pairs and B's entries in the tree view's joint
+    coordinates, through the factors of its Jacobians (assemble)."""
+    view = s.tree
+    ad_inv, motion = s.jacobian_factors()
     # A root is its tree's reference frame; the other bodies' energies and
     # constraint derivatives move into it.
     inner = view.children
@@ -379,10 +382,11 @@ def _projected(s: KinematicStructure, view, pattern: _Pattern, g, h, derivatives
         g_c, h_c = g, h
     columns = motion.T
     g_k = np.einsum("ij,ij->i", g_c.take(view.body, axis=0), columns)
-    # S_p^T (Hc S_q) for every pair of coordinates of one tree.
+    # S_p^T (Hc S_q) for every pair of coordinates, of which the pattern's
+    # pairs, one tree's each with q's body at or below p's, are kept.
     hs = np.einsum("qij,qj->qi", h_c.take(view.body, axis=0), columns)
-    products = view.per_tree(columns) @ view.per_tree(hs).swapaxes(1, 2)
-    h_values = products.take(view.pair_slots)
+    p, q = view.pairs
+    h_values = (columns @ hs.T).take(p * view.n_dof + q)
     # Against each coordinate that moves the row's body.
     moved = pattern.moved
     derivatives[moved] = (derivatives[moved, None, :] @ ad_inv[pattern.moved_rank])[:, 0]

@@ -26,15 +26,23 @@ def random_joint(rng, min_dof=1, fixed_side=FixedSide.JOINT_TO_MODEL):
 def random_tree(rng, n_bodies, min_dof=1, fixed_sides=None):
     """Random tree with consistent initial poses derived from the joints;
     ``fixed_sides`` gives each joint's fixed side, JOINT_TO_MODEL by default."""
-    sides = fixed_sides or [FixedSide.JOINT_TO_MODEL] * n_bodies
-    bodies = [
-        Body(name="body0", joint=random_joint(rng, min_dof, sides[0]), pose=random_pose(rng))
-    ]
-    for i in range(1, n_bodies):
-        parent = int(rng.integers(0, i))
-        joint = random_joint(rng, min_dof, sides[i])
-        pose = bodies[parent].pose @ joint.parent_to_joint @ joint.joint_to_model
-        bodies.append(Body(name=f"body{i}", joint=joint, pose=pose, parent=parent))
+    return random_trees(rng, [n_bodies], min_dof, fixed_sides)
+
+
+def random_trees(rng, sizes, min_dof=1, fixed_sides=None):
+    """Random trees of sizes[k] bodies each, one root apiece, in that order,
+    as one structure (random_tree)."""
+    sides = fixed_sides or [FixedSide.JOINT_TO_MODEL] * sum(sizes)
+    bodies = []
+    for size in sizes:
+        root = len(bodies)
+        joint = random_joint(rng, min_dof, sides[root])
+        bodies.append(Body(name=f"body{root}", joint=joint, pose=random_pose(rng)))
+        for i in range(root + 1, root + size):
+            parent = int(rng.integers(root, i))
+            joint = random_joint(rng, min_dof, sides[i])
+            pose = bodies[parent].pose @ joint.parent_to_joint @ joint.joint_to_model
+            bodies.append(Body(name=f"body{i}", joint=joint, pose=pose, parent=parent))
     return KinematicStructure(bodies)
 
 

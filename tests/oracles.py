@@ -233,14 +233,24 @@ def pose_matrix(pose):
     return m
 
 
+def jacobian_factors(s, view):
+    """The factors of a view's body Jacobians: the library's for the tree
+    view (KinematicStructure.jacobian_factors), and for the forest view,
+    which has none, those of identity Jacobians: no adjoint, since no body
+    has a parent, and each coordinate's axis as its motion column."""
+    if view is s.tree:
+        return s.jacobian_factors()
+    return np.zeros((0, 6, 6)), np.eye(6)[:, view.axis]
+
+
 def body_jacobians(s, view=None):
     """Each body's 6 x n_dof Jacobian in the coordinates of a view (the
-    tree view by default), (n, 6, n_dof), from the library's factors:
-    the motion columns of the coordinates that move body i, moved into its
-    model frame."""
+    tree view by default), (n, 6, n_dof), from the factors
+    (jacobian_factors): the motion columns of the coordinates that move
+    body i, moved into its model frame."""
     view = view or s.tree
     ad_inv = np.array([np.eye(6)] * len(s.bodies))
-    ad_inv[view.children], motion = s.jacobian_factors(view)
+    ad_inv[view.children], motion = jacobian_factors(s, view)
     moves = np.zeros((len(s.bodies), view.n_dof), dtype=bool)
     moves[view.moving(np.arange(len(s.bodies)))] = True
     return (ad_inv @ motion) * moves[:, None, :]
@@ -248,14 +258,14 @@ def body_jacobians(s, view=None):
 
 def assemble_by_products(s, g, h, mode, regularization):
     """solver.assemble through the factors of the body Jacobians
-    (KinematicStructure.jacobian_factors) in every view: adjoints, composite
-    sums, motion columns and per-tree products, as the library assembled
-    the forest view too before it gathered that view's entries."""
+    (jacobian_factors) in every view: adjoints, composite sums, motion
+    columns and one product of every pair of coordinates, as the library
+    assembled the forest view too before it gathered that view's entries."""
     g = np.array(g, dtype=float)
     with_rows = mode in (SolverMode.CONSTRAINED, SolverMode.COMBINED)
     rows = s.constraint_rows() if with_rows else solver._NO_ROWS
     view = s.tree if mode in (SolverMode.PROJECTED, SolverMode.COMBINED) else s.forest
-    ad_inv, motion = s.jacobian_factors(view)
+    ad_inv, motion = jacobian_factors(s, view)
     inner = view.children
     h = 0.5 * (h + h.swapaxes(1, 2))
     g[inner] = (g[inner, None, :] @ ad_inv)[:, 0]
@@ -268,8 +278,8 @@ def assemble_by_products(s, g, h, mode, regularization):
     columns = motion.T
     g_k = np.einsum("ij,ij->i", g_c.take(view.body, axis=0), columns)
     hs = np.einsum("qij,qj->qi", h_c.take(view.body, axis=0), columns)
-    products = view.per_tree(columns) @ view.per_tree(hs).swapaxes(1, 2)
-    h_values = products.take(view.pair_slots)
+    p, q = view.pairs
+    h_values = (columns @ hs.T).take(p * view.n_dof + q)
     reg = regularization
     h_values[view.diagonal] += np.where(view.rotational, reg.lambda_r, reg.lambda_t)
     pattern = solver._pattern(view, rows.stack.sides)

@@ -62,8 +62,8 @@ class TestStepsOnAKeptStructure:
     @pytest.mark.parametrize("sides", list(SIDES))
     @pytest.mark.parametrize("mode", list(SolverMode))
     def test_equal_steps_on_a_rebuilt_structure(self, sides, mode):
-        """Fails if ``refresh_joint_transforms`` stops replacing the tree
-        view's frames and inverse frames along with the joint_to_model it
+        """Fails if ``refresh_joint_transforms`` stops replacing the
+        structure's model_to_joint stack along with the joint_to_model it
         re-infers (parent_to_joint and mixed sides).  At step 2 the structure
         is rebuilt with new joint transforms, at steps 4 and 6 with its
         constraints reversed and then cut, and kept in between."""
@@ -93,14 +93,14 @@ class TestStepsOnAKeptStructure:
     @pytest.mark.parametrize("sides", list(SIDES))
     def test_inverse_frames_follow_joint_to_model(self, sides):
         """Fails if ``refresh_joint_transforms`` replaces joint_to_model but
-        not the tree view's frames, or not their inverse (parent_to_joint and
-        mixed sides)."""
+        not its inverse, the structure's model_to_joint stack
+        (parent_to_joint and mixed sides)."""
         rng = np.random.default_rng(50)
         s = random_tree(rng, 6, fixed_sides=SIDES[sides])
 
         def assert_current():
-            assert s.tree.frames is s._stacks["joint_to_model"]
-            inverse, expected = s.tree.inverse_frames, s.tree.frames.inverse()
+            inverse = s._stacks["model_to_joint"]
+            expected = s._stacks["joint_to_model"].inverse()
             assert np.array_equal(inverse.r, expected.r) and np.array_equal(inverse.t, expected.t)
 
         assert_current()
@@ -150,17 +150,13 @@ class TestReadOnlyRows:
 
 
 def kept_arrays(s):
-    """Every array the structure, its views, its constraint stack and its
-    joints keep, by name, and the arrays of its stored rows."""
+    """Every array of the structure's stacks, its constraint stack and its
+    joints, by name, and the arrays of its stored rows."""
     rows = s.constraint_rows()
     frames = {n: p for n, p in vars(s.constraint_stack).items() if isinstance(p, Pose)}
     poses = {
         "poses()": s.poses(),
         **{f"_stacks[{name!r}]": stack for name, stack in s._stacks.items()},
-        "tree.frames": s.tree.frames,
-        "tree.inverse_frames": s.tree.inverse_frames,
-        "forest.frames": s.forest.frames,
-        "forest.inverse_frames": s.forest.inverse_frames,
         **{f"constraint_stack.{name}": p for name, p in frames.items()},
     }
     arrays = {f"{name}.{part}": getattr(p, part) for name, p in poses.items() for part in "rt"}
@@ -216,7 +212,7 @@ class TestOneWriter:
         """Fails if update_poses or refresh_joint_transforms leaves a stack
         it replaces writeable, or if the constraint stack or a joint's free
         axes are writeable; on a copy, if ``__setstate__`` of
-        KinematicStructure, Coordinates or Joint stops freezing what it
+        KinematicStructure or Joint stops freezing what it
         holds, or if a copy keeps its stored rows, whose arrays numpy copies
         writeable."""
         s, provider = pulled_tree()

@@ -49,6 +49,22 @@ class TestConverge:
         assert code == 2
         assert "full convergence trial 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args, name",
+        [(["--trials", "0"], "n_trials"), (["--trials", "-3"], "n_trials"),
+         (["--iters", "-1"], "n_iterations")],
+    )
+    def test_count_it_cannot_run_is_config_error(self, tmp_path, capsys, args, name):
+        """No trial gave an IndexError traceback from np.percentile, a
+        negative count numpy's "negative dimensions", and --iters -1 a
+        header-only CSV with exit code 0."""
+        out = tmp_path / "x.csv"
+        code = main(["converge", *args, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"error: {name} must be " in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_bad_kind_is_config_error(self, tmp_path):
         import pytest
 
@@ -81,6 +97,40 @@ class TestTrack:
         assert code == 0
         assert "auc" in capsys.readouterr().out
         assert out.read_text().splitlines()[0] == "step,body,add,add_s"
+
+    def test_two_root_config_tracks_in_every_mode(self, tmp_path, capsys):
+        """Two trees of 2 and 1 coordinates: the tree view's assembly once
+        laid them out per tree and failed with numpy's "cannot reshape"."""
+        raw = {
+            "bodies": [
+                {"name": "a", "parent": None, "joint": {"axes": ["rot_x", "rot_y"]}},
+                {"name": "b", "parent": None, "joint": {"axes": ["rot_z"]},
+                 "pose": {"trans": [0.5, 0.0, 0.0]}},
+            ],
+            "trajectory": {
+                "a": {"amplitude": [0.3, -0.2], "period": 20.0},
+                "b": {"amplitude": [0.4], "period": 30.0},
+            },
+        }
+        config = tmp_path / "two_roots.json"
+        config.write_text(json.dumps(raw))
+        out = tmp_path / "x.csv"
+        for mode in ("independent", "projected", "constrained", "combined"):
+            code = main(
+                ["track", "--config", str(config), "--mode", mode, "--steps", "5",
+                 "--out", str(out)]
+            )
+            assert code == 0, (mode, capsys.readouterr().err)
+            assert out.read_text().splitlines() == ["step,body,add,add_s"]
+
+    def test_negative_steps_is_config_error(self, tmp_path, capsys):
+        """--steps -2 wrote no rows, printed "auc: 1.0000" and exited 0."""
+        out = tmp_path / "x.csv"
+        code = main(["track", "--config", str(DEMO_CONFIG), "--steps", "-2", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "error: steps must be >= 0" in captured.err and "Traceback" not in captured.err
+        assert "auc" not in captured.out and not out.exists()
 
     def test_missing_config_is_config_error(self, tmp_path):
         code = main(

@@ -9,16 +9,17 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from builders import random_pose, random_tree, rebuilt
+from builders import random_pose, random_tree, random_trees, rebuilt
 from multibody.constraints import Constraint, OrthogonalityConstraint, evaluate_constraints
 from multibody.energy import (
     BodyEnergy,
+    evaluate,
     per_body,
     quadratic_pose_target,
     zero_energy,
 )
 from multibody.experiments import build_serial_chain
-from multibody.kinematics import Body, Joint, KinematicStructure
+from multibody.kinematics import Body, Joint, KinematicStructure, axes_mask
 from multibody import constraints, kinematics, se3, solver
 from multibody.se3 import Pose
 from multibody.solver import (
@@ -472,6 +473,60 @@ class TestGatheredForestAssembly:
         x, residual = solver._band_solve(a, rhs)
         expected = band_product_by_diagonals(a.band, a.width, x[a.order]) - rhs[a.order]
         assert np.array_equal(residual, expected)
+
+
+class TestMultiRootTrees:
+    """A structure of several trees steps in every mode, the tree view's
+    entries of all trees coming from one product of the motion columns,
+    and each step equals one through the product oracle
+    (oracles.assemble_by_products) to the bit.  A per-tree layout as wide
+    as the widest tree once failed with numpy's "cannot reshape" in the
+    tree view whenever a later tree was narrower."""
+
+    @staticmethod
+    def assert_steps_as_the_oracle(s, rng, steps=3):
+        for mode in SolverMode:
+            kept = copy.deepcopy(s)
+            for _ in range(steps):
+                provider = per_body(
+                    {i: quadratic_pose_target(random_pose(rng), 50.0, 80.0)
+                     for i in range(len(s.bodies))}
+                )
+                twin = copy.deepcopy(kept)
+                g, h = evaluate(provider, twin.poses())
+                k = assemble_by_products(twin, g, h, mode, Regularization())
+                theta, _ = solve_kkt(k)
+                tree = mode in (SolverMode.PROJECTED, SolverMode.COMBINED)
+                twin.update_poses(theta, twin.tree if tree else twin.forest)
+                report = step(kept, provider, SolverConfig(mode=mode))
+                assert report.theta_norm == float(np.sqrt(theta.dot(theta))) > 0, mode
+                assert report.kkt_dim == k.g_k.shape[0] + k.b_vec.shape[0]
+                for actual, expected in zip(kept._stacks.values(), twin._stacks.values()):
+                    assert np.array_equal(actual.r, expected.r), mode
+                    assert np.array_equal(actual.t, expected.t), mode
+
+    def test_six_and_one_coordinates(self):
+        s = KinematicStructure(
+            [Body("a", Joint(np.ones(6, bool))), Body("b", Joint(axes_mask(["rot_z"])))]
+        )
+        self.assert_steps_as_the_oracle(s, np.random.default_rng(38))
+
+    def test_random_trees_the_first_longer_than_the_last(self):
+        """2-3 trees of 1-3 bodies, with a one-axis pose constraint between
+        the first and the last body."""
+        rng = np.random.default_rng(39)
+        tested = 0
+        while tested < 6:
+            s = random_trees(rng, rng.integers(1, 4, rng.integers(2, 4)).tolist())
+            view = s.tree
+            coordinates = np.bincount(view.root[view.body], minlength=len(s.bodies))
+            if coordinates[0] <= coordinates[view.root[-1]]:
+                continue
+            mask = np.eye(6, dtype=bool)[rng.integers(6)]
+            last = len(s.bodies) - 1
+            s = rebuilt(s, [Constraint(0, last, random_pose(rng), random_pose(rng), mask)])
+            self.assert_steps_as_the_oracle(s, rng)
+            tested += 1
 
 
 class TestFailureDiagnosis:

@@ -96,6 +96,19 @@ def test_a_structure_is_configured_once():
         assert list(inspect.signature(function).parameters) == names
 
 
+def test_only_the_tree_view_has_jacobians():
+    """A view is constant index data: no per-tree layout and no joint
+    frames of its own, which the structure's stacks hold, so that it has
+    nothing to freeze in a copy; jacobian_factors is the tree view's."""
+    for name in ("frames", "inverse_frames", "per_tree", "pair_slots", "__setstate__"):
+        assert not hasattr(multibody.kinematics.Coordinates, name), name
+    s = multibody.experiments.build_serial_chain(3)
+    for view in (s.tree, s.forest):
+        assert not {"frames", "inverse_frames", "layout", "slots", "pair_slots"} & set(vars(view))
+    factors = inspect.signature(multibody.KinematicStructure.jacobian_factors)
+    assert list(factors.parameters) == ["self"]
+
+
 def perfbench_module(name: str):
     """perfbench/<name>.py, loaded from its file."""
     path = ROOT / "perfbench" / f"{name}.py"

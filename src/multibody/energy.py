@@ -148,10 +148,13 @@ class PerBody:
                 raise ValueError(f"per_body: body index {i} is negative")
         self.providers = dict(providers)
         targets = {i: p for i, p in self.providers.items() if isinstance(p, PoseTarget)}
-        self.target_bodies = np.array(list(targets), dtype=int)
-        name = lambda k: f"per_body: body {self.target_bodies[k]} target"  # noqa: E731
-        self.targets = Pose.stack([p.target for p in targets.values()], name)
-        self.scales = np.array([(p.scale_r, p.scale_t) for p in targets.values()]).reshape(-1, 2)
+        bodies, found = list(targets), list(targets.values())
+        self.target_bodies = np.array(bodies, dtype=int)
+        # Targets on bodies 0..k-1 in order take the poses of k bodies as they are.
+        self.in_order = bodies == list(range(len(bodies)))
+        name = lambda k: f"per_body: body {bodies[k]} target"  # noqa: E731
+        self.targets = Pose.stack([p.target for p in found], name)
+        self.scales = np.array([[p.scale_r for p in found], [p.scale_t for p in found]]).T
         self.others = sorted(i for i in self.providers if i not in targets)
         self.last = max(self.providers, default=-1)
 
@@ -163,8 +166,10 @@ class PerBody:
         n = poses.t.shape[0]
         if self.last >= n:
             raise ValueError(f"per_body: body index {self.last} is out of range for {n} bodies")
-        g, h = _zeros(n)
         targets = self.target_bodies
+        if self.in_order and targets.shape[0] == n:
+            return pose_target_stack(self.targets, self.scales, poses)
+        g, h = _zeros(n)
         if targets.shape[0]:
             g[targets], h[targets] = pose_target_stack(self.targets, self.scales, poses[targets])
         # Each remaining body with a provider through it.

@@ -271,7 +271,9 @@ def build_serial_chain(n_bodies: int) -> KinematicStructure:
             )
         )
     s = KinematicStructure(bodies, constraints)
-    s.refresh_joint_transforms()
+    # Joint transforms inferred from the poses when first read, as after a
+    # free-body step.
+    s.rows_at_poses().pending = True
     return s
 
 
@@ -290,10 +292,13 @@ def run_scaling_study(max_bodies: int, repetitions: int = 5) -> list[ScalingSamp
     (up to 2x, from one step to the next) hit both steps of a round alike,
     so a mode's time is its median share of the round times the median
     round time.  A per-mode minimum or median instead compares steps taken
-    at different speeds.
+    at different speeds.  Raises ValueError for fewer than two bodies or
+    one repetition.
     """
     if max_bodies < 2:
         raise ValueError("max_bodies must be >= 2")
+    if repetitions < 1:
+        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     modes = (SolverMode.PROJECTED, SolverMode.CONSTRAINED)
     samples = []
     gc_was_enabled = gc.isenabled()

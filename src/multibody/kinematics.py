@@ -20,13 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import ConstraintRows, ConstraintStack, evaluate_constraints
-from .se3 import Pose, _pose, adjoint
+from .se3 import Pose, _pose, adjoint, exp_rotvec
 
 AXIS_NAMES = ("rot_x", "rot_y", "rot_z", "trans_x", "trans_y", "trans_z")
 
 
 class FixedSide(enum.Enum):
-    """Which joint transform stays fixed; the other is re-inferred after updates."""
+    """Which joint transform stays fixed; the other moves with the joint."""
 
     JOINT_TO_MODEL = "joint_to_model"
     PARENT_TO_JOINT = "parent_to_joint"
@@ -53,8 +53,9 @@ class _PoseRow:
     object holds it in its own ``__dict__``, which shadows this non-data
     descriptor, until a KinematicStructure adopts the object and takes it;
     from then on it is row ``obj._index`` of the structure's read-only stack
-    of that name.  Reading gives a view of the row, which keeps its value:
-    only update_poses changes the state, by replacing the stacks."""
+    of that name, a joint's inferred first if pending (_PoseStore).  Reading
+    gives a view of the row, which keeps its value: only update_poses
+    changes the state, by replacing the stacks."""
 
     def __set_name__(self, cls, name):
         self.name = name
@@ -62,7 +63,9 @@ class _PoseRow:
     def __get__(self, obj, cls=None):
         if obj is None:
             return _frozen(Pose.identity())  # the dataclass field's default, shared
-        return obj._owner._stacks[self.name][obj._index]
+        store = obj._owner._store
+        stack = store.poses if self.name == "pose" else store.joints()[self.name]
+        return stack[obj._index]
 
 
 class _Adoptable:
@@ -152,6 +155,7 @@ class Coordinates:
         else:
             self.root = below = above = np.arange(n)
             self.subtree = self.moves = None
+        self.roots = np.flatnonzero(self.root == np.arange(n))
         # Upper triangle of H's pattern: pairs p <= q of coordinates whose
         # bodies are in an ancestor relation, the body of q at or below p's,
         # from the pairs of related bodies.
@@ -179,20 +183,64 @@ class Coordinates:
         return sides, np.arange(sides.shape[0]) + np.repeat(first - start, count)
 
 
-class RowsAt:
-    """A structure's constraints evaluated at one of its body-pose stacks,
-    when first asked for, and kept: without blocks, or with them, which
-    serve both.  Since pose stacks are replaced, never written, the rows
-    stay those of the poses whatever the structure does afterwards."""
+class _PoseStore:
+    """What a structure holds at one of its body-pose stacks: the poses, the
+    joint stacks (parent_to_joint, joint_to_model and its inverse
+    model_to_joint) and the constraints evaluated there.  Every stack is
+    read-only and replaced, never written, so that a store stays that of its
+    poses whatever the structure does afterwards.
 
-    def __init__(self, stack: ConstraintStack, poses: Pose):
-        self.stack, self.poses, self.rows = stack, poses, None
+    The joint stacks are state: given at adoption, or carried by the
+    tree-view update that composed them.  After a forest-view update they
+    are ``pending``: inferred from the poses when first read (joints()),
+    the fixed side of each joint from the last stacks known.  An inference
+    fills every stack before it publishes them, so that a concurrent reader
+    sees the old or the new ones, and at worst infers them twice.  A copy
+    keeps the stacks, and stays pending if the original was.  The rows are
+    derived: evaluated when first asked for, without blocks or with them,
+    which serve both, and again by a copy, as numpy copies arrays writeable.
+    """
+
+    def __init__(self, s, poses: Pose, joints: dict, pending: bool):
+        self.s, self.poses, self._joints, self.pending = s, _frozen(poses), joints, pending
+        self.rows = None
+
+    def __getstate__(self):
+        return {**vars(self), "rows": None}
+
+    def __setstate__(self, state):
+        vars(self).update(state)
+        for pose in (self.poses, *self._joints.values()):
+            _frozen(pose)
 
     def __call__(self, blocks: bool = True) -> ConstraintRows:
         rows = self.rows
         if rows is None or (blocks and rows.d_a is None):
-            rows = self.rows = evaluate_constraints(self.stack, self.poses, blocks)
+            rows = self.rows = evaluate_constraints(self.s.constraint_stack, self.poses, blocks)
         return rows
+
+    def joints(self) -> dict:
+        """The joint stacks by name, inferred first if pending."""
+        if self.pending:
+            self._infer()
+        return self._joints
+
+    def _infer(self):
+        """Each joint's non-fixed transform from the poses: with
+        rel = parent^-1 o pose for each non-root body, P_T_J = rel o J_T_M^-1
+        where J_T_M is fixed, else J_T_M = P_T_J^-1 o rel."""
+        poses, known = self.poses, self._joints
+        inferred = []
+        for children, parents, name in self.s._joint_sides:
+            rel = poses[parents].inverse() @ poses[children]
+            if name == "parent_to_joint":
+                row = rel @ known["model_to_joint"][children]
+            else:
+                # In C order: the product's rounding depends on the layout.
+                inverse = known["parent_to_joint"][children].inverse()
+                row = _pose(np.ascontiguousarray(inverse.r), inverse.t) @ rel
+            inferred.append((children, name, row))
+        self._joints, self.pending = _with_rows(known, inferred), False
 
 
 class KinematicStructure:
@@ -210,13 +258,13 @@ class KinematicStructure:
     that one; no field of an adopted body or joint can be assigned.  The
     constraints, given at construction, are stacked once (``constraint_stack``).
 
-    The structure also keeps its constraints evaluated at the body-pose
-    stack (``constraint_rows``, read-only arrays), evaluated when first
-    asked for, so that each pose is evaluated at most once.  Each new stack
-    (update_poses, or a copy) starts a new, empty store (rows_at_poses).
-    Mutating operations (pose updates) must be serialized by the caller;
-    read-only snapshots may be shared for parallel evaluation, which at
-    worst evaluates the same rows twice.
+    Each body-pose stack has one store (rows_at_poses): its joint stacks,
+    carried by the update that made the poses or inferred from them when
+    first read, and the constraints evaluated there (``constraint_rows``,
+    read-only arrays), when first asked for, so that each pose is evaluated
+    at most once.  Mutating operations (pose updates) must be serialized by
+    the caller; read-only snapshots may be shared for parallel evaluation,
+    which at worst evaluates the same rows or joints twice.
     """
 
     def __init__(self, bodies: list[Body], constraints=()):
@@ -225,13 +273,13 @@ class KinematicStructure:
         self._validate()
         self.constraint_stack = ConstraintStack(self._constraints)
         joints = [b.joint for b in self.bodies]
-        self._stacks = {}
+        stacks = {}
         for name, objs in zip(_STACKED, (self.bodies, joints, joints)):
             rows = [getattr(obj, name) for obj in objs]
             name_row = functools.partial(_row_name, self, objs[0]._role, name)
-            self._stacks[name] = _frozen(Pose.stack(rows, name_row))
-        self._stacks["model_to_joint"] = _frozen(self._stacks["joint_to_model"].inverse())
-        self._rows = RowsAt(self.constraint_stack, self.poses())
+            stacks[name] = _frozen(Pose.stack(rows, name_row))
+        stacks["model_to_joint"] = _frozen(stacks["joint_to_model"].inverse())
+        self._store = _PoseStore(self, stacks.pop("pose"), stacks, pending=False)
         parents = [b.parent for b in self.bodies]
         free = [np.flatnonzero(j.free_axes) for j in joints]
         self.tree = Coordinates(parents, free)
@@ -248,13 +296,6 @@ class KinematicStructure:
             for name, obj in zip(_STACKED, (body, body.joint, body.joint)):
                 vars(obj).pop(name, None)
                 vars(obj).update(_owner=self, _index=i)
-
-    def __setstate__(self, state):
-        # numpy copies arrays writeable: a copy evaluates its rows again and freezes its stacks.
-        self.__dict__.update(state)
-        for pose in self._stacks.values():
-            _frozen(pose)
-        self._rows = RowsAt(self.constraint_stack, self.poses())
 
     @functools.cached_property
     def forest(self) -> Coordinates:
@@ -291,20 +332,21 @@ class KinematicStructure:
         """Body poses as one stacked Pose, (n, 3, 3) and (n, 3): the
         structure's own stack, with read-only arrays, which only
         update_poses replaces."""
-        return self._stacks["pose"]
+        return self._store.poses
 
     def constraint_rows(self, blocks: bool = True) -> ConstraintRows:
         """The constraints evaluated at the body-pose stack, with their
         variation blocks if ``blocks``: the stored rows, evaluated again
         only if they are gone or lack the blocks asked for.  Shared, to be
         read, not written."""
-        return self._rows(blocks)
+        return self._store(blocks)
 
-    def rows_at_poses(self) -> RowsAt:
-        """The store behind constraint_rows for the current body-pose stack.
-        It stays bound to that stack after update_poses replaces it, so rows
-        asked of it later are still those of the poses it was taken at."""
-        return self._rows
+    def rows_at_poses(self) -> _PoseStore:
+        """The store of the current body-pose stack, which gives its
+        constraint rows when called, as constraint_rows.  It stays bound to
+        that stack after update_poses replaces it, so rows asked of it later
+        are still those of the poses it was taken at."""
+        return self._store
 
     def jacobian_factors(self):
         """The factors of the tree view's body Jacobians
@@ -321,7 +363,7 @@ class KinematicStructure:
         its J_i is exactly the identity, so that the solver gathers its KKT
         entries and update_poses moves each body by its own variation.
         """
-        view, frames = self.tree, self._stacks["model_to_joint"]
+        view, frames = self.tree, self._store.joints()["model_to_joint"]
         if not view.links:
             return np.zeros((0, 6, 6)), adjoint(frames)[view.body, :, view.axis].T
         poses = self.poses()
@@ -339,12 +381,14 @@ class KinematicStructure:
         Each joint's variation T(theta_j) acts in its joint frame: a root
         moves to pose o J_T_M^-1 o T o J_T_M, any other body to
         parent o P_T_J o T o J_T_M with its parent's new pose, in
-        topological order, J_T_M and its inverse from the structure's stacks.
-        In the forest view every body is a root with J_T_M = I and moves to
-        pose o T(theta_i), composed with no frame.  Afterwards the non-fixed
-        joint transform of every joint is re-inferred from the new poses.
-        The new pose stack starts an empty store of constraint rows
-        (rows_at_poses).
+        topological order, from the joint stacks of the current poses.
+        Each joint carries its new transform, polar-stepped
+        (_orthonormalized): P_T_J o T where J_T_M is fixed, else T o J_T_M,
+        and model_to_joint its inverse.  In the forest view every body is a
+        root with J_T_M = I and moves to pose o T(theta_i), composed with no
+        frame; the joint stacks are left pending, inferred from the new
+        poses when first read.  The new pose stack starts a new store
+        (rows_at_poses), with no constraint rows yet.
         """
         view = view or self.tree
         theta_k = np.asarray(theta_k, dtype=float)
@@ -353,60 +397,67 @@ class KinematicStructure:
         n = len(self.bodies)
         extended = np.zeros((n, 6))
         extended[view.body, view.axis] = theta_k
+        store = self._store
         if view is self.forest:
-            poses = self.poses().with_variation(extended)
-        else:
-            base = self.poses() @ self._stacks["model_to_joint"]
-            if view.links:
-                inner, parent_to_joint = view.children, self._stacks["parent_to_joint"]
-                base.r[inner], base.t[inner] = parent_to_joint.r[inner], parent_to_joint.t[inner]
-            poses = base.with_variation(extended) @ self._stacks["joint_to_model"]
+            poses = store.poses.with_variation(extended)
+            self._store = _PoseStore(self, poses, store._joints, pending=True)
+            return poses
+        joints = store.joints()
+        parent_to_joint, joint_to_model = joints["parent_to_joint"], joints["joint_to_model"]
+        # P_T_J for the inner rows, the root's pose o J_T_M^-1 for the roots.
+        roots, base = view.roots, _pose(parent_to_joint.r.copy(), parent_to_joint.t.copy())
+        rooted = store.poses[roots] @ joints["model_to_joint"][roots]
+        base.r[roots], base.t[roots] = rooted.r, rooted.t
+        variation = _pose(exp_rotvec(extended[:, :3]), extended[:, 3:])
+        moved = base @ variation
+        poses = moved @ joint_to_model
         if view.links:
-            # Homogeneous matrices: one product per body down the tree.
+            # Homogeneous matrices: one product per body down the tree, over
+            # a list of the rows, which indexes faster than the stack.
             world = np.zeros((n, 4, 4))
             world[:, :3, :3], world[:, :3, 3] = poses.r, poses.t
             world[:, 3, 3] = 1.0
+            mats = list(world)
             for i, parent in view.links:
-                world[i] = world[parent] @ world[i]
+                mats[i] = mats[parent].dot(mats[i])
+            world = np.array(mats)
             poses = _pose(np.ascontiguousarray(world[:, :3, :3]), world[:, :3, 3].copy())
-        self._stacks["pose"] = _frozen(poses)
-        self._rows = RowsAt(self.constraint_stack, poses)
-        self.refresh_joint_transforms()
+        # The inner rows of moved are P_T_J o T.
+        carried = [
+            (children, name, moved[children] if name == "parent_to_joint"
+             else variation[children] @ joint_to_model[children])
+            for children, _, name in self._joint_sides
+        ]
+        self._store = _PoseStore(self, poses, _with_rows(joints, carried), pending=False)
         return poses
-
-    def refresh_joint_transforms(self):
-        """Re-infer the non-fixed joint transform of every joint from the
-        body poses.  With rel = parent^-1 o pose for each non-root body,
-        P_T_J = rel o J_T_M^-1 where J_T_M is fixed, else
-        J_T_M = P_T_J^-1 o rel.  Each re-inferred stack replaces the old one,
-        and a new joint_to_model its inverse, model_to_joint, too."""
-        poses = self.poses()
-        for children, parents, name in self._joint_sides:
-            rel = poses[parents].inverse() @ poses[children]
-            if name == "parent_to_joint":
-                inferred = rel @ self._stacks["model_to_joint"][children]
-            else:
-                # In C order: the product's rounding depends on the layout.
-                inverse = self._stacks["parent_to_joint"][children].inverse()
-                inferred = _pose(np.ascontiguousarray(inverse.r), inverse.t) @ rel
-            inferred, old = _orthonormalized(inferred), self._stacks[name]
-            r, t = old.r.copy(), old.t.copy()
-            r[children], t[children] = inferred.r, inferred.t
-            self._stacks[name] = stack = _frozen(_pose(r, t))
-            if name == "joint_to_model":
-                self._stacks["model_to_joint"] = _frozen(stack.inverse())
 
 
 def _orthonormalized(poses: Pose) -> Pose:
     """One Newton-Schulz polar step per row, R <- R (3I - R^T R) / 2.
 
     ``Pose.inverse`` transposes R, which inverts it only while R is
-    orthonormal.  Without this step the rounding error of a re-inferred
+    orthonormal.  Without this step the rounding error of a carried or inferred
     joint transform feeds the next pose update and grows with every step
     down a long chain; the step squares the error instead.
     """
     r = poses.r
     return _pose(r @ (_THREE_I - r.swapaxes(-1, -2) @ r) * 0.5, poses.t)
+
+
+def _with_rows(joints: dict, rows) -> dict:
+    """New joint stacks: those of ``joints``, but a read-only copy of each
+    stack named in ``rows`` (children, name, Pose) with the children's rows
+    put in, one polar step from orthonormal, and model_to_joint the inverse
+    of a new joint_to_model."""
+    joints = dict(joints)
+    for children, name, row in rows:
+        row, old = _orthonormalized(row), joints[name]
+        r, t = old.r.copy(), old.t.copy()
+        r[children], t[children] = row.r, row.t
+        joints[name] = stack = _frozen(_pose(r, t))
+        if name == "joint_to_model":
+            joints["model_to_joint"] = _frozen(stack.inverse())
+    return joints
 
 
 def _row_name(s, role: str, name: str, i: int) -> str:

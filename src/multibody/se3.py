@@ -132,6 +132,11 @@ class Pose:
     __delattr__ = __setattr__
 
     def __reduce__(self):
+        # Pickle stores an array in C or Fortran order, and the rounding of a
+        # product depends on the layout: a stack of transposed rotations
+        # (inverse) travels as its transposes, so that a copy computes the same bits.
+        if not self.r.flags.c_contiguous and self.r.swapaxes(-1, -2).flags.c_contiguous:
+            return _transposed, (self.r.swapaxes(-1, -2), self.t)
         return Pose, (self.r, self.t)
 
     @staticmethod
@@ -193,6 +198,11 @@ def _pose(r: np.ndarray, t: np.ndarray) -> Pose:
     _set_r(p, r)
     _set_t(p, t)
     return p
+
+
+def _transposed(r: np.ndarray, t: np.ndarray) -> Pose:
+    """Pose of the transposes of the rotations r (Pose.__reduce__)."""
+    return Pose(np.swapaxes(r, -1, -2), t)
 
 
 def single(pose: Pose, what: str) -> Pose:

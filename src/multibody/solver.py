@@ -40,7 +40,7 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs, dsytrf, dsytrf_lwork, dsytrs
 
 from .constraints import ConstraintRows, ConstraintStack
 from .energy import evaluate
-from .kinematics import KinematicStructure, RowsAt
+from .kinematics import KinematicStructure, _PoseStore
 
 
 class SolverMode(enum.Enum):
@@ -283,19 +283,21 @@ class StepReport:
     includes the blocks a constraint mode evaluates for the next one.
 
     ``residuals_before`` and ``residuals_after`` are the constraints'
-    residual norms at the pose stacks the step started from and left
-    (KinematicStructure.rows_at_poses).  In the modes without constraint
-    rows the step evaluates no constraint, so that ``constraints_after``
-    reads about 0 there; a residual is evaluated when first read, once per
-    pose stack, from the rows the structure stored if it has them."""
+    residual norms at the pose stacks the step started from and left, from
+    the stores of those stacks (``rows_before``, ``rows_after``;
+    KinematicStructure.rows_at_poses), which stay bound to their poses and
+    also hold their joint stacks.  In the modes without constraint rows the
+    step evaluates no constraint, so that ``constraints_after`` reads about
+    0 there; a residual is evaluated when first read, once per pose stack,
+    from the rows the store holds if the structure evaluated them."""
 
     theta_norm: float
     multipliers: list
     kkt_dim: int
     backward_error: float
     timings: dict
-    rows_before: RowsAt = field(repr=False)
-    rows_after: RowsAt = field(repr=False)
+    rows_before: _PoseStore = field(repr=False)
+    rows_after: _PoseStore = field(repr=False)
 
     @property
     def residuals_before(self) -> list:
@@ -387,6 +389,8 @@ def _projected(s: KinematicStructure, pattern: _Pattern, g, h, derivatives):
     hs = np.einsum("qij,qj->qi", h_c.take(view.body, axis=0), columns)
     p, q = view.pairs
     h_values = (columns @ hs.T).take(p * view.n_dof + q)
+    if not pattern.sides.shape[0]:
+        return g_k, h_values, np.zeros(0)
     # Against each coordinate that moves the row's body.
     moved = pattern.moved
     derivatives[moved] = (derivatives[moved, None, :] @ ad_inv[pattern.moved_rank])[:, 0]

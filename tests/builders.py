@@ -53,3 +53,10 @@ def rebuilt(s, constraints=None, **rows):
     a new state or other constraints."""
     constraints = s.constraints if constraints is None else constraints
     return KinematicStructure(detached(s, **rows), constraints)
+
+
+def stacks(s):
+    """Every stack the structure owns, by name, read through its store: the
+    poses, and the joint stacks, inferred first if pending."""
+    store = s.rows_at_poses()
+    return {"pose": store.poses, **store.joints()}

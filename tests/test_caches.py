@@ -9,12 +9,15 @@ test's docstring names a change to the library that makes it fail.
 """
 
 import copy
+import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 import oracles as scalar
-from builders import random_pose, random_tree, rebuilt
+from builders import random_pose, random_tree, random_trees, rebuilt, stacks
 from multibody import kinematics, solver
 from multibody.constraints import Constraint, OrthogonalityConstraint, evaluate_constraints
 from multibody.energy import per_body, quadratic_pose_target
@@ -35,7 +38,7 @@ SIDES = {
 
 def state(s):
     """Every stack the structure owns, as bytes."""
-    return [(a.r.tobytes(), a.t.tobytes()) for a in s._stacks.values()]
+    return [(a.r.tobytes(), a.t.tobytes()) for a in stacks(s).values()]
 
 
 def outcome(s, provider, cfg):
@@ -62,9 +65,9 @@ class TestStepsOnAKeptStructure:
     @pytest.mark.parametrize("sides", list(SIDES))
     @pytest.mark.parametrize("mode", list(SolverMode))
     def test_equal_steps_on_a_rebuilt_structure(self, sides, mode):
-        """Fails if ``refresh_joint_transforms`` stops replacing the
-        structure's model_to_joint stack along with the joint_to_model it
-        re-infers (parent_to_joint and mixed sides).  At step 2 the structure
+        """Fails if ``_with_rows`` stops replacing the structure's
+        model_to_joint stack along with the joint_to_model a step carries or
+        infers (parent_to_joint and mixed sides).  At step 2 the structure
         is rebuilt with new joint transforms, at steps 4 and 6 with its
         constraints reversed and then cut, and kept in between."""
         rng = np.random.default_rng(40 + list(SIDES).index(sides))
@@ -92,15 +95,16 @@ class TestStepsOnAKeptStructure:
 
     @pytest.mark.parametrize("sides", list(SIDES))
     def test_inverse_frames_follow_joint_to_model(self, sides):
-        """Fails if ``refresh_joint_transforms`` replaces joint_to_model but
-        not its inverse, the structure's model_to_joint stack
-        (parent_to_joint and mixed sides)."""
+        """Fails if ``_with_rows`` replaces joint_to_model but not its
+        inverse, the structure's model_to_joint stack (parent_to_joint and
+        mixed sides), after a tree step, which carries it, or after a forest
+        step, which leaves it to be inferred."""
         rng = np.random.default_rng(50)
         s = random_tree(rng, 6, fixed_sides=SIDES[sides])
 
         def assert_current():
-            inverse = s._stacks["model_to_joint"]
-            expected = s._stacks["joint_to_model"].inverse()
+            inverse = stacks(s)["model_to_joint"]
+            expected = stacks(s)["joint_to_model"].inverse()
             assert np.array_equal(inverse.r, expected.r) and np.array_equal(inverse.t, expected.t)
 
         assert_current()
@@ -108,6 +112,86 @@ class TestStepsOnAKeptStructure:
         assert_current()
         s.update_poses(0.1 * rng.standard_normal(s.n_dof))
         assert_current()
+        s.update_poses(0.1 * rng.standard_normal(s.forest.n_dof), s.forest)
+        assert_current()
+
+
+class TestJointsMoveWithTheirStep:
+    """A tree-view update carries the joint transforms it composed; after a
+    forest-view update they are inferred from the poses when first read.
+    Either way every joint read stays on its body's pose."""
+
+    @pytest.mark.parametrize("sides", list(SIDES))
+    def test_every_joint_read_composes_its_body_pose(self, sides):
+        """Fails if a carried P_T_J or J_T_M leaves the transform its update
+        composed (such as P_T_J o T where T o J_T_M is meant), if a pending
+        store's inference reads a non-fixed row, or if ``_with_rows``
+        drops the polar step (orthonormality).  Random mixes of tree and
+        forest updates on three trees, joints read after some of them."""
+        rng = np.random.default_rng(54 + list(SIDES).index(sides))
+        for _ in range(3):
+            s = random_trees(rng, [3, 2, 3], min_dof=2, fixed_sides=SIDES[sides] + [MODEL, PARENT])
+            for _ in range(12):
+                view = s.forest if rng.random() < 0.5 else s.tree
+                s.update_poses(0.3 * rng.standard_normal(view.n_dof), view)
+                if rng.random() < 0.4:
+                    continue
+                for body in s.bodies:
+                    if body.parent is None:
+                        continue
+                    joint, parent = body.joint, s.bodies[body.parent]
+                    composed = parent.pose @ joint.parent_to_joint @ joint.joint_to_model
+                    scale = max(1.0, np.abs(body.pose.t).max())
+                    assert np.abs(composed.r - body.pose.r).max() <= 1e-12, body.name
+                    assert np.abs(composed.t - body.pose.t).max() <= 1e-12 * scale, body.name
+                    for r in (joint.parent_to_joint.r, joint.joint_to_model.r):
+                        assert np.abs(r.T @ r - np.eye(3)).max() <= 1e-14, body.name
+
+    @pytest.mark.parametrize("copier", ["deepcopy", "pickle"])
+    @pytest.mark.parametrize("last", ["forest", "tree"])
+    def test_copies_keep_their_joints_and_step_bit_for_bit(self, last, copier):
+        """A copy keeps the carried joint stacks (tree), or stays pending
+        (forest) and infers them as the original does.  Fails if a copy
+        drops the carried stacks or the pending flag, or re-infers carried
+        stacks, which differ in the last bits."""
+        s, provider = pulled_tree()
+        mode = SolverMode.CONSTRAINED if last == "forest" else SolverMode.PROJECTED
+        step(s, provider, COMBINED)
+        step(s, provider, SolverConfig(mode=mode))
+        twin = copy.deepcopy(s) if copier == "deepcopy" else pickle.loads(pickle.dumps(s))
+        assert twin.rows_at_poses().pending == s.rows_at_poses().pending == (last == "forest")
+        for cfg in (COMBINED, SolverConfig(mode=SolverMode.INDEPENDENT), COMBINED):
+            assert outcome(twin, provider, cfg) == outcome(s, provider, cfg)
+            assert state(twin) == state(s)
+
+    def test_concurrent_reads_see_whole_stacks(self):
+        """Six threads, released together by a barrier and interleaved by
+        a shortened switch interval, read the joints of one pending store;
+        each must see every stack inferred.  Fails (in most runs; the
+        interleaving is not forced) if an inference clears ``pending``
+        before its stacks are in place."""
+        s, provider = pulled_tree()
+        step(s, provider, SolverConfig(mode=SolverMode.INDEPENDENT))
+        expected = state(copy.deepcopy(s))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(100):
+                twin, seen, barrier = copy.deepcopy(s), [], threading.Barrier(6)
+
+                def read():
+                    barrier.wait(timeout=10.0)
+                    seen.append(state(twin))
+
+                threads = [threading.Thread(target=read) for _ in range(6)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10.0)
+                assert not any(thread.is_alive() for thread in threads)
+                assert seen == [expected] * 6
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestReadOnlyRows:
@@ -156,7 +240,7 @@ def kept_arrays(s):
     frames = {n: p for n, p in vars(s.constraint_stack).items() if isinstance(p, Pose)}
     poses = {
         "poses()": s.poses(),
-        **{f"_stacks[{name!r}]": stack for name, stack in s._stacks.items()},
+        **{f"stacks(s)[{name!r}]": stack for name, stack in stacks(s).items()},
         **{f"constraint_stack.{name}": p for name, p in frames.items()},
     }
     arrays = {f"{name}.{part}": getattr(p, part) for name, p in poses.items() for part in "rt"}
@@ -209,12 +293,11 @@ class TestOneWriter:
 
     @pytest.mark.parametrize("which", ["original", "copy before a step", "copy after a step"])
     def test_kept_arrays_refuse_in_place_writes(self, which):
-        """Fails if update_poses or refresh_joint_transforms leaves a stack
-        it replaces writeable, or if the constraint stack or a joint's free
-        axes are writeable; on a copy, if ``__setstate__`` of
-        KinematicStructure or Joint stops freezing what it
-        holds, or if a copy keeps its stored rows, whose arrays numpy copies
-        writeable."""
+        """Fails if update_poses or ``_with_rows`` leaves a stack it
+        replaces writeable, or if the constraint stack or a joint's free
+        axes are writeable; on a copy, if ``_PoseStore.__setstate__`` or
+        ``Joint.__setstate__`` stops freezing what it holds, or if a copy
+        keeps its stored rows, whose arrays numpy copies writeable."""
         s, provider = pulled_tree()
         assert not s.forest.links  # built now, so that a copy copies it
         if which == "copy before a step":

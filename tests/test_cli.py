@@ -86,6 +86,16 @@ class TestScaling:
         code = main(["scaling", "--max-bodies", "1", "--out", str(tmp_path / "x.csv")])
         assert code == 1
 
+    @pytest.mark.parametrize("reps", ["0", "-1"])
+    def test_count_it_cannot_run_is_config_error(self, tmp_path, capsys, reps):
+        """--reps 0 and --reps -1 ran the time-based rounds alone and exited 0."""
+        out = tmp_path / "x.csv"
+        code = main(["scaling", "--max-bodies", "2", "--reps", reps, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"error: repetitions must be >= 1, got {reps}" in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestTrack:
     def test_writes_csv(self, tmp_path, capsys):

@@ -231,7 +231,7 @@ class TestOwnedState:
         saved = state(s)
         step(s, zero_energy, SolverConfig(mode=SolverMode.PROJECTED))
         assert same_state([(p.r, p.t) for p in read], saved)
-        # The bodies and the re-inferred parent_to_joint did move.
+        # The bodies and the carried parent_to_joint did move.
         assert not same_state(state(s)[0::3], saved[0::3])
         assert not same_state(state(s)[2::3], saved[2::3])
 
@@ -335,7 +335,7 @@ class TestUpdatePoses:
             parent=0,
         )
         s = KinematicStructure([root, child])
-        # parent_to_joint is re-inferred after the update; keep the original.
+        # parent_to_joint moves with the update; keep the original.
         parent_to_joint = copy.deepcopy(joint.parent_to_joint)
         s.update_poses(np.array([0.7]))
         rotation = Pose(exp_rotvec([0, 0, 0.7]), np.zeros(3))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from builders import random_pose, random_tree, random_trees, rebuilt
+from builders import random_pose, random_tree, random_trees, rebuilt, stacks
 from multibody.constraints import Constraint, OrthogonalityConstraint, evaluate_constraints
 from multibody.energy import (
     BodyEnergy,
@@ -501,7 +501,7 @@ class TestMultiRootTrees:
                 report = step(kept, provider, SolverConfig(mode=mode))
                 assert report.theta_norm == float(np.sqrt(theta.dot(theta))) > 0, mode
                 assert report.kkt_dim == k.g_k.shape[0] + k.b_vec.shape[0]
-                for actual, expected in zip(kept._stacks.values(), twin._stacks.values()):
+                for actual, expected in zip(stacks(kept).values(), stacks(twin).values()):
                     assert np.array_equal(actual.r, expected.r), mode
                     assert np.array_equal(actual.t, expected.t), mode
 

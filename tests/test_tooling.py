@@ -187,3 +187,29 @@ def test_free_body_steps_multiply_by_no_jacobian_and_evaluate_only_what_is_read(
     for _ in range(2):
         assert len(projected.residuals_after) == 63
     assert counts["evaluate_constraints"] == 3
+
+
+def test_joints_are_inferred_only_when_read(monkeypatch):
+    """Calls are counted, not timed.  A forest step (CONSTRAINED) reads no
+    joint transform, so it infers none; the next tree step (PROJECTED)
+    infers them once from the poses the forest step left, and carries its
+    own to the next; a joint read after a forest step infers them once."""
+    kinematics = multibody.kinematics
+    calls = []
+    infer = kinematics._PoseStore._infer
+    monkeypatch.setattr(
+        kinematics._PoseStore, "_infer", lambda store: calls.append(1) or infer(store)
+    )
+    s = multibody.experiments.build_serial_chain(64)
+    cfg = multibody.SolverConfig
+    steps = [("constrained", 0), ("projected", 1), ("projected", 0), ("projected", 0)]
+    for mode, inferred in steps:
+        calls.clear()
+        multibody.step(s, multibody.zero_energy, cfg(mode=mode))
+        assert len(calls) == inferred, mode
+    multibody.step(s, multibody.zero_energy, cfg(mode="independent"))
+    calls.clear()
+    first = s.bodies[5].joint.parent_to_joint
+    assert len(calls) == 1
+    assert s.bodies[5].joint.parent_to_joint.r.tobytes() == first.r.tobytes()
+    assert len(calls) == 1

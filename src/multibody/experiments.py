@@ -145,7 +145,6 @@ def run_convergence_study(
     seed: int = 0,
     random_energy: bool = False,
     equal_frames: bool = False,
-    regularization: Regularization | None = None,
 ) -> ConvergenceStudy:
     """Newton iterations on a two-body constraint from random initial errors.
 
@@ -154,7 +153,7 @@ def run_convergence_study(
     axes, or for ``ortho`` the orthogonality baseline.  With
     ``random_energy`` each body additionally gets a random positive definite
     Hessian and random gradient instead of the zero energy, which exercises
-    the general (not just regularization-shaped) problem.
+    the general problem, not only the solver's default Regularization().
 
     All trials advance together: each iteration assembles the reduced KKT
     system of every trial, as the combined-mode solver step does for one,
@@ -168,8 +167,6 @@ def run_convergence_study(
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     if n_iterations < 0:
         raise ValueError(f"n_iterations must be >= 0, got {n_iterations}")
-    if regularization is None:
-        regularization = Regularization()
     frame_a, frame_b, pose_a, pose_b, gradients, hessians = sample_trials(
         kind, n_trials, seed, equal_frames, random_energy
     )
@@ -180,6 +177,7 @@ def run_convergence_study(
     h_k = np.zeros((n_trials, 2 * k, 2 * k))
     h_k[:, :k, :k] = hessians[:, 0][:, free][:, :, free]
     h_k[:, k:, k:] = hessians[:, 1][:, free][:, :, free]
+    regularization = Regularization()
     reg_diag = np.where(free < 3, regularization.lambda_r, regularization.lambda_t)
     h_k[:, np.arange(2 * k), np.arange(2 * k)] += np.tile(reg_diag, 2)
     g_k = gradients[:, :, free].reshape(n_trials, 2 * k)
@@ -242,7 +240,7 @@ def build_serial_chain(n_bodies: int) -> KinematicStructure:
 
     Constraints mirroring the joints (all axes but rot_z locked between
     consecutive bodies) are attached so that the same structure serves both
-    the projected and the constrained configuration.
+    the projected and the constrained configuration, with exact joints.
     """
     if n_bodies < 1:
         raise ValueError("need at least one body")
@@ -270,11 +268,7 @@ def build_serial_chain(n_bodies: int) -> KinematicStructure:
                 ),
             )
         )
-    s = KinematicStructure(bodies, constraints)
-    # Joint transforms inferred from the poses when first read, as after a
-    # free-body step.
-    s.rows_at_poses().pending = True
-    return s
+    return KinematicStructure(bodies, constraints)
 
 
 # Timing rounds of the scaling study: at least `repetitions`, then more, up to
@@ -361,16 +355,18 @@ class TrackingReport:
         return float(np.mean([row.add for row in self.rows]))
 
 
-def run_synthetic_tracking(
-    config, mode: SolverMode, steps: int, seed: int = 0, jitter: float = 0.01
-) -> TrackingReport:
+_TRACKING_JITTER = 0.01
+
+
+def run_synthetic_tracking(config, mode: SolverMode, steps: int, seed: int = 0) -> TrackingReport:
     """Track a scripted joint trajectory with per-body pose-target energies.
 
     The ground truth follows the configured joint programs; the estimate
-    starts from a slightly perturbed state and is pulled toward the ground
-    truth poses each step, weighted per body (weight 0 leaves a body
-    unobserved).  Errors are reported against the ground truth poses.
-    Raises ValueError for a negative number of steps.
+    starts from a slightly perturbed state (normal joint variations of
+    scale _TRACKING_JITTER) and is pulled toward the ground truth poses
+    each step, weighted per body (weight 0 leaves a body unobserved).
+    Errors are reported against the ground truth poses.  Raises ValueError
+    for a negative number of steps.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
@@ -380,8 +376,8 @@ def run_synthetic_tracking(
     truth = copy.deepcopy(estimate)
 
     rng = np.random.default_rng(seed)
-    if estimate.n_dof and jitter > 0:
-        estimate.update_poses(jitter * rng.standard_normal(estimate.n_dof))
+    if estimate.n_dof and _TRACKING_JITTER > 0:
+        estimate.update_poses(_TRACKING_JITTER * rng.standard_normal(estimate.n_dof))
 
     solver_cfg = SolverConfig(mode=mode, iterations=config.iterations)
     report = TrackingReport()

@@ -53,7 +53,7 @@ class _PoseRow:
     object holds it in its own ``__dict__``, which shadows this non-data
     descriptor, until a KinematicStructure adopts the object and takes it;
     from then on it is row ``obj._index`` of the structure's read-only stack
-    of that name, a joint's inferred first if pending (_PoseStore).  Reading
+    of that name, a joint's inferred first if need be (_PoseStore).  Reading
     gives a view of the row, which keeps its value: only update_poses
     changes the state, by replacing the stacks."""
 
@@ -123,7 +123,8 @@ class Coordinates:
     without links, such as the forest view, holds no n x n array: each body
     is its own root and subtree, moved by its own coordinates only.  All of
     it is index data, fixed with the structure; the joint frames are the
-    structure's stacks.
+    structure's stacks.  ``kkt_patterns`` holds the solver's KKT pattern
+    of the view without (False) and with (True) the structure's rows.
     """
 
     def __init__(self, parents, free=None):
@@ -167,9 +168,7 @@ class Coordinates:
         upper = p <= q
         p, q = self.pairs = p[upper], q[upper]
         self.diagonal, self.mirrored = np.flatnonzero(p == q), np.flatnonzero(p != q)
-        # Where the solver places the KKT entries of this view, kept from
-        # one step to the next.
-        self.kkt_pattern = None
+        self.kkt_patterns = {}
 
     def moving(self, bodies: np.ndarray):
         """(k, q) for every coordinate q that moves body bodies[k], by k and
@@ -190,27 +189,25 @@ class _PoseStore:
     read-only and replaced, never written, so that a store stays that of its
     poses whatever the structure does afterwards.
 
-    The joint stacks are state: given at adoption, or carried by the
-    tree-view update that composed them.  After a forest-view update they
-    are ``pending``: inferred from the poses when first read (joints()),
-    the fixed side of each joint from the last stacks known.  An inference
-    fills every stack before it publishes them, so that a concurrent reader
-    sees the old or the new ones, and at worst infers them twice.  A copy
-    keeps the stacks, and stays pending if the original was.  The rows are
-    derived: evaluated when first asked for, without blocks or with them,
-    which serve both, and again by a copy, as numpy copies arrays writeable.
+    The joint stacks are the store's own, given at adoption or carried by
+    the tree-view update that made the poses, or None after a forest-view
+    update: then they are inferred from the poses when first read
+    (joints()) and published by one assignment, so that a concurrent reader
+    sees None or every stack, and at worst infers them twice.  A copy keeps
+    the stacks, or None.  The rows are derived: evaluated when first asked
+    for, without blocks or with them, which serve both, and again by a
+    copy, as numpy copies arrays writeable.
     """
 
-    def __init__(self, s, poses: Pose, joints: dict, pending: bool):
-        self.s, self.poses, self._joints, self.pending = s, _frozen(poses), joints, pending
-        self.rows = None
+    def __init__(self, s, poses: Pose, joints: dict | None):
+        self.s, self.poses, self._joints, self.rows = s, _frozen(poses), joints, None
 
     def __getstate__(self):
         return {**vars(self), "rows": None}
 
     def __setstate__(self, state):
         vars(self).update(state)
-        for pose in (self.poses, *self._joints.values()):
+        for pose in (self.poses, *(self._joints or {}).values()):
             _frozen(pose)
 
     def __call__(self, blocks: bool = True) -> ConstraintRows:
@@ -220,42 +217,41 @@ class _PoseStore:
         return rows
 
     def joints(self) -> dict:
-        """The joint stacks by name, inferred first if pending."""
-        if self.pending:
-            self._infer()
+        """The joint stacks by name, inferred first if the store has none."""
+        if self._joints is None:
+            self._joints = self._infer()
         return self._joints
 
-    def _infer(self):
+    def _infer(self) -> dict:
         """Each joint's non-fixed transform from the poses: with
         rel = parent^-1 o pose for each non-root body, P_T_J = rel o J_T_M^-1
-        where J_T_M is fixed, else J_T_M = P_T_J^-1 o rel."""
-        poses, known = self.poses, self._joints
-        inferred = []
+        where J_T_M is fixed, else J_T_M = P_T_J^-1 o rel, on the adopted stacks."""
+        poses, adopted, inferred = self.poses, self.s._adopted, []
         for children, parents, name in self.s._joint_sides:
             rel = poses[parents].inverse() @ poses[children]
             if name == "parent_to_joint":
-                row = rel @ known["model_to_joint"][children]
+                row = rel @ adopted["model_to_joint"][children]
             else:
                 # In C order: the product's rounding depends on the layout.
-                inverse = known["parent_to_joint"][children].inverse()
+                inverse = adopted["parent_to_joint"][children].inverse()
                 row = _pose(np.ascontiguousarray(inverse.r), inverse.t) @ rel
             inferred.append((children, name, row))
-        self._joints, self.pending = _with_rows(known, inferred), False
+        return _with_rows(adopted, inferred)
 
 
 class KinematicStructure:
     """Bodies in topological order, constraints, and two coordinate views:
     ``tree``, the structure's joint coordinates, and ``forest``.
 
-    The structure owns the state as read-only stacked poses, one row per
-    body: the body poses (``poses``) and the joints' joint_to_model and
-    parent_to_joint, copied from the bodies and joints it adopts, and the
-    joints' fixed sides, and beside joint_to_model its inverse
-    (model_to_joint), the joint frames of the tree view's Jacobians and
-    updates.  Only update_poses changes them, by replacing the stacks;
-    ``Body.pose`` and the joint transforms read their row and refuse
-    assignment.  A body or joint handed to a second structure belongs to
-    that one; no field of an adopted body or joint can be assigned.  The
+    The structure owns the state as read-only stacked poses, one row per body:
+    the body poses (``poses``) and the joints' joint_to_model and
+    parent_to_joint, copied from the bodies and joints it adopts and kept as
+    adopted (roots' and fixed sides' rows are constant), and beside
+    joint_to_model its inverse (model_to_joint), the joint frames of the tree
+    view's Jacobians and updates.  Only update_poses changes the state, by
+    replacing the stacks; ``Body.pose`` and the joint transforms read their row
+    and refuse assignment.  A body or joint handed to a second structure belongs
+    to that one; no field of an adopted body or joint can be assigned.  The
     constraints, given at construction, are stacked once (``constraint_stack``).
 
     Each body-pose stack has one store (rows_at_poses): its joint stacks,
@@ -279,7 +275,8 @@ class KinematicStructure:
             name_row = functools.partial(_row_name, self, objs[0]._role, name)
             stacks[name] = _frozen(Pose.stack(rows, name_row))
         stacks["model_to_joint"] = _frozen(stacks["joint_to_model"].inverse())
-        self._store = _PoseStore(self, stacks.pop("pose"), stacks, pending=False)
+        self._store = _PoseStore(self, stacks.pop("pose"), stacks)
+        self._adopted = stacks
         parents = [b.parent for b in self.bodies]
         free = [np.flatnonzero(j.free_axes) for j in joints]
         self.tree = Coordinates(parents, free)
@@ -296,6 +293,11 @@ class KinematicStructure:
             for name, obj in zip(_STACKED, (body, body.joint, body.joint)):
                 vars(obj).pop(name, None)
                 vars(obj).update(_owner=self, _index=i)
+
+    def __setstate__(self, state):
+        vars(self).update(state)
+        for stack in self._adopted.values():  # numpy copies arrays writeable
+            _frozen(stack)
 
     @functools.cached_property
     def forest(self) -> Coordinates:
@@ -386,8 +388,8 @@ class KinematicStructure:
         (_orthonormalized): P_T_J o T where J_T_M is fixed, else T o J_T_M,
         and model_to_joint its inverse.  In the forest view every body is a
         root with J_T_M = I and moves to pose o T(theta_i), composed with no
-        frame; the joint stacks are left pending, inferred from the new
-        poses when first read.  The new pose stack starts a new store
+        frame; its store has no joint stacks, inferred from the new poses
+        when first read.  The new pose stack starts a new store
         (rows_at_poses), with no constraint rows yet.
         """
         view = view or self.tree
@@ -400,7 +402,7 @@ class KinematicStructure:
         store = self._store
         if view is self.forest:
             poses = store.poses.with_variation(extended)
-            self._store = _PoseStore(self, poses, store._joints, pending=True)
+            self._store = _PoseStore(self, poses, None)
             return poses
         joints = store.joints()
         parent_to_joint, joint_to_model = joints["parent_to_joint"], joints["joint_to_model"]
@@ -428,7 +430,7 @@ class KinematicStructure:
              else variation[children] @ joint_to_model[children])
             for children, _, name in self._joint_sides
         ]
-        self._store = _PoseStore(self, poses, _with_rows(joints, carried), pending=False)
+        self._store = _PoseStore(self, poses, _with_rows(self._adopted, carried))
         return poses
 
 

@@ -170,8 +170,8 @@ class KktSystem:
 
 @dataclass
 class _Pattern:
-    """Where the structurally nonzero entries of one view's KKT matrix go,
-    for constraint rows on given bodies, as the size rule stores it.
+    """Where the structurally nonzero entries of one view's KKT matrix go in
+    one mode (_pattern), rows on given bodies, as the size rule stores it.
 
     The entries are H's pattern pairs (view.pairs), their mirror images,
     then B's and B^T's: for each side of each row (side k of row k mod m,
@@ -183,7 +183,6 @@ class _Pattern:
     view.children.
     """
 
-    key: bytes
     sides: np.ndarray
     coords: np.ndarray
     moved: np.ndarray
@@ -204,7 +203,7 @@ class _Pattern:
         moved = np.flatnonzero(np.isin(bodies, view.children))
         rank = np.searchsorted(view.children, bodies[moved])
         dim = view.n_dof + m
-        fields = bodies.tobytes(), sides, coords, moved, rank, dim
+        fields = sides, coords, moved, rank, dim
         if dim > DENSE_MAX_DIM and rows.shape[0] < DENSE_MIN_FILL * dim * dim:
             # Unknowns with the same neighbours form one block: a body's
             # coordinates, and the rows on one pair of bodies.
@@ -260,12 +259,15 @@ def _reverse_cuthill_mckee(nodes: int, a: np.ndarray, b: np.ndarray) -> np.ndarr
     return place
 
 
-def _pattern(view, bodies: np.ndarray) -> _Pattern:
-    """The view's last pattern, rebuilt when the rows' bodies change.  Read
-    once, so that concurrent assemblies at worst rebuild it."""
-    pattern = view.kkt_pattern
-    if pattern is None or pattern.key != bodies.tobytes():
-        pattern = view.kkt_pattern = _Pattern.build(view, bodies)
+def _pattern(s: KinematicStructure, mode: SolverMode) -> _Pattern:
+    """The mode's pattern: its view's, with the structure's constraint rows
+    in the constraint modes, built when first used and kept in the view
+    (kkt_patterns).  Concurrent assemblies may at worst build it twice."""
+    view, with_rows = _coordinates(s, mode), mode in _CONSTRAINED_MODES
+    pattern = view.kkt_patterns.get(with_rows)
+    if pattern is None:
+        sides = (s.constraint_stack if with_rows else _NO_ROWS.stack).sides
+        pattern = view.kkt_patterns[with_rows] = _Pattern.build(view, sides)
     return pattern
 
 
@@ -345,8 +347,7 @@ def assemble(
             f"non-finite energy gradient or Hessian for body {i} ({s.bodies[i].name!r})"
         )
     rows = s.constraint_rows() if mode in _CONSTRAINED_MODES else _NO_ROWS
-    view = _coordinates(s, mode)
-    pattern = _pattern(view, rows.stack.sides)
+    view, pattern = _coordinates(s, mode), _pattern(s, mode)
     h = 0.5 * (h + h.swapaxes(1, 2))
     # Each row's derivatives w.r.t. the variations of its two bodies.
     derivatives = np.concatenate([rows.d_a, rows.d_b])

@@ -57,6 +57,6 @@ def rebuilt(s, constraints=None, **rows):
 
 def stacks(s):
     """Every stack the structure owns, by name, read through its store: the
-    poses, and the joint stacks, inferred first if pending."""
+    poses, and the joint stacks, inferred first if the store has none."""
     store = s.rows_at_poses()
     return {"pose": store.poses, **store.joints()}

@@ -282,7 +282,7 @@ def assemble_by_products(s, g, h, mode, regularization):
     h_values = (columns @ hs.T).take(p * view.n_dof + q)
     reg = regularization
     h_values[view.diagonal] += np.where(view.rotational, reg.lambda_r, reg.lambda_t)
-    pattern = solver._pattern(view, rows.stack.sides)
+    pattern = solver._pattern(s, mode)
     derivatives = np.concatenate([rows.d_a, rows.d_b])
     moved = pattern.moved
     derivatives[moved] = (derivatives[moved, None, :] @ ad_inv[pattern.moved_rank])[:, 0]

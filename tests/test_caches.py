@@ -124,8 +124,8 @@ class TestJointsMoveWithTheirStep:
     @pytest.mark.parametrize("sides", list(SIDES))
     def test_every_joint_read_composes_its_body_pose(self, sides):
         """Fails if a carried P_T_J or J_T_M leaves the transform its update
-        composed (such as P_T_J o T where T o J_T_M is meant), if a pending
-        store's inference reads a non-fixed row, or if ``_with_rows``
+        composed (such as P_T_J o T where T o J_T_M is meant), if an
+        inference reads a non-fixed row, or if ``_with_rows``
         drops the polar step (orthonormality).  Random mixes of tree and
         forest updates on three trees, joints read after some of them."""
         rng = np.random.default_rng(54 + list(SIDES).index(sides))
@@ -149,27 +149,45 @@ class TestJointsMoveWithTheirStep:
 
     @pytest.mark.parametrize("copier", ["deepcopy", "pickle"])
     @pytest.mark.parametrize("last", ["forest", "tree"])
-    def test_copies_keep_their_joints_and_step_bit_for_bit(self, last, copier):
-        """A copy keeps the carried joint stacks (tree), or stays pending
-        (forest) and infers them as the original does.  Fails if a copy
-        drops the carried stacks or the pending flag, or re-infers carried
-        stacks, which differ in the last bits."""
-        s, provider = pulled_tree()
-        mode = SolverMode.CONSTRAINED if last == "forest" else SolverMode.PROJECTED
-        step(s, provider, COMBINED)
-        step(s, provider, SolverConfig(mode=mode))
-        twin = copy.deepcopy(s) if copier == "deepcopy" else pickle.loads(pickle.dumps(s))
-        assert twin.rows_at_poses().pending == s.rows_at_poses().pending == (last == "forest")
-        for cfg in (COMBINED, SolverConfig(mode=SolverMode.INDEPENDENT), COMBINED):
-            assert outcome(twin, provider, cfg) == outcome(s, provider, cfg)
-            assert state(twin) == state(s)
+    def test_copies_keep_their_joints_and_step_bit_for_bit(self, last, copier, monkeypatch):
+        """A copy keeps the carried joint stacks (tree), or has none
+        (forest) and infers them as the original does: on its next joint
+        read, or on its next tree step if that comes first, and never
+        twice.  Fails if a copy drops the carried stacks, or re-infers
+        them, which differ in the last bits, or keeps none where the
+        original has them."""
+        calls, infer = [], kinematics._PoseStore._infer
+        monkeypatch.setattr(kinematics._PoseStore, "_infer", lambda x: calls.append(x) or infer(x))
+        independent = SolverConfig(mode=SolverMode.INDEPENDENT)
+        # None reads every joint.
+        for actions, inferring in (
+            ([None, COMBINED, independent, COMBINED], [0, 0, 1]),
+            ([COMBINED, independent, None, COMBINED], [0, 1, 0]),
+        ):
+            s, provider = pulled_tree()
+            mode = SolverMode.CONSTRAINED if last == "forest" else SolverMode.PROJECTED
+            step(s, provider, COMBINED)
+            step(s, provider, SolverConfig(mode=mode))
+            twin = copy.deepcopy(s) if copier == "deepcopy" else pickle.loads(pickle.dumps(s))
+
+            def history(x):
+                counts, results = [], []
+                for cfg in actions:
+                    start = len(calls)
+                    results.append(state(x) if cfg is None else outcome(x, provider, cfg))
+                    counts.append(len(calls) - start)
+                return counts, results + [state(x)]
+
+            expected = history(s)
+            assert expected[0] == [int(last == "forest")] + inferring
+            assert history(twin) == expected
 
     def test_concurrent_reads_see_whole_stacks(self):
         """Six threads, released together by a barrier and interleaved by
-        a shortened switch interval, read the joints of one pending store;
-        each must see every stack inferred.  Fails (in most runs; the
-        interleaving is not forced) if an inference clears ``pending``
-        before its stacks are in place."""
+        a shortened switch interval, read the joints of one store that has
+        none yet; each must see every stack inferred.  Fails (in most runs;
+        the interleaving is not forced) if an inference publishes its
+        stacks before they are all in place."""
         s, provider = pulled_tree()
         step(s, provider, SolverConfig(mode=SolverMode.INDEPENDENT))
         expected = state(copy.deepcopy(s))
@@ -309,6 +327,21 @@ class TestOneWriter:
             with pytest.raises(ValueError, match="read-only"):
                 array[(0,) * array.ndim] = 1.0
             assert not array.flags.writeable, name
+
+    @pytest.mark.parametrize("copier", ["deepcopy", "pickle"])
+    @pytest.mark.parametrize("sides", ["parent_to_joint", "joint_to_model"])
+    def test_a_copy_infers_read_only_stacks(self, sides, copier):
+        """A copy taken after a forest step infers its joints in the stacks
+        the structure adopted, and passes on whole those where no joint
+        moves: parent_to_joint where every P_T_J is fixed, joint_to_model
+        and model_to_joint where every J_T_M is.  Fails if
+        ``KinematicStructure.__setstate__`` stops freezing them."""
+        rng = np.random.default_rng(58)
+        s = random_tree(rng, 6, fixed_sides=SIDES[sides])
+        s.update_poses(0.1 * rng.standard_normal(s.forest.n_dof), s.forest)
+        twin = copy.deepcopy(s) if copier == "deepcopy" else pickle.loads(pickle.dumps(s))
+        for name, stack in stacks(twin).items():
+            assert not (stack.r.flags.writeable or stack.t.flags.writeable), name
 
     def test_copies_evaluate_their_rows_again_bit_for_bit(self, monkeypatch):
         """Fails if a copy keeps the stored rows, whose arrays numpy copies

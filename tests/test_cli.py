@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from multibody import cli
+from multibody import cli, experiments
 from multibody.cli import main
 from multibody.solver import Regularization
 
@@ -35,13 +35,7 @@ class TestConverge:
 
     def test_singular_trial_exit_code(self, tmp_path, monkeypatch, capsys):
         # Without regularization the zero-energy trials are singular.
-        monkeypatch.setattr(
-            cli,
-            "run_convergence_study",
-            functools.partial(
-                cli.run_convergence_study, regularization=Regularization(0.0, 0.0)
-            ),
-        )
+        monkeypatch.setattr(experiments, "Regularization", functools.partial(Regularization, 0, 0))
         code = main(
             ["converge", "--trials", "4", "--iters", "1", "--kind", "full",
              "--out", str(tmp_path / "x.csv")]

@@ -1,11 +1,13 @@
 """Convergence, scaling, and tracking studies: determinism and behavior."""
 
+import functools
 import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from multibody import experiments
 from multibody.experiments import (
     CONVERGENCE_KINDS,
     ConvergenceStudy,
@@ -195,13 +197,14 @@ class TestBatchedStudy:
             assert np.array_equal(small.trans_errors, big.trans_errors[:k])
 
     @pytest.mark.parametrize("kind", CONVERGENCE_KINDS)
-    def test_singular_trial_named(self, kind):
+    def test_singular_trial_named(self, kind, monkeypatch):
         # Zero energy and zero regularization leave H = 0, so every trial's
         # KKT matrix is singular; the first one is named.
+        monkeypatch.setattr(experiments, "Regularization", functools.partial(Regularization, 0, 0))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(FactorizationFailed, match=f"{kind} .*trial 0") as info:
-                run_convergence_study(5, 1, kind, regularization=Regularization(0, 0))
+                run_convergence_study(5, 1, kind)
         assert info.value.system == 0
         assert not [w for w in caught if issubclass(w.category, scipy.linalg.LinAlgWarning)]
 
@@ -230,7 +233,7 @@ class TestScalingStudy:
 
 
 class TestSyntheticTracking:
-    def test_stationary_at_ground_truth_gives_perfect_auc(self, tmp_path):
+    def test_stationary_at_ground_truth_gives_perfect_auc(self, tmp_path, monkeypatch):
         import json
 
         raw = json.loads(DEMO_CONFIG.read_text())
@@ -241,7 +244,8 @@ class TestSyntheticTracking:
         import shutil
 
         shutil.copytree(DEMO_CONFIG.parent / "meshes", tmp_path / "meshes")
-        report = run_synthetic_tracking(path, "combined", steps=5, seed=0, jitter=0.0)
+        monkeypatch.setattr(experiments, "_TRACKING_JITTER", 0.0)
+        report = run_synthetic_tracking(path, "combined", steps=5, seed=0)
         assert report.auc == 1.0
 
     def test_combined_mode_keeps_closure(self):

@@ -53,12 +53,14 @@ class TestCoordinates:
     def test_forest_view_holds_no_n_by_n_array(self):
         n = 50
         s = build_serial_chain(n)
-        step(s, zero_energy, SolverConfig(mode=SolverMode.CONSTRAINED))
+        for mode in (SolverMode.CONSTRAINED, SolverMode.INDEPENDENT):
+            step(s, zero_energy, SolverConfig(mode=mode))
         view = s.forest
-        assert view.kkt_pattern is not None
+        assert set(view.kkt_patterns) == {False, True}
         assert view.subtree is None and view.moves is None
-        arrays = [v for v in vars(view).values() if isinstance(v, np.ndarray)]
-        arrays += list(view.pairs) + [view.kkt_pattern.slots]
+        arrays = list(view.pairs)
+        for holder in (view, *view.kkt_patterns.values()):
+            arrays += [v for v in vars(holder).values() if isinstance(v, np.ndarray)]
         assert all(a.ndim == 1 for a in arrays)
         assert s.tree.subtree.shape == (n, n)
 

@@ -1,6 +1,7 @@
 """Guards on what importing the package costs, on its public names and on
 the names the benchmark calls."""
 
+import dataclasses
 import importlib.util
 import inspect
 import os
@@ -80,7 +81,10 @@ def test_a_structure_is_configured_once():
     """The options only tests set stay removed: ``assemble`` takes the
     rows its structure keeps and a regularization, ``per_body`` gives a
     body without a provider zero energy, a structure's constraints are
-    given at construction, and the studies' constants are not parameters."""
+    given at construction, and the studies' constants are not parameters.
+    What construction fixes is no state either: a store has its joint
+    stacks or None, with no ``pending`` flag, and a view keeps one KKT
+    pattern per mode, with no single slot and no key to compare."""
     params = inspect.signature(multibody.solver.assemble).parameters
     assert list(params) == ["s", "g", "h", "mode", "regularization"]
     assert all(p.default is inspect.Parameter.empty for p in params.values())
@@ -94,6 +98,40 @@ def test_a_structure_is_configured_once():
         (multibody.experiments.build_serial_chain, ["n_bodies"]),
     ):
         assert list(inspect.signature(function).parameters) == names
+    for function, name in (
+        (multibody.experiments.run_convergence_study, "regularization"),
+        (multibody.experiments.run_synthetic_tracking, "jitter"),
+    ):
+        assert name not in inspect.signature(function).parameters
+    assert "key" not in {f.name for f in dataclasses.fields(multibody.solver._Pattern)}
+    s = multibody.experiments.build_serial_chain(3)
+    for mode in ("independent", "projected", "constrained"):
+        store = s.rows_at_poses()
+        multibody.step(s, multibody.zero_energy, multibody.SolverConfig(mode=mode))
+        assert not hasattr(store, "pending")
+    for view in (s.tree, s.forest):
+        assert not hasattr(view, "kkt_pattern")
+
+
+def test_each_mode_builds_its_kkt_pattern_once(monkeypatch):
+    """A structure's constraint rows are fixed at construction, so that its
+    view's KKT pattern without them and with them is built once each, however
+    often the two modes of the view alternate: on the 64-body chain
+    (forest view) and on the four-bar demo (tree view)."""
+    built, build = [], multibody.solver._Pattern.build
+    monkeypatch.setattr(
+        multibody.solver._Pattern, "build", lambda view, bodies: built.append(build(view, bodies))
+        or built[-1]
+    )
+    chain = multibody.experiments.build_serial_chain(64)
+    fourbar = multibody.config.load_config(ROOT / "demos" / "fourbar.json").structure
+    for s, modes in ((chain, ("independent", "constrained")), (fourbar, ("projected", "combined"))):
+        for _ in range(3):
+            for mode in modes:
+                multibody.step(s, multibody.zero_energy, multibody.SolverConfig(mode=mode))
+    kept = [*chain.forest.kkt_patterns.values(), *fourbar.tree.kkt_patterns.values()]
+    assert len(built) == len(kept) == 4
+    assert all(a is b for a, b in zip(built, kept))
 
 
 def test_only_the_tree_view_has_jacobians():

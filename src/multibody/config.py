@@ -18,6 +18,7 @@ default to zero.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -212,15 +213,15 @@ def parse_config(raw: dict, base_dir=None) -> TrackingConfig:
         frame_b = _parse_pose(entry.get("frame_b"), f"{where}.frame_b")
         if kind == "pose":
             mask = _parse_axes(_expect(entry, "axes", where, required=True), f"{where}.axes")
-            constraints.append(
-                Constraint(body_a, body_b, frame_a, frame_b, mask)
-            )
+            make = functools.partial(Constraint, constrained_axes=mask)
         elif kind == "orthogonality":
-            constraints.append(
-                OrthogonalityConstraint(body_a, body_b, frame_a, frame_b)
-            )
+            make = OrthogonalityConstraint
         else:
             raise ConfigError(f"{where}.type: unknown constraint type {kind!r}")
+        try:
+            constraints.append(make(body_a, body_b, frame_a, frame_b))
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
 
     try:
         structure = KinematicStructure(bodies, constraints)

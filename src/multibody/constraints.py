@@ -21,15 +21,27 @@ import numpy as np
 from .se3 import Pose, log_rotation, row_norms, skew, variation_matrix
 
 
+def _freeze_all(values):
+    """Make the arrays among ``values``, and those of the Poses and dicts
+    among them, read-only."""
+    for value in values:
+        # Arrays first: a ConstraintRows, built at every step, holds arrays.
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        elif isinstance(value, Pose):
+            _freeze_all((value.r, value.t))
+        elif isinstance(value, dict):
+            _freeze_all(value.values())
+
+
 class _ReadOnly:
-    """Every array among the attributes, and those of the Poses among them,
-    is read-only, also in a copy: numpy copies arrays writeable."""
+    """Every array among the attributes, and those of the Poses and dicts
+    among them, is read-only, also in a copy: numpy copies arrays
+    writeable.  The one copy hook of the records that hold read-only
+    arrays."""
 
     def _freeze(self):
-        for value in vars(self).values():
-            for array in (value.r, value.t) if isinstance(value, Pose) else (value,):
-                if isinstance(array, np.ndarray):
-                    array.flags.writeable = False
+        _freeze_all(vars(self).values())
 
     def __setstate__(self, state):
         vars(self).update(state)
@@ -160,8 +172,8 @@ def orthogonality_blocks(frame_a, a_t_mb, a_t_b):
 class ConstraintStack(_ReadOnly):
     """Constraints as stacks, built once with a structure: ``frame_a``/``frame_b``
     and their ``inverse_a``/``inverse_b``, ``body_a``/``body_b``, ``ortho`` flags,
-    row ``masks``, their ``counts``, each row's ``row_a``/``row_b`` and ``sides``,
-    the two concatenated.  Every array is read-only, also in a copy."""
+    row ``masks``, their ``counts`` and ``sides``, the body_a of each row and then
+    the body_b of each.  Every array is read-only, also in a copy."""
 
     def __init__(self, constraints):
         self.frame_a, self.frame_b = (
@@ -175,44 +187,38 @@ class ConstraintStack(_ReadOnly):
         axes = [getattr(c, "constrained_axes", _ORTHOGONALITY_ROWS) for c in constraints]
         self.masks = np.array(axes, dtype=bool).reshape(-1, 6)
         self.counts = self.masks.sum(axis=1)
-        self.row_a = np.repeat(self.body_a, self.counts)
-        self.row_b = np.repeat(self.body_b, self.counts)
-        self.sides = np.concatenate([self.row_a, self.row_b])
+        self.sides = np.repeat([self.body_a, self.body_b], self.counts, axis=1).ravel()
         self._freeze()
 
 
 @dataclass
-class ConstraintRows:
+class ConstraintRows(_ReadOnly):
     """A stack of constraints evaluated together.  ``extended`` holds each
     constraint's residual over all six axes (the three orthogonality
     residuals first for an OrthogonalityConstraint).  The rows, in
     constraint order, are ``residual``; their derivatives w.r.t. the 6-DoF
-    variations of their bodies (``stack.row_a``/``row_b``) are ``d_a``/
-    ``d_b`` (rows x 6, None when evaluated without blocks).  The arrays are
-    made read-only here, so that the norms computed once stay theirs."""
+    variations of their bodies (the two halves of ``stack.sides``) are
+    ``d_a``/``d_b`` (rows x 6, None when evaluated without blocks).  The
+    arrays are read-only, also in a copy, so that the rows stay those of
+    the poses they were evaluated at."""
 
     extended: np.ndarray
     d_a: np.ndarray | None
     d_b: np.ndarray | None
     stack: ConstraintStack
-    _norms: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for array in (self.extended, self.d_a, self.d_b):
-            if array is not None:
-                array.flags.writeable = False
+        self._freeze()
 
     @property
     def residual(self) -> np.ndarray:
         return self.extended[self.stack.masks]
 
     def norms(self) -> list[float]:
-        """Euclidean norm of each constraint's residual, computed once.  Zeros
-        in place of the unselected axes leave each row's dot product, and so
-        the norm, bit for bit that of np.linalg.norm over the selected rows."""
-        if self._norms is None:
-            self._norms = tuple(row_norms(np.where(self.stack.masks, self.extended, 0.0)).tolist())
-        return list(self._norms)
+        """Euclidean norm of each constraint's residual.  Zeros in place of
+        the unselected axes leave each row's dot product, and so the norm,
+        bit for bit that of np.linalg.norm over the selected rows."""
+        return row_norms(np.where(self.stack.masks, self.extended, 0.0)).tolist()
 
 
 def evaluate_constraints(stack: ConstraintStack, poses, blocks: bool = True) -> ConstraintRows:

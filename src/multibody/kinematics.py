@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import ConstraintRows, ConstraintStack, evaluate_constraints
+from .constraints import ConstraintRows, ConstraintStack, _ReadOnly, evaluate_constraints
 from .se3 import Pose, _pose, adjoint, exp_rotvec
 
 AXIS_NAMES = ("rot_x", "rot_y", "rot_z", "trans_x", "trans_y", "trans_z")
@@ -82,10 +82,10 @@ class _Adoptable:
 
 
 @dataclass
-class Joint(_Adoptable):
+class Joint(_Adoptable, _ReadOnly):
     """Connection allowing motion along a chosen set of joint-frame axes:
     the free-axis values are scattered into the extended 6-vector and fixed
-    axes stay zero."""
+    axes stay zero.  The free axes are read-only, also in a copy."""
 
     free_axes: np.ndarray
     joint_to_model: Pose = _PoseRow()
@@ -97,11 +97,6 @@ class Joint(_Adoptable):
         self.free_axes = np.array(self.free_axes, dtype=bool)
         if self.free_axes.shape != (6,):
             raise ValueError("free_axes must have 6 entries")
-        self.free_axes.flags.writeable = False
-
-    def __setstate__(self, state):
-        # numpy copies arrays writeable.
-        vars(self).update(state)
         self.free_axes.flags.writeable = False
 
 
@@ -182,35 +177,31 @@ class Coordinates:
         return sides, np.arange(sides.shape[0]) + np.repeat(first - start, count)
 
 
-class _PoseStore:
+class _PoseStore(_ReadOnly):
     """What a structure holds at one of its body-pose stacks: the poses, the
     joint stacks (parent_to_joint, joint_to_model and its inverse
     model_to_joint) and the constraints evaluated there.  Every stack is
     read-only and replaced, never written, so that a store stays that of its
-    poses whatever the structure does afterwards.
+    poses whatever the structure does afterwards; a copy keeps all of it,
+    read-only.
 
     The joint stacks are the store's own, given at adoption or carried by
     the tree-view update that made the poses, or None after a forest-view
     update: then they are inferred from the poses when first read
     (joints()) and published by one assignment, so that a concurrent reader
-    sees None or every stack, and at worst infers them twice.  A copy keeps
-    the stacks, or None.  The rows are derived: evaluated when first asked
-    for, without blocks or with them, which serve both, and again by a
-    copy, as numpy copies arrays writeable.
+    sees None or every stack, and at worst infers them twice.  The rows are
+    evaluated when first asked for, without blocks or with them, which
+    serve both.
     """
 
     def __init__(self, s, poses: Pose, joints: dict | None):
         self.s, self.poses, self._joints, self.rows = s, _frozen(poses), joints, None
 
-    def __getstate__(self):
-        return {**vars(self), "rows": None}
-
-    def __setstate__(self, state):
-        vars(self).update(state)
-        for pose in (self.poses, *(self._joints or {}).values()):
-            _frozen(pose)
-
     def __call__(self, blocks: bool = True) -> ConstraintRows:
+        """The constraints evaluated at the store's poses, with their
+        variation blocks if ``blocks``: the kept rows, evaluated again only
+        if there are none yet or they lack the blocks asked for.  Shared, to
+        be read, not written."""
         rows = self.rows
         if rows is None or (blocks and rows.d_a is None):
             rows = self.rows = evaluate_constraints(self.s.constraint_stack, self.poses, blocks)
@@ -239,7 +230,7 @@ class _PoseStore:
         return _with_rows(adopted, inferred)
 
 
-class KinematicStructure:
+class KinematicStructure(_ReadOnly):
     """Bodies in topological order, constraints, and two coordinate views:
     ``tree``, the structure's joint coordinates, and ``forest``.
 
@@ -256,9 +247,10 @@ class KinematicStructure:
 
     Each body-pose stack has one store (rows_at_poses): its joint stacks,
     carried by the update that made the poses or inferred from them when
-    first read, and the constraints evaluated there (``constraint_rows``,
+    first read, and the constraints evaluated there (``rows_at_poses()()``,
     read-only arrays), when first asked for, so that each pose is evaluated
-    at most once.  Mutating operations (pose updates) must be serialized by
+    at most once.  A copy keeps the stacks, the stores and their rows, all
+    read-only.  Mutating operations (pose updates) must be serialized by
     the caller; read-only snapshots may be shared for parallel evaluation,
     which at worst evaluates the same rows or joints twice.
     """
@@ -293,11 +285,6 @@ class KinematicStructure:
             for name, obj in zip(_STACKED, (body, body.joint, body.joint)):
                 vars(obj).pop(name, None)
                 vars(obj).update(_owner=self, _index=i)
-
-    def __setstate__(self, state):
-        vars(self).update(state)
-        for stack in self._adopted.values():  # numpy copies arrays writeable
-            _frozen(stack)
 
     @functools.cached_property
     def forest(self) -> Coordinates:
@@ -336,18 +323,11 @@ class KinematicStructure:
         update_poses replaces."""
         return self._store.poses
 
-    def constraint_rows(self, blocks: bool = True) -> ConstraintRows:
-        """The constraints evaluated at the body-pose stack, with their
-        variation blocks if ``blocks``: the stored rows, evaluated again
-        only if they are gone or lack the blocks asked for.  Shared, to be
-        read, not written."""
-        return self._store(blocks)
-
     def rows_at_poses(self) -> _PoseStore:
         """The store of the current body-pose stack, which gives its
-        constraint rows when called, as constraint_rows.  It stays bound to
-        that stack after update_poses replaces it, so rows asked of it later
-        are still those of the poses it was taken at."""
+        constraint rows when called (``s.rows_at_poses()(blocks)``).  It
+        stays bound to that stack after update_poses replaces it, so rows
+        asked of it later are still those of the poses it was taken at."""
         return self._store
 
     def jacobian_factors(self):

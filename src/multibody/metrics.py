@@ -17,6 +17,10 @@ class Mesh:
         self.vertices = np.asarray(self.vertices, dtype=float).reshape(-1, 3)
         if self.vertices.shape[0] < 1:
             raise ValueError("mesh must contain at least one vertex")
+        finite = np.isfinite(self.vertices).all(axis=1)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise ValueError(f"vertex {i} is not finite: {self.vertices[i].tolist()}")
 
 
 def load_obj(path) -> Mesh:

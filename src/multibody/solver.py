@@ -290,8 +290,9 @@ class StepReport:
     KinematicStructure.rows_at_poses), which stay bound to their poses and
     also hold their joint stacks.  In the modes without constraint rows the
     step evaluates no constraint, so that ``constraints_after`` reads about
-    0 there; a residual is evaluated when first read, once per pose stack,
-    from the rows the store holds if the structure evaluated them."""
+    0 there.  The rows are evaluated when first asked for, once per pose
+    stack, unless the store holds them already; the norms are computed from
+    them at each read."""
 
     theta_norm: float
     multipliers: list
@@ -321,7 +322,7 @@ def assemble(
     constraint rows in the constraint modes.  ``g`` (n, 6) and ``h``
     (n, 6, 6) are the bodies' energies (energy.evaluate) at the structure's
     poses (s.poses()); the rows are the structure's constraints evaluated
-    there with blocks, those it keeps (KinematicStructure.constraint_rows).
+    there with blocks, those it keeps (KinematicStructure.rows_at_poses).
     Raises FactorizationFailed naming the first body whose energy is not
     finite.
 
@@ -346,7 +347,7 @@ def assemble(
         raise FactorizationFailed(
             f"non-finite energy gradient or Hessian for body {i} ({s.bodies[i].name!r})"
         )
-    rows = s.constraint_rows() if mode in _CONSTRAINED_MODES else _NO_ROWS
+    rows = s.rows_at_poses()() if mode in _CONSTRAINED_MODES else _NO_ROWS
     view, pattern = _coordinates(s, mode), _pattern(s, mode)
     h = 0.5 * (h + h.swapaxes(1, 2))
     # Each row's derivatives w.r.t. the variations of its two bodies.

@@ -263,7 +263,7 @@ def assemble_by_products(s, g, h, mode, regularization):
     assembled the forest view too before it gathered that view's entries."""
     g = np.array(g, dtype=float)
     with_rows = mode in (SolverMode.CONSTRAINED, SolverMode.COMBINED)
-    rows = s.constraint_rows() if with_rows else solver._NO_ROWS
+    rows = s.rows_at_poses()() if with_rows else solver._NO_ROWS
     view = s.tree if mode in (SolverMode.PROJECTED, SolverMode.COMBINED) else s.forest
     ad_inv, motion = jacobian_factors(s, view)
     inner = view.children
@@ -308,9 +308,10 @@ def band_product_by_diagonals(band, w, y):
 def rows_jacobian(rows, jacobians):
     """Constraint rows w.r.t. the joint coordinates, chained through the
     (n, 6, n_dof) body Jacobians: d_a J_a + d_b J_b."""
+    m = rows.d_a.shape[0]
     return (
-        rows.d_a[:, None, :] @ jacobians[rows.stack.row_a]
-        + rows.d_b[:, None, :] @ jacobians[rows.stack.row_b]
+        rows.d_a[:, None, :] @ jacobians[rows.stack.sides[:m]]
+        + rows.d_b[:, None, :] @ jacobians[rows.stack.sides[m:]]
     )[:, 0]
 
 

@@ -215,16 +215,15 @@ class TestJointsMoveWithTheirStep:
 class TestReadOnlyRows:
     def test_stored_rows_refuse_in_place_writes(self):
         """Fails if ``ConstraintRows.__post_init__`` leaves the arrays
-        writeable: a write would leave the cached norms and the structure's
-        stored rows stale."""
+        writeable: a write would leave the structure's stored rows stale."""
         s = build_serial_chain(3)
-        rows = s.constraint_rows()
+        rows = s.rows_at_poses()()
         for array in (rows.extended, rows.d_a, rows.d_b):
             with pytest.raises(ValueError, match="read-only"):
                 array[0, 0] = 0.5
             with pytest.raises(ValueError, match="read-only"):
                 array += 1.0
-        assert s.constraint_rows(blocks=False) is rows
+        assert s.rows_at_poses()(blocks=False) is rows
 
     def test_no_rows_refuse_in_place_writes(self):
         """Fails if ``_NO_ROWS``, shared by every step without constraint
@@ -233,28 +232,25 @@ class TestReadOnlyRows:
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 1.0
 
-    def test_norms_are_computed_once_and_handed_out_as_copies(self, monkeypatch):
-        """Fails if ``ConstraintRows.norms`` evaluates again on a second call,
-        or hands out the list it keeps."""
+    def test_norms_are_handed_out_as_fresh_lists(self):
+        """Fails if ``ConstraintRows.norms`` hands out a list that a later
+        call hands out again, so that a caller's edit shows there."""
         s = build_serial_chain(3)
         moved = s.bodies[2].pose @ random_pose(np.random.default_rng(51), 0.1, 0.1)
         s = rebuilt(s, pose={2: moved})
-        rows = s.constraint_rows(blocks=False)
+        rows = s.rows_at_poses()(blocks=False)
         first = rows.norms()
-        calls = []
-        monkeypatch.setattr(
-            "multibody.constraints.row_norms", lambda v: calls.append(v) or np.zeros(0)
-        )
         first.append(1.0)
-        assert rows.norms() == first[:-1] and not calls
+        again = rows.norms()
+        assert again == first[:-1] and again is not first
         per_constraint = np.split(rows.residual, np.cumsum(rows.stack.counts)[:-1])
-        assert first[:-1] == [float(np.linalg.norm(r)) for r in per_constraint]
+        assert again == [float(np.linalg.norm(r)) for r in per_constraint]
 
 
 def kept_arrays(s):
     """Every array of the structure's stacks, its constraint stack and its
     joints, by name, and the arrays of its stored rows."""
-    rows = s.constraint_rows()
+    rows = s.rows_at_poses()()
     frames = {n: p for n, p in vars(s.constraint_stack).items() if isinstance(p, Pose)}
     poses = {
         "poses()": s.poses(),
@@ -262,7 +258,7 @@ def kept_arrays(s):
         **{f"constraint_stack.{name}": p for name, p in frames.items()},
     }
     arrays = {f"{name}.{part}": getattr(p, part) for name, p in poses.items() for part in "rt"}
-    arrays.update({f"constraint_rows().{n}": getattr(rows, n) for n in ("extended", "d_a", "d_b")})
+    arrays.update({f"rows_at_poses()().{n}": getattr(rows, n) for n in ("extended", "d_a", "d_b")})
     arrays.update(
         {f"constraint_stack.{n}": a for n, a in vars(s.constraint_stack).items() if n not in frames}
     )
@@ -299,7 +295,7 @@ class TestOneWriter:
         s = build_serial_chain(3)
         if copied:
             s = copy.deepcopy(s)
-        rows = s.constraint_rows(blocks=False)
+        rows = s.rows_at_poses()(blocks=False)
         with pytest.raises(ValueError, match="read-only"):
             if stack == "pose":
                 s.poses().t[2] += 0.5
@@ -313,9 +309,9 @@ class TestOneWriter:
     def test_kept_arrays_refuse_in_place_writes(self, which):
         """Fails if update_poses or ``_with_rows`` leaves a stack it
         replaces writeable, or if the constraint stack or a joint's free
-        axes are writeable; on a copy, if ``_PoseStore.__setstate__`` or
-        ``Joint.__setstate__`` stops freezing what it holds, or if a copy
-        keeps its stored rows, whose arrays numpy copies writeable."""
+        axes are writeable; on a copy, if ``_ReadOnly.__setstate__`` stops
+        freezing what a store, its rows or a joint holds, as numpy copies
+        arrays writeable."""
         s, provider = pulled_tree()
         assert not s.forest.links  # built now, so that a copy copies it
         if which == "copy before a step":
@@ -335,7 +331,8 @@ class TestOneWriter:
         the structure adopted, and passes on whole those where no joint
         moves: parent_to_joint where every P_T_J is fixed, joint_to_model
         and model_to_joint where every J_T_M is.  Fails if
-        ``KinematicStructure.__setstate__`` stops freezing them."""
+        ``_ReadOnly._freeze`` stops freezing the Poses of a dict attribute,
+        such as the structure's adopted stacks."""
         rng = np.random.default_rng(58)
         s = random_tree(rng, 6, fixed_sides=SIDES[sides])
         s.update_poses(0.1 * rng.standard_normal(s.forest.n_dof), s.forest)
@@ -343,22 +340,25 @@ class TestOneWriter:
         for name, stack in stacks(twin).items():
             assert not (stack.r.flags.writeable or stack.t.flags.writeable), name
 
-    def test_copies_evaluate_their_rows_again_bit_for_bit(self, monkeypatch):
-        """Fails if a copy keeps the stored rows, whose arrays numpy copies
-        writeable, instead of evaluating them again, or if the rows it
-        evaluates or its next step differ from the original's by a bit."""
+    @pytest.mark.parametrize("copier", ["deepcopy", "pickle"])
+    def test_copies_keep_their_rows_bit_for_bit(self, copier, monkeypatch):
+        """A copy keeps the rows its store holds, read-only, and evaluates
+        none.  Fails if a copy drops them, if a copy of ``ConstraintRows``
+        leaves its arrays writeable, or if the copy's rows or its next step
+        differ from the original's by a bit."""
         s, provider = pulled_tree()
         step(s, provider, COMBINED)
-        rows = s.constraint_rows()
-        twin = copy.deepcopy(s)
+        rows = s.rows_at_poses()()
+        twin = copy.deepcopy(s) if copier == "deepcopy" else pickle.loads(pickle.dumps(s))
         calls = []
         original = kinematics.evaluate_constraints
         monkeypatch.setattr(
             kinematics, "evaluate_constraints", lambda *args: calls.append(1) or original(*args)
         )
-        again = twin.constraint_rows()
-        assert calls == [1] and again.stack is twin.constraint_stack
+        again = twin.rows_at_poses()()
+        assert not calls and again is not rows and again.stack is twin.constraint_stack
         for name in ("extended", "d_a", "d_b"):
+            assert not getattr(again, name).flags.writeable, name
             assert getattr(again, name).tobytes() == getattr(rows, name).tobytes(), name
         assert again.norms() == rows.norms()
         assert outcome(twin, provider, COMBINED) == outcome(s, provider, COMBINED)
@@ -381,7 +381,7 @@ class TestOneWriter:
         s = build_serial_chain(3)
         if copied:
             s = copy.deepcopy(s)
-        rows, saved, n_dof = s.constraint_rows(), state(s), s.n_dof
+        rows, saved, n_dof = s.rows_at_poses()(), state(s), s.n_dof
         joint = s.bodies[1].joint
         for obj, field, value, named in [
             (s.bodies[1], "pose", pose, "body 'body1': pose"),
@@ -398,7 +398,52 @@ class TestOneWriter:
             joint.free_axes[0] = True
         assert joint.fixed_side is MODEL and s.bodies[1].parent == 0
         assert joint.free_axes.sum() == 1 and s.n_dof == n_dof == 8
-        assert state(s) == saved and s.constraint_rows() is rows
+        assert state(s) == saved and s.rows_at_poses()() is rows
+
+
+def held_arrays(record) -> dict:
+    """Every array a record holds, by attribute: its arrays, those of its
+    Poses and those of the Poses and arrays that its dicts hold."""
+    arrays = {}
+    for name, value in vars(record).items():
+        items = value.items() if isinstance(value, dict) else [("", value)]
+        for key, item in items:
+            parts = {"r": item.r, "t": item.t} if isinstance(item, Pose) else {"": item}
+            for part, array in parts.items():
+                if isinstance(array, np.ndarray):
+                    arrays[".".join(filter(None, (name, key, part)))] = array
+    return arrays
+
+
+READ_ONLY_RECORDS = {
+    "Joint": lambda s: s.bodies[1].joint,
+    "Constraint": lambda s: s.constraints[0],
+    "OrthogonalityConstraint": lambda s: s.constraints[1],
+    "ConstraintStack": lambda s: s.constraint_stack,
+    "ConstraintRows": lambda s: s.rows_at_poses()(),
+    "_PoseStore": lambda s: s.rows_at_poses(),
+    "KinematicStructure": lambda s: s,
+}
+
+
+@pytest.mark.parametrize("copier", ["deepcopy", "pickle"])
+@pytest.mark.parametrize("record", READ_ONLY_RECORDS)
+def test_every_read_only_record_stays_read_only_in_a_copy(record, copier):
+    """Each record whose arrays must not change, taken from a structure with
+    an orthogonality constraint after a COMBINED step and copied on its
+    own, holds only read-only arrays.  Fails if the record stops inheriting
+    ``_ReadOnly``, or if ``_ReadOnly._freeze`` misses an array, a Pose's
+    arrays or those a dict holds."""
+    s, provider = pulled_tree()
+    assert isinstance(s.constraints[1], OrthogonalityConstraint)
+    step(s, provider, COMBINED)
+    original = READ_ONLY_RECORDS[record](s)
+    assert type(original).__name__ == record
+    twin = copy.deepcopy(original) if copier == "deepcopy" else pickle.loads(pickle.dumps(original))
+    arrays = held_arrays(twin)
+    assert arrays.keys() == held_arrays(original).keys() and arrays
+    for name, array in arrays.items():
+        assert not array.flags.writeable, name
 
 
 class TestWorkspaceQuery:

@@ -154,6 +154,31 @@ class TestParseConfig:
         s = cfg.structure
         assert s.constraint_stack.counts.tolist() == [3]
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"axes": []}, r"^constraints\[0\]: constraint must select at least one axis$"),
+            ({"body_b": "root"}, r"^constraints\[0\]: constraint must reference two distinct bodies$"),
+            ({"type": "orthogonality", "body_b": "root"}, r"^constraints\[0\]: constraint must"),
+        ],
+        ids=["no axes", "one body", "one body, orthogonality"],
+    )
+    def test_constraint_errors_name_the_constraint(self, edit, message):
+        raw = minimal_config()
+        raw["bodies"].append({"name": "b", "parent": None, "joint": {"axes": ["rot_x"]}})
+        raw["constraints"] = [{"body_a": "root", "body_b": "b", "axes": ["trans_x"], **edit}]
+        with pytest.raises(ConfigError, match=message):
+            parse_config(raw)
+
+    def test_non_finite_mesh_vertex_names_the_body(self, tmp_path):
+        (tmp_path / "bad.obj").write_text("v 0 0 0\nv nan 0 0\n")
+        raw = minimal_config()
+        raw["bodies"][0]["mesh_path"] = "bad.obj"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError, match=r"^bodies\[0\]\.mesh_path: vertex 1 is not finite"):
+            load_config(path)
+
     def test_roundtrip_through_file(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(minimal_config()))

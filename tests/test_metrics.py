@@ -44,6 +44,13 @@ class TestAddError:
         with pytest.raises(ValueError):
             Mesh(np.zeros((0, 3)))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vertex_rejected(self, value):
+        vertices = np.zeros((3, 3))
+        vertices[2, 1] = value
+        with pytest.raises(ValueError, match=r"^vertex 2 is not finite"):
+            Mesh(vertices)
+
 
 class TestAddSError:
     def test_identity_is_zero(self):

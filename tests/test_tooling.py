@@ -84,7 +84,10 @@ def test_a_structure_is_configured_once():
     given at construction, and the studies' constants are not parameters.
     What construction fixes is no state either: a store has its joint
     stacks or None, with no ``pending`` flag, and a view keeps one KKT
-    pattern per mode, with no single slot and no key to compare."""
+    pattern per mode, with no single slot and no key to compare.  The
+    rows have one reader, the store (``s.rows_at_poses()()``), norms are
+    computed where they are read, and ``_ReadOnly`` is the one copy hook
+    of the records that keep read-only arrays."""
     params = inspect.signature(multibody.solver.assemble).parameters
     assert list(params) == ["s", "g", "h", "mode", "regularization"]
     assert all(p.default is inspect.Parameter.empty for p in params.values())
@@ -111,6 +114,15 @@ def test_a_structure_is_configured_once():
         assert not hasattr(store, "pending")
     for view in (s.tree, s.forest):
         assert not hasattr(view, "kkt_pattern")
+    assert not hasattr(multibody.KinematicStructure, "constraint_rows")
+    rows = s.rows_at_poses()()
+    rows.norms()
+    assert not hasattr(rows, "_norms")
+    assert "_norms" not in {f.name for f in dataclasses.fields(multibody.constraints.ConstraintRows)}
+    kinematics = multibody.kinematics
+    for cls in (kinematics.Joint, kinematics._PoseStore, kinematics.KinematicStructure):
+        assert not {"__setstate__", "__getstate__"} & set(vars(cls)), cls.__name__
+        assert issubclass(cls, multibody.constraints._ReadOnly), cls.__name__
 
 
 def test_each_mode_builds_its_kkt_pattern_once(monkeypatch):

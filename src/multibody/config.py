@@ -67,7 +67,18 @@ def _expect(obj, key, where, default=None, required=False):
     return obj[key]
 
 
+def _refuse_bool_or_str(value, where):
+    """ConfigError for a bool or str, or a list holding one, where the format
+    says number: float() and numpy would read them as numbers."""
+    if isinstance(value, (bool, str)):
+        raise ConfigError(f"{where}: expected a number, got {value!r}")
+    if isinstance(value, list):
+        for item in value:
+            _refuse_bool_or_str(item, where)
+
+
 def _parse_numbers(value, where) -> np.ndarray:
+    _refuse_bool_or_str(value, where)
     try:
         vec = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -85,6 +96,7 @@ def _parse_vec3(value, where):
 
 
 def _parse_finite(value, where) -> float:
+    _refuse_bool_or_str(value, where)
     try:
         number = float(value)
     except (TypeError, ValueError) as exc:

@@ -21,27 +21,30 @@ import numpy as np
 from .se3 import Pose, log_rotation, row_norms, skew, variation_matrix
 
 
-def _freeze_all(values):
-    """Make the arrays among ``values``, and those of the Poses and dicts
-    among them, read-only."""
-    for value in values:
-        # Arrays first: a ConstraintRows, built at every step, holds arrays.
-        if isinstance(value, np.ndarray):
-            value.setflags(write=False)
-        elif isinstance(value, Pose):
-            _freeze_all((value.r, value.t))
-        elif isinstance(value, dict):
-            _freeze_all(value.values())
+def _frozen(value):
+    """``value``, its arrays made read-only: an array, a Pose's arrays, or
+    the arrays among the items of a dict, tuple or list, at any depth, and
+    those of the Poses there.  Other values are left as they are."""
+    # Arrays first: a ConstraintRows, built at every step, holds arrays.
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+    elif isinstance(value, Pose):
+        _frozen((value.r, value.t))
+    elif isinstance(value, (tuple, list, dict)):
+        for item in value.values() if isinstance(value, dict) else value:
+            _frozen(item)
+    return value
 
 
 class _ReadOnly:
-    """Every array among the attributes, and those of the Poses and dicts
-    among them, is read-only, also in a copy: numpy copies arrays
+    """Every array among the attributes, and those that _frozen reaches
+    from them, is read-only, also in a copy: numpy copies arrays
     writeable.  The one copy hook of the records that hold read-only
-    arrays."""
+    arrays, which freeze them when built, by _freeze or _frozen."""
 
     def _freeze(self):
-        _freeze_all(vars(self).values())
+        for value in vars(self).values():
+            _frozen(value)
 
     def __setstate__(self, state):
         vars(self).update(state)

@@ -159,7 +159,7 @@ def run_convergence_study(
     system of every trial, as the combined-mode solver step does for one,
     and solves the stack at once.  Raises FactorizationFailed naming the
     first trial whose system fails, and ValueError for an unknown kind, no
-    trial or a negative number of iterations.
+    trial, a negative number of iterations or a negative seed.
     """
     if kind not in CONVERGENCE_KINDS:
         raise ValueError(f"unknown convergence kind {kind!r}")
@@ -167,6 +167,8 @@ def run_convergence_study(
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     if n_iterations < 0:
         raise ValueError(f"n_iterations must be >= 0, got {n_iterations}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     frame_a, frame_b, pose_a, pose_b, gradients, hessians = sample_trials(
         kind, n_trials, seed, equal_frames, random_energy
     )
@@ -366,10 +368,12 @@ def run_synthetic_tracking(config, mode: SolverMode, steps: int, seed: int = 0) 
     scale _TRACKING_JITTER) and is pulled toward the ground truth poses
     each step, weighted per body (weight 0 leaves a body unobserved).
     Errors are reported against the ground truth poses.  Raises ValueError
-    for a negative number of steps.
+    for a negative number of steps or a negative seed.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if not isinstance(config, TrackingConfig):
         config = load_config(config)
     estimate = config.structure

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import ConstraintRows, ConstraintStack, _ReadOnly, evaluate_constraints
+from .constraints import ConstraintRows, ConstraintStack, _frozen, _ReadOnly, evaluate_constraints
 from .se3 import Pose, _pose, adjoint, exp_rotvec
 
 AXIS_NAMES = ("rot_x", "rot_y", "rot_z", "trans_x", "trans_y", "trans_z")
@@ -40,12 +40,6 @@ def axes_mask(names) -> np.ndarray:
             raise ValueError(f"unknown axis {name!r}; expected one of {AXIS_NAMES}")
         mask[AXIS_NAMES.index(name)] = True
     return mask
-
-
-def _frozen(poses: Pose) -> Pose:
-    """The pose, its arrays made read-only."""
-    poses.r.flags.writeable = poses.t.flags.writeable = False
-    return poses
 
 
 class _PoseRow:
@@ -94,10 +88,9 @@ class Joint(_Adoptable, _ReadOnly):
     _role = "joint of body"
 
     def __post_init__(self):
-        self.free_axes = np.array(self.free_axes, dtype=bool)
+        self.free_axes = _frozen(np.array(self.free_axes, dtype=bool))
         if self.free_axes.shape != (6,):
             raise ValueError("free_axes must have 6 entries")
-        self.free_axes.flags.writeable = False
 
 
 @dataclass
@@ -109,7 +102,7 @@ class Body(_Adoptable):
     _role = "body"
 
 
-class Coordinates:
+class Coordinates(_ReadOnly):
     """Variation coordinates over a forest of bodies, one per free joint
     axis; each moves its own body and every body below it.  The tree view
     of a structure takes parents and free axes from its bodies' joints.
@@ -117,9 +110,11 @@ class Coordinates:
     axes, so that its coordinates are its own 6-DoF variation.  A view
     without links, such as the forest view, holds no n x n array: each body
     is its own root and subtree, moved by its own coordinates only.  All of
-    it is index data, fixed with the structure; the joint frames are the
-    structure's stacks.  ``kkt_patterns`` holds the solver's KKT pattern
-    of the view without (False) and with (True) the structure's rows.
+    it is index data, fixed with the structure and read-only, also in a
+    copy: ``links`` is a tuple and every array refuses writes.  The joint
+    frames are the structure's stacks.  ``kkt_patterns``, the one mutable
+    attribute, caches the solver's read-only KKT pattern of the view
+    without (False) and with (True) the structure's rows.
     """
 
     def __init__(self, parents, free=None):
@@ -129,12 +124,12 @@ class Coordinates:
         self.n_dofs = n_dofs = np.array([f.shape[0] for f in free], dtype=int)
         first = np.cumsum(n_dofs) - n_dofs
         self.n_dof = int(n_dofs.sum())
-        self.offsets = first.tolist()
+        self.offsets = first
         # Body and axis of each coordinate.
         self.body = np.repeat(np.arange(n), n_dofs)
         self.axis = np.concatenate(free)
         self.rotational = self.axis < 3
-        self.links = [(i, p) for i, p in enumerate(parents) if p is not None]
+        self.links = tuple((i, p) for i, p in enumerate(parents) if p is not None)
         self.children, self.parents = np.array(self.links, dtype=int).reshape(-1, 2).T
         if self.links:
             # ancestors[i, j]: body j is body i or one of its ancestors, of
@@ -164,6 +159,7 @@ class Coordinates:
         p, q = self.pairs = p[upper], q[upper]
         self.diagonal, self.mirrored = np.flatnonzero(p == q), np.flatnonzero(p != q)
         self.kkt_patterns = {}
+        self._freeze()
 
     def moving(self, bodies: np.ndarray):
         """(k, q) for every coordinate q that moves body bodies[k], by k and
@@ -173,8 +169,7 @@ class Coordinates:
         count = self.n_dofs[bodies]
         sides = np.repeat(np.arange(bodies.shape[0]), count)
         start = np.cumsum(count) - count
-        first = np.array(self.offsets, dtype=int)[bodies]
-        return sides, np.arange(sides.shape[0]) + np.repeat(first - start, count)
+        return sides, np.arange(sides.shape[0]) + np.repeat(self.offsets[bodies] - start, count)
 
 
 class _PoseStore(_ReadOnly):
@@ -214,36 +209,37 @@ class _PoseStore(_ReadOnly):
         return self._joints
 
     def _infer(self) -> dict:
-        """Each joint's non-fixed transform from the poses: with
-        rel = parent^-1 o pose for each non-root body, P_T_J = rel o J_T_M^-1
-        where J_T_M is fixed, else J_T_M = P_T_J^-1 o rel, on the adopted stacks."""
-        poses, adopted, inferred = self.poses, self.s._adopted, []
-        for children, parents, name in self.s._joint_sides:
+        """Each joint's non-fixed transform from the poses, on the adopted
+        stacks: with rel = parent^-1 o pose for each non-root body,
+        P_T_J = rel o J_T_M^-1 where J_T_M is fixed, else
+        J_T_M = P_T_J^-1 o rel.  The fixed factors are the structure's,
+        computed at adoption (_joint_sides), so that only rel is inverted."""
+        poses, inferred = self.poses, []
+        for children, parents, name, fixed in self.s._joint_sides:
             rel = poses[parents].inverse() @ poses[children]
-            if name == "parent_to_joint":
-                row = rel @ adopted["model_to_joint"][children]
-            else:
-                # In C order: the product's rounding depends on the layout.
-                inverse = adopted["parent_to_joint"][children].inverse()
-                row = _pose(np.ascontiguousarray(inverse.r), inverse.t) @ rel
+            row = rel @ fixed if name == "parent_to_joint" else fixed @ rel
             inferred.append((children, name, row))
-        return _with_rows(adopted, inferred)
+        return _with_rows(self.s._adopted, inferred)
 
 
 class KinematicStructure(_ReadOnly):
-    """Bodies in topological order, constraints, and two coordinate views:
-    ``tree``, the structure's joint coordinates, and ``forest``.
+    """Bodies in topological order (``bodies``, a tuple), constraints, and
+    two read-only coordinate views: ``tree``, the structure's joint
+    coordinates, and ``forest``.
 
     The structure owns the state as read-only stacked poses, one row per body:
     the body poses (``poses``) and the joints' joint_to_model and
     parent_to_joint, copied from the bodies and joints it adopts and kept as
-    adopted (roots' and fixed sides' rows are constant), and beside
-    joint_to_model its inverse (model_to_joint), the joint frames of the tree
-    view's Jacobians and updates.  Only update_poses changes the state, by
-    replacing the stacks; ``Body.pose`` and the joint transforms read their row
-    and refuse assignment.  A body or joint handed to a second structure belongs
-    to that one; no field of an adopted body or joint can be assigned.  The
-    constraints, given at construction, are stacked once (``constraint_stack``).
+    adopted (roots' and fixed sides' rows are constant, and so is the fixed
+    factor of each side's inference), and beside joint_to_model its inverse
+    (model_to_joint), the joint frames of the tree view's Jacobians and
+    updates.  What construction fixes is immutable: the bodies tuple, the
+    views, their KKT patterns and every array the structure keeps.  Only
+    update_poses changes the state, by replacing the stacks; ``Body.pose``
+    and the joint transforms read their row and refuse assignment.  A body
+    or joint handed to a second structure belongs to that one; no field of
+    an adopted body or joint can be assigned.  The constraints, given at
+    construction, are stacked once (``constraint_stack``).
 
     Each body-pose stack has one store (rows_at_poses): its joint stacks,
     carried by the update that made the poses or inferred from them when
@@ -256,7 +252,7 @@ class KinematicStructure(_ReadOnly):
     """
 
     def __init__(self, bodies: list[Body], constraints=()):
-        self.bodies = list(bodies)
+        self.bodies = tuple(bodies)
         self._constraints = tuple(constraints)
         self._validate()
         self.constraint_stack = ConstraintStack(self._constraints)
@@ -265,21 +261,29 @@ class KinematicStructure(_ReadOnly):
         for name, objs in zip(_STACKED, (self.bodies, joints, joints)):
             rows = [getattr(obj, name) for obj in objs]
             name_row = functools.partial(_row_name, self, objs[0]._role, name)
-            stacks[name] = _frozen(Pose.stack(rows, name_row))
-        stacks["model_to_joint"] = _frozen(stacks["joint_to_model"].inverse())
+            stacks[name] = Pose.stack(rows, name_row)
+        stacks["model_to_joint"] = stacks["joint_to_model"].inverse()
         self._store = _PoseStore(self, stacks.pop("pose"), stacks)
         self._adopted = stacks
         parents = [b.parent for b in self.bodies]
         free = [np.flatnonzero(j.free_axes) for j in joints]
         self.tree = Coordinates(parents, free)
         self.n_dof, self.dof_offsets = self.tree.n_dof, self.tree.offsets
-        # Per fixed side (joint_to_model, then parent_to_joint): children, parents, stack inferred.
+        # Per fixed side (joint_to_model, then parent_to_joint): children, parents,
+        # stack inferred and its inference's fixed factor, J_T_M^-1 or P_T_J^-1
+        # (in C order: the product's rounding depends on the layout).
         children, parents = self.tree.children, self.tree.parents
         fixed = np.array([joints[i].fixed_side is FixedSide.JOINT_TO_MODEL for i in children], bool)
-        self._joint_sides = [
-            (children[rows], parents[rows], name)
-            for rows, name in ((fixed, "parent_to_joint"), (~fixed, "joint_to_model")) if rows.any()
-        ]
+        inverse = stacks["parent_to_joint"][children[~fixed]].inverse()
+        self._joint_sides = tuple(
+            (children[rows], parents[rows], name, factor)
+            for rows, name, factor in (
+                (fixed, "parent_to_joint", stacks["model_to_joint"][children[fixed]]),
+                (~fixed, "joint_to_model", _pose(np.ascontiguousarray(inverse.r), inverse.t)),
+            )
+            if rows.any()
+        )
+        self._freeze()
         # Bound only once every row is valid.
         for i, body in enumerate(self.bodies):
             for name, obj in zip(_STACKED, (body, body.joint, body.joint)):
@@ -408,7 +412,7 @@ class KinematicStructure(_ReadOnly):
         carried = [
             (children, name, moved[children] if name == "parent_to_joint"
              else variation[children] @ joint_to_model[children])
-            for children, _, name in self._joint_sides
+            for children, _, name, _ in self._joint_sides
         ]
         self._store = _PoseStore(self, poses, _with_rows(self._adopted, carried))
         return poses

@@ -25,13 +25,20 @@ class Mesh:
 
 def load_obj(path) -> Mesh:
     """Vertices from the "v x y z" lines of an ASCII OBJ file; everything
-    else (faces, normals, textures) is ignored."""
+    else (faces, normals, textures) is ignored.  A "v" line without three
+    numbers is rejected, naming its line."""
     vertices = []
     with open(path) as f:
-        for line in f:
+        for number, line in enumerate(f, 1):
             parts = line.split()
-            if len(parts) >= 4 and parts[0] == "v":
-                vertices.append([float(x) for x in parts[1:4]])
+            if parts[:1] == ["v"]:
+                try:
+                    x, y, z = map(float, parts[1:4])
+                except ValueError:
+                    raise ValueError(
+                        f"{path}, line {number}: expected 3 numbers, got {line.strip()!r}"
+                    ) from None
+                vertices.append([x, y, z])
     if not vertices:
         raise ValueError(f"no vertices found in {path}")
     return Mesh(np.array(vertices))

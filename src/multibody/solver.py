@@ -38,7 +38,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dsytrf, dsytrf_lwork, dsytrs
 
-from .constraints import ConstraintRows, ConstraintStack
+from .constraints import ConstraintRows, ConstraintStack, _ReadOnly
 from .energy import evaluate
 from .kinematics import KinematicStructure, _PoseStore
 
@@ -169,9 +169,11 @@ class KktSystem:
 
 
 @dataclass
-class _Pattern:
+class _Pattern(_ReadOnly):
     """Where the structurally nonzero entries of one view's KKT matrix go in
     one mode (_pattern), rows on given bodies, as the size rule stores it.
+    Built once per view and mode and kept in the view: its arrays are
+    read-only, also in a copy.
 
     The entries are H's pattern pairs (view.pairs), their mirror images,
     then B's and B^T's: for each side of each row (side k of row k mod m,
@@ -191,6 +193,9 @@ class _Pattern:
     slots: np.ndarray
     width: int = 0
     order: np.ndarray | None = None
+
+    def __post_init__(self):
+        self._freeze()
 
     @classmethod
     def build(cls, view, bodies: np.ndarray) -> "_Pattern":

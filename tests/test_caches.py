@@ -12,6 +12,7 @@ import copy
 import pickle
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ import pytest
 import oracles as scalar
 from builders import random_pose, random_tree, random_trees, rebuilt, stacks
 from multibody import kinematics, solver
+from multibody.config import load_config
 from multibody.constraints import Constraint, OrthogonalityConstraint, evaluate_constraints
 from multibody.energy import per_body, quadratic_pose_target
 from multibody.experiments import build_serial_chain
@@ -28,6 +30,7 @@ from multibody.solver import (
     FactorizationFailed, KktSystem, SolverConfig, SolverMode, solve_kkt, step
 )
 
+DEMO_CONFIG = Path(__file__).parent.parent / "demos" / "fourbar.json"
 MODEL, PARENT = FixedSide.JOINT_TO_MODEL, FixedSide.PARENT_TO_JOINT
 SIDES = {
     "parent_to_joint": [PARENT] * 6,
@@ -146,6 +149,27 @@ class TestJointsMoveWithTheirStep:
                     assert np.abs(composed.t - body.pose.t).max() <= 1e-12 * scale, body.name
                     for r in (joint.parent_to_joint.r, joint.joint_to_model.r):
                         assert np.abs(r.T @ r - np.eye(3)).max() <= 1e-14, body.name
+
+    def test_an_inference_inverts_only_the_parents_poses(self, monkeypatch):
+        """An inference's fixed factors, J_T_M^-1 and P_T_J^-1, are the
+        structure's, computed at adoption: on a tree of both fixed sides it
+        inverts the parents' poses once per side (rel) and no adopted
+        stack before it puts the rows in (``_with_rows``).  Fails if
+        ``_infer`` inverts the adopted parent_to_joint rows again."""
+        rng = np.random.default_rng(59)
+        s = random_tree(rng, 6, fixed_sides=SIDES["mixed"])
+        s.update_poses(0.1 * rng.standard_normal(s.forest.n_dof), s.forest)
+        store, inverted, inverse = s.rows_at_poses(), [], Pose.inverse
+        monkeypatch.setattr(Pose, "inverse", lambda pose: inverted.append(pose) or inverse(pose))
+        with_rows = kinematics._with_rows
+        monkeypatch.setattr(
+            kinematics, "_with_rows", lambda *args: inverted.append(None) or with_rows(*args)
+        )
+        store.joints()
+        parents = [side[1] for side in s._joint_sides]
+        assert len(parents) == 2 and inverted.index(None) == 2
+        for pose, rows in zip(inverted, parents):
+            assert pose.r.tobytes() == store.poses[rows].r.tobytes()
 
     @pytest.mark.parametrize("copier", ["deepcopy", "pickle"])
     @pytest.mark.parametrize("last", ["forest", "tree"])
@@ -364,6 +388,59 @@ class TestOneWriter:
         assert outcome(twin, provider, COMBINED) == outcome(s, provider, COMBINED)
         assert state(twin) == state(s)
 
+    @pytest.mark.parametrize(
+        "target",
+        ["tree.axis", "forest.pairs", "kept pattern", "dof_offsets", "tree.links", "bodies"],
+    )
+    def test_what_construction_fixes_refuses_writes(self, target):
+        """The views, their kept KKT patterns, the DoF offsets and the
+        bodies are fixed at construction: an in-place write would change
+        later steps (a writeable ``s.tree.axis`` took ``s.tree.axis[1] = 5``
+        and the PROJECTED step's theta norm below from 0.07779 to
+        0.07723).  Fails if
+        ``Coordinates`` or ``_Pattern`` leaves an array writeable, or if
+        ``links`` or ``bodies`` is a list, or if the next steps differ by a
+        bit from those of a fresh structure."""
+        s = build_serial_chain(3)
+        step(s, per_body({}), SolverConfig(mode=SolverMode.CONSTRAINED))
+        fresh = rebuilt(s)
+        container, value = {
+            "tree.axis": (s.tree.axis, 5),
+            "forest.pairs": (s.forest.pairs[1], 0),
+            "kept pattern": (s.forest.kkt_patterns[True].slots, 0),
+            "dof_offsets": (s.dof_offsets, 0),
+            "tree.links": (s.tree.links, (1, 1)),
+            "bodies": (s.bodies, Body("other", Joint(np.ones(6, bool)))),
+        }[target]
+        with pytest.raises((TypeError, ValueError), match="read-only|does not support item"):
+            container[1] = value
+        provider = per_body({2: quadratic_pose_target(random_pose(np.random.default_rng(60)))})
+        for mode in (SolverMode.PROJECTED, SolverMode.CONSTRAINED):
+            cfg = SolverConfig(mode=mode)
+            assert outcome(s, provider, cfg) == outcome(fresh, provider, cfg), mode
+            assert state(s) == state(fresh), mode
+
+    @pytest.mark.parametrize("copier", ["original", "deepcopy", "pickle"])
+    def test_every_array_reachable_from_a_structure_is_read_only(self, copier):
+        """After a step in each mode, every array reachable from a
+        structure refuses in-place writes, also in a copy: its views and
+        their four kept KKT patterns, its bodies' joints, its constraints
+        and their stack, its adopted stacks and fixed factors, and its
+        store's stacks and rows.  Fails if any of them keeps a writeable
+        array, such as a view or a pattern that stops freezing itself."""
+        s, provider = pulled_tree()
+        for mode in SolverMode:
+            step(s, provider, SolverConfig(mode=mode))
+        if copier == "deepcopy":
+            s = copy.deepcopy(s)
+        elif copier == "pickle":
+            s = pickle.loads(pickle.dumps(s))
+        assert len(s.tree.kkt_patterns) == len(s.forest.kkt_patterns) == 2
+        arrays = reachable_arrays(s)
+        assert len(arrays) > 100
+        for path, array in arrays.items():
+            assert not array.flags.writeable, path
+
     @pytest.mark.parametrize("copied", [False, True])
     def test_assigning_a_field_after_adoption_raises(self, copied):
         """The structure reads a body's and a joint's fields once, when it
@@ -401,20 +478,40 @@ class TestOneWriter:
         assert state(s) == saved and s.rows_at_poses()() is rows
 
 
-def held_arrays(record) -> dict:
-    """Every array a record holds, by attribute: its arrays, those of its
-    Poses and those of the Poses and arrays that its dicts hold."""
-    arrays = {}
-    for name, value in vars(record).items():
-        items = value.items() if isinstance(value, dict) else [("", value)]
-        for key, item in items:
-            parts = {"r": item.r, "t": item.t} if isinstance(item, Pose) else {"": item}
-            for part, array in parts.items():
-                if isinstance(array, np.ndarray):
-                    arrays[".".join(filter(None, (name, key, part)))] = array
+def reachable_arrays(root, records=True) -> dict:
+    """Every array reachable from ``root``, by the first path that reaches
+    it: through Poses, the items of dicts, tuples and lists and, with
+    ``records``, the attributes of the package's objects; without, only
+    those of ``root`` itself (the arrays a record holds)."""
+    arrays, seen, todo = {}, set(), [(name, value) for name, value in vars(root).items()]
+    while todo:
+        path, value = todo.pop()
+        if id(value) in seen:
+            continue
+        seen.add(id(value))
+        if isinstance(value, np.ndarray):
+            arrays[path] = value
+        elif isinstance(value, Pose):
+            todo += [(f"{path}.r", value.r), (f"{path}.t", value.t)]
+        elif isinstance(value, dict):
+            todo += [(f"{path}[{key!r}]", item) for key, item in value.items()]
+        elif isinstance(value, (tuple, list)):
+            todo += [(f"{path}[{k}]", item) for k, item in enumerate(value)]
+        elif records and type(value).__module__.startswith("multibody."):
+            todo += [(f"{path}.{name}", item) for name, item in vars(value).items()]
     return arrays
 
 
+def kept_pattern(s, mode, band):
+    """The KKT pattern a step in ``mode`` keeps, stored as a band matrix or
+    densely."""
+    step(s, per_body({}), SolverConfig(mode=mode))
+    pattern = solver._pattern(s, mode)
+    assert (pattern.order is not None) == band
+    return pattern
+
+
+# By class name, then what the record is.
 READ_ONLY_RECORDS = {
     "Joint": lambda s: s.bodies[1].joint,
     "Constraint": lambda s: s.constraints[0],
@@ -423,6 +520,14 @@ READ_ONLY_RECORDS = {
     "ConstraintRows": lambda s: s.rows_at_poses()(),
     "_PoseStore": lambda s: s.rows_at_poses(),
     "KinematicStructure": lambda s: s,
+    "Coordinates (tree)": lambda s: s.tree,
+    "Coordinates (forest)": lambda s: s.forest,
+    "_Pattern (dense, four-bar)": lambda s: kept_pattern(
+        load_config(DEMO_CONFIG).structure, SolverMode.COMBINED, band=False
+    ),
+    "_Pattern (band, 64-body chain)": lambda s: kept_pattern(
+        build_serial_chain(64), SolverMode.CONSTRAINED, band=True
+    ),
 }
 
 
@@ -430,18 +535,19 @@ READ_ONLY_RECORDS = {
 @pytest.mark.parametrize("record", READ_ONLY_RECORDS)
 def test_every_read_only_record_stays_read_only_in_a_copy(record, copier):
     """Each record whose arrays must not change, taken from a structure with
-    an orthogonality constraint after a COMBINED step and copied on its
-    own, holds only read-only arrays.  Fails if the record stops inheriting
+    an orthogonality constraint after a COMBINED step (a KKT pattern from
+    the four-bar or the 64-body chain after a step) and copied on its own,
+    holds only read-only arrays.  Fails if the record stops inheriting
     ``_ReadOnly``, or if ``_ReadOnly._freeze`` misses an array, a Pose's
-    arrays or those a dict holds."""
+    arrays or those a dict, tuple or list holds."""
     s, provider = pulled_tree()
     assert isinstance(s.constraints[1], OrthogonalityConstraint)
     step(s, provider, COMBINED)
     original = READ_ONLY_RECORDS[record](s)
-    assert type(original).__name__ == record
+    assert type(original).__name__ == record.split()[0]
     twin = copy.deepcopy(original) if copier == "deepcopy" else pickle.loads(pickle.dumps(original))
-    arrays = held_arrays(twin)
-    assert arrays.keys() == held_arrays(original).keys() and arrays
+    arrays = reachable_arrays(twin, records=False)
+    assert arrays.keys() == reachable_arrays(original, records=False).keys() and arrays
     for name, array in arrays.items():
         assert not array.flags.writeable, name
 

@@ -67,6 +67,19 @@ class TestConverge:
         assert info.value.code == 1
 
 
+class TestSeed:
+    @pytest.mark.parametrize("command", ["converge", "track"])
+    def test_negative_seed_is_named(self, tmp_path, capsys, command):
+        """--seed -1 exited 1 with numpy's bare "expected non-negative
+        integer"."""
+        out = tmp_path / "x.csv"
+        args = ["--config", str(DEMO_CONFIG)] if command == "track" else []
+        code = main([command, *args, "--seed", "-1", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1 and not out.exists()
+        assert captured.err == "error: seed must be >= 0, got -1\n"
+
+
 class TestScaling:
     def test_writes_csv(self, tmp_path):
         out = tmp_path / "scaling.csv"

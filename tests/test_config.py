@@ -179,6 +179,49 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"^bodies\[0\]\.mesh_path: vertex 1 is not finite"):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "path, value, where",
+        [
+            (("e_t",), True, r"config\.e_t: expected a number, got True"),
+            (("bodies", 0, "weights"), {"rot": "100"}, r"bodies\[0\]\.weights\.rot: .*'100'"),
+            (("bodies", 0, "weights"), {"trans": True}, r"bodies\[0\]\.weights\.trans: .*True"),
+            (("bodies", 0, "pose"), {"rotvec": [0, "1", 0]}, r"bodies\[0\]\.pose\.rotvec: .*'1'"),
+            (("trajectory",), {"root": {"amplitude": [0.1], "period": True}},
+             r"trajectory\['root'\]\.period: .*True"),
+            (("trajectory",), {"root": {"amplitude": [True], "period": 10}},
+             r"trajectory\['root'\]\.amplitude: .*True"),
+            (("trajectory",), {"root": {"amplitude": "0.1", "period": 10, "phase": 0}},
+             r"trajectory\['root'\]\.amplitude: .*'0\.1'"),
+            (("trajectory",), {"root": {"amplitude": [0.1], "period": 10, "phase": "1"}},
+             r"trajectory\['root'\]\.phase: .*'1'"),
+        ],
+        ids=["e_t true", "weight string", "weight true", "rotvec string", "period true",
+             "amplitude true", "amplitude string", "phase string"],
+    )
+    def test_booleans_and_strings_are_not_numbers(self, path, value, where):
+        """JSON true and number strings passed as numbers, since
+        float(True) == 1.0 and numpy parses "1": a period of true made the
+        trajectory static with exit code 0."""
+        raw = minimal_config()
+        parent = raw
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        with pytest.raises(ConfigError, match=f"^{where}$"):
+            parse_config(raw)
+
+    @pytest.mark.parametrize("line", ["v 1 2", "v a 0 0"])
+    def test_malformed_mesh_vertex_names_the_line(self, tmp_path, line):
+        """``v 1 2`` was skipped, so that ADD was computed on another mesh,
+        and ``v a 0 0`` raised numpy's message with no line."""
+        (tmp_path / "bad.obj").write_text(f"v 0 0 0\n{line}\nv 1 1 1\n")
+        raw = minimal_config()
+        raw["bodies"][0]["mesh_path"] = "bad.obj"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError, match=r"^bodies\[0\]\.mesh_path: .*bad\.obj, line 2: "):
+            load_config(path)
+
     def test_roundtrip_through_file(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(minimal_config()))

@@ -130,6 +130,15 @@ class TestLoadObj:
         assert n_vertices(mesh) == 3
         assert np.allclose(mesh.vertices[1], [1, 0, 0])
 
+    @pytest.mark.parametrize("line", ["v 1 2", "v a 0 0", "v"])
+    def test_malformed_vertex_rejected_naming_its_line(self, tmp_path, line):
+        """A vertex line without three numbers was skipped, or raised
+        float()'s message with no line number."""
+        path = tmp_path / "bad.obj"
+        path.write_text(f"# comment\nv 0 0 0\n{line}\n")
+        with pytest.raises(ValueError, match=f"^{path}, line 3: expected 3 numbers, got '{line}'$"):
+            load_obj(path)
+
     def test_no_vertices_rejected(self, tmp_path):
         path = tmp_path / "empty.obj"
         path.write_text("# nothing here\n")

@@ -87,7 +87,8 @@ def test_a_structure_is_configured_once():
     pattern per mode, with no single slot and no key to compare.  The
     rows have one reader, the store (``s.rows_at_poses()()``), norms are
     computed where they are read, and ``_ReadOnly`` is the one copy hook
-    of the records that keep read-only arrays."""
+    of the records that keep read-only arrays, with one helper, ``_frozen``,
+    that freezes them."""
     params = inspect.signature(multibody.solver.assemble).parameters
     assert list(params) == ["s", "g", "h", "mode", "regularization"]
     assert all(p.default is inspect.Parameter.empty for p in params.values())
@@ -119,10 +120,12 @@ def test_a_structure_is_configured_once():
     rows.norms()
     assert not hasattr(rows, "_norms")
     assert "_norms" not in {f.name for f in dataclasses.fields(multibody.constraints.ConstraintRows)}
-    kinematics = multibody.kinematics
+    kinematics, constraints = multibody.kinematics, multibody.constraints
     for cls in (kinematics.Joint, kinematics._PoseStore, kinematics.KinematicStructure):
         assert not {"__setstate__", "__getstate__"} & set(vars(cls)), cls.__name__
-        assert issubclass(cls, multibody.constraints._ReadOnly), cls.__name__
+        assert issubclass(cls, constraints._ReadOnly), cls.__name__
+    assert not hasattr(constraints, "_freeze_all")
+    assert kinematics._frozen is constraints._frozen
 
 
 def test_each_mode_builds_its_kkt_pattern_once(monkeypatch):
@@ -148,15 +151,37 @@ def test_each_mode_builds_its_kkt_pattern_once(monkeypatch):
 
 def test_only_the_tree_view_has_jacobians():
     """A view is constant index data: no per-tree layout and no joint
-    frames of its own, which the structure's stacks hold, so that it has
-    nothing to freeze in a copy; jacobian_factors is the tree view's."""
-    for name in ("frames", "inverse_frames", "per_tree", "pair_slots", "__setstate__"):
+    frames of its own, which the structure's stacks hold, and no copy hook
+    of its own beside ``_ReadOnly``'s; jacobian_factors is the tree view's."""
+    for name in ("frames", "inverse_frames", "per_tree", "pair_slots"):
         assert not hasattr(multibody.kinematics.Coordinates, name), name
+    assert "__setstate__" not in vars(multibody.kinematics.Coordinates)
     s = multibody.experiments.build_serial_chain(3)
     for view in (s.tree, s.forest):
         assert not {"frames", "inverse_frames", "layout", "slots", "pair_slots"} & set(vars(view))
     factors = inspect.signature(multibody.KinematicStructure.jacobian_factors)
     assert list(factors.parameters) == ["self"]
+
+
+def test_every_read_only_record_is_checked_in_a_copy():
+    """Each ``_ReadOnly`` subclass of the package, or a subclass of it, is
+    a record of ``test_caches.READ_ONLY_RECORDS``, whose copies are checked
+    to hold only read-only arrays: a new record cannot skip the rule."""
+    from test_caches import READ_ONLY_RECORDS
+
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    records = {
+        cls.__name__: cls for cls in subclasses(multibody.constraints._ReadOnly)
+        if cls.__module__.startswith("multibody.")
+    }
+    listed = {name.split()[0] for name in READ_ONLY_RECORDS}
+    assert listed <= records.keys()
+    for name, cls in records.items():
+        assert any(issubclass(records[record], cls) for record in listed), name
 
 
 def perfbench_module(name: str):

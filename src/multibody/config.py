@@ -7,28 +7,30 @@ The file format is a plain JSON object:
   mesh_path (relative to the config file) and weights {rot, trans}, finite
   and non-negative, default 1.
 * constraints: list of {body_a, body_b, frame_a, frame_b, axes} with an
-  optional type of "pose" (default) or "orthogonality".
+  optional type of "pose" (default) or "orthogonality"; axes belongs to
+  pose constraints only.
 * trajectory: per-body sinusoidal joint programs {amplitude, period, phase}.
 * e_t: error threshold in meters for the area-under-curve score (> 0).
 * iterations: solver iterations per tracking step (an integer >= 1).
 
 Poses are written as {"rotvec": [x, y, z], "trans": [x, y, z]}; both keys
-default to zero.
+default to zero.  A key the format does not name, or a key given twice in
+one object, is an error that names its place, like every other error.
 """
 
 from __future__ import annotations
 
-import functools
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .constraints import Constraint, OrthogonalityConstraint
 from .kinematics import Body, FixedSide, Joint, KinematicStructure, axes_mask
-from .metrics import Mesh, load_obj
-from .se3 import Pose
+from .metrics import load_obj
+from .se3 import Pose, exp_rotvec
 
 
 class ConfigError(Exception):
@@ -41,7 +43,7 @@ class JointProgram:
 
     amplitude: np.ndarray
     period: float
-    phase: float = 0.0
+    phase: float
 
     def values(self, step: int) -> np.ndarray:
         return self.amplitude * np.sin(2.0 * np.pi * step / self.period + self.phase)
@@ -49,68 +51,54 @@ class JointProgram:
 
 @dataclass
 class TrackingConfig:
+    """What a configuration file states; parse_config gives the defaults."""
+
     structure: KinematicStructure
-    meshes: dict = field(default_factory=dict)  # body index -> Mesh
-    weights: dict = field(default_factory=dict)  # body index -> (w_rot, w_trans)
-    trajectory: dict = field(default_factory=dict)  # body index -> JointProgram
-    e_t: float = 0.1
-    iterations: int = 3
+    meshes: dict  # body index -> Mesh
+    weights: dict  # body index -> (w_rot, w_trans)
+    trajectory: dict  # body index -> JointProgram
+    e_t: float
+    iterations: int
 
 
-def _expect(obj, key, where, default=None, required=False):
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where}: expected an object, got {obj!r}")
-    if key not in obj:
-        if required:
+def _fields(value, where, **defaults) -> list:
+    """The values of the object ``value`` at the keys of ``defaults``, in
+    their order, each the default where the key is absent; a default of
+    ``...`` marks a required field.  A non-object, a missing required
+    field or a key that ``defaults`` does not name is a ConfigError
+    naming ``where``."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where}: expected an object, got {value!r}")
+    fields = {**defaults, **value}
+    if len(fields) > len(defaults):
+        key = next(key for key in value if key not in defaults)
+        raise ConfigError(f"{where}: unknown field {key!r}; expected one of {', '.join(defaults)}")
+    for key, field in fields.items():
+        if field is ...:
             raise ConfigError(f"{where}: missing required field {key!r}")
-        return default
-    return obj[key]
+    return list(fields.values())
 
 
-def _refuse_bool_or_str(value, where):
-    """ConfigError for a bool or str, or a list holding one, where the format
-    says number: float() and numpy would read them as numbers."""
-    if isinstance(value, (bool, str)):
-        raise ConfigError(f"{where}: expected a number, got {value!r}")
-    if isinstance(value, list):
-        for item in value:
-            _refuse_bool_or_str(item, where)
-
-
-def _parse_numbers(value, where) -> np.ndarray:
-    _refuse_bool_or_str(value, where)
+def _numbers(value, where, shape=None):
+    """Finite numbers read from ``value``: a float if ``shape`` is (), else
+    an array, of ``shape`` if one is given.  A JSON boolean or string, also
+    inside a list, is refused: float() and numpy would read it as a number."""
+    items = [value]
+    for item in items:
+        if isinstance(item, (bool, str)):
+            raise ConfigError(f"{where}: expected a number, got {item!r}")
+        if isinstance(item, list):
+            items.extend(item)
     try:
-        vec = np.asarray(value, dtype=float)
+        numbers = float(value) if shape == () else np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: expected a list of numbers, got {value!r}") from exc
-    if not np.isfinite(vec).all():
+        what = "a number" if shape == () else "a list of numbers"
+        raise ConfigError(f"{where}: expected {what}, got {value!r}") from exc
+    if not (math.isfinite(numbers) if shape == () else np.isfinite(numbers).all()):
         raise ConfigError(f"{where}: expected finite numbers, got {value!r}")
-    return vec
-
-
-def _parse_vec3(value, where):
-    vec = _parse_numbers(value, where)
-    if vec.shape != (3,):
-        raise ConfigError(f"{where}: expected exactly 3 numbers, got shape {vec.shape}")
-    return vec
-
-
-def _parse_finite(value, where) -> float:
-    _refuse_bool_or_str(value, where)
-    try:
-        number = float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: expected a number, got {value!r}") from exc
-    if not np.isfinite(number):
-        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
-    return number
-
-
-def _parse_nonnegative(value, where) -> float:
-    number = _parse_finite(value, where)
-    if number < 0:
-        raise ConfigError(f"{where}: expected a finite non-negative number, got {value!r}")
-    return number
+    if shape and numbers.shape != shape:
+        raise ConfigError(f"{where}: expected shape {shape}, got shape {numbers.shape}")
+    return numbers
 
 
 def _body_index(value, names, where) -> int:
@@ -120,7 +108,7 @@ def _body_index(value, names, where) -> int:
     return names[value]
 
 
-def _parse_axes(value, where) -> np.ndarray:
+def _axes(value, where) -> np.ndarray:
     if not isinstance(value, list):
         raise ConfigError(f"{where}: expected a list of axis names, got {value!r}")
     try:
@@ -129,21 +117,20 @@ def _parse_axes(value, where) -> np.ndarray:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _parse_pose(value, where) -> Pose:
+def _pose(value, where) -> Pose:
     if value is None:
         return Pose.identity()
-    if not isinstance(value, dict):
-        raise ConfigError(f"{where}: expected an object with rotvec/trans")
-    rotvec = _parse_vec3(value.get("rotvec", (0.0, 0.0, 0.0)), f"{where}.rotvec")
-    trans = _parse_vec3(value.get("trans", (0.0, 0.0, 0.0)), f"{where}.trans")
-    return Pose.from_rotvec(rotvec, trans)
+    rotvec, trans = _fields(value, where, rotvec=None, trans=(0.0, 0.0, 0.0))
+    # An absent rotvec is exp(0), which is the identity bit for bit; null is refused.
+    r = exp_rotvec(_numbers(rotvec, f"{where}.rotvec", (3,))) if "rotvec" in value else np.eye(3)
+    return Pose(r, _numbers(trans, f"{where}.trans", (3,)))
 
 
-def _parse_joint(value, where) -> Joint:
-    if value is None:
-        value = {}
-    mask = _parse_axes(_expect(value, "axes", where, default=[]), f"{where}.axes")
-    fixed_side = _expect(value, "fixed_side", where, default="joint_to_model")
+def _joint(value, where) -> Joint:
+    axes, fixed_side, joint_to_model, parent_to_joint = _fields(
+        {} if value is None else value, where,
+        axes=[], fixed_side="joint_to_model", joint_to_model=None, parent_to_joint=None,
+    )
     try:
         side = FixedSide(fixed_side)
     except ValueError as exc:
@@ -151,21 +138,32 @@ def _parse_joint(value, where) -> Joint:
             f"{where}.fixed_side: {fixed_side!r} is not a valid choice"
         ) from exc
     return Joint(
-        free_axes=mask,
-        joint_to_model=_parse_pose(value.get("joint_to_model"), f"{where}.joint_to_model"),
-        parent_to_joint=_parse_pose(value.get("parent_to_joint"), f"{where}.parent_to_joint"),
+        free_axes=_axes(axes, f"{where}.axes"),
+        joint_to_model=_pose(joint_to_model, f"{where}.joint_to_model"),
+        parent_to_joint=_pose(parent_to_joint, f"{where}.parent_to_joint"),
         fixed_side=side,
     )
+
+
+def _unique_keys(pairs) -> dict:
+    """A JSON object; json.loads would keep the last of a key given twice."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ConfigError(f"duplicate key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return obj
 
 
 def load_config(path) -> TrackingConfig:
     path = Path(path)
     try:
-        raw = json.loads(path.read_text())
-    except OSError as exc:
+        raw = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")
     return parse_config(raw, base_dir=path.parent)
@@ -173,7 +171,9 @@ def load_config(path) -> TrackingConfig:
 
 def parse_config(raw: dict, base_dir=None) -> TrackingConfig:
     base_dir = Path(base_dir) if base_dir is not None else Path(".")
-    body_entries = _expect(raw, "bodies", "config", required=True)
+    body_entries, constraint_entries, trajectory_entries, e_t, iterations = _fields(
+        raw, "config", bodies=..., constraints=[], trajectory={}, e_t=0.1, iterations=3
+    )
     if not isinstance(body_entries, list) or not body_entries:
         raise ConfigError("config.bodies: expected a non-empty list")
 
@@ -183,55 +183,59 @@ def parse_config(raw: dict, base_dir=None) -> TrackingConfig:
     weights = {}
     for i, entry in enumerate(body_entries):
         where = f"bodies[{i}]"
-        name = _expect(entry, "name", where, required=True)
+        name, parent, joint, pose, mesh_path, weight_entry = _fields(
+            entry, where, name=..., parent=None, joint=None, pose=None, mesh_path=None, weights={}
+        )
         if not isinstance(name, str):
             raise ConfigError(f"{where}.name: expected a string, got {name!r}")
         if name in names:
             raise ConfigError(f"{where}: duplicate body name {name!r}")
-        parent = _expect(entry, "parent", where)
         if parent is not None:
             parent = _body_index(parent, names, f"{where}.parent")
-        joint = _parse_joint(entry.get("joint"), f"{where}.joint")
-        pose = _parse_pose(entry.get("pose"), f"{where}.pose")
+        joint, pose = _joint(joint, f"{where}.joint"), _pose(pose, f"{where}.pose")
         bodies.append(Body(name=name, joint=joint, pose=pose, parent=parent))
         names[name] = i
 
-        mesh_path = _expect(entry, "mesh_path", where)
         if mesh_path is not None:
             try:
                 meshes[i] = load_obj(base_dir / mesh_path)
             except (OSError, TypeError, ValueError) as exc:
                 raise ConfigError(f"{where}.mesh_path: {exc}") from exc
-        weight_entry = entry.get("weights", {})
-        if not isinstance(weight_entry, dict):
-            raise ConfigError(f"{where}.weights: expected an object with rot/trans")
         weights[i] = tuple(
-            _parse_nonnegative(weight_entry.get(key, 1.0), f"{where}.weights.{key}")
-            for key in ("rot", "trans")
+            _numbers(value, f"{where}.weights.{key}", ())
+            for key, value in zip(
+                ("rot", "trans"), _fields(weight_entry, f"{where}.weights", rot=1.0, trans=1.0)
+            )
         )
+        for key, value in zip(("rot", "trans"), weights[i]):
+            if value < 0:
+                raise ConfigError(
+                    f"{where}.weights.{key}: expected a non-negative number, got {value!r}"
+                )
 
-    constraint_entries = raw.get("constraints", [])
     if not isinstance(constraint_entries, list):
         raise ConfigError("config.constraints: expected a list")
     constraints = []
     for i, entry in enumerate(constraint_entries):
         where = f"constraints[{i}]"
-        kind = _expect(entry, "type", where, default="pose")
-        body_a, body_b = (
-            _body_index(_expect(entry, label, where, required=True), names, f"{where}.{label}")
-            for label in ("body_a", "body_b")
-        )
-        frame_a = _parse_pose(entry.get("frame_a"), f"{where}.frame_a")
-        frame_b = _parse_pose(entry.get("frame_b"), f"{where}.frame_b")
-        if kind == "pose":
-            mask = _parse_axes(_expect(entry, "axes", where, required=True), f"{where}.axes")
-            make = functools.partial(Constraint, constrained_axes=mask)
-        elif kind == "orthogonality":
-            make = OrthogonalityConstraint
-        else:
+        kind = entry.get("type", "pose") if isinstance(entry, dict) else "pose"
+        if kind not in ("pose", "orthogonality"):
             raise ConfigError(f"{where}.type: unknown constraint type {kind!r}")
+        _, body_a, body_b, frame_a, frame_b, *axes = _fields(
+            entry, where, type=kind, body_a=..., body_b=..., frame_a=None, frame_b=None,
+            **({"axes": ...} if kind == "pose" else {}),
+        )
+        body_a, body_b = (
+            _body_index(body_a, names, f"{where}.body_a"),
+            _body_index(body_b, names, f"{where}.body_b"),
+        )
+        frames = (_pose(frame_a, f"{where}.frame_a"), _pose(frame_b, f"{where}.frame_b"))
         try:
-            constraints.append(make(body_a, body_b, frame_a, frame_b))
+            constraints.append(
+                Constraint(body_a, body_b, *frames, _axes(axes[0], f"{where}.axes"))
+                if axes
+                else OrthogonalityConstraint(body_a, body_b, *frames)
+            )
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from exc
 
@@ -240,7 +244,6 @@ def parse_config(raw: dict, base_dir=None) -> TrackingConfig:
     except ValueError as exc:
         raise ConfigError(f"config.bodies: {exc}") from exc
 
-    trajectory_entries = raw.get("trajectory", {})
     if not isinstance(trajectory_entries, dict):
         raise ConfigError("config.trajectory: expected an object")
     trajectory = {}
@@ -248,37 +251,24 @@ def parse_config(raw: dict, base_dir=None) -> TrackingConfig:
         where = f"trajectory[{name!r}]"
         if name not in names:
             raise ConfigError(f"{where}: unknown body {name!r}")
-        index = names[name]
-        n_dof = structure.tree.n_dofs[index]
-        amplitude = _parse_numbers(
-            _expect(entry, "amplitude", where, required=True), f"{where}.amplitude"
-        ).reshape(-1)
+        n_dof = structure.tree.n_dofs[names[name]]
+        amplitude, period, phase = _fields(entry, where, amplitude=..., period=..., phase=0.0)
+        amplitude = _numbers(amplitude, f"{where}.amplitude").reshape(-1)
         if amplitude.shape != (n_dof,):
             raise ConfigError(
                 f"{where}.amplitude: expected {n_dof} values for the joint's "
                 f"free axes, got {amplitude.shape[0]}"
             )
-        period = _parse_finite(_expect(entry, "period", where, required=True), f"{where}.period")
+        period = _numbers(period, f"{where}.period", ())
         if period <= 0:
             raise ConfigError(f"{where}.period: must be positive")
-        trajectory[index] = JointProgram(
-            amplitude=amplitude,
-            period=period,
-            phase=_parse_finite(entry.get("phase", 0.0), f"{where}.phase"),
-        )
+        phase = _numbers(phase, f"{where}.phase", ())
+        trajectory[names[name]] = JointProgram(amplitude, period, phase)
 
-    e_t = _parse_nonnegative(raw.get("e_t", 0.1), "config.e_t")
-    if e_t == 0:
+    e_t = _numbers(e_t, "config.e_t", ())
+    if e_t <= 0:
         raise ConfigError(f"config.e_t: expected a positive number, got {e_t!r}")
-    iterations = raw.get("iterations", 3)
     if type(iterations) is not int or iterations < 1:
         raise ConfigError(f"config.iterations: expected an integer >= 1, got {iterations!r}")
 
-    return TrackingConfig(
-        structure=structure,
-        meshes=meshes,
-        weights=weights,
-        trajectory=trajectory,
-        e_t=e_t,
-        iterations=iterations,
-    )
+    return TrackingConfig(structure, meshes, weights, trajectory, e_t, iterations)

@@ -128,6 +128,28 @@ def test_a_structure_is_configured_once():
     assert kinematics._frozen is constraints._frozen
 
 
+def test_a_config_field_is_stated_once():
+    """Each object of the configuration format is read by one checked
+    reader, ``_fields``, which states each field and its default once, and
+    every number by ``_numbers``: the helpers they replaced stay removed, and
+    the records a config is read into repeat no default."""
+    config = multibody.config
+    assert callable(config._fields) and callable(config._numbers)
+    for name in (
+        "_expect",
+        "_refuse_bool_or_str",
+        "_parse_numbers",
+        "_parse_vec3",
+        "_parse_finite",
+        "_parse_nonnegative",
+    ):
+        assert not hasattr(config, name), name
+    for record in (config.TrackingConfig, config.JointProgram):
+        for f in dataclasses.fields(record):
+            assert f.default is dataclasses.MISSING, (record.__name__, f.name)
+            assert f.default_factory is dataclasses.MISSING, (record.__name__, f.name)
+
+
 def test_each_mode_builds_its_kkt_pattern_once(monkeypatch):
     """A structure's constraint rows are fixed at construction, so that its
     view's KKT pattern without them and with them is built once each, however

@@ -1,8 +1,8 @@
 """Desk-scale studies: constraint convergence, runtime scaling, tracking.
 
-All randomness flows through numpy Generators seeded as [master_seed,
-trial_index], so results are bit-identical for a fixed seed regardless of
-how trials are batched.
+A study that draws seeds one numpy Generator with its seed.  The convergence
+study draws one block of uniforms, a row per trial, so its results for a
+seed are bit-identical however many trials are drawn.
 """
 
 from __future__ import annotations
@@ -43,9 +43,9 @@ PERCENTILE_LEVELS = (1, 10, 20, 30, 40, 50, 60, 70, 80, 90, 99)
 CONVERGENCE_KINDS = ("rotvec", "trans", "full", "ortho")
 
 
-def random_spd(rng) -> np.ndarray:
-    a = rng.standard_normal((6, 6))
-    return 100.0 * (a @ a.T / 6 + 0.1 * np.eye(6))
+def random_spd(normals: np.ndarray) -> np.ndarray:
+    """100 (a a^T / 6 + 0.1 I) for each of a stack of standard normal 6 x 6 a."""
+    return 100.0 * (normals @ normals.swapaxes(-1, -2) / 6 + 0.1 * np.eye(6))
 
 
 @dataclass
@@ -90,51 +90,50 @@ _STUDY_AXES = {
 }
 
 
+TRIAL_UNIFORMS = 24 + 84  # per trial: the poses' vectors, the energies' normals
+
+
 def sample_trials(kind, n_trials, seed, equal_frames=False, random_energy=False):
     """Inputs of the convergence study's trials, stacked.
 
-    Each trial draws from its own Generator seeded [seed, trial], so a
-    trial's inputs do not depend on how many trials are drawn.  In order:
-    frame_a and frame_b (identity with ``equal_frames``), the initial
-    relative constraint pose ``diff``, and pose_a.  Each of these draws its
-    rotation vector and then its translation, as far as the kind uses them,
-    each vector as its signed length, uniform on [-pi, pi] rad or [-1, 1] m,
-    and then its direction, a normalized standard normal 3-vector.  A
-    negative length flips the direction, so the magnitude is uniform on
-    [0, pi] or [0, 1].  With ``random_energy`` each body then
-    draws a gradient (standard normal) and an SPD Hessian (random_spd);
-    otherwise both are zero.
+    One Generator seeded with ``seed`` draws an (n_trials, TRIAL_UNIFORMS)
+    block of uniforms on [0, 1) row by row, and trial t is built from row t
+    alone, so a trial's inputs do not depend on how many trials are drawn.
+    Whatever the kind and flags, a row holds frame_a, frame_b, the initial
+    relative constraint pose ``diff`` and pose_a, each as its rotation
+    vector and then its translation, each vector as three uniforms: its
+    signed length, uniform on [-pi, pi] rad or [-1, 1] m (the magnitude
+    uniform on [0, pi] or [0, 1]), and its direction, uniform on the sphere
+    (z = 1 - 2u, phi = 2 pi u').  A vector the kind does not use, and both
+    frames with ``equal_frames``, have length zero.  The rest of the row is
+    42 Box-Muller pairs (r = sqrt(-2 log(1 - u)), angle 2 pi u'), 84
+    standard normals: with ``random_energy`` each body's gradient, then
+    each body's random_spd Hessian; otherwise both are zero.
 
     Returns frame_a, frame_b, pose_a, pose_b as stacked Poses, the
     gradients (N, 2, 6) and the Hessians (N, 2, 6, 6).
     """
-    bounds = []  # (part, bound)
-    if kind != "trans":
-        bounds.append((0, np.pi))
-    if kind in ("trans", "full"):
-        bounds.append((1, 1.0))
-    draws = [(p, part, bound) for p in range(2 if equal_frames else 0, 4) for part, bound in bounds]
-    # [trial, pose, rotation | translation]; unused vectors stay zero.
-    lengths = np.zeros((n_trials, 4, 2))
-    directions = np.ones((n_trials, 4, 2, 3))
-    gradients = np.zeros((n_trials, 2, 6))
-    hessians = np.zeros((n_trials, 2, 6, 6))
-    for trial in range(n_trials):
-        rng = np.random.default_rng([seed, trial])
-        for pose, part, bound in draws:
-            # Generator.uniform(-bound, bound), bit for bit, at a third of its cost.
-            lengths[trial, pose, part] = -bound + 2.0 * bound * rng.random()
-            directions[trial, pose, part] = rng.standard_normal(3)
-        if random_energy:
-            for body in range(2):
-                gradients[trial, body] = rng.standard_normal(6)
-                hessians[trial, body] = random_spd(rng)
-    vectors = lengths[..., None] * (directions / row_norms(directions)[..., None])
+    block = np.random.default_rng(seed).random((n_trials, TRIAL_UNIFORMS))
+    u = block[:, :24].reshape(n_trials, 4, 2, 3)
+    axes = _STUDY_AXES[kind]
+    # [pose, rotation | translation], zero for a vector not drawn.
+    bounds = np.outer([not equal_frames] * 2 + [True] * 2, [np.pi * axes[:3].any(), axes[3:].any()])
+    z, phi = 1.0 - 2.0 * u[..., 1], 2.0 * np.pi * u[..., 2]
+    sin_polar = np.sqrt(1.0 - z * z)
+    directions = np.stack([sin_polar * np.cos(phi), sin_polar * np.sin(phi), z], axis=-1)
+    vectors = (bounds * (2.0 * u[..., 0] - 1.0))[..., None] * directions
     rotations = exp_rotvec(vectors[:, :, 0])
     frame_a, frame_b, diff, pose_a = (Pose(rotations[:, i], vectors[:, i, 1]) for i in range(4))
     # pose_b such that the initial relative pose equals the sampled diff:
     # diff = frame_a o pose_a^-1 o pose_b o frame_b^-1.
     pose_b = pose_a @ frame_a.inverse() @ diff @ frame_b
+    gradients, hessians = np.zeros((n_trials, 2, 6)), np.zeros((n_trials, 2, 6, 6))
+    if random_energy:
+        # Pair j, (u_24+2j, u_25+2j), gives normals 2j and 2j + 1.
+        radius, angle = np.sqrt(-2.0 * np.log1p(-block[:, 24::2])), 2.0 * np.pi * block[:, 25::2]
+        normals = np.stack([radius * np.cos(angle), radius * np.sin(angle)], -1).reshape(-1, 84)
+        gradients = normals[:, :12].reshape(n_trials, 2, 6)
+        hessians = random_spd(normals[:, 12:].reshape(n_trials, 2, 6, 6))
     return frame_a, frame_b, pose_a, pose_b, gradients, hessians
 
 

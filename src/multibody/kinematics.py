@@ -384,7 +384,7 @@ class KinematicStructure(_ReadOnly):
         extended = np.zeros((n, 6))
         extended[view.body, view.axis] = theta_k
         store = self._store
-        if view is self.forest:
+        if view is vars(self).get("forest"):  # unlike self.forest, builds no view
             poses = store.poses.with_variation(extended)
             self._store = _PoseStore(self, poses, None)
             return poses

@@ -357,7 +357,7 @@ def assemble(
     h = 0.5 * (h + h.swapaxes(1, 2))
     # Each row's derivatives w.r.t. the variations of its two bodies.
     derivatives = np.concatenate([rows.d_a, rows.d_b])
-    if view is s.forest:
+    if mode not in _TREE_MODES:
         # Every J_i is the identity: each coordinate is one axis of its own
         # body's variation, and the entries are the energies' and rows'.
         body, axis = view.body, view.axis

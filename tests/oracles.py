@@ -6,9 +6,10 @@ joint selection matrices, registration through the closed-form Kabsch fit, the
 sparse free-body KKT system through a dense one built from selection
 Jacobians, the dense KKT solve through scipy.linalg.solve, the batched
 convergence study through a trial-by-trial run of the scalar solver, and its
-trial draws through Generator.uniform.  The stacked constraint kernel, the
-stacked tree layer and the point-registration energy are checked against
-the per-object formulas they replaced: one constraint, one body, one Pose,
+trial draws through a trial-by-trial build from each trial's own row of the
+study's uniforms.  The stacked constraint kernel, the stacked tree layer
+and the point-registration energy are checked against the per-object
+formulas they replaced: one constraint, one body, one Pose,
 one point at a time (`scalar_kkt`, `scalar_update`, `scalar_step`,
 `point_registration_loop`).  The forest view's gathered assembly and the
 band product are checked against the product path and the per-diagonal
@@ -25,7 +26,7 @@ import scipy.linalg
 
 from multibody.constraints import Constraint, OrthogonalityConstraint
 from multibody.energy import BodyEnergy, zero_energy
-from multibody.experiments import random_spd
+from multibody.experiments import TRIAL_UNIFORMS, random_spd
 from multibody.kinematics import Body, FixedSide, Joint, KinematicStructure, axes_mask
 from multibody.se3 import NEAR_PI, SMALL_ANGLE, Pose, adjoint, row_norms
 from multibody import solver
@@ -617,84 +618,86 @@ def scipy_symmetric_solve(kkt, rhs):
         return scipy.linalg.solve(kkt, rhs[..., None], assume_a="sym")[..., 0]
 
 
-def uniform_sample_trials(kind, n_trials, seed, equal_frames=False, random_energy=False):
-    """experiments.sample_trials with each signed length drawn by
-    Generator.uniform(-bound, bound)."""
-    bounds = []  # (part, bound)
-    if kind != "trans":
-        bounds.append((0, np.pi))
-    if kind in ("trans", "full"):
-        bounds.append((1, 1.0))
-    lengths = np.zeros((n_trials, 4, 2))
-    directions = np.ones((n_trials, 4, 2, 3))
-    gradients = np.zeros((n_trials, 2, 6))
-    hessians = np.zeros((n_trials, 2, 6, 6))
-    for trial in range(n_trials):
-        rng = np.random.default_rng([seed, trial])
-        for pose in range(2 if equal_frames else 0, 4):
-            for part, bound in bounds:
-                lengths[trial, pose, part] = rng.uniform(-bound, bound)
-                directions[trial, pose, part] = rng.standard_normal(3)
-        if random_energy:
-            for body in range(2):
-                gradients[trial, body] = rng.standard_normal(6)
-                hessians[trial, body] = random_spd(rng)
-    vectors = lengths[..., None] * (directions / row_norms(directions)[..., None])
-    rotvecs = vectors[:, :, 0].reshape(-1, 3)
-    rotations = np.array([exp_rotvec(v) for v in rotvecs]).reshape(-1, 4, 3, 3)
-    frame_a, frame_b, diff, pose_a = (Pose(rotations[:, i], vectors[:, i, 1]) for i in range(4))
-    pose_b = pose_a @ frame_a.inverse() @ diff @ frame_b
-    return frame_a, frame_b, pose_a, pose_b, gradients, hessians
-
-
 def random_unit_vector(rng):
     v = rng.standard_normal(3)
     return v / np.linalg.norm(v)
 
 
-def sample_rotvec(rng):
-    """Axis uniform on the sphere, signed length uniform on [-pi, pi]."""
-    return rng.uniform(-np.pi, np.pi) * random_unit_vector(rng)
+def study_block(n_trials, seed):
+    """The convergence study's uniforms: row t is trial t's."""
+    return np.random.default_rng(seed).random((n_trials, TRIAL_UNIFORMS))
 
 
-def sample_translation(rng):
-    """Axis uniform on the sphere, signed length uniform on [-1, 1] meters."""
-    return rng.uniform(-1.0, 1.0) * random_unit_vector(rng)
+def row_vector(row, pose, part, bound):
+    """Vector ``part`` (0 rotation, 1 translation) of pose ``pose`` of a
+    (1, TRIAL_UNIFORMS) row, as a one-row stack: its three uniforms at
+    6 pose + 3 part give the signed length on [-bound, bound] and the
+    direction z = 1 - 2u, phi = 2 pi u'."""
+    length, z, phi = (row[:, 6 * pose + 3 * part + i] for i in range(3))
+    z, phi = 1.0 - 2.0 * z, 2.0 * np.pi * phi
+    sin_polar = np.sqrt(1.0 - z * z)
+    direction = np.stack([sin_polar * np.cos(phi), sin_polar * np.sin(phi), z], axis=-1)
+    return (bound * (2.0 * length - 1.0))[:, None] * direction
 
 
-def two_body_structure(kind, rng, equal_frames):
-    """Two unconnected free bodies, restricted to the kind's axes, with the
-    requested constraint between random frames, starting from a sampled
-    initial pose difference."""
-    if kind in ("rotvec", "ortho"):
-        # Rotation-only study: frames and poses are pure rotations, so the
-        # translational part of the relative pose stays identically zero.
-        frame_a = Pose.identity() if equal_frames else Pose.from_rotvec(sample_rotvec(rng))
-        frame_b = Pose.identity() if equal_frames else Pose.from_rotvec(sample_rotvec(rng))
-        diff = Pose.from_rotvec(sample_rotvec(rng))
-        pose_a = Pose.from_rotvec(sample_rotvec(rng))
-    elif kind == "trans":
-        frame_a = Pose(np.eye(3), np.zeros(3) if equal_frames else sample_translation(rng))
-        frame_b = Pose(np.eye(3), np.zeros(3) if equal_frames else sample_translation(rng))
-        diff = Pose(np.eye(3), sample_translation(rng))
-        pose_a = Pose(np.eye(3), sample_translation(rng))
-    else:
-        frame_a = (
-            Pose.identity()
-            if equal_frames
-            else Pose.from_rotvec(sample_rotvec(rng), sample_translation(rng))
-        )
-        frame_b = (
-            Pose.identity()
-            if equal_frames
-            else Pose.from_rotvec(sample_rotvec(rng), sample_translation(rng))
-        )
-        diff = Pose.from_rotvec(sample_rotvec(rng), sample_translation(rng))
-        pose_a = Pose.from_rotvec(sample_rotvec(rng), sample_translation(rng))
-
+def row_poses(row, kind, equal_frames):
+    """frame_a, frame_b, pose_a and pose_b of one row as one-row Pose
+    stacks: poses p = 0-3, frame_a, frame_b, diff and pose_a, each from its
+    rotation vector and translation where the kind uses them and, for the
+    frames, without ``equal_frames``; pose_b from them."""
+    rotation = kind != "trans"
+    translation = kind in ("trans", "full")
+    poses = []
+    for pose in range(4):
+        sampled = pose >= 2 or not equal_frames
+        rotvec = row_vector(row, pose, 0, np.pi) if sampled and rotation else np.zeros((1, 3))
+        t = row_vector(row, pose, 1, 1.0) if sampled and translation else np.zeros((1, 3))
+        poses.append(Pose(exp_rotvec(rotvec[0])[None], t))
+    frame_a, frame_b, diff, pose_a = poses
     # diff = frame_a o pose_a^-1 o pose_b o frame_b^-1, solved for pose_b.
-    pose_b = pose_a @ frame_a.inverse() @ diff @ frame_b
+    return frame_a, frame_b, pose_a, pose_a @ frame_a.inverse() @ diff @ frame_b
 
+
+def row_energies(row):
+    """Gradients (1, 2, 6) and SPD Hessians (1, 2, 6, 6) of one row: the
+    Box-Muller pairs j at 24 + 2j and 25 + 2j give normals 2j and 2j + 1;
+    normals 0-11 are the gradients, the rest the two matrices a of
+    random_spd, body by body."""
+    normals = []
+    for j in range(42):
+        u, v = row[:, 24 + 2 * j], row[:, 25 + 2 * j]
+        radius, angle = np.sqrt(-2.0 * np.log1p(-u)), 2.0 * np.pi * v
+        normals += [radius * np.cos(angle), radius * np.sin(angle)]
+    normals = np.stack(normals, axis=-1)
+    gradients = normals[:, :12].reshape(1, 2, 6)
+    matrices = normals[:, 12:].reshape(1, 2, 6, 6)
+    hessians = [random_spd(matrices[:, body]) for body in range(2)]
+    return gradients, np.stack(hessians, axis=1)
+
+
+def sample_trials_by_row(kind, n_trials, seed, equal_frames=False, random_energy=False):
+    """experiments.sample_trials trial by trial: each trial built from its
+    row of study_block through one-row stacks, then stacked."""
+    trials = []
+    block = study_block(n_trials, seed)
+    for trial in range(n_trials):
+        row = block[[trial]]
+        energies = (np.zeros((1, 2, 6)), np.zeros((1, 2, 6, 6)))
+        if random_energy:
+            energies = row_energies(row)
+        trials.append(row_poses(row, kind, equal_frames) + energies)
+    poses = [
+        Pose(np.concatenate([t[i].r for t in trials]), np.concatenate([t[i].t for t in trials]))
+        for i in range(4)
+    ]
+    return (*poses, *(np.concatenate([t[i] for t in trials]) for i in (4, 5)))
+
+
+def two_body_structure(kind, row, equal_frames):
+    """Two unconnected free bodies, restricted to the kind's axes, with the
+    requested constraint between the row's frames, starting from its
+    initial pose difference."""
+    frame_a, frame_b, pose_a, pose_b = (pose[0] for pose in row_poses(row, kind, equal_frames))
     if kind in ("rotvec", "ortho"):
         axes = axes_mask(["rot_x", "rot_y", "rot_z"])
     elif kind == "trans":
@@ -725,14 +728,12 @@ def scalar_convergence_errors(
     scalar_step calls on a KinematicStructure."""
     rot_errors = np.zeros((n_trials, n_iterations + 1))
     trans_errors = np.zeros((n_trials, n_iterations + 1))
+    block = study_block(n_trials, seed)
     for trial in range(n_trials):
-        rng = np.random.default_rng([seed, trial])
-        s, constraint = two_body_structure(kind, rng, equal_frames)
+        s, constraint = two_body_structure(kind, block[[trial]], equal_frames)
         if random_energy:
-            energies = [
-                BodyEnergy(rng.standard_normal(6), random_spd(rng))
-                for _ in s.bodies
-            ]
+            gradients, hessians = row_energies(block[[trial]])
+            energies = [BodyEnergy(gradients[0, i], hessians[0, i]) for i in range(2)]
             provider = lambda i, pose: energies[i]  # noqa: E731
         else:
             provider = zero_energy

@@ -119,6 +119,24 @@ class TestStepsOnAKeptStructure:
         assert_current()
 
 
+    def test_a_tree_step_builds_no_forest_view(self):
+        """Fails if update_poses tells the views apart by reading
+        ``self.forest``, a cached property, which builds the forest view on
+        the first tree step of a structure and of each copy.  A PROJECTED
+        step on the 4-body chain and on its copy leaves the view unbuilt,
+        and θ and the poses equal those of the same step on a copy whose
+        forest view was built."""
+        s = build_serial_chain(4)
+        plain, built = copy.deepcopy(s), copy.deepcopy(s)
+        assert built.forest is not None
+        provider = per_body({3: quadratic_pose_target(random_pose(np.random.default_rng(61)))})
+        cfg = SolverConfig(mode=SolverMode.PROJECTED)
+        expected = outcome(built, provider, cfg), state(built)
+        for structure in (s, plain):
+            assert (outcome(structure, provider, cfg), state(structure)) == expected
+            assert "forest" not in vars(structure)
+
+
 class TestJointsMoveWithTheirStep:
     """A tree-view update carries the joint transforms it composed; after a
     forest-view update they are inferred from the poses when first read.

@@ -33,7 +33,7 @@ from multibody import (
 from multibody.constraints import relative_poses
 from multibody.se3 import log_rotation, row_norms
 from multibody.solver import FactorizationFailed, Regularization, SolverMode
-from oracles import kkt_dimension, scalar_convergence_errors, uniform_sample_trials
+from oracles import kkt_dimension, sample_trials_by_row, scalar_convergence_errors
 
 from pathlib import Path
 
@@ -52,13 +52,55 @@ class TestSampling:
         assert abs(angles.mean() - np.pi / 2) < 3 * se
         assert angles.max() <= np.pi
 
+    def test_box_muller_normals_are_standard(self):
+        # 12 gradient normals per trial, half from each Box-Muller branch.
+        normals = sample_trials("full", 10_000, seed=1, random_energy=True)[4].ravel()
+        assert normals.size >= 100_000
+        assert abs(normals.mean()) < 3 / np.sqrt(normals.size)
+        assert abs(normals.var() - 1.0) < 3 * np.sqrt(2.0 / normals.size)
+
+    def test_directions_are_uniform_on_the_sphere(self):
+        # frame_a, frame_b and pose_a translate along a sampled direction
+        # (flipped by a negative length, which keeps it uniform): each
+        # component has mean 0 and second moment 1/3, variance 4/45.
+        poses = sample_trials("trans", 40_000, seed=2)[:3]
+        t = np.concatenate([pose.t for pose in poses])
+        directions = t / row_norms(t)[:, None]
+        n = directions.shape[0]
+        assert np.all(np.abs(directions.mean(axis=0)) < 3 * np.sqrt(1 / 3 / n))
+        assert np.all(np.abs((directions**2).mean(axis=0) - 1 / 3) < 3 * np.sqrt(4 / 45 / n))
+
+    def test_translation_magnitudes_lie_in_the_unit_interval(self):
+        for kind in ("trans", "full"):
+            poses = sample_trials(kind, 20_000, seed=3)[:3]
+            magnitudes = np.concatenate([row_norms(pose.t) for pose in poses])
+            assert magnitudes.min() >= 0.0 and magnitudes.max() <= 1.0
+
+    def test_hessians_are_symmetric_positive_definite(self):
+        # 100 (a a^T / 6 + 0.1 I): every eigenvalue is at least 10.
+        hessians = sample_trials("full", 2_000, seed=4, random_energy=True)[5]
+        assert np.allclose(hessians, hessians.swapaxes(-1, -2), rtol=0, atol=1e-12)
+        assert np.linalg.eigvalsh(hessians).min() >= 10.0 - 1e-9
+
     @pytest.mark.parametrize("kind", CONVERGENCE_KINDS)
     @pytest.mark.parametrize("equal_frames", [False, True])
     @pytest.mark.parametrize("random_energy", [False, True])
-    def test_draws_match_generator_uniform_bit_for_bit(self, kind, equal_frames, random_energy):
+    def test_sampled_trials_independent_of_batch_size(self, kind, equal_frames, random_energy):
+        big = sample_trials(kind, 40, 6, equal_frames, random_energy)
+        for k in (1, 13):
+            small = sample_trials(kind, k, 6, equal_frames, random_energy)
+            for a, b in zip(small[:4], big[:4]):
+                assert np.array_equal(a.r, b.r[:k]) and np.array_equal(a.t, b.t[:k])
+            for a, b in zip(small[4:], big[4:]):
+                assert np.array_equal(a, b[:k])
+
+    @pytest.mark.parametrize("kind", CONVERGENCE_KINDS)
+    @pytest.mark.parametrize("equal_frames", [False, True])
+    @pytest.mark.parametrize("random_energy", [False, True])
+    def test_each_trial_is_built_from_its_row_bit_for_bit(self, kind, equal_frames, random_energy):
         for seed in (0, 7):
             args = kind, 40, seed, equal_frames, random_energy
-            actual, expected = sample_trials(*args), uniform_sample_trials(*args)
+            actual, expected = sample_trials(*args), sample_trials_by_row(*args)
             # Four pose stacks, then the gradients and Hessians.
             for a, e in zip(actual[:4], expected[:4]):
                 assert np.array_equal(a.r, e.r) and np.array_equal(a.t, e.t)

@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import multibody
 import multibody.config
 import multibody.energy
@@ -98,7 +100,7 @@ def test_a_structure_is_configured_once():
     constraints = inspect.getattr_static(multibody.KinematicStructure, "constraints")
     assert isinstance(constraints, property) and constraints.fset is None
     for function, names in (
-        (multibody.experiments.random_spd, ["rng"]),
+        (multibody.experiments.random_spd, ["normals"]),
         (multibody.experiments.build_serial_chain, ["n_bodies"]),
     ):
         assert list(inspect.signature(function).parameters) == names
@@ -310,3 +312,18 @@ def test_joints_are_inferred_only_when_read(monkeypatch):
     assert len(calls) == 1
     assert s.bodies[5].joint.parent_to_joint.r.tobytes() == first.r.tobytes()
     assert len(calls) == 1
+
+
+def test_a_convergence_study_seeds_one_generator(monkeypatch):
+    """Calls are counted, not timed: a study of 25 trials seeds one
+    Generator with its seed, whatever its kind, and draws every trial from
+    that Generator's one block."""
+    calls, default_rng = [], np.random.default_rng
+    monkeypatch.setattr(
+        np.random, "default_rng", lambda *args: calls.append(args) or default_rng(*args)
+    )
+    for kind in multibody.experiments.CONVERGENCE_KINDS:
+        for random_energy in (False, True):
+            calls.clear()
+            multibody.experiments.run_convergence_study(25, 4, kind, random_energy=random_energy)
+            assert calls == [(0,)], (kind, random_energy)

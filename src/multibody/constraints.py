@@ -38,9 +38,11 @@ def _frozen(value):
 
 class _ReadOnly:
     """Every array among the attributes, and those that _frozen reaches
-    from them, is read-only, also in a copy: numpy copies arrays
-    writeable.  The one copy hook of the records that hold read-only
-    arrays, which freeze them when built, by _freeze or _frozen."""
+    from them, is read-only, also in a copy: numpy copies and unpickles
+    arrays writeable.  The one unpickling and deep-copy hook of the records
+    that hold read-only arrays, which freeze them when built, by _freeze or
+    _frozen.  A structure's own copy hook (KinematicStructure.__deepcopy__)
+    shares what its construction fixed instead of copying it."""
 
     def _freeze(self):
         for value in vars(self).values():

@@ -13,6 +13,7 @@ structure makes every body a root with its own six coordinates.
 
 from __future__ import annotations
 
+import copy
 import enum
 import functools
 from dataclasses import dataclass
@@ -75,7 +76,7 @@ class _Adoptable:
         object.__setattr__(self, name, value)
 
 
-@dataclass
+@dataclass(eq=False)
 class Joint(_Adoptable, _ReadOnly):
     """Connection allowing motion along a chosen set of joint-frame axes:
     the free-axis values are scattered into the extended 6-vector and fixed
@@ -93,7 +94,7 @@ class Joint(_Adoptable, _ReadOnly):
             raise ValueError("free_axes must have 6 entries")
 
 
-@dataclass
+@dataclass(eq=False)
 class Body(_Adoptable):
     name: str
     joint: Joint
@@ -177,7 +178,9 @@ class _PoseStore(_ReadOnly):
     joint stacks (parent_to_joint, joint_to_model and its inverse
     model_to_joint) and the constraints evaluated there.  Every stack is
     read-only and replaced, never written, so that a store stays that of its
-    poses whatever the structure does afterwards; a copy keeps all of it,
+    poses whatever the structure does afterwards.  A copy of the structure
+    has a store of its own on the same stacks and rows; one without joint
+    stacks infers its own when first read.  Pickle builds every part again,
     read-only.
 
     The joint stacks are the store's own, given at adoption or carried by
@@ -245,8 +248,11 @@ class KinematicStructure(_ReadOnly):
     carried by the update that made the poses or inferred from them when
     first read, and the constraints evaluated there (``rows_at_poses()()``,
     read-only arrays), when first asked for, so that each pose is evaluated
-    at most once.  A copy keeps the stacks, the stores and their rows, all
-    read-only.  Mutating operations (pose updates) must be serialized by
+    at most once.  A copy (copy.copy or copy.deepcopy, one hook) is a new
+    state on the shared constants: it shares everything construction fixed,
+    and has its own store on the same read-only stacks and rows, and its own
+    bodies and joints.  Pickle builds every part again and re-freezes it
+    (_ReadOnly).  Mutating operations (pose updates) must be serialized by
     the caller; read-only snapshots may be shared for parallel evaluation,
     which at worst evaluates the same rows or joints twice.
     """
@@ -284,11 +290,41 @@ class KinematicStructure(_ReadOnly):
             if rows.any()
         )
         self._freeze()
-        # Bound only once every row is valid.
+        self._bind()  # only once every row is valid
+
+    def _bind(self):
+        """Make the structure the owner of its bodies and joints, which read
+        their pose rows from its stacks from then on."""
         for i, body in enumerate(self.bodies):
             for name, obj in zip(_STACKED, (body, body.joint, body.joint)):
                 vars(obj).pop(name, None)
                 vars(obj).update(_owner=self, _index=i)
+
+    def __deepcopy__(self, memo=None):
+        """A new state on the structure's shared constants.  The copy shares
+        what construction fixed, all of it read-only: the views and their
+        KKT patterns, the constraints and their stack, the adopted stacks,
+        the fixed sides and the DoF offsets.  It has its own store on the
+        same poses, joint stacks (or none, inferred by its own first read)
+        and rows (a shallow copy of the record), and its own bodies and
+        joints, shallow copies bound to it.  ``memo`` gets the copy, its
+        bodies and its joints; a body or joint that a deep copy of a tuple
+        has copied before the structure is in ``memo`` already, and is taken
+        from there.  A shallow copy is the same: sharing the bodies would
+        share their pose rows."""
+        memo = {} if memo is None else memo
+        for obj in (self, *self.bodies, *(body.joint for body in self.bodies)):
+            vars(memo.setdefault(id(obj), object.__new__(type(obj)))).update(vars(obj))
+        twin = memo[id(self)]
+        twin.bodies = tuple(memo[id(body)] for body in self.bodies)
+        for body in twin.bodies:
+            vars(body)["joint"] = memo[id(body.joint)]
+        store = twin._store = _PoseStore(twin, self._store.poses, self._store._joints)
+        store.rows = copy.copy(self._store.rows)
+        twin._bind()
+        return twin
+
+    __copy__ = __deepcopy__
 
     @functools.cached_property
     def forest(self) -> Coordinates:
@@ -359,9 +395,10 @@ class KinematicStructure(_ReadOnly):
         ad = adjoint(_pose(np.concatenate([a.r, b.r]), np.concatenate([a.t, b.t])))
         return ad[view.children], ad[len(self.bodies) + view.body, :, view.axis].T
 
-    def update_poses(self, theta_k: np.ndarray, view: Coordinates | None = None):
-        """Pose update from a variation vector in the coordinates of a view,
-        the tree view by default.  Replaces the body pose and joint stacks,
+    def update_poses(self, theta_k: np.ndarray, forest: bool = False):
+        """Pose update from a variation vector in the coordinates of the
+        tree view, or of the forest view if ``forest`` (the solver's modes
+        without tree projection).  Replaces the body pose and joint stacks,
         the only change to the state after adoption; returns the poses.
 
         Each joint's variation T(theta_j) acts in its joint frame: a root
@@ -376,7 +413,7 @@ class KinematicStructure(_ReadOnly):
         when first read.  The new pose stack starts a new store
         (rows_at_poses), with no constraint rows yet.
         """
-        view = view or self.tree
+        view = self.forest if forest else self.tree
         theta_k = np.asarray(theta_k, dtype=float)
         if theta_k.shape != (view.n_dof,):
             raise ValueError(f"theta has length {theta_k.shape[0]}, expected {view.n_dof}")
@@ -384,7 +421,7 @@ class KinematicStructure(_ReadOnly):
         extended = np.zeros((n, 6))
         extended[view.body, view.axis] = theta_k
         store = self._store
-        if view is vars(self).get("forest"):  # unlike self.forest, builds no view
+        if forest:
             poses = store.poses.with_variation(extended)
             self._store = _PoseStore(self, poses, None)
             return poses

@@ -573,7 +573,7 @@ def step(s: KinematicStructure, provider, cfg: SolverConfig) -> StepReport:
     except FactorizationFailed as exc:
         raise FactorizationFailed(f"{exc}; {_diagnosis(s, kkt)}") from exc
     marks.append(time.perf_counter())
-    s.update_poses(theta, _coordinates(s, cfg.mode))
+    s.update_poses(theta, cfg.mode not in _TREE_MODES)
     marks.append(time.perf_counter())
     after = s.rows_at_poses()
     if with_rows:

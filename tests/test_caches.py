@@ -115,7 +115,7 @@ class TestStepsOnAKeptStructure:
         assert_current()
         s.update_poses(0.1 * rng.standard_normal(s.n_dof))
         assert_current()
-        s.update_poses(0.1 * rng.standard_normal(s.forest.n_dof), s.forest)
+        s.update_poses(0.1 * rng.standard_normal(s.forest.n_dof), forest=True)
         assert_current()
 
 
@@ -153,8 +153,9 @@ class TestJointsMoveWithTheirStep:
         for _ in range(3):
             s = random_trees(rng, [3, 2, 3], min_dof=2, fixed_sides=SIDES[sides] + [MODEL, PARENT])
             for _ in range(12):
-                view = s.forest if rng.random() < 0.5 else s.tree
-                s.update_poses(0.3 * rng.standard_normal(view.n_dof), view)
+                forest = rng.random() < 0.5
+                view = s.forest if forest else s.tree
+                s.update_poses(0.3 * rng.standard_normal(view.n_dof), forest)
                 if rng.random() < 0.4:
                     continue
                 for body in s.bodies:
@@ -176,7 +177,7 @@ class TestJointsMoveWithTheirStep:
         ``_infer`` inverts the adopted parent_to_joint rows again."""
         rng = np.random.default_rng(59)
         s = random_tree(rng, 6, fixed_sides=SIDES["mixed"])
-        s.update_poses(0.1 * rng.standard_normal(s.forest.n_dof), s.forest)
+        s.update_poses(0.1 * rng.standard_normal(s.forest.n_dof), forest=True)
         store, inverted, inverse = s.rows_at_poses(), [], Pose.inverse
         monkeypatch.setattr(Pose, "inverse", lambda pose: inverted.append(pose) or inverse(pose))
         with_rows = kinematics._with_rows
@@ -377,7 +378,7 @@ class TestOneWriter:
         such as the structure's adopted stacks."""
         rng = np.random.default_rng(58)
         s = random_tree(rng, 6, fixed_sides=SIDES[sides])
-        s.update_poses(0.1 * rng.standard_normal(s.forest.n_dof), s.forest)
+        s.update_poses(0.1 * rng.standard_normal(s.forest.n_dof), forest=True)
         twin = copy.deepcopy(s) if copier == "deepcopy" else pickle.loads(pickle.dumps(s))
         for name, stack in stacks(twin).items():
             assert not (stack.r.flags.writeable or stack.t.flags.writeable), name
@@ -494,6 +495,87 @@ class TestOneWriter:
         assert joint.fixed_side is MODEL and s.bodies[1].parent == 0
         assert joint.free_axes.sum() == 1 and s.n_dof == n_dof == 8
         assert state(s) == saved and s.rows_at_poses()() is rows
+
+
+COPIERS = {"copy": copy.copy, "deepcopy": copy.deepcopy}
+
+
+class TestACopyIsANewState:
+    """A copy of a structure, shallow or deep, shares everything its
+    construction fixed, all of it read-only, and has a state of its own: a
+    store on the same pose and joint stacks and rows, and bodies and joints
+    bound to it."""
+
+    @pytest.mark.parametrize("copier", COPIERS)
+    def test_shares_what_construction_fixed(self, copier):
+        """Fails if a copy duplicates a view, a KKT pattern, the
+        constraints, their stack, the adopted stacks or the DoF offsets; if
+        it shares the original's store, rows object, bodies or joints; or if
+        any array reachable from it is writeable."""
+        s, provider = pulled_tree()
+        for mode in SolverMode:
+            step(s, provider, SolverConfig(mode=mode))
+        twin = COPIERS[copier](s)
+        shared = ("tree", "forest", "constraint_stack", "_constraints", "_adopted", "_joint_sides",
+                  "dof_offsets")
+        for name in shared:
+            assert getattr(twin, name) is getattr(s, name), name
+        for mode in SolverMode:
+            assert solver._pattern(twin, mode) is solver._pattern(s, mode), mode
+        store, own = s.rows_at_poses(), twin.rows_at_poses()
+        assert own is not store and own.s is twin and own.rows is not store.rows
+        assert own.poses is store.poses and own.joints() is store.joints()
+        for name in ("extended", "d_a", "d_b", "stack"):
+            assert getattr(own.rows, name) is getattr(store.rows, name), name
+        for original, body in zip(s.bodies, twin.bodies):
+            assert body is not original and body.joint is not original.joint
+            assert body._owner is body.joint._owner is twin
+            assert (body.name, body.parent) == (original.name, original.parent)
+        arrays = reachable_arrays(twin)
+        assert len(arrays) > 100
+        for path, array in arrays.items():
+            assert not array.flags.writeable, path
+
+    @pytest.mark.parametrize("copier", COPIERS)
+    @pytest.mark.parametrize("mode", list(SolverMode))
+    def test_a_step_on_one_leaves_the_other(self, mode, copier):
+        """Stepping the copy leaves the original's poses, joint stacks and
+        rows as they were, and the reverse, and the two, stepped alike, agree
+        bit for bit.  Fails if the two share a store, a body or a joint, or
+        if a step writes into what they share."""
+        s, provider = pulled_tree()
+        step(s, provider, COMBINED)
+        twin = COPIERS[copier](s)
+
+        def read(x):
+            return [(b.pose.t.tobytes(), b.joint.joint_to_model.r.tobytes()) for b in x.bodies]
+
+        for moved, kept in ((twin, s), (s, twin)):
+            store, saved, bodies, start = kept.rows_at_poses(), state(kept), read(kept), state(moved)
+            rows = store()
+            step(moved, provider, SolverConfig(mode=mode))
+            assert state(moved) != start
+            assert kept.rows_at_poses() is store and store() is rows
+            assert state(kept) == saved and read(kept) == bodies
+        assert state(twin) == state(s) and read(twin) == read(s)
+
+    @pytest.mark.parametrize("structure_first", [True, False])
+    def test_a_deep_copy_of_a_tuple_keeps_bodies_and_joints_tied(self, structure_first):
+        """A body and a joint deep-copied along with their structure, before
+        or after it, are the copy's and read its poses.  Fails if the copy
+        hook ignores ``memo``, or replaces a body or joint copy that
+        ``memo`` holds already."""
+        s = build_serial_chain(3)
+        items = (s, s.bodies[1], s.bodies[2].joint)
+        copied = copy.deepcopy(items if structure_first else items[::-1])
+        twin, body, joint = copied if structure_first else copied[::-1]
+        assert twin.bodies[1] is body and twin.bodies[2].joint is joint
+        assert body._owner is joint._owner is twin
+        twin.update_poses(np.full(twin.n_dof, 0.1))
+        assert body.pose.t.tobytes() == twin.poses()[1].t.tobytes()
+        moved = stacks(twin)["joint_to_model"][2]
+        assert joint.joint_to_model.r.tobytes() == moved.r.tobytes()
+        assert s.bodies[1].pose.t.tolist() == [0.1, 0.0, 0.0]
 
 
 def reachable_arrays(root, records=True) -> dict:

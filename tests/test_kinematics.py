@@ -225,6 +225,36 @@ class TestOwnedState:
         # Stepped alike, the two agree bit for bit.
         assert same_state(state(s), stepped)
 
+    def test_a_shallow_copy_s_bodies_read_its_poses(self):
+        """A shallow copy has bodies and joints of its own, bound to it, as
+        a deep copy has.  Fails if it shares the original's: after the
+        update below, body2 of the copy read the original's [0.2, 0, 0]
+        where the copy's poses read [0.297, 0.131, 0.082]."""
+        s = build_serial_chain(3)
+        twin = copy.copy(s)
+        twin.update_poses(np.full(twin.n_dof, 0.1))
+        joints = twin.rows_at_poses().joints()
+        for i, body in enumerate(twin.bodies):
+            assert body is not s.bodies[i] and body._owner is body.joint._owner is twin
+            assert body.pose.t.tobytes() == twin.poses()[i].t.tobytes()
+            for name in ("joint_to_model", "parent_to_joint"):
+                assert getattr(body.joint, name).r.tobytes() == joints[name][i].r.tobytes()
+        assert np.abs(twin.bodies[2].pose.t - [0.297, 0.131, 0.082]).max() < 1e-3
+        assert s.bodies[2].pose.t.tolist() == [0.2, 0.0, 0.0]
+
+    def test_bodies_and_joints_compare_by_identity(self):
+        """A body or a joint equals itself only, and can be put in a set.
+        Fails if they compare field by field, as a dataclass does by
+        default: a body and its copy's body then compare their joints'
+        free axes and raise numpy's "truth value ... is ambiguous", and
+        neither hashes."""
+        s = build_serial_chain(3)
+        twin = copy.deepcopy(s)
+        for original, body in zip(s.bodies, twin.bodies):
+            assert original == original and original != body
+            assert original.joint == original.joint and original.joint != body.joint
+        assert len({*s.bodies, *twin.bodies, *(body.joint for body in s.bodies)}) == 9
+
     def test_poses_read_before_a_step_keep_their_values(self):
         s = random_tree(np.random.default_rng(32), 5)
         read = [
@@ -420,7 +450,7 @@ class TestUpdatePoses:
         second = [j.copy() for j in body_jacobians(s)]
         assert any(not np.allclose(a, b) for a, b in zip(first, second))
         # An update in the forest view moves each body on its own.
-        s.update_poses(rng.uniform(-0.3, 0.3, 6 * len(s.bodies)), s.forest)
+        s.update_poses(rng.uniform(-0.3, 0.3, 6 * len(s.bodies)), forest=True)
         third = body_jacobians(s)
         assert any(not np.allclose(a, b) for a, b in zip(second, third))
         for a, b in zip(third, selection_body_jacobians(s)):

@@ -450,7 +450,7 @@ class TestGatheredForestAssembly:
                 reg = Regularization(rng.uniform(0, 10), rng.uniform(0, 10))
                 expected = assemble_by_products(s, g, h, mode, reg)
                 self.assert_equal_systems(assemble(s, g, h, mode, reg), expected)
-                s.update_poses(0.1 * rng.standard_normal(s.forest.n_dof), s.forest)
+                s.update_poses(0.1 * rng.standard_normal(s.forest.n_dof), forest=True)
 
     @pytest.mark.parametrize("w", range(13))
     def test_band_product_equals_the_per_diagonal_loop(self, w):
@@ -497,7 +497,7 @@ class TestMultiRootTrees:
                 k = assemble_by_products(twin, g, h, mode, Regularization())
                 theta, _ = solve_kkt(k)
                 tree = mode in (SolverMode.PROJECTED, SolverMode.COMBINED)
-                twin.update_poses(theta, twin.tree if tree else twin.forest)
+                twin.update_poses(theta, forest=not tree)
                 report = step(kept, provider, SolverConfig(mode=mode))
                 assert report.theta_norm == float(np.sqrt(theta.dot(theta))) > 0, mode
                 assert report.kkt_dim == k.g_k.shape[0] + k.b_vec.shape[0]

@@ -1,10 +1,12 @@
 """Guards on what importing the package costs, on its public names and on
 the names the benchmark calls."""
 
+import copy
 import dataclasses
 import importlib.util
 import inspect
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -88,9 +90,9 @@ def test_a_structure_is_configured_once():
     stacks or None, with no ``pending`` flag, and a view keeps one KKT
     pattern per mode, with no single slot and no key to compare.  The
     rows have one reader, the store (``s.rows_at_poses()()``), norms are
-    computed where they are read, and ``_ReadOnly`` is the one copy hook
-    of the records that keep read-only arrays, with one helper, ``_frozen``,
-    that freezes them."""
+    computed where they are read, and ``_ReadOnly`` is the one unpickling
+    hook of the records that keep read-only arrays, with one helper,
+    ``_frozen``, that freezes them."""
     params = inspect.signature(multibody.solver.assemble).parameters
     assert list(params) == ["s", "g", "h", "mode", "regularization"]
     assert all(p.default is inspect.Parameter.empty for p in params.values())
@@ -185,6 +187,39 @@ def test_only_the_tree_view_has_jacobians():
         assert not {"frames", "inverse_frames", "layout", "slots", "pair_slots"} & set(vars(view))
     factors = inspect.signature(multibody.KinematicStructure.jacobian_factors)
     assert list(factors.parameters) == ["self"]
+
+
+def test_update_poses_switches_to_the_forest_view_by_a_flag():
+    """update_poses takes a switch, not a view: a view of another
+    structure was taken for the tree view, so that a deep copy updated in
+    its original's forest view moved its bodies up to 0.088 m away from
+    the same update in its own."""
+    params = inspect.signature(multibody.KinematicStructure.update_poses).parameters
+    assert list(params) == ["self", "theta_k", "forest"]
+    assert params["forest"].default is False
+
+
+def test_a_deep_copy_freezes_no_shared_record_again(monkeypatch):
+    """Calls are counted, not timed: a deep copy of a stepped four-bar
+    shares what the structure's construction fixed, so that
+    ``_ReadOnly.__setstate__`` runs for none of the structure, its view,
+    its KKT patterns, its constraints or their stack, which pickle, by
+    contrast, builds again and freezes."""
+    readonly, calls = multibody.constraints._ReadOnly, []
+    setstate = readonly.__setstate__
+    monkeypatch.setattr(
+        readonly, "__setstate__", lambda record, state: calls.append(type(record).__name__)
+        or setstate(record, state)
+    )
+    s = multibody.config.load_config(ROOT / "demos" / "fourbar.json").structure
+    for mode in ("projected", "combined"):
+        multibody.step(s, multibody.zero_energy, multibody.SolverConfig(mode=mode))
+    constants = {"KinematicStructure", "Coordinates", "_Pattern", "ConstraintStack"}
+    constants |= {type(c).__name__ for c in s.constraints}
+    copy.deepcopy(s)
+    assert not constants & set(calls), calls
+    pickle.loads(pickle.dumps(s))
+    assert constants <= set(calls)
 
 
 def test_every_read_only_record_is_checked_in_a_copy():

@@ -42,7 +42,9 @@ class _ReadOnly:
     arrays writeable.  The one unpickling and deep-copy hook of the records
     that hold read-only arrays, which freeze them when built, by _freeze or
     _frozen.  A structure's own copy hook (KinematicStructure.__deepcopy__)
-    shares what its construction fixed instead of copying it."""
+    shares what its construction fixed and its stored rows instead of
+    copying them, so that only pickle and a record copied on its own come
+    here."""
 
     def _freeze(self):
         for value in vars(self).values():
@@ -51,6 +53,13 @@ class _ReadOnly:
     def __setstate__(self, state):
         vars(self).update(state)
         self._freeze()
+
+
+def _checked_index(value, what: str):
+    """``value``, a body index: a Python or numpy integer, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{what} must be an integer body index, not {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -66,6 +75,8 @@ class _FramePair(_ReadOnly):
     frame_b: Pose = field(default_factory=Pose.identity)
 
     def __post_init__(self):
+        for side in ("body_a", "body_b"):
+            _checked_index(getattr(self, side), side)
         if self.body_a == self.body_b:
             raise ValueError("constraint must reference two distinct bodies")
         for side in ("frame_a", "frame_b"):
@@ -196,16 +207,17 @@ class ConstraintStack(_ReadOnly):
         self._freeze()
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConstraintRows(_ReadOnly):
     """A stack of constraints evaluated together.  ``extended`` holds each
     constraint's residual over all six axes (the three orthogonality
     residuals first for an OrthogonalityConstraint).  The rows, in
     constraint order, are ``residual``; their derivatives w.r.t. the 6-DoF
     variations of their bodies (the two halves of ``stack.sides``) are
-    ``d_a``/``d_b`` (rows x 6, None when evaluated without blocks).  The
-    arrays are read-only, also in a copy, so that the rows stay those of
-    the poses they were evaluated at."""
+    ``d_a``/``d_b`` (rows x 6, None when evaluated without blocks).  A
+    frozen record whose arrays are read-only, also in a copy, so that the
+    rows stay those of the poses they were evaluated at, and a structure's
+    copies share it."""
 
     extended: np.ndarray
     d_a: np.ndarray | None

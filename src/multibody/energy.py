@@ -15,11 +15,11 @@ every body's gradient and Hessian in one pass; any other callable is called per 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
+from .constraints import _checked_index
 from .se3 import Pose, log_rotation, skew, variation_matrix
 
 
@@ -144,7 +144,7 @@ class PerBody:
 
     def __init__(self, providers: dict):
         for i in providers:
-            if operator.index(i) < 0:
+            if _checked_index(i, "per_body: a key") < 0:
                 raise ValueError(f"per_body: body index {i} is negative")
         self.providers = dict(providers)
         targets = {i: p for i, p in self.providers.items() if isinstance(p, PoseTarget)}

@@ -64,14 +64,13 @@ class ConvergenceStudy:
     n_iterations: int
     rot_errors: np.ndarray  # (n_trials, n_iterations + 1)
     trans_errors: np.ndarray
-    percentiles: tuple = PERCENTILE_LEVELS
 
     def percentile_rows(self) -> list[ConvergenceRow]:
         rows = []
         for it in range(self.n_iterations + 1):
-            rot = np.percentile(self.rot_errors[:, it], self.percentiles)
-            trans = np.percentile(self.trans_errors[:, it], self.percentiles)
-            for level, r, t in zip(self.percentiles, rot, trans):
+            rot = np.percentile(self.rot_errors[:, it], PERCENTILE_LEVELS)
+            trans = np.percentile(self.trans_errors[:, it], PERCENTILE_LEVELS)
+            for level, r, t in zip(PERCENTILE_LEVELS, rot, trans):
                 rows.append(ConvergenceRow(self.kind, it, int(level), float(r), float(t)))
         return rows
 

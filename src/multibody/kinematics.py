@@ -13,14 +13,15 @@ structure makes every body a root with its own six coordinates.
 
 from __future__ import annotations
 
-import copy
 import enum
 import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import ConstraintRows, ConstraintStack, _frozen, _ReadOnly, evaluate_constraints
+from .constraints import (
+    ConstraintRows, ConstraintStack, _checked_index, _frozen, _ReadOnly, evaluate_constraints
+)
 from .se3 import Pose, _pose, adjoint, exp_rotvec
 
 AXIS_NAMES = ("rot_x", "rot_y", "rot_z", "trans_x", "trans_y", "trans_z")
@@ -179,9 +180,9 @@ class _PoseStore(_ReadOnly):
     model_to_joint) and the constraints evaluated there.  Every stack is
     read-only and replaced, never written, so that a store stays that of its
     poses whatever the structure does afterwards.  A copy of the structure
-    has a store of its own on the same stacks and rows; one without joint
-    stacks infers its own when first read.  Pickle builds every part again,
-    read-only.
+    has a store of its own on the same stacks and the same frozen rows
+    record; one without joint stacks infers its own when first read.
+    Pickle builds every part again, read-only.
 
     The joint stacks are the store's own, given at adoption or carried by
     the tree-view update that made the poses, or None after a forest-view
@@ -249,9 +250,10 @@ class KinematicStructure(_ReadOnly):
     first read, and the constraints evaluated there (``rows_at_poses()()``,
     read-only arrays), when first asked for, so that each pose is evaluated
     at most once.  A copy (copy.copy or copy.deepcopy, one hook) is a new
-    state on the shared constants: it shares everything construction fixed,
-    and has its own store on the same read-only stacks and rows, and its own
-    bodies and joints.  Pickle builds every part again and re-freezes it
+    state on the shared constants, made in one pass: it shares everything
+    construction fixed and the frozen rows record, and has its own store on
+    the same read-only stacks, and its own bodies and joints, bound to it as
+    they are copied.  Pickle builds every part again and re-freezes it
     (_ReadOnly).  Mutating operations (pose updates) must be serialized by
     the caller; read-only snapshots may be shared for parallel evaluation,
     which at worst evaluates the same rows or joints twice.
@@ -290,38 +292,38 @@ class KinematicStructure(_ReadOnly):
             if rows.any()
         )
         self._freeze()
-        self._bind()  # only once every row is valid
-
-    def _bind(self):
-        """Make the structure the owner of its bodies and joints, which read
-        their pose rows from its stacks from then on."""
+        # Only once every row is valid: the bodies and joints read their
+        # pose rows from the structure's stacks from then on.
         for i, body in enumerate(self.bodies):
             for name, obj in zip(_STACKED, (body, body.joint, body.joint)):
                 vars(obj).pop(name, None)
                 vars(obj).update(_owner=self, _index=i)
 
     def __deepcopy__(self, memo=None):
-        """A new state on the structure's shared constants.  The copy shares
-        what construction fixed, all of it read-only: the views and their
-        KKT patterns, the constraints and their stack, the adopted stacks,
-        the fixed sides and the DoF offsets.  It has its own store on the
-        same poses, joint stacks (or none, inferred by its own first read)
-        and rows (a shallow copy of the record), and its own bodies and
-        joints, shallow copies bound to it.  ``memo`` gets the copy, its
-        bodies and its joints; a body or joint that a deep copy of a tuple
-        has copied before the structure is in ``memo`` already, and is taken
-        from there.  A shallow copy is the same: sharing the bodies would
-        share their pose rows."""
+        """A new state on the structure's shared constants, made in one
+        pass.  The copy shares what construction fixed, all of it read-only:
+        the views and their KKT patterns, the constraints and their stack,
+        the adopted stacks, the fixed sides and the DoF offsets.  It has its
+        own store on the same poses, joint stacks (or none, inferred by its
+        own first read) and frozen rows record, and its own bodies and
+        joints, shallow copies that keep their rows' indices and are bound
+        to it as they are made.  ``memo`` gets the copy, its bodies and its
+        joints; a body or joint that a deep copy of a tuple has copied
+        before the structure is in ``memo`` already, and is taken from
+        there.  A shallow copy is the same: sharing the bodies would share
+        their pose rows."""
         memo = {} if memo is None else memo
-        for obj in (self, *self.bodies, *(body.joint for body in self.bodies)):
-            vars(memo.setdefault(id(obj), object.__new__(type(obj)))).update(vars(obj))
-        twin = memo[id(self)]
-        twin.bodies = tuple(memo[id(body)] for body in self.bodies)
-        for body in twin.bodies:
-            vars(body)["joint"] = memo[id(body.joint)]
-        store = twin._store = _PoseStore(twin, self._store.poses, self._store._joints)
-        store.rows = copy.copy(self._store.rows)
-        twin._bind()
+
+        def made(old, **changes):
+            new = memo.setdefault(id(old), object.__new__(type(old)))
+            vars(new).update(vars(old), **changes)
+            return new
+
+        twin = made(self)
+        bodies = (made(b, _owner=twin, joint=made(b.joint, _owner=twin)) for b in self.bodies)
+        twin.bodies = tuple(bodies)
+        twin._store = _PoseStore(twin, self._store.poses, self._store._joints)
+        twin._store.rows = self._store.rows
         return twin
 
     __copy__ = __deepcopy__
@@ -342,10 +344,11 @@ class KinematicStructure(_ReadOnly):
             if body.name in names:
                 raise ValueError(f"duplicate body name {body.name!r}")
             names.add(body.name)
-            if body.parent is not None and not 0 <= body.parent < i:
-                raise ValueError(
-                    f"body {body.name!r}: parent index {body.parent} must precede it"
-                )
+            if body.parent is not None:
+                if not 0 <= _checked_index(body.parent, f"body {body.name!r}: parent") < i:
+                    raise ValueError(
+                        f"body {body.name!r}: parent index {body.parent} must precede it"
+                    )
             first = self.bodies[joints.setdefault(id(body.joint), i)]
             if first is not body:
                 raise ValueError(f"body {body.name!r} shares its joint with body {first.name!r}")
@@ -411,12 +414,18 @@ class KinematicStructure(_ReadOnly):
         root with J_T_M = I and moves to pose o T(theta_i), composed with no
         frame; its store has no joint stacks, inferred from the new poses
         when first read.  The new pose stack starts a new store
-        (rows_at_poses), with no constraint rows yet.
+        (rows_at_poses), with no constraint rows yet.  A non-finite theta is
+        refused, naming its first non-finite coordinate, before any stack is
+        replaced.
         """
         view = self.forest if forest else self.tree
         theta_k = np.asarray(theta_k, dtype=float)
         if theta_k.shape != (view.n_dof,):
             raise ValueError(f"theta has length {theta_k.shape[0]}, expected {view.n_dof}")
+        if not np.isfinite(theta_k).all():
+            q = np.flatnonzero(~np.isfinite(theta_k))[0]
+            where = f"{AXIS_NAMES[view.axis[q]]} of body {self.bodies[view.body[q]].name!r}"
+            raise ValueError(f"theta[{q}] is {theta_k[q]}, not finite: {where}")
         n = len(self.bodies)
         extended = np.zeros((n, 6))
         extended[view.body, view.axis] = theta_k

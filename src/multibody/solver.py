@@ -168,12 +168,13 @@ class KktSystem:
         return cls(kkt, g_k, b_vec)
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Pattern(_ReadOnly):
     """Where the structurally nonzero entries of one view's KKT matrix go in
     one mode (_pattern), rows on given bodies, as the size rule stores it.
-    Built once per view and mode and kept in the view: its arrays are
-    read-only, also in a copy.
+    Built once per view and mode and kept in the view, which a structure's
+    copies share: a frozen record whose arrays are read-only, also in a
+    copy.
 
     The entries are H's pattern pairs (view.pairs), their mirror images,
     then B's and B^T's: for each side of each row (side k of row k mod m,

@@ -9,6 +9,7 @@ test's docstring names a change to the library that makes it fail.
 """
 
 import copy
+import dataclasses
 import pickle
 import sys
 import threading
@@ -386,9 +387,10 @@ class TestOneWriter:
     @pytest.mark.parametrize("copier", ["deepcopy", "pickle"])
     def test_copies_keep_their_rows_bit_for_bit(self, copier, monkeypatch):
         """A copy keeps the rows its store holds, read-only, and evaluates
-        none.  Fails if a copy drops them, if a copy of ``ConstraintRows``
-        leaves its arrays writeable, or if the copy's rows or its next step
-        differ from the original's by a bit."""
+        none: a deep copy shares the frozen record, pickle builds it again.
+        Fails if a copy drops them, if a pickled ``ConstraintRows`` leaves
+        its arrays writeable, or if the copy's rows or its next step differ
+        from the original's by a bit."""
         s, provider = pulled_tree()
         step(s, provider, COMBINED)
         rows = s.rows_at_poses()()
@@ -399,7 +401,8 @@ class TestOneWriter:
             kinematics, "evaluate_constraints", lambda *args: calls.append(1) or original(*args)
         )
         again = twin.rows_at_poses()()
-        assert not calls and again is not rows and again.stack is twin.constraint_stack
+        assert not calls and again.stack is twin.constraint_stack
+        assert (again is rows) == (copier == "deepcopy")
         for name in ("extended", "d_a", "d_b"):
             assert not getattr(again, name).flags.writeable, name
             assert getattr(again, name).tobytes() == getattr(rows, name).tobytes(), name
@@ -509,9 +512,9 @@ class TestACopyIsANewState:
     @pytest.mark.parametrize("copier", COPIERS)
     def test_shares_what_construction_fixed(self, copier):
         """Fails if a copy duplicates a view, a KKT pattern, the
-        constraints, their stack, the adopted stacks or the DoF offsets; if
-        it shares the original's store, rows object, bodies or joints; or if
-        any array reachable from it is writeable."""
+        constraints, their stack, the adopted stacks, the DoF offsets or the
+        rows object; if it shares the original's store, bodies or joints; or
+        if any array reachable from it is writeable."""
         s, provider = pulled_tree()
         for mode in SolverMode:
             step(s, provider, SolverConfig(mode=mode))
@@ -523,7 +526,7 @@ class TestACopyIsANewState:
         for mode in SolverMode:
             assert solver._pattern(twin, mode) is solver._pattern(s, mode), mode
         store, own = s.rows_at_poses(), twin.rows_at_poses()
-        assert own is not store and own.s is twin and own.rows is not store.rows
+        assert own is not store and own.s is twin and own.rows is store.rows
         assert own.poses is store.poses and own.joints() is store.joints()
         for name in ("extended", "d_a", "d_b", "stack"):
             assert getattr(own.rows, name) is getattr(store.rows, name), name
@@ -650,6 +653,40 @@ def test_every_read_only_record_stays_read_only_in_a_copy(record, copier):
     assert arrays.keys() == reachable_arrays(original, records=False).keys() and arrays
     for name, array in arrays.items():
         assert not array.flags.writeable, name
+
+
+# The records a structure's copies share by identity, by class name.
+SHARED_RECORDS = {
+    "ConstraintRows": lambda s: s.rows_at_poses()(),
+    "_Pattern": lambda s: solver._pattern(s, SolverMode.COMBINED),
+}
+
+
+@pytest.mark.parametrize("copier", ["original", *COPIERS, "record deepcopy", "record pickle"])
+@pytest.mark.parametrize("record", SHARED_RECORDS)
+def test_a_shared_record_refuses_assignment(record, copier):
+    """A structure's copies share its stored rows record and its views'
+    kept KKT patterns, whose arrays refuse writes; no field can be rebound
+    either, in the original, in a copy of the structure, or in the record
+    deep-copied or pickled on its own.  Fails if ``ConstraintRows`` or
+    ``_Pattern`` stops being a frozen dataclass."""
+    s, provider = pulled_tree()
+    step(s, provider, COMBINED)
+    if copier in COPIERS:
+        s = COPIERS[copier](s)
+    original = SHARED_RECORDS[record](s)
+    assert type(original).__name__ == record
+    kept = {
+        "record deepcopy": copy.deepcopy,
+        "record pickle": lambda r: pickle.loads(pickle.dumps(r)),
+    }.get(copier, lambda r: r)(original)
+    fields = dataclasses.fields(kept)
+    assert len(fields) >= 4
+    for field in fields:
+        value = getattr(kept, field.name)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(kept, field.name, value)
+        assert getattr(kept, field.name) is value, field.name
 
 
 class TestWorkspaceQuery:

@@ -120,6 +120,19 @@ class TestEvaluateConstraint:
         with pytest.raises(ValueError):
             Constraint(0, 0)
 
+    @pytest.mark.parametrize("kind", [Constraint, OrthogonalityConstraint])
+    @pytest.mark.parametrize("bad", [0.5, 2.0, True, np.bool_(False), "0"])
+    def test_a_body_index_must_be_an_integer(self, kind, bad):
+        """``Constraint(0.5, 2)`` constrained body 0, as the stack casts
+        its indices to int, and ``Constraint(True, 0)`` body 1.  Fails if a
+        bool or a non-integral index is taken, or if the error stops naming
+        the field; numpy integers stay valid."""
+        for side, args in (("body_a", (bad, 2)), ("body_b", (2, bad))):
+            with pytest.raises(TypeError, match=f"^{side} must be an integer body index, not "):
+                kind(*args)
+        c = kind(np.int64(0), np.int32(2))
+        assert (c.body_a, c.body_b) == (0, 2)
+
 
 class TestConstraintJacobian:
     @pytest.mark.parametrize("seed", range(10))

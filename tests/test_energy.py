@@ -290,6 +290,15 @@ class TestPerBody:
         with pytest.raises(ValueError, match="-1"):
             per_body({-1: quadratic_pose_target(Pose.identity())})
 
+    @pytest.mark.parametrize("bad", [True, 1.0, np.bool_(True)])
+    def test_a_key_must_be_an_integer(self, bad):
+        """``per_body({True: target})`` targeted body 1.  Fails if a bool or
+        a non-integral key is taken, or if the error stops naming the key;
+        a numpy integer stays valid."""
+        with pytest.raises(TypeError, match="^per_body: a key must be an integer body index, not "):
+            per_body({bad: quadratic_pose_target(Pose.identity())})
+        assert per_body({np.int64(1): zero_energy}).last == 1
+
     def test_malformed_target_rejected_naming_its_body(self):
         flat = Pose(np.eye(3).reshape(9), np.zeros(3))
         with pytest.raises(

@@ -1,6 +1,7 @@
 """Body Jacobians and the recursive pose update against FD and matrix oracles."""
 
 import copy
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from builders import random_pose, random_tree, rebuilt
 from multibody.constraints import Constraint, ConstraintStack, OrthogonalityConstraint
 from multibody.kinematics import (
+    AXIS_NAMES,
     Body,
     FixedSide,
     Joint,
@@ -102,6 +104,20 @@ class TestStructureValidation:
         ]
         with pytest.raises(ValueError):
             KinematicStructure(bodies)
+
+    @pytest.mark.parametrize("bad", [0.0, 0.5, False, np.bool_(True)])
+    def test_a_parent_index_must_be_an_integer(self, bad):
+        """``parent=0.0`` raised numpy's unnamed IndexError, and
+        ``parent=False`` a broadcast ValueError.  Fails if a bool or a
+        non-integral parent is taken, or if the error stops naming the body
+        and its parent; a numpy integer stays valid."""
+        def bodies(parent):
+            j = Joint(free_axes=np.ones(6, dtype=bool))
+            return [Body("a", copy.deepcopy(j)), Body("b", copy.deepcopy(j), parent=parent)]
+
+        with pytest.raises(TypeError, match="^body 'b': parent must be an integer body index"):
+            KinematicStructure(bodies(bad))
+        assert KinematicStructure(bodies(np.int64(0))).tree.links == ((1, 0),)
 
     def test_dof_offsets_contiguous(self):
         rng = np.random.default_rng(0)
@@ -441,6 +457,28 @@ class TestUpdatePoses:
         # The inferred side must keep the kinematic chain consistent.
         rebuilt = root.pose @ joint.parent_to_joint @ joint.joint_to_model
         assert np.allclose(pose_matrix(rebuilt), pose_matrix(s.bodies[1].pose), atol=1e-12)
+
+    @pytest.mark.parametrize("forest", [False, True])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_theta_is_refused(self, bad, forest):
+        """A NaN theta replaced every pose with NaN, and an infinite one
+        leaked RuntimeWarnings from the compose.  Fails if the update takes
+        a non-finite coordinate, if its error stops naming the first one,
+        its axis and its body, if a stack is replaced before the check, or
+        if a warning escapes."""
+        s = build_serial_chain(3)
+        view = s.forest if forest else s.tree
+        store, poses = s.rows_at_poses(), s.poses()
+        theta = np.zeros(view.n_dof)
+        q = view.offsets[1]
+        theta[q] = theta[-1] = bad
+        named = rf"^theta\[{q}\] is {bad}, not finite: {AXIS_NAMES[view.axis[q]]} of body 'body1'$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=named):
+                s.update_poses(theta, forest=forest)
+        assert s.rows_at_poses() is store and s.poses() is poses
+        assert np.isfinite(s.poses().r).all()
 
     def test_jacobians_invalidate_on_update(self):
         rng = np.random.default_rng(8)

@@ -130,6 +130,8 @@ def test_a_structure_is_configured_once():
         assert issubclass(cls, constraints._ReadOnly), cls.__name__
     assert not hasattr(constraints, "_freeze_all")
     assert kinematics._frozen is constraints._frozen
+    study = multibody.experiments.ConvergenceStudy
+    assert "percentiles" not in {f.name for f in dataclasses.fields(study)}
 
 
 def test_a_config_field_is_stated_once():
@@ -200,26 +202,40 @@ def test_update_poses_switches_to_the_forest_view_by_a_flag():
 
 
 def test_a_deep_copy_freezes_no_shared_record_again(monkeypatch):
-    """Calls are counted, not timed: a deep copy of a stepped four-bar
-    shares what the structure's construction fixed, so that
-    ``_ReadOnly.__setstate__`` runs for none of the structure, its view,
-    its KKT patterns, its constraints or their stack, which pickle, by
-    contrast, builds again and freezes."""
-    readonly, calls = multibody.constraints._ReadOnly, []
-    setstate = readonly.__setstate__
-    monkeypatch.setattr(
-        readonly, "__setstate__", lambda record, state: calls.append(type(record).__name__)
-        or setstate(record, state)
-    )
+    """Calls are counted, not timed: a copy, deep or shallow, of a stepped
+    four-bar shares what the structure's construction fixed and its frozen
+    rows record, so that ``_ReadOnly.__setstate__`` runs for no record and
+    no view, KKT pattern or rows record is built, while pickle builds every
+    record again and freezes it.  The hook binds the bodies and joints in
+    the pass that copies them: ``kinematics`` has no ``_bind`` and does
+    not import ``copy``."""
+    kinematics, constraints = multibody.kinematics, multibody.constraints
+    assert not hasattr(kinematics.KinematicStructure, "_bind")
+    assert not hasattr(kinematics, "copy")
+    calls, built = [], []
+
+    def counted(method, into):
+        return lambda record, *args, **kwargs: (
+            into.append(type(record).__name__) or method(record, *args, **kwargs)
+        )
+
+    readonly = constraints._ReadOnly
+    monkeypatch.setattr(readonly, "__setstate__", counted(readonly.__setstate__, calls))
+    for cls in (kinematics.Coordinates, multibody.solver._Pattern, constraints.ConstraintRows):
+        monkeypatch.setattr(cls, "__init__", counted(cls.__init__, built))
     s = multibody.config.load_config(ROOT / "demos" / "fourbar.json").structure
     for mode in ("projected", "combined"):
         multibody.step(s, multibody.zero_energy, multibody.SolverConfig(mode=mode))
-    constants = {"KinematicStructure", "Coordinates", "_Pattern", "ConstraintStack"}
-    constants |= {type(c).__name__ for c in s.constraints}
-    copy.deepcopy(s)
-    assert not constants & set(calls), calls
+    assert s.rows_at_poses().rows is not None and s.tree.kkt_patterns
+    records = {"KinematicStructure", "Coordinates", "_Pattern", "ConstraintStack", "ConstraintRows",
+               "_PoseStore", "Joint"}
+    records |= {type(c).__name__ for c in s.constraints}
+    for copier in (copy.deepcopy, copy.copy):
+        calls.clear(), built.clear()
+        copier(s)
+        assert not calls and not built, (copier.__name__, calls, built)
     pickle.loads(pickle.dumps(s))
-    assert constants <= set(calls)
+    assert records <= set(calls) and not built
 
 
 def test_every_read_only_record_is_checked_in_a_copy():

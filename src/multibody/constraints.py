@@ -62,6 +62,14 @@ def _checked_index(value, what: str):
     return value
 
 
+def _checked_mask(value, what: str) -> np.ndarray:
+    """A new array of ``value``, an axis mask: its dtype must be bool."""
+    mask = np.array(value)
+    if mask.dtype != bool:
+        raise TypeError(f"{what} must be a boolean mask, not {value!r}")
+    return mask
+
+
 @dataclass(frozen=True)
 class _FramePair(_ReadOnly):
     """Two distinct bodies with a frame on each: ``frame_a`` maps body_a's
@@ -105,7 +113,7 @@ class Constraint(_FramePair):
     )
 
     def __post_init__(self):
-        axes = np.array(self.constrained_axes, dtype=bool)
+        axes = _checked_mask(self.constrained_axes, "constrained_axes")
         object.__setattr__(self, "constrained_axes", axes)
         super().__post_init__()
         if axes.shape != (6,):

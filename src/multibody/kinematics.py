@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import (
-    ConstraintRows, ConstraintStack, _checked_index, _frozen, _ReadOnly, evaluate_constraints
+    ConstraintRows, ConstraintStack, _checked_index, _checked_mask, _frozen, _ReadOnly,
+    evaluate_constraints,
 )
 from .se3 import Pose, _pose, adjoint, exp_rotvec
 
@@ -90,7 +91,7 @@ class Joint(_Adoptable, _ReadOnly):
     _role = "joint of body"
 
     def __post_init__(self):
-        self.free_axes = _frozen(np.array(self.free_axes, dtype=bool))
+        self.free_axes = _frozen(_checked_mask(self.free_axes, "free_axes"))
         if self.free_axes.shape != (6,):
             raise ValueError("free_axes must have 6 entries")
 

@@ -11,18 +11,14 @@ Conventions used throughout the package:
 
 Each formula (skew, exp_rotvec, log_rotation, variation_matrix) has one
 kernel, over any leading axes of its input: a single (3,) or (3, 3) input
-gives the single result.  Branches are chosen per row by masks, and a series
-branch is computed only if some row needs it.
+gives the single result.  Each is one closed form, divided by the angle only
+where it is nonzero and taking its exact limit where it is 0; log_rotation
+has one masked branch, for the rows above pi/2.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-# Below this angle, closed-form coefficients switch to series expansions.
-SMALL_ANGLE = 1e-4
-# From this angle on, log_rotation recovers the axis from the symmetric part.
-NEAR_PI = np.pi - 1e-4
 
 _EYE3 = np.eye(3)
 _EYE3.flags.writeable = False
@@ -30,6 +26,11 @@ _EYE3.flags.writeable = False
 # Row k is skew(e_k), flattened, with the signed zeros of the entry-wise
 # formula [[0, -z, y], [z, 0, -x], [-y, x, 0]].
 _SKEW_BASIS = np.array([[[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]] for x, y, z in _EYE3]).reshape(3, 9)
+
+# Row k of 4 q q^T, q = [q_w | q_v] a unit quaternion, as indices into its
+# ten distinct entries [1 + tr, w (3), 1 + 2 R_ii - tr (3), R_ij + R_ji (3)]
+# of a rotation R, with w its skew part [R21 - R12, R02 - R20, R10 - R01].
+_QUATERNION_ROWS = np.array([[0, 1, 2, 3], [1, 4, 7, 8], [2, 7, 5, 9], [3, 8, 9, 6]])
 
 
 def row_norms(v: np.ndarray) -> np.ndarray:
@@ -49,26 +50,16 @@ def skew(v: np.ndarray) -> np.ndarray:
     return (v @ _SKEW_BASIS).reshape(v.shape + (3,))
 
 
-def _small(angle: np.ndarray):
-    """Rows below SMALL_ANGLE (a mask, or None), and the angles with 1.0 there."""
-    small = angle < SMALL_ANGLE
-    if not np.count_nonzero(small):
-        return None, angle
-    return small, np.where(small, 1.0, angle)
-
-
 def exp_rotvec(v: np.ndarray) -> np.ndarray:
     """Rotation matrix of each axis-angle row (Rodrigues formula):
-    (..., 3) -> (..., 3, 3).  Continuous at the identity through series
-    expansions of sin(a)/a and (1 - cos(a))/a^2.
+    (..., 3) -> (..., 3, 3).  sin(a)/a and (1 - cos(a))/a^2 are taken where
+    the angle a is nonzero; where it is 0 the rotation is the identity.
     """
     v = np.asarray(v, dtype=float)
     angle = row_norms(v)
-    small, safe = _small(angle)
-    s, c = np.sin(safe) / safe, (1.0 - np.cos(safe)) / (safe * safe)
-    if small is not None:
-        a2 = angle * angle
-        s, c = np.where(small, 1.0 - a2 / 6.0, s), np.where(small, 0.5 * (1.0 - a2 / 12.0), c)
+    nonzero = angle > 0.0
+    s = np.divide(np.sin(angle), angle, out=np.zeros_like(angle), where=nonzero)
+    c = np.divide(1.0 - np.cos(angle), angle * angle, out=np.zeros_like(angle), where=nonzero)
     k = skew(v)
     return _EYE3 + s[..., None, None] * k + c[..., None, None] * (k @ k)
 
@@ -77,40 +68,40 @@ def log_rotation(r: np.ndarray) -> np.ndarray:
     """Principal rotation vector of each rotation matrix, norm in [0, pi]:
     (..., 3, 3) -> (..., 3).
 
-    Near pi the axis is recovered from the symmetric part of the matrix;
-    the usual asin-based formula loses the axis there.  At exactly pi the
-    axis sign is ambiguous and the representative whose first nonzero
-    component is positive is returned.
+    Up to pi/2 (trace >= 1) it is a / (2 sin(a)) times the skew part
+    w = 2 sin(a) e, and w / 2 where the arccos'd angle a is 0.  Above pi/2,
+    where that division loses the axis, Shepperd's method (J. Guidance and
+    Control 1(3), 1978) takes the row of 4 q q^T with the largest diagonal
+    entry, q = [q_w | q_v] the quaternion of r, with q_w >= 0, and returns
+    2 atan2(|q_v|, q_w) q_v / |q_v|.  Where |w| <= 1e-9 the axis sign is
+    ambiguous, and the representative whose first nonzero component is
+    positive is returned.
     """
     r = np.asarray(r, dtype=float)
-    # The trace, and [r21 - r12, r02 - r20, r10 - r01], from the flat entries.
+    # The trace, and w = [r21 - r12, r02 - r20, r10 - r01], from the flat entries.
     flat = r.reshape(r.shape[:-2] + (9,))
     trace = flat[..., 0] + flat[..., 4] + flat[..., 8]
-    cos_a = np.minimum(np.maximum((trace - 1.0) / 2.0, -1.0), 1.0)
-    angle = np.arccos(cos_a)
+    angle = np.arccos(np.minimum(np.maximum((trace - 1.0) / 2.0, -1.0), 1.0))
     w = flat.take([7, 2, 3], axis=-1) - flat.take([5, 6, 1], axis=-1)
-    small, safe = _small(angle)
-    out = (safe / (2.0 * np.sin(safe)))[..., None] * w
-    if small is not None:
-        # w = 2 sin(a) e; sin(a)/a ~ 1 - a^2/6
-        out = np.where(small[..., None], 0.5 * w * (1.0 + angle * angle / 6.0)[..., None], out)
-    near_pi = angle >= NEAR_PI
-    if not np.count_nonzero(near_pi):
+    half_cosec = np.full_like(angle, 0.5)
+    np.divide(angle, 2.0 * np.sin(angle), out=half_cosec, where=angle > 0.0)
+    out = half_cosec[..., None] * w
+    wide = trace < 1.0
+    if not np.count_nonzero(wide):
         return out
-    # Near pi: e e^T = (S - cos(a) I) / (1 - cos(a)) with S the symmetric part.
-    m, cos_m, w = r[near_pi], np.asarray(cos_a)[near_pi, None, None], w[near_pi]
-    ee = (0.5 * (m + np.swapaxes(m, -1, -2)) - cos_m * _EYE3) / (1.0 - cos_m)
-    axis = np.sqrt(np.clip(np.diagonal(ee, axis1=-2, axis2=-1), 0.0, None))
-    # Relative signs from the off-diagonal products e_i e_j, i the largest.
-    rows, i = np.arange(axis.shape[0]), np.argmax(axis, axis=-1)
-    axis = np.where((ee[rows, i] < 0.0) & (np.arange(3) != i[:, None]), -axis, axis)
-    axis /= row_norms(axis)[:, None]
-    # Overall sign from the skew part if it still carries information, else
-    # the first nonzero component is made positive.
-    dot = (axis[:, None, :] @ w[:, :, None])[:, 0, 0]
-    first = axis[rows, np.argmax(axis != 0.0, axis=-1)]
-    negative = np.where(row_norms(w) > 1e-9, dot < 0.0, first < 0.0)
-    out[near_pi] = np.asarray(angle)[near_pi, None] * np.where(negative[:, None], -axis, axis)
+    m, tr, w = flat[wide], np.asarray(trace)[wide, None], w[wide]
+    diagonal = 1.0 + 2.0 * m.take([0, 4, 8], axis=-1) - tr
+    symmetric = m.take([1, 2, 5], axis=-1) + m.take([3, 6, 7], axis=-1)
+    entries = np.concatenate([1.0 + tr, w, diagonal, symmetric], axis=-1)
+    rows = np.arange(m.shape[0])
+    largest = np.argmax(entries.take([0, 4, 5, 6], axis=-1), axis=-1)
+    q = entries[rows[:, None], _QUATERNION_ROWS[largest]]
+    qv, norm = q[:, 1:], row_norms(q[:, 1:])
+    # The sign of q_w, or, where |w| <= 1e-9, of the first nonzero q_v entry.
+    first = qv[rows, np.argmax(qv != 0.0, axis=-1)]
+    sign = np.where(row_norms(w) > 1e-9, q[:, 0], first)
+    scale = np.copysign(2.0 * np.arctan2(norm, np.abs(q[:, 0])) / norm, sign)
+    out[wide] = scale[:, None] * qv
     return out
 
 
@@ -236,20 +227,17 @@ def variation_matrix(v: np.ndarray) -> np.ndarray:
     For r = a*e the matrix is
     (a/2)cot(a/2) I - (a/2)[e]x + (1 - (a/2)cot(a/2)) e e^T,
     reducing to the identity at a = 0.  Its transpose plays the same role
-    for a preceding infinitesimal rotation.  Below SMALL_ANGLE the series
-    (1 - a^2/12) I - [v]x / 2 is the formula with e = v, a/2 = 1/2 and no
-    e e^T term.
+    for a preceding infinitesimal rotation.  (a/2)cot(a/2) and e = r/a are
+    taken only where a is nonzero.
     """
     v = np.asarray(v, dtype=float)
     angle = row_norms(v)
-    small, safe = _small(angle)
-    half = safe / 2.0
-    h = half / np.tan(half)
-    e, tail = v / safe[..., None], 1.0 - h
-    if small is not None:
-        h, tail = np.where(small, 1.0 - angle * angle / 12.0, h), np.where(small, 0.0, tail)
+    nonzero = angle > 0.0
+    half = angle / 2.0
+    h = np.divide(half, np.tan(half), out=np.ones_like(angle), where=nonzero)
+    e = np.divide(v, angle[..., None], out=np.zeros_like(v), where=nonzero[..., None])
     return (
         h[..., None, None] * _EYE3
         - half[..., None, None] * skew(e)
-        + tail[..., None, None] * (e[..., :, None] * e[..., None, :])
+        + (1.0 - h)[..., None, None] * (e[..., :, None] * e[..., None, :])
     )

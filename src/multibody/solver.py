@@ -83,6 +83,8 @@ class Regularization:
 
     def __post_init__(self):
         for name, value in vars(self).items():
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise TypeError(f"{name} must be a number, got {value!r}")
             if not np.isfinite(value) or value < 0:
                 raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
 

@@ -16,7 +16,11 @@ band product are checked against the product path and the per-diagonal
 loop they replaced (`assemble_by_products`, `band_product_by_diagonals`).  The SE(3) kernels must equal the scalar
 formulas kept here (`skew`, `exp_rotvec`, `log_rotation`,
 `variation_matrix`, `pose_with_variation`) bit for bit, and every
-per-object oracle builds on these, not on the kernels under test.
+per-object oracle builds on these, not on the kernels under test.  These
+scalar formulas are the kernels' formulas, one rotation at a time, so they
+check the stacking, not the accuracy: that is checked against long double
+references (`test_se3.py::TestAccuracy`), whose `log_rotation` shares no
+formula with the kernel.
 """
 
 import warnings
@@ -28,7 +32,7 @@ from multibody.constraints import Constraint, OrthogonalityConstraint
 from multibody.energy import BodyEnergy, zero_energy
 from multibody.experiments import TRIAL_UNIFORMS, random_spd
 from multibody.kinematics import Body, FixedSide, Joint, KinematicStructure, axes_mask
-from multibody.se3 import NEAR_PI, SMALL_ANGLE, Pose, adjoint, row_norms
+from multibody.se3 import Pose, adjoint, row_norms
 from multibody import solver
 from multibody.solver import KktSystem, Regularization, SolverMode, solve_kkt
 
@@ -47,18 +51,12 @@ def skew(v: np.ndarray) -> np.ndarray:
 
 
 def exp_rotvec(v: np.ndarray) -> np.ndarray:
-    """Rotation matrix for an axis-angle vector (Rodrigues formula).
-
-    Continuous at the identity through series expansions of sin(a)/a and
-    (1 - cos(a))/a^2.
-    """
+    """Rotation matrix for an axis-angle vector (Rodrigues formula); the
+    identity where the angle is 0."""
     v = np.asarray(v, dtype=float)
     angle = np.linalg.norm(v)
-    if angle < SMALL_ANGLE:
-        a2 = angle * angle
-        s = 1.0 - a2 / 6.0          # sin(a)/a
-        c = 0.5 * (1.0 - a2 / 12.0)  # (1 - cos(a))/a^2
-    else:
+    s, c = 0.0, 0.0
+    if angle > 0.0:
         s = np.sin(angle) / angle
         c = (1.0 - np.cos(angle)) / (angle * angle)
     k = skew(v)
@@ -68,51 +66,32 @@ def exp_rotvec(v: np.ndarray) -> np.ndarray:
 def log_rotation(r: np.ndarray) -> np.ndarray:
     """Principal rotation vector of a rotation matrix, norm in [0, pi].
 
-    Near pi the axis is recovered from the symmetric part of the matrix;
-    the usual asin-based formula loses the axis there.  At exactly pi the
-    axis sign is ambiguous and the representative whose first nonzero
-    component is positive is returned.
+    Up to pi/2 (trace >= 1), a / (2 sin(a)) times the skew part w, or w / 2
+    where the angle is 0.  Above, Shepperd's method: the row of 4 q q^T, q
+    the quaternion, with the largest diagonal entry.  Where |w| <= 1e-9 the
+    first nonzero component is made positive.
     """
     r = np.asarray(r, dtype=float)
-    cos_a = min(max((np.trace(r) - 1.0) / 2.0, -1.0), 1.0)
-    angle = np.arccos(cos_a)
+    trace = np.trace(r)
+    angle = np.arccos(min(max((trace - 1.0) / 2.0, -1.0), 1.0))
     w = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
-
-    if angle < SMALL_ANGLE:
-        # w = 2 sin(a) e; sin(a)/a ~ 1 - a^2/6
-        return 0.5 * w * (1.0 + angle * angle / 6.0)
-
-    if angle < NEAR_PI:
-        return (angle / (2.0 * np.sin(angle))) * w
-
-    # Near pi: e e^T = (S - cos(a) I) / (1 - cos(a)) with S the symmetric part.
-    s = 0.5 * (r + r.T)
-    ee = (s - cos_a * np.eye(3)) / (1.0 - cos_a)
-    axis = np.sqrt(np.clip(np.diag(ee), 0.0, None))
-    # Relative signs from the off-diagonal products e_i e_j.
-    i = int(np.argmax(axis))
-    for j in range(3):
-        if j != i and ee[i, j] < 0.0:
-            axis[j] = -axis[j]
-    axis /= np.linalg.norm(axis)
-    # Overall sign from the skew part if it still carries information.
-    if np.linalg.norm(w) > 1e-9:
-        if np.dot(axis, w) < 0.0:
-            axis = -axis
-    else:
-        for component in axis:
-            if component != 0.0:
-                if component < 0.0:
-                    axis = -axis
-                break
-    return angle * axis
-
-
-def _half_angle_cot(angle: float) -> float:
-    """(a/2) * cot(a/2) with the series limit 1 - a^2/12 at small angles."""
-    if angle < SMALL_ANGLE:
-        return 1.0 - angle * angle / 12.0
-    return (angle / 2.0) / np.tan(angle / 2.0)
+    if trace >= 1.0:
+        return (angle / (2.0 * np.sin(angle)) if angle > 0.0 else 0.5) * w
+    d = [1.0 + trace] + [1.0 + 2.0 * r[k, k] - trace for k in range(3)]
+    qq = np.array(
+        [
+            [d[0], w[0], w[1], w[2]],
+            [w[0], d[1], r[0, 1] + r[1, 0], r[0, 2] + r[2, 0]],
+            [w[1], r[0, 1] + r[1, 0], d[2], r[1, 2] + r[2, 1]],
+            [w[2], r[0, 2] + r[2, 0], r[1, 2] + r[2, 1], d[3]],
+        ]
+    )
+    q = qq[int(np.argmax(d))]
+    qv = q[1:]
+    norm = np.linalg.norm(qv)
+    # Signed as q_w, or, where |w| <= 1e-9, as the first nonzero q_v entry.
+    sign = q[0] if np.linalg.norm(w) > 1e-9 else next(c for c in qv if c != 0.0)
+    return np.copysign(2.0 * np.arctan2(norm, abs(q[0])) / norm, sign) * qv
 
 
 def variation_matrix(v: np.ndarray) -> np.ndarray:
@@ -125,11 +104,11 @@ def variation_matrix(v: np.ndarray) -> np.ndarray:
     """
     v = np.asarray(v, dtype=float)
     angle = np.linalg.norm(v)
-    if angle < SMALL_ANGLE:
-        return _half_angle_cot(angle) * _EYE3 - 0.5 * skew(v)
-    e = v / angle
-    h = _half_angle_cot(angle)
-    return h * _EYE3 - (angle / 2.0) * skew(e) + (1.0 - h) * (e[:, None] * e)
+    half = angle / 2.0
+    h, e = 1.0, np.zeros(3)
+    if angle > 0.0:
+        h, e = half / np.tan(half), v / angle
+    return h * _EYE3 - half * skew(e) + (1.0 - h) * (e[:, None] * e)
 
 
 def pose_with_variation(pose: Pose, theta: np.ndarray) -> Pose:

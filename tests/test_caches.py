@@ -26,7 +26,7 @@ from multibody.constraints import Constraint, OrthogonalityConstraint, evaluate_
 from multibody.energy import per_body, quadratic_pose_target
 from multibody.experiments import build_serial_chain
 from multibody.kinematics import Body, FixedSide, Joint
-from multibody.se3 import SMALL_ANGLE, Pose, exp_rotvec, log_rotation, variation_matrix
+from multibody.se3 import Pose, exp_rotvec, log_rotation, variation_matrix
 from multibody.solver import (
     FactorizationFailed, KktSystem, SolverConfig, SolverMode, solve_kkt, step
 )
@@ -729,8 +729,8 @@ def rows_of(angles, rng):
     return np.array([a * e for a, e in zip(angles, axes)])
 
 
-SMALL = [0.0, 1e-12, 3e-7, 0.5 * SMALL_ANGLE, np.nextafter(SMALL_ANGLE, 0.0)]
-ORDINARY = [SMALL_ANGLE, 2e-4, 0.3, 1.7, 3.0]
+SMALL = [0.0, 1e-12, 3e-7, 0.5 * 1e-4, np.nextafter(1e-4, 0.0)]
+ORDINARY = [1e-4, 2e-4, 0.3, 1.7, 3.0]
 STACKS = {
     "no small row": ORDINARY,
     "all small rows": SMALL,
@@ -738,15 +738,13 @@ STACKS = {
 }
 
 
-class TestSeriesOnlyWhereARowNeedsIt:
+class TestSmallAnglesInAStack:
     @pytest.mark.parametrize("stack", list(STACKS))
     def test_kernels_equal_the_scalar_formulas_row_by_row(self, stack):
-        """The series branch runs only if some row is below SMALL_ANGLE;
-        every row must still equal its scalar formula bit for bit.  Fails
-        if ``_small`` reports no small row when there is one (all small,
-        mixed), if ``variation_matrix`` drops its ``tail`` mask (all small,
-        mixed), or if ``safe`` keeps a small row's own angle (division by
-        zero at 0.0)."""
+        """Stacks with no small angle, only small angles (0.0 among them)
+        and both mixed: every row must equal its scalar formula bit for bit.
+        Fails if a kernel divides by a zero angle (a RuntimeWarning, an
+        error here) or takes its limit on a row whose angle is not 0."""
         v = rows_of(STACKS[stack], np.random.default_rng(53))
         for kernel, reference in (
             (exp_rotvec, scalar.exp_rotvec),

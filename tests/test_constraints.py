@@ -134,6 +134,17 @@ class TestEvaluateConstraint:
         assert (c.body_a, c.body_b) == (0, 2)
 
 
+    @pytest.mark.parametrize("bad", [[0, 1, 2, 3, 4, 5], [0.5, 0, 0, 0, 0, 0], np.ones(6), "rot_x"])
+    def test_constrained_axes_must_be_a_boolean_mask(self, bad):
+        """``constrained_axes=[0, 1, 2, 3, 4, 5]`` was cast to a mask that
+        left rot_x free.  Fails if a mask whose dtype is not bool is taken,
+        or if the error stops naming the field; a list of bools stays valid."""
+        with pytest.raises(TypeError, match="^constrained_axes must be a boolean mask, not "):
+            Constraint(0, 1, constrained_axes=bad)
+        c = Constraint(0, 1, constrained_axes=[False] + [True] * 5)
+        assert c.constrained_axes.tolist() == [False] + [True] * 5
+
+
 class TestConstraintJacobian:
     @pytest.mark.parametrize("seed", range(10))
     def test_finite_difference_match(self, seed):
@@ -269,7 +280,7 @@ class TestFrozenRecords:
         numpy copies writeable, does not freeze its frames and axes again."""
         rng = np.random.default_rng(22)
         s = rebuilt(random_tree(rng, 3), constraints=[
-            Constraint(0, 2, random_pose(rng), random_pose(rng), [1, 0, 1, 1, 0, 1]),
+            Constraint(0, 2, random_pose(rng), random_pose(rng), np.array([1, 0, 1, 1, 0, 1], bool)),
             OrthogonalityConstraint(1, 2, random_pose(rng), random_pose(rng)),
         ])
         if copied:
@@ -290,7 +301,7 @@ class TestFrozenRecords:
         single = rebuilt(s, constraints=[Constraint(0, 3, random_pose(rng), random_pose(rng))])
         s = rebuilt(s, constraints=[
             OrthogonalityConstraint(1, 4, random_pose(rng), random_pose(rng)),
-            Constraint(2, 0, random_pose(rng), random_pose(rng), [1, 0, 1, 1, 0, 1]),
+            Constraint(2, 0, random_pose(rng), random_pose(rng), np.array([1, 0, 1, 1, 0, 1], bool)),
         ])
         assert single.constraint_stack.counts.tolist() == [6]
         rows = evaluate_constraints(s.constraint_stack, s.poses())

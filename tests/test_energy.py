@@ -21,13 +21,7 @@ from multibody.energy import (
 )
 from multibody.experiments import build_serial_chain
 from multibody.kinematics import Body, Joint, KinematicStructure
-from multibody.se3 import (
-    NEAR_PI,
-    SMALL_ANGLE,
-    Pose,
-    exp_rotvec,
-    log_rotation,
-)
+from multibody.se3 import Pose, exp_rotvec, log_rotation
 from multibody.solver import FactorizationFailed, Regularization, SolverConfig, SolverMode, step
 from oracles import (
     evaluate_quadratic_target,
@@ -196,10 +190,12 @@ class TestEnergyDecrease:
 # variation matrix, mixed with random angles in stacks.
 SEAM_ANGLES = (
     0.0,
-    SMALL_ANGLE * (1 - 1e-9),
-    SMALL_ANGLE * (1 + 1e-9),
-    NEAR_PI - 1e-9,
-    NEAR_PI + 1e-9,
+    1e-4 * (1 - 1e-9),
+    1e-4 * (1 + 1e-9),
+    np.pi / 2 - 1e-9,
+    np.pi / 2 + 1e-9,
+    np.pi - 1e-4 - 1e-9,
+    np.pi - 1e-4 + 1e-9,
     np.pi,
 )
 axes = (

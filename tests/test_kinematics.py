@@ -119,6 +119,16 @@ class TestStructureValidation:
             KinematicStructure(bodies(bad))
         assert KinematicStructure(bodies(np.int64(0))).tree.links == ((1, 0),)
 
+    @pytest.mark.parametrize("bad", [[0, 1, 2, 3, 4, 5], [0.5, 0, 0, 0, 0, 0], np.ones(6), "rot_x"])
+    def test_free_axes_must_be_a_boolean_mask(self, bad):
+        """``free_axes=[0, 1, 2, 3, 4, 5]`` was cast to a mask that locked
+        rot_x, and ``[0.5, 0, ...]`` freed rot_x.  Fails if a mask whose
+        dtype is not bool is taken, or if the error stops naming the field;
+        a list of bools stays valid."""
+        with pytest.raises(TypeError, match="^free_axes must be a boolean mask, not "):
+            Joint(free_axes=bad)
+        assert Joint(free_axes=[True] * 5 + [False]).free_axes.tolist() == [True] * 5 + [False]
+
     def test_dof_offsets_contiguous(self):
         rng = np.random.default_rng(0)
         s = random_tree(rng, 5)

@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 
 import oracles as scalar
 from multibody.se3 import (
-    NEAR_PI,
-    SMALL_ANGLE,
     Pose,
     adjoint,
     exp_rotvec,
@@ -269,10 +267,12 @@ def test_round_trip_across_angle_regimes(angle):
 # the scalar functions.
 SEAM_ANGLES = (
     0.0,
-    SMALL_ANGLE * (1 - 1e-9),
-    SMALL_ANGLE * (1 + 1e-9),
-    NEAR_PI - 1e-9,
-    NEAR_PI + 1e-9,
+    1e-4 * (1 - 1e-9),
+    1e-4 * (1 + 1e-9),
+    np.pi / 2 - 1e-9,
+    np.pi / 2 + 1e-9,
+    np.pi - 1e-4 - 1e-9,
+    np.pi - 1e-4 + 1e-9,
     np.pi,
 )
 # The seams for the scalar identities, with pi - 1e-6 in place of pi, where
@@ -304,14 +304,14 @@ def half_turn_mix():
     return np.array(
         [
             np.diag([1.0, -1.0, -1.0]),
-            scalar.exp_rotvec((NEAR_PI + 5e-5) * e),
+            scalar.exp_rotvec((np.pi - 1e-4 + 5e-5) * e),
             np.eye(3),
             np.diag([-1.0, 1.0, -1.0]),
             scalar.exp_rotvec([0.0, 1e-6, 0.0]),
             scalar.exp_rotvec(np.pi * e),
             np.diag([-1.0, -1.0, 1.0]),
             scalar.exp_rotvec([0.3, -1.2, 0.4]),
-            scalar.exp_rotvec(-NEAR_PI * e),
+            scalar.exp_rotvec(-(np.pi - 1e-4) * e),
         ]
     )
 
@@ -377,6 +377,121 @@ class TestStackedKernels:
         assert variation_matrix(np.zeros((0, 3))).shape == (0, 3, 3)
         assert log_rotation(np.zeros((0, 3, 3))).shape == (0, 3)
 
+
+
+# Accuracy against long double, in units of the float64 epsilon.  The
+# scalar oracles share the kernels' formulas, so they cannot show an error
+# of a formula; these references are long double evaluations.
+LD = np.longdouble
+EPS = np.finfo(float).eps
+ACCURACY_ANGLES = (
+    0.0,
+    1e-12,
+    1e-6,
+    5e-5,
+    1e-4 * (1 - 1e-9),
+    1e-4 * (1 + 1e-9),
+    1e-3,
+    0.3,
+    np.pi / 2 - 1e-9,
+    np.pi / 2 + 1e-9,
+    2.0,
+    3.0,
+    np.pi - 0.1,
+    np.pi - 1e-4,
+    np.pi - 1e-9,
+    np.pi,
+)
+
+
+def skew_ld(v):
+    x, y, z = np.moveaxis(v, -1, 0)
+    zero = np.zeros_like(x)
+    return np.stack([zero, -z, y, z, zero, -x, -y, x, zero], axis=-1).reshape(v.shape + (3,))
+
+
+def exp_reference(v):
+    """Rodrigues' formula in long double, from the unit axis."""
+    v = v.astype(LD)
+    angle = np.sqrt(np.sum(v * v, axis=-1))
+    k = skew_ld(np.divide(v, angle[:, None], out=np.zeros_like(v), where=angle[:, None] > 0))
+    eye = np.eye(3, dtype=LD)
+    return eye + np.sin(angle)[:, None, None] * k + (1 - np.cos(angle))[:, None, None] * (k @ k)
+
+
+def variation_reference(v):
+    """(a/2)cot(a/2) I - (a/2)[e]x + (1 - (a/2)cot(a/2)) e e^T in long double."""
+    v = v.astype(LD)
+    angle = np.sqrt(np.sum(v * v, axis=-1))
+    half = angle / 2
+    h = np.divide(half, np.tan(half), out=np.ones_like(half), where=half > 0)
+    e = np.divide(v, angle[:, None], out=np.zeros_like(v), where=angle[:, None] > 0)
+    return (
+        h[:, None, None] * np.eye(3, dtype=LD)
+        - half[:, None, None] * skew_ld(e)
+        + (1 - h)[:, None, None] * (e[:, :, None] * e[:, None, :])
+    )
+
+
+def log_reference(r):
+    """Rotation vector of each rotation in long double, by formulas that
+    log_rotation does not use: the angle atan2(|w|, tr - 1), w the skew
+    part, and the axis w / |w| up to pi/2 and, beyond, the largest column
+    of R + R^T - (tr - 1) I = 2 (1 - cos a) e e^T, signed by w."""
+    r = r.astype(LD)
+    trace = np.trace(r, axis1=-2, axis2=-1)
+    w = np.stack([r[:, 2, 1] - r[:, 1, 2], r[:, 0, 2] - r[:, 2, 0], r[:, 1, 0] - r[:, 0, 1]], -1)
+    angle = np.arctan2(np.sqrt(np.sum(w * w, axis=-1)), trace - 1)
+    b = r + np.swapaxes(r, -1, -2) - (trace - 1)[:, None, None] * np.eye(3, dtype=LD)
+    column = b[np.arange(len(b)), :, np.argmax(np.diagonal(b, axis1=-2, axis2=-1), axis=-1)]
+    column = np.where((np.sum(column * w, axis=-1) < 0)[:, None], -column, column)
+    axis = np.where((trace >= 1)[:, None], w, column)
+    norm = np.sqrt(np.sum(axis * axis, axis=-1))[:, None]
+    return angle[:, None] * np.divide(axis, norm, out=np.zeros_like(axis), where=norm > 0)
+
+
+def rotvecs_at(angle, n=2000, seed=31):
+    e = np.random.default_rng(seed).standard_normal((n, 3))
+    return angle * (e / np.linalg.norm(e, axis=1)[:, None])
+
+
+class TestAccuracy:
+    @pytest.mark.parametrize("angle", ACCURACY_ANGLES)
+    def test_exp_rotvec_within_8_eps(self, angle):
+        v = rotvecs_at(angle)
+        assert np.max(np.abs(exp_rotvec(v) - exp_reference(v))) <= 8 * EPS
+
+    @pytest.mark.parametrize("angle", ACCURACY_ANGLES)
+    def test_variation_matrix_within_4_eps(self, angle):
+        """Below 1e-4 rad a series that dropped the e e^T term read 9.4e5
+        eps at 5e-5 and 3.8e6 eps at 1e-4 (1 - 1e-9)."""
+        v = rotvecs_at(angle)
+        assert np.max(np.abs(variation_matrix(v) - variation_reference(v))) <= 4 * EPS
+
+    @pytest.mark.parametrize("angle", ACCURACY_ANGLES)
+    def test_log_rotation_within_4_eps_relative(self, angle):
+        """Near pi, dividing by sin(a) or taking square roots of the
+        symmetric part loses the axis: 6.4e-8 relative at pi - 1e-4.  At pi
+        the axis sign is ambiguous, and either sign is taken."""
+        r = exp_rotvec(rotvecs_at(angle))
+        got, expected = log_rotation(r).astype(LD), log_reference(r)
+        error = np.sqrt(np.sum((got - expected) ** 2, axis=-1))
+        if angle == np.pi:
+            error = np.minimum(error, np.sqrt(np.sum((got + expected) ** 2, axis=-1)))
+        assert np.all(error <= 4 * EPS * np.sqrt(np.sum(expected * expected, axis=-1)))
+
+    @pytest.mark.parametrize("angle", [np.pi / 2, np.pi - 1e-4])
+    def test_log_rotation_central_differences_across_a_seam(self, angle):
+        """Central differences of log(exp(d) exp(v)) at d = 0, with |v| at
+        pi/2, where the quaternion rows begin, and at pi - 1e-4, close to a
+        half turn: each step moves the angle to both sides, and the
+        difference must match the variation matrix of v."""
+        rng = np.random.default_rng(37)
+        for _ in range(20):
+            v = angle * random_unit_vector(rng)
+            r = exp_rotvec(v)
+            jac = numeric_jacobian(lambda d: log_rotation(exp_rotvec(d) @ r), np.zeros(3), eps=1e-6)
+            assert np.max(np.abs(jac - variation_matrix(v))) < 1e-5
 
 leading_shapes = st.lists(st.integers(0, 4), min_size=1, max_size=3).map(tuple)
 seeds = st.integers(0, 2**32 - 1)

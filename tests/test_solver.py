@@ -589,6 +589,17 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match=field):
             Regularization(**{field: value})
 
+    @pytest.mark.parametrize("field", ["lambda_r", "lambda_t"])
+    @pytest.mark.parametrize("value", [True, np.bool_(False), "1", None])
+    def test_regularization_must_be_a_number(self, field, value):
+        """``Regularization(True, 1)`` stored ``lambda_r=True``, and
+        ``Regularization("1", 1)`` raised numpy's unnamed ``isfinite``
+        TypeError.  Fails if a bool or a non-number is taken, or if the
+        error stops naming the field; numpy numbers stay valid."""
+        with pytest.raises(TypeError, match=f"^{field} must be a number, got "):
+            Regularization(**{field: value})
+        assert Regularization(np.float32(2.0), np.int64(3)) == Regularization(2.0, 3.0)
+
     @pytest.mark.parametrize("iterations", [2.5, 2.0, True, "3"])
     def test_iterations_must_be_an_integer(self, iterations):
         with pytest.raises(TypeError, match="iterations"):

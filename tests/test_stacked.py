@@ -18,7 +18,7 @@ from multibody.constraints import (
 from multibody.energy import BodyEnergy, per_body, quadratic_pose_target
 from multibody.experiments import build_serial_chain
 from multibody.kinematics import KinematicStructure
-from multibody.se3 import NEAR_PI, SMALL_ANGLE, Pose
+from multibody.se3 import Pose
 from multibody.solver import (
     BandMatrix,
     Regularization,
@@ -44,10 +44,12 @@ from oracles import (
 ANGLES = [
     None,
     0.0,
-    SMALL_ANGLE * (1 - 1e-9),
-    SMALL_ANGLE * (1 + 1e-9),
-    NEAR_PI - 1e-9,
-    NEAR_PI + 1e-9,
+    1e-4 * (1 - 1e-9),
+    1e-4 * (1 + 1e-9),
+    np.pi / 2 - 1e-9,
+    np.pi / 2 + 1e-9,
+    np.pi - 1e-4 - 1e-9,
+    np.pi - 1e-4 + 1e-9,
     np.pi,
 ]
 

@@ -19,6 +19,7 @@ import multibody.energy
 import multibody.experiments
 import multibody.solver
 from multibody import se3
+import oracles
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -79,6 +80,17 @@ def test_se3_keeps_one_kernel_per_formula():
         "compose_stack", "inverse_stack", "rows_stack", "pose_with_variation_stack", "stack_poses"
     )
     assert not [name for name in pair_helpers if hasattr(se3, name)]
+
+
+def test_each_se3_kernel_is_one_closed_form():
+    """The kernels divide by the angle only where it is nonzero, and
+    log_rotation's one masked branch is the quaternion rows above pi/2: no
+    threshold, series branch or near-pi branch is left, nor the oracle's
+    series helper, so a second formula for the same rows cannot come back
+    unnoticed."""
+    for name in ("SMALL_ANGLE", "NEAR_PI", "_small"):
+        assert not hasattr(se3, name), name
+    assert not hasattr(oracles, "_half_angle_cot")
 
 
 def test_a_structure_is_configured_once():

@@ -403,7 +403,7 @@ class KinematicStructure(_ReadOnly):
         """Pose update from a variation vector in the coordinates of the
         tree view, or of the forest view if ``forest`` (the solver's modes
         without tree projection).  Replaces the body pose and joint stacks,
-        the only change to the state after adoption; returns the poses.
+        the only change to the state after adoption.
 
         Each joint's variation T(theta_j) acts in its joint frame: a root
         moves to pose o J_T_M^-1 o T o J_T_M, any other body to
@@ -434,7 +434,7 @@ class KinematicStructure(_ReadOnly):
         if forest:
             poses = store.poses.with_variation(extended)
             self._store = _PoseStore(self, poses, None)
-            return poses
+            return
         joints = store.joints()
         parent_to_joint, joint_to_model = joints["parent_to_joint"], joints["joint_to_model"]
         # P_T_J for the inner rows, the root's pose o J_T_M^-1 for the roots.
@@ -462,7 +462,6 @@ class KinematicStructure(_ReadOnly):
             for children, _, name, _ in self._joint_sides
         ]
         self._store = _PoseStore(self, poses, _with_rows(self._adopted, carried))
-        return poses
 
 
 def _orthonormalized(poses: Pose) -> Pose:

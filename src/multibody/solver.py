@@ -20,10 +20,12 @@ at most once per pose and only when asked for, and assembles only the
 structurally nonzero entries of the KKT matrix, all at the pose stacks the
 structure owns.
 One size rule stores and factors it: small or dense systems densely, by
-LAPACK's symmetric-indefinite dsytrf and dsytrs, alone or as a stack of one
-size; large sparse ones in band storage and reverse Cuthill-McKee order by
-LAPACK's banded LU dgbtrf and dgbtrs, which makes a chain's system banded
-as in Baraff's linear-time solver (SIGGRAPH 1996).
+LAPACK's symmetric-indefinite dsytrf and dsytrs, each system of a stack of
+one size, a lone system being a stack of one; large sparse ones in band
+storage and reverse Cuthill-McKee order by LAPACK's banded LU dgbtrf and
+dgbtrs, which makes a chain's system banded as in Baraff's linear-time
+solver (SIGGRAPH 1996).  Every check on a system's input comes before any
+factorization.
 """
 
 from __future__ import annotations
@@ -65,10 +67,11 @@ STEP_LAYERS = ("energy", "constraints_before", "assemble", "solve", "update", "c
 
 class FactorizationFailed(RuntimeError):
     """KKT system could not be solved reliably (contradictory or duplicate
-    constraints, or an indefinite reduced Hessian).
+    constraints, or an indefinite reduced Hessian), or its input was refused
+    before any factorization (solve_kkt).
 
     ``system`` is the index of the first failing system of a stack, or None
-    for a single system.
+    for a lone system.
     """
 
     def __init__(self, message: str, system: int | None = None):
@@ -147,9 +150,10 @@ class KktSystem:
     constraint rows, and one size rule (DENSE_MAX_DIM, DENSE_MIN_FILL)
     stores it as a dense array or a BandMatrix.  A dense system may
     carry a leading batch axis on every field: a stack of independent
-    systems of one size.  ``backward_error`` is set by solve_kkt: the
-    normwise relative residual |K x - r| / (|K| |x| + |r|) of the solution
-    it found, one per system of a stack.
+    systems of one size, each solved as a lone system is, bit for bit.
+    ``backward_error`` is set by solve_kkt: the normwise relative residual
+    |K x - r| / (|K| |x| + |r|) of the solution it found, one per system
+    of a stack.
     """
 
     matrix: np.ndarray | BandMatrix
@@ -417,41 +421,36 @@ def _coordinates(s: KinematicStructure, mode: SolverMode):
 def solve_kkt(k: KktSystem):
     """Solve the saddle-point system for the variation and the multipliers.
 
-    Band systems are factored by banded LU (_band_solve), dense ones, alone
-    or stacked, by Bunch-Kaufman (_dense_solve); every solution passes the
-    same finite and backward-error checks.  More constraint rows than
-    coordinates make K singular whatever its values (rank B <= n < m), and
-    are rejected first.  A system whose matrix or right-hand side is not
-    finite, which their norms show, is rejected before its factorization.
+    Every check on the input comes before any factorization, for a band
+    system as for a dense one or a stack of them.  More constraint rows
+    than coordinates make K singular whatever its values (rank B <= n < m),
+    and are rejected first; then a matrix or right-hand side that is not
+    finite, which their norms show.  A stack names its first bad system.
+    Band systems are factored by banded LU (_band_solve), dense ones by
+    Bunch-Kaufman (_dense_solve), and every solution passes the same finite
+    and backward-error checks.
     """
     rhs = -np.concatenate([k.g_k, k.b_vec], axis=-1)
     n = k.g_k.shape[-1]
-    if k.b_vec.shape[-1] > n:
-        system = 0 if rhs.ndim > 1 else None
-        raise FactorizationFailed("more constraint rows than coordinates", system)
+    more_rows = np.full(rhs.shape[:-1], k.b_vec.shape[-1] > n)
+    _raise_for_first(more_rows, "more constraint rows than coordinates")
     band = isinstance(k.matrix, BandMatrix)
+    entries = k.matrix.band if band else k.matrix
     # A product or norm that overflows is inf, which _check_solution rejects.
     with np.errstate(over="ignore"):
         if band:
             # Not np.linalg.norm: its BLAS dot product of a large band, split
             # over threads, costs more than the band solve itself.
-            kkt_norm = np.sqrt(np.einsum("ij,ij->", k.matrix.band, k.matrix.band))
+            kkt_norm = np.sqrt(np.einsum("ij,ij->", entries, entries))
         else:
             # The Frobenius norm, as np.linalg.norm computes it.
-            kkt_norm = np.sqrt(np.add.reduce(k.matrix * k.matrix, axis=(-2, -1)))
+            kkt_norm = np.sqrt(np.add.reduce(entries * entries, axis=(-2, -1)))
         rhs_norm = _norm(rhs)
-        finite = True
         if not (np.isfinite(kkt_norm).all() and np.isfinite(rhs_norm).all()):
             # Not finite, or finite values whose norm overflows: which system?
-            entries = k.matrix.band if band else k.matrix
             finite = np.isfinite(entries).all(axis=(-2, -1)) & np.isfinite(rhs).all(axis=-1)
-        if band:
-            if not finite:
-                raise FactorizationFailed(_NON_FINITE)
-            x, residual = _band_solve(k.matrix, rhs)
-        else:
-            x = _dense_solve(k.matrix, rhs, finite)
-            residual = (k.matrix @ x[..., None])[..., 0] - rhs
+            _raise_for_first(~finite, _NON_FINITE)
+        x, residual = (_band_solve if band else _dense_solve)(k.matrix, rhs)
         k.backward_error = _check_solution(residual, kkt_norm, x, rhs_norm)
     return x[..., :n], x[..., n:]
 
@@ -488,33 +487,23 @@ def _band_product(band: np.ndarray, w: int, y: np.ndarray) -> np.ndarray:
     return np.add.reduce(terms, axis=0)
 
 
-def _dense_solve(kkt: np.ndarray, rhs: np.ndarray, finite) -> np.ndarray:
-    """x with kkt x = rhs, for one system or each of a stack: the calls of
+def _dense_solve(kkt: np.ndarray, rhs: np.ndarray):
+    """x with kkt x = rhs, and kkt x - rhs, for each system of a stack, a
+    lone system being a stack of one: the calls of
     scipy.linalg.solve(..., assume_a="sym") without its argument handling
     and condition estimate.  LAPACK dsytrf factors the upper triangle
-    (Bunch-Kaufman LDL^T, optimal workspace) and dsytrs solves; a single
-    1 x 1 system is divided, as scipy does.  ``finite`` tells, for the
-    system or each of the stack, whether its matrix and right-hand side are
-    finite.  Raises FactorizationFailed naming the first system that is not
-    finite or has a zero pivot."""
-    stacked = kkt.ndim == 3
-    if not stacked:
-        kkt, rhs = kkt[None], rhs[None]
-    finite = np.broadcast_to(finite, kkt.shape[:1])
-    n = kkt.shape[-1]
-    lwork = _dsytrf_lwork(n)
+    (Bunch-Kaufman LDL^T, optimal workspace) and dsytrs solves, 1 x 1
+    systems too.  Raises FactorizationFailed naming the first system of a
+    stack, or none for a lone system, that has a zero pivot."""
+    lwork = _dsytrf_lwork(kkt.shape[-1])
     x = np.empty_like(rhs)
-    for i in range(kkt.shape[0] if n else 0):
-        system = i if stacked else None
-        if not finite[i]:
-            raise FactorizationFailed(_NON_FINITE, system)
+    # dsytrs refuses a 0 x 0 system, whose solution is empty.
+    for i in np.ndindex(rhs.shape[:-1]) if rhs.size else ():
         ldu, pivots, info = dsytrf(kkt[i], lwork=lwork)
         if info > 0:
-            raise FactorizationFailed("singular KKT matrix", system)
+            raise FactorizationFailed("singular KKT matrix", *i)
         x[i] = dsytrs(ldu, pivots, rhs[i])[0]
-    if stacked:
-        return x
-    return rhs[0] / kkt[0, 0] if n == 1 else x[0]
+    return x, (kkt @ x[..., None])[..., 0] - rhs
 
 
 def _norm(v: np.ndarray):

@@ -591,7 +591,12 @@ def solve_dense_kkt(h, g, b_mat, b_vec):
 def scipy_symmetric_solve(kkt, rhs):
     """x of kkt x = rhs, alone or stacked, by scipy.linalg.solve with
     assume_a="sym": the dense solve that solver._dense_solve calls LAPACK
-    for directly.  Its condition-number warning is dropped."""
+    for directly.  scipy divides whenever its input has exactly one entry,
+    a stack of one 1 x 1 system included, where the solver factors and
+    solves every system: so a lone 1 x 1 system is solved stacked twice,
+    and row 0 taken.  Its condition-number warning is dropped."""
+    if kkt.size == 1:
+        return scipy_symmetric_solve(np.stack([kkt, kkt]), np.stack([rhs, rhs]))[0]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
         return scipy.linalg.solve(kkt, rhs[..., None], assume_a="sym")[..., 0]

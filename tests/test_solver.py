@@ -227,6 +227,20 @@ class TestSolveKkt:
             assert np.array_equal(theta[i], single_theta)
             assert np.array_equal(lam[i], single_lam)
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_small_stack_matches_single_solves(self, dim):
+        """Fails if a lone 1 x 1 system is divided while its copy in a
+        stack is factored: they differ in the last bit for about a quarter
+        of all draws.  A lone system is a stack of one, at every size."""
+        rng = np.random.default_rng(22)
+        for _ in range(20):
+            k = self.random_kkt(rng, dim, (2,))
+            theta, lam = solve_kkt(k)
+            for i in range(2):
+                single_theta, single_lam = solve_kkt(KktSystem(k.matrix[i], k.g_k[i], k.b_vec[i]))
+                assert np.array_equal(theta[i], single_theta)
+                assert np.array_equal(lam[i], single_lam)
+
     @staticmethod
     def random_kkt(rng, dim, batch=()):
         """A random symmetric indefinite KKT system (or stack) of this size,
@@ -243,9 +257,9 @@ class TestSolveKkt:
 
     @pytest.mark.parametrize("batch", [(), (3,)])
     def test_dense_solve_matches_scipy_bit_for_bit(self, batch):
-        # Sizes 60-210 take LAPACK's blocked factorization; scipy divides a
-        # single 1 x 1 system, which differs from a 1 x 1 LDL^T solve in the
-        # last bit for about half of all draws.
+        # Sizes 60-210 take LAPACK's blocked factorization; the oracle
+        # solves a lone 1 x 1 system stacked twice, which scipy factors
+        # rather than divides.
         rng = np.random.default_rng(12)
         for dim in [*range(1, 41)] * 3 + [*range(60, 211)]:
             k = self.random_kkt(rng, dim, batch)
@@ -303,6 +317,39 @@ class TestSolveKkt:
         with pytest.raises(FactorizationFailed) as info:
             solve_kkt(KktSystem.from_blocks(h[1], g[1], b_mat[1], b_vec[1]))
         assert info.value.system is None
+
+    @staticmethod
+    def counted(monkeypatch, name):
+        """Patches solver.<name> to count its calls in the returned list."""
+        calls, function = [], getattr(solver, name)
+        monkeypatch.setattr(solver, name, lambda *a, **kw: calls.append(1) or function(*a, **kw))
+        return calls
+
+    def test_bad_input_is_named_before_any_factorization(self, monkeypatch):
+        """Fails if the singular system 1 is factored and named before the
+        NaN in system 3 is seen: every input check comes first."""
+        h = np.array([np.eye(2)] * 4)
+        g = np.zeros((4, 2))
+        b_mat = np.array([[[1.0, 0.0], [0.0, 1.0]]] * 4)
+        h[1], b_mat[1] = 0.0, 0.0
+        g[3, 0] = np.nan
+        calls = self.counted(monkeypatch, "dsytrf")
+        with pytest.raises(FactorizationFailed, match="non-finite KKT matrix") as info:
+            solve_kkt(KktSystem.from_blocks(h, g, b_mat, np.ones((4, 2))))
+        assert info.value.system == 3
+        assert not calls
+
+    def test_bad_band_input_is_named_before_its_factorization(self, monkeypatch):
+        s = build_serial_chain(64)
+        k = assemble(s, *stacked_energies([BodyEnergy.zero()] * 64), SolverMode.CONSTRAINED,
+                     Regularization())
+        assert isinstance(k.matrix, BandMatrix)
+        k.b_vec[5] = np.nan
+        calls = self.counted(monkeypatch, "dgbtrf")
+        with pytest.raises(FactorizationFailed, match="non-finite KKT matrix") as info:
+            solve_kkt(k)
+        assert info.value.system is None
+        assert not calls
 
     def test_more_rows_than_coordinates_fail_in_every_system(self):
         rng = np.random.default_rng(21)

@@ -213,6 +213,14 @@ def test_update_poses_switches_to_the_forest_view_by_a_flag():
     assert params["forest"].default is False
 
 
+def test_one_dense_solve_takes_no_finite_flag():
+    """_dense_solve factors and solves, and raises only for a zero pivot:
+    solve_kkt checks every input before it, so that no flag about the
+    input is threaded into the solve."""
+    params = inspect.signature(multibody.solver._dense_solve).parameters
+    assert list(params) == ["kkt", "rhs"]
+
+
 def test_a_deep_copy_freezes_no_shared_record_again(monkeypatch):
     """Calls are counted, not timed: a copy, deep or shallow, of a stepped
     four-bar shares what the structure's construction fixed and its frozen

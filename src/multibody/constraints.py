@@ -29,7 +29,7 @@ def _frozen(value):
     if isinstance(value, np.ndarray):
         value.setflags(write=False)
     elif isinstance(value, Pose):
-        _frozen((value.r, value.t))
+        value.r.setflags(write=False), value.t.setflags(write=False)
     elif isinstance(value, (tuple, list, dict)):
         for item in value.values() if isinstance(value, dict) else value:
             _frozen(item)
@@ -157,17 +157,16 @@ def pose_constraint_blocks(frame_a, inverse_a, inverse_b, a_t_mb, a_t_b, rotvec)
     cmat = variation_matrix(rotvec)
     r_a_ma = frame_a.r
     r_a_mb = a_t_mb.r
-    ma_t_b = inverse_a @ a_t_b
-    mb_t_b = inverse_b
+    ma_t_b = (inverse_a.r @ a_t_b.t[..., None])[..., 0] + inverse_a.t  # (inverse_a o a_t_b).t
 
     d_a = np.zeros((n, 6, 6))
     d_a[:, :3, :3] = -cmat @ r_a_ma
-    d_a[:, 3:, :3] = r_a_ma @ skew(ma_t_b.t)
+    d_a[:, 3:, :3] = r_a_ma @ skew(ma_t_b)
     d_a[:, 3:, 3:] = -r_a_ma
 
     d_b = np.zeros((n, 6, 6))
     d_b[:, :3, :3] = cmat @ r_a_mb
-    d_b[:, 3:, :3] = -r_a_mb @ skew(mb_t_b.t)
+    d_b[:, 3:, :3] = -r_a_mb @ skew(inverse_b.t)
     d_b[:, 3:, 3:] = r_a_mb
     return d_a, d_b
 
@@ -196,8 +195,8 @@ def orthogonality_blocks(frame_a, a_t_mb, a_t_b):
 class ConstraintStack(_ReadOnly):
     """Constraints as stacks, built once with a structure: ``frame_a``/``frame_b``
     and their ``inverse_a``/``inverse_b``, ``body_a``/``body_b``, ``ortho`` flags,
-    row ``masks``, their ``counts`` and ``sides``, the body_a of each row and then
-    the body_b of each.  Every array is read-only, also in a copy."""
+    row ``masks``, their ``counts``, ``spans`` [start, end) and ``sides``, the body_a
+    of each row, then the body_b of each.  Every array is read-only, also in a copy."""
 
     def __init__(self, constraints):
         self.frame_a, self.frame_b = (
@@ -211,6 +210,7 @@ class ConstraintStack(_ReadOnly):
         axes = [getattr(c, "constrained_axes", _ORTHOGONALITY_ROWS) for c in constraints]
         self.masks = np.array(axes, dtype=bool).reshape(-1, 6)
         self.counts = self.masks.sum(axis=1)
+        self.spans = np.stack([np.cumsum(self.counts) - self.counts, np.cumsum(self.counts)], -1)
         self.sides = np.repeat([self.body_a, self.body_b], self.counts, axis=1).ravel()
         self._freeze()
 

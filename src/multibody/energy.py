@@ -80,7 +80,7 @@ def pose_target_stack(targets: Pose, scales, poses: Pose):
     g[:, :3] = scale_r * r0
     g[:, 3:] = scale_t * (rt @ (poses.t - targets.t)[:, :, None])[:, :, 0]
     h[:, :3, :3] = scale_r[..., None] * (cmat @ cmat.swapaxes(-1, -2))
-    h[:, (3, 4, 5), (3, 4, 5)] = scale_t
+    h.reshape(-1, 36)[:, 21::7] = scale_t  # entries (3, 3), (4, 4) and (5, 5)
     return g, h
 
 
@@ -143,19 +143,20 @@ class PerBody:
     here, and evaluated together in one kernel call."""
 
     def __init__(self, providers: dict):
-        for i in providers:
+        self.providers = dict(providers)
+        bodies, others = [], []
+        for i, p in self.providers.items():
             if _checked_index(i, "per_body: a key") < 0:
                 raise ValueError(f"per_body: body index {i} is negative")
-        self.providers = dict(providers)
-        targets = {i: p for i, p in self.providers.items() if isinstance(p, PoseTarget)}
-        bodies, found = list(targets), list(targets.values())
+            (bodies if isinstance(p, PoseTarget) else others).append(i)
+        found = [self.providers[i] for i in bodies]
         self.target_bodies = np.array(bodies, dtype=int)
         # Targets on bodies 0..k-1 in order take the poses of k bodies as they are.
         self.in_order = bodies == list(range(len(bodies)))
         name = lambda k: f"per_body: body {bodies[k]} target"  # noqa: E731
         self.targets = Pose.stack([p.target for p in found], name)
-        self.scales = np.array([[p.scale_r for p in found], [p.scale_t for p in found]]).T
-        self.others = sorted(i for i in self.providers if i not in targets)
+        self.scales = np.array([(p.scale_r, p.scale_t) for p in found]).reshape(-1, 2)
+        self.others = sorted(others)
         self.last = max(self.providers, default=-1)
 
     def __call__(self, body_index: int, pose: Pose) -> BodyEnergy:

@@ -177,9 +177,7 @@ def run_convergence_study(
     h_k = np.zeros((n_trials, 2 * k, 2 * k))
     h_k[:, :k, :k] = hessians[:, 0][:, free][:, :, free]
     h_k[:, k:, k:] = hessians[:, 1][:, free][:, :, free]
-    regularization = Regularization()
-    reg_diag = np.where(free < 3, regularization.lambda_r, regularization.lambda_t)
-    h_k[:, np.arange(2 * k), np.arange(2 * k)] += np.tile(reg_diag, 2)
+    h_k[:, np.arange(2 * k), np.arange(2 * k)] += np.tile(Regularization().per_axis[free], 2)
     g_k = gradients[:, :, free].reshape(n_trials, 2 * k)
 
     rot_errors = np.zeros((n_trials, n_iterations + 1))

@@ -131,7 +131,6 @@ class Coordinates(_ReadOnly):
         # Body and axis of each coordinate.
         self.body = np.repeat(np.arange(n), n_dofs)
         self.axis = np.concatenate(free)
-        self.rotational = self.axis < 3
         self.links = tuple((i, p) for i, p in enumerate(parents) if p is not None)
         self.children, self.parents = np.array(self.links, dtype=int).reshape(-1, 2).T
         if self.links:
@@ -432,8 +431,7 @@ class KinematicStructure(_ReadOnly):
         extended[view.body, view.axis] = theta_k
         store = self._store
         if forest:
-            poses = store.poses.with_variation(extended)
-            self._store = _PoseStore(self, poses, None)
+            self._store = _PoseStore(self, store.poses.with_variation(extended), None)
             return
         joints = store.joints()
         parent_to_joint, joint_to_model = joints["parent_to_joint"], joints["joint_to_model"]

@@ -48,8 +48,8 @@ def add_error(mesh: Mesh, rel: Pose) -> float:
     """Mean distance between mesh vertices and their images under the
     relative transform between estimated and ground-truth pose."""
     d = rel.apply(mesh.vertices) - mesh.vertices
-    # np.linalg.norm(d, axis=1), without its wrapper.
-    return float(np.sqrt(np.add.reduce(d * d, axis=1)).mean())
+    # np.linalg.norm(d, axis=1) and np.mean, without their wrappers.
+    return float(np.add.reduce(np.sqrt(np.add.reduce(d * d, axis=1))) / d.shape[0])
 
 
 def add_s_error(mesh: Mesh, rel: Pose) -> float:
@@ -64,7 +64,7 @@ def add_s_error(mesh: Mesh, rel: Pose) -> float:
     d *= d
     squared = d[0] + d[1]
     squared += d[2]
-    return float(np.sqrt(np.minimum.reduce(squared, axis=1)).mean())
+    return float(np.add.reduce(np.sqrt(np.minimum.reduce(squared, axis=1))) / v.shape[0])
 
 
 def auc_score(errors, e_t: float) -> float:

@@ -11,9 +11,9 @@ Conventions used throughout the package:
 
 Each formula (skew, exp_rotvec, log_rotation, variation_matrix) has one
 kernel, over any leading axes of its input: a single (3,) or (3, 3) input
-gives the single result.  Each is one closed form, divided by the angle only
-where it is nonzero and taking its exact limit where it is 0; log_rotation
-has one masked branch, for the rows above pi/2.
+gives the single result.  Each is one closed form, divided by the angle, or
+by 1 where it is 0, and taking its exact limit there; no division is masked,
+and log_rotation has one masked branch, for the rows above pi/2.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ _SKEW_BASIS = np.array([[[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]] for x, y, z i
 # ten distinct entries [1 + tr, w (3), 1 + 2 R_ii - tr (3), R_ij + R_ji (3)]
 # of a rotation R, with w its skew part [R21 - R12, R02 - R20, R10 - R01].
 _QUATERNION_ROWS = np.array([[0, 1, 2, 3], [1, 4, 7, 8], [2, 7, 5, 9], [3, 8, 9, 6]])
+_SKEW_PART = np.array([[7, 2, 3], [5, 6, 1]])
 
 
 def row_norms(v: np.ndarray) -> np.ndarray:
@@ -52,14 +53,14 @@ def skew(v: np.ndarray) -> np.ndarray:
 
 def exp_rotvec(v: np.ndarray) -> np.ndarray:
     """Rotation matrix of each axis-angle row (Rodrigues formula):
-    (..., 3) -> (..., 3, 3).  sin(a)/a and (1 - cos(a))/a^2 are taken where
-    the angle a is nonzero; where it is 0 the rotation is the identity.
+    (..., 3) -> (..., 3, 3).  sin(a)/a and (1 - cos(a))/a^2 divide by 1 where
+    the angle a is 0, and are 0 there: the rotation is the identity exactly.
     """
     v = np.asarray(v, dtype=float)
     angle = row_norms(v)
-    nonzero = angle > 0.0
-    s = np.divide(np.sin(angle), angle, out=np.zeros_like(angle), where=nonzero)
-    c = np.divide(1.0 - np.cos(angle), angle * angle, out=np.zeros_like(angle), where=nonzero)
+    safe = np.where(angle > 0.0, angle, 1.0)
+    s = np.sin(angle) / safe
+    c = (1.0 - np.cos(angle)) / (safe * safe)
     k = skew(v)
     return _EYE3 + s[..., None, None] * k + c[..., None, None] * (k @ k)
 
@@ -78,13 +79,13 @@ def log_rotation(r: np.ndarray) -> np.ndarray:
     positive is returned.
     """
     r = np.asarray(r, dtype=float)
-    # The trace, and w = [r21 - r12, r02 - r20, r10 - r01], from the flat entries.
+    # The trace, and w = [r21 - r12, r02 - r20, r10 - r01] (_SKEW_PART), from the flat entries.
     flat = r.reshape(r.shape[:-2] + (9,))
     trace = flat[..., 0] + flat[..., 4] + flat[..., 8]
     angle = np.arccos(np.minimum(np.maximum((trace - 1.0) / 2.0, -1.0), 1.0))
-    w = flat.take([7, 2, 3], axis=-1) - flat.take([5, 6, 1], axis=-1)
-    half_cosec = np.full_like(angle, 0.5)
-    np.divide(angle, 2.0 * np.sin(angle), out=half_cosec, where=angle > 0.0)
+    w = flat.take(_SKEW_PART[0], axis=-1) - flat.take(_SKEW_PART[1], axis=-1)
+    nonzero = angle > 0.0
+    half_cosec = np.where(nonzero, angle, 1.0) / np.where(nonzero, 2.0 * np.sin(angle), 2.0)
     out = half_cosec[..., None] * w
     wide = trace < 1.0
     if not np.count_nonzero(wide):
@@ -227,15 +228,16 @@ def variation_matrix(v: np.ndarray) -> np.ndarray:
     For r = a*e the matrix is
     (a/2)cot(a/2) I - (a/2)[e]x + (1 - (a/2)cot(a/2)) e e^T,
     reducing to the identity at a = 0.  Its transpose plays the same role
-    for a preceding infinitesimal rotation.  (a/2)cot(a/2) and e = r/a are
-    taken only where a is nonzero.
+    for a preceding infinitesimal rotation.  Where a is 0, e = r/1 and
+    (a/2)cot(a/2) is taken as 1: the identity, exactly.
     """
     v = np.asarray(v, dtype=float)
     angle = row_norms(v)
     nonzero = angle > 0.0
+    safe = np.where(nonzero, angle, 1.0)
     half = angle / 2.0
-    h = np.divide(half, np.tan(half), out=np.ones_like(angle), where=nonzero)
-    e = np.divide(v, angle[..., None], out=np.zeros_like(v), where=nonzero[..., None])
+    h = np.where(nonzero, half / np.tan(safe / 2.0), 1.0)
+    e = v / safe[..., None]
     return (
         h[..., None, None] * _EYE3
         - half[..., None, None] * skew(e)

@@ -40,7 +40,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dsytrf, dsytrf_lwork, dsytrs
 
-from .constraints import ConstraintRows, ConstraintStack, _ReadOnly
+from .constraints import ConstraintRows, ConstraintStack, _frozen, _ReadOnly
 from .energy import evaluate
 from .kinematics import KinematicStructure, _PoseStore
 
@@ -70,8 +70,8 @@ class FactorizationFailed(RuntimeError):
     constraints, or an indefinite reduced Hessian), or its input was refused
     before any factorization (solve_kkt).
 
-    ``system`` is the index of the first failing system of a stack, or None
-    for a lone system.
+    ``system`` is the flat index, over all its leading axes in C order, of
+    the first failing system of a stack, or None for a lone system.
     """
 
     def __init__(self, message: str, system: int | None = None):
@@ -80,7 +80,7 @@ class FactorizationFailed(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Regularization:
+class Regularization(_ReadOnly):
     lambda_r: float = 100.0
     lambda_t: float = 1000.0
 
@@ -90,6 +90,8 @@ class Regularization:
                 raise TypeError(f"{name} must be a number, got {value!r}")
             if not np.isfinite(value) or value < 0:
                 raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
+        per_axis = _frozen(np.repeat(np.array([self.lambda_r, self.lambda_t], float), 3))
+        object.__setattr__(self, "per_axis", per_axis)  # rot_x .. trans_z on the KKT diagonal
 
 
 @dataclass(frozen=True)
@@ -374,8 +376,7 @@ def assemble(
         b_values = derivatives[pattern.sides, axis[pattern.coords]]
     else:
         g_k, h_values, b_values = _projected(s, pattern, g, h, derivatives)
-    reg = regularization
-    h_values[view.diagonal] += np.where(view.rotational, reg.lambda_r, reg.lambda_t)
+    h_values[view.diagonal] += regularization.per_axis[view.axis]
     values = np.concatenate([h_values, h_values[view.mirrored], b_values, b_values])
     return KktSystem(pattern.matrix(values), g_k, rows.residual)
 
@@ -425,15 +426,15 @@ def solve_kkt(k: KktSystem):
     system as for a dense one or a stack of them.  More constraint rows
     than coordinates make K singular whatever its values (rank B <= n < m),
     and are rejected first; then a matrix or right-hand side that is not
-    finite, which their norms show.  A stack names its first bad system.
-    Band systems are factored by banded LU (_band_solve), dense ones by
-    Bunch-Kaufman (_dense_solve), and every solution passes the same finite
-    and backward-error checks.
+    finite, which the sum of their norms shows.  A stack names the first
+    bad system by its flat index.  Band systems are factored by banded LU
+    (_band_solve), dense ones by Bunch-Kaufman (_dense_solve), and every
+    solution passes the same finite and backward-error checks.
     """
     rhs = -np.concatenate([k.g_k, k.b_vec], axis=-1)
     n = k.g_k.shape[-1]
-    more_rows = np.full(rhs.shape[:-1], k.b_vec.shape[-1] > n)
-    _raise_for_first(more_rows, "more constraint rows than coordinates")
+    if k.b_vec.shape[-1] > n:
+        _raise_for_first(np.ones(rhs.shape[:-1], bool), "more constraint rows than coordinates")
     band = isinstance(k.matrix, BandMatrix)
     entries = k.matrix.band if band else k.matrix
     # A product or norm that overflows is inf, which _check_solution rejects.
@@ -446,7 +447,7 @@ def solve_kkt(k: KktSystem):
             # The Frobenius norm, as np.linalg.norm computes it.
             kkt_norm = np.sqrt(np.add.reduce(entries * entries, axis=(-2, -1)))
         rhs_norm = _norm(rhs)
-        if not (np.isfinite(kkt_norm).all() and np.isfinite(rhs_norm).all()):
+        if not np.isfinite(kkt_norm + rhs_norm).all():  # each norm is >= 0 or NaN
             # Not finite, or finite values whose norm overflows: which system?
             finite = np.isfinite(entries).all(axis=(-2, -1)) & np.isfinite(rhs).all(axis=-1)
             _raise_for_first(~finite, _NON_FINITE)
@@ -493,16 +494,17 @@ def _dense_solve(kkt: np.ndarray, rhs: np.ndarray):
     scipy.linalg.solve(..., assume_a="sym") without its argument handling
     and condition estimate.  LAPACK dsytrf factors the upper triangle
     (Bunch-Kaufman LDL^T, optimal workspace) and dsytrs solves, 1 x 1
-    systems too.  Raises FactorizationFailed naming the first system of a
-    stack, or none for a lone system, that has a zero pivot."""
-    lwork = _dsytrf_lwork(kkt.shape[-1])
-    x = np.empty_like(rhs)
+    systems too, over a flat (-1, d, d) view.  Raises FactorizationFailed
+    naming the first with a zero pivot by its flat index (none if lone)."""
+    d, x = rhs.shape[-1], np.empty_like(rhs)
+    lwork = _dsytrf_lwork(d)
     # dsytrs refuses a 0 x 0 system, whose solution is empty.
-    for i in np.ndindex(rhs.shape[:-1]) if rhs.size else ():
-        ldu, pivots, info = dsytrf(kkt[i], lwork=lwork)
+    systems = zip(kkt.reshape(-1, d, d), rhs.reshape(-1, d), x.reshape(-1, d)) if rhs.size else ()
+    for i, (a, b, out) in enumerate(systems):
+        ldu, pivots, info = dsytrf(a, 0, lwork)
         if info > 0:
-            raise FactorizationFailed("singular KKT matrix", *i)
-        x[i] = dsytrs(ldu, pivots, rhs[i])[0]
+            raise FactorizationFailed("singular KKT matrix", i if rhs.ndim > 1 else None)
+        out[:] = dsytrs(ldu, pivots, b)[0]
     return x, (kkt @ x[..., None])[..., 0] - rhs
 
 
@@ -571,10 +573,9 @@ def step(s: KinematicStructure, provider, cfg: SolverConfig) -> StepReport:
     if with_rows:
         after(blocks=True)
     marks.append(time.perf_counter())
-    counts = s.constraint_stack.counts
     return StepReport(
         theta_norm=float(np.sqrt(theta.dot(theta))),
-        multipliers=[lam[e - c : e] for c, e in zip(counts, np.cumsum(counts))] if with_rows else [],
+        multipliers=[lam[a:b] for a, b in s.constraint_stack.spans.tolist()] if with_rows else [],
         kkt_dim=kkt.g_k.shape[0] + kkt.b_vec.shape[0],
         backward_error=float(kkt.backward_error),
         timings={layer: b - a for layer, a, b in zip(STEP_LAYERS, marks, marks[1:])},

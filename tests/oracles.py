@@ -261,7 +261,7 @@ def assemble_by_products(s, g, h, mode, regularization):
     p, q = view.pairs
     h_values = (columns @ hs.T).take(p * view.n_dof + q)
     reg = regularization
-    h_values[view.diagonal] += np.where(view.rotational, reg.lambda_r, reg.lambda_t)
+    h_values[view.diagonal] += np.where(view.axis < 3, reg.lambda_r, reg.lambda_t)
     pattern = solver._pattern(s, mode)
     derivatives = np.concatenate([rows.d_a, rows.d_b])
     moved = pattern.moved

@@ -623,6 +623,7 @@ READ_ONLY_RECORDS = {
     "ConstraintRows": lambda s: s.rows_at_poses()(),
     "_PoseStore": lambda s: s.rows_at_poses(),
     "KinematicStructure": lambda s: s,
+    "Regularization": lambda s: COMBINED.regularization,
     "Coordinates (tree)": lambda s: s.tree,
     "Coordinates (forest)": lambda s: s.forest,
     "_Pattern (dense, four-bar)": lambda s: kept_pattern(
@@ -729,7 +730,10 @@ def rows_of(angles, rng):
     return np.array([a * e for a, e in zip(angles, axes)])
 
 
-SMALL = [0.0, 1e-12, 3e-7, 0.5 * 1e-4, np.nextafter(1e-4, 0.0)]
+# The last three are the kernels' limit rows: an angle whose square is
+# subnormal, one whose row norm underflows to 0 while the row is not zero,
+# and the smallest subnormal.
+SMALL = [0.0, 1e-12, 3e-7, 0.5 * 1e-4, np.nextafter(1e-4, 0.0), 1e-160, 1e-200, 5e-324]
 ORDINARY = [1e-4, 2e-4, 0.3, 1.7, 3.0]
 STACKS = {
     "no small row": ORDINARY,

@@ -361,6 +361,29 @@ class TestSolveKkt:
                 solve_kkt(single)
             assert info.value.system == system
 
+    @pytest.mark.parametrize(
+        "defect, message", [("singular", "singular KKT matrix"), ("non_finite", "non-finite KKT")]
+    )
+    def test_a_stack_with_two_leading_axes_names_its_system_by_flat_index(self, defect, message):
+        """A (2, 2) stack with system (0, 1) singular, or a NaN in system
+        (1, 0): the failure names flat index 1 or 2, as for a flat stack of
+        four.  Fails if the singular system is named by its index tuple,
+        which FactorizationFailed took as extra arguments (a TypeError)."""
+        h = np.array([np.eye(2)] * 4)
+        g, b_mat = np.zeros((4, 2)), np.array([np.eye(2)] * 4)
+        if defect == "singular":
+            h[1], b_mat[1] = 0.0, 0.0
+        else:
+            g[2, 0] = np.nan
+        flat = KktSystem.from_blocks(h, g, b_mat, np.ones((4, 2)))
+        square = KktSystem(
+            flat.matrix.reshape(2, 2, 4, 4), flat.g_k.reshape(2, 2, 2), flat.b_vec.reshape(2, 2, 2)
+        )
+        for stack in (flat, square):
+            with pytest.raises(FactorizationFailed, match=message) as info:
+                solve_kkt(stack)
+            assert info.value.system == (1 if defect == "singular" else 2)
+
 
 class TestFreeBodySparseKkt:
     """The free-body system, stored as the size rule says, against the dense

@@ -1,6 +1,7 @@
 """Guards on what importing the package costs, on its public names and on
 the names the benchmark calls."""
 
+import ast
 import copy
 import dataclasses
 import importlib.util
@@ -17,6 +18,7 @@ import multibody
 import multibody.config
 import multibody.energy
 import multibody.experiments
+import multibody.metrics
 import multibody.solver
 from multibody import se3
 import oracles
@@ -83,7 +85,7 @@ def test_se3_keeps_one_kernel_per_formula():
 
 
 def test_each_se3_kernel_is_one_closed_form():
-    """The kernels divide by the angle only where it is nonzero, and
+    """The kernels divide by the angle, or by 1 where it is 0, and
     log_rotation's one masked branch is the quaternion rows above pi/2: no
     threshold, series branch or near-pi branch is left, nor the oracle's
     series helper, so a second formula for the same rows cannot come back
@@ -91,6 +93,20 @@ def test_each_se3_kernel_is_one_closed_form():
     for name in ("SMALL_ANGLE", "NEAR_PI", "_small"):
         assert not hasattr(se3, name), name
     assert not hasattr(oracles, "_half_angle_cot")
+
+
+def test_a_small_step_pays_no_per_call_wrappers():
+    """The fixed costs taken out of every Newton step stay out: the SE(3)
+    kernels divide by a denominator set to 1 on zero rows, not through a
+    masked np.divide with a fresh output array; the dense solve walks its
+    systems over a flat view, not np.ndindex; ADD and ADD-S sum and divide
+    instead of calling np.mean (auc_score, once per report, may)."""
+    assert "where=" not in inspect.getsource(se3)
+    assert "ndindex" not in inspect.getsource(multibody.solver)
+    for metric in (multibody.metrics.add_error, multibody.metrics.add_s_error):
+        tree = ast.parse(inspect.getsource(metric))
+        names = {getattr(node, "attr", getattr(node, "id", None)) for node in ast.walk(tree)}
+        assert "mean" not in names, metric.__name__
 
 
 def test_a_structure_is_configured_once():

@@ -5,7 +5,9 @@ The file format is a plain JSON object:
 * bodies: ordered list; each entry has name, parent (name or null), joint
   {axes, fixed_side, joint_to_model, parent_to_joint}, pose, optional
   mesh_path (relative to the config file) and weights {rot, trans}, finite
-  and non-negative, default 1.
+  and non-negative, default 1.  The joint transform that fixed_side does
+  not name, the moving side, is derived from the poses, replacing the
+  value given (kinematics.Joint).
 * constraints: list of {body_a, body_b, frame_a, frame_b, axes} with an
   optional type of "pose" (default) or "orthogonality"; axes belongs to
   pose constraints only.

@@ -50,9 +50,10 @@ class _PoseRow:
     object holds it in its own ``__dict__``, which shadows this non-data
     descriptor, until a KinematicStructure adopts the object and takes it;
     from then on it is row ``obj._index`` of the structure's read-only stack
-    of that name, a joint's inferred first if need be (_PoseStore).  Reading
-    gives a view of the row, which keeps its value: only update_poses
-    changes the state, by replacing the stacks."""
+    of that name.  A joint's moving side is derived from the poses when
+    first read (_PoseStore.joints), replacing the value given: it is not
+    part of the state.  Reading gives a view of the row, which keeps its
+    value: only update_poses changes the state, by replacing the poses."""
 
     def __set_name__(self, cls, name):
         self.name = name
@@ -82,7 +83,11 @@ class _Adoptable:
 class Joint(_Adoptable, _ReadOnly):
     """Connection allowing motion along a chosen set of joint-frame axes:
     the free-axis values are scattered into the extended 6-vector and fixed
-    axes stay zero.  The free axes are read-only, also in a copy."""
+    axes stay zero.  The free axes are read-only, also in a copy.
+    ``fixed_side``, a FixedSide or its value, names the transform that
+    stays as given; the other, the moving side, is derived from the body
+    poses once a structure adopts the joint, and a value given for it is
+    replaced (a root's joint keeps both)."""
 
     free_axes: np.ndarray
     joint_to_model: Pose = _PoseRow()
@@ -92,6 +97,13 @@ class Joint(_Adoptable, _ReadOnly):
 
     def __post_init__(self):
         self.free_axes = _frozen(_checked_mask(self.free_axes, "free_axes"))
+        try:
+            self.fixed_side = FixedSide(self.fixed_side)
+        except ValueError:
+            choices = [side.value for side in FixedSide]
+            raise ValueError(
+                f"fixed_side must be a FixedSide or one of {choices}, not {self.fixed_side!r}"
+            ) from None
         if self.free_axes.shape != (6,):
             raise ValueError("free_axes must have 6 entries")
 
@@ -175,26 +187,25 @@ class Coordinates(_ReadOnly):
 
 
 class _PoseStore(_ReadOnly):
-    """What a structure holds at one of its body-pose stacks: the poses, the
-    joint stacks (parent_to_joint, joint_to_model and its inverse
-    model_to_joint) and the constraints evaluated there.  Every stack is
-    read-only and replaced, never written, so that a store stays that of its
-    poses whatever the structure does afterwards.  A copy of the structure
-    has a store of its own on the same stacks and the same frozen rows
-    record; one without joint stacks infers its own when first read.
-    Pickle builds every part again, read-only.
+    """What a structure holds at one of its body-pose stacks: the poses, and
+    what is derived from them when first read, the joint stacks
+    (parent_to_joint, joint_to_model and its inverse model_to_joint) and
+    the constraints evaluated there.  Every stack is read-only and replaced,
+    never written, so that a store stays that of its poses whatever the
+    structure does afterwards.  A copy of the structure has a store of its
+    own on the same poses, sharing the joint stacks and the frozen rows
+    record already derived.  Pickle builds every part again, read-only.
 
-    The joint stacks are the store's own, given at adoption or carried by
-    the tree-view update that made the poses, or None after a forest-view
-    update: then they are inferred from the poses when first read
+    A store starts without joint stacks (None), also the first one, built
+    at adoption: they are inferred from the poses when first read
     (joints()) and published by one assignment, so that a concurrent reader
     sees None or every stack, and at worst infers them twice.  The rows are
     evaluated when first asked for, without blocks or with them, which
     serve both.
     """
 
-    def __init__(self, s, poses: Pose, joints: dict | None):
-        self.s, self.poses, self._joints, self.rows = s, _frozen(poses), joints, None
+    def __init__(self, s, poses: Pose):
+        self.s, self.poses, self._joints, self.rows = s, _frozen(poses), None, None
 
     def __call__(self, blocks: bool = True) -> ConstraintRows:
         """The constraints evaluated at the store's poses, with their
@@ -212,18 +223,29 @@ class _PoseStore(_ReadOnly):
             self._joints = self._infer()
         return self._joints
 
+    def frames(self) -> dict:
+        """The joint stacks that the tree view's updates and Jacobians read,
+        joint_to_model and model_to_joint: the adopted constants if every
+        joint fixes joint_to_model, else the store's, inferred."""
+        return self.joints() if "joint_to_model" in self.s._joint_sides else self.s._adopted
+
     def _infer(self) -> dict:
-        """Each joint's non-fixed transform from the poses, on the adopted
-        stacks: with rel = parent^-1 o pose for each non-root body,
-        P_T_J = rel o J_T_M^-1 where J_T_M is fixed, else
-        J_T_M = P_T_J^-1 o rel.  The fixed factors are the structure's,
-        computed at adoption (_joint_sides), so that only rel is inverted."""
-        poses, inferred = self.poses, []
-        for children, parents, name, fixed in self.s._joint_sides:
+        """Each joint's moving side from the poses, in a read-only copy of
+        the adopted stack, one polar step from orthonormal: with
+        rel = parent^-1 o pose for each non-root body, P_T_J = rel o J_T_M^-1
+        where J_T_M is fixed, else J_T_M = P_T_J^-1 o rel and model_to_joint
+        its inverse.  The fixed factors are the structure's, computed at
+        adoption (_joint_sides), so that only rel is inverted."""
+        poses, joints = self.poses, dict(self.s._adopted)
+        for name, (children, parents, fixed) in self.s._joint_sides.items():
             rel = poses[parents].inverse() @ poses[children]
-            row = rel @ fixed if name == "parent_to_joint" else fixed @ rel
-            inferred.append((children, name, row))
-        return _with_rows(self.s._adopted, inferred)
+            row = _orthonormalized(rel @ fixed if name == "parent_to_joint" else fixed @ rel)
+            r, t = joints[name].r.copy(), joints[name].t.copy()
+            r[children], t[children] = row.r, row.t
+            joints[name] = stack = _frozen(_pose(r, t))
+            if name == "joint_to_model":
+                joints["model_to_joint"] = _frozen(stack.inverse())
+        return joints
 
 
 class KinematicStructure(_ReadOnly):
@@ -231,30 +253,30 @@ class KinematicStructure(_ReadOnly):
     two read-only coordinate views: ``tree``, the structure's joint
     coordinates, and ``forest``.
 
-    The structure owns the state as read-only stacked poses, one row per body:
-    the body poses (``poses``) and the joints' joint_to_model and
-    parent_to_joint, copied from the bodies and joints it adopts and kept as
-    adopted (roots' and fixed sides' rows are constant, and so is the fixed
-    factor of each side's inference), and beside joint_to_model its inverse
-    (model_to_joint), the joint frames of the tree view's Jacobians and
-    updates.  What construction fixes is immutable: the bodies tuple, the
+    The state is one read-only stack of body poses (``poses``), one row per
+    body.  The joints' joint_to_model and parent_to_joint are copied from
+    the joints the structure adopts and kept as adopted, with beside
+    joint_to_model its inverse (model_to_joint): roots' and fixed sides'
+    rows are constants, and so is the fixed factor of each side's
+    inference.  Each joint's moving side is derived from the poses when
+    read.  What construction fixes is immutable: the bodies tuple, the
     views, their KKT patterns and every array the structure keeps.  Only
-    update_poses changes the state, by replacing the stacks; ``Body.pose``
-    and the joint transforms read their row and refuse assignment.  A body
-    or joint handed to a second structure belongs to that one; no field of
-    an adopted body or joint can be assigned.  The constraints, given at
-    construction, are stacked once (``constraint_stack``).
+    update_poses changes the state, by replacing the pose stack;
+    ``Body.pose`` and the joint transforms read their row and refuse
+    assignment.  A body or joint handed to a second structure belongs to
+    that one; no field of an adopted body or joint can be assigned.  The
+    constraints, given at construction, are stacked once
+    (``constraint_stack``).
 
     Each body-pose stack has one store (rows_at_poses): its joint stacks,
-    carried by the update that made the poses or inferred from them when
-    first read, and the constraints evaluated there (``rows_at_poses()()``,
-    read-only arrays), when first asked for, so that each pose is evaluated
-    at most once.  A copy (copy.copy or copy.deepcopy, one hook) is a new
-    state on the shared constants, made in one pass: it shares everything
-    construction fixed and the frozen rows record, and has its own store on
-    the same read-only stacks, and its own bodies and joints, bound to it as
-    they are copied.  Pickle builds every part again and re-freezes it
-    (_ReadOnly).  Mutating operations (pose updates) must be serialized by
+    inferred from the poses when first read, and the constraints evaluated
+    there (``rows_at_poses()()``, read-only arrays), when first asked for,
+    so that each pose is evaluated at most once.  A copy (copy.copy or
+    copy.deepcopy, one hook) is a new state on the shared constants, made
+    in one pass: it shares everything construction fixed and the frozen
+    rows record, and has its own store on the same read-only stacks, and
+    its own bodies and joints, bound to it as they are copied.  Pickle
+    builds every part again and re-freezes it (_ReadOnly).  Mutating operations (pose updates) must be serialized by
     the caller; read-only snapshots may be shared for parallel evaluation,
     which at worst evaluates the same rows or joints twice.
     """
@@ -271,26 +293,27 @@ class KinematicStructure(_ReadOnly):
             name_row = functools.partial(_row_name, self, objs[0]._role, name)
             stacks[name] = Pose.stack(rows, name_row)
         stacks["model_to_joint"] = stacks["joint_to_model"].inverse()
-        self._store = _PoseStore(self, stacks.pop("pose"), stacks)
+        self._store = _PoseStore(self, stacks.pop("pose"))
         self._adopted = stacks
         parents = [b.parent for b in self.bodies]
         free = [np.flatnonzero(j.free_axes) for j in joints]
         self.tree = Coordinates(parents, free)
         self.n_dof, self.dof_offsets = self.tree.n_dof, self.tree.offsets
-        # Per fixed side (joint_to_model, then parent_to_joint): children, parents,
-        # stack inferred and its inference's fixed factor, J_T_M^-1 or P_T_J^-1
-        # (in C order: the product's rounding depends on the layout).
+        # By the stack inferred, per fixed side (joint_to_model, then
+        # parent_to_joint): children, parents and the inference's fixed factor,
+        # J_T_M^-1 or P_T_J^-1 (in C order: the product's rounding depends on
+        # the layout).
         children, parents = self.tree.children, self.tree.parents
         fixed = np.array([joints[i].fixed_side is FixedSide.JOINT_TO_MODEL for i in children], bool)
         inverse = stacks["parent_to_joint"][children[~fixed]].inverse()
-        self._joint_sides = tuple(
-            (children[rows], parents[rows], name, factor)
+        self._joint_sides = {
+            name: (children[rows], parents[rows], factor)
             for rows, name, factor in (
                 (fixed, "parent_to_joint", stacks["model_to_joint"][children[fixed]]),
                 (~fixed, "joint_to_model", _pose(np.ascontiguousarray(inverse.r), inverse.t)),
             )
             if rows.any()
-        )
+        }
         self._freeze()
         # Only once every row is valid: the bodies and joints read their
         # pose rows from the structure's stacks from then on.
@@ -322,8 +345,7 @@ class KinematicStructure(_ReadOnly):
         twin = made(self)
         bodies = (made(b, _owner=twin, joint=made(b.joint, _owner=twin)) for b in self.bodies)
         twin.bodies = tuple(bodies)
-        twin._store = _PoseStore(twin, self._store.poses, self._store._joints)
-        twin._store.rows = self._store.rows
+        twin._store = made(self._store, s=twin)
         return twin
 
     __copy__ = __deepcopy__
@@ -380,7 +402,7 @@ class KinematicStructure(_ReadOnly):
         non-root bodies (tree.children), with rel_i body i's pose in that
         frame, and the 6 x n_dof motion columns S, for each coordinate the
         free column of Ad(F_j), with F_j = rel_j o joint_to_model_j^-1 its
-        joint frame from the structure's stacks.  anc_i, the coordinates
+        joint frame (_PoseStore.frames).  anc_i, the coordinates
         that move body i, are those tree.moving lists for it.
 
         Without links every body is its own root, rel is the identity and
@@ -388,7 +410,7 @@ class KinematicStructure(_ReadOnly):
         its J_i is exactly the identity, so that the solver gathers its KKT
         entries and update_poses moves each body by its own variation.
         """
-        view, frames = self.tree, self._store.joints()["model_to_joint"]
+        view, frames = self.tree, self._store.frames()["model_to_joint"]
         if not view.links:
             return np.zeros((0, 6, 6)), adjoint(frames)[view.body, :, view.axis].T
         poses = self.poses()
@@ -401,27 +423,25 @@ class KinematicStructure(_ReadOnly):
     def update_poses(self, theta_k: np.ndarray, forest: bool = False):
         """Pose update from a variation vector in the coordinates of the
         tree view, or of the forest view if ``forest`` (the solver's modes
-        without tree projection).  Replaces the body pose and joint stacks,
-        the only change to the state after adoption.
+        without tree projection).  Replaces the body pose stack, the only
+        change to the state after adoption, and starts a new store
+        (rows_at_poses), with no joint stacks and no constraint rows yet.
 
-        Each joint's variation T(theta_j) acts in its joint frame: a root
-        moves to pose o J_T_M^-1 o T o J_T_M, any other body to
-        parent o P_T_J o T o J_T_M with its parent's new pose, in
-        topological order, from the joint stacks of the current poses.
-        Each joint carries its new transform, polar-stepped
-        (_orthonormalized): P_T_J o T where J_T_M is fixed, else T o J_T_M,
-        and model_to_joint its inverse.  In the forest view every body is a
-        root with J_T_M = I and moves to pose o T(theta_i), composed with no
-        frame; its store has no joint stacks, inferred from the new poses
-        when first read.  The new pose stack starts a new store
-        (rows_at_poses), with no constraint rows yet.  A non-finite theta is
-        refused, naming its first non-finite coordinate, before any stack is
-        replaced.
+        Each joint's variation T(theta_j) acts in its joint frame on its
+        body's pose relative to its parent, read from the poses: rel =
+        parent^-1 o pose, or the pose itself for a root.  The body's new
+        local transform is polar(rel o J_T_M^-1) o T o J_T_M, the polar step
+        (_orthonormalized) on the non-root rows only, composed down the tree
+        in topological order; J_T_M is that of _PoseStore.frames.  In the
+        forest view every body is a root with J_T_M = I and moves to
+        pose o T(theta_i).  A theta of another shape than (n_dof,) or with
+        a non-finite coordinate, which it names, is refused before any
+        stack is replaced.
         """
         view = self.forest if forest else self.tree
         theta_k = np.asarray(theta_k, dtype=float)
         if theta_k.shape != (view.n_dof,):
-            raise ValueError(f"theta has length {theta_k.shape[0]}, expected {view.n_dof}")
+            raise ValueError(f"theta has shape {theta_k.shape}, expected ({view.n_dof},)")
         if not np.isfinite(theta_k).all():
             q = np.flatnonzero(~np.isfinite(theta_k))[0]
             where = f"{AXIS_NAMES[view.axis[q]]} of body {self.bodies[view.body[q]].name!r}"
@@ -431,17 +451,17 @@ class KinematicStructure(_ReadOnly):
         extended[view.body, view.axis] = theta_k
         store = self._store
         if forest:
-            self._store = _PoseStore(self, store.poses.with_variation(extended), None)
+            self._store = _PoseStore(self, store.poses.with_variation(extended))
             return
-        joints = store.joints()
-        parent_to_joint, joint_to_model = joints["parent_to_joint"], joints["joint_to_model"]
-        # P_T_J for the inner rows, the root's pose o J_T_M^-1 for the roots.
-        roots, base = view.roots, _pose(parent_to_joint.r.copy(), parent_to_joint.t.copy())
-        rooted = store.poses[roots] @ joints["model_to_joint"][roots]
-        base.r[roots], base.t[roots] = rooted.r, rooted.t
+        poses, frames = store.poses, store.frames()
+        # The roots' rows: pose o J_T_M^-1; the inner rows: polar(rel o J_T_M^-1),
+        # as parent^-1 o (pose o J_T_M^-1).
+        local = poses @ frames["model_to_joint"]
+        if view.links:
+            inner = _orthonormalized(poses[view.parents].inverse() @ local[view.children])
+            local.r[view.children], local.t[view.children] = inner.r, inner.t
         variation = _pose(exp_rotvec(extended[:, :3]), extended[:, 3:])
-        moved = base @ variation
-        poses = moved @ joint_to_model
+        poses = local @ variation @ frames["joint_to_model"]
         if view.links:
             # Homogeneous matrices: one product per body down the tree, over
             # a list of the rows, which indexes faster than the stack.
@@ -453,41 +473,19 @@ class KinematicStructure(_ReadOnly):
                 mats[i] = mats[parent].dot(mats[i])
             world = np.array(mats)
             poses = _pose(np.ascontiguousarray(world[:, :3, :3]), world[:, :3, 3].copy())
-        # The inner rows of moved are P_T_J o T.
-        carried = [
-            (children, name, moved[children] if name == "parent_to_joint"
-             else variation[children] @ joint_to_model[children])
-            for children, _, name, _ in self._joint_sides
-        ]
-        self._store = _PoseStore(self, poses, _with_rows(self._adopted, carried))
+        self._store = _PoseStore(self, poses)
 
 
 def _orthonormalized(poses: Pose) -> Pose:
     """One Newton-Schulz polar step per row, R <- R (3I - R^T R) / 2.
 
     ``Pose.inverse`` transposes R, which inverts it only while R is
-    orthonormal.  Without this step the rounding error of a carried or inferred
-    joint transform feeds the next pose update and grows with every step
-    down a long chain; the step squares the error instead.
+    orthonormal.  Without this step the rounding error of a relative pose
+    or an inferred joint transform feeds the next pose update and grows
+    with every step down a long chain; the step squares the error instead.
     """
     r = poses.r
     return _pose(r @ (_THREE_I - r.swapaxes(-1, -2) @ r) * 0.5, poses.t)
-
-
-def _with_rows(joints: dict, rows) -> dict:
-    """New joint stacks: those of ``joints``, but a read-only copy of each
-    stack named in ``rows`` (children, name, Pose) with the children's rows
-    put in, one polar step from orthonormal, and model_to_joint the inverse
-    of a new joint_to_model."""
-    joints = dict(joints)
-    for children, name, row in rows:
-        row, old = _orthonormalized(row), joints[name]
-        r, t = old.r.copy(), old.t.copy()
-        r[children], t[children] = row.r, row.t
-        joints[name] = stack = _frozen(_pose(r, t))
-        if name == "joint_to_model":
-            joints["model_to_joint"] = _frozen(stack.inverse())
-    return joints
 
 
 def _row_name(s, role: str, name: str, i: int) -> str:

@@ -69,9 +69,9 @@ class TestStepsOnAKeptStructure:
     @pytest.mark.parametrize("sides", list(SIDES))
     @pytest.mark.parametrize("mode", list(SolverMode))
     def test_equal_steps_on_a_rebuilt_structure(self, sides, mode):
-        """Fails if ``_with_rows`` stops replacing the structure's
-        model_to_joint stack along with the joint_to_model a step carries or
-        infers (parent_to_joint and mixed sides).  At step 2 the structure
+        """Fails if ``_PoseStore._infer`` stops replacing the structure's
+        model_to_joint stack along with the joint_to_model it infers
+        (parent_to_joint and mixed sides).  At step 2 the structure
         is rebuilt with new joint transforms, at steps 4 and 6 with its
         constraints reversed and then cut, and kept in between."""
         rng = np.random.default_rng(40 + list(SIDES).index(sides))
@@ -99,10 +99,9 @@ class TestStepsOnAKeptStructure:
 
     @pytest.mark.parametrize("sides", list(SIDES))
     def test_inverse_frames_follow_joint_to_model(self, sides):
-        """Fails if ``_with_rows`` replaces joint_to_model but not its
-        inverse, the structure's model_to_joint stack (parent_to_joint and
-        mixed sides), after a tree step, which carries it, or after a forest
-        step, which leaves it to be inferred."""
+        """Fails if ``_PoseStore._infer`` replaces joint_to_model but not
+        its inverse, the structure's model_to_joint stack (parent_to_joint
+        and mixed sides), after a tree step or a forest step."""
         rng = np.random.default_rng(50)
         s = random_tree(rng, 6, fixed_sides=SIDES[sides])
 
@@ -138,18 +137,55 @@ class TestStepsOnAKeptStructure:
             assert "forest" not in vars(structure)
 
 
+def assert_joints_compose(s):
+    """Every joint read composes its body's pose, parent o P_T_J o J_T_M,
+    to rounding, with both transforms orthonormal to rounding."""
+    for body in s.bodies:
+        if body.parent is None:
+            continue
+        joint, parent = body.joint, s.bodies[body.parent]
+        composed = parent.pose @ joint.parent_to_joint @ joint.joint_to_model
+        scale = max(1.0, np.abs(body.pose.t).max())
+        assert np.abs(composed.r - body.pose.r).max() <= 1e-12, body.name
+        assert np.abs(composed.t - body.pose.t).max() <= 1e-12 * scale, body.name
+        for r in (joint.parent_to_joint.r, joint.joint_to_model.r):
+            assert np.abs(r.T @ r - np.eye(3)).max() <= 1e-14, body.name
+
+
+def disagreeing_repro():
+    """A locked root and a body free about rot_z below it whose given
+    parent_to_joint, a translation (0, 0.1, 0), disagrees with its identity
+    pose."""
+    shifted = Pose(np.eye(3), [0.0, 0.1, 0.0])
+    rot_z = np.array([False, False, True, False, False, False])
+    return kinematics.KinematicStructure([
+        Body("a", Joint(np.zeros(6, dtype=bool))),
+        Body("b", Joint(rot_z, parent_to_joint=shifted), parent=0),
+    ])
+
+
+def disagreeing_trees(seed, sides):
+    """Three random trees, one structure, each non-root body's pose moved
+    away from parent o P_T_J o J_T_M, with the fixed sides SIDES[sides]."""
+    rng = np.random.default_rng(seed)
+    s = random_trees(rng, [3, 2, 3], min_dof=2, fixed_sides=SIDES[sides] + SIDES[sides][:2])
+    moved = {i: b.pose @ random_pose(rng, 0.5, 0.3) for i, b in enumerate(s.bodies)
+             if b.parent is not None}
+    return rebuilt(s, pose=moved)
+
+
 class TestJointsMoveWithTheirStep:
-    """A tree-view update carries the joint transforms it composed; after a
-    forest-view update they are inferred from the poses when first read.
-    Either way every joint read stays on its body's pose."""
+    """A structure's state is its poses: a tree-view update composes from
+    them, and the joint transforms are inferred from them when first read,
+    after any update.  Every joint read stays on its body's pose."""
 
     @pytest.mark.parametrize("sides", list(SIDES))
     def test_every_joint_read_composes_its_body_pose(self, sides):
-        """Fails if a carried P_T_J or J_T_M leaves the transform its update
-        composed (such as P_T_J o T where T o J_T_M is meant), if an
-        inference reads a non-fixed row, or if ``_with_rows``
-        drops the polar step (orthonormality).  Random mixes of tree and
-        forest updates on three trees, joints read after some of them."""
+        """Fails if an inference reads a non-fixed row, if a tree step
+        composes from a joint transform that is not inferred from the poses,
+        or if ``_PoseStore._infer`` drops the polar step (orthonormality).
+        Random mixes of tree and forest updates on three trees, joints read
+        after some of them."""
         rng = np.random.default_rng(54 + list(SIDES).index(sides))
         for _ in range(3):
             s = random_trees(rng, [3, 2, 3], min_dof=2, fixed_sides=SIDES[sides] + [MODEL, PARENT])
@@ -157,49 +193,60 @@ class TestJointsMoveWithTheirStep:
                 forest = rng.random() < 0.5
                 view = s.forest if forest else s.tree
                 s.update_poses(0.3 * rng.standard_normal(view.n_dof), forest)
-                if rng.random() < 0.4:
-                    continue
-                for body in s.bodies:
-                    if body.parent is None:
-                        continue
-                    joint, parent = body.joint, s.bodies[body.parent]
-                    composed = parent.pose @ joint.parent_to_joint @ joint.joint_to_model
-                    scale = max(1.0, np.abs(body.pose.t).max())
-                    assert np.abs(composed.r - body.pose.r).max() <= 1e-12, body.name
-                    assert np.abs(composed.t - body.pose.t).max() <= 1e-12 * scale, body.name
-                    for r in (joint.parent_to_joint.r, joint.joint_to_model.r):
-                        assert np.abs(r.T @ r - np.eye(3)).max() <= 1e-14, body.name
+                if rng.random() >= 0.4:
+                    assert_joints_compose(s)
+
+    @pytest.mark.parametrize(
+        "seed, sides",
+        [("repro", None)] + [(seed, sides) for seed in (70, 71, 72) for sides in SIDES],
+    )
+    def test_the_four_modes_leave_the_same_poses(self, seed, sides):
+        """A zero-energy step moves nothing, in every mode, also where a
+        given joint transform disagrees with the body poses: the poses are
+        the state, and the moving side is derived from them.  On the repro
+        and on seeded multi-root structures of each fixed side and of both,
+        every mode leaves the given poses to 1e-12, and every joint read
+        afterwards composes its body's pose.  Fails if a tree step composes
+        from the given joint transforms: then the repro's PROJECTED and
+        COMBINED steps moved body b to (0, 0.1, 0), and its INDEPENDENT and
+        CONSTRAINED steps left it at 0."""
+        given = disagreeing_repro() if seed == "repro" else disagreeing_trees(seed, sides)
+        poses = given.poses()
+        for mode in SolverMode:
+            s = copy.deepcopy(given)
+            step(s, per_body({}), SolverConfig(mode=mode))
+            assert np.abs(s.poses().r - poses.r).max() <= 1e-12, mode
+            assert np.abs(s.poses().t - poses.t).max() <= 1e-12, mode
+            assert_joints_compose(s)
 
     def test_an_inference_inverts_only_the_parents_poses(self, monkeypatch):
         """An inference's fixed factors, J_T_M^-1 and P_T_J^-1, are the
         structure's, computed at adoption: on a tree of both fixed sides it
-        inverts the parents' poses once per side (rel) and no adopted
-        stack before it puts the rows in (``_with_rows``).  Fails if
+        inverts the parents' poses once per side (rel), and then only the
+        joint_to_model stack it publishes (model_to_joint).  Fails if
         ``_infer`` inverts the adopted parent_to_joint rows again."""
         rng = np.random.default_rng(59)
         s = random_tree(rng, 6, fixed_sides=SIDES["mixed"])
         s.update_poses(0.1 * rng.standard_normal(s.forest.n_dof), forest=True)
         store, inverted, inverse = s.rows_at_poses(), [], Pose.inverse
         monkeypatch.setattr(Pose, "inverse", lambda pose: inverted.append(pose) or inverse(pose))
-        with_rows = kinematics._with_rows
-        monkeypatch.setattr(
-            kinematics, "_with_rows", lambda *args: inverted.append(None) or with_rows(*args)
-        )
-        store.joints()
-        parents = [side[1] for side in s._joint_sides]
-        assert len(parents) == 2 and inverted.index(None) == 2
+        joints = store.joints()
+        parents = [side[1] for side in s._joint_sides.values()]
+        assert len(parents) == 2 and len(inverted) == 3
         for pose, rows in zip(inverted, parents):
             assert pose.r.tobytes() == store.poses[rows].r.tobytes()
+        assert inverted[2].r.tobytes() == joints["joint_to_model"].r.tobytes()
 
     @pytest.mark.parametrize("copier", ["deepcopy", "pickle"])
-    @pytest.mark.parametrize("last", ["forest", "tree"])
+    @pytest.mark.parametrize("last", ["forest", "tree", "read"])
     def test_copies_keep_their_joints_and_step_bit_for_bit(self, last, copier, monkeypatch):
-        """A copy keeps the carried joint stacks (tree), or has none
-        (forest) and infers them as the original does: on its next joint
-        read, or on its next tree step if that comes first, and never
-        twice.  Fails if a copy drops the carried stacks, or re-infers
-        them, which differ in the last bits, or keeps none where the
-        original has them."""
+        """A copy keeps the joint stacks its original has inferred (its
+        joints read after a tree step), or has none (after a forest or a
+        tree step) and infers them as the original does: on its next joint
+        read, or on its next tree step on mixed sides if that comes first,
+        and never twice.  Fails if a copy drops the inferred stacks, or
+        re-infers them, which differ in the last bits, or keeps none where
+        the original has them."""
         calls, infer = [], kinematics._PoseStore._infer
         monkeypatch.setattr(kinematics._PoseStore, "_infer", lambda x: calls.append(x) or infer(x))
         independent = SolverConfig(mode=SolverMode.INDEPENDENT)
@@ -212,6 +259,8 @@ class TestJointsMoveWithTheirStep:
             mode = SolverMode.CONSTRAINED if last == "forest" else SolverMode.PROJECTED
             step(s, provider, COMBINED)
             step(s, provider, SolverConfig(mode=mode))
+            if last == "read":
+                s.rows_at_poses().joints()
             twin = copy.deepcopy(s) if copier == "deepcopy" else pickle.loads(pickle.dumps(s))
 
             def history(x):
@@ -223,7 +272,7 @@ class TestJointsMoveWithTheirStep:
                 return counts, results + [state(x)]
 
             expected = history(s)
-            assert expected[0] == [int(last == "forest")] + inferring
+            assert expected[0] == [int(last != "read")] + inferring
             assert history(twin) == expected
 
     def test_concurrent_reads_see_whole_stacks(self):
@@ -351,8 +400,8 @@ class TestOneWriter:
 
     @pytest.mark.parametrize("which", ["original", "copy before a step", "copy after a step"])
     def test_kept_arrays_refuse_in_place_writes(self, which):
-        """Fails if update_poses or ``_with_rows`` leaves a stack it
-        replaces writeable, or if the constraint stack or a joint's free
+        """Fails if update_poses or ``_PoseStore._infer`` leaves a stack it
+        makes writeable, or if the constraint stack or a joint's free
         axes are writeable; on a copy, if ``_ReadOnly.__setstate__`` stops
         freezing what a store, its rows or a joint holds, as numpy copies
         arrays writeable."""
@@ -506,18 +555,20 @@ COPIERS = {"copy": copy.copy, "deepcopy": copy.deepcopy}
 class TestACopyIsANewState:
     """A copy of a structure, shallow or deep, shares everything its
     construction fixed, all of it read-only, and has a state of its own: a
-    store on the same pose and joint stacks and rows, and bodies and joints
-    bound to it."""
+    store on the same poses and the joint stacks and rows derived from them,
+    and bodies and joints bound to it."""
 
     @pytest.mark.parametrize("copier", COPIERS)
     def test_shares_what_construction_fixed(self, copier):
         """Fails if a copy duplicates a view, a KKT pattern, the
-        constraints, their stack, the adopted stacks, the DoF offsets or the
-        rows object; if it shares the original's store, bodies or joints; or
-        if any array reachable from it is writeable."""
+        constraints, their stack, the adopted stacks, the DoF offsets, the
+        rows object or the joint stacks inferred before it was made; if it
+        shares the original's store, bodies or joints; or if any array
+        reachable from it is writeable."""
         s, provider = pulled_tree()
         for mode in SolverMode:
             step(s, provider, SolverConfig(mode=mode))
+        s.rows_at_poses().joints()
         twin = COPIERS[copier](s)
         shared = ("tree", "forest", "constraint_stack", "_constraints", "_adopted", "_joint_sides",
                   "dof_offsets")

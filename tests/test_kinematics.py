@@ -1,6 +1,7 @@
 """Body Jacobians and the recursive pose update against FD and matrix oracles."""
 
 import copy
+import re
 import warnings
 from dataclasses import replace
 
@@ -289,7 +290,7 @@ class TestOwnedState:
         saved = state(s)
         step(s, zero_energy, SolverConfig(mode=SolverMode.PROJECTED))
         assert same_state([(p.r, p.t) for p in read], saved)
-        # The bodies and the carried parent_to_joint did move.
+        # The bodies and the parent_to_joint inferred from them did move.
         assert not same_state(state(s)[0::3], saved[0::3])
         assert not same_state(state(s)[2::3], saved[2::3])
 
@@ -442,6 +443,36 @@ class TestUpdatePoses:
                 if locked.any():
                     assert np.max(np.abs(variation[locked])) < 1e-9
 
+    @pytest.mark.parametrize("given", [FixedSide.JOINT_TO_MODEL, "joint_to_model"])
+    def test_fixed_side_decides_the_side_derived(self, given):
+        """A fixed side given as FixedSide or as its value keeps the given
+        joint_to_model, and parent_to_joint is derived from the poses.
+        Fails if ``Joint`` keeps the string as it is, which made
+        joint_to_model the moving side, replaced by the one the poses imply."""
+        rng = np.random.default_rng(9)
+        joint = Joint(
+            free_axes=axes_mask(["rot_z"]),
+            joint_to_model=random_pose(rng, 1.0, 0.3),
+            parent_to_joint=random_pose(rng, 1.0, 0.3),
+            fixed_side=given,
+        )
+        given_pose = joint.joint_to_model
+        assert joint.fixed_side is FixedSide.JOINT_TO_MODEL
+        root = Body("root", Joint(free_axes=np.zeros(6, dtype=bool)))
+        s = KinematicStructure([root, Body("child", joint, pose=random_pose(rng), parent=0)])
+        assert joint.joint_to_model.r.tobytes() == given_pose.r.tobytes()
+        assert joint.joint_to_model.t.tobytes() == given_pose.t.tobytes()
+        composed = joint.parent_to_joint @ joint.joint_to_model
+        assert np.abs(composed.t - s.bodies[1].pose.t).max() <= 1e-12
+
+    @pytest.mark.parametrize("bad", ["bogus", "JOINT_TO_MODEL", None, 0, True])
+    def test_a_fixed_side_that_is_no_side_is_refused(self, bad):
+        """Fails if ``Joint`` takes a fixed side that is neither a FixedSide
+        nor one of its values, such as "bogus", or if its error stops naming
+        the field."""
+        with pytest.raises(ValueError, match=rf"^fixed_side must be a FixedSide .*, not {bad!r}$"):
+            Joint(free_axes=axes_mask(["rot_z"]), fixed_side=bad)
+
     def test_parent_to_joint_fixed_side(self):
         rng = np.random.default_rng(7)
         joint = Joint(
@@ -467,6 +498,22 @@ class TestUpdatePoses:
         # The inferred side must keep the kinematic chain consistent.
         rebuilt = root.pose @ joint.parent_to_joint @ joint.joint_to_model
         assert np.allclose(pose_matrix(rebuilt), pose_matrix(s.bodies[1].pose), atol=1e-12)
+
+    @pytest.mark.parametrize("forest", [False, True])
+    @pytest.mark.parametrize("shape", [(), (2, 4), (8, 1), (5,)])
+    def test_a_theta_of_another_shape_is_refused(self, shape, forest):
+        """A scalar theta raised IndexError from the error message itself,
+        and a (2, 4) one on the 8-DoF chain was called "length 2".  Fails if
+        the update takes a theta whose shape is not (n_dof,), if its error
+        stops naming the shape and the one expected, or if a stack is
+        replaced before the check."""
+        s = build_serial_chain(3)
+        n_dof = (s.forest if forest else s.tree).n_dof
+        store = s.rows_at_poses()
+        named = rf"^theta has shape {re.escape(str(shape))}, expected \({n_dof},\)$"
+        with pytest.raises(ValueError, match=named):
+            s.update_poses(np.zeros(shape), forest=forest)
+        assert s.rows_at_poses() is store
 
     @pytest.mark.parametrize("forest", [False, True])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -114,13 +114,14 @@ def test_a_structure_is_configured_once():
     rows its structure keeps and a regularization, ``per_body`` gives a
     body without a provider zero energy, a structure's constraints are
     given at construction, and the studies' constants are not parameters.
-    What construction fixes is no state either: a store has its joint
-    stacks or None, with no ``pending`` flag, and a view keeps one KKT
-    pattern per mode, with no single slot and no key to compare.  The
-    rows have one reader, the store (``s.rows_at_poses()()``), norms are
-    computed where they are read, and ``_ReadOnly`` is the one unpickling
-    hook of the records that keep read-only arrays, with one helper,
-    ``_frozen``, that freezes them."""
+    What construction fixes is no state either: a store is built from its
+    poses alone, with no joint stacks given or carried (no ``_with_rows``)
+    and no ``pending`` flag, and a view keeps one KKT pattern per mode, with
+    no single slot and no key to compare.  The rows have one reader, the
+    store (``s.rows_at_poses()()``), norms are computed where they are
+    read, and ``_ReadOnly`` is the one unpickling hook of the records that
+    keep read-only arrays, with one helper, ``_frozen``, that freezes
+    them."""
     params = inspect.signature(multibody.solver.assemble).parameters
     assert list(params) == ["s", "g", "h", "mode", "regularization"]
     assert all(p.default is inspect.Parameter.empty for p in params.values())
@@ -145,6 +146,8 @@ def test_a_structure_is_configured_once():
         store = s.rows_at_poses()
         multibody.step(s, multibody.zero_energy, multibody.SolverConfig(mode=mode))
         assert not hasattr(store, "pending")
+    assert list(inspect.signature(multibody.kinematics._PoseStore).parameters) == ["s", "poses"]
+    assert not hasattr(multibody.kinematics, "_with_rows")
     for view in (s.tree, s.forest):
         assert not hasattr(view, "kkt_pattern")
     assert not hasattr(multibody.KinematicStructure, "constraint_rows")
@@ -377,9 +380,10 @@ def test_free_body_steps_multiply_by_no_jacobian_and_evaluate_only_what_is_read(
 
 def test_joints_are_inferred_only_when_read(monkeypatch):
     """Calls are counted, not timed.  A forest step (CONSTRAINED) reads no
-    joint transform, so it infers none; the next tree step (PROJECTED)
-    infers them once from the poses the forest step left, and carries its
-    own to the next; a joint read after a forest step infers them once."""
+    joint transform, so it infers none, and neither does a tree step
+    (PROJECTED) where every joint fixes joint_to_model, as on the chain: it
+    reads the adopted joint frames; a joint read after a step infers them
+    once."""
     kinematics = multibody.kinematics
     calls = []
     infer = kinematics._PoseStore._infer
@@ -388,7 +392,7 @@ def test_joints_are_inferred_only_when_read(monkeypatch):
     )
     s = multibody.experiments.build_serial_chain(64)
     cfg = multibody.SolverConfig
-    steps = [("constrained", 0), ("projected", 1), ("projected", 0), ("projected", 0)]
+    steps = [("constrained", 0), ("projected", 0), ("projected", 0), ("projected", 0)]
     for mode, inferred in steps:
         calls.clear()
         multibody.step(s, multibody.zero_energy, cfg(mode=mode))

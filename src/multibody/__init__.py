@@ -12,7 +12,6 @@ from .energy import (
 from .kinematics import (
     AXIS_NAMES,
     Body,
-    FixedSide,
     Joint,
     KinematicStructure,
     axes_mask,
@@ -43,7 +42,6 @@ __all__ = [
     "BodyEnergy",
     "Constraint",
     "FactorizationFailed",
-    "FixedSide",
     "Joint",
     "KinematicStructure",
     "KktSystem",

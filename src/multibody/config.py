@@ -3,11 +3,11 @@
 The file format is a plain JSON object:
 
 * bodies: ordered list; each entry has name, parent (name or null), joint
-  {axes, fixed_side, joint_to_model, parent_to_joint}, pose, optional
-  mesh_path (relative to the config file) and weights {rot, trans}, finite
-  and non-negative, default 1.  The joint transform that fixed_side does
-  not name, the moving side, is derived from the poses, replacing the
-  value given (kinematics.Joint).
+  {axes, joint_to_model, parent_to_joint}, pose, optional mesh_path
+  (relative to the config file) and weights {rot, trans}, finite and
+  non-negative, default 1.  A joint fixes the one transform it gives,
+  joint_to_model if it gives none; the other is derived from the poses
+  (kinematics.Joint).  A root's joint gives no parent_to_joint.
 * constraints: list of {body_a, body_b, frame_a, frame_b, axes} with an
   optional type of "pose" (default) or "orthogonality"; axes belongs to
   pose constraints only.
@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .constraints import Constraint, OrthogonalityConstraint
-from .kinematics import Body, FixedSide, Joint, KinematicStructure, axes_mask
+from .kinematics import Body, Joint, KinematicStructure, axes_mask
 from .metrics import load_obj
 from .se3 import Pose, exp_rotvec
 
@@ -129,22 +129,19 @@ def _pose(value, where) -> Pose:
 
 
 def _joint(value, where) -> Joint:
-    axes, fixed_side, joint_to_model, parent_to_joint = _fields(
-        {} if value is None else value, where,
-        axes=[], fixed_side="joint_to_model", joint_to_model=None, parent_to_joint=None,
+    axes, *transforms = _fields(
+        {} if value is None else value, where, axes=[], joint_to_model=None, parent_to_joint=None
     )
+    free_axes = _axes(axes, f"{where}.axes")
+    given = {
+        side: _pose(transform, f"{where}.{side}")
+        for side, transform in zip(("joint_to_model", "parent_to_joint"), transforms)
+        if transform is not None
+    }
     try:
-        side = FixedSide(fixed_side)
+        return Joint(free_axes, **given)
     except ValueError as exc:
-        raise ConfigError(
-            f"{where}.fixed_side: {fixed_side!r} is not a valid choice"
-        ) from exc
-    return Joint(
-        free_axes=_axes(axes, f"{where}.axes"),
-        joint_to_model=_pose(joint_to_model, f"{where}.joint_to_model"),
-        parent_to_joint=_pose(parent_to_joint, f"{where}.parent_to_joint"),
-        fixed_side=side,
-    )
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _unique_keys(pairs) -> dict:

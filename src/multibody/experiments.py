@@ -249,7 +249,7 @@ def build_serial_chain(n_bodies: int) -> KinematicStructure:
         bodies.append(
             Body(
                 name=f"body{i}",
-                joint=Joint(free_axes=axes_mask(["rot_z"]), parent_to_joint=offset),
+                joint=Joint(free_axes=axes_mask(["rot_z"])),
                 # Consistent initial poses along the chain.
                 pose=bodies[-1].pose @ offset,
                 parent=i - 1,

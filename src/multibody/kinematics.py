@@ -13,7 +13,6 @@ structure makes every body a root with its own six coordinates.
 
 from __future__ import annotations
 
-import enum
 import functools
 from dataclasses import dataclass
 
@@ -28,13 +27,6 @@ from .se3 import Pose, _pose, adjoint, exp_rotvec
 AXIS_NAMES = ("rot_x", "rot_y", "rot_z", "trans_x", "trans_y", "trans_z")
 
 
-class FixedSide(enum.Enum):
-    """Which joint transform stays fixed; the other moves with the joint."""
-
-    JOINT_TO_MODEL = "joint_to_model"
-    PARENT_TO_JOINT = "parent_to_joint"
-
-
 def axes_mask(names) -> np.ndarray:
     """Boolean 6-mask from axis names like ["rot_z", "trans_x"]."""
     mask = np.zeros(6, dtype=bool)
@@ -45,76 +37,65 @@ def axes_mask(names) -> np.ndarray:
     return mask
 
 
-class _PoseRow:
-    """A Pose attribute of a Body or Joint, the identity by default.  The
-    object holds it in its own ``__dict__``, which shadows this non-data
-    descriptor, until a KinematicStructure adopts the object and takes it;
-    from then on it is row ``obj._index`` of the structure's read-only stack
-    of that name.  A joint's moving side is derived from the poses when
-    first read (_PoseStore.joints), replacing the value given: it is not
-    part of the state.  Reading gives a view of the row, which keeps its
-    value: only update_poses changes the state, by replacing the poses."""
-
-    def __set_name__(self, cls, name):
-        self.name = name
-
-    def __get__(self, obj, cls=None):
-        if obj is None:
-            return _frozen(Pose.identity())  # the dataclass field's default, shared
-        store = obj._owner._store
-        stack = store.poses if self.name == "pose" else store.joints()[self.name]
-        return stack[obj._index]
-
-
-class _Adoptable:
-    """A Body or Joint.  A KinematicStructure reads its fields once, when it
-    adopts the object, and from then on no field can be assigned."""
-
-    _owner = None
-
-    def __setattr__(self, name, value):
-        if self._owner is not None:
-            what = _row_name(self._owner, self._role, name, self._index)
-            raise AttributeError(f"{what} is read-only once a structure adopts it")
-        object.__setattr__(self, name, value)
-
-
-@dataclass(eq=False)
-class Joint(_Adoptable, _ReadOnly):
+@dataclass(frozen=True, eq=False)
+class Joint(_ReadOnly):
     """Connection allowing motion along a chosen set of joint-frame axes:
     the free-axis values are scattered into the extended 6-vector and fixed
-    axes stay zero.  The free axes are read-only, also in a copy.
-    ``fixed_side``, a FixedSide or its value, names the transform that
-    stays as given; the other, the moving side, is derived from the body
-    poses once a structure adopts the joint, and a value given for it is
-    replaced (a root's joint keeps both)."""
+    axes stay zero.  A joint fixes one of its two transforms, the one given
+    by keyword, joint_to_model (the identity if neither is given) or
+    parent_to_joint; the other is derived from the body poses and read
+    through the structure's store (``s.rows_at_poses().joints()``).  A root
+    fixes joint_to_model.  A frozen record, so that bodies may share it: its
+    fields are its inputs, copied, and every array is read-only, also in a
+    copy.  A transform's shape is checked by the structure that adopts it."""
 
     free_axes: np.ndarray
-    joint_to_model: Pose = _PoseRow()
-    parent_to_joint: Pose = _PoseRow()
-    fixed_side: FixedSide = FixedSide.JOINT_TO_MODEL
-    _role = "joint of body"
+    joint_to_model: Pose | None = None
+    parent_to_joint: Pose | None = None
 
     def __post_init__(self):
-        self.free_axes = _frozen(_checked_mask(self.free_axes, "free_axes"))
-        try:
-            self.fixed_side = FixedSide(self.fixed_side)
-        except ValueError:
-            choices = [side.value for side in FixedSide]
-            raise ValueError(
-                f"fixed_side must be a FixedSide or one of {choices}, not {self.fixed_side!r}"
-            ) from None
-        if self.free_axes.shape != (6,):
+        mask = _checked_mask(self.free_axes, "free_axes")
+        if mask.shape != (6,):
             raise ValueError("free_axes must have 6 entries")
+        if self.joint_to_model is not None and self.parent_to_joint is not None:
+            raise ValueError("a joint fixes joint_to_model or parent_to_joint, not both")
+        side = "joint_to_model" if self.parent_to_joint is None else "parent_to_joint"
+        fixed = getattr(self, side) or Pose.identity()
+        vars(self).update({"free_axes": mask, side: Pose(np.array(fixed.r), np.array(fixed.t))})
+        self._freeze()
+
+
+class _PoseRow:
+    """A body's pose, the identity by default.  The body holds it in its own
+    ``__dict__``, which shadows this non-data descriptor, until a
+    KinematicStructure adopts the body and takes it; from then on it is row
+    ``body._index`` of the structure's read-only pose stack.  Reading gives
+    a view of the row, which keeps its value: only update_poses changes the
+    state, by replacing the poses."""
+
+    def __get__(self, body, cls=None):
+        if body is None:
+            return _frozen(Pose.identity())  # the dataclass field's default, shared
+        return body._owner._store.poses[body._index]
 
 
 @dataclass(eq=False)
-class Body(_Adoptable):
+class Body:
+    """A named body, its joint and its parent's index.  A KinematicStructure
+    reads its fields once, when it adopts the body, and from then on no
+    field can be assigned."""
+
     name: str
     joint: Joint
     pose: Pose = _PoseRow()
     parent: int | None = None
-    _role = "body"
+    _owner = None
+
+    def __setattr__(self, name, value):
+        if self._owner is not None:
+            what = f"body {self.name!r}: {name}"
+            raise AttributeError(f"{what} is read-only once a structure adopts it")
+        object.__setattr__(self, name, value)
 
 
 class Coordinates(_ReadOnly):
@@ -230,11 +211,11 @@ class _PoseStore(_ReadOnly):
         return self.joints() if "joint_to_model" in self.s._joint_sides else self.s._adopted
 
     def _infer(self) -> dict:
-        """Each joint's moving side from the poses, in a read-only copy of
-        the adopted stack, one polar step from orthonormal: with
-        rel = parent^-1 o pose for each non-root body, P_T_J = rel o J_T_M^-1
-        where J_T_M is fixed, else J_T_M = P_T_J^-1 o rel and model_to_joint
-        its inverse.  The fixed factors are the structure's, computed at
+        """The transform each non-root joint does not fix, from the poses, in
+        a read-only copy of the adopted stack, one polar step from
+        orthonormal: with rel = parent^-1 o pose for each non-root body,
+        P_T_J = rel o J_T_M^-1 where J_T_M is fixed, else
+        J_T_M = P_T_J^-1 o rel and model_to_joint its inverse.  The fixed factors are the structure's, computed at
         adoption (_joint_sides), so that only rel is inverted."""
         poses, joints = self.poses, dict(self.s._adopted)
         for name, (children, parents, fixed) in self.s._joint_sides.items():
@@ -254,17 +235,17 @@ class KinematicStructure(_ReadOnly):
     coordinates, and ``forest``.
 
     The state is one read-only stack of body poses (``poses``), one row per
-    body.  The joints' joint_to_model and parent_to_joint are copied from
-    the joints the structure adopts and kept as adopted, with beside
-    joint_to_model its inverse (model_to_joint): roots' and fixed sides'
-    rows are constants, and so is the fixed factor of each side's
-    inference.  Each joint's moving side is derived from the poses when
-    read.  What construction fixes is immutable: the bodies tuple, the
+    body.  The transform each joint fixes is stacked once from the joints
+    the structure adopts, with beside joint_to_model its inverse
+    (model_to_joint); the fixed rows are constants, and so is the fixed
+    factor of each side's inference.  The other side of each joint is
+    derived from the poses when read, and a root's parent_to_joint is the
+    identity.  What construction fixes is immutable: the bodies tuple, the
     views, their KKT patterns and every array the structure keeps.  Only
     update_poses changes the state, by replacing the pose stack;
-    ``Body.pose`` and the joint transforms read their row and refuse
-    assignment.  A body or joint handed to a second structure belongs to
-    that one; no field of an adopted body or joint can be assigned.  The
+    ``Body.pose`` reads its row and refuses assignment.  A body handed to a
+    second structure belongs to that one; no field of an adopted body can be
+    assigned, and a joint is a frozen record that bodies may share.  The
     constraints, given at construction, are stacked once
     (``constraint_stack``).
 
@@ -273,12 +254,13 @@ class KinematicStructure(_ReadOnly):
     there (``rows_at_poses()()``, read-only arrays), when first asked for,
     so that each pose is evaluated at most once.  A copy (copy.copy or
     copy.deepcopy, one hook) is a new state on the shared constants, made
-    in one pass: it shares everything construction fixed and the frozen
-    rows record, and has its own store on the same read-only stacks, and
-    its own bodies and joints, bound to it as they are copied.  Pickle
-    builds every part again and re-freezes it (_ReadOnly).  Mutating operations (pose updates) must be serialized by
-    the caller; read-only snapshots may be shared for parallel evaluation,
-    which at worst evaluates the same rows or joints twice.
+    in one pass: it shares everything construction fixed, the joints and
+    the frozen rows record, and has its own store on the same read-only
+    stacks, and its own bodies, bound to it as they are copied.  Pickle
+    builds every part again and re-freezes it (_ReadOnly).  Mutating
+    operations (pose updates) must be serialized by the caller; read-only
+    snapshots may be shared for parallel evaluation, which at worst
+    evaluates the same rows or joints twice.
     """
 
     def __init__(self, bodies: list[Body], constraints=()):
@@ -286,16 +268,18 @@ class KinematicStructure(_ReadOnly):
         self._constraints = tuple(constraints)
         self._validate()
         self.constraint_stack = ConstraintStack(self._constraints)
-        joints = [b.joint for b in self.bodies]
-        stacks = {}
-        for name, objs in zip(_STACKED, (self.bodies, joints, joints)):
-            rows = [getattr(obj, name) for obj in objs]
-            name_row = functools.partial(_row_name, self, objs[0]._role, name)
-            stacks[name] = Pose.stack(rows, name_row)
+        bodies, joints = self.bodies, [b.joint for b in self.bodies]
+        poses = Pose.stack([b.pose for b in bodies], lambda i: f"body {bodies[i].name!r}: pose")
+        # The rows of the side a joint does not fix are inferred when read;
+        # until then, and on a root's parent_to_joint, they are the identity.
+        identity, stacks = Pose.identity(), {}
+        for side in ("joint_to_model", "parent_to_joint"):
+            rows = [getattr(joint, side) or identity for joint in joints]
+            stacks[side] = Pose.stack(rows, lambda i: f"joint of body {bodies[i].name!r}: {side}")
         stacks["model_to_joint"] = stacks["joint_to_model"].inverse()
-        self._store = _PoseStore(self, stacks.pop("pose"))
+        self._store = _PoseStore(self, poses)
         self._adopted = stacks
-        parents = [b.parent for b in self.bodies]
+        parents = [b.parent for b in bodies]
         free = [np.flatnonzero(j.free_axes) for j in joints]
         self.tree = Coordinates(parents, free)
         self.n_dof, self.dof_offsets = self.tree.n_dof, self.tree.offsets
@@ -304,7 +288,7 @@ class KinematicStructure(_ReadOnly):
         # J_T_M^-1 or P_T_J^-1 (in C order: the product's rounding depends on
         # the layout).
         children, parents = self.tree.children, self.tree.parents
-        fixed = np.array([joints[i].fixed_side is FixedSide.JOINT_TO_MODEL for i in children], bool)
+        fixed = np.array([joints[i].parent_to_joint is None for i in children], bool)
         inverse = stacks["parent_to_joint"][children[~fixed]].inverse()
         self._joint_sides = {
             name: (children[rows], parents[rows], factor)
@@ -315,26 +299,25 @@ class KinematicStructure(_ReadOnly):
             if rows.any()
         }
         self._freeze()
-        # Only once every row is valid: the bodies and joints read their
-        # pose rows from the structure's stacks from then on.
-        for i, body in enumerate(self.bodies):
-            for name, obj in zip(_STACKED, (body, body.joint, body.joint)):
-                vars(obj).pop(name, None)
-                vars(obj).update(_owner=self, _index=i)
+        # Only once every row is valid: the bodies read their pose rows from
+        # the structure's stack from then on.
+        for i, body in enumerate(bodies):
+            vars(body).pop("pose", None)
+            vars(body).update(_owner=self, _index=i)
 
     def __deepcopy__(self, memo=None):
         """A new state on the structure's shared constants, made in one
         pass.  The copy shares what construction fixed, all of it read-only:
         the views and their KKT patterns, the constraints and their stack,
-        the adopted stacks, the fixed sides and the DoF offsets.  It has its
-        own store on the same poses, joint stacks (or none, inferred by its
-        own first read) and frozen rows record, and its own bodies and
-        joints, shallow copies that keep their rows' indices and are bound
-        to it as they are made.  ``memo`` gets the copy, its bodies and its
-        joints; a body or joint that a deep copy of a tuple has copied
-        before the structure is in ``memo`` already, and is taken from
-        there.  A shallow copy is the same: sharing the bodies would share
-        their pose rows."""
+        the joints, the adopted stacks, the fixed sides and the DoF offsets.
+        It has its own store on the same poses, joint stacks (or none,
+        inferred by its own first read) and frozen rows record, and its own
+        bodies, shallow copies that keep their rows' indices and are bound
+        to it as they are made.  ``memo`` gets the copy, its bodies and the
+        joints it shares; a body or joint that a deep copy of a tuple has
+        copied before the structure is in ``memo`` already, and is taken
+        from there, so that a structure and its joints stay tied.  A shallow
+        copy is the same: sharing the bodies would share their pose rows."""
         memo = {} if memo is None else memo
 
         def made(old, **changes):
@@ -343,8 +326,9 @@ class KinematicStructure(_ReadOnly):
             return new
 
         twin = made(self)
-        bodies = (made(b, _owner=twin, joint=made(b.joint, _owner=twin)) for b in self.bodies)
-        twin.bodies = tuple(bodies)
+        twin.bodies = tuple(
+            made(b, _owner=twin, joint=memo.setdefault(id(b.joint), b.joint)) for b in self.bodies
+        )
         twin._store = made(self._store, s=twin)
         return twin
 
@@ -361,7 +345,7 @@ class KinematicStructure(_ReadOnly):
     def _validate(self):
         if not self.bodies:
             raise ValueError("a structure needs at least one body")
-        names, joints = set(), {}
+        names = set()
         for i, body in enumerate(self.bodies):
             if body.name in names:
                 raise ValueError(f"duplicate body name {body.name!r}")
@@ -371,9 +355,10 @@ class KinematicStructure(_ReadOnly):
                     raise ValueError(
                         f"body {body.name!r}: parent index {body.parent} must precede it"
                     )
-            first = self.bodies[joints.setdefault(id(body.joint), i)]
-            if first is not body:
-                raise ValueError(f"body {body.name!r} shares its joint with body {first.name!r}")
+            elif body.joint.parent_to_joint is not None:
+                raise ValueError(
+                    f"body {body.name!r}: a root's joint fixes joint_to_model, not parent_to_joint"
+                )
         for k, c in enumerate(self._constraints):
             for index in (c.body_a, c.body_b):
                 if not 0 <= index < len(self.bodies):
@@ -488,10 +473,4 @@ def _orthonormalized(poses: Pose) -> Pose:
     return _pose(r @ (_THREE_I - r.swapaxes(-1, -2) @ r) * 0.5, poses.t)
 
 
-def _row_name(s, role: str, name: str, i: int) -> str:
-    """Field ``name`` of body i of s (role "body") or of its joint, by the body's name."""
-    return f"{role} {s.bodies[i].name!r}: {name}"
-
-
-_STACKED = ("pose", "joint_to_model", "parent_to_joint")
 _THREE_I = 3.0 * np.eye(3)

@@ -31,7 +31,7 @@ import scipy.linalg
 from multibody.constraints import Constraint, OrthogonalityConstraint
 from multibody.energy import BodyEnergy, zero_energy
 from multibody.experiments import TRIAL_UNIFORMS, random_spd
-from multibody.kinematics import Body, FixedSide, Joint, KinematicStructure, axes_mask
+from multibody.kinematics import Body, Joint, KinematicStructure, axes_mask
 from multibody.se3 import Pose, adjoint, row_norms
 from multibody import solver
 from multibody.solver import KktSystem, Regularization, SolverMode, solve_kkt
@@ -436,9 +436,10 @@ def constraint_jacobian(c, s):
 def selection_body_jacobians(s):
     """Body Jacobians by the tree recursion with each joint's motion
     subspace as a 6 x n_dof selection matrix E:
-    J = Ad(M_T_P) J_parent + Ad(M_T_J) E at the body's offset."""
-    jacobians = []
-    for body, off in zip(s.bodies, s.dof_offsets):
+    J = Ad(M_T_P) J_parent + Ad(M_T_J) E at the body's offset, with J_T_M
+    read from the structure's store."""
+    jacobians, joint_to_model = [], s.rows_at_poses().joints()["joint_to_model"]
+    for i, (body, off) in enumerate(zip(s.bodies, s.dof_offsets)):
         n_dof = np.count_nonzero(body.joint.free_axes)
         expansion = np.zeros((6, n_dof))
         expansion[np.flatnonzero(body.joint.free_axes), np.arange(n_dof)] = 1.0
@@ -447,7 +448,7 @@ def selection_body_jacobians(s):
             m_t_p = body.pose.inverse() @ s.bodies[body.parent].pose
             jac += adjoint(m_t_p) @ jacobians[body.parent]
         if n_dof > 0:
-            ad_m_t_j = adjoint(body.joint.joint_to_model.inverse())
+            ad_m_t_j = adjoint(joint_to_model[i].inverse())
             jac[:, off : off + n_dof] += ad_m_t_j @ expansion
         jacobians.append(jac)
     return jacobians
@@ -498,40 +499,41 @@ def _orthonormalized(pose):
 
 
 def detached(s, **rows):
-    """Copies of the bodies and joints of s that no structure has adopted,
-    with the same state but for ``rows``: name={i: pose} puts pose in row i
-    of the stack name ("pose", "joint_to_model" or "parent_to_joint")."""
-    def row(name, i, obj):
-        return rows.get(name, {}).get(i, getattr(obj, name))
+    """Copies of the bodies of s that no structure has adopted, with the
+    same state but for ``rows``: pose={i: pose} puts pose in row i of the
+    pose stack, and joint_to_model={i: p} or parent_to_joint={i: p} gives
+    body i a joint with the same free axes that fixes that transform, p.
+    The other bodies keep their joints, frozen records."""
+    def joint(i, old):
+        sides = ("joint_to_model", "parent_to_joint")
+        given = {side: rows[side][i] for side in sides if i in rows.get(side, {})}
+        return Joint(old.free_axes, **given) if given else old
 
     return [
-        Body(
-            b.name,
-            Joint(b.joint.free_axes, row("joint_to_model", i, b.joint),
-                  row("parent_to_joint", i, b.joint), b.joint.fixed_side),
-            row("pose", i, b),
-            b.parent,
-        )
+        Body(b.name, joint(i, b.joint), rows.get("pose", {}).get(i, b.pose), b.parent)
         for i, b in enumerate(s.bodies)
     ]
 
 
-def scalar_refresh(bodies):
-    """Re-infer the non-fixed joint transforms of un-adopted bodies, one
-    joint at a time."""
+def joint_transforms(bodies):
+    """Each body's (P_T_J, J_T_M), one joint at a time, from un-adopted
+    bodies: the transform its joint fixes, and the other from the body's
+    pose relative to its parent, rel = parent^-1 o pose, one polar step
+    from orthonormal.  A root's is (I, J_T_M)."""
+    transforms = []
     for body in bodies:
-        if body.parent is None:
-            continue
         joint = body.joint
-        parent_pose = bodies[body.parent].pose
-        if joint.fixed_side is FixedSide.JOINT_TO_MODEL:
-            joint.parent_to_joint = _orthonormalized(
-                parent_pose.inverse() @ body.pose @ joint.joint_to_model.inverse()
-            )
+        if body.parent is None:
+            transforms.append((Pose.identity(), joint.joint_to_model))
+            continue
+        rel = bodies[body.parent].pose.inverse() @ body.pose
+        if joint.parent_to_joint is None:
+            parent_to_joint = _orthonormalized(rel @ joint.joint_to_model.inverse())
+            transforms.append((parent_to_joint, joint.joint_to_model))
         else:
-            joint.joint_to_model = _orthonormalized(
-                joint.parent_to_joint.inverse() @ parent_pose.inverse() @ body.pose
-            )
+            joint_to_model = _orthonormalized(joint.parent_to_joint.inverse() @ rel)
+            transforms.append((joint.parent_to_joint, joint_to_model))
+    return transforms
 
 
 def scalar_update(s, theta, mode):
@@ -544,18 +546,15 @@ def scalar_update(s, theta, mode):
         for i, body in enumerate(bodies):
             body.pose = pose_with_variation(body.pose, theta[6 * i : 6 * i + 6])
     else:
-        for body, off in zip(bodies, s.dof_offsets):
-            joint = body.joint
-            n_dof = np.count_nonzero(joint.free_axes)
-            extended = expand_joint_variation(joint, theta[off : off + n_dof])
-            j_t_m = joint.joint_to_model
+        transforms = joint_transforms(bodies)
+        for body, off, (p_t_j, j_t_m) in zip(bodies, s.dof_offsets, transforms):
+            n_dof = np.count_nonzero(body.joint.free_axes)
+            extended = expand_joint_variation(body.joint, theta[off : off + n_dof])
             motion = pose_with_variation(j_t_m.inverse(), extended) @ j_t_m
             if body.parent is None:
                 body.pose = body.pose @ motion
             else:
-                parent_pose = bodies[body.parent].pose
-                body.pose = parent_pose @ joint.parent_to_joint @ j_t_m @ motion
-    scalar_refresh(bodies)
+                body.pose = bodies[body.parent].pose @ p_t_j @ j_t_m @ motion
     return KinematicStructure(bodies, s.constraints)
 
 

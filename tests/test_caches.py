@@ -19,20 +19,19 @@ import numpy as np
 import pytest
 
 import oracles as scalar
-from builders import random_pose, random_tree, random_trees, rebuilt, stacks
+from builders import MODEL, PARENT, random_pose, random_tree, random_trees, rebuilt, stacks
 from multibody import kinematics, solver
 from multibody.config import load_config
 from multibody.constraints import Constraint, OrthogonalityConstraint, evaluate_constraints
 from multibody.energy import per_body, quadratic_pose_target
 from multibody.experiments import build_serial_chain
-from multibody.kinematics import Body, FixedSide, Joint
+from multibody.kinematics import Body, Joint
 from multibody.se3 import Pose, exp_rotvec, log_rotation, variation_matrix
 from multibody.solver import (
     FactorizationFailed, KktSystem, SolverConfig, SolverMode, solve_kkt, step
 )
 
 DEMO_CONFIG = Path(__file__).parent.parent / "demos" / "fourbar.json"
-MODEL, PARENT = FixedSide.JOINT_TO_MODEL, FixedSide.PARENT_TO_JOINT
 SIDES = {
     "parent_to_joint": [PARENT] * 6,
     "mixed": [MODEL, PARENT, MODEL, PARENT, PARENT, MODEL],
@@ -138,24 +137,27 @@ class TestStepsOnAKeptStructure:
 
 
 def assert_joints_compose(s):
-    """Every joint read composes its body's pose, parent o P_T_J o J_T_M,
-    to rounding, with both transforms orthonormal to rounding."""
-    for body in s.bodies:
+    """Every joint read through the store composes its body's pose,
+    parent o P_T_J o J_T_M, to rounding, with both transforms orthonormal
+    to rounding."""
+    rows = stacks(s)
+    for i, body in enumerate(s.bodies):
         if body.parent is None:
             continue
-        joint, parent = body.joint, s.bodies[body.parent]
-        composed = parent.pose @ joint.parent_to_joint @ joint.joint_to_model
+        joint = rows["parent_to_joint"][i], rows["joint_to_model"][i]
+        composed = rows["pose"][body.parent] @ joint[0] @ joint[1]
         scale = max(1.0, np.abs(body.pose.t).max())
         assert np.abs(composed.r - body.pose.r).max() <= 1e-12, body.name
         assert np.abs(composed.t - body.pose.t).max() <= 1e-12 * scale, body.name
-        for r in (joint.parent_to_joint.r, joint.joint_to_model.r):
+        for r in (joint[0].r, joint[1].r):
             assert np.abs(r.T @ r - np.eye(3)).max() <= 1e-14, body.name
 
 
 def disagreeing_repro():
     """A locked root and a body free about rot_z below it whose given
     parent_to_joint, a translation (0, 0.1, 0), disagrees with its identity
-    pose."""
+    pose: the joint fixes it, and its joint_to_model is derived from the
+    poses."""
     shifted = Pose(np.eye(3), [0.0, 0.1, 0.0])
     rot_z = np.array([False, False, True, False, False, False])
     return kinematics.KinematicStructure([
@@ -514,18 +516,17 @@ class TestOneWriter:
 
     @pytest.mark.parametrize("copied", [False, True])
     def test_assigning_a_field_after_adoption_raises(self, copied):
-        """The structure reads a body's and a joint's fields once, when it
-        adopts them: an assigned pose row would be written behind its
-        stacks, and an assigned parent, joint, free axes or fixed side
-        would have no effect.  Fails if ``_Adoptable.__setattr__`` lets an
+        """The structure reads a body's fields once, when it adopts it: an
+        assigned pose row would be written behind its stacks, and an
+        assigned parent or joint would have no effect.  A joint is a frozen
+        record, adopted or not.  Fails if ``Body.__setattr__`` lets an
         adopted field be assigned, also in a copy, or if its error stops
-        naming the body and the field, or if ``Joint`` leaves its free axes
-        writeable."""
+        naming the body and the field, or if a joint's field can be
+        assigned or its free axes or transform written."""
         body = Body("lone", Joint(np.ones(6, dtype=bool)))
         pose = Pose.from_rotvec([0.1, 0.0, 0.0], [0.0, 0.2, 0.0])
-        body.pose = body.joint.parent_to_joint = pose
-        body.parent, body.joint.fixed_side = 3, PARENT
-        assert body.pose is pose and body.joint.parent_to_joint is pose
+        body.pose, body.parent = pose, 3
+        assert body.pose is pose and body.parent == 3
         s = build_serial_chain(3)
         if copied:
             s = copy.deepcopy(s)
@@ -533,18 +534,21 @@ class TestOneWriter:
         joint = s.bodies[1].joint
         for obj, field, value, named in [
             (s.bodies[1], "pose", pose, "body 'body1': pose"),
-            (s.bodies[2].joint, "joint_to_model", pose, "joint of body 'body2': joint_to_model"),
-            (s.bodies[0].joint, "parent_to_joint", pose, "joint of body 'body0': parent_to_joint"),
             (s.bodies[1], "parent", 0, "body 'body1': parent"),
             (s.bodies[2], "joint", Joint(np.ones(6, dtype=bool)), "body 'body2': joint"),
-            (joint, "fixed_side", PARENT, "joint of body 'body1': fixed_side"),
-            (joint, "free_axes", np.ones(6, dtype=bool), "joint of body 'body1': free_axes"),
         ]:
             with pytest.raises(AttributeError, match=f"^{named} is read-only"):
                 setattr(obj, field, value)
-        with pytest.raises(ValueError, match="read-only"):
-            joint.free_axes[0] = True
-        assert joint.fixed_side is MODEL and s.bodies[1].parent == 0
+        for obj in (joint, body.joint):
+            for field, value in [
+                ("joint_to_model", pose), ("parent_to_joint", pose), ("free_axes", np.ones(6, bool))
+            ]:
+                with pytest.raises(dataclasses.FrozenInstanceError, match=f"field '{field}'"):
+                    setattr(obj, field, value)
+            for array in (obj.free_axes, obj.joint_to_model.r, obj.joint_to_model.t):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 1.0
+        assert joint.parent_to_joint is None and s.bodies[1].parent == 0
         assert joint.free_axes.sum() == 1 and s.n_dof == n_dof == 8
         assert state(s) == saved and s.rows_at_poses()() is rows
 
@@ -556,14 +560,14 @@ class TestACopyIsANewState:
     """A copy of a structure, shallow or deep, shares everything its
     construction fixed, all of it read-only, and has a state of its own: a
     store on the same poses and the joint stacks and rows derived from them,
-    and bodies and joints bound to it."""
+    and bodies bound to it, sharing the frozen joints."""
 
     @pytest.mark.parametrize("copier", COPIERS)
     def test_shares_what_construction_fixed(self, copier):
         """Fails if a copy duplicates a view, a KKT pattern, the
-        constraints, their stack, the adopted stacks, the DoF offsets, the
-        rows object or the joint stacks inferred before it was made; if it
-        shares the original's store, bodies or joints; or if any array
+        constraints, their stack, the joints, the adopted stacks, the DoF
+        offsets, the rows object or the joint stacks inferred before it was
+        made; if it shares the original's store or bodies; or if any array
         reachable from it is writeable."""
         s, provider = pulled_tree()
         for mode in SolverMode:
@@ -582,8 +586,8 @@ class TestACopyIsANewState:
         for name in ("extended", "d_a", "d_b", "stack"):
             assert getattr(own.rows, name) is getattr(store.rows, name), name
         for original, body in zip(s.bodies, twin.bodies):
-            assert body is not original and body.joint is not original.joint
-            assert body._owner is body.joint._owner is twin
+            assert body is not original and body.joint is original.joint
+            assert body._owner is twin
             assert (body.name, body.parent) == (original.name, original.parent)
         arrays = reachable_arrays(twin)
         assert len(arrays) > 100
@@ -595,14 +599,14 @@ class TestACopyIsANewState:
     def test_a_step_on_one_leaves_the_other(self, mode, copier):
         """Stepping the copy leaves the original's poses, joint stacks and
         rows as they were, and the reverse, and the two, stepped alike, agree
-        bit for bit.  Fails if the two share a store, a body or a joint, or
-        if a step writes into what they share."""
+        bit for bit.  Fails if the two share a store or a body, or if a step
+        writes into what they share."""
         s, provider = pulled_tree()
         step(s, provider, COMBINED)
         twin = COPIERS[copier](s)
 
         def read(x):
-            return [(b.pose.t.tobytes(), b.joint.joint_to_model.r.tobytes()) for b in x.bodies]
+            return [b.pose.t.tobytes() for b in x.bodies]
 
         for moved, kept in ((twin, s), (s, twin)):
             store, saved, bodies, start = kept.rows_at_poses(), state(kept), read(kept), state(moved)
@@ -616,19 +620,19 @@ class TestACopyIsANewState:
     @pytest.mark.parametrize("structure_first", [True, False])
     def test_a_deep_copy_of_a_tuple_keeps_bodies_and_joints_tied(self, structure_first):
         """A body and a joint deep-copied along with their structure, before
-        or after it, are the copy's and read its poses.  Fails if the copy
-        hook ignores ``memo``, or replaces a body or joint copy that
-        ``memo`` holds already."""
+        or after it, are the copy's: the body reads its poses, and the joint
+        is the one its body holds, the original if the structure came first
+        (a copy shares its joints).  Fails if the copy hook ignores
+        ``memo``, or replaces a body or joint copy that ``memo`` holds
+        already."""
         s = build_serial_chain(3)
         items = (s, s.bodies[1], s.bodies[2].joint)
         copied = copy.deepcopy(items if structure_first else items[::-1])
         twin, body, joint = copied if structure_first else copied[::-1]
         assert twin.bodies[1] is body and twin.bodies[2].joint is joint
-        assert body._owner is joint._owner is twin
+        assert body._owner is twin and (joint is s.bodies[2].joint) == structure_first
         twin.update_poses(np.full(twin.n_dof, 0.1))
         assert body.pose.t.tobytes() == twin.poses()[1].t.tobytes()
-        moved = stacks(twin)["joint_to_model"][2]
-        assert joint.joint_to_model.r.tobytes() == moved.r.tobytes()
         assert s.bodies[1].pose.t.tolist() == [0.1, 0.0, 0.0]
 
 

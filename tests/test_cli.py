@@ -237,6 +237,21 @@ class TestMalformedConfig:
             "bodies[1].joint.joint_to_model.rotvec",
         ),
         (("bodies", 1, "mesh_path"), 5, "bodies[1].mesh_path"),
+        (
+            ("bodies", 2, "joint", "parent_to_joint"),
+            {"trans": [0.0, 0.1, 0.0]},
+            "bodies[2].joint: a joint fixes joint_to_model or parent_to_joint, not both",
+        ),
+        (
+            ("bodies", 0, "joint", "parent_to_joint"),
+            {},
+            "config.bodies: body 'ground': a root's joint fixes joint_to_model",
+        ),
+        (
+            ("bodies", 1, "joint", "fixed_side"),
+            "joint_to_model",
+            "bodies[1].joint: unknown field 'fixed_side'",
+        ),
     ]
 
     @pytest.mark.parametrize("path, value, field", CASES, ids=[c[2] for c in CASES])

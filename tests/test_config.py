@@ -101,10 +101,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"bodies\[0\]\.weights"):
             parse_config(raw)
 
-    def test_bad_fixed_side(self):
+    def test_fixed_side_is_an_unknown_field(self):
+        """The transform a joint gives is the side it fixes: ``fixed_side``
+        is no field of the format."""
         raw = minimal_config()
-        raw["bodies"][0]["joint"]["fixed_side"] = "both"
-        with pytest.raises(ConfigError, match="fixed_side"):
+        raw["bodies"][0]["joint"]["fixed_side"] = "joint_to_model"
+        with pytest.raises(ConfigError, match=r"^bodies\[0\]\.joint: unknown field 'fixed_side'"):
             parse_config(raw)
 
     def test_unknown_constraint_body(self):
@@ -290,7 +292,7 @@ class TestEveryKeyIsKnown:
         # the constraint, its 2 frames, 3 trajectory programs
         assert len(DEMO_OBJECTS) == 25
         assert {place(path).split(".")[-1] for path in DEMO_OBJECTS} >= {
-            "config", "joint", "pose", "parent_to_joint", "weights", "frame_a", "frame_b",
+            "config", "joint", "pose", "joint_to_model", "weights", "frame_a", "frame_b",
         }
 
     @pytest.mark.parametrize("path", DEMO_OBJECTS, ids=map(place, DEMO_OBJECTS))
@@ -349,7 +351,8 @@ def summary(cfg):
     s = cfg.structure
     poses = [*stacks(s).values(), s.constraint_stack.frame_a, s.constraint_stack.frame_b]
     return (
-        [(b.name, b.parent, b.joint.fixed_side, b.joint.free_axes.tolist()) for b in s.bodies],
+        [(b.name, b.parent, b.joint.parent_to_joint is None, b.joint.free_axes.tolist())
+         for b in s.bodies],
         [(p.r.tolist(), p.t.tolist()) for p in poses],
         sorted(cfg.meshes),
         cfg.weights,

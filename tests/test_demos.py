@@ -1,5 +1,6 @@
-"""The demo scripts import only names the package still defines, and the
-point-registration demo, which runs in about a second, converges.
+"""The demo scripts import only names the package still defines, the
+point-registration demo, which runs in about a second, converges, and the
+README's quick example runs.
 
 The other demos run for minutes, so a renamed or deleted public name would
 break them silently; this reads their imports instead of running them.
@@ -8,10 +9,12 @@ break them silently; this reads their imports instead of running them.
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -55,3 +58,20 @@ def test_point_registration_demo_converges():
     assert out.returncode == 0, out.stderr
     rot_err = float(out.stdout.splitlines()[-1].split()[1])
     assert rot_err < 1e-9
+
+
+def test_the_readme_example_runs(capsys):
+    """The README's one ``python`` block runs against this checkout, so that
+    the API it shows stays documented correctly.  Its arm's joint fixes
+    parent_to_joint, and the joint_to_model derived from the poses after
+    the steps composes the arm's pose, base o parent_to_joint o
+    joint_to_model, to rounding."""
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert len(blocks) == 1
+    namespace = {}
+    exec(compile(blocks[0], "README.md", "exec"), namespace)
+    s, offset = namespace["s"], namespace["offset"]
+    composed = s.poses()[0] @ offset @ s.rows_at_poses().joints()["joint_to_model"][1]
+    assert np.abs(composed.r - s.poses().r[1]).max() < 1e-12
+    assert np.abs(composed.t - s.poses().t[1]).max() < 1e-12
+    assert capsys.readouterr().out

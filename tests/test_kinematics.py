@@ -3,24 +3,22 @@
 import copy
 import re
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from builders import random_pose, random_tree, rebuilt
+from builders import MODEL, PARENT, random_pose, random_tree, rebuilt, stacks
 from multibody.constraints import Constraint, ConstraintStack, OrthogonalityConstraint
 from multibody.kinematics import (
     AXIS_NAMES,
     Body,
-    FixedSide,
     Joint,
     KinematicStructure,
     axes_mask,
 )
 from multibody.se3 import Pose, adjoint, exp_rotvec
 from multibody.solver import SolverConfig, SolverMode, step
-from multibody.energy import zero_energy
+from multibody.energy import per_body, quadratic_pose_target, zero_energy
 from multibody.experiments import build_serial_chain
 from oracles import (
     body_jacobians,
@@ -177,7 +175,7 @@ class TestStructureValidation:
         with pytest.raises(
             ValueError, match=r"joint of body 'b': parent_to_joint translation has shape \(2,\)"
         ):
-            KinematicStructure([a, Body("b", Joint(j.free_axes, parent_to_joint=short))])
+            KinematicStructure([a, Body("b", Joint(j.free_axes, parent_to_joint=short), parent=0)])
         # A structure that fails to build adopts none of its bodies.
         first.update_poses(np.full(6, 0.1))
         assert np.array_equal(first.poses().r[0], a.pose.r)
@@ -215,18 +213,54 @@ class TestStructureValidation:
         s = rebuilt(s, constraints=[kind(0, 2, frame_a=Pose(np.eye(3), np.full(3, np.nan)))])
         assert np.isnan(s.constraint_stack.frame_a.t).all()
 
-    def test_shared_joint_rejected(self):
-        j = Joint(free_axes=np.ones(6, dtype=bool))
-        with pytest.raises(ValueError, match="body 'b' shares its joint with body 'a'"):
-            KinematicStructure([Body("a", j), Body("b", j, parent=0)])
+    @pytest.mark.parametrize("side", [MODEL, PARENT])
+    def test_bodies_sharing_a_joint_step_like_two_equal_joints(self, side):
+        """A joint is a frozen record, so two bodies may share one.  Fails
+        if a structure refuses it, or if steps in the four modes differ by a
+        bit from those with an equal joint of its own for each body."""
+        rng = np.random.default_rng(11)
+        joint = Joint(axes_mask(["rot_z", "trans_x"]), **{side: random_pose(rng, 1.0, 0.3)})
+        twin = Joint(joint.free_axes, **{side: getattr(joint, side)})
+        poses = [random_pose(rng) for _ in range(3)]
+        provider = per_body({i: quadratic_pose_target(random_pose(rng), 5.0, 8.0) for i in (1, 2)})
+
+        def run(second):
+            bodies = [Body("root", Joint(np.ones(6, dtype=bool)), pose=poses[0])]
+            bodies += [Body(f"b{i}", j, poses[i], 0) for i, j in ((1, joint), (2, second))]
+            s = KinematicStructure(bodies)
+            norms = [step(s, provider, SolverConfig(mode=mode)).theta_norm for mode in SolverMode]
+            return norms, state(s)
+
+        shared, own = run(joint), run(twin)
+        assert shared[0] == own[0] and same_state(shared[1], own[1])
+
+    def test_a_joint_fixes_one_transform(self):
+        """Fails if ``Joint`` takes both transforms, of which one would be
+        replaced silently by the one the poses imply, or if its error stops
+        naming them."""
+        named = "^a joint fixes joint_to_model or parent_to_joint, not both$"
+        with pytest.raises(ValueError, match=named):
+            Joint(np.ones(6, dtype=bool), Pose.identity(), Pose.identity())
+
+    def test_a_root_fixes_joint_to_model(self):
+        """A root has no parent, so no computation reads a parent_to_joint
+        given to its joint.  Fails if a structure takes one, or if its error
+        stops naming the body."""
+        shifted = Pose(np.eye(3), [0.0, 0.1, 0.0])
+        j = Joint(np.ones(6, dtype=bool), parent_to_joint=shifted)
+        with pytest.raises(ValueError, match="^body 'b': a root's joint fixes joint_to_model, not "
+                                             "parent_to_joint$"):
+            KinematicStructure([Body("a", Joint(np.ones(6, dtype=bool))), Body("b", j)])
 
 
 def state(s):
-    """Copies of every body pose and joint transform of s."""
+    """Copies of every body pose and joint transform of s, read through its
+    store, body by body: pose, joint_to_model, parent_to_joint."""
+    rows = stacks(s)
     return [
         (p.r.copy(), p.t.copy())
-        for b in s.bodies
-        for p in (b.pose, b.joint.joint_to_model, b.joint.parent_to_joint)
+        for i in range(len(s.bodies))
+        for p in (rows["pose"][i], rows["joint_to_model"][i], rows["parent_to_joint"][i])
     ]
 
 
@@ -235,8 +269,8 @@ def same_state(a, b):
 
 
 class TestOwnedState:
-    """The structure owns the pose stacks; Body and Joint attributes are
-    rows of them."""
+    """The structure owns the pose stacks; ``Body.pose`` is a row of them,
+    and the joint stacks are read through the store."""
 
     def test_deepcopy_is_independent_of_its_original(self):
         s = random_tree(np.random.default_rng(31), 5)
@@ -253,19 +287,20 @@ class TestOwnedState:
         assert same_state(state(s), stepped)
 
     def test_a_shallow_copy_s_bodies_read_its_poses(self):
-        """A shallow copy has bodies and joints of its own, bound to it, as
-        a deep copy has.  Fails if it shares the original's: after the
-        update below, body2 of the copy read the original's [0.2, 0, 0]
-        where the copy's poses read [0.297, 0.131, 0.082]."""
+        """A shallow copy has bodies of its own, bound to it, as a deep copy
+        has, and shares the frozen joints.  Fails if it shares the
+        original's bodies: after the update below, body2 of the copy read
+        the original's [0.2, 0, 0] where the copy's poses read
+        [0.297, 0.131, 0.082]."""
         s = build_serial_chain(3)
         twin = copy.copy(s)
         twin.update_poses(np.full(twin.n_dof, 0.1))
         joints = twin.rows_at_poses().joints()
         for i, body in enumerate(twin.bodies):
-            assert body is not s.bodies[i] and body._owner is body.joint._owner is twin
+            assert body is not s.bodies[i] and body._owner is twin
+            assert body.joint is s.bodies[i].joint
             assert body.pose.t.tobytes() == twin.poses()[i].t.tobytes()
-            for name in ("joint_to_model", "parent_to_joint"):
-                assert getattr(body.joint, name).r.tobytes() == joints[name][i].r.tobytes()
+            assert body.joint.joint_to_model.r.tobytes() == joints["joint_to_model"][i].r.tobytes()
         assert np.abs(twin.bodies[2].pose.t - [0.297, 0.131, 0.082]).max() < 1e-3
         assert s.bodies[2].pose.t.tolist() == [0.2, 0.0, 0.0]
 
@@ -274,19 +309,19 @@ class TestOwnedState:
         Fails if they compare field by field, as a dataclass does by
         default: a body and its copy's body then compare their joints'
         free axes and raise numpy's "truth value ... is ambiguous", and
-        neither hashes."""
+        neither hashes.  A copy of a structure shares its joints."""
         s = build_serial_chain(3)
         twin = copy.deepcopy(s)
         for original, body in zip(s.bodies, twin.bodies):
             assert original == original and original != body
-            assert original.joint == original.joint and original.joint != body.joint
+            assert original.joint == body.joint != copy.deepcopy(original.joint)
         assert len({*s.bodies, *twin.bodies, *(body.joint for body in s.bodies)}) == 9
 
     def test_poses_read_before_a_step_keep_their_values(self):
         s = random_tree(np.random.default_rng(32), 5)
-        read = [
-            p for b in s.bodies for p in (b.pose, b.joint.joint_to_model, b.joint.parent_to_joint)
-        ]
+        rows = stacks(s)
+        names = ("pose", "joint_to_model", "parent_to_joint")
+        read = [rows[name][i] for i in range(5) for name in names]
         saved = state(s)
         step(s, zero_energy, SolverConfig(mode=SolverMode.PROJECTED))
         assert same_state([(p.r, p.t) for p in read], saved)
@@ -298,12 +333,7 @@ class TestOwnedState:
         """Joints with a fixed parent_to_joint get a new joint_to_model
         from each update; the next update and the Jacobians must use it."""
         rng = np.random.default_rng(33)
-        s = random_tree(rng, 6)
-        parent_fixed = FixedSide.PARENT_TO_JOINT
-        s = KinematicStructure(
-            [replace(b, joint=replace(b.joint, fixed_side=parent_fixed)) if i % 2 else b
-             for i, b in enumerate(s.bodies)]
-        )
+        s = random_tree(rng, 6, fixed_sides=[MODEL, PARENT] * 3)
         oracle = copy.deepcopy(s)
         for _ in range(3):
             theta = rng.uniform(-0.3, 0.3, s.n_dof)
@@ -323,16 +353,13 @@ class TestBodyJacobians:
 
     def test_single_revolute_child_column(self):
         rng = np.random.default_rng(1)
-        joint = Joint(
-            free_axes=axes_mask(["rot_z"]),
-            joint_to_model=random_pose(rng, 1.0, 0.3),
-            parent_to_joint=random_pose(rng, 1.0, 0.3),
-        )
+        joint_to_model, parent_to_joint = random_pose(rng, 1.0, 0.3), random_pose(rng, 1.0, 0.3)
+        joint = Joint(free_axes=axes_mask(["rot_z"]), joint_to_model=joint_to_model)
         root = Body("root", Joint(free_axes=np.zeros(6, dtype=bool)))
         child = Body(
             "child",
             joint,
-            pose=root.pose @ joint.parent_to_joint @ joint.joint_to_model,
+            pose=root.pose @ parent_to_joint @ joint.joint_to_model,
             parent=0,
         )
         s = KinematicStructure([root, child])
@@ -381,21 +408,16 @@ class TestUpdatePoses:
 
     def test_revolute_joint_matches_matrix_chain(self):
         rng = np.random.default_rng(3)
-        joint = Joint(
-            free_axes=axes_mask(["rot_z"]),
-            joint_to_model=random_pose(rng, 1.0, 0.3),
-            parent_to_joint=random_pose(rng, 1.0, 0.3),
-        )
+        joint_to_model, parent_to_joint = random_pose(rng, 1.0, 0.3), random_pose(rng, 1.0, 0.3)
+        joint = Joint(free_axes=axes_mask(["rot_z"]), joint_to_model=joint_to_model)
         root = Body("root", Joint(free_axes=np.zeros(6, dtype=bool)), pose=random_pose(rng))
         child = Body(
             "child",
             joint,
-            pose=root.pose @ joint.parent_to_joint @ joint.joint_to_model,
+            pose=root.pose @ parent_to_joint @ joint.joint_to_model,
             parent=0,
         )
         s = KinematicStructure([root, child])
-        # parent_to_joint moves with the update; keep the original.
-        parent_to_joint = copy.deepcopy(joint.parent_to_joint)
         s.update_poses(np.array([0.7]))
         rotation = Pose(exp_rotvec([0, 0, 0.7]), np.zeros(3))
         expected = (
@@ -432,71 +454,64 @@ class TestUpdatePoses:
         rng = np.random.default_rng(6)
         for _ in range(20):
             s = random_tree(rng, 4)
-            reference = [copy.deepcopy(b.joint.parent_to_joint) for b in s.bodies]
+            reference = stacks(s)["parent_to_joint"]
             s.update_poses(rng.uniform(-0.5, 0.5, s.n_dof))
-            for body, ref in zip(s.bodies, reference):
+            moved = stacks(s)["parent_to_joint"]
+            for i, body in enumerate(s.bodies):
                 if body.parent is None:
                     continue
-                rel = ref.inverse() @ body.joint.parent_to_joint
+                rel = reference[i].inverse() @ moved[i]
                 variation = relative_variation(Pose.identity(), rel)
                 locked = ~body.joint.free_axes
                 if locked.any():
                     assert np.max(np.abs(variation[locked])) < 1e-9
 
-    @pytest.mark.parametrize("given", [FixedSide.JOINT_TO_MODEL, "joint_to_model"])
-    def test_fixed_side_decides_the_side_derived(self, given):
-        """A fixed side given as FixedSide or as its value keeps the given
-        joint_to_model, and parent_to_joint is derived from the poses.
-        Fails if ``Joint`` keeps the string as it is, which made
-        joint_to_model the moving side, replaced by the one the poses imply."""
+    @pytest.mark.parametrize("side", [MODEL, PARENT])
+    def test_the_transform_given_is_the_fixed_side(self, side):
+        """A joint fixes the transform it is given, a copy of it, and the
+        structure derives the other from the poses, also where the body's
+        pose disagrees with any value it might have been given.  Fails if
+        the given transform changes by a bit, in the joint or in the
+        store's stack, before or after a step, or if a derived one stops
+        composing the body's pose."""
         rng = np.random.default_rng(9)
-        joint = Joint(
-            free_axes=axes_mask(["rot_z"]),
-            joint_to_model=random_pose(rng, 1.0, 0.3),
-            parent_to_joint=random_pose(rng, 1.0, 0.3),
-            fixed_side=given,
-        )
-        given_pose = joint.joint_to_model
-        assert joint.fixed_side is FixedSide.JOINT_TO_MODEL
-        root = Body("root", Joint(free_axes=np.zeros(6, dtype=bool)))
+        given = random_pose(rng, 1.0, 0.3)
+        joint = Joint(free_axes=axes_mask(["rot_z"]), **{side: given})
+        assert getattr(joint, side) is not given
+        assert getattr(joint, PARENT if side == MODEL else MODEL) is None
+        root = Body("root", Joint(free_axes=np.zeros(6, dtype=bool)), pose=random_pose(rng))
         s = KinematicStructure([root, Body("child", joint, pose=random_pose(rng), parent=0)])
-        assert joint.joint_to_model.r.tobytes() == given_pose.r.tobytes()
-        assert joint.joint_to_model.t.tobytes() == given_pose.t.tobytes()
-        composed = joint.parent_to_joint @ joint.joint_to_model
-        assert np.abs(composed.t - s.bodies[1].pose.t).max() <= 1e-12
-
-    @pytest.mark.parametrize("bad", ["bogus", "JOINT_TO_MODEL", None, 0, True])
-    def test_a_fixed_side_that_is_no_side_is_refused(self, bad):
-        """Fails if ``Joint`` takes a fixed side that is neither a FixedSide
-        nor one of its values, such as "bogus", or if its error stops naming
-        the field."""
-        with pytest.raises(ValueError, match=rf"^fixed_side must be a FixedSide .*, not {bad!r}$"):
-            Joint(free_axes=axes_mask(["rot_z"]), fixed_side=bad)
+        for theta in (None, np.array([0.4])):
+            if theta is not None:
+                s.update_poses(theta)
+            rows = stacks(s)
+            for fixed in (getattr(joint, side), rows[side][1]):
+                assert fixed.r.tobytes() == given.r.tobytes()
+                assert fixed.t.tobytes() == given.t.tobytes()
+            composed = rows["pose"][0] @ rows[PARENT][1] @ rows[MODEL][1]
+            assert np.allclose(pose_matrix(composed), pose_matrix(rows["pose"][1]), atol=1e-12)
 
     def test_parent_to_joint_fixed_side(self):
         rng = np.random.default_rng(7)
-        joint = Joint(
-            free_axes=axes_mask(["rot_z"]),
-            joint_to_model=random_pose(rng, 1.0, 0.3),
-            parent_to_joint=random_pose(rng, 1.0, 0.3),
-            fixed_side=FixedSide.PARENT_TO_JOINT,
-        )
+        joint_to_model, parent_to_joint = random_pose(rng, 1.0, 0.3), random_pose(rng, 1.0, 0.3)
+        joint = Joint(free_axes=axes_mask(["rot_z"]), parent_to_joint=parent_to_joint)
         root = Body("root", Joint(free_axes=np.zeros(6, dtype=bool)), pose=random_pose(rng))
         child = Body(
             "child",
             joint,
-            pose=root.pose @ joint.parent_to_joint @ joint.joint_to_model,
+            pose=root.pose @ joint.parent_to_joint @ joint_to_model,
             parent=0,
         )
         s = KinematicStructure([root, child])
-        fixed_before = joint.parent_to_joint
+        fixed_before = stacks(s)["parent_to_joint"][1]
         s.update_poses(np.array([0.4]))
         # The fixed side keeps its value bit for bit.
-        fixed_after = joint.parent_to_joint
+        rows = stacks(s)
+        fixed_after = rows["parent_to_joint"][1]
         assert np.array_equal(fixed_after.r, fixed_before.r)
         assert np.array_equal(fixed_after.t, fixed_before.t)
         # The inferred side must keep the kinematic chain consistent.
-        rebuilt = root.pose @ joint.parent_to_joint @ joint.joint_to_model
+        rebuilt = root.pose @ fixed_after @ rows["joint_to_model"][1]
         assert np.allclose(pose_matrix(rebuilt), pose_matrix(s.bodies[1].pose), atol=1e-12)
 
     @pytest.mark.parametrize("forest", [False, True])

@@ -110,9 +110,14 @@ class TestAucScore:
         bumped[1, 2] += 0.01
         assert auc_score(bumped, 0.1) <= base
 
-    def test_invalid_threshold(self):
-        with pytest.raises(ValueError):
-            auc_score(np.zeros(3), 0.0)
+    @pytest.mark.parametrize("bad", [0.0, -0.1, np.nan, np.inf])
+    def test_invalid_threshold(self, bad):
+        """A NaN e_t scored NaN silently, and an infinite one scored every
+        error 1.0.  Fails if a threshold that is not positive and finite is
+        taken, or if the error stops naming it."""
+        named = f"^error threshold must be positive and finite, not {bad!r}$"
+        with pytest.raises(ValueError, match=named):
+            auc_score(np.array([0.01, 0.2]), bad)
 
 
 class TestLoadObj:

@@ -121,7 +121,9 @@ def test_a_structure_is_configured_once():
     store (``s.rows_at_poses()()``), norms are computed where they are
     read, and ``_ReadOnly`` is the one unpickling hook of the records that
     keep read-only arrays, with one helper, ``_frozen``, that freezes
-    them."""
+    them.  A joint is a frozen record of its inputs, whose keyword names
+    the side it fixes: no ``FixedSide``, and no binding to a structure
+    (``_Adoptable``, ``_row_name``, ``_STACKED``)."""
     params = inspect.signature(multibody.solver.assemble).parameters
     assert list(params) == ["s", "g", "h", "mode", "regularization"]
     assert all(p.default is inspect.Parameter.empty for p in params.values())
@@ -163,6 +165,14 @@ def test_a_structure_is_configured_once():
     assert kinematics._frozen is constraints._frozen
     study = multibody.experiments.ConvergenceStudy
     assert "percentiles" not in {f.name for f in dataclasses.fields(study)}
+    for name in ("FixedSide", "_Adoptable", "_row_name", "_STACKED"):
+        assert not hasattr(kinematics, name), name
+        assert not hasattr(multibody, name), name
+    joint = kinematics.Joint
+    assert dataclasses.is_dataclass(joint) and joint.__dataclass_params__.frozen
+    assert [f.name for f in dataclasses.fields(joint)] == [
+        "free_axes", "joint_to_model", "parent_to_joint"
+    ]
 
 
 def test_a_config_field_is_stated_once():
@@ -245,9 +255,9 @@ def test_a_deep_copy_freezes_no_shared_record_again(monkeypatch):
     four-bar shares what the structure's construction fixed and its frozen
     rows record, so that ``_ReadOnly.__setstate__`` runs for no record and
     no view, KKT pattern or rows record is built, while pickle builds every
-    record again and freezes it.  The hook binds the bodies and joints in
-    the pass that copies them: ``kinematics`` has no ``_bind`` and does
-    not import ``copy``."""
+    record again and freezes it.  The hook binds the bodies in the pass
+    that copies them, and shares the joints: ``kinematics`` has no
+    ``_bind`` and does not import ``copy``."""
     kinematics, constraints = multibody.kinematics, multibody.constraints
     assert not hasattr(kinematics.KinematicStructure, "_bind")
     assert not hasattr(kinematics, "copy")
@@ -399,9 +409,9 @@ def test_joints_are_inferred_only_when_read(monkeypatch):
         assert len(calls) == inferred, mode
     multibody.step(s, multibody.zero_energy, cfg(mode="independent"))
     calls.clear()
-    first = s.bodies[5].joint.parent_to_joint
+    first = s.rows_at_poses().joints()["parent_to_joint"][5]
     assert len(calls) == 1
-    assert s.bodies[5].joint.parent_to_joint.r.tobytes() == first.r.tobytes()
+    assert s.rows_at_poses().joints()["parent_to_joint"][5].r.tobytes() == first.r.tobytes()
     assert len(calls) == 1
 
 

@@ -62,6 +62,14 @@ def _checked_index(value, what: str):
     return value
 
 
+def _checked_type(value, classes: tuple, what: str):
+    """``value``, an instance of one of ``classes``."""
+    if not isinstance(value, classes):
+        kinds = " or ".join(cls.__name__ for cls in classes)
+        raise TypeError(f"{what} must be a {kinds}, not {type(value).__name__}")
+    return value
+
+
 def _checked_mask(value, what: str) -> np.ndarray:
     """A new array of ``value``, an axis mask: its dtype must be bool."""
     mask = np.array(value)

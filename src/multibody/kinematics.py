@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import (
-    ConstraintRows, ConstraintStack, _checked_index, _checked_mask, _frozen, _ReadOnly,
-    evaluate_constraints,
+    Constraint, ConstraintRows, ConstraintStack, OrthogonalityConstraint, _checked_index,
+    _checked_mask, _checked_type, _frozen, _ReadOnly, evaluate_constraints,
 )
 from .se3 import Pose, _pose, adjoint, exp_rotvec
 
@@ -43,8 +43,9 @@ class Joint(_ReadOnly):
     the free-axis values are scattered into the extended 6-vector and fixed
     axes stay zero.  A joint fixes one of its two transforms, the one given
     by keyword, joint_to_model (the identity if neither is given) or
-    parent_to_joint; the other is derived from the body poses and read
-    through the structure's store (``s.rows_at_poses().joints()``).  A root
+    parent_to_joint, a Pose.  A step reads only joint_to_model: where the
+    joint fixes parent_to_joint, it is derived from the body poses and read
+    through the structure's store (``s.rows_at_poses().frames()``).  A root
     fixes joint_to_model.  A frozen record, so that bodies may share it: its
     fields are its inputs, copied, and every array is read-only, also in a
     copy.  A transform's shape is checked by the structure that adopts it."""
@@ -60,7 +61,8 @@ class Joint(_ReadOnly):
         if self.joint_to_model is not None and self.parent_to_joint is not None:
             raise ValueError("a joint fixes joint_to_model or parent_to_joint, not both")
         side = "joint_to_model" if self.parent_to_joint is None else "parent_to_joint"
-        fixed = getattr(self, side) or Pose.identity()
+        given = getattr(self, side)
+        fixed = Pose.identity() if given is None else _checked_type(given, (Pose,), side)
         vars(self).update({"free_axes": mask, side: Pose(np.array(fixed.r), np.array(fixed.t))})
         self._freeze()
 
@@ -83,7 +85,7 @@ class _PoseRow:
 class Body:
     """A named body, its joint and its parent's index.  A KinematicStructure
     reads its fields once, when it adopts the body, and from then on no
-    field can be assigned."""
+    field can be assigned and no other structure takes the body."""
 
     name: str
     joint: Joint
@@ -141,7 +143,6 @@ class Coordinates(_ReadOnly):
         else:
             self.root = below = above = np.arange(n)
             self.subtree = self.moves = None
-        self.roots = np.flatnonzero(self.root == np.arange(n))
         # Upper triangle of H's pattern: pairs p <= q of coordinates whose
         # bodies are in an ancestor relation, the body of q at or below p's,
         # from the pairs of related bodies.
@@ -169,24 +170,23 @@ class Coordinates(_ReadOnly):
 
 class _PoseStore(_ReadOnly):
     """What a structure holds at one of its body-pose stacks: the poses, and
-    what is derived from them when first read, the joint stacks
-    (parent_to_joint, joint_to_model and its inverse model_to_joint) and
-    the constraints evaluated there.  Every stack is read-only and replaced,
-    never written, so that a store stays that of its poses whatever the
-    structure does afterwards.  A copy of the structure has a store of its
-    own on the same poses, sharing the joint stacks and the frozen rows
-    record already derived.  Pickle builds every part again, read-only.
+    what is derived from them when first read, the joint frames a step
+    reads (frames()) and the constraints evaluated there.  Every stack is
+    read-only and replaced, never written, so that a store stays that of
+    its poses whatever the structure does afterwards.  A copy of the
+    structure has a store of its own on the same poses, sharing the frames
+    and the frozen rows record already derived.  Pickle builds every part
+    again, read-only.
 
-    A store starts without joint stacks (None), also the first one, built
-    at adoption: they are inferred from the poses when first read
-    (joints()) and published by one assignment, so that a concurrent reader
-    sees None or every stack, and at worst infers them twice.  The rows are
-    evaluated when first asked for, without blocks or with them, which
-    serve both.
+    The frames are inferred only where a joint fixes parent_to_joint, when
+    first read, and published by one assignment, so that a concurrent
+    reader sees None or both stacks, and at worst infers them twice.  The
+    rows are evaluated when first asked for, without blocks or with them,
+    which serve both.
     """
 
     def __init__(self, s, poses: Pose):
-        self.s, self.poses, self._joints, self.rows = s, _frozen(poses), None, None
+        self.s, self.poses, self._frames, self.rows = s, _frozen(poses), None, None
 
     def __call__(self, blocks: bool = True) -> ConstraintRows:
         """The constraints evaluated at the store's poses, with their
@@ -198,35 +198,24 @@ class _PoseStore(_ReadOnly):
             rows = self.rows = evaluate_constraints(self.s.constraint_stack, self.poses, blocks)
         return rows
 
-    def joints(self) -> dict:
-        """The joint stacks by name, inferred first if the store has none."""
-        if self._joints is None:
-            self._joints = self._infer()
-        return self._joints
-
     def frames(self) -> dict:
-        """The joint stacks that the tree view's updates and Jacobians read,
-        joint_to_model and model_to_joint: the adopted constants if every
-        joint fixes joint_to_model, else the store's, inferred."""
-        return self.joints() if "joint_to_model" in self.s._joint_sides else self.s._adopted
-
-    def _infer(self) -> dict:
-        """The transform each non-root joint does not fix, from the poses, in
-        a read-only copy of the adopted stack, one polar step from
-        orthonormal: with rel = parent^-1 o pose for each non-root body,
-        P_T_J = rel o J_T_M^-1 where J_T_M is fixed, else
-        J_T_M = P_T_J^-1 o rel and model_to_joint its inverse.  The fixed factors are the structure's, computed at
-        adoption (_joint_sides), so that only rel is inverted."""
-        poses, joints = self.poses, dict(self.s._adopted)
-        for name, (children, parents, fixed) in self.s._joint_sides.items():
-            rel = poses[parents].inverse() @ poses[children]
-            row = _orthonormalized(rel @ fixed if name == "parent_to_joint" else fixed @ rel)
-            r, t = joints[name].r.copy(), joints[name].t.copy()
+        """The joint frames that the tree view's updates and Jacobians read,
+        joint_to_model and its inverse model_to_joint, read-only: the
+        adopted constants if every joint fixes joint_to_model.  Else, the
+        first read infers the rows of the joints that fix parent_to_joint,
+        in a copy of the adopted stack, one polar step from orthonormal:
+        J_T_M = P_T_J^-1 o rel, with rel = parent^-1 o pose.  P_T_J^-1 is
+        the structure's, computed at adoption (_inference), so that only
+        the parents' poses are inverted."""
+        if self._frames is None and self.s._inference is not None:
+            children, parents, fixed = self.s._inference
+            row = _orthonormalized(fixed @ (self.poses[parents].inverse() @ self.poses[children]))
+            adopted = self.s._adopted["joint_to_model"]
+            r, t = adopted.r.copy(), adopted.t.copy()
             r[children], t[children] = row.r, row.t
-            joints[name] = stack = _frozen(_pose(r, t))
-            if name == "joint_to_model":
-                joints["model_to_joint"] = _frozen(stack.inverse())
-        return joints
+            stack = _frozen(_pose(r, t))
+            self._frames = {"joint_to_model": stack, "model_to_joint": _frozen(stack.inverse())}
+        return self._frames or self.s._adopted
 
 
 class KinematicStructure(_ReadOnly):
@@ -235,21 +224,21 @@ class KinematicStructure(_ReadOnly):
     coordinates, and ``forest``.
 
     The state is one read-only stack of body poses (``poses``), one row per
-    body.  The transform each joint fixes is stacked once from the joints
-    the structure adopts, with beside joint_to_model its inverse
-    (model_to_joint); the fixed rows are constants, and so is the fixed
-    factor of each side's inference.  The other side of each joint is
-    derived from the poses when read, and a root's parent_to_joint is the
-    identity.  What construction fixes is immutable: the bodies tuple, the
-    views, their KKT patterns and every array the structure keeps.  Only
-    update_poses changes the state, by replacing the pose stack;
-    ``Body.pose`` reads its row and refuses assignment.  A body handed to a
-    second structure belongs to that one; no field of an adopted body can be
-    assigned, and a joint is a frozen record that bodies may share.  The
-    constraints, given at construction, are stacked once
-    (``constraint_stack``).
+    body.  The joint frames a step reads, joint_to_model and its inverse
+    model_to_joint, are stacked once from the joints the structure adopts:
+    constants, but for the rows of the joints that fix parent_to_joint,
+    which are inferred from the poses (_PoseStore.frames) with a fixed
+    factor also computed once.  A derived parent_to_joint is read by no
+    step and kept nowhere.  What construction fixes is immutable: the
+    bodies tuple, the views, their KKT patterns and every array the
+    structure keeps.  Only update_poses changes the state, by replacing the
+    pose stack; ``Body.pose`` reads its row and refuses assignment.  A body
+    belongs to one structure: a second one refuses it, naming it.  No field
+    of an adopted body can be assigned, and a joint is a frozen record that
+    bodies may share.  The constraints, given at construction, are stacked
+    once (``constraint_stack``).
 
-    Each body-pose stack has one store (rows_at_poses): its joint stacks,
+    Each body-pose stack has one store (rows_at_poses): its joint frames,
     inferred from the poses when first read, and the constraints evaluated
     there (``rows_at_poses()()``, read-only arrays), when first asked for,
     so that each pose is evaluated at most once.  A copy (copy.copy or
@@ -260,7 +249,7 @@ class KinematicStructure(_ReadOnly):
     builds every part again and re-freezes it (_ReadOnly).  Mutating
     operations (pose updates) must be serialized by the caller; read-only
     snapshots may be shared for parallel evaluation, which at worst
-    evaluates the same rows or joints twice.
+    evaluates the same rows or frames twice.
     """
 
     def __init__(self, bodies: list[Body], constraints=()):
@@ -270,34 +259,29 @@ class KinematicStructure(_ReadOnly):
         self.constraint_stack = ConstraintStack(self._constraints)
         bodies, joints = self.bodies, [b.joint for b in self.bodies]
         poses = Pose.stack([b.pose for b in bodies], lambda i: f"body {bodies[i].name!r}: pose")
-        # The rows of the side a joint does not fix are inferred when read;
-        # until then, and on a root's parent_to_joint, they are the identity.
-        identity, stacks = Pose.identity(), {}
-        for side in ("joint_to_model", "parent_to_joint"):
-            rows = [getattr(joint, side) or identity for joint in joints]
-            stacks[side] = Pose.stack(rows, lambda i: f"joint of body {bodies[i].name!r}: {side}")
-        stacks["model_to_joint"] = stacks["joint_to_model"].inverse()
+        # A row of the side a joint does not fix is the identity: a derived
+        # joint_to_model until it is inferred, and parent_to_joint, which is
+        # stacked to check its rows and to invert those the joints fix.
+        identity = Pose.identity()
+        model, parent = (
+            Pose.stack([getattr(j, side) or identity for j in joints],
+                       lambda i: f"joint of body {bodies[i].name!r}: {side}")
+            for side in ("joint_to_model", "parent_to_joint")
+        )
         self._store = _PoseStore(self, poses)
-        self._adopted = stacks
-        parents = [b.parent for b in bodies]
+        self._adopted = {"joint_to_model": model, "model_to_joint": model.inverse()}
         free = [np.flatnonzero(j.free_axes) for j in joints]
-        self.tree = Coordinates(parents, free)
+        self.tree = Coordinates([b.parent for b in bodies], free)
         self.n_dof, self.dof_offsets = self.tree.n_dof, self.tree.offsets
-        # By the stack inferred, per fixed side (joint_to_model, then
-        # parent_to_joint): children, parents and the inference's fixed factor,
-        # J_T_M^-1 or P_T_J^-1 (in C order: the product's rounding depends on
-        # the layout).
-        children, parents = self.tree.children, self.tree.parents
-        fixed = np.array([joints[i].parent_to_joint is None for i in children], bool)
-        inverse = stacks["parent_to_joint"][children[~fixed]].inverse()
-        self._joint_sides = {
-            name: (children[rows], parents[rows], factor)
-            for rows, name, factor in (
-                (fixed, "parent_to_joint", stacks["model_to_joint"][children[fixed]]),
-                (~fixed, "joint_to_model", _pose(np.ascontiguousarray(inverse.r), inverse.t)),
-            )
-            if rows.any()
-        }
+        # The joints that fix parent_to_joint, whose joint_to_model is
+        # inferred: children, parents and the inference's fixed factor,
+        # P_T_J^-1 (in C order: the product's rounding depends on the
+        # layout), or None.
+        fixed = np.array([joints[i].parent_to_joint is not None for i in self.tree.children], bool)
+        children, parents = self.tree.children[fixed], self.tree.parents[fixed]
+        inverse = parent[children].inverse()
+        factor = _pose(np.ascontiguousarray(inverse.r), inverse.t)
+        self._inference = (children, parents, factor) if fixed.any() else None
         self._freeze()
         # Only once every row is valid: the bodies read their pose rows from
         # the structure's stack from then on.
@@ -309,11 +293,11 @@ class KinematicStructure(_ReadOnly):
         """A new state on the structure's shared constants, made in one
         pass.  The copy shares what construction fixed, all of it read-only:
         the views and their KKT patterns, the constraints and their stack,
-        the joints, the adopted stacks, the fixed sides and the DoF offsets.
-        It has its own store on the same poses, joint stacks (or none,
-        inferred by its own first read) and frozen rows record, and its own
-        bodies, shallow copies that keep their rows' indices and are bound
-        to it as they are made.  ``memo`` gets the copy, its bodies and the
+        the joints, the adopted frames, the inference's record and the DoF
+        offsets.  It has its own store on the same poses, inferred frames
+        (or none, inferred by its own first read) and frozen rows record,
+        and its own bodies, shallow copies that keep their rows' indices and
+        are bound to it as they are made.  ``memo`` gets the copy, its bodies and the
         joints it shares; a body or joint that a deep copy of a tuple has
         copied before the structure is in ``memo`` already, and is taken
         from there, so that a structure and its joints stay tied.  A shallow
@@ -350,6 +334,10 @@ class KinematicStructure(_ReadOnly):
             if body.name in names:
                 raise ValueError(f"duplicate body name {body.name!r}")
             names.add(body.name)
+            if body._owner is not None:
+                raise ValueError(f"body {body.name!r} belongs to another structure already")
+            _checked_type(body.joint, (Joint,), f"body {body.name!r}: joint")
+            _checked_type(body.pose, (Pose,), f"body {body.name!r}: pose")
             if body.parent is not None:
                 if not 0 <= _checked_index(body.parent, f"body {body.name!r}: parent") < i:
                     raise ValueError(
@@ -360,6 +348,7 @@ class KinematicStructure(_ReadOnly):
                     f"body {body.name!r}: a root's joint fixes joint_to_model, not parent_to_joint"
                 )
         for k, c in enumerate(self._constraints):
+            _checked_type(c, (Constraint, OrthogonalityConstraint), f"constraint {k}")
             for index in (c.body_a, c.body_b):
                 if not 0 <= index < len(self.bodies):
                     raise ValueError(
@@ -410,7 +399,7 @@ class KinematicStructure(_ReadOnly):
         tree view, or of the forest view if ``forest`` (the solver's modes
         without tree projection).  Replaces the body pose stack, the only
         change to the state after adoption, and starts a new store
-        (rows_at_poses), with no joint stacks and no constraint rows yet.
+        (rows_at_poses), with no inferred frames and no constraint rows yet.
 
         Each joint's variation T(theta_j) acts in its joint frame on its
         body's pose relative to its parent, read from the poses: rel =

@@ -302,7 +302,7 @@ class StepReport:
     residual norms at the pose stacks the step started from and left, from
     the stores of those stacks (``rows_before``, ``rows_after``;
     KinematicStructure.rows_at_poses), which stay bound to their poses and
-    infer their joint stacks from them when read.  In the modes without
+    infer their joint frames from them when read.  In the modes without
     constraint rows the step evaluates no constraint, so that
     ``constraints_after`` reads about 0 there.  The rows are evaluated when first asked for, once per pose
     stack, unless the store holds them already; the norms are computed from

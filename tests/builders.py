@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from multibody import kinematics
 from multibody.kinematics import Body, Joint, KinematicStructure
 from multibody.se3 import Pose, exp_rotvec
 from oracles import detached, random_rotvec
@@ -64,6 +65,22 @@ def rebuilt(s, constraints=None, **rows):
 
 def stacks(s):
     """Every stack the structure owns, by name, read through its store: the
-    poses, and the joint stacks, inferred first if the store has none."""
+    poses, and the joint frames a step reads (joint_to_model and
+    model_to_joint), inferred first if the store needs them and has none."""
     store = s.rows_at_poses()
-    return {"pose": store.poses, **store.joints()}
+    return {"pose": store.poses, **store.frames()}
+
+
+def counted_inferences(monkeypatch) -> list:
+    """A list that gets a store each time the store infers its joint frames
+    (``_PoseStore.frames``), which it publishes by one assignment of
+    ``_frames``: the assignments of a value are counted."""
+    calls = []
+
+    def assign(store, name, value):
+        if name == "_frames" and value is not None:
+            calls.append(store)
+        object.__setattr__(store, name, value)
+
+    monkeypatch.setattr(kinematics._PoseStore, "__setattr__", assign)
+    return calls

@@ -438,7 +438,7 @@ def selection_body_jacobians(s):
     subspace as a 6 x n_dof selection matrix E:
     J = Ad(M_T_P) J_parent + Ad(M_T_J) E at the body's offset, with J_T_M
     read from the structure's store."""
-    jacobians, joint_to_model = [], s.rows_at_poses().joints()["joint_to_model"]
+    jacobians, joint_to_model = [], s.rows_at_poses().frames()["joint_to_model"]
     for i, (body, off) in enumerate(zip(s.bodies, s.dof_offsets)):
         n_dof = np.count_nonzero(body.joint.free_axes)
         expansion = np.zeros((6, n_dof))

@@ -19,7 +19,9 @@ import numpy as np
 import pytest
 
 import oracles as scalar
-from builders import MODEL, PARENT, random_pose, random_tree, random_trees, rebuilt, stacks
+from builders import (
+    MODEL, PARENT, counted_inferences, random_pose, random_tree, random_trees, rebuilt, stacks
+)
 from multibody import kinematics, solver
 from multibody.config import load_config
 from multibody.constraints import Constraint, OrthogonalityConstraint, evaluate_constraints
@@ -68,7 +70,7 @@ class TestStepsOnAKeptStructure:
     @pytest.mark.parametrize("sides", list(SIDES))
     @pytest.mark.parametrize("mode", list(SolverMode))
     def test_equal_steps_on_a_rebuilt_structure(self, sides, mode):
-        """Fails if ``_PoseStore._infer`` stops replacing the structure's
+        """Fails if ``_PoseStore.frames`` stops replacing the structure's
         model_to_joint stack along with the joint_to_model it infers
         (parent_to_joint and mixed sides).  At step 2 the structure
         is rebuilt with new joint transforms, at steps 4 and 6 with its
@@ -98,7 +100,7 @@ class TestStepsOnAKeptStructure:
 
     @pytest.mark.parametrize("sides", list(SIDES))
     def test_inverse_frames_follow_joint_to_model(self, sides):
-        """Fails if ``_PoseStore._infer`` replaces joint_to_model but not
+        """Fails if ``_PoseStore.frames`` replaces joint_to_model but not
         its inverse, the structure's model_to_joint stack (parent_to_joint
         and mixed sides), after a tree step or a forest step."""
         rng = np.random.default_rng(50)
@@ -136,21 +138,30 @@ class TestStepsOnAKeptStructure:
             assert "forest" not in vars(structure)
 
 
-def assert_joints_compose(s):
-    """Every joint read through the store composes its body's pose,
-    parent o P_T_J o J_T_M, to rounding, with both transforms orthonormal
-    to rounding."""
-    rows = stacks(s)
+def assert_frames_follow_the_poses(s):
+    """Every joint frame read through the store: the row of a joint that
+    fixes joint_to_model is that transform bit for bit; that of a joint
+    that fixes parent_to_joint is the J_T_M its body's pose implies
+    (oracles.joint_transforms) to rounding, orthonormal to rounding, and
+    composes the body's pose, parent o P_T_J o J_T_M, to rounding.
+    model_to_joint is the inverse of the joint_to_model stack."""
+    rows, transforms = stacks(s), scalar.joint_transforms(s.bodies)
     for i, body in enumerate(s.bodies):
-        if body.parent is None:
+        row, (parent_to_joint, joint_to_model) = rows["joint_to_model"][i], transforms[i]
+        if body.joint.parent_to_joint is None:
+            assert row.r.tobytes() == joint_to_model.r.tobytes(), body.name
+            assert row.t.tobytes() == joint_to_model.t.tobytes(), body.name
             continue
-        joint = rows["parent_to_joint"][i], rows["joint_to_model"][i]
-        composed = rows["pose"][body.parent] @ joint[0] @ joint[1]
+        assert np.abs(row.r - joint_to_model.r).max() <= 1e-12, body.name
+        assert np.abs(row.t - joint_to_model.t).max() <= 1e-12, body.name
+        assert np.abs(row.r.T @ row.r - np.eye(3)).max() <= 1e-14, body.name
+        composed = rows["pose"][body.parent] @ parent_to_joint @ row
         scale = max(1.0, np.abs(body.pose.t).max())
         assert np.abs(composed.r - body.pose.r).max() <= 1e-12, body.name
         assert np.abs(composed.t - body.pose.t).max() <= 1e-12 * scale, body.name
-        for r in (joint[0].r, joint[1].r):
-            assert np.abs(r.T @ r - np.eye(3)).max() <= 1e-14, body.name
+    inverse = rows["joint_to_model"].inverse()
+    assert rows["model_to_joint"].r.tobytes() == inverse.r.tobytes()
+    assert rows["model_to_joint"].t.tobytes() == inverse.t.tobytes()
 
 
 def disagreeing_repro():
@@ -185,7 +196,7 @@ class TestJointsMoveWithTheirStep:
     def test_every_joint_read_composes_its_body_pose(self, sides):
         """Fails if an inference reads a non-fixed row, if a tree step
         composes from a joint transform that is not inferred from the poses,
-        or if ``_PoseStore._infer`` drops the polar step (orthonormality).
+        or if ``_PoseStore.frames`` drops the polar step (orthonormality).
         Random mixes of tree and forest updates on three trees, joints read
         after some of them."""
         rng = np.random.default_rng(54 + list(SIDES).index(sides))
@@ -196,7 +207,7 @@ class TestJointsMoveWithTheirStep:
                 view = s.forest if forest else s.tree
                 s.update_poses(0.3 * rng.standard_normal(view.n_dof), forest)
                 if rng.random() >= 0.4:
-                    assert_joints_compose(s)
+                    assert_frames_follow_the_poses(s)
 
     @pytest.mark.parametrize(
         "seed, sides",
@@ -219,40 +230,39 @@ class TestJointsMoveWithTheirStep:
             step(s, per_body({}), SolverConfig(mode=mode))
             assert np.abs(s.poses().r - poses.r).max() <= 1e-12, mode
             assert np.abs(s.poses().t - poses.t).max() <= 1e-12, mode
-            assert_joints_compose(s)
+            assert_frames_follow_the_poses(s)
 
     def test_an_inference_inverts_only_the_parents_poses(self, monkeypatch):
-        """An inference's fixed factors, J_T_M^-1 and P_T_J^-1, are the
-        structure's, computed at adoption: on a tree of both fixed sides it
-        inverts the parents' poses once per side (rel), and then only the
-        joint_to_model stack it publishes (model_to_joint).  Fails if
-        ``_infer`` inverts the adopted parent_to_joint rows again."""
+        """An inference's fixed factor, P_T_J^-1, is the structure's,
+        computed at adoption: on a tree of both fixed sides it inverts the
+        parents' poses of the joints that fix parent_to_joint once (rel),
+        and then only the joint_to_model stack it publishes
+        (model_to_joint).  Fails if ``_PoseStore.frames`` inverts the
+        adopted parent_to_joint rows again, or infers a parent_to_joint."""
         rng = np.random.default_rng(59)
         s = random_tree(rng, 6, fixed_sides=SIDES["mixed"])
         s.update_poses(0.1 * rng.standard_normal(s.forest.n_dof), forest=True)
         store, inverted, inverse = s.rows_at_poses(), [], Pose.inverse
         monkeypatch.setattr(Pose, "inverse", lambda pose: inverted.append(pose) or inverse(pose))
-        joints = store.joints()
-        parents = [side[1] for side in s._joint_sides.values()]
-        assert len(parents) == 2 and len(inverted) == 3
-        for pose, rows in zip(inverted, parents):
-            assert pose.r.tobytes() == store.poses[rows].r.tobytes()
-        assert inverted[2].r.tobytes() == joints["joint_to_model"].r.tobytes()
+        frames = store.frames()
+        _, parents, _ = s._inference
+        assert len(inverted) == 2
+        assert inverted[0].r.tobytes() == store.poses[parents].r.tobytes()
+        assert inverted[1].r.tobytes() == frames["joint_to_model"].r.tobytes()
 
     @pytest.mark.parametrize("copier", ["deepcopy", "pickle"])
     @pytest.mark.parametrize("last", ["forest", "tree", "read"])
     def test_copies_keep_their_joints_and_step_bit_for_bit(self, last, copier, monkeypatch):
-        """A copy keeps the joint stacks its original has inferred (its
-        joints read after a tree step), or has none (after a forest or a
-        tree step) and infers them as the original does: on its next joint
-        read, or on its next tree step on mixed sides if that comes first,
-        and never twice.  Fails if a copy drops the inferred stacks, or
-        re-infers them, which differ in the last bits, or keeps none where
-        the original has them."""
-        calls, infer = [], kinematics._PoseStore._infer
-        monkeypatch.setattr(kinematics._PoseStore, "_infer", lambda x: calls.append(x) or infer(x))
+        """A copy keeps the joint frames its original has inferred (read
+        after a tree step), or has none (after a forest or a tree step) and
+        infers them as the original does: on its next frames read, or on its
+        next tree step on mixed sides if that comes first, and never twice.
+        Fails if a copy drops the inferred frames, or re-infers them, which
+        differ in the last bits, or keeps none where the original has
+        them."""
+        calls = counted_inferences(monkeypatch)
         independent = SolverConfig(mode=SolverMode.INDEPENDENT)
-        # None reads every joint.
+        # None reads every stack.
         for actions, inferring in (
             ([None, COMBINED, independent, COMBINED], [0, 0, 1]),
             ([COMBINED, independent, None, COMBINED], [0, 1, 0]),
@@ -262,7 +272,7 @@ class TestJointsMoveWithTheirStep:
             step(s, provider, COMBINED)
             step(s, provider, SolverConfig(mode=mode))
             if last == "read":
-                s.rows_at_poses().joints()
+                s.rows_at_poses().frames()
             twin = copy.deepcopy(s) if copier == "deepcopy" else pickle.loads(pickle.dumps(s))
 
             def history(x):
@@ -402,7 +412,7 @@ class TestOneWriter:
 
     @pytest.mark.parametrize("which", ["original", "copy before a step", "copy after a step"])
     def test_kept_arrays_refuse_in_place_writes(self, which):
-        """Fails if update_poses or ``_PoseStore._infer`` leaves a stack it
+        """Fails if update_poses or ``_PoseStore.frames`` leaves a stack it
         makes writeable, or if the constraint stack or a joint's free
         axes are writeable; on a copy, if ``_ReadOnly.__setstate__`` stops
         freezing what a store, its rows or a joint holds, as numpy copies
@@ -422,12 +432,12 @@ class TestOneWriter:
     @pytest.mark.parametrize("copier", ["deepcopy", "pickle"])
     @pytest.mark.parametrize("sides", ["parent_to_joint", "joint_to_model"])
     def test_a_copy_infers_read_only_stacks(self, sides, copier):
-        """A copy taken after a forest step infers its joints in the stacks
-        the structure adopted, and passes on whole those where no joint
-        moves: parent_to_joint where every P_T_J is fixed, joint_to_model
-        and model_to_joint where every J_T_M is.  Fails if
-        ``_ReadOnly._freeze`` stops freezing the Poses of a dict attribute,
-        such as the structure's adopted stacks."""
+        """A copy taken after a forest step infers its joint frames in a
+        copy of the joint_to_model stack the structure adopted where the
+        joints fix parent_to_joint, and passes on the adopted frames whole
+        where every J_T_M is fixed.  Fails if ``_ReadOnly._freeze`` stops
+        freezing the Poses of a dict attribute, such as the structure's
+        adopted frames."""
         rng = np.random.default_rng(58)
         s = random_tree(rng, 6, fixed_sides=SIDES[sides])
         s.update_poses(0.1 * rng.standard_normal(s.forest.n_dof), forest=True)
@@ -572,9 +582,9 @@ class TestACopyIsANewState:
         s, provider = pulled_tree()
         for mode in SolverMode:
             step(s, provider, SolverConfig(mode=mode))
-        s.rows_at_poses().joints()
+        s.rows_at_poses().frames()
         twin = COPIERS[copier](s)
-        shared = ("tree", "forest", "constraint_stack", "_constraints", "_adopted", "_joint_sides",
+        shared = ("tree", "forest", "constraint_stack", "_constraints", "_adopted", "_inference",
                   "dof_offsets")
         for name in shared:
             assert getattr(twin, name) is getattr(s, name), name
@@ -582,7 +592,7 @@ class TestACopyIsANewState:
             assert solver._pattern(twin, mode) is solver._pattern(s, mode), mode
         store, own = s.rows_at_poses(), twin.rows_at_poses()
         assert own is not store and own.s is twin and own.rows is store.rows
-        assert own.poses is store.poses and own.joints() is store.joints()
+        assert own.poses is store.poses and own.frames() is store.frames()
         for name in ("extended", "d_a", "d_b", "stack"):
             assert getattr(own.rows, name) is getattr(store.rows, name), name
         for original, body in zip(s.bodies, twin.bodies):

@@ -71,7 +71,7 @@ def test_the_readme_example_runs(capsys):
     namespace = {}
     exec(compile(blocks[0], "README.md", "exec"), namespace)
     s, offset = namespace["s"], namespace["offset"]
-    composed = s.poses()[0] @ offset @ s.rows_at_poses().joints()["joint_to_model"][1]
+    composed = s.poses()[0] @ offset @ s.rows_at_poses().frames()["joint_to_model"][1]
     assert np.abs(composed.r - s.poses().r[1]).max() < 1e-12
     assert np.abs(composed.t - s.poses().t[1]).max() < 1e-12
     assert capsys.readouterr().out

@@ -31,6 +31,7 @@ from multibody.solver import (
 from oracles import (
     constraint_residual,
     constraint_variation_blocks,
+    detached,
     n_rows,
     random_rotvec,
     scalar_kkt,
@@ -123,7 +124,7 @@ class TestSolutionMatchesScalarOracle:
             if seed % 2:
                 # Cut at body 2: two trees whose bodies interleave.
                 s = KinematicStructure(
-                    [replace(b, parent=None) if i == 2 else b for i, b in enumerate(s.bodies)]
+                    [replace(b, parent=None) if i == 2 else b for i, b in enumerate(detached(s))]
                 )
             # Distinct body pairs, so that the rows are independent.
             s = rebuilt(s, constraints=[

@@ -21,6 +21,7 @@ import multibody.experiments
 import multibody.metrics
 import multibody.solver
 from multibody import se3
+import builders
 import oracles
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -123,7 +124,10 @@ def test_a_structure_is_configured_once():
     keep read-only arrays, with one helper, ``_frozen``, that freezes
     them.  A joint is a frozen record of its inputs, whose keyword names
     the side it fixes: no ``FixedSide``, and no binding to a structure
-    (``_Adoptable``, ``_row_name``, ``_STACKED``)."""
+    (``_Adoptable``, ``_row_name``, ``_STACKED``).  A store derives only
+    the joint frames a step reads (``frames()``): no ``joints()``, no
+    ``_infer``, no derived parent_to_joint stack and no ``_joint_sides``;
+    and a view keeps no ``roots``, which nothing read."""
     params = inspect.signature(multibody.solver.assemble).parameters
     assert list(params) == ["s", "g", "h", "mode", "regularization"]
     assert all(p.default is inspect.Parameter.empty for p in params.values())
@@ -168,6 +172,11 @@ def test_a_structure_is_configured_once():
     for name in ("FixedSide", "_Adoptable", "_row_name", "_STACKED"):
         assert not hasattr(kinematics, name), name
         assert not hasattr(multibody, name), name
+    for name in ("joints", "_infer"):
+        assert not hasattr(kinematics._PoseStore, name), name
+    assert not hasattr(s, "_joint_sides") and not hasattr(s.tree, "roots")
+    frames = {"joint_to_model", "model_to_joint"}
+    assert set(s._adopted) == set(s.rows_at_poses().frames()) == frames
     joint = kinematics.Joint
     assert dataclasses.is_dataclass(joint) and joint.__dataclass_params__.frozen
     assert [f.name for f in dataclasses.fields(joint)] == [
@@ -389,30 +398,30 @@ def test_free_body_steps_multiply_by_no_jacobian_and_evaluate_only_what_is_read(
 
 
 def test_joints_are_inferred_only_when_read(monkeypatch):
-    """Calls are counted, not timed.  A forest step (CONSTRAINED) reads no
-    joint transform, so it infers none, and neither does a tree step
-    (PROJECTED) where every joint fixes joint_to_model, as on the chain: it
-    reads the adopted joint frames; a joint read after a step infers them
-    once."""
-    kinematics = multibody.kinematics
-    calls = []
-    infer = kinematics._PoseStore._infer
-    monkeypatch.setattr(
-        kinematics._PoseStore, "_infer", lambda store: calls.append(1) or infer(store)
-    )
-    s = multibody.experiments.build_serial_chain(64)
+    """Calls are counted, not timed.  Where every joint fixes
+    joint_to_model, as on the chain, no step and no read infers a joint
+    frame: each reads the adopted constants.  Where a joint fixes
+    parent_to_joint, a forest step (CONSTRAINED) infers none, a tree step
+    (PROJECTED) infers the frames of the store it starts from once, for its
+    Jacobians and its update, and reads after a step infer them once."""
+    calls = builders.counted_inferences(monkeypatch)
+    chain = multibody.experiments.build_serial_chain(64)
+    shifted = se3.Pose(np.eye(3), [0.1, 0.0, 0.0])
+    bent = multibody.KinematicStructure(oracles.detached(chain, parent_to_joint={5: shifted}))
     cfg = multibody.SolverConfig
-    steps = [("constrained", 0), ("projected", 0), ("projected", 0), ("projected", 0)]
-    for mode, inferred in steps:
+    for s, inferred in ((chain, 0), (bent, 1)):
+        steps = [("constrained", 0), ("projected", inferred), ("projected", inferred)]
+        for mode, expected in steps:
+            calls.clear()
+            multibody.step(s, multibody.zero_energy, cfg(mode=mode))
+            assert len(calls) == expected, mode
+        multibody.step(s, multibody.zero_energy, cfg(mode="independent"))
         calls.clear()
-        multibody.step(s, multibody.zero_energy, cfg(mode=mode))
-        assert len(calls) == inferred, mode
-    multibody.step(s, multibody.zero_energy, cfg(mode="independent"))
-    calls.clear()
-    first = s.rows_at_poses().joints()["parent_to_joint"][5]
-    assert len(calls) == 1
-    assert s.rows_at_poses().joints()["parent_to_joint"][5].r.tobytes() == first.r.tobytes()
-    assert len(calls) == 1
+        first = s.rows_at_poses().frames()["joint_to_model"][5]
+        assert len(calls) == inferred
+        assert s.rows_at_poses().frames()["joint_to_model"][5].r.tobytes() == first.r.tobytes()
+        assert len(calls) == inferred
+    assert chain.rows_at_poses().frames() is chain._adopted
 
 
 def test_a_convergence_study_seeds_one_generator(monkeypatch):

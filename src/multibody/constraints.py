@@ -167,12 +167,11 @@ def pose_constraint_blocks(frame_a, inverse_a, inverse_b, a_t_mb, a_t_b, rotvec)
     r_a_mb = a_t_mb.r
     ma_t_b = (inverse_a.r @ a_t_b.t[..., None])[..., 0] + inverse_a.t  # (inverse_a o a_t_b).t
 
-    d_a = np.zeros((n, 6, 6))
+    d_a, d_b = np.zeros((2, n, 6, 6))
     d_a[:, :3, :3] = -cmat @ r_a_ma
     d_a[:, 3:, :3] = r_a_ma @ skew(ma_t_b)
     d_a[:, 3:, 3:] = -r_a_ma
 
-    d_b = np.zeros((n, 6, 6))
     d_b[:, :3, :3] = cmat @ r_a_mb
     d_b[:, 3:, :3] = -r_a_mb @ skew(inverse_b.t)
     d_b[:, 3:, 3:] = r_a_mb

@@ -84,16 +84,27 @@ def pose_target_stack(targets: Pose, scales, poses: Pose):
     return g, h
 
 
-@dataclass(frozen=True)
 class PoseTarget:
     """Provider for E = w_r * |log(R_t^T R)|^2 + w_t * |t - t_target|^2, as
     data: the target pose and the scales 2 w_r and 2 w_t.  Every body it is
     evaluated for is pulled toward the same target; ``per_body`` gives each
-    body its own."""
+    body its own.  A frozen record of slots: no field can be assigned, and
+    a copy or pickle is built again from the fields."""
 
-    target: Pose
-    scale_r: float
-    scale_t: float
+    __slots__ = ("target", "scale_r", "scale_t")
+
+    def __init__(self, target: Pose, scale_r: float, scale_t: float):
+        _set_target(self, target)
+        _set_scale_r(self, scale_r)
+        _set_scale_t(self, scale_t)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{name!r} is read-only: a PoseTarget is frozen")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return PoseTarget, (self.target, self.scale_r, self.scale_t)
 
     def __call__(self, body_index: int, pose: Pose) -> BodyEnergy:
         g, h = self.evaluate_stack(Pose(pose.r[None], pose.t[None]))
@@ -101,6 +112,11 @@ class PoseTarget:
 
     def evaluate_stack(self, poses: Pose):
         return pose_target_stack(self.target, np.array([self.scale_r, self.scale_t]), poses)
+
+
+_set_target, _set_scale_r, _set_scale_t = (
+    getattr(PoseTarget, name).__set__ for name in PoseTarget.__slots__
+)
 
 
 def quadratic_pose_target(target: Pose, weight_r: float = 1.0, weight_t: float = 1.0) -> PoseTarget:
@@ -144,18 +160,25 @@ class PerBody:
 
     def __init__(self, providers: dict):
         self.providers = dict(providers)
-        bodies, others = [], []
+        bodies, targets, scales, others = [], [], [], []
         for i, p in self.providers.items():
-            if _checked_index(i, "per_body: a key") < 0:
+            # A plain int is a valid key as it is; any other key is checked.
+            if type(i) is not int:
+                _checked_index(i, "per_body: a key")
+            if i < 0:
                 raise ValueError(f"per_body: body index {i} is negative")
-            (bodies if isinstance(p, PoseTarget) else others).append(i)
-        found = [self.providers[i] for i in bodies]
+            if isinstance(p, PoseTarget):
+                bodies.append(i)
+                targets.append(p.target)
+                scales += (p.scale_r, p.scale_t)
+            else:
+                others.append(i)
         self.target_bodies = np.array(bodies, dtype=int)
         # Targets on bodies 0..k-1 in order take the poses of k bodies as they are.
         self.in_order = bodies == list(range(len(bodies)))
         name = lambda k: f"per_body: body {bodies[k]} target"  # noqa: E731
-        self.targets = Pose.stack([p.target for p in found], name)
-        self.scales = np.array([(p.scale_r, p.scale_t) for p in found]).reshape(-1, 2)
+        self.targets = Pose.stack(targets, name)
+        self.scales = np.array(scales, dtype=float).reshape(-1, 2)
         self.others = sorted(others)
         self.last = max(self.providers, default=-1)
 

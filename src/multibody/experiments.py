@@ -116,10 +116,11 @@ def sample_trials(kind, n_trials, seed, equal_frames=False, random_energy=False)
     u = block[:, :24].reshape(n_trials, 4, 2, 3)
     axes = _STUDY_AXES[kind]
     # [pose, rotation | translation], zero for a vector not drawn.
-    bounds = np.outer([not equal_frames] * 2 + [True] * 2, [np.pi * axes[:3].any(), axes[3:].any()])
-    z, phi = 1.0 - 2.0 * u[..., 1], 2.0 * np.pi * u[..., 2]
+    drawn = [np.pi * axes[:3].any(), float(axes[3:].any())]
+    bounds = np.array([[0.0, 0.0] if equal_frames else drawn] * 2 + [drawn] * 2)
+    z, phi = 1.0 - 2.0 * u[..., 1, None], 2.0 * np.pi * u[..., 2, None]
     sin_polar = np.sqrt(1.0 - z * z)
-    directions = np.stack([sin_polar * np.cos(phi), sin_polar * np.sin(phi), z], axis=-1)
+    directions = np.concatenate([sin_polar * np.cos(phi), sin_polar * np.sin(phi), z], axis=-1)
     vectors = (bounds * (2.0 * u[..., 0] - 1.0))[..., None] * directions
     rotations = exp_rotvec(vectors[:, :, 0])
     frame_a, frame_b, diff, pose_a = (Pose(rotations[:, i], vectors[:, i, 1]) for i in range(4))
@@ -155,9 +156,12 @@ def run_convergence_study(
 
     All trials advance together: each iteration assembles the reduced KKT
     system of every trial, as the combined-mode solver step does for one,
-    and solves the stack at once.  Raises FactorizationFailed naming the
-    first trial whose system fails, and ValueError for an unknown kind, no
-    trial, a negative number of iterations or a negative seed.
+    and solves the stack at once.  The stack is built once, its H block
+    fixed, and each iteration writes B, B^T and b; both bodies of every
+    trial are one (n_trials, 2) pose stack, moved by one variation.  Raises
+    FactorizationFailed naming the first trial whose system fails, and
+    ValueError for an unknown kind, no trial, a negative number of
+    iterations or a negative seed.
     """
     if kind not in CONVERGENCE_KINDS:
         raise ValueError(f"unknown convergence kind {kind!r}")
@@ -171,45 +175,52 @@ def run_convergence_study(
         kind, n_trials, seed, equal_frames, random_energy
     )
 
-    # Reduced coordinates: the free axes of body a, then those of body b.
+    # Reduced coordinates: the free axes of body a, then those of body b,
+    # as axes of the two bodies' 12; a trial's rows are its pose
+    # constraint's on the free axes, or the three orthogonality rows.
     free = np.flatnonzero(_STUDY_AXES[kind])
-    k = free.shape[0]
-    h_k = np.zeros((n_trials, 2 * k, 2 * k))
-    h_k[:, :k, :k] = hessians[:, 0][:, free][:, :, free]
-    h_k[:, k:, k:] = hessians[:, 1][:, free][:, :, free]
-    h_k[:, np.arange(2 * k), np.arange(2 * k)] += np.tile(Regularization().per_axis[free], 2)
-    g_k = gradients[:, :, free].reshape(n_trials, 2 * k)
-
-    rot_errors = np.zeros((n_trials, n_iterations + 1))
-    trans_errors = np.zeros((n_trials, n_iterations + 1))
+    k, n, coords = free.shape[0], 2 * free.shape[0], np.concatenate([free, 6 + free])
+    constrained = np.arange(3) if kind == "ortho" else free
+    h_k = np.zeros((n_trials, n, n))
+    h_k[:, :k, :k], h_k[:, k:, k:] = hessians[:, :, free[:, None], free].swapaxes(0, 1)
+    h_k.reshape(n_trials, -1)[:, :: n + 1] += Regularization().per_axis[coords % 6]
+    # The study's one KKT stack: H, symmetrized, is fixed, and each
+    # iteration writes B, B^T and b.
+    g_k, m = gradients.reshape(n_trials, 12)[:, coords], constrained.shape[0]
+    system = KktSystem.from_blocks(h_k, g_k, np.zeros((n_trials, m, n)), np.zeros((n_trials, m)))
+    # Both bodies of each trial as one (n_trials, 2) stack: one variation
+    # per iteration moves them all.
+    poses = Pose(np.concatenate([pose_a.r[:, None], pose_b.r[:, None]], 1),
+                 np.concatenate([pose_a.t[:, None], pose_b.t[:, None]], 1))
+    # errors[0] holds each trial's rotational error per iteration, errors[1] its translational.
+    variation, errors = np.zeros((n_trials, 2, 6)), np.zeros((2, n_trials, n_iterations + 1))
     inverse_a, inverse_b = frame_a.inverse(), frame_b.inverse()
     for it in range(n_iterations + 1):
-        a_t_mb, a_t_b = relative_poses(frame_a, inverse_b, pose_a, pose_b)
+        a_t_mb, a_t_b = relative_poses(frame_a, inverse_b, poses[:, 0], poses[:, 1])
         rotvec = log_rotation(a_t_b.r)
-        rot_errors[:, it] = row_norms(rotvec)
-        trans_errors[:, it] = row_norms(a_t_b.t)
+        extended = np.concatenate([rotvec, a_t_b.t], axis=-1)
+        errors[:, :, it] = row_norms(extended.reshape(n_trials, 2, 3)).T
         if it == n_iterations:
             break
         if kind == "ortho":
-            b_vec = orthogonality_residual(a_t_b)
+            system.b_vec = orthogonality_residual(a_t_b)
             d_a, d_b = orthogonality_blocks(frame_a, a_t_mb, a_t_b)
         else:
-            b_vec = np.concatenate([rotvec, a_t_b.t], axis=-1)[:, free]
+            system.b_vec = extended[:, free]
             d_a, d_b = pose_constraint_blocks(frame_a, inverse_a, inverse_b, a_t_mb, a_t_b, rotvec)
-            d_a, d_b = d_a[:, free], d_b[:, free]
-        b_mat = np.concatenate([d_a[:, :, free], d_b[:, :, free]], axis=-1)
+        b_mat = system.matrix[:, n:, :n]
+        b_mat[:] = np.concatenate([d_a, d_b], axis=-1)[:, constrained[:, None], coords]
+        system.matrix[:, :n, n:] = b_mat.swapaxes(-1, -2)
         try:
-            theta, _ = solve_kkt(KktSystem.from_blocks(h_k, g_k, b_mat, b_vec))
+            theta, _ = solve_kkt(system)
         except FactorizationFailed as exc:
             raise FactorizationFailed(
                 f"{kind} convergence trial {exc.system}: {exc}", exc.system
             ) from exc
-        # pose o T(theta) per trial, theta scattered onto the free axes.
-        extended = np.zeros((n_trials, 2, 6))
-        extended[:, :, free] = theta.reshape(n_trials, 2, k)
-        pose_a = pose_a.with_variation(extended[:, 0])
-        pose_b = pose_b.with_variation(extended[:, 1])
-    return ConvergenceStudy(kind, n_trials, n_iterations, rot_errors, trans_errors)
+        # poses o T(theta) per trial, theta scattered onto the free axes.
+        variation[:, :, free] = theta.reshape(n_trials, 2, k)
+        poses = poses.with_variation(variation)
+    return ConvergenceStudy(kind, n_trials, n_iterations, *errors)
 
 
 def _write_csv(path, header, values):

@@ -253,8 +253,8 @@ class KinematicStructure(_ReadOnly):
     """
 
     def __init__(self, bodies: list[Body], constraints=()):
-        self.bodies = tuple(bodies)
-        self._constraints = tuple(constraints)
+        self.bodies = tuple(_checked_type(bodies, (list, tuple), "bodies"))
+        self._constraints = tuple(_checked_type(constraints, (list, tuple), "constraints"))
         self._validate()
         self.constraint_stack = ConstraintStack(self._constraints)
         bodies, joints = self.bodies, [b.joint for b in self.bodies]
@@ -331,7 +331,7 @@ class KinematicStructure(_ReadOnly):
             raise ValueError("a structure needs at least one body")
         names = set()
         for i, body in enumerate(self.bodies):
-            if body.name in names:
+            if _checked_type(body, (Body,), f"body {i}").name in names:
                 raise ValueError(f"duplicate body name {body.name!r}")
             names.add(body.name)
             if body._owner is not None:

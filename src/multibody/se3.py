@@ -32,6 +32,8 @@ _SKEW_BASIS = np.array([[[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]] for x, y, z i
 # of a rotation R, with w its skew part [R21 - R12, R02 - R20, R10 - R01].
 _QUATERNION_ROWS = np.array([[0, 1, 2, 3], [1, 4, 7, 8], [2, 7, 5, 9], [3, 8, 9, 6]])
 _SKEW_PART = np.array([[7, 2, 3], [5, 6, 1]])
+# The flat entries R_ii, then R_ij and R_ji (i < j), of a rotation R.
+_SHEPPERD_GATHER = np.array([0, 4, 8, 1, 2, 5, 3, 6, 7])
 
 
 def row_norms(v: np.ndarray) -> np.ndarray:
@@ -91,15 +93,13 @@ def log_rotation(r: np.ndarray) -> np.ndarray:
     if not np.count_nonzero(wide):
         return out
     m, tr, w = flat[wide], np.asarray(trace)[wide, None], w[wide]
-    diagonal = 1.0 + 2.0 * m.take([0, 4, 8], axis=-1) - tr
-    symmetric = m.take([1, 2, 5], axis=-1) + m.take([3, 6, 7], axis=-1)
-    entries = np.concatenate([1.0 + tr, w, diagonal, symmetric], axis=-1)
-    rows = np.arange(m.shape[0])
-    largest = np.argmax(entries.take([0, 4, 5, 6], axis=-1), axis=-1)
-    q = entries[rows[:, None], _QUATERNION_ROWS[largest]]
+    g = m.take(_SHEPPERD_GATHER, axis=1)
+    entries = np.concatenate([1.0 + tr, w, 1.0 + 2.0 * g[:, :3] - tr, g[:, 3:6] + g[:, 6:]], axis=1)
+    rows = np.arange(tr.shape[0])
+    q = entries[rows[:, None], _QUATERNION_ROWS[entries[:, _QUATERNION_ROWS.diagonal()].argmax(1)]]
     qv, norm = q[:, 1:], row_norms(q[:, 1:])
     # The sign of q_w, or, where |w| <= 1e-9, of the first nonzero q_v entry.
-    first = qv[rows, np.argmax(qv != 0.0, axis=-1)]
+    first = qv[rows, (qv != 0.0).argmax(1)]
     sign = np.where(row_norms(w) > 1e-9, q[:, 0], first)
     scale = np.copysign(2.0 * np.arctan2(norm, np.abs(q[:, 0])) / norm, sign)
     out[wide] = scale[:, None] * qv

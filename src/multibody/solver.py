@@ -494,17 +494,20 @@ def _dense_solve(kkt: np.ndarray, rhs: np.ndarray):
     scipy.linalg.solve(..., assume_a="sym") without its argument handling
     and condition estimate.  LAPACK dsytrf factors the upper triangle
     (Bunch-Kaufman LDL^T, optimal workspace) and dsytrs solves, 1 x 1
-    systems too, over a flat (-1, d, d) view.  Raises FactorizationFailed
-    naming the first with a zero pivot by its flat index (none if lone)."""
-    d, x = rhs.shape[-1], np.empty_like(rhs)
-    lwork = _dsytrf_lwork(d)
-    # dsytrs refuses a 0 x 0 system, whose solution is empty.
-    systems = zip(kkt.reshape(-1, d, d), rhs.reshape(-1, d), x.reshape(-1, d)) if rhs.size else ()
-    for i, (a, b, out) in enumerate(systems):
-        ldu, pivots, info = dsytrf(a, 0, lwork)
+    systems too.  Both work in place, on one copy of the stack as
+    (-1, d, d), each system in Fortran order, and on one copy of rhs, so
+    that f2py copies nothing and ``kkt`` and ``rhs`` are left as they are.
+    Raises FactorizationFailed naming the first with a zero pivot by its
+    flat index (none if lone)."""
+    d, x = rhs.shape[-1], np.array(rhs, float, order="C")
+    # 0 x 0 systems, which dsytrs refuses, are a stack of none.
+    count, lwork = x.size // max(d, 1), _dsytrf_lwork(d)
+    work = np.array(kkt.reshape(count, d, d).swapaxes(1, 2), float, order="C").swapaxes(1, 2)
+    for i, (a, b) in enumerate(zip(work, x.reshape(count, d))):
+        ldu, pivots, info = dsytrf(a, 0, lwork, 1)
         if info > 0:
             raise FactorizationFailed("singular KKT matrix", i if rhs.ndim > 1 else None)
-        out[:] = dsytrs(ldu, pivots, b)[0]
+        dsytrs(ldu, pivots, b, 0, 1)
     return x, (kkt @ x[..., None])[..., 0] - rhs
 
 

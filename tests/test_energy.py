@@ -1,6 +1,8 @@
 """Synthetic energy providers against FD and closed-form registration oracles,
 and the stacked pose-target kernel against the scalar formula it replaced."""
 
+import copy
+import pickle
 import warnings
 
 import numpy as np
@@ -93,6 +95,24 @@ class TestQuadraticPoseTarget:
             quadratic_pose_target(Pose.identity(), weight_r=weight)
         with pytest.raises(ValueError, match="finite"):
             quadratic_pose_target(Pose.identity(), weight_t=weight)
+
+
+class TestPoseTargetRecord:
+    def test_a_pose_target_is_a_frozen_record_of_slots(self):
+        """No field of a PoseTarget can be assigned or deleted and no
+        attribute added; a copy or pickle is built from its fields."""
+        target = quadratic_pose_target(Pose.from_rotvec([0.1, 0.2, 0.3], [1.0, 2.0, 3.0]), 0.5, 2.0)
+        assert not hasattr(target, "__dict__")
+        for name in ("target", "scale_r", "scale_t", "other"):
+            with pytest.raises(AttributeError, match="read-only"):
+                setattr(target, name, 1.0)
+        with pytest.raises(AttributeError, match="read-only"):
+            del target.scale_r
+        for twin in (copy.deepcopy(target), pickle.loads(pickle.dumps(target))):
+            assert isinstance(twin, PoseTarget)
+            assert (twin.scale_r, twin.scale_t) == (1.0, 4.0)
+            assert np.array_equal(twin.target.r, target.target.r)
+            assert np.array_equal(twin.target.t, target.target.t)
 
 
 class TestPointRegistration:

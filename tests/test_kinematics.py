@@ -158,6 +158,26 @@ class TestStructureValidation:
             KinematicStructure(bodies, constraints)
         assert a._owner is None
 
+    @pytest.mark.parametrize(
+        "args, named",
+        [
+            (lambda a: ([None],), "body 0 must be a Body, not NoneType"),
+            (lambda a: ([a], None), "constraints must be a list or tuple, not NoneType"),
+            (lambda a: (a,), "bodies must be a list or tuple, not Body"),
+        ],
+        ids=["body_none", "constraints_none", "a_lone_body"],
+    )
+    def test_a_container_of_the_wrong_type_is_named(self, args, named):
+        """``KinematicStructure([None])`` raised an AttributeError, and
+        ``KinematicStructure(bodies, None)`` and ``KinematicStructure(body)``
+        TypeErrors "not iterable", from deep inside.  Fails if such an
+        argument is taken, or if its TypeError stops naming the argument or
+        the bad entry's index; the body is adopted by no structure."""
+        a = Body("a", Joint(np.ones(6, dtype=bool)))
+        with pytest.raises(TypeError, match=f"^{named}$"):
+            KinematicStructure(*args(a))
+        assert a._owner is None
+
     def test_dof_offsets_contiguous(self):
         rng = np.random.default_rng(0)
         s = random_tree(rng, 5)

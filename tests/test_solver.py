@@ -267,6 +267,26 @@ class TestSolveKkt:
             theta, lam = solve_kkt(k)
             assert np.array_equal(np.concatenate([theta, lam], axis=-1), expected), dim
 
+    @pytest.mark.parametrize("dim", [0, 1, 9])
+    @pytest.mark.parametrize("batch", [(), (4,), (2, 3)])
+    def test_dense_solve_leaves_its_inputs_and_solves_each_system_alone(self, dim, batch):
+        """_dense_solve factors and solves in place, on its own copies:
+        ``kkt`` and ``rhs`` keep every bit, whatever their layout, and each
+        system of a stack, 0 x 0 and 1 x 1 ones too, equals its lone solve
+        bit for bit."""
+        rng = np.random.default_rng(40 + dim)
+        a = rng.standard_normal(batch + (dim, dim))
+        rhs = rng.standard_normal(batch + (dim,))
+        for kkt in (a + a.swapaxes(-1, -2), (a + a.swapaxes(-1, -2)).swapaxes(-1, -2)):
+            before = kkt.copy(), rhs.copy()
+            x, residual = solver._dense_solve(kkt, rhs)
+            assert np.array_equal(kkt, before[0]) and np.array_equal(rhs, before[1])
+            assert x.shape == residual.shape == rhs.shape
+            for index in np.ndindex(*batch):
+                lone_x, lone_residual = solver._dense_solve(kkt[index], rhs[index])
+                assert np.array_equal(x[index], lone_x), index
+                assert np.array_equal(residual[index], lone_residual), index
+
     def test_dense_solve_factors_each_system_once(self, monkeypatch):
         calls = {"solve": 0, "sytrf": 0}
 

@@ -437,3 +437,40 @@ def test_a_convergence_study_seeds_one_generator(monkeypatch):
             calls.clear()
             multibody.experiments.run_convergence_study(25, 4, kind, random_energy=random_energy)
             assert calls == [(0,)], (kind, random_energy)
+
+
+def test_a_convergence_study_moves_both_bodies_by_one_variation(monkeypatch):
+    """Calls are counted, not timed: a study keeps both bodies of its
+    trials as one (n_trials, 2) pose stack, which one exp_rotvec call per
+    iteration moves, not one per body, after the one call that samples the
+    trials; and it builds its KKT stack once, writing only B, B^T and b in
+    each iteration."""
+    experiments, calls, built = multibody.experiments, [], []
+    exp_rotvec, from_blocks = se3.exp_rotvec, multibody.solver.KktSystem.from_blocks.__func__
+    counted = lambda v: calls.append(np.shape(v)) or exp_rotvec(v)  # noqa: E731
+    monkeypatch.setattr(se3, "exp_rotvec", counted)
+    monkeypatch.setattr(experiments, "exp_rotvec", counted)
+    monkeypatch.setattr(
+        multibody.solver.KktSystem, "from_blocks",
+        classmethod(lambda cls, *blocks: built.append(1) or from_blocks(cls, *blocks)),
+    )
+    for kind in experiments.CONVERGENCE_KINDS:
+        calls.clear(), built.clear()
+        experiments.run_convergence_study(25, 4, kind)
+        assert calls == [(25, 4, 3)] + [(25, 2, 3)] * 4, (kind, calls)
+        assert built == [1], kind
+
+
+def test_output_digest_is_the_same_for_the_same_code():
+    """tools/output_digest.py, at a tiny size, run twice in one process:
+    each family's digest is a sha256 and reads the same both times, so that
+    a digest that differs between two checkouts names an output change."""
+    path = ROOT / "tools" / "output_digest.py"
+    spec = importlib.util.spec_from_file_location("output_digest", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sizes = {"trials": 8, "steps": 2, "chain_steps": 3, "bodies": 4}
+    first, second = module.digests(**sizes), module.digests(**sizes)
+    assert list(first) == ["converge", "track", "chain"]
+    assert all(len(value) == 64 and int(value, 16) >= 0 for value in first.values())
+    assert first == second

@@ -132,6 +132,7 @@ class Constraint(_FramePair):
 
 # Axis pairs (i, j) whose inner product must vanish: (x,y), (y,z), (z,x).
 ORTHOGONAL_AXIS_PAIRS = ((0, 1), (1, 2), (2, 0))
+_PAIR_ROWS, _PAIR_COLUMNS = np.array(ORTHOGONAL_AXIS_PAIRS).T
 
 
 @dataclass(frozen=True)
@@ -179,23 +180,20 @@ def pose_constraint_blocks(frame_a, inverse_a, inverse_b, a_t_mb, a_t_b, rotvec)
 
 
 def orthogonality_residual(a_t_b) -> np.ndarray:
-    """e_i . (R_AB e_j) for each orthogonal axis pair, (n, 3)."""
-    r_ab = a_t_b.r
-    return np.stack([r_ab[:, i, j] for i, j in ORTHOGONAL_AXIS_PAIRS], axis=-1)
+    """e_i . (R_AB e_j) for each orthogonal axis pair, (n, 3): the entries
+    (i, j) of R_AB."""
+    return a_t_b.r[:, _PAIR_ROWS, _PAIR_COLUMNS]
 
 
 def orthogonality_blocks(frame_a, a_t_mb, a_t_b):
     """3x6 derivatives of an OrthogonalityConstraint's residual w.r.t. the
     6-DoF variations of body_a and body_b; translational variations do not
     move it."""
-    r_ab = a_t_b.r
-    # Row i of skew(R_AB e_j) for each pair.
-    cross = np.stack(
-        [skew(r_ab[:, :, j])[:, i] for i, j in ORTHOGONAL_AXIS_PAIRS], axis=1
-    )
-    zeros = np.zeros(cross.shape)
-    d_a = np.concatenate([cross @ frame_a.r, zeros], axis=-1)
-    d_b = np.concatenate([-cross @ a_t_mb.r, zeros], axis=-1)
+    # Row i of skew(R_AB e_j) for each pair, from one skew of every column.
+    cross = skew(a_t_b.r.swapaxes(-1, -2))[:, _PAIR_COLUMNS, _PAIR_ROWS]
+    d_a, d_b = np.zeros((2, cross.shape[0], 3, 6))
+    d_a[..., :3] = cross @ frame_a.r
+    d_b[..., :3] = -cross @ a_t_mb.r
     return d_a, d_b
 
 

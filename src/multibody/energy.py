@@ -162,10 +162,7 @@ class PerBody:
         self.providers = dict(providers)
         bodies, targets, scales, others = [], [], [], []
         for i, p in self.providers.items():
-            # A plain int is a valid key as it is; any other key is checked.
-            if type(i) is not int:
-                _checked_index(i, "per_body: a key")
-            if i < 0:
+            if _checked_index(i, "per_body: a key") < 0:
                 raise ValueError(f"per_body: body index {i} is negative")
             if isinstance(p, PoseTarget):
                 bodies.append(i)

@@ -75,17 +75,17 @@ class ConvergenceStudy:
         return rows
 
 
-# Free axes of both bodies per kind, which are also the rows the pose
-# constraint pins.  Restricting each body to the DoF the study exercises
+# Free axes of both bodies per kind, a run of the six [rot | trans] axes,
+# which are also the rows the pose constraint pins (the three orthogonality
+# rows for ``ortho``).  Restricting each body to the DoF the study exercises
 # keeps a free rotational DoF from being recruited (nonlinearly) to satisfy
 # translation rows, which would destroy the single-iteration behavior of the
 # pure cases.
-_ROTATION_AXES = axes_mask(["rot_x", "rot_y", "rot_z"])
 _STUDY_AXES = {
-    "rotvec": _ROTATION_AXES,
-    "trans": ~_ROTATION_AXES,
-    "full": np.ones(6, dtype=bool),
-    "ortho": _ROTATION_AXES,
+    "rotvec": slice(0, 3),
+    "trans": slice(3, 6),
+    "full": slice(0, 6),
+    "ortho": slice(0, 3),
 }
 
 
@@ -116,7 +116,7 @@ def sample_trials(kind, n_trials, seed, equal_frames=False, random_energy=False)
     u = block[:, :24].reshape(n_trials, 4, 2, 3)
     axes = _STUDY_AXES[kind]
     # [pose, rotation | translation], zero for a vector not drawn.
-    drawn = [np.pi * axes[:3].any(), float(axes[3:].any())]
+    drawn = [np.pi * (axes.start < 3), float(axes.stop > 3)]
     bounds = np.array([[0.0, 0.0] if equal_frames else drawn] * 2 + [drawn] * 2)
     z, phi = 1.0 - 2.0 * u[..., 1, None], 2.0 * np.pi * u[..., 2, None]
     sin_polar = np.sqrt(1.0 - z * z)
@@ -175,19 +175,19 @@ def run_convergence_study(
         kind, n_trials, seed, equal_frames, random_energy
     )
 
-    # Reduced coordinates: the free axes of body a, then those of body b,
-    # as axes of the two bodies' 12; a trial's rows are its pose
-    # constraint's on the free axes, or the three orthogonality rows.
-    free = np.flatnonzero(_STUDY_AXES[kind])
-    k, n, coords = free.shape[0], 2 * free.shape[0], np.concatenate([free, 6 + free])
-    constrained = np.arange(3) if kind == "ortho" else free
+    # Reduced coordinates: the free axes of body a, then those of body b;
+    # a trial's k rows are its pose constraint's on the free axes, or the
+    # three orthogonality rows, whose blocks have those rows only.
+    axes = _STUDY_AXES[kind]
+    k = axes.stop - axes.start
+    n = 2 * k
     h_k = np.zeros((n_trials, n, n))
-    h_k[:, :k, :k], h_k[:, k:, k:] = hessians[:, :, free[:, None], free].swapaxes(0, 1)
-    h_k.reshape(n_trials, -1)[:, :: n + 1] += Regularization().per_axis[coords % 6]
+    h_k[:, :k, :k], h_k[:, k:, k:] = hessians[:, 0, axes, axes], hessians[:, 1, axes, axes]
+    h_k.reshape(n_trials, -1)[:, :: n + 1] += np.tile(Regularization().per_axis[axes], 2)
     # The study's one KKT stack: H, symmetrized, is fixed, and each
     # iteration writes B, B^T and b.
-    g_k, m = gradients.reshape(n_trials, 12)[:, coords], constrained.shape[0]
-    system = KktSystem.from_blocks(h_k, g_k, np.zeros((n_trials, m, n)), np.zeros((n_trials, m)))
+    g_k = gradients[:, :, axes].reshape(n_trials, n)
+    system = KktSystem.from_blocks(h_k, g_k, np.zeros((n_trials, k, n)), np.zeros((n_trials, k)))
     # Both bodies of each trial as one (n_trials, 2) stack: one variation
     # per iteration moves them all.
     poses = Pose(np.concatenate([pose_a.r[:, None], pose_b.r[:, None]], 1),
@@ -206,10 +206,10 @@ def run_convergence_study(
             system.b_vec = orthogonality_residual(a_t_b)
             d_a, d_b = orthogonality_blocks(frame_a, a_t_mb, a_t_b)
         else:
-            system.b_vec = extended[:, free]
+            system.b_vec = extended[:, axes]
             d_a, d_b = pose_constraint_blocks(frame_a, inverse_a, inverse_b, a_t_mb, a_t_b, rotvec)
         b_mat = system.matrix[:, n:, :n]
-        b_mat[:] = np.concatenate([d_a, d_b], axis=-1)[:, constrained[:, None], coords]
+        b_mat[:, :, :k], b_mat[:, :, k:] = d_a[:, axes, axes], d_b[:, axes, axes]
         system.matrix[:, :n, n:] = b_mat.swapaxes(-1, -2)
         try:
             theta, _ = solve_kkt(system)
@@ -218,7 +218,7 @@ def run_convergence_study(
                 f"{kind} convergence trial {exc.system}: {exc}", exc.system
             ) from exc
         # poses o T(theta) per trial, theta scattered onto the free axes.
-        variation[:, :, free] = theta.reshape(n_trials, 2, k)
+        variation[:, :, axes] = theta.reshape(n_trials, 2, k)
         poses = poses.with_variation(variation)
     return ConvergenceStudy(kind, n_trials, n_iterations, *errors)
 

@@ -271,9 +271,9 @@ class TestSolveKkt:
     @pytest.mark.parametrize("batch", [(), (4,), (2, 3)])
     def test_dense_solve_leaves_its_inputs_and_solves_each_system_alone(self, dim, batch):
         """_dense_solve factors and solves in place, on its own copies:
-        ``kkt`` and ``rhs`` keep every bit, whatever their layout, and each
-        system of a stack, 0 x 0 and 1 x 1 ones too, equals its lone solve
-        bit for bit."""
+        ``kkt`` and ``rhs`` keep every bit, whatever their layout, each
+        solution satisfies its system to rounding, and each system of a
+        stack, 0 x 0 and 1 x 1 ones too, equals its lone solve bit for bit."""
         rng = np.random.default_rng(40 + dim)
         a = rng.standard_normal(batch + (dim, dim))
         rhs = rng.standard_normal(batch + (dim,))
@@ -282,6 +282,12 @@ class TestSolveKkt:
             x, residual = solver._dense_solve(kkt, rhs)
             assert np.array_equal(kkt, before[0]) and np.array_equal(rhs, before[1])
             assert x.shape == residual.shape == rhs.shape
+            # Solved, not merely copied: kkt x - rhs, recomputed here, is at
+            # rounding level and is the residual returned.
+            recomputed = (kkt @ x[..., None])[..., 0] - rhs
+            scale = np.abs(kkt).sum(axis=-1).max(initial=0) * np.abs(x).max(initial=0) + 1.0
+            assert np.abs(recomputed).max(initial=0) < 1e-12 * scale
+            assert np.allclose(residual, recomputed, rtol=0, atol=1e-12 * scale)
             for index in np.ndindex(*batch):
                 lone_x, lone_residual = solver._dense_solve(kkt[index], rhs[index])
                 assert np.array_equal(x[index], lone_x), index

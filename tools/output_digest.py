@@ -3,19 +3,19 @@ outputs" is one command run on two checkouts.
 
 Run from the repository root of each checkout and compare the lines:
 
-    python3 tools/output_digest.py [--trials N] [--steps N] [--chain-steps N] [--bodies N]
+    python3 tools/output_digest.py
 
 It imports the library from ./src and prints one line per family,
 ``<family> <sha256>``:
 
 - converge: the CSVs of ``multibody converge`` for the four kinds, with and
-  without --random-energy, seeds 0 and 3, each of --trials trials;
+  without --random-energy, seeds 0 and 3, each of 10000 trials;
 - track: the CSVs of ``multibody track`` on demos/fourbar.json and the AUC
-  it prints, for the four modes, seeds 0 and 3, each of --steps steps;
+  it prints, for the four modes, seeds 0 and 3, each of 100 steps;
 - chain: the poses, the multipliers and the backward error after each of
-  --chain-steps CONSTRAINED steps of build_serial_chain(--bodies), every
-  body pulled toward its rest pose moved by a seeded variation, as in the
-  benchmark's chain-constrained workload.
+  200 CONSTRAINED steps of build_serial_chain(64), every body pulled
+  toward its rest pose moved by a seeded variation, as in the benchmark's
+  chain-constrained workload.
 
 Run as a script, it sets one BLAS thread before numpy loads, as the
 benchmark does.
@@ -30,7 +30,6 @@ if __name__ == "__main__":
     for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[_var] = "1"
 
-import argparse  # noqa: E402
 import contextlib  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
@@ -113,14 +112,8 @@ def digests(trials=10000, steps=100, chain_steps=200, bodies=64) -> dict:
     }
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--trials", type=int, default=10000)
-    parser.add_argument("--steps", type=int, default=100)
-    parser.add_argument("--chain-steps", type=int, default=200)
-    parser.add_argument("--bodies", type=int, default=64)
-    args = parser.parse_args(argv)
-    for family, value in digests(args.trials, args.steps, args.chain_steps, args.bodies).items():
+def main() -> int:
+    for family, value in digests().items():
         print(family, value)
     return 0
 

@@ -157,26 +157,25 @@ def relative_poses(frame_a: Pose, inverse_b: Pose, pose_a: Pose, pose_b: Pose):
     return a_t_mb, a_t_mb @ inverse_b
 
 
-def pose_constraint_blocks(frame_a, inverse_a, inverse_b, a_t_mb, a_t_b, rotvec):
-    """6x6 derivatives of a Constraint's extended residual
-    [rotvec | translation] w.r.t. the 6-DoF variations of body_a and body_b
-    in their own model frames; rotvec is log(R_AB), inverse_a and inverse_b
-    are frame_a^-1 and frame_b^-1."""
-    n = rotvec.shape[0]
+def rotation_blocks(frame_a, a_t_mb, rotvec):
+    """3x6 derivatives of a Constraint's rotation rows, log(R_AB) = rotvec,
+    w.r.t. the 6-DoF variations of body_a and body_b in their own model
+    frames; translational variations do not move them."""
     cmat = variation_matrix(rotvec)
-    r_a_ma = frame_a.r
-    r_a_mb = a_t_mb.r
+    d_a, d_b = blocks = np.zeros((2, rotvec.shape[0], 3, 6))
+    d_a[..., :3], d_b[..., :3] = -cmat @ frame_a.r, cmat @ a_t_mb.r
+    return blocks
+
+
+def translation_blocks(frame_a, inverse_a, inverse_b, a_t_mb, a_t_b):
+    """3x6 derivatives of a Constraint's translation rows, the translation
+    of A_T_B, w.r.t. the 6-DoF variations of body_a and body_b in their own
+    model frames; inverse_a and inverse_b are frame_a^-1 and frame_b^-1."""
     ma_t_b = (inverse_a.r @ a_t_b.t[..., None])[..., 0] + inverse_a.t  # (inverse_a o a_t_b).t
-
-    d_a, d_b = np.zeros((2, n, 6, 6))
-    d_a[:, :3, :3] = -cmat @ r_a_ma
-    d_a[:, 3:, :3] = r_a_ma @ skew(ma_t_b)
-    d_a[:, 3:, 3:] = -r_a_ma
-
-    d_b[:, :3, :3] = cmat @ r_a_mb
-    d_b[:, 3:, :3] = -r_a_mb @ skew(inverse_b.t)
-    d_b[:, 3:, 3:] = r_a_mb
-    return d_a, d_b
+    d_a, d_b = blocks = np.zeros((2, a_t_b.t.shape[0], 3, 6))
+    d_a[..., :3], d_a[..., 3:] = frame_a.r @ skew(ma_t_b), -frame_a.r
+    d_b[..., :3], d_b[..., 3:] = -a_t_mb.r @ skew(inverse_b.t), a_t_mb.r
+    return blocks
 
 
 def orthogonality_residual(a_t_b) -> np.ndarray:
@@ -191,17 +190,19 @@ def orthogonality_blocks(frame_a, a_t_mb, a_t_b):
     move it."""
     # Row i of skew(R_AB e_j) for each pair, from one skew of every column.
     cross = skew(a_t_b.r.swapaxes(-1, -2))[:, _PAIR_COLUMNS, _PAIR_ROWS]
-    d_a, d_b = np.zeros((2, cross.shape[0], 3, 6))
+    d_a, d_b = blocks = np.zeros((2, cross.shape[0], 3, 6))
     d_a[..., :3] = cross @ frame_a.r
     d_b[..., :3] = -cross @ a_t_mb.r
-    return d_a, d_b
+    return blocks
 
 
 class ConstraintStack(_ReadOnly):
     """Constraints as stacks, built once with a structure: ``frame_a``/``frame_b``
     and their ``inverse_a``/``inverse_b``, ``body_a``/``body_b``, ``ortho`` flags,
     row ``masks``, their ``counts``, ``spans`` [start, end) and ``sides``, the body_a
-    of each row, then the body_b of each.  Every array is read-only, also in a copy."""
+    of each row, then the body_b of each, and ``selects_rotation`` and
+    ``selects_translation``, whether any Constraint selects a row of that half.
+    Every array is read-only, also in a copy."""
 
     def __init__(self, constraints):
         self.frame_a, self.frame_b = (
@@ -217,6 +218,8 @@ class ConstraintStack(_ReadOnly):
         self.counts = self.masks.sum(axis=1)
         self.spans = np.stack([np.cumsum(self.counts) - self.counts, np.cumsum(self.counts)], -1)
         self.sides = np.repeat([self.body_a, self.body_b], self.counts, axis=1).ravel()
+        rotation, translation = self.masks[~self.ortho].reshape(-1, 2, 3).any(axis=(0, 2))
+        self.selects_rotation, self.selects_translation = np.array(rotation), np.array(translation)
         self._freeze()
 
 
@@ -224,7 +227,9 @@ class ConstraintStack(_ReadOnly):
 class ConstraintRows(_ReadOnly):
     """A stack of constraints evaluated together.  ``extended`` holds each
     constraint's residual over all six axes (the three orthogonality
-    residuals first for an OrthogonalityConstraint).  The rows, in
+    residuals first for an OrthogonalityConstraint); its rotation entries
+    are zeros where no Constraint of the stack selects a rotation row, and
+    only the entries ``stack.masks`` selects are read.  The rows, in
     constraint order, are ``residual``; their derivatives w.r.t. the 6-DoF
     variations of their bodies (the two halves of ``stack.sides``) are
     ``d_a``/``d_b`` (rows x 6, None when evaluated without blocks).  A
@@ -253,29 +258,30 @@ class ConstraintRows(_ReadOnly):
 
 def evaluate_constraints(stack: ConstraintStack, poses, blocks: bool = True) -> ConstraintRows:
     """Every constraint of a stack at once, at a stacked pose of the bodies:
-    one stack of relative poses and rotation logs, the extended residuals
-    and, with ``blocks``, the variation blocks of the Constraint formulas,
-    with the rows of orthogonality constraints replaced by theirs."""
-    if not stack.body_a.shape[0]:
-        d = np.zeros((0, 6)) if blocks else None
-        return ConstraintRows(np.zeros((0, 6)), d, d, stack)
+    one stack of relative poses, the extended residuals and, with
+    ``blocks``, the variation blocks, each half evaluated only if the stack
+    selects a row of it.  The rotation logs and blocks of the Constraint
+    formulas are evaluated if a Constraint selects a rotation row
+    (``stack.selects_rotation``), and the translation blocks if one selects
+    a translation row; the rows of orthogonality constraints have their own
+    residual and blocks."""
+    frame_a, ortho = stack.frame_a, stack.ortho
     a_t_mb, a_t_b = relative_poses(
-        stack.frame_a, stack.inverse_b, poses[stack.body_a], poses[stack.body_b]
+        frame_a, stack.inverse_b, poses[stack.body_a], poses[stack.body_b]
     )
-    rotvec = log_rotation(a_t_b.r)
+    rotvec = log_rotation(a_t_b.r) if stack.selects_rotation else np.zeros_like(a_t_b.t)
     extended = np.concatenate([rotvec, a_t_b.t], axis=-1)
-    if blocks:
-        d_a, d_b = pose_constraint_blocks(
-            stack.frame_a, stack.inverse_a, stack.inverse_b, a_t_mb, a_t_b, rotvec
-        )
-    ortho = stack.ortho
+    # d_a, then d_b: the derivatives of each constraint's six axes.
+    d = np.zeros((2, *extended.shape, 6)) if blocks else None
+    if blocks and stack.selects_rotation:
+        d[:, :, :3] = rotation_blocks(frame_a, a_t_mb, rotvec)
+    if blocks and stack.selects_translation:
+        d[:, :, 3:] = translation_blocks(frame_a, stack.inverse_a, stack.inverse_b, a_t_mb, a_t_b)
     if np.count_nonzero(ortho):
         extended[ortho, :3] = orthogonality_residual(a_t_b[ortho])
         if blocks:
-            d_a[ortho, :3], d_b[ortho, :3] = orthogonality_blocks(
-                stack.frame_a[ortho], a_t_mb[ortho], a_t_b[ortho]
-            )
-    d_a, d_b = (d_a[stack.masks], d_b[stack.masks]) if blocks else (None, None)
+            d[:, ortho, :3] = orthogonality_blocks(frame_a[ortho], a_t_mb[ortho], a_t_b[ortho])
+    d_a, d_b = d[:, stack.masks] if blocks else (None, None)
     return ConstraintRows(extended, d_a, d_b, stack)
 
 

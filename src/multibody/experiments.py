@@ -20,8 +20,9 @@ from .constraints import (
     Constraint,
     orthogonality_blocks,
     orthogonality_residual,
-    pose_constraint_blocks,
     relative_poses,
+    rotation_blocks,
+    translation_blocks,
 )
 from .energy import per_body, quadratic_pose_target, zero_energy
 from .kinematics import Body, Joint, KinematicStructure, axes_mask
@@ -202,14 +203,18 @@ def run_convergence_study(
         errors[:, :, it] = row_norms(extended.reshape(n_trials, 2, 3)).T
         if it == n_iterations:
             break
+        # The 3x6 blocks of each row half the kind's rows select, in order.
         if kind == "ortho":
             system.b_vec = orthogonality_residual(a_t_b)
-            d_a, d_b = orthogonality_blocks(frame_a, a_t_mb, a_t_b)
+            halves = [orthogonality_blocks(frame_a, a_t_mb, a_t_b)]
         else:
             system.b_vec = extended[:, axes]
-            d_a, d_b = pose_constraint_blocks(frame_a, inverse_a, inverse_b, a_t_mb, a_t_b, rotvec)
+            halves = [rotation_blocks(frame_a, a_t_mb, rotvec)] if axes.start < 3 else []
+            if axes.stop > 3:
+                halves.append(translation_blocks(frame_a, inverse_a, inverse_b, a_t_mb, a_t_b))
         b_mat = system.matrix[:, n:, :n]
-        b_mat[:, :, :k], b_mat[:, :, k:] = d_a[:, axes, axes], d_b[:, axes, axes]
+        for rows, blocks in zip((slice(0, 3), slice(3, 6)), halves):
+            b_mat[:, rows, :k], b_mat[:, rows, k:] = blocks[..., axes]
         system.matrix[:, :n, n:] = b_mat.swapaxes(-1, -2)
         try:
             theta, _ = solve_kkt(system)
@@ -361,7 +366,8 @@ class TrackingReport:
     auc: float = 0.0
 
     def mean_add(self) -> float:
-        return float(np.mean([row.add for row in self.rows]))
+        """Mean ADD over the rows; 0.0 without rows, as ``auc`` is then 1.0."""
+        return float(np.mean([row.add for row in self.rows])) if self.rows else 0.0
 
 
 _TRACKING_JITTER = 0.01

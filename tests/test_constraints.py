@@ -9,13 +9,16 @@ import pytest
 from builders import random_pose, random_tree, rebuilt
 from multibody.constraints import (
     Constraint,
+    ConstraintRows,
     ConstraintStack,
     OrthogonalityConstraint,
     evaluate_constraints,
+    orthogonality_blocks,
+    orthogonality_residual,
     relative_poses,
 )
 from multibody.kinematics import Body, Joint, KinematicStructure, axes_mask
-from multibody.se3 import Pose, adjoint, exp_rotvec
+from multibody.se3 import Pose, adjoint, exp_rotvec, log_rotation, row_norms, skew, variation_matrix
 from oracles import (
     body_jacobians,
     constraint_residual,
@@ -308,3 +311,111 @@ class TestFrozenRecords:
         expected = np.concatenate([constraint_residual(c, s) for c in s.constraints])
         assert np.array_equal(rows.residual, expected)
         assert s.constraint_stack.counts.tolist() == [3, 4]
+
+
+def six_axis_blocks(frame_a, inverse_a, inverse_b, a_t_mb, a_t_b, rotvec):
+    """The 6x6 derivatives of a Constraint's extended residual w.r.t. the
+    variations of its two bodies, both row halves as one formula: the
+    former ``pose_constraint_blocks``, kept here as the reference."""
+    n = rotvec.shape[0]
+    cmat = variation_matrix(rotvec)
+    r_a_ma = frame_a.r
+    r_a_mb = a_t_mb.r
+    ma_t_b = (inverse_a.r @ a_t_b.t[..., None])[..., 0] + inverse_a.t
+    d_a, d_b = np.zeros((2, n, 6, 6))
+    d_a[:, :3, :3] = -cmat @ r_a_ma
+    d_a[:, 3:, :3] = r_a_ma @ skew(ma_t_b)
+    d_a[:, 3:, 3:] = -r_a_ma
+    d_b[:, :3, :3] = cmat @ r_a_mb
+    d_b[:, 3:, :3] = -r_a_mb @ skew(inverse_b.t)
+    d_b[:, 3:, 3:] = r_a_mb
+    return d_a, d_b
+
+
+def six_axis_rows(stack, poses) -> ConstraintRows:
+    """Every constraint of a stack evaluated over all six axes, the log and
+    both halves' blocks for every row, then the orthogonality rows put in
+    and the selected rows taken: the evaluation before it went by row half."""
+    a_t_mb, a_t_b = relative_poses(
+        stack.frame_a, stack.inverse_b, poses[stack.body_a], poses[stack.body_b]
+    )
+    rotvec = log_rotation(a_t_b.r)
+    extended = np.concatenate([rotvec, a_t_b.t], axis=-1)
+    d_a, d_b = six_axis_blocks(stack.frame_a, stack.inverse_a, stack.inverse_b, a_t_mb, a_t_b, rotvec)
+    ortho = stack.ortho
+    if ortho.any():
+        extended[ortho, :3] = orthogonality_residual(a_t_b[ortho])
+        d_a[ortho, :3], d_b[ortho, :3] = orthogonality_blocks(
+            stack.frame_a[ortho], a_t_mb[ortho], a_t_b[ortho]
+        )
+    return ConstraintRows(extended, d_a[stack.masks], d_b[stack.masks], stack)
+
+
+ROTATION, TRANSLATION = np.arange(6) < 3, np.arange(6) >= 3
+
+# Each mix's constraints, cycled: the axes of a Constraint, or None for an
+# OrthogonalityConstraint.
+ROW_MIXES = {
+    "rotation-only": [ROTATION, axes_mask(["rot_x"]), axes_mask(["rot_y", "rot_z"])],
+    "translation-only": [TRANSLATION, axes_mask(["trans_y"]), axes_mask(["trans_x", "trans_z"])],
+    "rot_x+trans_z": [axes_mask(["rot_x", "trans_z"])],
+    "orthogonality-only": [None],
+    "all": [ROTATION, TRANSLATION, axes_mask(["rot_x", "trans_z"]), None, np.ones(6, bool)],
+}
+
+
+def mixed_stack(rng, mix, n_bodies=5, n_constraints=7):
+    """A stack of ``mix``'s constraints at random poses.  Bodies 0 and 1 have
+    identity rotations, and the first constraint joins them with frames of
+    identity rotation, so that its relative rotation is exactly zero; the
+    others have random frames on random pairs, up to pi."""
+    poses = Pose.stack([
+        Pose(np.eye(3), rng.uniform(-1, 1, 3)) if i < 2 else random_pose(rng)
+        for i in range(n_bodies)
+    ])
+    constraints = []
+    for k in range(n_constraints):
+        axes = ROW_MIXES[mix][k % len(ROW_MIXES[mix])]
+        if k == 0:
+            pair, frames = (0, 1), [Pose(np.eye(3), rng.uniform(-1, 1, 3)) for _ in range(2)]
+        else:
+            pair, frames = rng.choice(n_bodies, 2, replace=False).tolist(), [
+                random_pose(rng) for _ in range(2)
+            ]
+        if axes is None:
+            constraints.append(OrthogonalityConstraint(*pair, *frames))
+        else:
+            constraints.append(Constraint(*pair, *frames, constrained_axes=axes))
+    return ConstraintStack(constraints), poses
+
+
+class TestRowHalves:
+    """The evaluation by row half, bit for bit that of every row over all
+    six axes, for each mix of the halves a stack's rows select."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("mix", ROW_MIXES)
+    def test_equals_the_six_axis_evaluation_bit_for_bit(self, mix, seed):
+        stack, poses = mixed_stack(np.random.default_rng([31, seed]), mix)
+        _, a_t_b = relative_poses(
+            stack.frame_a, stack.inverse_b, poses[stack.body_a], poses[stack.body_b]
+        )
+        angles = row_norms(log_rotation(a_t_b.r))
+        assert angles[0] == 0.0 and (angles > np.pi / 2).any()
+        expected = six_axis_rows(stack, poses)
+        for blocks in (True, False):
+            rows = evaluate_constraints(stack, poses, blocks)
+            names = ("residual", "d_a", "d_b") if blocks else ("residual",)
+            for name in names:
+                got, want = getattr(rows, name), getattr(expected, name)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), (name, blocks)
+            assert rows.norms() == expected.norms()
+
+    @pytest.mark.parametrize("mix", ROW_MIXES)
+    def test_a_stack_names_the_halves_its_constraints_select(self, mix):
+        stack, _ = mixed_stack(np.random.default_rng(32), mix)
+        rotation = mix in ("rotation-only", "rot_x+trans_z", "all")
+        translation = mix in ("translation-only", "rot_x+trans_z", "all")
+        assert (stack.selects_rotation, stack.selects_translation) == (rotation, translation)
+        for flag in (stack.selects_rotation, stack.selects_translation):
+            assert isinstance(flag, np.ndarray) and not flag.flags.writeable

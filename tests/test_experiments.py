@@ -300,6 +300,14 @@ class TestSyntheticTracking:
         assert max(max(r) for r in projected.residuals) > 1e-3
         assert combined.mean_add() <= projected.mean_add()
 
+    @pytest.mark.filterwarnings("error")
+    def test_a_report_without_rows_has_zero_mean_add(self):
+        """No step, no row: the mean ADD is 0.0, with no warning, as the
+        AUC is 1.0, rather than numpy's mean of an empty list, nan."""
+        report = run_synthetic_tracking(DEMO_CONFIG, "combined", steps=0, seed=0)
+        assert report.rows == [] and report.auc == 1.0
+        assert report.mean_add() == 0.0
+
     def test_report_rows_cover_all_meshed_bodies(self):
         report = run_synthetic_tracking(DEMO_CONFIG, "combined", steps=3, seed=0)
         assert len(report.rows) == 3 * 4

@@ -6,6 +6,7 @@ import copy
 import dataclasses
 import importlib.util
 import inspect
+import json
 import os
 import pickle
 import subprocess
@@ -461,16 +462,70 @@ def test_a_convergence_study_moves_both_bodies_by_one_variation(monkeypatch):
         assert built == [1], kind
 
 
-def test_output_digest_is_the_same_for_the_same_code():
-    """tools/output_digest.py, at a tiny size, run twice in one process:
-    each family's digest is a sha256 and reads the same both times, so that
-    a digest that differs between two checkouts names an output change."""
+def test_each_caller_evaluates_only_the_row_halves_it_selects(monkeypatch):
+    """Calls are counted, not timed.  The four-bar's one constraint pins
+    trans_x and trans_y, so that a COMBINED step calls log_rotation and
+    variation_matrix only from its pose-target energy, once each; the
+    convergence study's ``trans`` kind calls no variation_matrix, while
+    its ``rotvec`` kind calls it once per iteration.  The 6x6 blocks of
+    both halves at once (``pose_constraint_blocks``) stay removed."""
+    assert not hasattr(multibody.constraints, "pose_constraint_blocks")
+    calls = []
+    for module in (multibody.energy, multibody.constraints, multibody.experiments):
+        for name in ("log_rotation", "variation_matrix"):
+            if hasattr(module, name):
+                function, where = getattr(module, name), f"{module.__name__}.{name}"
+                monkeypatch.setattr(
+                    module, name, lambda v, f=function, w=where: calls.append(w) or f(v)
+                )
+    config = multibody.config.load_config(ROOT / "demos" / "fourbar.json")
+    s = config.structure
+    targets = s.poses().with_variation(np.full((len(s.bodies), 6), 0.01))
+    provider = multibody.per_body(
+        {i: multibody.quadratic_pose_target(targets[i], w_r, w_t)
+         for i, (w_r, w_t) in config.weights.items() if w_r > 0 or w_t > 0}
+    )
+    assert s.constraint_stack.masks.tolist() == [[False, False, False, True, True, False]]
+    for _ in range(2):
+        calls.clear()
+        report = multibody.step(s, provider, multibody.SolverConfig(mode="combined"))
+        assert len(report.residuals_after) == 1
+        assert calls == ["multibody.energy.log_rotation", "multibody.energy.variation_matrix"]
+    for kind, expected in (("trans", 0), ("rotvec", 4)):
+        calls.clear()
+        multibody.experiments.run_convergence_study(25, 4, kind)
+        assert calls.count("multibody.constraints.variation_matrix") == expected, kind
+        assert calls.count("multibody.experiments.log_rotation") == 5, kind
+
+
+def output_digest():
+    """tools/output_digest.py, loaded from its file."""
     path = ROOT / "tools" / "output_digest.py"
     spec = importlib.util.spec_from_file_location("output_digest", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    sizes = {"trials": 8, "steps": 2, "chain_steps": 3, "bodies": 4}
-    first, second = module.digests(**sizes), module.digests(**sizes)
+    return module
+
+
+# The tiny sizes of the digest tests and the digests pinned at them.
+PINNED = json.loads((ROOT / "tests" / "output_digests.json").read_text())
+
+
+def test_output_digest_is_the_same_for_the_same_code():
+    """tools/output_digest.py, at a tiny size, run twice in one process:
+    each family's digest is a sha256 and reads the same both times, so that
+    a digest that differs between two checkouts names an output change."""
+    module = output_digest()
+    first, second = module.digests(**PINNED["sizes"]), module.digests(**PINNED["sizes"])
     assert list(first) == ["converge", "track", "chain"]
     assert all(len(value) == 64 and int(value, 16) >= 0 for value in first.values())
     assert first == second
+
+
+def test_outputs_match_their_pinned_digests():
+    """Each output family's digest at the tiny sizes equals the one checked
+    in (tests/output_digests.json, the same with one BLAS thread or more),
+    so that an output that moves fails here.  A change that moves outputs
+    on purpose updates the file, and says in CHANGES.md why, with the
+    full-size digests (python3 tools/output_digest.py) before and after."""
+    assert output_digest().digests(**PINNED["sizes"]) == PINNED["digests"]

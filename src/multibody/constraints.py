@@ -162,8 +162,8 @@ def rotation_blocks(frame_a, a_t_mb, rotvec):
     w.r.t. the 6-DoF variations of body_a and body_b in their own model
     frames; translational variations do not move them."""
     cmat = variation_matrix(rotvec)
-    d_a, d_b = blocks = np.zeros((2, rotvec.shape[0], 3, 6))
-    d_a[..., :3], d_b[..., :3] = -cmat @ frame_a.r, cmat @ a_t_mb.r
+    blocks = np.zeros((2, rotvec.shape[0], 3, 6))
+    np.matmul([-cmat, cmat], [frame_a.r, a_t_mb.r], out=blocks[..., :3])
     return blocks
 
 
@@ -172,9 +172,9 @@ def translation_blocks(frame_a, inverse_a, inverse_b, a_t_mb, a_t_b):
     of A_T_B, w.r.t. the 6-DoF variations of body_a and body_b in their own
     model frames; inverse_a and inverse_b are frame_a^-1 and frame_b^-1."""
     ma_t_b = (inverse_a.r @ a_t_b.t[..., None])[..., 0] + inverse_a.t  # (inverse_a o a_t_b).t
-    d_a, d_b = blocks = np.zeros((2, a_t_b.t.shape[0], 3, 6))
-    d_a[..., :3], d_a[..., 3:] = frame_a.r @ skew(ma_t_b), -frame_a.r
-    d_b[..., :3], d_b[..., 3:] = -a_t_mb.r @ skew(inverse_b.t), a_t_mb.r
+    blocks = np.empty((2, a_t_b.t.shape[0], 3, 6))
+    np.matmul([frame_a.r, -a_t_mb.r], skew([ma_t_b, inverse_b.t]), out=blocks[..., :3])
+    blocks[..., 3:] = -frame_a.r, a_t_mb.r
     return blocks
 
 
@@ -190,9 +190,8 @@ def orthogonality_blocks(frame_a, a_t_mb, a_t_b):
     move it."""
     # Row i of skew(R_AB e_j) for each pair, from one skew of every column.
     cross = skew(a_t_b.r.swapaxes(-1, -2))[:, _PAIR_COLUMNS, _PAIR_ROWS]
-    d_a, d_b = blocks = np.zeros((2, cross.shape[0], 3, 6))
-    d_a[..., :3] = cross @ frame_a.r
-    d_b[..., :3] = -cross @ a_t_mb.r
+    blocks = np.zeros((2, cross.shape[0], 3, 6))
+    np.matmul([cross, -cross], [frame_a.r, a_t_mb.r], out=blocks[..., :3])
     return blocks
 
 

@@ -189,6 +189,11 @@ def run_convergence_study(
     # iteration writes B, B^T and b.
     g_k = gradients[:, :, axes].reshape(n_trials, n)
     system = KktSystem.from_blocks(h_k, g_k, np.zeros((n_trials, k, n)), np.zeros((n_trials, k)))
+    # B, and its columns of body a and of body b as one (2, n_trials, k, k)
+    # view (splitting B's last axis copies nothing): a row half's blocks of
+    # both bodies go in with one write.
+    b_mat = system.matrix[:, n:, :n]
+    sides = np.moveaxis(b_mat.reshape(n_trials, k, 2, k), 2, 0)
     # Both bodies of each trial as one (n_trials, 2) stack: one variation
     # per iteration moves them all.
     poses = Pose(np.concatenate([pose_a.r[:, None], pose_b.r[:, None]], 1),
@@ -203,18 +208,18 @@ def run_convergence_study(
         errors[:, :, it] = row_norms(extended.reshape(n_trials, 2, 3)).T
         if it == n_iterations:
             break
-        # The 3x6 blocks of each row half the kind's rows select, in order.
+        # B's rows: the 3x6 blocks of each row half the kind selects, in
+        # order, on its free axes.
         if kind == "ortho":
             system.b_vec = orthogonality_residual(a_t_b)
-            halves = [orthogonality_blocks(frame_a, a_t_mb, a_t_b)]
+            sides[:, :, :3] = orthogonality_blocks(frame_a, a_t_mb, a_t_b)[..., axes]
         else:
             system.b_vec = extended[:, axes]
-            halves = [rotation_blocks(frame_a, a_t_mb, rotvec)] if axes.start < 3 else []
+            if axes.start < 3:
+                sides[:, :, :3] = rotation_blocks(frame_a, a_t_mb, rotvec)[..., axes]
             if axes.stop > 3:
-                halves.append(translation_blocks(frame_a, inverse_a, inverse_b, a_t_mb, a_t_b))
-        b_mat = system.matrix[:, n:, :n]
-        for rows, blocks in zip((slice(0, 3), slice(3, 6)), halves):
-            b_mat[:, rows, :k], b_mat[:, rows, k:] = blocks[..., axes]
+                translation = translation_blocks(frame_a, inverse_a, inverse_b, a_t_mb, a_t_b)
+                sides[:, :, k - 3 :] = translation[..., axes]
         system.matrix[:, :n, n:] = b_mat.swapaxes(-1, -2)
         try:
             theta, _ = solve_kkt(system)

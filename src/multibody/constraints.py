@@ -158,9 +158,10 @@ def relative_poses(frame_a: Pose, inverse_b: Pose, pose_a: Pose, pose_b: Pose):
 
 
 def rotation_blocks(frame_a, a_t_mb, rotvec):
-    """3x6 derivatives of a Constraint's rotation rows, log(R_AB) = rotvec,
-    w.r.t. the 6-DoF variations of body_a and body_b in their own model
-    frames; translational variations do not move them."""
+    """Derivatives of a Constraint's rotation rows, log(R_AB) = rotvec, w.r.t.
+    the 6-DoF variations of body_a and body_b in their own model frames,
+    (2, n, 3, 6): the 3x6 blocks d_a, then d_b.  Translational variations
+    do not move these rows."""
     cmat = variation_matrix(rotvec)
     blocks = np.zeros((2, rotvec.shape[0], 3, 6))
     np.matmul([-cmat, cmat], [frame_a.r, a_t_mb.r], out=blocks[..., :3])
@@ -168,9 +169,10 @@ def rotation_blocks(frame_a, a_t_mb, rotvec):
 
 
 def translation_blocks(frame_a, inverse_a, inverse_b, a_t_mb, a_t_b):
-    """3x6 derivatives of a Constraint's translation rows, the translation
-    of A_T_B, w.r.t. the 6-DoF variations of body_a and body_b in their own
-    model frames; inverse_a and inverse_b are frame_a^-1 and frame_b^-1."""
+    """Derivatives of a Constraint's translation rows, the translation of
+    A_T_B, w.r.t. the 6-DoF variations of body_a and body_b in their own
+    model frames, (2, n, 3, 6): the 3x6 blocks d_a, then d_b.  inverse_a
+    and inverse_b are frame_a^-1 and frame_b^-1."""
     ma_t_b = (inverse_a.r @ a_t_b.t[..., None])[..., 0] + inverse_a.t  # (inverse_a o a_t_b).t
     blocks = np.empty((2, a_t_b.t.shape[0], 3, 6))
     np.matmul([frame_a.r, -a_t_mb.r], skew([ma_t_b, inverse_b.t]), out=blocks[..., :3])
@@ -185,9 +187,9 @@ def orthogonality_residual(a_t_b) -> np.ndarray:
 
 
 def orthogonality_blocks(frame_a, a_t_mb, a_t_b):
-    """3x6 derivatives of an OrthogonalityConstraint's residual w.r.t. the
-    6-DoF variations of body_a and body_b; translational variations do not
-    move it."""
+    """Derivatives of an OrthogonalityConstraint's residual w.r.t. the 6-DoF
+    variations of body_a and body_b, (2, n, 3, 6): the 3x6 blocks d_a, then
+    d_b.  Translational variations do not move it."""
     # Row i of skew(R_AB e_j) for each pair, from one skew of every column.
     cross = skew(a_t_b.r.swapaxes(-1, -2))[:, _PAIR_COLUMNS, _PAIR_ROWS]
     blocks = np.zeros((2, cross.shape[0], 3, 6))

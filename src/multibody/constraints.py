@@ -163,8 +163,8 @@ def rotation_blocks(frame_a, a_t_mb, rotvec):
     (2, n, 3, 6): the 3x6 blocks d_a, then d_b.  Translational variations
     do not move these rows."""
     cmat = variation_matrix(rotvec)
-    blocks = np.zeros((2, rotvec.shape[0], 3, 6))
-    np.matmul([-cmat, cmat], [frame_a.r, a_t_mb.r], out=blocks[..., :3])
+    d_a, d_b = blocks = np.zeros((2, rotvec.shape[0], 3, 6))
+    d_a[..., :3], d_b[..., :3] = -cmat @ frame_a.r, cmat @ a_t_mb.r
     return blocks
 
 
@@ -174,9 +174,10 @@ def translation_blocks(frame_a, inverse_a, inverse_b, a_t_mb, a_t_b):
     model frames, (2, n, 3, 6): the 3x6 blocks d_a, then d_b.  inverse_a
     and inverse_b are frame_a^-1 and frame_b^-1."""
     ma_t_b = (inverse_a.r @ a_t_b.t[..., None])[..., 0] + inverse_a.t  # (inverse_a o a_t_b).t
-    blocks = np.empty((2, a_t_b.t.shape[0], 3, 6))
-    np.matmul([frame_a.r, -a_t_mb.r], skew([ma_t_b, inverse_b.t]), out=blocks[..., :3])
-    blocks[..., 3:] = -frame_a.r, a_t_mb.r
+    d_a, d_b = blocks = np.empty((2, a_t_b.t.shape[0], 3, 6))
+    np.matmul(frame_a.r, skew(ma_t_b), out=d_a[..., :3])
+    np.matmul(-a_t_mb.r, skew(inverse_b.t), out=d_b[..., :3])
+    d_a[..., 3:], d_b[..., 3:] = -frame_a.r, a_t_mb.r
     return blocks
 
 
@@ -192,8 +193,8 @@ def orthogonality_blocks(frame_a, a_t_mb, a_t_b):
     d_b.  Translational variations do not move it."""
     # Row i of skew(R_AB e_j) for each pair, from one skew of every column.
     cross = skew(a_t_b.r.swapaxes(-1, -2))[:, _PAIR_COLUMNS, _PAIR_ROWS]
-    blocks = np.zeros((2, cross.shape[0], 3, 6))
-    np.matmul([cross, -cross], [frame_a.r, a_t_mb.r], out=blocks[..., :3])
+    d_a, d_b = blocks = np.zeros((2, cross.shape[0], 3, 6))
+    d_a[..., :3], d_b[..., :3] = cross @ frame_a.r, -cross @ a_t_mb.r
     return blocks
 
 

@@ -193,7 +193,7 @@ def run_convergence_study(
     # view (splitting B's last axis copies nothing): a row half's blocks of
     # both bodies go in with one write.
     b_mat = system.matrix[:, n:, :n]
-    sides = np.moveaxis(b_mat.reshape(n_trials, k, 2, k), 2, 0)
+    sides = b_mat.reshape(n_trials, k, 2, k).transpose(2, 0, 1, 3)
     # Both bodies of each trial as one (n_trials, 2) stack: one variation
     # per iteration moves them all.
     poses = Pose(np.concatenate([pose_a.r[:, None], pose_b.r[:, None]], 1),

@@ -283,7 +283,9 @@ def evaluate_constraints(stack: ConstraintStack, poses, blocks: bool = True) -> 
         extended[ortho, :3] = orthogonality_residual(a_t_b[ortho])
         if blocks:
             d[:, ortho, :3] = orthogonality_blocks(frame_a[ortho], a_t_mb[ortho], a_t_b[ortho])
-    d_a, d_b = d[:, stack.masks] if blocks else (None, None)
+    # A gather per body, so that each is contiguous for assemble: one gather
+    # over both gives non-contiguous halves.
+    d_a, d_b = (d[0][stack.masks], d[1][stack.masks]) if blocks else (None, None)
     return ConstraintRows(extended, d_a, d_b, stack)
 
 

@@ -175,6 +175,7 @@ def translation_blocks(frame_a, inverse_a, inverse_b, a_t_mb, a_t_b):
     and inverse_b are frame_a^-1 and frame_b^-1."""
     ma_t_b = (inverse_a.r @ a_t_b.t[..., None])[..., 0] + inverse_a.t  # (inverse_a o a_t_b).t
     d_a, d_b = blocks = np.empty((2, a_t_b.t.shape[0], 3, 6))
+    # Each product straight into its block, with no temporary.
     np.matmul(frame_a.r, skew(ma_t_b), out=d_a[..., :3])
     np.matmul(-a_t_mb.r, skew(inverse_b.t), out=d_b[..., :3])
     d_a[..., 3:], d_b[..., 3:] = -frame_a.r, a_t_mb.r

@@ -208,8 +208,8 @@ def run_convergence_study(
         errors[:, :, it] = row_norms(extended.reshape(n_trials, 2, 3)).T
         if it == n_iterations:
             break
-        # B's rows: the 3x6 blocks of each row half the kind selects, in
-        # order, on its free axes.
+        # B's rows: the 3x6 blocks of each row half the kind selects, on
+        # its free axes, the rotation half first.
         if kind == "ortho":
             system.b_vec = orthogonality_residual(a_t_b)
             sides[:, :, :3] = orthogonality_blocks(frame_a, a_t_mb, a_t_b)[..., axes]

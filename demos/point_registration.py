@@ -25,7 +25,7 @@ cfg = SolverConfig(mode=SolverMode.PROJECTED, regularization=Regularization(0, 0
 
 print("iter   rotation error [rad]   translation error [m]")
 for it in range(6):
-    pose = s.bodies[0].pose
+    pose = s.poses()[0]
     rot_err = np.linalg.norm(log_rotation(true_pose.r.T @ pose.r))
     trans_err = np.linalg.norm(pose.t - true_pose.t)
     print(f"{it:4d}   {rot_err:.3e}              {trans_err:.3e}")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import _checked_index
-from .se3 import Pose, log_rotation, skew, variation_matrix
+from .se3 import Pose, log_rotation, single, skew, variation_matrix
 
 
 @dataclass
@@ -87,9 +87,10 @@ def pose_target_stack(targets: Pose, scales, poses: Pose):
 class PoseTarget:
     """Provider for E = w_r * |log(R_t^T R)|^2 + w_t * |t - t_target|^2, as
     data: the target pose and the scales 2 w_r and 2 w_t.  Every body it is
-    evaluated for is pulled toward the same target; ``per_body`` gives each
-    body its own.  A frozen record of slots: no field can be assigned, and
-    a copy or pickle is built again from the fields."""
+    evaluated for is pulled toward the same target, and a stacked target is
+    refused when evaluated, naming it; ``per_body`` gives each body its
+    own.  A frozen record of slots: no field can be assigned, and a copy or
+    pickle is built again from the fields."""
 
     __slots__ = ("target", "scale_r", "scale_t")
 
@@ -111,7 +112,8 @@ class PoseTarget:
         return BodyEnergy(g[0], h[0])
 
     def evaluate_stack(self, poses: Pose):
-        return pose_target_stack(self.target, np.array([self.scale_r, self.scale_t]), poses)
+        target = single(self.target, "pose target:")
+        return pose_target_stack(target, np.array([self.scale_r, self.scale_t]), poses)
 
 
 _set_target, _set_scale_r, _set_scale_t = (

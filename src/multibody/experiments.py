@@ -385,8 +385,10 @@ def run_synthetic_tracking(config, mode: SolverMode, steps: int, seed: int = 0) 
     starts from a slightly perturbed state (normal joint variations of
     scale _TRACKING_JITTER) and is pulled toward the ground truth poses
     each step, weighted per body (weight 0 leaves a body unobserved).
-    Errors are reported against the ground truth poses.  Raises ValueError
-    for a negative number of steps or a negative seed.
+    Errors are reported against the ground truth poses.  Estimate and truth
+    are copies of the config's structure, which stays as it was given, and
+    every pose is read from their pose stacks.  Raises ValueError for a
+    negative number of steps or a negative seed.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
@@ -394,8 +396,7 @@ def run_synthetic_tracking(config, mode: SolverMode, steps: int, seed: int = 0) 
         raise ValueError(f"seed must be >= 0, got {seed}")
     if not isinstance(config, TrackingConfig):
         config = load_config(config)
-    estimate = config.structure
-    truth = copy.deepcopy(estimate)
+    estimate, truth = copy.deepcopy(config.structure), copy.deepcopy(config.structure)
 
     rng = np.random.default_rng(seed)
     if estimate.n_dof and _TRACKING_JITTER > 0:
@@ -403,7 +404,6 @@ def run_synthetic_tracking(config, mode: SolverMode, steps: int, seed: int = 0) 
 
     solver_cfg = SolverConfig(mode=mode, iterations=config.iterations)
     report = TrackingReport()
-    errors = []
     prev = {i: program.values(0) for i, program in config.trajectory.items()}
     for stp in range(1, steps + 1):
         delta = np.zeros(truth.n_dof)
@@ -417,16 +417,13 @@ def run_synthetic_tracking(config, mode: SolverMode, steps: int, seed: int = 0) 
         providers = {}
         for i, (w_r, w_t) in config.weights.items():
             if w_r > 0 or w_t > 0:
-                providers[i] = quadratic_pose_target(truth.bodies[i].pose, w_r, w_t)
+                providers[i] = quadratic_pose_target(truth.poses()[i], w_r, w_t)
         report.residuals.append(run(estimate, per_body(providers), solver_cfg)[-1].residuals_after)
         for i, mesh in config.meshes.items():
-            rel = estimate.bodies[i].pose.inverse() @ truth.bodies[i].pose
-            add = add_error(mesh, rel)
-            report.rows.append(
-                TrackingRow(stp, estimate.bodies[i].name, add, add_s_error(mesh, rel))
-            )
-            errors.append(add)
-    report.auc = auc_score(errors, config.e_t) if errors else 1.0
+            rel = estimate.poses()[i].inverse() @ truth.poses()[i]
+            name = estimate.bodies[i].name
+            report.rows.append(TrackingRow(stp, name, add_error(mesh, rel), add_s_error(mesh, rel)))
+    report.auc = auc_score([row.add for row in report.rows], config.e_t)
     return report
 
 

@@ -68,9 +68,10 @@ def add_s_error(mesh: Mesh, rel: Pose) -> float:
 
 
 def auc_score(errors, e_t: float) -> float:
-    """Mean of max(1 - e / e_t, 0) over all entries of the error array;
-    ValueError naming ``e_t`` unless it is positive and finite."""
+    """Mean of max(1 - e / e_t, 0) over all entries of the error array, 1.0
+    for no entries, as no error exceeds any threshold; ValueError naming
+    ``e_t`` unless it is positive and finite."""
     if not 0 < e_t < np.inf:
         raise ValueError(f"error threshold must be positive and finite, not {e_t!r}")
-    errors = np.asarray(errors, dtype=float)
-    return float(np.mean(np.maximum(1.0 - errors / e_t, 0.0)))
+    scores = np.maximum(1.0 - np.asarray(errors, dtype=float) / e_t, 0.0)
+    return float(np.mean(scores)) if scores.size else 1.0

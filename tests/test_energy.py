@@ -268,6 +268,21 @@ class TestPoseTargetKernel:
         assert np.array_equal(g, g_ref) and np.array_equal(h, h_ref)
 
 
+    @pytest.mark.parametrize("n_bodies", [3, 4])
+    def test_a_stacked_target_is_refused_by_name(self, n_bodies):
+        """A pose target pulls every body toward one target.  A stacked
+        target of three rows pulled body i toward row i on three bodies and
+        failed on four with numpy's unnamed broadcast error; on both it is
+        refused, naming the target (per_body gives each body its own)."""
+        provider = quadratic_pose_target(build_serial_chain(3).poses(), 1.0, 1.0)
+        poses = build_serial_chain(n_bodies).poses()
+        named = r"^pose target: rotation has shape \(3, 3, 3\), not \(3, 3\)$"
+        with pytest.raises(ValueError, match=named):
+            evaluate(provider, poses)
+        with pytest.raises(ValueError, match=named):
+            provider(0, poses[0])
+
+
 class TestPerBody:
     @staticmethod
     def mixed_providers(rng):

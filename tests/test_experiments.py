@@ -30,6 +30,7 @@ from multibody import (
     axes_mask,
     step,
 )
+from multibody.config import load_config
 from multibody.constraints import relative_poses
 from multibody.se3 import log_rotation, row_norms
 from multibody.solver import FactorizationFailed, Regularization, SolverMode
@@ -307,6 +308,20 @@ class TestSyntheticTracking:
         report = run_synthetic_tracking(DEMO_CONFIG, "combined", steps=0, seed=0)
         assert report.rows == [] and report.auc == 1.0
         assert report.mean_add() == 0.0
+
+    def test_a_loaded_config_tracks_as_its_path_and_is_left_as_given(self):
+        """The study steps copies of a given config's structure: two runs
+        on one loaded TrackingConfig give the rows and residuals of a run
+        from the path, and the config's poses stay as loaded."""
+        config = load_config(DEMO_CONFIG)
+        loaded = config.structure.poses()
+        expected = run_synthetic_tracking(DEMO_CONFIG, "combined", steps=3, seed=0)
+        for _ in range(2):
+            report = run_synthetic_tracking(config, "combined", steps=3, seed=0)
+            assert report.rows == expected.rows and report.residuals == expected.residuals
+            assert report.auc == expected.auc
+            poses = config.structure.poses()
+            assert np.array_equal(poses.r, loaded.r) and np.array_equal(poses.t, loaded.t)
 
     def test_report_rows_cover_all_meshed_bodies(self):
         report = run_synthetic_tracking(DEMO_CONFIG, "combined", steps=3, seed=0)

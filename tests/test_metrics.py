@@ -96,6 +96,13 @@ class TestAucScore:
     def test_all_zero_errors(self):
         assert auc_score(np.zeros((3, 4)), 0.1) == 1.0
 
+    def test_no_errors_score_one(self):
+        """No error exceeds any threshold: the score of none is 1.0, as the
+        tracking study reports for a run without rows, with no warning of
+        numpy's mean of an empty array (an error under this suite)."""
+        assert auc_score([], 0.1) == 1.0
+        assert auc_score(np.zeros((0, 3)), 0.1) == 1.0
+
     def test_all_errors_beyond_threshold(self):
         assert auc_score(np.full((2, 5), 0.2), 0.1) == 0.0
 

@@ -498,6 +498,29 @@ def test_each_caller_evaluates_only_the_row_halves_it_selects(monkeypatch):
         assert calls.count("multibody.experiments.log_rotation") == 5, kind
 
 
+def test_no_library_path_reads_an_adopted_bodys_pose(monkeypatch):
+    """A body's pose descriptor (kinematics._PoseRow) is reached only once
+    a structure has adopted the body; before that the body's own field
+    shadows it.  With the descriptor refusing every body, the tracking
+    study in each mode, the convergence study of each kind and the scaling
+    study still run: they read poses from the structures' stacks."""
+    read_row = multibody.kinematics._PoseRow.__get__
+
+    def refuse(self, body, cls=None):
+        if body is not None:
+            raise AssertionError(f"read the pose of adopted body {body.name!r}")
+        return read_row(self, body, cls)
+
+    monkeypatch.setattr(multibody.kinematics._PoseRow, "__get__", refuse)
+    experiments = multibody.experiments
+    for mode in multibody.SolverMode:
+        report = experiments.run_synthetic_tracking(ROOT / "demos" / "fourbar.json", mode, 2)
+        assert len(report.rows) == 2 * 4, mode
+    for kind in experiments.CONVERGENCE_KINDS:
+        experiments.run_convergence_study(4, 2, kind)
+    assert len(experiments.run_scaling_study(3, 1)) == 6
+
+
 def output_digest():
     """tools/output_digest.py, loaded from its file."""
     path = ROOT / "tools" / "output_digest.py"

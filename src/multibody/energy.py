@@ -1,15 +1,17 @@
 """Per-body energy abstraction: gradient and Hessian of a 6-DoF energy.
 
-An energy provider is any callable ``provider(body_index, pose) -> BodyEnergy``
-evaluated at zero variation of the given pose.  Gradients and Hessians are
-expressed in the body's own variation coordinates, i.e. they differentiate
-the energy along ``pose.with_variation(theta)`` at theta = 0, the same map
-the constraint derivatives use.
+A provider is a per-body callable ``provider(body_index, pose) -> BodyEnergy``,
+a pose target (``quadratic_pose_target``), or a ``per_body`` map of them.
+Gradients and Hessians are expressed in the body's own variation
+coordinates, i.e. they differentiate the energy along
+``pose.with_variation(theta)`` at theta = 0, the same map the constraint
+derivatives use; a callable returns them at zero variation of the given pose.
 
 ``evaluate`` is the one place where energies are evaluated, for all bodies
-at a stacked Pose.  Providers with an ``evaluate_stack(poses)`` method, which
-are pose targets and ``per_body`` maps (``zero_energy`` is the empty one), give
-every body's gradient and Hessian in one pass; any other callable is called per body.
+at a stacked Pose, and has one path: a ``per_body`` map evaluates itself,
+and any other provider is the map that gives it to every body.  A map
+evaluates its pose targets in one kernel call and calls each other provider
+for the one body it is given for (``zero_energy`` is the empty map).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import _checked_index
-from .se3 import Pose, log_rotation, single, skew, variation_matrix
+from .se3 import Pose, log_rotation, skew, variation_matrix
 
 
 @dataclass
@@ -34,38 +36,21 @@ class BodyEnergy:
         self.g = np.asarray(self.g, dtype=float).reshape(6)
         self.h = np.asarray(self.h, dtype=float).reshape(6, 6)
 
-    @staticmethod
-    def zero() -> "BodyEnergy":
-        return BodyEnergy(np.zeros(6), np.zeros((6, 6)))
-
-
-def _zeros(n: int):
-    return np.zeros((n, 6)), np.zeros((n, 6, 6))
-
 
 def evaluate(provider, poses: Pose):
     """Gradients (n, 6) and Hessians (n, 6, 6) of every body's energy at a
-    stacked pose of the n bodies."""
-    stacked = getattr(provider, "evaluate_stack", None)
-    if stacked is not None:
-        return stacked(poses)
-    g, h = _zeros(poses.t.shape[0])
-    _call_per_body(provider, range(g.shape[0]), poses, g, h)
-    return g, h
-
-
-def _call_per_body(provider, bodies, poses, g, h):
-    """Rows of g and h for the given bodies, one provider call each."""
-    for i in bodies:
-        e = provider(i, poses[i])
-        g[i], h[i] = e.g, e.h
+    stacked pose of the n bodies: a provider that is not a ``per_body`` map
+    is given to every body."""
+    if not isinstance(provider, PerBody):
+        provider = per_body(dict.fromkeys(range(poses.t.shape[0]), provider))
+    return provider.evaluate_stack(poses)
 
 
 def pose_target_stack(targets: Pose, scales, poses: Pose):
     """Gradient (n, 6) and Gauss-Newton Hessian (n, 6, 6) of
     E = w_r |log(R_t^T R)|^2 + w_t |t - t_target|^2 for each row of a
-    stacked pose, with a target and ``scales``, 2 w_r and 2 w_t, per row,
-    (n, 2), or one for all, (2,).
+    stacked pose, with a target and ``scales``, 2 w_r and 2 w_t, per row:
+    (n, 2).
 
     The rotation-vector residual r0 = log(R_target^T R) is an eigenvector
     of its variation matrix C, which collapses the chain rule to
@@ -86,11 +71,11 @@ def pose_target_stack(targets: Pose, scales, poses: Pose):
 
 class PoseTarget:
     """Provider for E = w_r * |log(R_t^T R)|^2 + w_t * |t - t_target|^2, as
-    data: the target pose and the scales 2 w_r and 2 w_t.  Every body it is
-    evaluated for is pulled toward the same target, and a stacked target is
-    refused when evaluated, naming it; ``per_body`` gives each body its
-    own.  A frozen record of slots: no field can be assigned, and a copy or
-    pickle is built again from the fields."""
+    data only: the target pose and the scales 2 w_r and 2 w_t, which
+    ``per_body`` stacks with its other targets, refusing a stacked target
+    and naming its body.  Given as the provider of every body, it pulls
+    them all toward the one target.  A frozen record of slots: no field
+    can be assigned, and a copy or pickle is built again from the fields."""
 
     __slots__ = ("target", "scale_r", "scale_t")
 
@@ -106,14 +91,6 @@ class PoseTarget:
 
     def __reduce__(self):
         return PoseTarget, (self.target, self.scale_r, self.scale_t)
-
-    def __call__(self, body_index: int, pose: Pose) -> BodyEnergy:
-        g, h = self.evaluate_stack(Pose(pose.r[None], pose.t[None]))
-        return BodyEnergy(g[0], h[0])
-
-    def evaluate_stack(self, poses: Pose):
-        target = single(self.target, "pose target:")
-        return pose_target_stack(target, np.array([self.scale_r, self.scale_t]), poses)
 
 
 _set_target, _set_scale_r, _set_scale_t = (
@@ -156,8 +133,8 @@ def point_registration_energy(model_points, observed_points):
 
 
 class PerBody:
-    """Provider dispatching body index -> provider; a body without one has
-    zero energy.  The pose targets among the providers are stacked once,
+    """Provider dispatching body index -> provider, a pose target or a
+    per-body callable; a body without one has zero energy.  The pose targets among the providers are stacked once,
     here, and evaluated together in one kernel call."""
 
     def __init__(self, providers: dict):
@@ -170,8 +147,10 @@ class PerBody:
                 bodies.append(i)
                 targets.append(p.target)
                 scales += (p.scale_r, p.scale_t)
-            else:
+            elif callable(p):
                 others.append(i)
+            else:
+                raise TypeError(f"per_body: body {i}: {p!r} is neither a pose target nor callable")
         self.target_bodies = np.array(bodies, dtype=int)
         # Targets on bodies 0..k-1 in order take the poses of k bodies as they are.
         self.in_order = bodies == list(range(len(bodies)))
@@ -181,10 +160,6 @@ class PerBody:
         self.others = sorted(others)
         self.last = max(self.providers, default=-1)
 
-    def __call__(self, body_index: int, pose: Pose) -> BodyEnergy:
-        provider = self.providers.get(body_index)
-        return BodyEnergy.zero() if provider is None else provider(body_index, pose)
-
     def evaluate_stack(self, poses: Pose):
         n = poses.t.shape[0]
         if self.last >= n:
@@ -192,11 +167,12 @@ class PerBody:
         targets = self.target_bodies
         if self.in_order and targets.shape[0] == n:
             return pose_target_stack(self.targets, self.scales, poses)
-        g, h = _zeros(n)
+        g, h = np.zeros((n, 6)), np.zeros((n, 6, 6))
         if targets.shape[0]:
             g[targets], h[targets] = pose_target_stack(self.targets, self.scales, poses[targets])
-        # Each remaining body with a provider through it.
-        _call_per_body(self, self.others, poses, g, h)
+        for i in self.others:
+            e = self.providers[i](i, poses[i])
+            g[i], h[i] = e.g, e.h
         return g, h
 
 

@@ -136,28 +136,24 @@ class Pose:
         return _pose(np.eye(3), np.zeros(3))
 
     @staticmethod
-    def from_rotvec(v, t=(0.0, 0.0, 0.0)) -> "Pose":
-        return Pose(exp_rotvec(v), t)
-
-    @staticmethod
     def stack(poses, name="row {}:".format) -> "Pose":
-        """(n, 3, 3) and (n, 3) stack of n single poses; ValueError naming the
-        first row that is not one, as name(its index)."""
+        """(n, 3, 3) and (n, 3) stack of n single poses; TypeError or
+        ValueError naming the first row that is not one, as name(its index)."""
         rows = list(poses)
         try:
             r, t = np.array([p.r for p in rows]), np.array([p.t for p in rows])
             if rows and (r.shape[1:] != (3, 3) or t.shape[1:] != (3,)):
                 raise ValueError("rows are not single poses")
-        except ValueError:
+        except (AttributeError, ValueError):
             for i, p in enumerate(rows):
+                if not isinstance(p, Pose):
+                    raise TypeError(f"{name(i)} {type(p).__name__} is not a Pose") from None
                 single(p, name(i))
             raise
         return _pose(r.reshape(-1, 3, 3), t.reshape(-1, 3))
 
-    def compose(self, other: "Pose") -> "Pose":
+    def __matmul__(self, other: "Pose") -> "Pose":
         return _pose(self.r @ other.r, (self.r @ other.t[..., None])[..., 0] + self.t)
-
-    __matmul__ = compose
 
     def inverse(self) -> "Pose":
         rt = self.r.swapaxes(-1, -2)

@@ -1,11 +1,20 @@
-"""Random structure generators shared by the kinematics/constraint tests."""
+"""Random structure generators shared by the kinematics/constraint tests,
+and one body's energy through the library's one evaluation path."""
 
 import numpy as np
 
 from multibody import kinematics
+from multibody.energy import BodyEnergy, evaluate
 from multibody.kinematics import Body, Joint, KinematicStructure
 from multibody.se3 import Pose, exp_rotvec
 from oracles import detached, random_rotvec
+
+
+def energy_at(provider, pose):
+    """A provider's energy at one single pose, through energy.evaluate: its
+    rows for the one body of a one-row stack."""
+    g, h = evaluate(provider, Pose.stack([pose]))
+    return BodyEnergy(g[0], h[0])
 
 
 def random_pose(rng, max_angle=np.pi, max_trans=1.0):

@@ -11,7 +11,8 @@ study's uniforms.  The stacked constraint kernel, the stacked tree layer
 and the point-registration energy are checked against the per-object
 formulas they replaced: one constraint, one body, one Pose,
 one point at a time (`scalar_kkt`, `scalar_update`, `scalar_step`,
-`point_registration_loop`).  The forest view's gathered assembly and the
+`point_registration_loop`); `scalar_step` dispatches each body's provider
+itself (`body_energy`), not through `per_body`.  The forest view's gathered assembly and the
 band product are checked against the product path and the per-diagonal
 loop they replaced (`assemble_by_products`, `band_product_by_diagonals`).  The SE(3) kernels must equal the scalar
 formulas kept here (`skew`, `exp_rotvec`, `log_rotation`,
@@ -29,7 +30,7 @@ import numpy as np
 import scipy.linalg
 
 from multibody.constraints import Constraint, OrthogonalityConstraint
-from multibody.energy import BodyEnergy, zero_energy
+from multibody.energy import BodyEnergy, PerBody, PoseTarget, zero_energy
 from multibody.experiments import TRIAL_UNIFORMS, random_spd
 from multibody.kinematics import Body, Joint, KinematicStructure, axes_mask
 from multibody.se3 import Pose, adjoint, row_norms
@@ -558,11 +559,31 @@ def scalar_update(s, theta, mode):
     return KinematicStructure(bodies, s.constraints)
 
 
+def zero_body_energy():
+    """A body's energy without a provider: zero gradient and Hessian."""
+    return BodyEnergy(np.zeros(6), np.zeros((6, 6)))
+
+
+def body_energy(provider, i, pose):
+    """Body i's energy at one pose, by the provider contract, without the
+    library's dispatch: a ``per_body`` map's provider for body i, or zero
+    energy for a body without one; a pose target by pose_target_energy; any
+    other callable called."""
+    if isinstance(provider, PerBody):
+        provider = provider.providers.get(i)
+        if provider is None:
+            return zero_body_energy()
+    if isinstance(provider, PoseTarget):
+        weights = provider.scale_r / 2.0, provider.scale_t / 2.0
+        return pose_target_energy(provider.target, *weights, pose)
+    return provider(i, pose)
+
+
 def scalar_step(s, provider, mode, regularization=None):
-    """One Newton step through scalar_kkt, the library's dense solve and
-    scalar_update; returns the stepped structure, theta and lambda."""
+    """One Newton step through body_energy, scalar_kkt, the library's dense
+    solve and scalar_update; returns the stepped structure, theta and lambda."""
     regularization = regularization or Regularization()
-    energies = [provider(i, body.pose) for i, body in enumerate(s.bodies)]
+    energies = [body_energy(provider, i, body.pose) for i, body in enumerate(s.bodies)]
     theta, lam = solve_kkt(
         KktSystem.from_blocks(*scalar_kkt(s, energies, mode, regularization))
     )

@@ -40,6 +40,7 @@ from oracles import (
     random_rotvec,
     relative_variation,
     stacked_energies,
+    zero_body_energy,
 )
 from test_constraints import (
     constraint_jacobian,
@@ -206,7 +207,7 @@ def test_criterion_7_scaling_study():
         assert sample.kkt_dim == kkt_dimension(sample.mode, sample.n_bodies)
         # Cross-check against the actually assembled system size.
         s = build_serial_chain(sample.n_bodies)
-        energies = [BodyEnergy.zero() for _ in s.bodies]
+        energies = [zero_body_energy() for _ in s.bodies]
         k = assemble(s, *stacked_energies(energies), sample.mode, Regularization())
         assembled_dim = k.g_k.shape[0] + k.b_vec.shape[0]
         dims_ok &= assembled_dim == sample.kkt_dim

@@ -534,7 +534,7 @@ class TestOneWriter:
         naming the body and the field, or if a joint's field can be
         assigned or its free axes or transform written."""
         body = Body("lone", Joint(np.ones(6, dtype=bool)))
-        pose = Pose.from_rotvec([0.1, 0.0, 0.0], [0.0, 0.2, 0.0])
+        pose = Pose(exp_rotvec([0.1, 0.0, 0.0]), [0.0, 0.2, 0.0])
         body.pose, body.parent = pose, 3
         assert body.pose is pose and body.parent == 3
         s = build_serial_chain(3)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from builders import random_pose, random_tree
+from builders import energy_at, random_pose, random_tree
 from multibody import energy, solver
 from multibody.energy import (
     PoseTarget,
@@ -26,6 +26,7 @@ from multibody.kinematics import Body, Joint, KinematicStructure
 from multibody.se3 import Pose, exp_rotvec, log_rotation
 from multibody.solver import FactorizationFailed, Regularization, SolverConfig, SolverMode, step
 from oracles import (
+    body_energy,
     evaluate_quadratic_target,
     kabsch,
     numeric_hessian,
@@ -35,13 +36,14 @@ from oracles import (
     pose_with_variation,
     random_rotvec,
     stacked_energies,
+    zero_body_energy,
 )
 
 class TestQuadraticPoseTarget:
     def test_zero_gradient_at_target(self):
         rng = np.random.default_rng(0)
         pose = random_pose(rng)
-        e = quadratic_pose_target(pose)(0, pose)
+        e = energy_at(quadratic_pose_target(pose), pose)
         assert np.max(np.abs(e.g)) < 1e-12
 
     def test_pure_translation_offset(self):
@@ -49,7 +51,7 @@ class TestQuadraticPoseTarget:
         r = exp_rotvec(random_rotvec(rng))
         target = Pose(r, np.zeros(3))
         d = np.array([0.1, -0.05, 0.2])
-        e = quadratic_pose_target(target, 1.0, 1.0)(0, Pose(r, d))
+        e = energy_at(quadratic_pose_target(target, 1.0, 1.0), Pose(r, d))
         assert np.allclose(e.g[3:], 2.0 * r.T @ d, atol=1e-12)
         assert np.allclose(e.g[:3], np.zeros(3), atol=1e-12)
         assert np.allclose(e.h[3:, 3:], 2.0 * np.eye(3), atol=1e-12)
@@ -59,7 +61,7 @@ class TestQuadraticPoseTarget:
         for _ in range(20):
             target = random_pose(rng)
             pose = random_pose(rng)
-            e = quadratic_pose_target(target, 0.7, 1.3)(0, pose)
+            e = energy_at(quadratic_pose_target(target, 0.7, 1.3), pose)
 
             def scalar(theta):
                 return evaluate_quadratic_target(
@@ -75,7 +77,7 @@ class TestQuadraticPoseTarget:
         # Same rotation as the target, translation off: the Gauss-Newton
         # Hessian is the exact Hessian there.
         target = Pose(pose.r, pose.t + np.array([0.05, -0.1, 0.2]))
-        e = quadratic_pose_target(target, 0.7, 1.3)(0, pose)
+        e = energy_at(quadratic_pose_target(target, 0.7, 1.3), pose)
 
         def scalar(theta):
             return evaluate_quadratic_target(
@@ -101,7 +103,7 @@ class TestPoseTargetRecord:
     def test_a_pose_target_is_a_frozen_record_of_slots(self):
         """No field of a PoseTarget can be assigned or deleted and no
         attribute added; a copy or pickle is built from its fields."""
-        target = quadratic_pose_target(Pose.from_rotvec([0.1, 0.2, 0.3], [1.0, 2.0, 3.0]), 0.5, 2.0)
+        target = quadratic_pose_target(Pose(exp_rotvec([0.1, 0.2, 0.3]), [1.0, 2.0, 3.0]), 0.5, 2.0)
         assert not hasattr(target, "__dict__")
         for name in ("target", "scale_r", "scale_t", "other"):
             with pytest.raises(AttributeError, match="read-only"):
@@ -197,13 +199,13 @@ class TestEnergyDecrease:
         )
         previous = evaluate_quadratic_target(s.bodies[0].pose, target)
         for _ in range(100):
-            if np.linalg.norm(provider(0, s.bodies[0].pose).g) < 1e-8:
+            if np.linalg.norm(energy_at(provider, s.bodies[0].pose).g) < 1e-8:
                 break
             step(s, provider, cfg)
             current = evaluate_quadratic_target(s.bodies[0].pose, target)
             assert current < previous
             previous = current
-        assert np.linalg.norm(provider(0, s.bodies[0].pose).g) < 1e-8
+        assert np.linalg.norm(energy_at(provider, s.bodies[0].pose).g) < 1e-8
 
 
 # Relative rotation angles at the branch seams of log_rotation and the
@@ -256,7 +258,7 @@ class TestPoseTargetKernel:
         assert np.array_equal(g, g_ref) and np.array_equal(h, h_ref)
         # The one-row case, as a provider.
         for (target, w_r, w_t, pose), e in zip(cases, expected):
-            row = quadratic_pose_target(target, w_r, w_t)(0, pose)
+            row = energy_at(quadratic_pose_target(target, w_r, w_t), pose)
             assert np.array_equal(row.g, e.g) and np.array_equal(row.h, e.h)
 
     def test_one_target_for_every_body(self):
@@ -264,23 +266,42 @@ class TestPoseTargetKernel:
         s = random_tree(rng, 5)
         provider = quadratic_pose_target(random_pose(rng), 0.3, 2.0)
         g, h = evaluate(provider, s.poses())
-        g_ref, h_ref = stacked_energies([provider(i, b.pose) for i, b in enumerate(s.bodies)])
+        g_ref, h_ref = stacked_energies(
+            [body_energy(provider, i, b.pose) for i, b in enumerate(s.bodies)]
+        )
         assert np.array_equal(g, g_ref) and np.array_equal(h, h_ref)
 
+    def test_a_bare_provider_keeps_its_values_bit_for_bit(self):
+        """A bare pose target and a bare per-body callable, each given to
+        every body of a stack, evaluate to the bytes of one kernel call with
+        the target's own (2,) scales, and of one call of the callable per
+        body."""
+        rng = np.random.default_rng(25)
+        poses = random_tree(rng, 6).poses()
+        target = quadratic_pose_target(random_pose(rng), 0.3, 2.0)
+        g_ref, h_ref = pose_target_stack(target.target, np.array([0.6, 4.0]), poses)
+        g, h = evaluate(target, poses)
+        assert g.tobytes() == g_ref.tobytes() and h.tobytes() == h_ref.tobytes()
+        model = rng.uniform(-0.2, 0.2, (6, 3))
+        points = point_registration_energy(model, rng.uniform(-0.3, 0.3, (6, 3)))
+        g_ref, h_ref = stacked_energies([points(i, poses[i]) for i in range(6)])
+        g, h = evaluate(points, poses)
+        assert g.tobytes() == g_ref.tobytes() and h.tobytes() == h_ref.tobytes()
 
     @pytest.mark.parametrize("n_bodies", [3, 4])
     def test_a_stacked_target_is_refused_by_name(self, n_bodies):
         """A pose target pulls every body toward one target.  A stacked
         target of three rows pulled body i toward row i on three bodies and
         failed on four with numpy's unnamed broadcast error; on both it is
-        refused, naming the target (per_body gives each body its own)."""
+        refused where per_body stacks the targets, naming the first body
+        (per_body gives each body its own)."""
         provider = quadratic_pose_target(build_serial_chain(3).poses(), 1.0, 1.0)
         poses = build_serial_chain(n_bodies).poses()
-        named = r"^pose target: rotation has shape \(3, 3, 3\), not \(3, 3\)$"
+        named = r"^per_body: body 0 target rotation has shape \(3, 3, 3\), not \(3, 3\)$"
         with pytest.raises(ValueError, match=named):
             evaluate(provider, poses)
         with pytest.raises(ValueError, match=named):
-            provider(0, poses[0])
+            per_body({0: provider})
 
 
 class TestPerBody:
@@ -300,7 +321,9 @@ class TestPerBody:
         s = random_tree(rng, 7)
         provider = per_body(self.mixed_providers(rng))
         g, h = evaluate(provider, s.poses())
-        g_ref, h_ref = stacked_energies([provider(i, b.pose) for i, b in enumerate(s.bodies)])
+        g_ref, h_ref = stacked_energies(
+            [body_energy(provider, i, b.pose) for i, b in enumerate(s.bodies)]
+        )
         assert np.array_equal(g, g_ref) and np.array_equal(h, h_ref)
         # A body without a provider has zero energy.
         assert not (np.any(g[1]) or np.any(h[1]))
@@ -328,7 +351,27 @@ class TestPerBody:
         a numpy integer stays valid."""
         with pytest.raises(TypeError, match="^per_body: a key must be an integer body index, not "):
             per_body({bad: quadratic_pose_target(Pose.identity())})
-        assert per_body({np.int64(1): zero_energy}).last == 1
+        assert per_body({np.int64(1): quadratic_pose_target(Pose.identity())}).last == 1
+
+    @pytest.mark.parametrize("bad", [None, 3.0])
+    def test_a_provider_must_be_a_pose_target_or_callable(self, bad):
+        """``per_body({0: None})`` gave body 0 zero energy, and a bare None
+        provider failed with an unnamed "'NoneType' object is not callable";
+        both are refused, naming the body.  A per_body map is not a provider
+        of one body."""
+        named = r"^per_body: body 2: .* is neither a pose target nor callable$"
+        for providers in ({0: quadratic_pose_target(Pose.identity()), 2: bad}, {2: zero_energy}):
+            with pytest.raises(TypeError, match=named):
+                per_body(providers)
+        with pytest.raises(TypeError, match="^per_body: body 0: "):
+            step(build_serial_chain(3), bad, SolverConfig())
+
+    def test_a_target_that_is_not_a_pose_is_named(self):
+        """A target of a 4 x 4 matrix failed with numpy's unnamed
+        "'numpy.ndarray' object has no attribute 'r'"."""
+        providers = {0: quadratic_pose_target(Pose.identity()), 1: quadratic_pose_target(np.eye(4))}
+        with pytest.raises(TypeError, match="^per_body: body 1 target ndarray is not a Pose$"):
+            per_body(providers)
 
     def test_malformed_target_rejected_naming_its_body(self):
         flat = Pose(np.eye(3).reshape(9), np.zeros(3))
@@ -344,7 +387,9 @@ class TestPerBody:
     def test_out_of_range_key_rejected_before_any_change(self):
         s = random_tree(np.random.default_rng(23), 3)
         before = [(b.pose.r.copy(), b.pose.t.copy()) for b in s.bodies]
-        provider = per_body({1: zero_energy, 3: quadratic_pose_target(Pose.identity())})
+        provider = per_body(
+            {1: lambda i, pose: zero_body_energy(), 3: quadratic_pose_target(Pose.identity())}
+        )
         with pytest.raises(ValueError, match="body index 3"):
             step(s, provider, SolverConfig(mode=SolverMode.PROJECTED))
         for (r, t), body in zip(before, s.bodies):
@@ -380,20 +425,18 @@ class TestStackedPath:
             kernel_calls.append(args[2].t.shape[0])
             return kernel(*args)
 
-        def no_row_call(self, body_index, pose):
-            raise AssertionError("per-body PoseTarget call")
-
         monkeypatch.setattr(energy, "pose_target_stack", counting_kernel)
-        monkeypatch.setattr(PoseTarget, "__call__", no_row_call)
         provider = per_body({i: quadratic_pose_target(b.pose) for i, b in enumerate(s.bodies)})
         for _ in range(3):
             step(s, provider, SolverConfig(mode=SolverMode.CONSTRAINED))
         assert kernel_calls == [8, 8, 8]
 
     def test_zero_energy_step_makes_no_provider_call(self, monkeypatch):
-        def no_call(self, body_index, pose):
-            raise AssertionError("per-body provider call")
+        def no_kernel(*args):
+            raise AssertionError("pose-target kernel call")
 
-        monkeypatch.setattr(type(zero_energy), "__call__", no_call)
+        monkeypatch.setattr(energy, "pose_target_stack", no_kernel)
         for mode in (SolverMode.PROJECTED, SolverMode.CONSTRAINED):
             step(build_serial_chain(5), zero_energy, SolverConfig(mode=mode))
+        g, h = evaluate(zero_energy, build_serial_chain(5).poses())
+        assert not (g.any() or h.any())

@@ -525,7 +525,6 @@ class TestStackedPose:
         rng = np.random.default_rng(seed)
         p, q = random_stack(rng, shape), random_stack(rng, shape)
         pq = p @ q
-        assert_same_pose(p.compose(q), pq)
         rows_q = dict(single_rows(q))
         for index, row in single_rows(p):
             expected = row @ rows_q[index]
@@ -607,8 +606,17 @@ class TestStackedPose:
         assert np.isnan(nan.r).all()
         assert Pose.stack([]).r.shape == (0, 3, 3) and Pose.stack([]).t.shape == (0, 3)
 
+    def test_stack_names_a_row_that_is_not_a_pose(self):
+        """A 4 x 4 matrix for a row failed with numpy's unnamed
+        "'numpy.ndarray' object has no attribute 'r'"."""
+        with pytest.raises(TypeError, match=r"^row 0: ndarray is not a Pose$"):
+            Pose.stack([np.eye(4)])
+        name = "target {}:".format
+        with pytest.raises(TypeError, match=r"^target 2: tuple is not a Pose$"):
+            Pose.stack([Pose.identity(), Pose.identity(), (np.eye(3), np.zeros(3))], name)
+
     def test_a_pose_is_not_a_pair(self):
-        p = Pose.stack([Pose.identity(), Pose.from_rotvec([0.1, 0.2, 0.3], [1.0, 2.0, 3.0])])
+        p = Pose.stack([Pose.identity(), Pose(exp_rotvec([0.1, 0.2, 0.3]), [1.0, 2.0, 3.0])])
         with pytest.raises(TypeError):
             r, t = p
         with pytest.raises(TypeError):
@@ -619,7 +627,7 @@ class TestStackedPose:
             Pose.identity()[0]
 
     def test_a_pose_is_immutable(self):
-        p = Pose.from_rotvec([0.1, 0.2, 0.3], [1.0, 2.0, 3.0])
+        p = Pose(exp_rotvec([0.1, 0.2, 0.3]), [1.0, 2.0, 3.0])
         for name in ("r", "t", "other"):
             with pytest.raises(AttributeError):
                 setattr(p, name, np.zeros(3))

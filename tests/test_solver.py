@@ -21,7 +21,7 @@ from multibody.energy import (
 from multibody.experiments import build_serial_chain
 from multibody.kinematics import Body, Joint, KinematicStructure, axes_mask
 from multibody import constraints, kinematics, se3, solver
-from multibody.se3 import Pose
+from multibody.se3 import Pose, exp_rotvec
 from multibody.solver import (
     DENSE_MAX_DIM,
     DENSE_MIN_FILL,
@@ -51,6 +51,7 @@ from oracles import (
     selection_kkt,
     solve_dense_kkt,
     stacked_energies,
+    zero_body_energy,
 )
 
 
@@ -114,7 +115,7 @@ class TestAssemble:
         rng = np.random.default_rng(1)
         s = random_tree(rng, 2)
         j1 = body_jacobians(s)[1]
-        e0 = BodyEnergy.zero()
+        e0 = zero_body_energy()
         e1 = BodyEnergy(rng.standard_normal(6), random_spd(rng))
         k = assemble(s, *stacked_energies([e0, e1]), SolverMode.PROJECTED, NO_REGULARIZATION)
         assert np.allclose(dense_blocks(k)[0], j1.T @ e1.h @ j1, atol=1e-12)
@@ -127,9 +128,8 @@ class TestAssemble:
         rng = np.random.default_rng(2)
         s = random_tree(rng, 3)
         targets = [b.pose for b in s.bodies]
-        provider = lambda i, pose: quadratic_pose_target(targets[i])(i, pose)  # noqa: E731
-        energies = [provider(i, b.pose) for i, b in enumerate(s.bodies)]
-        k = assemble(s, *stacked_energies(energies), SolverMode.PROJECTED, NO_REGULARIZATION)
+        provider = per_body({i: quadratic_pose_target(target) for i, target in enumerate(targets)})
+        k = assemble(s, *evaluate(provider, s.poses()), SolverMode.PROJECTED, NO_REGULARIZATION)
 
         def composed(theta):
             moved = copy.deepcopy(s)
@@ -144,7 +144,7 @@ class TestAssemble:
 
     def test_regularization_on_matching_axes(self):
         s = KinematicStructure([Body("a", Joint(free_axes=np.ones(6, dtype=bool)))])
-        g, h = stacked_energies([BodyEnergy.zero()])
+        g, h = stacked_energies([zero_body_energy()])
         k = assemble(s, g, h, SolverMode.PROJECTED, Regularization(7.0, 9.0))
         assert np.allclose(np.diag(dense_blocks(k)[0]), [7, 7, 7, 9, 9, 9])
 
@@ -153,7 +153,7 @@ class TestAssemble:
         s = random_tree(rng, 2)
         with pytest.raises(ValueError):
             assemble(
-                s, *stacked_energies([BodyEnergy.zero()]), SolverMode.PROJECTED, NO_REGULARIZATION
+                s, *stacked_energies([zero_body_energy()]), SolverMode.PROJECTED, NO_REGULARIZATION
             )
 
     def test_free_body_modes_match_selection_formula(self):
@@ -367,7 +367,7 @@ class TestSolveKkt:
 
     def test_bad_band_input_is_named_before_its_factorization(self, monkeypatch):
         s = build_serial_chain(64)
-        k = assemble(s, *stacked_energies([BodyEnergy.zero()] * 64), SolverMode.CONSTRAINED,
+        k = assemble(s, *stacked_energies([zero_body_energy()] * 64), SolverMode.CONSTRAINED,
                      Regularization())
         assert isinstance(k.matrix, BandMatrix)
         k.b_vec[5] = np.nan
@@ -482,7 +482,7 @@ class TestBandOrder:
         """Along a chain, body, joint rows, body: 6 + 5 - 1 apart at most.
         Alone, a body's 6 coordinates are 5 apart."""
         s = build_serial_chain(n_bodies)
-        k = assemble(s, *stacked_energies([BodyEnergy.zero()] * n_bodies), mode, NO_REGULARIZATION)
+        k = assemble(s, *stacked_energies([zero_body_energy()] * n_bodies), mode, NO_REGULARIZATION)
         assert isinstance(k.matrix, BandMatrix)
         assert k.matrix.width == width
         assert k.matrix.band.shape == (3 * width + 1, k.g_k.shape[0] + k.b_vec.shape[0])
@@ -743,7 +743,7 @@ class TestStep:
         axis = rng.standard_normal(3)
         axis /= np.linalg.norm(axis)
         pose_a = Pose.identity()
-        pose_b = Pose.from_rotvec(2.1 * axis, 0.6 * rng.standard_normal(3))
+        pose_b = Pose(exp_rotvec(2.1 * axis), 0.6 * rng.standard_normal(3))
         s = KinematicStructure(
             [
                 Body("a", Joint(free_axes=np.ones(6, dtype=bool)), pose=pose_a),
@@ -763,7 +763,7 @@ class TestStep:
         for body in s.bodies:
             offset = np.concatenate([random_rotvec(rng, 0.3), 0.1 * rng.standard_normal(3)])
             targets.append(pose_with_variation(body.pose, offset))
-        provider = lambda i, pose: quadratic_pose_target(targets[i])(i, pose)  # noqa: E731
+        provider = per_body({i: quadratic_pose_target(target) for i, target in enumerate(targets)})
 
         def total_energy():
             return sum(
@@ -841,7 +841,7 @@ class TestStep:
             angles = amplitude * (np.sin(2.0 * np.pi * frame / 240 + phase) - np.sin(phase))
             targets = [Pose.identity()]
             for q in angles:
-                targets.append(targets[-1] @ link @ Pose.from_rotvec([0.0, 0.0, q]))
+                targets.append(targets[-1] @ link @ Pose(exp_rotvec([0.0, 0.0, q]), np.zeros(3)))
             providers = {
                 i: quadratic_pose_target(target, 100.0, 100.0)
                 for i, target in enumerate(targets)

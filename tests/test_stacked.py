@@ -18,7 +18,7 @@ from multibody.constraints import (
 from multibody.energy import BodyEnergy, per_body, quadratic_pose_target
 from multibody.experiments import build_serial_chain
 from multibody.kinematics import KinematicStructure
-from multibody.se3 import Pose
+from multibody.se3 import Pose, exp_rotvec
 from multibody.solver import (
     BandMatrix,
     Regularization,
@@ -63,7 +63,7 @@ def constraint_at(rng, s, kind, angle, bodies=None):
     frame_b = random_pose(rng)
     if angle is not None:
         axis = random_rotvec(rng)
-        wanted = Pose.from_rotvec(angle * axis / np.linalg.norm(axis), rng.uniform(-1, 1, 3))
+        wanted = Pose(exp_rotvec(angle * axis / np.linalg.norm(axis)), rng.uniform(-1, 1, 3))
         # frame_a o pose_a^-1 o pose_b o frame_b^-1 == wanted
         frame_b = wanted.inverse() @ frame_a @ s.bodies[a].pose.inverse() @ s.bodies[b].pose
     if kind is OrthogonalityConstraint:
@@ -168,9 +168,9 @@ class TestStepMatchesScalarOracle:
         worst = 0.0
         for frame in range(1, 21):
             w = 2.0 * np.pi * frame / 240
-            targets = [Pose.from_rotvec(0.1 * np.sin(w) * np.ones(3), 0.1 * np.sin(w) * np.ones(3))]
+            targets = [Pose(exp_rotvec(0.1 * np.sin(w) * np.ones(3)), 0.1 * np.sin(w) * np.ones(3))]
             for q in amplitude * (np.sin(w + phase) - np.sin(phase)):
-                targets.append(targets[-1] @ link @ Pose.from_rotvec([0.0, 0.0, q]))
+                targets.append(targets[-1] @ link @ Pose(exp_rotvec([0.0, 0.0, q]), np.zeros(3)))
             provider = per_body(
                 {i: quadratic_pose_target(t, 100.0, 100.0) for i, t in enumerate(targets)}
             )
@@ -209,7 +209,7 @@ class TestOnePoseStackPerStep:
             return original(poses, *name)
 
         monkeypatch.setattr(se3.Pose, "stack", staticmethod(spy))
-        nudge = Pose.from_rotvec([0.02, -0.01, 0.03], [0.01, 0.0, -0.02])
+        nudge = Pose(exp_rotvec([0.02, -0.01, 0.03]), [0.01, 0.0, -0.02])
         for mode in SolverMode:
             providers = {
                 i: quadratic_pose_target(b.pose @ nudge, 100.0) for i, b in enumerate(s.bodies)

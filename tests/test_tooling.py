@@ -111,6 +111,28 @@ def test_a_small_step_pays_no_per_call_wrappers():
         assert "mean" not in names, metric.__name__
 
 
+def test_energies_have_one_evaluation_path():
+    """``energy.evaluate`` evaluates every provider as a ``per_body`` map: a
+    pose target is data, with no per-body call and no stacked evaluation of
+    its own, a map is not called per body, and there is no zero BodyEnergy
+    to return for a body without a provider, nor the per-body loop helper
+    or a duck-typed lookup of a stacked method.
+    ``Pose`` keeps no surface only the tests used: ``from_rotvec`` and
+    ``compose``, the name behind ``@``."""
+    energy = multibody.energy
+    target = energy.quadratic_pose_target(se3.Pose.identity())
+    assert not callable(target) and not callable(energy.per_body({0: target}))
+    for cls, name in (
+        (energy.PoseTarget, "evaluate_stack"),
+        (energy.BodyEnergy, "zero"),
+        (se3.Pose, "from_rotvec"),
+        (se3.Pose, "compose"),
+    ):
+        assert not hasattr(cls, name), (cls.__name__, name)
+    assert not hasattr(energy, "_call_per_body") and not hasattr(energy, "_zeros")
+    assert "getattr" not in inspect.getsource(energy.evaluate)
+
+
 def test_a_structure_is_configured_once():
     """The options only tests set stay removed: ``assemble`` takes the
     rows its structure keeps and a regularization, ``per_body`` gives a
@@ -552,3 +574,28 @@ def test_outputs_match_their_pinned_digests():
     on purpose updates the file, and says in CHANGES.md why, with the
     full-size digests (python3 tools/output_digest.py) before and after."""
     assert output_digest().digests(**PINNED["sizes"]) == PINNED["digests"]
+
+
+def test_code_lines_counts_only_lines_of_code():
+    """tools/code_lines.py counts a line that holds a token of code, each
+    line of a statement spread over several, and no blank, comment or
+    docstring line."""
+    path = ROOT / "tools" / "code_lines.py"
+    spec = importlib.util.spec_from_file_location("code_lines", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    source = '''"""Module docstring,
+over two lines."""
+
+# A comment.
+import math
+
+
+def f(x):
+    """Function docstring."""
+    y = (x +  # a trailing comment
+         math.pi)
+
+    return y
+'''
+    assert module.code_lines(source) == 5

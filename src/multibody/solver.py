@@ -26,23 +26,59 @@ storage and reverse Cuthill-McKee order by LAPACK's banded LU dgbtrf and
 dgbtrs, which makes a chain's system banded as in Baraff's linear-time
 solver (SIGGRAPH 1996).  Every check on a system's input comes before any
 factorization.
+
+Those four LAPACK routines are the f2py wrappers of scipy.linalg._flapack,
+the extension that scipy.linalg.lapack re-exports, loaded from scipy's own
+directory without importing the scipy.linalg package: that package's
+import (about 0.25 s on a 2-core x86-64 Xeon, most of a fresh ``import
+multibody``) clones numpy for its array API layer and so loads
+numpy.f2py, numpy.testing and unittest.  Only a failed step imports
+scipy.linalg, for the pivoted QR of its diagnosis.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import importlib.machinery
+import importlib.util
 import numbers
+import sys
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dsytrf, dsytrf_lwork, dsytrs
+import scipy  # the package alone: its __init__ runs a distribution's BLAS/LAPACK set-up
 
 from .constraints import ConstraintRows, ConstraintStack, _frozen, _ReadOnly
 from .energy import evaluate
 from .kinematics import KinematicStructure, _PoseStore
+
+
+def _load_flapack(directory: str):
+    """scipy.linalg._flapack from ``directory``, or the module of that name
+    already loaded (by scipy.linalg, if it came first), registered under its
+    name so that scipy.linalg.lapack, when imported later, re-exports the
+    same functions.  Raises ImportError if the directory holds no such
+    extension."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    extensions = (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES)
+    spec = importlib.machinery.FileFinder(directory, extensions).find_spec(name)
+    if spec is None:
+        raise ImportError(
+            f"scipy {scipy.__version__} has no LAPACK wrappers _flapack in {directory}", name=name
+        )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+_flapack = _load_flapack(importlib.util.find_spec("scipy.linalg").submodule_search_locations[0])
+dgbtrf, dgbtrs, dsytrf, dsytrs = _flapack.dgbtrf, _flapack.dgbtrs, _flapack.dsytrf, _flapack.dsytrs
+dsytrf_lwork = _flapack.dsytrf_lwork
 
 
 class SolverMode(enum.Enum):
@@ -602,6 +638,8 @@ def _diagnosis(s: KinematicStructure, k: KktSystem) -> str:
     b_mat = kkt[n:, :n]
     finite_rows = np.isfinite(b_mat).all(axis=1) & np.isfinite(k.b_vec)
     if np.isfinite(kkt).all() and finite_rows.all():
+        import scipy.linalg  # here, not at module level: see the module docstring
+
         _, r, order = scipy.linalg.qr(b_mat.T, mode="economic", pivoting=True)
         tolerance = (n + m) * np.finfo(float).eps * np.linalg.norm(kkt)
         rank = int(np.count_nonzero(np.abs(np.diag(r)) > tolerance))

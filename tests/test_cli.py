@@ -2,6 +2,9 @@
 
 import functools
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -279,3 +282,22 @@ class TestUsage:
         with pytest.raises(SystemExit) as info:
             main(["frobnicate"])
         assert info.value.code == 1
+
+    @pytest.mark.parametrize("args, code", [(["--help"], 0), (["frobnicate"], 1)])
+    def test_python_m_multibody_runs_the_cli(self, args, code):
+        """``python -m multibody`` runs from a checkout, with src/ on the
+        import path, and exits with the command line's code."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "multibody", *args],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == code
+        if code:
+            assert "invalid choice: 'frobnicate'" in proc.stderr
+        else:
+            assert proc.stdout.startswith("usage: multibody")

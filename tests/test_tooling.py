@@ -14,6 +14,8 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
+import scipy
 
 import multibody
 import multibody.config
@@ -29,44 +31,124 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 
 
-def loaded_after(code: str, module: str = "scipy.sparse.linalg") -> str:
-    """Whether ``module`` is loaded after running code in a fresh process
-    that imports multibody."""
+def run_fresh(code: str) -> str:
+    """What running code prints in a fresh process, with sys imported and
+    this checkout's multibody on the import path."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
-        [sys.executable, "-c", f"import sys, multibody\n{code}\n"
-         f"print({module!r} in sys.modules)"],
+        [sys.executable, "-c", f"import sys\n{code}\n"],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         check=True,
     )
-    return out.stdout.strip()
+    return out.stdout
+
+
+def loaded_after(code: str, *modules: str) -> list:
+    """Those of ``modules`` (scipy.sparse.linalg if none is named) that are
+    loaded after running code in a fresh process that imports multibody."""
+    modules = modules or ("scipy.sparse.linalg",)
+    listed = f"print(*[m for m in {modules!r} if m in sys.modules])"
+    return run_fresh(f"import multibody\n{code}\n{listed}").split()
+
+
+# What the package import of scipy.linalg loads (see the solver module
+# docstring): its array API layer clones numpy, loading numpy.f2py and
+# numpy.testing.  The solver loads only the LAPACK wrappers it calls.
+LINALG_PACKAGE = ("scipy.linalg", "numpy.f2py", "numpy.testing")
+IMPORTS = "import multibody.cli, multibody.config, multibody.experiments"
+DENSE_STEP = (
+    "fourbar = multibody.config.load_config(%r).structure\n"
+    "report = multibody.step(fourbar, multibody.zero_energy,\n"
+    "    multibody.SolverConfig(mode='combined'))\n"
+    "assert report.kkt_dim == 5" % str(ROOT / "demos" / "fourbar.json")
+)
+BAND_STEP = (
+    "from multibody.experiments import build_serial_chain\n"
+    "report = multibody.step(build_serial_chain(64), multibody.zero_energy,\n"
+    "    multibody.SolverConfig(mode='constrained'))\n"
+    "assert report.kkt_dim == 699"
+)
 
 
 def test_import_leaves_sparse_linalg_unloaded():
     """scipy.sparse.linalg adds about 35 modules and 2 MB to a fresh
     process; the solver needs none of it, since large sparse KKT systems
     are factored in band storage by LAPACK."""
-    assert loaded_after("") == "False"
+    assert loaded_after("") == []
 
 
 def test_import_leaves_scipy_spatial_and_sparse_unloaded():
     """ADD-S sums squared differences itself, so neither scipy.spatial nor
     the scipy.sparse it imports is loaded: about 90 modules and 9 MB of a
     fresh process."""
-    for module in ("scipy.spatial", "scipy.sparse"):
-        assert loaded_after("import multibody.experiments", module) == "False"
+    assert loaded_after("import multibody.experiments", "scipy.spatial", "scipy.sparse") == []
 
 
 def test_band_solve_leaves_sparse_linalg_unloaded():
-    step = (
-        "from multibody.experiments import build_serial_chain\n"
-        "report = multibody.step(build_serial_chain(64), multibody.zero_energy,\n"
-        "    multibody.SolverConfig(mode='constrained'))\n"
-        "assert report.kkt_dim == 699"
+    """Neither scipy.sparse.linalg nor the scipy.linalg package is loaded by
+    the package's modules, a dense step or a band step."""
+    code = f"{IMPORTS}\n{DENSE_STEP}\n{BAND_STEP}"
+    assert loaded_after(code, "scipy.sparse.linalg", *LINALG_PACKAGE) == []
+
+
+def test_a_failed_step_still_names_its_constraints():
+    """Only a failed step imports scipy.linalg, for the pivoted QR that
+    blames the duplicated four-bar closure."""
+    code = (
+        "import json, pathlib\n"
+        "raw = json.loads(pathlib.Path(%r).read_text())\n"
+        "raw['constraints'].append(dict(raw['constraints'][0]))\n"
+        "for body in raw['bodies']:\n"
+        "    body.pop('mesh_path', None)\n"
+        "s = multibody.config.parse_config(raw).structure\n"
+        "try:\n"
+        "    multibody.step(s, multibody.zero_energy, multibody.SolverConfig(mode='combined'))\n"
+        "except multibody.FactorizationFailed as exc:\n"
+        "    print(exc)\n"
+        "print('scipy.linalg' in sys.modules)" % str(ROOT / "demos" / "fourbar.json")
     )
-    assert loaded_after(step) == "False"
+    message, loaded = run_fresh(f"{IMPORTS}\n{code}").splitlines()
+    assert message == (
+        "more constraint rows than coordinates; KKT system of 3 coordinates and "
+        "4 constraint rows, of rank 2; numerically dependent rows in constraints "
+        "1 (bodies 2 'coupler', 3 'link_b')"
+    )
+    assert loaded == "True"
+
+
+LAPACK_NAMES = ("dsytrf", "dsytrf_lwork", "dsytrs", "dgbtrf", "dgbtrs")
+
+
+@pytest.mark.parametrize(
+    "imports",
+    ["import multibody.solver\nimport scipy.linalg.lapack",
+     "import scipy.linalg.lapack\nimport multibody.solver"],
+    ids=["multibody-first", "scipy-first"],
+)
+def test_solver_calls_the_functions_scipy_exports(imports):
+    """In either import order the solver's LAPACK functions are the objects
+    scipy.linalg.lapack exports, from one loaded wrapper module."""
+    code = (
+        f"{imports}\n"
+        "lapack, solver = sys.modules['scipy.linalg.lapack'], sys.modules['multibody.solver']\n"
+        f"print(all(getattr(solver, n) is getattr(lapack, n) for n in {LAPACK_NAMES!r}))\n"
+        "print(lapack._flapack is solver._flapack is sys.modules['scipy.linalg._flapack'])"
+    )
+    assert run_fresh(code).split() == ["True", "True"]
+
+
+def test_a_missing_lapack_wrapper_is_named(tmp_path, monkeypatch):
+    """A scipy whose layout moved the wrappers fails the import by name,
+    rather than falling back to the slow package import."""
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    with pytest.raises(ImportError) as info:
+        multibody.solver._load_flapack(str(tmp_path))
+    assert str(info.value) == (
+        f"scipy {scipy.__version__} has no LAPACK wrappers _flapack in {tmp_path}"
+    )
+    assert "scipy.linalg._flapack" not in sys.modules
 
 
 def test_every_exported_name_resolves():
